@@ -31,12 +31,10 @@ from .errors import CapExceeded, InputError, ToposlangError  # noqa: F401
 from .intervals import Interval, IntervalSet, interval_op  # noqa: F401
 from .heyting import (  # noqa: F401
     BoundedLattice,
+    DownsetAlgebra,
     HeytingAlgebra,
     build_algebra,
     check_heyting_laws,
-    heyting_implies,
-    heyting_negate,
-    lattice_op,
     lower_set_algebra,
     open_set_algebra,
     powerset_algebra,

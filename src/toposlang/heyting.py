@@ -1,14 +1,21 @@
 """Finite bounded lattices and Heyting algebras.
 
-Elements are interned: the carrier is an ordered tuple of hashable ids and
-all structure is precomputed (or memoized) against integer indices.  The
-order relation is stored as one bitmask per element (its down-set), which
-makes meets and joins dictionary lookups: the down-set of a glb is exactly
-the intersection of the down-sets, so ``meet(a, b)`` is the unique element
-whose down-mask equals ``down[a] & down[b]``.
+Every Heyting algebra the toolkit builds is the algebra of down-sets of a
+finite preorder, and is a `DownsetAlgebra`: its elements are int bitmasks
+over the preorder's points, meet is ``&``, join is ``|``, implication is one
+pass over the points, and the carrier is enumerated by a search that visits
+only down-sets (see the down-set kernel below).
 
-Implication is computed by definition, as the largest g with g & a <= b;
-no per-instance formula is assumed, and `check_heyting_laws` verifies the
+The generic classes take any carrier and order.  Elements are interned: the
+carrier is an ordered tuple of hashable ids and all structure is
+precomputed (or memoized) against integer indices.  The order relation is
+stored as one bitmask per element (its down-set), which makes meets and
+joins dictionary lookups: the down-set of a glb is exactly the intersection
+of the down-sets, so ``meet(a, b)`` is the unique element whose down-mask
+equals ``down[a] & down[b]``.  `HeytingAlgebra` computes implication by
+definition, as the largest g with g & a <= b, and is the oracle the kernel
+is tested against; `BoundedLattice` carries the non-distributive subspace
+lattice, which has no Heyting structure.  `check_heyting_laws` verifies the
 adjunction (and the lattice axioms, distributivity and double negation)
 exhaustively at desk scale.
 """
@@ -17,9 +24,10 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Iterable, Mapping, Optional, Sequence
+from itertools import islice
+from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence
 
-from ._canon import canon_sorted
+from ._canon import canon_key, canon_sorted
 from .errors import CapExceeded, ToposlangError
 
 DEFAULT_CAP = 4096
@@ -222,55 +230,171 @@ class HeytingAlgebra(BoundedLattice):
         return self._elems[self._implies_ix(self._ix(a), self._bottom)]
 
 
-# -- functional wrappers ----------------------------------------------------
+# -- the down-set kernel ---------------------------------------------------------
+#
+# The preorders: the discrete order for a powerset, the specialization
+# preorder for the opens of a finite (hence Alexandrov) topology, the arrows
+# into A for the sieves on A, the category of elements for Sub(X), and the
+# opposite order for the up-sets of a Kripke frame.  Points are bit
+# positions and a down-set is an int mask over them.
 
-def lattice_op(kind: str, algebra: BoundedLattice, a, b):
-    """kind in {meet, join, leq}; raises UnknownElement on a bad id."""
-    if kind == "meet":
-        return algebra.meet(a, b)
-    if kind == "join":
-        return algebra.join(a, b)
-    if kind == "leq":
-        return algebra.leq(a, b)
-    raise ValueError(f"unknown lattice operation {kind!r}")
+def preorder_closure(needs: Sequence[int]) -> list[int]:
+    """Reflexive-transitive closure of a relation given as one mask per
+    point (bit y of ``needs[x]`` is set when x needs y).
+
+    Bits at or beyond ``len(needs)`` stand for requirements that no point
+    meets; the closure carries them to every point that needs one of them
+    through other points.
+    """
+    below = [m | 1 << x for x, m in enumerate(needs)]
+    for k in range(len(below)):
+        bit, down_k = 1 << k, below[k]
+        for i, m in enumerate(below):
+            if m & bit:
+                below[i] = m | down_k
+    return below
 
 
-def heyting_implies(algebra: HeytingAlgebra, a, b):
-    return algebra.implies(a, b)
+def iter_downsets(below: Sequence[int]) -> Iterator[int]:
+    """Every down-set of a finite preorder, once each, as a bitmask.
+
+    ``below[x]`` is the mask of the points at or below x, reflexive and
+    transitive.  A point whose mask has a bit at or beyond ``len(below)``
+    needs something outside the points and lies in no down-set.  The search
+    decides the lowest undecided point at each step: taking it forces its
+    down-closure, leaving it out forbids its up-closure.  No branch dies, so
+    the cost is O(points) word operations per down-set, not per subset.
+    """
+    n = len(below)
+    full = (1 << n) - 1
+    above = [0] * n
+    for x, m in enumerate(below):
+        m &= full
+        while m:
+            low = m & -m
+            above[low.bit_length() - 1] |= 1 << x
+            m ^= low
+    barred = 0
+    for x, m in enumerate(below):
+        if m > full:
+            barred |= above[x]
+    stack = [(0, barred)]
+    while stack:
+        taken, decided = stack.pop()
+        if decided == full:
+            yield taken
+            continue
+        p = ((decided + 1) & ~decided).bit_length() - 1
+        stack.append((taken, decided | above[p]))
+        stack.append((taken | below[p], decided | below[p]))
 
 
-def heyting_negate(algebra: HeytingAlgebra, a):
-    return algebra.negate(a)
+def canonical_carrier(points: Sequence, masks: Iterable[int]) -> list[tuple[int, frozenset]]:
+    """(mask, frozenset of its points) for each mask, in canonical order."""
+    carrier = [(m, frozenset(p for i, p in enumerate(points) if m >> i & 1))
+               for m in masks]
+    carrier.sort(key=lambda c: canon_key(c[1]))
+    return carrier
+
+
+class DownsetAlgebra(HeytingAlgebra):
+    """Heyting algebra of the down-sets of a finite preorder, as bitmasks.
+
+    ``below[x]`` is the mask of the points at or below point x (reflexive
+    and transitive); ``carrier`` lists every down-set as a (mask, element id)
+    pair, in the order `elements` keeps.  Meet is ``&``, join is ``|``, and
+    ``implies(a, b)`` is {x : below[x] & a & ~b == 0}, the points with no
+    predecessor in a outside b.  Nothing is tabulated: building costs O(N)
+    and each operation O(points) word operations.
+    """
+
+    def __init__(self, below: Sequence[int], carrier: Iterable[tuple[int, object]],
+                 *, cap: int = DEFAULT_CAP):
+        # The generic constructor is not run: it would build N x N tables.
+        pairs = list(carrier)
+        if len(pairs) > cap:
+            raise CapExceeded(f"carrier size {len(pairs)} exceeds cap {cap}")
+        self._below = tuple(below)
+        self._masks = tuple(m for m, _ in pairs)
+        self._elems = tuple(e for _, e in pairs)
+        self._index = {e: i for i, e in enumerate(self._elems)}
+        if len(self._index) != len(self._elems):
+            raise InvalidOrder("duplicate element ids in carrier")
+        self._by_mask = {m: i for i, m in enumerate(self._masks)}
+        top = 0
+        for m in self._masks:
+            top |= m
+        self._top_mask = top  # every point, less those no down-set holds
+        self._top = self._by_mask[top]
+        self._bottom = self._by_mask[0]
+
+    def _mask(self, a) -> int:
+        return self._masks[self._ix(a)]
+
+    def _elem(self, mask: int):
+        return self._elems[self._by_mask[mask]]
+
+    def _implies_mask(self, a: int, b: int) -> int:
+        outside = a & ~b
+        out = 0
+        for x, m in enumerate(self._below):
+            if not m & outside:
+                out |= 1 << x
+        return out & self._top_mask
+
+    def leq(self, a, b) -> bool:
+        return not self._mask(a) & ~self._mask(b)
+
+    def meet(self, a, b):
+        return self._elem(self._mask(a) & self._mask(b))
+
+    def join(self, a, b):
+        return self._elem(self._mask(a) | self._mask(b))
+
+    def meet_all(self, items) -> object:
+        out = self._top_mask
+        for a in items:
+            out &= self._mask(a)
+        return self._elem(out)
+
+    def join_all(self, items) -> object:
+        out = 0
+        for a in items:
+            out |= self._mask(a)
+        return self._elem(out)
+
+    def implies(self, a, b):
+        return self._elem(self._implies_mask(self._mask(a), self._mask(b)))
+
+    def negate(self, a):
+        return self._elem(self._implies_mask(self._mask(a), 0))
 
 
 # -- builders ---------------------------------------------------------------
 
-def _subsets(base: tuple) -> list[frozenset]:
-    out = [frozenset()]
-    for x in base:
-        out += [s | {x} for s in out]
-    return out
-
-
-def powerset_algebra(base: Iterable, *, cap: int = DEFAULT_CAP) -> HeytingAlgebra:
+def powerset_algebra(base: Iterable, *, cap: int = DEFAULT_CAP) -> DownsetAlgebra:
     """Boolean algebra of all subsets of a finite base set."""
     items = tuple(canon_sorted(set(base)))
     if 1 << len(items) > cap:
         raise CapExceeded(f"powerset of {len(items)} elements exceeds cap {cap}")
-    elems = canon_sorted(_subsets(items))
-    alg = HeytingAlgebra(elems, frozenset.issubset, cap=cap)
+    below = [1 << i for i in range(len(items))]  # the discrete order
+    alg = DownsetAlgebra(below, canonical_carrier(items, iter_downsets(below)), cap=cap)
     for a in alg.elements:  # Boolean sanity: excluded middle is strict here
         if alg.join(a, alg.negate(a)) != alg.top:
             raise LatticeError(f"powerset instance is not Boolean at {a!r}")
     return alg
 
 
-def open_set_algebra(opens: Iterable[Iterable], *, cap: int = DEFAULT_CAP) -> HeytingAlgebra:
+def open_set_algebra(opens: Iterable[Iterable], *, cap: int = DEFAULT_CAP) -> DownsetAlgebra:
     """Heyting algebra of the open sets of a finite topology.
 
     The family must contain the empty set and the whole space and be closed
     under pairwise intersection and union (which, finitely, is all that
-    arbitrary unions require).
+    arbitrary unions require).  A finite topology is Alexandrov: its opens
+    are the down-sets of the specialization preorder, where the points
+    below x are those of the smallest open containing x.  Every open is
+    such a down-set, so the family is a topology exactly when the preorder
+    has no other down-set.
     """
     sets = [frozenset(s) for s in opens]
     family = set(sets)
@@ -279,14 +403,29 @@ def open_set_algebra(opens: Iterable[Iterable], *, cap: int = DEFAULT_CAP) -> He
         raise TopologyError("topology must contain the empty set")
     if space not in family:
         raise TopologyError("topology must contain the whole space")
+    points = canon_sorted(space)
+    index = {p: i for i, p in enumerate(points)}
+    below = [(1 << len(points)) - 1] * len(points)
+    for s in family:
+        mask = sum(1 << index[p] for p in s)
+        for p in s:
+            below[index[p]] &= mask
+    masks = list(islice(iter_downsets(below), len(family) + 1))
+    if len(masks) != len(family):
+        _raise_closure_witness(family)
+    return DownsetAlgebra(below, canonical_carrier(points, masks), cap=cap)
+
+
+def _raise_closure_witness(family: set) -> None:
+    """Report the first pair of opens whose meet or join is missing.  A
+    family with the empty set and the whole space that is closed under both
+    is a topology, so a family that is not has such a pair."""
     for a in canon_sorted(family):
         for b in canon_sorted(family):
             if a & b not in family:
                 raise TopologyError(f"not closed under intersection: {set(a)} & {set(b)}")
             if a | b not in family:
                 raise TopologyError(f"not closed under union: {set(a)} | {set(b)}")
-    elems = canon_sorted(family)
-    return HeytingAlgebra(elems, frozenset.issubset, cap=cap)
 
 
 def transitive_closure(elements: Sequence, pairs: Iterable[tuple]) -> dict:
@@ -318,15 +457,16 @@ def transitive_closure(elements: Sequence, pairs: Iterable[tuple]) -> dict:
 
 
 def lower_set_algebra(elements: Sequence, pairs: Iterable[tuple], *,
-                      cap: int = DEFAULT_CAP) -> HeytingAlgebra:
+                      cap: int = DEFAULT_CAP) -> DownsetAlgebra:
     """Heyting algebra of all lower sets of a finite poset."""
     elems = list(elements)
     below = transitive_closure(elems, pairs)
     if 1 << len(elems) > cap:
         raise CapExceeded(f"lower-set enumeration over {len(elems)} points exceeds cap")
-    lower = [s for s in _subsets(tuple(elems))
-             if all(below[x] <= s for x in s)]
-    return HeytingAlgebra(canon_sorted(lower), frozenset.issubset, cap=cap)
+    if len(set(elems)) != len(elems):
+        raise InvalidOrder("duplicate element ids in carrier")
+    masks = [sum(1 << j for j, y in enumerate(elems) if y in below[x]) for x in elems]
+    return DownsetAlgebra(masks, canonical_carrier(elems, iter_downsets(masks)), cap=cap)
 
 
 def build_algebra(spec: Mapping, *, cap: int = DEFAULT_CAP) -> HeytingAlgebra:

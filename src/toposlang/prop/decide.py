@@ -18,6 +18,7 @@ from functools import lru_cache
 from typing import Optional
 
 from ..errors import ToposlangError
+from ..heyting import iter_downsets
 from .kripke import KripkeModel
 from .syntax import And, Atom, Formula, Implies, Not, Or, Prim, leaf_key
 
@@ -144,13 +145,12 @@ def _posets(n: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
 
 
 def _upsets(upset_of: tuple[tuple[int, ...], ...]) -> list[frozenset[int]]:
+    """The up-sets of the order, which are the down-sets of its opposite,
+    ordered by bitmask."""
     n = len(upset_of)
-    out = []
-    for mask in range(1 << n):
-        members = {i for i in range(n) if mask >> i & 1}
-        if all(set(upset_of[i]) <= members for i in members):
-            out.append(frozenset(members))
-    return out
+    below = [sum(1 << j for j in ups) for ups in upset_of]
+    return [frozenset(i for i in range(n) if mask >> i & 1)
+            for mask in sorted(iter_downsets(below))]
 
 
 def find_countermodel(formula: Formula, *, max_worlds: int = 4) -> Optional[tuple]:

@@ -1,8 +1,11 @@
-"""Shared fixtures: small base categories and deterministic presheaf generators."""
+"""Shared fixtures: small base categories, deterministic presheaf generators,
+brute-force enumeration oracles and the wall-clock budget."""
 import random
+import time
 
+from toposlang._canon import canon_key
 from toposlang.category import FiniteCategory, Morphism, from_poset, one_object_category
-from toposlang.presheaf import Presheaf
+from toposlang.presheaf import Presheaf, Subobject
 
 PT = one_object_category()
 TWO = from_poset(["p", "q"], [("p", "q")])
@@ -60,4 +63,89 @@ def presheaf_fixture_pool(count: int = 12, seed: int = 7):
     out = []
     for i in range(count):
         out.append(random_presheaf(bases[i % len(bases)], rng))
+    return out
+
+
+class budget:
+    """Fails the enclosed block when it takes `seconds` or longer."""
+
+    def __init__(self, criterion: str, seconds: float):
+        self.criterion = criterion
+        self.seconds = seconds
+
+    def __enter__(self):
+        self.start = time.perf_counter()
+        return self
+
+    def __exit__(self, exc_type, exc, tb):
+        elapsed = time.perf_counter() - self.start
+        if exc_type is None:
+            assert elapsed < self.seconds, \
+                f"criterion {self.criterion} took {elapsed:.2f}s (budget {self.seconds}s)"
+            print(f"PASS {self.criterion} ({elapsed:.2f}s < {self.seconds}s)")
+        else:
+            print(f"FAIL {self.criterion} ({elapsed:.2f}s)")
+        return False
+
+
+# -- brute-force oracles: filters over all 2^n subsets ---------------------------
+
+def brute_subsets(base) -> list[frozenset]:
+    """Every subset of `base`, ordered by bitmask over its order."""
+    out = [frozenset()]
+    for x in base:
+        out += [s | {x} for s in out]
+    return out
+
+
+def brute_downsets(points, below) -> list[frozenset]:
+    """The subsets holding `below[x]` (a set) with each of their points x."""
+    return [s for s in brute_subsets(points) if all(below[x] <= s for x in s)]
+
+
+def brute_sieves(cat, obj) -> list[frozenset]:
+    """Subsets of the arrows into obj closed under precomposition, ordered by
+    bitmask over `cat.into(obj)`."""
+    incoming = cat.into(obj)
+    out = []
+    for mask in range(1 << len(incoming)):
+        members = {incoming[i] for i in range(len(incoming)) if mask >> i & 1}
+        closed = all(cat.compose(f, g.id) in members
+                     for f in members
+                     for g in cat.morphisms if g.cod == cat.morphism(f).dom)
+        if closed:
+            out.append(frozenset(members))
+    return out
+
+
+def brute_subobjects(x: Presheaf) -> list[Subobject]:
+    """Every stage-wise family of subsets that passes the restriction check,
+    in canonical key order."""
+    objs = list(x.base.objects)
+    out = []
+
+    def rec(i: int, parts: dict):
+        if i == len(objs):
+            k = Subobject(x, parts)
+            if not k.violations():
+                out.append(k)
+            return
+        for s in brute_subsets(x.stage(objs[i])):
+            parts[objs[i]] = s
+            rec(i + 1, parts)
+        del parts[objs[i]]
+
+    rec(0, {})
+    out.sort(key=lambda k: canon_key(k.key()))
+    return out
+
+
+def brute_upsets(upset_of) -> list[frozenset]:
+    """Up-sets of an order on range(n) given as up-set tuples, ordered by bitmask."""
+    n = len(upset_of)
+    out = []
+    for mask in range(1 << n):
+        members = {i for i in range(n) if mask >> i & 1}
+        if all(set(upset_of[i]) <= members for i in members):
+            out.append(frozenset(members))
     return out

@@ -9,10 +9,20 @@ explicit arrow chain).
 """
 import itertools
 import random
-import time
 from fractions import Fraction
 
-from helpers import CHAIN3, DIAMOND, MONOID, PT, TWO, VEE, presheaf_fixture_pool, set_presheaf, two_point_presheaf
+from helpers import (
+    CHAIN3,
+    DIAMOND,
+    MONOID,
+    PT,
+    TWO,
+    VEE,
+    budget,
+    presheaf_fixture_pool,
+    set_presheaf,
+    two_point_presheaf,
+)
 
 from toposlang.category import principal_sieve, pullback_sieve, sieve_heyting, sieves_on
 from toposlang.heyting import (
@@ -94,26 +104,6 @@ SMALL = ClassicalSystem(
     states=("s1", "s2", "s3"),
     quantities={"A": {"s1": Fraction(1), "s2": Fraction(5, 2), "s3": Fraction(4)}},
 )
-
-
-class budget:
-    def __init__(self, criterion: str, seconds: float):
-        self.criterion = criterion
-        self.seconds = seconds
-
-    def __enter__(self):
-        self.start = time.perf_counter()
-        return self
-
-    def __exit__(self, exc_type, exc, tb):
-        elapsed = time.perf_counter() - self.start
-        if exc_type is None:
-            assert elapsed < self.seconds, \
-                f"criterion {self.criterion} took {elapsed:.2f}s (budget {self.seconds}s)"
-            print(f"PASS {self.criterion} ({elapsed:.2f}s < {self.seconds}s)")
-        else:
-            print(f"FAIL {self.criterion} ({elapsed:.2f}s)")
-        return False
 
 
 def built_algebras() -> list[HeytingAlgebra]:

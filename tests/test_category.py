@@ -1,4 +1,5 @@
 import pytest
+from helpers import brute_sieves
 
 from toposlang.category import (
     CategoryError,
@@ -26,20 +27,6 @@ def fs(*xs):
 
 TWO = from_poset(["p", "q"], [("p", "q")])
 CHAIN3 = from_poset(["a", "b", "c"], [("a", "b"), ("b", "c")])
-
-
-def brute_sieves(cat, obj):
-    """Oracle: filter all subsets of incoming morphisms by closure."""
-    incoming = cat.into(obj)
-    out = []
-    for mask in range(1 << len(incoming)):
-        members = {incoming[i] for i in range(len(incoming)) if mask >> i & 1}
-        closed = all(cat.compose(f, g.id) in members
-                     for f in members
-                     for g in cat.morphisms if g.cod == cat.morphism(f).dom)
-        if closed:
-            out.append(frozenset(members))
-    return out
 
 
 def test_from_poset_two_point():

@@ -67,8 +67,6 @@ def test_validate_duplicate_name(tmp_path, capsys):
 
 
 def test_output_is_byte_stable(capsys):
-    code1, _, _ = run(capsys, "validate", FIXTURE)
-    out1 = None
     code1 = main(["validate", FIXTURE])
     out1 = capsys.readouterr().out
     code2 = main(["validate", FIXTURE])

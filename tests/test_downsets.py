@@ -1,0 +1,230 @@
+"""The down-set kernel against the brute-force subset filters it replaced.
+
+Every algebra built on `DownsetAlgebra` must agree with the generic
+`HeytingAlgebra` over the brute-force carrier: the same `elements` tuple,
+top and bottom, and the same order, meet, join, implication and negation on
+all pairs.  Every enumeration must equal its old `range(1 << n)` filter as a
+list, order included.
+"""
+from pathlib import Path
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from helpers import (
+    ALL_BASES,
+    CHAIN3,
+    DIAMOND,
+    MONOID,
+    TWO,
+    brute_downsets,
+    brute_sieves,
+    brute_subobjects,
+    brute_subsets,
+    brute_upsets,
+    budget,
+    presheaf_fixture_pool,
+    set_presheaf,
+)
+
+from toposlang._canon import canon_sorted
+from toposlang.category import (
+    FiniteCategory,
+    Morphism,
+    Sieve,
+    from_poset,
+    sieve_heyting,
+    sieves_on,
+)
+from toposlang.heyting import (
+    DEFAULT_CAP,
+    DownsetAlgebra,
+    HeytingAlgebra,
+    TopologyError,
+    canonical_carrier,
+    iter_downsets,
+    lower_set_algebra,
+    open_set_algebra,
+    powerset_algebra,
+    preorder_closure,
+    transitive_closure,
+)
+from toposlang.presheaf import Presheaf, enumerate_subobjects, sub_heyting
+from toposlang.project import load_project
+from toposlang.prop.decide import _posets, _upsets
+
+PROJECT = load_project(Path(__file__).resolve().parent.parent / "fixtures" / "two_point.json")
+
+
+def assert_same_algebra(new, old):
+    assert isinstance(new, DownsetAlgebra)
+    assert new.elements == old.elements
+    assert (new.top, new.bottom) == (old.top, old.bottom)
+    for a in old.elements:
+        assert new.negate(a) == old.negate(a)
+        for b in old.elements:
+            assert new.leq(a, b) == old.leq(a, b)
+            assert new.meet(a, b) == old.meet(a, b)
+            assert new.join(a, b) == old.join(a, b)
+            assert new.implies(a, b) == old.implies(a, b)
+    assert new.meet_all(old.elements) == old.meet_all(old.elements)
+    assert new.join_all(old.elements) == old.join_all(old.elements)
+
+
+def reach(needs, x):
+    """Points x needs directly or through other points, x included."""
+    seen, todo = {x}, [x]
+    while todo:
+        y = todo.pop()
+        for z in range(len(needs)):
+            if needs[y] >> z & 1 and z not in seen:
+                seen.add(z)
+                todo.append(z)
+    return frozenset(seen)
+
+
+@st.composite
+def relations(draw):
+    """A relation on at most 6 points, and the points that need something
+    outside them."""
+    n = draw(st.integers(0, 6))
+    needs = [draw(st.integers(0, (1 << n) - 1)) for _ in range(n)]
+    barred = draw(st.integers(0, (1 << n) - 1))
+    return needs, barred
+
+
+@settings(max_examples=60, deadline=None)
+@given(relations())
+def test_random_preorders_match_generic_algebra(relation):
+    needs, barred = relation
+    n = len(needs)
+    below_sets = {x: reach(needs, x) for x in range(n)}
+    dead = {x for x in range(n) if any(barred >> y & 1 for y in below_sets[x])}
+    expected = [s for s in brute_downsets(range(n), below_sets) if not s & dead]
+    outside = 1 << n
+    below = preorder_closure([m | (outside if barred >> x & 1 else 0)
+                              for x, m in enumerate(needs)])
+    masks = list(iter_downsets(below))
+    assert len(masks) == len(set(masks))
+    alg = DownsetAlgebra(below, canonical_carrier(range(n), masks))
+    assert_same_algebra(alg, HeytingAlgebra(canon_sorted(expected), frozenset.issubset))
+
+
+@st.composite
+def posets(draw):
+    n = draw(st.integers(1, 6))
+    elems = [f"e{i}" for i in draw(st.permutations(range(n)))]
+    pairs = [(elems[i], elems[j]) for i in range(n) for j in range(i + 1, n)
+             if draw(st.booleans())]
+    return elems, pairs
+
+
+@settings(max_examples=40, deadline=None)
+@given(posets())
+def test_lower_and_open_set_algebras_match_generic_algebra(poset):
+    elems, pairs = poset
+    lower = canon_sorted(brute_downsets(elems, transitive_closure(elems, pairs)))
+    oracle = HeytingAlgebra(lower, frozenset.issubset)
+    assert_same_algebra(lower_set_algebra(elems, pairs), oracle)
+    # the lower sets of a poset are the opens of its Alexandrov topology
+    assert_same_algebra(open_set_algebra(reversed(lower)), oracle)
+
+
+def closed_under_pairs(family):
+    return all(a & b in family and a | b in family for a in family for b in family)
+
+
+@settings(max_examples=40, deadline=None)
+@given(posets(), st.data())
+def test_open_sets_rejected_exactly_when_not_a_topology(poset, data):
+    elems, pairs = poset
+    lower = brute_downsets(elems, transitive_closure(elems, pairs))
+    inner = [s for s in lower if s and len(s) < len(elems)]
+    if not inner:
+        return
+    family = set(lower) - {data.draw(st.sampled_from(inner))}
+    if closed_under_pairs(family):
+        assert set(open_set_algebra(family).elements) == family
+    else:
+        with pytest.raises(TopologyError, match="not closed under"):
+            open_set_algebra(family)
+
+
+def test_powerset_matches_generic_algebra():
+    for n in range(6):
+        items = [f"s{i}" for i in range(n)]
+        oracle = HeytingAlgebra(canon_sorted(brute_subsets(items)), frozenset.issubset)
+        assert_same_algebra(powerset_algebra(reversed(items)), oracle)
+
+
+def _bad_signature_category() -> FiniteCategory:
+    """f: x -> y with f o id[x] recorded as id[x]: the composite is not an
+    arrow into y, so no sieve on y holds f."""
+    mors = [Morphism("id[x]", "x", "x"), Morphism("id[y]", "y", "y"), Morphism("f", "x", "y")]
+    comp = {("id[x]", "id[x]"): "id[x]", ("id[y]", "id[y]"): "id[y]",
+            ("id[y]", "f"): "f", ("f", "id[x]"): "id[x]"}
+    return FiniteCategory(["x", "y"], mors, {"x": "id[x]", "y": "id[y]"}, comp)
+
+
+CATEGORIES = ALL_BASES + [DIAMOND, _bad_signature_category()] + list(PROJECT.categories.values())
+
+
+@pytest.mark.parametrize("cat", CATEGORIES, ids=lambda c: "+".join(c.objects))
+def test_sieves_match_subset_filter(cat):
+    for obj in cat.objects:
+        expected = brute_sieves(cat, obj)
+        assert sieves_on(cat, obj) == [Sieve(obj, members) for members in expected]
+        assert_same_algebra(sieve_heyting(cat, obj),
+                            HeytingAlgebra(expected, frozenset.issubset))
+
+
+def _leaky_presheaf() -> Presheaf:
+    """x1 restricts to an element outside the stage at p, so no sub-object
+    holds it."""
+    return Presheaf(TWO, {"q": ("x0", "x1"), "p": ("y0",)},
+                    {"le[p,q]": {"x0": "y0", "x1": "y9"}})
+
+
+PRESHEAVES = presheaf_fixture_pool(12) + list(PROJECT.presheaves.values()) + [
+    set_presheaf([1, 2, 3]), _leaky_presheaf(),
+    Presheaf(MONOID, {"x": ("u", "v", "w")}, {"e": {"u": "u", "v": "u", "w": "w"}}),
+    Presheaf(CHAIN3, {"a": ("a0",), "b": ("b0", "b1"), "c": ("c0", "c1")},
+             {"le[a,b]": {"b0": "a0", "b1": "a0"}, "le[b,c]": {"c0": "b0", "c1": "b1"},
+              "le[a,c]": {"c0": "a0", "c1": "a0"}}),
+]
+
+
+@pytest.mark.parametrize("x", PRESHEAVES, ids=lambda x: "+".join(x.base.objects))
+def test_subobjects_match_subset_filter(x):
+    expected = brute_subobjects(x)
+    assert enumerate_subobjects(x) == expected
+    sa = sub_heyting(x)
+    by_key = {k.key(): k for k in expected}
+
+    def leq(a, b):
+        return all(by_key[a].parts[obj] <= by_key[b].parts[obj] for obj in x.base.objects)
+
+    assert_same_algebra(sa.algebra, HeytingAlgebra(list(by_key), leq))
+    assert sa.subobjects == by_key
+
+
+def test_kripke_upsets_match_subset_filter():
+    for n in range(1, 5):
+        for upset_of in _posets(n):
+            assert _upsets(upset_of) == brute_upsets(upset_of)
+
+
+# -- output sensitivity: cost follows the down-sets, not the 2^n subsets ------
+
+def test_powerset_at_the_cap_builds_quickly():
+    with budget("powerset_algebra(range(12)) with its Boolean check", 2.0):
+        alg = powerset_algebra(range(12))
+    assert len(alg) == DEFAULT_CAP == 4096
+
+
+def test_sieves_on_long_chain_scan_only_the_sieves():
+    points = [f"p{i:02d}" for i in range(18)]
+    chain = from_poset(points, list(zip(points, points[1:])))
+    with budget("sieves_on at the top of an 18-point chain", 1.0):
+        sieves = sieves_on(chain, points[-1])
+    assert len(sieves) == 19

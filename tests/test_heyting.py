@@ -15,9 +15,6 @@ from toposlang.heyting import (
     UnknownElement,
     build_algebra,
     check_heyting_laws,
-    heyting_implies,
-    heyting_negate,
-    lattice_op,
     lower_set_algebra,
     open_set_algebra,
     powerset_algebra,
@@ -51,7 +48,7 @@ def brute_implies(elems, leq, meet, a, b):
 
 def test_powerset_meet_is_intersection():
     alg = powerset_algebra([1, 2, 3])
-    assert lattice_op("meet", alg, fs(1, 2), fs(2, 3)) == fs(2)
+    assert alg.meet(fs(1, 2), fs(2, 3)) == fs(2)
     assert alg.meet(fs(1, 2), fs(2, 3)) == brute_meet(
         alg.elements, frozenset.issubset, fs(1, 2), fs(2, 3))
 
@@ -59,8 +56,8 @@ def test_powerset_meet_is_intersection():
 def test_join_with_bottom_is_identity():
     for alg in (powerset_algebra([1, 2]), open_set_algebra(SIERPINSKI)):
         for a in alg.elements:
-            assert lattice_op("join", alg, alg.bottom, a) == a
-            assert lattice_op("leq", alg, alg.bottom, a) is True
+            assert alg.join(alg.bottom, a) == a
+            assert alg.leq(alg.bottom, a) is True
 
 
 def test_sieve_algebra_meet_on_two_point_poset():
@@ -78,13 +75,13 @@ def test_unknown_element_raises():
     with pytest.raises(UnknownElement):
         alg.meet(fs(9), fs())
     with pytest.raises(UnknownElement):
-        heyting_implies(alg, fs(), fs(9))
+        alg.implies(fs(), fs(9))
 
 
 def test_implies_in_boolean_powerset():
     alg = powerset_algebra([1, 2])
     # largest g with g & {1} <= {2} is {2}
-    assert heyting_implies(alg, fs(1), fs(2)) == fs(2)
+    assert alg.implies(fs(1), fs(2)) == fs(2)
     assert alg.implies(fs(1), fs(2)) == brute_implies(
         alg.elements, alg.leq, alg.meet, fs(1), fs(2))
 
@@ -99,15 +96,15 @@ def test_implies_self_is_top_everywhere():
 def test_sierpinski_implication_and_negation():
     alg = open_set_algebra(SIERPINSKI)
     one = fs(1)
-    assert heyting_implies(alg, one, alg.bottom) == alg.bottom
-    assert heyting_negate(alg, one) == alg.bottom
+    assert alg.implies(one, alg.bottom) == alg.bottom
+    assert alg.negate(one) == alg.bottom
     # interior of the complement leaves the boundary out: excluded middle fails
     assert alg.join(one, alg.negate(one)) == one != alg.top
 
 
 def test_boolean_negation_is_complement_and_involutive():
     alg = powerset_algebra([1, 2, 3])
-    assert heyting_negate(alg, fs(1)) == fs(2, 3)
+    assert alg.negate(fs(1)) == fs(2, 3)
     for a in alg.elements:
         assert alg.negate(alg.negate(a)) == a
 
