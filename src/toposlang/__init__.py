@@ -28,7 +28,7 @@ The package is organized in layers:
 __version__ = "0.1.0"
 
 from .errors import CapExceeded, InputError, ToposlangError  # noqa: F401
-from .intervals import Interval, IntervalSet, interval_op  # noqa: F401
+from .intervals import Interval, IntervalSet  # noqa: F401
 from .heyting import (  # noqa: F401
     BoundedLattice,
     DownsetAlgebra,
@@ -101,7 +101,6 @@ from .rep import (  # noqa: F401
     EffectiveClassicalRep,
     ToposRep,
     build_rep,
-    classical_indicator,
     interpret_term,
     interpret_type,
     prop_family,

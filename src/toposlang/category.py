@@ -50,10 +50,11 @@ class FiniteCategory:
         self._mor = {m.id: m for m in self.morphisms}
         if len(self._mor) != len(self.morphisms):
             raise CategoryError("duplicate morphism ids")
-        if len(set(self.objects)) != len(self.objects):
+        objects = set(self.objects)
+        if len(objects) != len(self.objects):
             raise CategoryError("duplicate object ids")
         for m in self.morphisms:
-            if m.dom not in set(self.objects) or m.cod not in set(self.objects):
+            if m.dom not in objects or m.cod not in objects:
                 raise CategoryError(f"morphism {m.id!r} has unknown dom/cod")
         self.identity = dict(identities)
         for obj in self.objects:

@@ -163,16 +163,3 @@ class IntervalSet:
         if not self.parts:
             return "empty"
         return " u ".join(str(p) for p in self.parts)
-
-
-def interval_op(kind: str, a: IntervalSet, b=None):
-    """Functional front door: kind in {intersect, union, complement, member}."""
-    if kind == "intersect":
-        return a.intersect(b)
-    if kind == "union":
-        return a.union(b)
-    if kind == "complement":
-        return a.complement()
-    if kind == "member":
-        return a.member(b)
-    raise ValueError(f"unknown interval operation {kind!r}")

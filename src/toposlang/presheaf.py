@@ -11,6 +11,12 @@ Stage elements are arbitrary hashables; every enumeration is emitted in
 canonical order (see _canon) so repeated runs are byte-identical.  The
 one-object category gives the plain category of sets, where the classifier
 degenerates to the two truth values.
+
+This module owns the element format of exponentials and power objects: an
+element of Y^X at stage A is a tuple of ((B, g: B -> A, x), y) cells sorted
+by canon_key.  `exp_element` builds one and `exp_lookup` reads a cell; other
+modules (term interpretation in `rep`) go through these two and never take
+an element apart themselves.
 """
 from __future__ import annotations
 
@@ -141,15 +147,16 @@ def validate_presheaf(x: Presheaf) -> LawViolations:
     """Totality, codomain, identity and contravariant-composition checks."""
     bad = LawViolations()
     cat = x.base
+    stages = {obj: set(x.stage(obj)) for obj in cat.objects}
     for m in cat.morphisms:
         table = x.maps[m.id]
         for el in x.stage(m.cod):
             if el not in table:
                 bad.items.append(("not-total", m.id, el))
-            elif table[el] not in set(x.stage(m.dom)):
+            elif table[el] not in stages[m.dom]:
                 bad.items.append(("bad-codomain", m.id, el))
         for el in table:
-            if el not in set(x.stage(m.cod)):
+            if el not in stages[m.cod]:
                 bad.items.append(("junk-domain", m.id, el))
     if not bad.ok:
         return bad
@@ -174,10 +181,11 @@ def validate_nat(n: NatTransform) -> LawViolations:
     cat = n.source.base
     for obj in cat.objects:
         comp = n.components.get(obj, {})
+        target = set(n.target.stage(obj))
         for el in n.source.stage(obj):
             if el not in comp:
                 bad.items.append(("not-total", obj, el))
-            elif comp[el] not in set(n.target.stage(obj)):
+            elif comp[el] not in target:
                 bad.items.append(("bad-codomain", obj, el))
     if not bad.ok:
         return bad
@@ -200,13 +208,14 @@ class Subobject:
 
     def violations(self) -> list:
         bad = []
+        stages = {obj: set(self.ambient.stage(obj)) for obj in self.parts}
         for obj, sub in self.parts.items():
-            extra = sub - set(self.ambient.stage(obj))
+            extra = sub - stages[obj]
             if extra:
                 bad.append(("not-a-subset", obj, canon_sorted(extra)[0]))
         for m in self.ambient.base.morphisms:
             for el in self.parts[m.cod]:
-                if el in set(self.ambient.stage(m.cod)) and \
+                if el in stages[m.cod] and \
                         self.ambient.apply(m.id, el) not in self.parts[m.dom]:
                     bad.append(("not-restriction-closed", m.id, el))
         return bad
@@ -424,8 +433,9 @@ class ProductDiagram:
     projections: tuple[NatTransform, ...]
 
 
-def product_many(factors: Sequence[Presheaf]) -> ProductDiagram:
-    """n-ary product with tuple stages; the empty product is the terminal object."""
+def product_presheaf(factors: Sequence[Presheaf]) -> Presheaf:
+    """n-ary product object with tuple stages, without projections.  No
+    factors raise ShapeMismatch: the empty product is `terminal_presheaf`."""
     if not factors:
         raise ShapeMismatch("product of no factors: use terminal_presheaf")
     cat = factors[0].base
@@ -438,7 +448,13 @@ def product_many(factors: Sequence[Presheaf]) -> ProductDiagram:
     maps = {m.id: {tup: tuple(f.apply(m.id, v) for f, v in zip(factors, tup))
                    for tup in at[m.cod]}
             for m in cat.morphisms}
-    prod = Presheaf(cat, at, maps)
+    return Presheaf(cat, at, maps)
+
+
+def product_many(factors: Sequence[Presheaf]) -> ProductDiagram:
+    """`product_presheaf` with its projections."""
+    prod = product_presheaf(factors)
+    cat = prod.base
     projections = tuple(
         NatTransform(prod, factors[i],
                      {obj: {tup: tup[i] for tup in prod.stage(obj)} for obj in cat.objects})
@@ -546,16 +562,19 @@ def representable(cat: FiniteCategory, obj: str) -> Presheaf:
     return Presheaf(cat, at, maps)
 
 
-def _exp_element(theta: NatTransform) -> tuple:
-    """Canonical element form: sorted tuple of ((stage, arrow-to-A, x), y)."""
+def exp_element(cat: FiniteCategory, obj: str, x: Presheaf, value) -> tuple:
+    """The element of Y^X at stage `obj` whose cell (B, g: B -> obj, xv)
+    holds value(B, g, xv), for every arrow g into obj and every xv in X(B)."""
     cells = []
-    for obj, table in theta.components.items():
-        for (f, xv), yv in table.items():
-            cells.append(((obj, f, xv), yv))
+    for g in cat.into(obj):
+        b = cat.morphism(g).dom
+        for xv in x.stage(b):
+            cells.append(((b, g, xv), value(b, g, xv)))
     return tuple(sorted(cells, key=canon_key))
 
 
-def _exp_lookup(element: tuple, obj: str, f: str, xv):
+def exp_lookup(element: tuple, obj: str, f: str, xv):
+    """The value in cell (obj, f, xv) of an exponential element."""
     for (o, g, x), y in element:
         if o == obj and g == f and x == xv:
             return y
@@ -573,20 +592,13 @@ def exponential(x: Presheaf, y: Presheaf, *, cap: int = ENUM_NODE_CAP) -> Preshe
     at = {}
     for obj in cat.objects:
         dia = product_many([representable(cat, obj), x])
-        at[obj] = tuple(_exp_element(n) for n in enumerate_nats(dia.presheaf, y, cap=cap))
-    maps = {}
-    for m in cat.morphisms:
-        table = {}
-        for el in at[m.cod]:
-            # theta'(h: C -> dom(m), xv) = theta(m o h, xv)
-            cells = []
-            for h in cat.into(m.dom):
-                hdom = cat.morphism(h).dom
-                for xv in x.stage(hdom):
-                    cells.append(((hdom, h, xv),
-                                  _exp_lookup(el, hdom, cat.compose(m.id, h), xv)))
-            table[el] = tuple(sorted(cells, key=canon_key))
-        maps[m.id] = table
+        at[obj] = tuple(exp_element(cat, obj, x, lambda b, g, xv: n.apply(b, (g, xv)))
+                        for n in enumerate_nats(dia.presheaf, y, cap=cap))
+    # theta'(h: C -> dom(m), xv) = theta(m o h, xv)
+    maps = {m.id: {el: exp_element(cat, m.dom, x, lambda b, h, xv:
+                                   exp_lookup(el, b, cat.compose(m.id, h), xv))
+                   for el in at[m.cod]}
+            for m in cat.morphisms}
     return Presheaf(cat, at, maps)
 
 
@@ -599,7 +611,7 @@ def evaluation(x: Presheaf, y: Presheaf, *, cap: int = ENUM_NODE_CAP) -> NatTran
     cat = x.base
     exp = exponential(x, y, cap=cap)
     dia = product(exp, x)
-    comps = {obj: {(theta, xv): _exp_lookup(theta, obj, cat.id_of(obj), xv)
+    comps = {obj: {(theta, xv): exp_lookup(theta, obj, cat.id_of(obj), xv)
                    for (theta, xv) in dia.presheaf.stage(obj)}
              for obj in cat.objects}
     return NatTransform(dia.presheaf, y, comps)
@@ -611,7 +623,7 @@ def eval_arrow(x: Presheaf, *, cap: int = ENUM_NODE_CAP) -> NatTransform:
     kit = classifier_kit(cat)
     px = power_object(x, cap=cap)
     dia = product(x, px)
-    comps = {obj: {(xv, theta): _exp_lookup(theta, obj, cat.id_of(obj), xv)
+    comps = {obj: {(xv, theta): exp_lookup(theta, obj, cat.id_of(obj), xv)
                    for (xv, theta) in dia.presheaf.stage(obj)}
              for obj in cat.objects}
     return NatTransform(dia.presheaf, kit.omega, comps)
@@ -627,15 +639,12 @@ def exp_transpose(f: NatTransform, z: Presheaf, x: Presheaf, y: Presheaf,
     exp = exponential(x, y, cap=cap)
     comps = {}
     for obj in cat.objects:
+        members = set(exp.stage(obj))
         table = {}
         for zv in z.stage(obj):
-            cells = []
-            for g in cat.into(obj):
-                gdom = cat.morphism(g).dom
-                for xv in x.stage(gdom):
-                    cells.append(((gdom, g, xv), f.apply(gdom, (z.apply(g, zv), xv))))
-            element = tuple(sorted(cells, key=canon_key))
-            if element not in set(exp.stage(obj)):
+            element = exp_element(cat, obj, x,
+                                  lambda b, g, xv: f.apply(b, (z.apply(g, zv), xv)))
+            if element not in members:
                 raise PresheafError("transpose produced a non-natural family")
             table[zv] = element
         comps[obj] = table
@@ -650,7 +659,7 @@ def exp_untranspose(h: NatTransform, z: Presheaf, x: Presheaf, y: Presheaf,
     if h.source != z or h.target != exp:
         raise ShapeMismatch("arrow to untranspose is not Z -> Y^X")
     dia = product(z, x)
-    comps = {obj: {(zv, xv): _exp_lookup(h.apply(obj, zv), obj, cat.id_of(obj), xv)
+    comps = {obj: {(zv, xv): exp_lookup(h.apply(obj, zv), obj, cat.id_of(obj), xv)
                    for (zv, xv) in dia.presheaf.stage(obj)}
              for obj in cat.objects}
     return NatTransform(dia.presheaf, y, comps)

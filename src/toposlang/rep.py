@@ -12,6 +12,11 @@ comprehension builds the power transpose directly.  Every registered axiom
 sequent must hold, which for an empty context means its interpretation is
 the constant arrow at the principal sieve.
 
+This module builds no presheaf structure of its own: the context object is
+`presheaf.product_presheaf`, and power-object elements are built and read
+only through `presheaf.exp_element` and `presheaf.exp_lookup`, which own
+their format.
+
 The one-object backend gives classical set semantics.  A finite-state
 system with rational value tables becomes such a representation through
 `EffectiveClassicalRep`, which keeps interval arguments intensional: the
@@ -24,7 +29,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-from ._canon import canon_key, canon_sorted
+from ._canon import canon_sorted
 from .category import FiniteCategory, one_object_category, principal_sieve
 from .errors import InputError, ToposlangError
 from .intervals import IntervalSet
@@ -58,9 +63,11 @@ from .presheaf import (
     NatTransform,
     Presheaf,
     classifier_kit,
+    exp_element,
+    exp_lookup,
     power_object,
     power_transpose,
-    product_many,
+    product_presheaf,
     validate_nat,
     validate_presheaf,
 )
@@ -133,36 +140,13 @@ def interpret_type(t: TypeExpr, rep: ToposRep) -> Presheaf:
     elif isinstance(t, GroundType):
         out = rep.ground(t.name)
     elif isinstance(t, ProductType):
-        out = product_many([interpret_type(f, rep) for f in t.factors]).presheaf
+        out = product_presheaf([interpret_type(f, rep) for f in t.factors])
     elif isinstance(t, PowerType):
         out = power_object(interpret_type(t.inner, rep))
     else:
         raise RepresentationError(f"unknown type expression {t!r}")
     rep._type_cache[t] = out
     return out
-
-
-def _context_presheaf(context: Sequence[tuple[str, TypeExpr]], rep: ToposRep) -> Presheaf:
-    """Product of the context types, with tuple stages; empty context is the
-    terminal object (whose point is the empty tuple)."""
-    if not context:
-        return rep.kit.terminal
-    factors = [interpret_type(t, rep) for _, t in context]
-    import itertools
-    cat = rep.base
-    at = {obj: tuple(itertools.product(*(f.stage(obj) for f in factors)))
-          for obj in cat.objects}
-    maps = {m.id: {tup: tuple(f.apply(m.id, v) for f, v in zip(factors, tup))
-                   for tup in at[m.cod]}
-            for m in cat.morphisms}
-    return Presheaf(cat, at, maps)
-
-
-def _exp_cell(element, obj: str, f: str, xv):
-    for (o, g, x), y in element:
-        if o == obj and g == f and x == xv:
-            return y
-    raise RepresentationError(f"power-object element lacks cell ({obj}, {f}, {xv!r})")
 
 
 def interpret_term(term: Term, context: Sequence[tuple[str, TypeExpr]],
@@ -175,7 +159,6 @@ def interpret_term(term: Term, context: Sequence[tuple[str, TypeExpr]],
     ctx_types = dict(context)
     target_type = infer_type(term, ctx_types, rep.signature)
     cat = rep.base
-    slot = {name: i for i, (name, _) in enumerate(context)}
 
     memo: dict = {}
 
@@ -220,21 +203,16 @@ def interpret_term(term: Term, context: Sequence[tuple[str, TypeExpr]],
         if isinstance(n, In):
             theta = ev(n.container, obj, env, ctx)
             xv = ev(n.element, obj, env, ctx)
-            return _exp_cell(theta, obj, cat.id_of(obj), xv)
+            return exp_lookup(theta, obj, cat.id_of(obj), xv)
         if isinstance(n, Compr):
             inner_ctx = ctx + ((n.var.name, n.var.vtype),)
-            xobj = interpret_type(n.var.vtype, rep)
-            cells = []
-            for f in cat.into(obj):
-                dom = cat.morphism(f).dom
-                env_f = env_restrict(f, env, ctx)
-                for xv in xobj.stage(dom):
-                    cells.append(((dom, f, xv),
-                                  ev(n.body, dom, env_f + (xv,), inner_ctx)))
-            return tuple(sorted(cells, key=canon_key))
+            return exp_element(
+                cat, obj, interpret_type(n.var.vtype, rep),
+                lambda b, f, xv: ev(n.body, b, env_restrict(f, env, ctx) + (xv,), inner_ctx))
         raise RepresentationError(f"cannot interpret term former {type(n).__name__}")
 
-    source = _context_presheaf(context, rep)
+    source = product_presheaf([interpret_type(t, rep) for _, t in context]) \
+        if context else rep.kit.terminal
     target = interpret_type(target_type, rep)
     ctx = tuple(context)
     components = {}
@@ -402,13 +380,9 @@ class EffectiveClassicalRep:
     def delta_element(self, delta: IntervalSet):
         """The power-object element of the value stage deciding membership in
         the interval set."""
-        pt = self.point
-        base = self.rep.base
-        values = self.rep.ground("R").stage(pt)
-        cells = [((pt, base.id_of(pt), v),
-                  principal_sieve(base, pt).members if delta.member(v) else frozenset())
-                 for v in values]
-        return tuple(sorted(cells, key=canon_key))
+        top = principal_sieve(self.rep.base, self.point).members
+        return exp_element(self.rep.base, self.point, self.rep.ground("R"),
+                           lambda b, g, v: top if delta.member(v) else frozenset())
 
     def preimage(self, symbol: str, delta: IntervalSet) -> frozenset:
         """States whose value lands in the interval set, through the power
@@ -416,11 +390,6 @@ class EffectiveClassicalRep:
         family = prop_family(symbol, self.rep)
         subset_element = family.apply(self.point, self.delta_element(delta))
         pt, base = self.point, self.rep.base
+        top = principal_sieve(base, pt).members
         return frozenset(s for s in self.rep.ground("Sigma").stage(pt)
-                         if _exp_cell(subset_element, pt, base.id_of(pt), s)
-                         == principal_sieve(base, pt).members)
-
-
-def classical_indicator(symbol: str, state: str, delta: IntervalSet,
-                        rep: EffectiveClassicalRep) -> int:
-    return rep.indicator(symbol, state, delta)
+                         if exp_lookup(subset_element, pt, base.id_of(pt), s) == top)

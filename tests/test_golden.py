@@ -1,0 +1,30 @@
+"""Byte-for-byte golden outputs of the CLI on the fixture.
+
+`tests/golden/cases.json` lists each command (argv as run from the repo
+root) with its exit code; `tests/golden/<name>.out` holds its exact stdout.
+The cases are every README command on `fixtures/two_point.json` plus two
+comprehensions that print power-object elements: `prop_family` on the
+classical (one-object) base and `{ x : Sigma | x = x }` on the two-point
+presheaf base. The files were captured from cold processes under
+PYTHONHASHSEED 1, 2 and 3, which gave identical bytes.
+"""
+import json
+from pathlib import Path
+
+import pytest
+
+from toposlang.cli import main
+
+REPO = Path(__file__).resolve().parent.parent
+GOLDEN = REPO / "tests" / "golden"
+CASES = json.loads((GOLDEN / "cases.json").read_text())
+
+
+@pytest.mark.parametrize("case", CASES, ids=[c["name"] for c in CASES])
+def test_cli_output_matches_golden(case, capsys):
+    fixture = str(REPO / "fixtures" / "two_point.json")
+    argv = [fixture if arg == "fixtures/two_point.json" else arg for arg in case["argv"]]
+    code = main(argv)
+    out = capsys.readouterr().out
+    assert code == case["exit"]
+    assert out.encode("utf-8") == (GOLDEN / f"{case['name']}.out").read_bytes()

@@ -1,10 +1,9 @@
 from fractions import Fraction
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from toposlang.intervals import Interval, IntervalSet, interval_op
+from toposlang.intervals import Interval, IntervalSet
 
 
 def iv(lo, lc, hi, hc):
@@ -47,14 +46,12 @@ def test_degenerate_and_empty_normal_forms():
     assert str(IntervalSet.full()) == "(-inf,+inf)"
 
 
-def test_interval_op_dispatch():
+def test_interval_set_operations():
     a, b = iv(1, True, 3, True), iv(2, True, 5, True)
-    assert interval_op("intersect", a, b) == iv(2, True, 3, True)
-    assert interval_op("union", a, b) == iv(1, True, 5, True)
-    assert interval_op("complement", IntervalSet.empty()) == IntervalSet.full()
-    assert interval_op("member", a, 2) is True
-    with pytest.raises(ValueError):
-        interval_op("nope", a, b)
+    assert a.intersect(b) == iv(2, True, 3, True)
+    assert a.union(b) == iv(1, True, 5, True)
+    assert IntervalSet.empty().complement() == IntervalSet.full()
+    assert a.member(2) is True
 
 
 # -- property tests against a membership-probe oracle -------------------------

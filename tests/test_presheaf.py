@@ -10,6 +10,7 @@ from helpers import (
     two_point_presheaf,
 )
 
+from toposlang._canon import canon_key
 from toposlang.category import principal_sieve
 from toposlang.errors import CapExceeded
 from toposlang.heyting import check_heyting_laws
@@ -26,6 +27,8 @@ from toposlang.presheaf import (
     enumerate_subobjects,
     eval_arrow,
     evaluation,
+    exp_element,
+    exp_lookup,
     exp_transpose,
     exp_untranspose,
     exponential,
@@ -311,6 +314,32 @@ def test_evaluation_against_general_exponential():
         table = {cell[0][2]: cell[1] for cell in theta}
         for xv in x.stage("pt"):
             assert ev.apply("pt", (theta, xv)) == table[xv]
+
+
+def test_exp_element_cells_are_sorted_and_read_back_by_lookup():
+    x = X2
+
+    def value(b, g, xv):
+        return (b, g, xv, "y")
+
+    for obj in TWO.objects:
+        element = exp_element(TWO, obj, x, value)
+        keys = [canon_key(cell) for cell in element]
+        assert keys == sorted(keys)
+        expected = {(TWO.morphism(g).dom, g, xv)
+                    for g in TWO.into(obj) for xv in x.stage(TWO.morphism(g).dom)}
+        assert {cell for cell, _ in element} == expected
+        for b, g, xv in expected:
+            assert exp_lookup(element, b, g, xv) == value(b, g, xv)
+
+
+def test_exp_lookup_on_a_missing_cell_raises_presheaf_error():
+    for base, x in ((PT, set_presheaf(["a", "b"])), (TWO, X2)):
+        px = power_object(x)
+        for obj in base.objects:
+            for element in px.stage(obj):
+                with pytest.raises(PresheafError):
+                    exp_lookup(element, obj, base.id_of(obj), "not-an-element")
 
 
 def test_global_elements_of_omega_on_two_point_poset():

@@ -24,8 +24,10 @@ from toposlang.presheaf import (
     compose_nats,
     eval_arrow,
     global_elements,
+    power_transpose,
     power_untranspose,
     product,
+    product_many,
     validate_nat,
 )
 from toposlang.prop.semantics import ClassicalSystem, classical_rep, truth_value
@@ -36,7 +38,6 @@ from toposlang.rep import (
     RepresentationError,
     ToposRep,
     build_rep,
-    classical_indicator,
     interpret_term,
     interpret_type,
     prop_family,
@@ -201,8 +202,8 @@ def test_conjunction_interprets_as_pointwise_meet():
 
 def test_classical_indicator_matches_truth_value():
     eff = EffectiveClassicalRep.build(FIXTURE)
-    assert classical_indicator("A", "s2", iv(2, True, 5, True), eff) == 1
-    assert classical_indicator("A", "s1", IntervalSet.empty(), eff) == 0
+    assert eff.indicator("A", "s2", iv(2, True, 5, True)) == 1
+    assert eff.indicator("A", "s1", IntervalSet.empty()) == 0
     grid = [iv(2, True, 5, True), iv(0, False, 1, False), IntervalSet.full(),
             IntervalSet.empty(), iv(None, False, 2, False)]
     for name in ("A", "x", "p", "H"):
@@ -236,6 +237,46 @@ def test_prop_family_round_trip_through_untranspose():
         parse_term("A(s) in D", rep.signature),
         (("D", PowerType(RQ)), ("s", SIGMA)), rep)
     assert back == flipped
+
+
+def _transposed_body(var, vtype, body, context, rep):
+    """power_transpose of the body's interpretation in context + var, with its
+    flat context tuples (g1, ..., gn, x) reshaped into product(G, X) pairs
+    ((g1, ..., gn), x)."""
+    flat = interpret_term(body, context + ((var, vtype),), rep)
+    z = product_many([interpret_type(t, rep) for _, t in context]).presheaf \
+        if context else rep.kit.terminal
+    x = interpret_type(vtype, rep)
+    pairs = product(z, x).presheaf
+    f = NatTransform(pairs, flat.target,
+                     {obj: {(zv, xv): flat.apply(obj, zv + (xv,))
+                            for zv, xv in pairs.stage(obj)}
+                      for obj in rep.base.objects})
+    return power_transpose(f, z, x)
+
+
+def _two_point_rep():
+    signature = Signature({"A": (SIGMA, RQ)})
+    sigma = two_point_presheaf(["a0", "a1"], ["b0"], {"a0": "b0", "a1": "b0"})
+    rvals = two_point_presheaf(["u", "v"], ["w"], {"u": "w", "v": "w"})
+    arrow = NatTransform(sigma, rvals, {"q": {"a0": "u", "a1": "v"}, "p": {"b0": "w"}})
+    return build_rep(signature, TWO, {"Sigma": sigma, "R": rvals}, {"A": arrow})
+
+
+def test_comprehension_is_the_power_transpose_of_its_body():
+    pr = PowerType(RQ)
+    cases = [
+        ((), "s = s"),
+        ((("D", pr),), "A(s) in D"),
+        ((("D", pr), ("E", pr)), "A(s) in D & A(s) in E"),
+    ]
+    for rep in (EffectiveClassicalRep.build(SMALL).rep, _two_point_rep()):
+        for context, body_text in cases:
+            body = parse_term(body_text, rep.signature)
+            compr = parse_term(f"{{ s : Sigma | {body_text} }}", rep.signature)
+            got = interpret_term(compr, context, rep)
+            assert got == _transposed_body("s", SIGMA, body, context, rep)
+            assert got.target == interpret_type(PowerType(SIGMA), rep)
 
 
 def test_abelian_pack_passes_on_z3_and_fails_on_corruption():
