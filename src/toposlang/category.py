@@ -12,8 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
-from .errors import CapExceeded, ToposlangError
-from .heyting import DownsetAlgebra, iter_downsets, preorder_closure, transitive_closure
+from .errors import ToposlangError
+from .heyting import DownsetAlgebra, iter_downsets, poset_below, preorder_closure
 
 SIEVE_ENUM_CAP = 1 << 20
 
@@ -109,9 +109,6 @@ class FiniteCategory:
             raise CategoryError(f"unknown object {obj!r}")
         return self._into[obj]
 
-    def composition_items(self):
-        return tuple(sorted(self._compose.items()))
-
 
 @dataclass
 class CategoryReport:
@@ -176,11 +173,11 @@ def from_poset(elements: Sequence[str], pairs: Iterable[tuple[str, str]]) -> Fin
     Raises InvalidOrder when the reflexive-transitive closure has a cycle.
     """
     elems = list(elements)
-    below = transitive_closure(elems, pairs)  # raises on cycles
+    below = poset_below(elems, pairs)  # raises on cycles
     morphisms = [Morphism(identity_id(p), p, p) for p in elems]
     identities = {p: identity_id(p) for p in elems}
-    for q in elems:
-        for p in sorted(below[q]):
+    for i, q in enumerate(elems):
+        for p in sorted(p for j, p in enumerate(elems) if below[i] >> j & 1):
             if p != q:
                 morphisms.append(Morphism(poset_arrow_id(p, q), p, q))
 
@@ -225,10 +222,6 @@ def sieve_violations(cat: FiniteCategory, target: str, members: frozenset[str]) 
     return bad
 
 
-def is_sieve(cat: FiniteCategory, sieve: Sieve) -> bool:
-    return not sieve_violations(cat, sieve.target, sieve.members)
-
-
 def principal_sieve(cat: FiniteCategory, obj: str) -> Sieve:
     """All morphisms with codomain obj (the top sieve)."""
     return Sieve(obj, frozenset(cat.into(obj)))
@@ -268,41 +261,15 @@ def _sieve_order(cat: FiniteCategory, obj: str) -> list[int]:
 def sieves_on(cat: FiniteCategory, obj: str, *, cap: int = SIEVE_ENUM_CAP) -> list[Sieve]:
     """All sieves on obj, ordered by member-set bitmask over cat's morphism order."""
     incoming = cat.into(obj)
-    if 1 << len(incoming) > cap:
-        raise CapExceeded(
-            f"sieve enumeration on {obj!r} would scan {1 << len(incoming)} subsets (cap {cap})")
+    masks = sorted(iter_downsets(_sieve_order(cat, obj), cap=cap, what=f"sieves on {obj!r}"))
     return [Sieve(obj, frozenset(f for i, f in enumerate(incoming) if mask >> i & 1))
-            for mask in sorted(iter_downsets(_sieve_order(cat, obj)))]
-
-
-def sieve_implies(cat: FiniteCategory, s1: Sieve, s2: Sieve) -> Sieve:
-    """{f : B -> A | every g with f o g in s1 also has f o g in s2}."""
-    if s1.target != s2.target:
-        raise NotASieve("implication needs sieves on the same object")
-    members = set()
-    for f in cat.into(s1.target):
-        fm = cat.morphism(f)
-        ok = True
-        for g in cat.into(fm.dom):
-            fg = cat.compose(f, g)
-            if fg in s1.members and fg not in s2.members:
-                ok = False
-                break
-        if ok:
-            members.add(f)
-    return Sieve(s1.target, frozenset(members))
-
-
-def sieve_negate(cat: FiniteCategory, s: Sieve) -> Sieve:
-    """Pseudo-complement: {f | no precomposite of f lands in s}."""
-    return sieve_implies(cat, s, Sieve(s.target, frozenset()))
+            for mask in masks]
 
 
 def sieve_heyting(cat: FiniteCategory, obj: str, *, cap: int = SIEVE_ENUM_CAP) -> DownsetAlgebra:
     """Heyting algebra of all sieves on obj, in `sieves_on` order: meet and
     join are intersection and union, and implication is the down-set
-    formula, which agrees with the explicit quantified one in
-    `sieve_implies`."""
+    formula: f is in S1 => S2 when every f o g in S1 is also in S2."""
     index = {f: i for i, f in enumerate(cat.into(obj))}
     carrier = [(sum(1 << index[f] for f in s.members), s.members)
                for s in sieves_on(cat, obj, cap=cap)]

@@ -6,7 +6,8 @@ and `demo excluded-middle|nondistributivity`.
 
 Exit codes: 0 for success or a positive verdict, 1 for well-formed input
 with a negative verdict (invalid formula, rejected proof, failed axiom),
-2 for input errors (bad syntax, schema violations, dangling references).
+2 for input errors (bad syntax, schema violations, dangling references)
+and for inputs past a resource cap (`"kind": "resource-cap"`).
 Canonical JSON goes to stdout (sorted keys, no whitespace, one trailing
 newline) so identical inputs and seeds are byte-identical; a one-line human
 summary goes to stderr.
@@ -17,7 +18,7 @@ import argparse
 import sys
 
 from ._canon import canon_sorted, jsonable
-from .errors import InputError, ToposlangError
+from .errors import CapExceeded, InputError, ToposlangError
 from .local.check import LsTypeError, infer_type
 from .local.syntax import format_term, parse_term, parse_type
 from .presheaf import (
@@ -28,7 +29,7 @@ from .presheaf import (
     subobject_of_char,
 )
 from .project import Project, canonical_json, load_project
-from .prop.decide import SearchCapExceeded, decide
+from .prop.decide import decide
 from .prop.demo import excluded_middle_demo, nondistributivity_demo
 from .prop.proofs import check_proof
 from .prop.semantics import check_optional_axioms, classical_rep, truth_value
@@ -373,7 +374,7 @@ def main(argv=None) -> int:
         return BAD_INPUT if exc.code not in (0, None) else 0
     try:
         return args.run(args)
-    except SearchCapExceeded as exc:
+    except CapExceeded as exc:
         _emit({"error": str(exc), "kind": "resource-cap"}, f"cap exceeded: {exc}")
         return BAD_INPUT
     except ToposlangError as exc:

@@ -8,13 +8,14 @@ only down-sets (see the down-set kernel below).
 
 The generic classes take any carrier and order.  Elements are interned: the
 carrier is an ordered tuple of hashable ids and all structure is
-precomputed (or memoized) against integer indices.  The order relation is
-stored as one bitmask per element (its down-set), which makes meets and
-joins dictionary lookups: the down-set of a glb is exactly the intersection
-of the down-sets, so ``meet(a, b)`` is the unique element whose down-mask
-equals ``down[a] & down[b]``.  `HeytingAlgebra` computes implication by
-definition, as the largest g with g & a <= b, and is the oracle the kernel
-is tested against; `BoundedLattice` carries the non-distributive subspace
+precomputed against integer indices.  The order relation is stored as one
+bitmask per element (its down-set), which makes meets and joins dictionary
+lookups: the down-set of a glb is exactly the intersection of the
+down-sets, so ``meet(a, b)`` is the unique element whose down-mask equals
+``down[a] & down[b]``; every pair is checked to have a meet at construction.
+`HeytingAlgebra` tabulates implication at construction by definition, as
+the largest g with g & a <= b, and is the oracle the kernel is tested
+against; `BoundedLattice` carries the non-distributive subspace
 lattice, which has no Heyting structure.  `check_heyting_laws` verifies the
 adjunction (and the lattice axioms, distributivity and double negation)
 exhaustively at desk scale.
@@ -31,8 +32,6 @@ from ._canon import canon_key, canon_sorted
 from .errors import CapExceeded, ToposlangError
 
 DEFAULT_CAP = 4096
-_EAGER_PAIR_LIMIT = 256   # precompute meet/join tables up to this carrier size
-_EAGER_IMPLIES_LIMIT = 128
 
 
 class LatticeError(ToposlangError):
@@ -92,13 +91,12 @@ class BoundedLattice:
             raise InvalidOrder("no bottom element")
         self._top = self._by_down[full]
         self._bottom = self._by_up[full]
-        self._meet_table: Optional[list[list[int]]] = None
-        self._join_table: Optional[list[list[int]]] = None
-        self._meet_memo: dict[tuple[int, int], int] = {}
-        self._join_memo: dict[tuple[int, int], int] = {}
-        if n <= _EAGER_PAIR_LIMIT:
-            self._meet_table = [[self._meet_ix(i, j) for j in range(n)] for i in range(n)]
-            self._join_table = [[self._join_ix(i, j) for j in range(n)] for i in range(n)]
+        # A finite poset with a top and every pairwise meet is a lattice, so
+        # checking the meets also guarantees every join.
+        for i in range(n):
+            for j in range(i + 1, n):
+                if down[i] & down[j] not in self._by_down:
+                    raise NotALattice(f"no meet for {elems[i]!r}, {elems[j]!r}")
 
     def _validate_order(self):
         n = len(self._elems)
@@ -123,32 +121,10 @@ class BoundedLattice:
             raise UnknownElement(f"unknown element id {a!r}") from None
 
     def _meet_ix(self, i: int, j: int) -> int:
-        if self._meet_table is not None:
-            return self._meet_table[i][j]
-        key = (i, j) if i <= j else (j, i)
-        got = self._meet_memo.get(key)
-        if got is None:
-            mask = self._down[i] & self._down[j]
-            got = self._by_down.get(mask)
-            if got is None:
-                raise NotALattice(
-                    f"no meet for {self._elems[i]!r}, {self._elems[j]!r}")
-            self._meet_memo[key] = got
-        return got
+        return self._by_down[self._down[i] & self._down[j]]
 
     def _join_ix(self, i: int, j: int) -> int:
-        if self._join_table is not None:
-            return self._join_table[i][j]
-        key = (i, j) if i <= j else (j, i)
-        got = self._join_memo.get(key)
-        if got is None:
-            mask = self._up[i] & self._up[j]
-            got = self._by_up.get(mask)
-            if got is None:
-                raise NotALattice(
-                    f"no join for {self._elems[i]!r}, {self._elems[j]!r}")
-            self._join_memo[key] = got
-        return got
+        return self._by_up[self._up[i] & self._up[j]]
 
     # -- public API --------------------------------------------------------
 
@@ -198,36 +174,29 @@ class HeytingAlgebra(BoundedLattice):
     def __init__(self, elements: Sequence, leq: Callable[[object, object], bool],
                  *, cap: int = DEFAULT_CAP):
         super().__init__(elements, leq, cap=cap)
-        self._implies_memo: dict[tuple[int, int], int] = {}
-        if len(self._elems) <= _EAGER_IMPLIES_LIMIT:
-            n = len(self._elems)
-            for i in range(n):
-                for j in range(n):
-                    self._implies_ix(i, j)
-
-    def _implies_ix(self, i: int, j: int) -> int:
-        got = self._implies_memo.get((i, j))
-        if got is None:
-            down, bi, bj = self._down, self._down[i], self._down[j]
-            candidates = [g for g in range(len(self._elems))
-                          if (down[g] & bi) | bj == bj]
-            up = self._up
-            common = (1 << len(self._elems)) - 1
-            for g in candidates:
-                common &= up[g]
-            got = self._by_up.get(common)
-            if got is None or got not in candidates:
-                raise NotALattice(
-                    f"no largest g with g & {self._elems[i]!r} <= {self._elems[j]!r}; "
-                    "lattice is not a Heyting algebra")
-            self._implies_memo[(i, j)] = got
-        return got
+        n, down, up = len(self._elems), self._down, self._up
+        self._implies = []
+        for i in range(n):
+            row = []
+            for j in range(n):
+                bi, bj = down[i], down[j]
+                candidates = [g for g in range(n) if (down[g] & bi) | bj == bj]
+                common = (1 << n) - 1
+                for g in candidates:
+                    common &= up[g]
+                got = self._by_up.get(common)
+                if got is None or got not in candidates:
+                    raise NotALattice(
+                        f"no largest g with g & {self._elems[i]!r} <= {self._elems[j]!r}; "
+                        "lattice is not a Heyting algebra")
+                row.append(got)
+            self._implies.append(row)
 
     def implies(self, a, b):
-        return self._elems[self._implies_ix(self._ix(a), self._ix(b))]
+        return self._elems[self._implies[self._ix(a)][self._ix(b)]]
 
     def negate(self, a):
-        return self._elems[self._implies_ix(self._ix(a), self._bottom)]
+        return self._elems[self._implies[self._ix(a)][self._bottom]]
 
 
 # -- the down-set kernel ---------------------------------------------------------
@@ -255,7 +224,8 @@ def preorder_closure(needs: Sequence[int]) -> list[int]:
     return below
 
 
-def iter_downsets(below: Sequence[int]) -> Iterator[int]:
+def iter_downsets(below: Sequence[int], *, cap: Optional[int] = None,
+                  what: str = "down-sets") -> Iterator[int]:
     """Every down-set of a finite preorder, once each, as a bitmask.
 
     ``below[x]`` is the mask of the points at or below x, reflexive and
@@ -264,6 +234,9 @@ def iter_downsets(below: Sequence[int]) -> Iterator[int]:
     decides the lowest undecided point at each step: taking it forces its
     down-closure, leaving it out forbids its up-closure.  No branch dies, so
     the cost is O(points) word operations per down-set, not per subset.
+
+    With a ``cap``, finding a (cap+1)-th down-set raises CapExceeded, whose
+    message names the cap and ``what`` the down-sets stand for.
     """
     n = len(below)
     full = (1 << n) - 1
@@ -278,10 +251,14 @@ def iter_downsets(below: Sequence[int]) -> Iterator[int]:
     for x, m in enumerate(below):
         if m > full:
             barred |= above[x]
+    found = 0
     stack = [(0, barred)]
     while stack:
         taken, decided = stack.pop()
         if decided == full:
+            found += 1
+            if cap is not None and found > cap:
+                raise CapExceeded(f"more than {cap} {what} (cap {cap})")
             yield taken
             continue
         p = ((decided + 1) & ~decided).bit_length() - 1
@@ -308,12 +285,10 @@ class DownsetAlgebra(HeytingAlgebra):
     and each operation O(points) word operations.
     """
 
-    def __init__(self, below: Sequence[int], carrier: Iterable[tuple[int, object]],
-                 *, cap: int = DEFAULT_CAP):
+    def __init__(self, below: Sequence[int], carrier: Iterable[tuple[int, object]]):
         # The generic constructor is not run: it would build N x N tables.
+        # The builders cap the carrier where they enumerate it.
         pairs = list(carrier)
-        if len(pairs) > cap:
-            raise CapExceeded(f"carrier size {len(pairs)} exceeds cap {cap}")
         self._below = tuple(below)
         self._masks = tuple(m for m, _ in pairs)
         self._elems = tuple(e for _, e in pairs)
@@ -375,10 +350,9 @@ class DownsetAlgebra(HeytingAlgebra):
 def powerset_algebra(base: Iterable, *, cap: int = DEFAULT_CAP) -> DownsetAlgebra:
     """Boolean algebra of all subsets of a finite base set."""
     items = tuple(canon_sorted(set(base)))
-    if 1 << len(items) > cap:
-        raise CapExceeded(f"powerset of {len(items)} elements exceeds cap {cap}")
     below = [1 << i for i in range(len(items))]  # the discrete order
-    alg = DownsetAlgebra(below, canonical_carrier(items, iter_downsets(below)), cap=cap)
+    masks = list(iter_downsets(below, cap=cap, what=f"subsets of {len(items)} points"))
+    alg = DownsetAlgebra(below, canonical_carrier(items, masks))
     for a in alg.elements:  # Boolean sanity: excluded middle is strict here
         if alg.join(a, alg.negate(a)) != alg.top:
             raise LatticeError(f"powerset instance is not Boolean at {a!r}")
@@ -410,10 +384,10 @@ def open_set_algebra(opens: Iterable[Iterable], *, cap: int = DEFAULT_CAP) -> Do
         mask = sum(1 << index[p] for p in s)
         for p in s:
             below[index[p]] &= mask
-    masks = list(islice(iter_downsets(below), len(family) + 1))
+    masks = list(islice(iter_downsets(below, cap=cap, what="open sets"), len(family) + 1))
     if len(masks) != len(family):
         _raise_closure_witness(family)
-    return DownsetAlgebra(below, canonical_carrier(points, masks), cap=cap)
+    return DownsetAlgebra(below, canonical_carrier(points, masks))
 
 
 def _raise_closure_witness(family: set) -> None:
@@ -428,45 +402,38 @@ def _raise_closure_witness(family: set) -> None:
                 raise TopologyError(f"not closed under union: {set(a)} | {set(b)}")
 
 
-def transitive_closure(elements: Sequence, pairs: Iterable[tuple]) -> dict:
-    """Reflexive-transitive closure as element -> frozenset of predecessors.
+def poset_below(elements: Sequence, pairs: Iterable[tuple]) -> list[int]:
+    """The partial order that the pairs (p, q), read p <= q, generate on
+    `elements`, as one mask per element of the elements at or below it.
 
-    Raises InvalidOrder on a cycle (antisymmetry failure).
+    Raises UnknownElement on a pair outside `elements` and InvalidOrder on
+    a cycle (antisymmetry failure).
     """
     elems = list(elements)
-    below = {e: {e} for e in elems}
+    index = {e: i for i, e in enumerate(elems)}
+    needs = [0] * len(elems)
     for p, q in pairs:
-        if p not in below or q not in below:
+        if p not in index or q not in index:
             raise UnknownElement(f"order pair ({p!r}, {q!r}) mentions unknown element")
-        below[q].add(p)
-    changed = True
-    while changed:
-        changed = False
-        for q in elems:
-            extra = set()
-            for p in below[q]:
-                extra |= below[p]
-            if not extra <= below[q]:
-                below[q] |= extra
-                changed = True
-    for a in elems:
-        for b in sorted(below[a]):
-            if b != a and a in below[b]:
-                raise InvalidOrder(f"cycle detected through {a!r} and {b!r}")
-    return {e: frozenset(s) for e, s in below.items()}
+        needs[index[q]] |= 1 << index[p]
+    below = preorder_closure(needs)
+    for i, a in enumerate(elems):
+        cycle = [b for j, b in enumerate(elems)
+                 if j != i and below[i] >> j & 1 and below[j] >> i & 1]
+        if cycle:
+            raise InvalidOrder(f"cycle detected through {a!r} and {min(cycle)!r}")
+    return below
 
 
 def lower_set_algebra(elements: Sequence, pairs: Iterable[tuple], *,
                       cap: int = DEFAULT_CAP) -> DownsetAlgebra:
     """Heyting algebra of all lower sets of a finite poset."""
     elems = list(elements)
-    below = transitive_closure(elems, pairs)
-    if 1 << len(elems) > cap:
-        raise CapExceeded(f"lower-set enumeration over {len(elems)} points exceeds cap")
+    below = poset_below(elems, pairs)
     if len(set(elems)) != len(elems):
         raise InvalidOrder("duplicate element ids in carrier")
-    masks = [sum(1 << j for j, y in enumerate(elems) if y in below[x]) for x in elems]
-    return DownsetAlgebra(masks, canonical_carrier(elems, iter_downsets(masks)), cap=cap)
+    masks = list(iter_downsets(below, cap=cap, what=f"lower sets of {len(elems)} points"))
+    return DownsetAlgebra(below, canonical_carrier(elems, masks))
 
 
 def build_algebra(spec: Mapping, *, cap: int = DEFAULT_CAP) -> HeytingAlgebra:

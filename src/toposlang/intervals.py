@@ -118,10 +118,6 @@ class IntervalSet:
     def is_empty(self) -> bool:
         return not self.parts
 
-    @property
-    def is_full(self) -> bool:
-        return self.parts == (Interval(None, False, None, False),)
-
     def member(self, q) -> bool:
         q = Fraction(q)
         return any(p.contains(q) for p in self.parts)

@@ -344,14 +344,11 @@ def _element_order(x: Presheaf) -> tuple[list, list[int]]:
 
 def enumerate_subobjects(x: Presheaf, *, cap: int = SUB_ENUM_CAP) -> list[Subobject]:
     """All restriction-closed part families, in canonical key order."""
-    total = 1
-    for obj in x.base.objects:
-        total <<= len(x.stage(obj))
-        if total > cap:
-            raise CapExceeded(f"sub-object enumeration exceeds cap {cap}")
     points, below = _element_order(x)
+    masks = list(iter_downsets(below, cap=cap,
+                               what=f"sub-objects of a presheaf with {len(points)} elements"))
     out = []
-    for mask in iter_downsets(below):
+    for mask in masks:
         parts: dict = {obj: [] for obj in x.base.objects}
         for i, (obj, el) in enumerate(points):
             if mask >> i & 1:
@@ -379,28 +376,6 @@ def sub_heyting(x: Presheaf, *, cap: int = SUB_ENUM_CAP) -> SubobjectAlgebra:
     carrier = [(sum(1 << index[(obj, el)] for obj, part in k.parts.items() for el in part), key)
                for key, k in by_key.items()]
     return SubobjectAlgebra(DownsetAlgebra(below, carrier), by_key)
-
-
-def subobject_implies(k: Subobject, l: Subobject) -> Subobject:
-    """Stage-wise Heyting implication in Sub(X): the elements all of whose
-    restrictions landing in K also land in L."""
-    x = k.ambient
-    cat = x.base
-    parts = {}
-    for obj in cat.objects:
-        keep = []
-        for el in x.stage(obj):
-            ok = True
-            for f in cat.into(obj):
-                y = x.apply(f, el)
-                if y in k.parts[cat.morphism(f).dom] and \
-                        y not in l.parts[cat.morphism(f).dom]:
-                    ok = False
-                    break
-            if ok:
-                keep.append(el)
-        parts[obj] = frozenset(keep)
-    return Subobject(x, parts)
 
 
 def global_elements(x: Presheaf) -> list[GlobalElement]:
@@ -591,9 +566,9 @@ def exponential(x: Presheaf, y: Presheaf, *, cap: int = ENUM_NODE_CAP) -> Preshe
     cat = x.base
     at = {}
     for obj in cat.objects:
-        dia = product_many([representable(cat, obj), x])
+        hom_x = product_presheaf([representable(cat, obj), x])
         at[obj] = tuple(exp_element(cat, obj, x, lambda b, g, xv: n.apply(b, (g, xv)))
-                        for n in enumerate_nats(dia.presheaf, y, cap=cap))
+                        for n in enumerate_nats(hom_x, y, cap=cap))
     # theta'(h: C -> dom(m), xv) = theta(m o h, xv)
     maps = {m.id: {el: exp_element(cat, m.dom, x, lambda b, h, xv:
                                    exp_lookup(el, b, cat.compose(m.id, h), xv))
@@ -609,32 +584,29 @@ def power_object(x: Presheaf, *, cap: int = ENUM_NODE_CAP) -> Presheaf:
 def evaluation(x: Presheaf, y: Presheaf, *, cap: int = ENUM_NODE_CAP) -> NatTransform:
     """ev: Y^X x X -> Y, (theta, x) at stage A = theta(id_A, x)."""
     cat = x.base
-    exp = exponential(x, y, cap=cap)
-    dia = product(exp, x)
+    prod = product_presheaf([exponential(x, y, cap=cap), x])
     comps = {obj: {(theta, xv): exp_lookup(theta, obj, cat.id_of(obj), xv)
-                   for (theta, xv) in dia.presheaf.stage(obj)}
+                   for (theta, xv) in prod.stage(obj)}
              for obj in cat.objects}
-    return NatTransform(dia.presheaf, y, comps)
+    return NatTransform(prod, y, comps)
 
 
 def eval_arrow(x: Presheaf, *, cap: int = ENUM_NODE_CAP) -> NatTransform:
     """Membership evaluation X x PX -> Omega, (x, theta) = theta(id, x)."""
     cat = x.base
     kit = classifier_kit(cat)
-    px = power_object(x, cap=cap)
-    dia = product(x, px)
+    prod = product_presheaf([x, power_object(x, cap=cap)])
     comps = {obj: {(xv, theta): exp_lookup(theta, obj, cat.id_of(obj), xv)
-                   for (xv, theta) in dia.presheaf.stage(obj)}
+                   for (xv, theta) in prod.stage(obj)}
              for obj in cat.objects}
-    return NatTransform(dia.presheaf, kit.omega, comps)
+    return NatTransform(prod, kit.omega, comps)
 
 
 def exp_transpose(f: NatTransform, z: Presheaf, x: Presheaf, y: Presheaf,
                   *, cap: int = ENUM_NODE_CAP) -> NatTransform:
     """Hom(Z x X, Y) -> Hom(Z, Y^X).  `f` must go out of product(z, x)."""
     cat = z.base
-    dia = product(z, x)
-    if f.source != dia.presheaf or f.target != y:
+    if f.source != product_presheaf([z, x]) or f.target != y:
         raise ShapeMismatch("arrow to transpose is not Z x X -> Y")
     exp = exponential(x, y, cap=cap)
     comps = {}
@@ -658,11 +630,11 @@ def exp_untranspose(h: NatTransform, z: Presheaf, x: Presheaf, y: Presheaf,
     exp = exponential(x, y, cap=cap)
     if h.source != z or h.target != exp:
         raise ShapeMismatch("arrow to untranspose is not Z -> Y^X")
-    dia = product(z, x)
+    prod = product_presheaf([z, x])
     comps = {obj: {(zv, xv): exp_lookup(h.apply(obj, zv), obj, cat.id_of(obj), xv)
-                   for (zv, xv) in dia.presheaf.stage(obj)}
+                   for (zv, xv) in prod.stage(obj)}
              for obj in cat.objects}
-    return NatTransform(dia.presheaf, y, comps)
+    return NatTransform(prod, y, comps)
 
 
 def power_transpose(f: NatTransform, z: Presheaf, x: Presheaf,
@@ -679,8 +651,7 @@ def power_untranspose(h: NatTransform, z: Presheaf, x: Presheaf,
 def verify_exponential_adjunction(z: Presheaf, x: Presheaf, y: Presheaf,
                                   *, cap: int = ENUM_NODE_CAP) -> bool:
     """Element-for-element bijection Hom(Z x X, Y) = Hom(Z, Y^X)."""
-    dia = product(z, x)
-    lhs = enumerate_nats(dia.presheaf, y, cap=cap)
+    lhs = enumerate_nats(product_presheaf([z, x]), y, cap=cap)
     exp = exponential(x, y, cap=cap)
     rhs = enumerate_nats(z, exp, cap=cap)
     image = set()

@@ -17,7 +17,6 @@ from typing import Mapping
 
 import jsonschema
 
-from ._canon import jsonable
 from .category import FiniteCategory, Morphism, from_poset, one_object_category
 from .errors import InputError, ToposlangError
 from .heyting import HeytingAlgebra, build_algebra
@@ -414,7 +413,3 @@ def _topos_rep_from_json(project: Project, spec: Mapping, ptr: str) -> ToposRep:
 
 def canonical_json(payload) -> str:
     return json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
-
-
-def element_to_json(value):
-    return jsonable(value)

@@ -17,16 +17,16 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional
 
-from ..errors import ToposlangError
-from ..heyting import iter_downsets
+from ..errors import CapExceeded
+from ..heyting import iter_downsets, preorder_closure
 from .kripke import KripkeModel
-from .syntax import And, Atom, Formula, Implies, Not, Or, Prim, leaf_key
+from .syntax import And, Atom, Formula, Implies, Not, Or, Prim, leaf_key, leaves
 
 BOT = ("bot",)
 
 
-class SearchCapExceeded(ToposlangError):
-    pass
+class SearchCapExceeded(CapExceeded):
+    """No countermodel within the world bound: the verdict is withheld."""
 
 
 def _translate(formula: Formula):
@@ -125,21 +125,14 @@ def _posets(n: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
     pairs = [(i, j) for i in range(n) for j in range(n) if i != j]
     out = []
     for mask in range(1 << len(pairs)):
-        rel = {(i, i) for i in range(n)}
-        rel.update(p for k, p in enumerate(pairs) if mask >> k & 1)
-        ok = True
-        for (a, b) in list(rel):
-            if a != b and (b, a) in rel:
-                ok = False
-                break
-            for (c, d) in list(rel):
-                if b == c and (a, d) not in rel:
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
-            out.append(tuple(tuple(j for j in range(n) if (i, j) in rel)
+        up = [1 << i for i in range(n)]
+        for k, (i, j) in enumerate(pairs):
+            if mask >> k & 1:
+                up[i] |= 1 << j
+        if any(up[i] >> j & 1 and up[j] >> i & 1 for i, j in pairs):  # antisymmetry
+            continue
+        if preorder_closure(up) == up:
+            out.append(tuple(tuple(j for j in range(n) if up[i] >> j & 1)
                              for i in range(n)))
     return tuple(out)
 
@@ -155,7 +148,7 @@ def _upsets(upset_of: tuple[tuple[int, ...], ...]) -> list[frozenset[int]]:
 
 def find_countermodel(formula: Formula, *, max_worlds: int = 4) -> Optional[tuple]:
     """Smallest-first search for a model and world where the formula fails."""
-    keys = sorted({leaf_key(leaf) for leaf in _leaves(formula)})
+    keys = sorted({leaf_key(leaf) for leaf in leaves(formula)})
     for n in range(1, max_worlds + 1):
         names = tuple(f"w{i}" for i in range(n))
         for upset_of in _posets(n):
@@ -170,16 +163,6 @@ def find_countermodel(formula: Formula, *, max_worlds: int = 4) -> Optional[tupl
                 if bad is not None:
                     return model, bad
     return None
-
-
-def _leaves(formula: Formula):
-    if isinstance(formula, (Prim, Atom)):
-        yield formula
-    elif isinstance(formula, Not):
-        yield from _leaves(formula.operand)
-    else:
-        yield from _leaves(formula.left)
-        yield from _leaves(formula.right)
 
 
 @dataclass(frozen=True)

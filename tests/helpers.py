@@ -1,10 +1,19 @@
 """Shared fixtures: small base categories, deterministic presheaf generators,
-brute-force enumeration oracles and the wall-clock budget."""
+brute-force enumeration oracles, the quantified sieve and sub-object
+implications, and the wall-clock budget."""
 import random
 import time
 
 from toposlang._canon import canon_key
-from toposlang.category import FiniteCategory, Morphism, from_poset, one_object_category
+from toposlang.category import (
+    FiniteCategory,
+    Morphism,
+    NotASieve,
+    Sieve,
+    from_poset,
+    one_object_category,
+)
+from toposlang.heyting import InvalidOrder, UnknownElement
 from toposlang.presheaf import Presheaf, Subobject
 
 PT = one_object_category()
@@ -149,3 +158,101 @@ def brute_upsets(upset_of) -> list[frozenset]:
         if all(set(upset_of[i]) <= members for i in members):
             out.append(frozenset(members))
     return out
+
+
+def brute_posets(n: int) -> tuple:
+    """All reflexive-transitive-antisymmetric orders on n labeled points, each
+    as a tuple of up-set tuples, by a pairwise scan of every relation on them."""
+    pairs = [(i, j) for i in range(n) for j in range(n) if i != j]
+    out = []
+    for mask in range(1 << len(pairs)):
+        rel = {(i, i) for i in range(n)}
+        rel.update(p for k, p in enumerate(pairs) if mask >> k & 1)
+        ok = True
+        for (a, b) in list(rel):
+            if a != b and (b, a) in rel:
+                ok = False
+                break
+            for (c, d) in list(rel):
+                if b == c and (a, d) not in rel:
+                    ok = False
+                    break
+            if not ok:
+                break
+        if ok:
+            out.append(tuple(tuple(j for j in range(n) if (i, j) in rel)
+                             for i in range(n)))
+    return tuple(out)
+
+
+def transitive_closure(elements, pairs) -> dict:
+    """Reflexive-transitive closure as element -> frozenset of predecessors,
+    by a set-valued fixpoint.  Raises InvalidOrder on a cycle."""
+    elems = list(elements)
+    below = {e: {e} for e in elems}
+    for p, q in pairs:
+        if p not in below or q not in below:
+            raise UnknownElement(f"order pair ({p!r}, {q!r}) mentions unknown element")
+        below[q].add(p)
+    changed = True
+    while changed:
+        changed = False
+        for q in elems:
+            extra = set()
+            for p in below[q]:
+                extra |= below[p]
+            if not extra <= below[q]:
+                below[q] |= extra
+                changed = True
+    for a in elems:
+        for b in sorted(below[a]):
+            if b != a and a in below[b]:
+                raise InvalidOrder(f"cycle detected through {a!r} and {b!r}")
+    return {e: frozenset(s) for e, s in below.items()}
+
+
+# -- quantified implications: the definitions the down-set formula must meet ----
+
+def sieve_implies(cat, s1: Sieve, s2: Sieve) -> Sieve:
+    """{f : B -> A | every g with f o g in s1 also has f o g in s2}."""
+    if s1.target != s2.target:
+        raise NotASieve("implication needs sieves on the same object")
+    members = set()
+    for f in cat.into(s1.target):
+        fm = cat.morphism(f)
+        ok = True
+        for g in cat.into(fm.dom):
+            fg = cat.compose(f, g)
+            if fg in s1.members and fg not in s2.members:
+                ok = False
+                break
+        if ok:
+            members.add(f)
+    return Sieve(s1.target, frozenset(members))
+
+
+def sieve_negate(cat, s: Sieve) -> Sieve:
+    """Pseudo-complement: {f | no precomposite of f lands in s}."""
+    return sieve_implies(cat, s, Sieve(s.target, frozenset()))
+
+
+def subobject_implies(k: Subobject, l: Subobject) -> Subobject:
+    """Stage-wise Heyting implication in Sub(X): the elements all of whose
+    restrictions landing in K also land in L."""
+    x = k.ambient
+    cat = x.base
+    parts = {}
+    for obj in cat.objects:
+        keep = []
+        for el in x.stage(obj):
+            ok = True
+            for f in cat.into(obj):
+                y = x.apply(f, el)
+                if y in k.parts[cat.morphism(f).dom] and \
+                        y not in l.parts[cat.morphism(f).dom]:
+                    ok = False
+                    break
+            if ok:
+                keep.append(el)
+        parts[obj] = frozenset(keep)
+    return Subobject(x, parts)

@@ -1,5 +1,5 @@
 import pytest
-from helpers import brute_sieves
+from helpers import brute_sieves, sieve_implies, sieve_negate
 
 from toposlang.category import (
     CategoryError,
@@ -12,8 +12,6 @@ from toposlang.category import (
     principal_sieve,
     pullback_sieve,
     sieve_heyting,
-    sieve_implies,
-    sieve_negate,
     sieves_on,
     validate_category,
 )
@@ -27,6 +25,13 @@ def fs(*xs):
 
 TWO = from_poset(["p", "q"], [("p", "q")])
 CHAIN3 = from_poset(["a", "b", "c"], [("a", "b"), ("b", "c")])
+
+
+def test_from_poset_orders_arrows_by_codomain_then_sorted_domain():
+    cat = from_poset(["b", "d", "a", "c"], [("a", "b"), ("a", "c"), ("b", "d"), ("c", "d")])
+    assert [m.id for m in cat.morphisms] == [
+        "id[b]", "id[d]", "id[a]", "id[c]",
+        "le[a,b]", "le[a,d]", "le[b,d]", "le[c,d]", "le[a,c]"]
 
 
 def test_from_poset_two_point():
@@ -100,8 +105,10 @@ def test_sieves_on_one_object_category():
 
 
 def test_sieve_enumeration_cap():
-    with pytest.raises(CapExceeded):
-        sieves_on(CHAIN3, "c", cap=4)
+    # the cap counts sieves: CHAIN3 has exactly 4 on its top
+    assert len(sieves_on(CHAIN3, "c", cap=4)) == 4
+    with pytest.raises(CapExceeded, match="more than 3 sieves on 'c'"):
+        sieves_on(CHAIN3, "c", cap=3)
 
 
 def test_principal_sieves():

@@ -129,6 +129,23 @@ def test_pl_decide_exit_codes(capsys):
     assert len(payload["countermodel"]["worlds"]) == 2
 
 
+def test_resource_caps_exit_2_with_their_kind(tmp_path, capsys):
+    doc = json.loads(Path(FIXTURE).read_text())
+    states = [f"t{i:02d}" for i in range(13)]
+    doc["systems"].append({"name": "thirteen", "states": states,
+                           "quantities": {"A": {s: str(i) for i, s in enumerate(states)}}})
+    big = tmp_path / "thirteen.json"
+    big.write_text(json.dumps(doc))
+    code, payload, err = run(capsys, "pl", "represent", str(big),
+                             "--system", "thirteen", "A in [0,1]")
+    assert code == 2
+    assert payload == {"error": "more than 4096 subsets of 13 points (cap 4096)",
+                       "kind": "resource-cap"}
+    assert err.startswith("cap exceeded:")
+    code, payload, _ = run(capsys, "pl", "decide", "--max-worlds", "1", "((a->b)->a)->a")
+    assert code == 2 and payload["kind"] == "resource-cap"
+
+
 def test_pl_prove(capsys):
     code, payload, _ = run(capsys, "pl", "prove", FIXTURE, "--proof", "identity")
     assert code == 0 and payload["accepted"]

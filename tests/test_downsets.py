@@ -18,6 +18,7 @@ from helpers import (
     MONOID,
     TWO,
     brute_downsets,
+    brute_posets,
     brute_sieves,
     brute_subobjects,
     brute_subsets,
@@ -25,6 +26,7 @@ from helpers import (
     budget,
     presheaf_fixture_pool,
     set_presheaf,
+    transitive_closure,
 )
 
 from toposlang._canon import canon_sorted
@@ -36,20 +38,29 @@ from toposlang.category import (
     sieve_heyting,
     sieves_on,
 )
+from toposlang.errors import CapExceeded
 from toposlang.heyting import (
     DEFAULT_CAP,
     DownsetAlgebra,
     HeytingAlgebra,
+    LatticeError,
     TopologyError,
+    build_algebra,
     canonical_carrier,
     iter_downsets,
     lower_set_algebra,
     open_set_algebra,
+    poset_below,
     powerset_algebra,
     preorder_closure,
-    transitive_closure,
 )
-from toposlang.presheaf import Presheaf, enumerate_subobjects, sub_heyting
+from toposlang.presheaf import (
+    SUB_ENUM_CAP,
+    Presheaf,
+    enumerate_subobjects,
+    sub_heyting,
+    terminal_presheaf,
+)
 from toposlang.project import load_project
 from toposlang.prop.decide import _posets, _upsets
 
@@ -128,6 +139,25 @@ def test_lower_and_open_set_algebras_match_generic_algebra(poset):
     assert_same_algebra(lower_set_algebra(elems, pairs), oracle)
     # the lower sets of a poset are the opens of its Alexandrov topology
     assert_same_algebra(open_set_algebra(reversed(lower)), oracle)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(1, 5), st.lists(st.tuples(st.integers(0, 5), st.integers(0, 5)), max_size=8))
+def test_poset_below_matches_set_valued_closure(n, raw_pairs):
+    """Same order, same UnknownElement for a pair outside the elements, and
+    the same InvalidOrder message on a cycle."""
+    elems = [f"e{i}" for i in range(n)]
+    pairs = [(f"e{p}", f"e{q}") for p, q in raw_pairs]
+    try:
+        expected = transitive_closure(elems, pairs)
+    except LatticeError as exc:
+        with pytest.raises(type(exc)) as got:
+            poset_below(elems, pairs)
+        assert str(got.value) == str(exc)
+        return
+    below = poset_below(elems, pairs)
+    assert [frozenset(e for j, e in enumerate(elems) if m >> j & 1) for m in below] == \
+        [expected[e] for e in elems]
 
 
 def closed_under_pairs(family):
@@ -210,8 +240,14 @@ def test_subobjects_match_subset_filter(x):
 
 def test_kripke_upsets_match_subset_filter():
     for n in range(1, 5):
-        for upset_of in _posets(n):
+        for upset_of in brute_posets(n):
             assert _upsets(upset_of) == brute_upsets(upset_of)
+
+
+def test_posets_match_pairwise_transitivity_scan():
+    for n in range(1, 5):
+        assert list(_posets(n)) == list(brute_posets(n))
+    assert [len(_posets(n)) for n in range(1, 5)] == [1, 3, 19, 219]
 
 
 # -- output sensitivity: cost follows the down-sets, not the 2^n subsets ------
@@ -222,9 +258,46 @@ def test_powerset_at_the_cap_builds_quickly():
     assert len(alg) == DEFAULT_CAP == 4096
 
 
+def chain(n: int) -> FiniteCategory:
+    points = [f"p{i:02d}" for i in range(n)]
+    return from_poset(points, list(zip(points, points[1:])))
+
+
 def test_sieves_on_long_chain_scan_only_the_sieves():
-    points = [f"p{i:02d}" for i in range(18)]
-    chain = from_poset(points, list(zip(points, points[1:])))
-    with budget("sieves_on at the top of an 18-point chain", 1.0):
-        sieves = sieves_on(chain, points[-1])
-    assert len(sieves) == 19
+    long_chain = chain(21)
+    with budget("sieves_on at the top of a 21-point chain", 1.0):
+        sieves = sieves_on(long_chain, "p20")
+    assert len(sieves) == 22
+
+
+def test_subobjects_of_the_terminal_presheaf_on_a_long_chain():
+    sa = sub_heyting(terminal_presheaf(chain(21)))
+    assert len(sa.algebra) == 22
+
+
+# -- the caps count down-sets, not points ---------------------------------------
+
+def test_thirteen_point_chain_declares_its_fourteen_element_algebras():
+    chain13 = chain(13)
+    elements = list(chain13.objects)
+    lower = build_algebra({"kind": "lower_sets", "elements": elements,
+                           "order": list(zip(elements, elements[1:]))})
+    sieves = build_algebra({"kind": "sieves", "category": chain13, "object": "p12"})
+    assert len(lower) == len(sieves) == 14
+
+
+def test_cap_counts_the_downsets_it_enumerates():
+    assert len(powerset_algebra(range(3), cap=8)) == 8
+    with pytest.raises(CapExceeded, match=r"more than 7 subsets of 3 points \(cap 7\)"):
+        powerset_algebra(range(3), cap=7)
+    with pytest.raises(CapExceeded, match="more than 2 lower sets of 2 points"):
+        lower_set_algebra(["a", "b"], [], cap=2)
+    assert sorted(iter_downsets([1, 3, 7], cap=4)) == [0, 1, 3, 7]
+    with pytest.raises(CapExceeded):
+        list(iter_downsets([1, 3, 7], cap=3))
+
+
+def test_discrete_presheaf_past_the_cap_is_refused_in_time():
+    with budget("2^21 sub-objects refused at the 2^20 cap", 5.0):
+        with pytest.raises(CapExceeded, match=f"more than {SUB_ENUM_CAP} sub-objects"):
+            enumerate_subobjects(set_presheaf(range(21)))

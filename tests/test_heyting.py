@@ -11,6 +11,7 @@ from toposlang.heyting import (
     HeytingAlgebra,
     InvalidOrder,
     LatticeError,
+    NotALattice,
     TopologyError,
     UnknownElement,
     build_algebra,
@@ -223,6 +224,14 @@ def test_invalid_orders_rejected():
         BoundedLattice([1, 2], lambda a, b: True)  # not antisymmetric
     with pytest.raises(InvalidOrder):
         BoundedLattice([], lambda a, b: True)
+
+
+def test_bounded_poset_without_meets_is_not_a_lattice():
+    # 0 < a, b < c, d < 1: c and d have the lower bounds 0, a and b but no
+    # greatest one; the lattice refuses to be built
+    below = {"0": "0", "a": "0a", "b": "0b", "c": "0abc", "d": "0abd", "1": "0abcd1"}
+    with pytest.raises(NotALattice, match="no meet for 'c', 'd'"):
+        BoundedLattice(list(below), lambda x, y: x in below[y])
 
 
 def test_non_heyting_lattice_reported_not_silently_wrong():

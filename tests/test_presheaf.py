@@ -7,6 +7,7 @@ from helpers import (
     TWO,
     presheaf_fixture_pool,
     set_presheaf,
+    subobject_implies,
     two_point_presheaf,
 )
 
@@ -39,7 +40,6 @@ from toposlang.presheaf import (
     power_untranspose,
     product,
     sub_heyting,
-    subobject_implies,
     subobject_of_char,
     terminal_presheaf,
     validate_nat,
