@@ -6,8 +6,9 @@ The package is organized in layers:
 - `intervals`: exact rational interval sets (the value descriptions that
   primitive propositions quantify over).
 - `heyting`: finite bounded lattices and Heyting algebras, with builders
-  for powerset, open-set, lower-set and sieve instances, exhaustive law
-  checking, and the rank-two subspace lattice used by the
+  for powerset, open-set, lower-set and sieve instances that certify
+  their carrier at construction, the exhaustive law checker the tests use
+  as an oracle, and the rank-two subspace lattice used by the
   non-distributivity demonstration.
 - `category`: finite categories as composition tables, plus sieves,
   pullbacks and the sieve Heyting algebras.
@@ -33,7 +34,6 @@ from .heyting import (  # noqa: F401
     BoundedLattice,
     DownsetAlgebra,
     HeytingAlgebra,
-    build_algebra,
     check_heyting_laws,
     lower_set_algebra,
     open_set_algebra,

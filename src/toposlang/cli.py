@@ -45,11 +45,15 @@ def _emit(payload, summary: str) -> None:
 
 
 def _fail(exc: Exception) -> int:
+    """Exit 2; a cap hit, raised or wrapped by the loader, is a resource-cap."""
     payload = {"error": str(exc)}
+    capped = isinstance(exc, CapExceeded) or isinstance(exc.__cause__, CapExceeded)
+    if capped:
+        payload["kind"] = "resource-cap"
     pointer = getattr(exc, "pointer", "")
     if pointer:
         payload["pointer"] = pointer
-    _emit(payload, f"error: {exc}")
+    _emit(payload, f"{'cap exceeded' if capped else 'error'}: {exc}")
     return BAD_INPUT
 
 
@@ -374,9 +378,6 @@ def main(argv=None) -> int:
         return BAD_INPUT if exc.code not in (0, None) else 0
     try:
         return args.run(args)
-    except CapExceeded as exc:
-        _emit({"error": str(exc), "kind": "resource-cap"}, f"cap exceeded: {exc}")
-        return BAD_INPUT
     except ToposlangError as exc:
         return _fail(exc)
 

@@ -4,7 +4,8 @@ Every Heyting algebra the toolkit builds is the algebra of down-sets of a
 finite preorder, and is a `DownsetAlgebra`: its elements are int bitmasks
 over the preorder's points, meet is ``&``, join is ``|``, implication is one
 pass over the points, and the carrier is enumerated by a search that visits
-only down-sets (see the down-set kernel below).
+only down-sets (see the down-set kernel below).  It certifies its preorder
+and carrier when built, so no law check runs on it.
 
 The generic classes take any carrier and order.  Elements are interned: the
 carrier is an ordered tuple of hashable ids and all structure is
@@ -18,15 +19,14 @@ the largest g with g & a <= b, and is the oracle the kernel is tested
 against; `BoundedLattice` carries the non-distributive subspace
 lattice, which has no Heyting structure.  `check_heyting_laws` verifies the
 adjunction (and the lattice axioms, distributivity and double negation)
-exhaustively at desk scale.
+exhaustively in O(N³): the tests' oracle, and the subspace lattice's reporter.
 """
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import islice
-from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence
+from itertools import islice, product
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from ._canon import canon_key, canon_sorted
 from .errors import CapExceeded, ToposlangError
@@ -277,12 +277,24 @@ def canonical_carrier(points: Sequence, masks: Iterable[int]) -> list[tuple[int,
 class DownsetAlgebra(HeytingAlgebra):
     """Heyting algebra of the down-sets of a finite preorder, as bitmasks.
 
-    ``below[x]`` is the mask of the points at or below point x (reflexive
-    and transitive); ``carrier`` lists every down-set as a (mask, element id)
-    pair, in the order `elements` keeps.  Meet is ``&``, join is ``|``, and
-    ``implies(a, b)`` is {x : below[x] & a & ~b == 0}, the points with no
-    predecessor in a outside b.  Nothing is tabulated: building costs O(N)
-    and each operation O(points) word operations.
+    ``below[x]`` is the mask of the points at or below point x; a bit at or
+    past the last point bars x from every down-set.  ``carrier`` lists every
+    down-set as a (mask, element id) pair, in the order `elements` keeps.
+    Meet is ``&``, join is ``|``, and ``implies(a, b)`` is
+    {x : below[x] & a & ~b == 0}, the points with no predecessor in a
+    outside b.  Nothing is tabulated: each operation costs O(points) word
+    operations.
+
+    The down-sets of a preorder are the opens of its Alexandrov topology, a
+    Heyting algebra (Davey & Priestley, *Introduction to Lattices and
+    Order*, 2002), so construction certifies the inputs, not the laws, and
+    raises InvalidOrder or LatticeError at the first failure: ``below`` is
+    reflexive and transitive; the masks are distinct down-sets of the points
+    that are not barred, 0 among them; and the carrier is closed under
+    ``m | below[x]`` for every mask m and point x that is not barred.  Every
+    down-set is 0 joined with the ``below[x]`` of its points one at a time,
+    so the carrier is exactly the down-sets.  This costs O(points²) plus
+    O(N·points), exhaustively at every size.
     """
 
     def __init__(self, below: Sequence[int], carrier: Iterable[tuple[int, object]]):
@@ -296,12 +308,40 @@ class DownsetAlgebra(HeytingAlgebra):
         if len(self._index) != len(self._elems):
             raise InvalidOrder("duplicate element ids in carrier")
         self._by_mask = {m: i for i, m in enumerate(self._masks)}
-        top = 0
-        for m in self._masks:
-            top |= m
-        self._top_mask = top  # every point, less those no down-set holds
-        self._top = self._by_mask[top]
+        self._top_mask = self._certify()
+        self._top = self._by_mask[self._top_mask]
         self._bottom = self._by_mask[0]
+
+    def _certify(self) -> int:
+        """Check the certificate above; return the top mask, the points that
+        are not barred."""
+        below, by_mask = self._below, self._by_mask
+        for x, m in enumerate(below):
+            if not m >> x & 1:
+                raise InvalidOrder(f"order not reflexive at point {x}")
+            for y, down in enumerate(below):
+                if m >> y & 1 and down & ~m:
+                    raise InvalidOrder(f"order not transitive: point {y} is below "
+                                       f"point {x}, but not all that is below {y}")
+        full = (1 << len(below)) - 1
+        points = [(x, down) for x, down in enumerate(below) if down <= full]
+        top = sum(1 << x for x, _ in points)
+        if 0 not in by_mask:
+            raise LatticeError("carrier lacks the empty down-set")
+        for i, (e, m) in enumerate(zip(self._elems, self._masks)):
+            if by_mask[m] != i:
+                raise LatticeError(f"carrier element {e!r} repeats the mask {m:#b}")
+            if m & ~top:
+                raise LatticeError(f"carrier element {e!r} (mask {m:#b}) is not a down-set")
+            for x, down in points:
+                if m >> x & 1:
+                    if down & ~m:
+                        raise LatticeError(f"carrier element {e!r} (mask {m:#b}) "
+                                           "is not a down-set")
+                elif m | down not in by_mask:
+                    raise LatticeError(f"carrier lacks the down-set {m | down:#b}: "
+                                       f"{e!r} joined with what is below point {x}")
+        return top
 
     def _mask(self, a) -> int:
         return self._masks[self._ix(a)]
@@ -352,11 +392,7 @@ def powerset_algebra(base: Iterable, *, cap: int = DEFAULT_CAP) -> DownsetAlgebr
     items = tuple(canon_sorted(set(base)))
     below = [1 << i for i in range(len(items))]  # the discrete order
     masks = list(iter_downsets(below, cap=cap, what=f"subsets of {len(items)} points"))
-    alg = DownsetAlgebra(below, canonical_carrier(items, masks))
-    for a in alg.elements:  # Boolean sanity: excluded middle is strict here
-        if alg.join(a, alg.negate(a)) != alg.top:
-            raise LatticeError(f"powerset instance is not Boolean at {a!r}")
-    return alg
+    return DownsetAlgebra(below, canonical_carrier(items, masks))
 
 
 def open_set_algebra(opens: Iterable[Iterable], *, cap: int = DEFAULT_CAP) -> DownsetAlgebra:
@@ -436,30 +472,6 @@ def lower_set_algebra(elements: Sequence, pairs: Iterable[tuple], *,
     return DownsetAlgebra(below, canonical_carrier(elems, masks))
 
 
-def build_algebra(spec: Mapping, *, cap: int = DEFAULT_CAP) -> HeytingAlgebra:
-    """Build a validated Heyting algebra from a declarative spec.
-
-    Kinds: powerset(base), open_sets(sets), lower_sets(elements, order),
-    sieves(category, object).
-    """
-    kind = spec.get("kind")
-    if kind == "powerset":
-        alg = powerset_algebra(spec["base"], cap=cap)
-    elif kind == "open_sets":
-        alg = open_set_algebra(spec["sets"], cap=cap)
-    elif kind == "lower_sets":
-        alg = lower_set_algebra(spec["elements"], spec.get("order", ()), cap=cap)
-    elif kind == "sieves":
-        from .category import sieve_heyting
-        alg = sieve_heyting(spec["category"], spec["object"], cap=cap)
-    else:
-        raise ValueError(f"unknown algebra kind {kind!r}")
-    report = check_heyting_laws(alg)
-    if not report.ok:
-        raise LatticeError(f"built algebra violates Heyting laws: {report.summary()}")
-    return alg
-
-
 # -- law checking -------------------------------------------------------------
 
 @dataclass
@@ -468,7 +480,6 @@ class LawReport:
     distributivity: list = field(default_factory=list)
     adjunction: list = field(default_factory=list)
     double_negation: list = field(default_factory=list)
-    exhaustive: bool = True
 
     @property
     def ok(self) -> bool:
@@ -477,7 +488,7 @@ class LawReport:
 
     def summary(self) -> str:
         if self.ok:
-            return "all laws hold" + ("" if self.exhaustive else " (sampled)")
+            return "all laws hold"
         bits = []
         for name in ("lattice", "distributivity", "adjunction", "double_negation"):
             bad = getattr(self, name)
@@ -486,18 +497,13 @@ class LawReport:
         return "; ".join(bits)
 
 
-def check_heyting_laws(algebra: BoundedLattice, *, exhaustive_limit: int = 64,
-                       samples: int = 20000, seed: int = 0) -> LawReport:
+def check_heyting_laws(algebra: BoundedLattice) -> LawReport:
     """Exhaustively verify lattice laws, distributivity and (for Heyting
-    instances) the implication adjunction and a <= ~~a.
-
-    Triple-quantified laws go exhaustive up to ``exhaustive_limit`` carrier
-    elements and fall back to seeded random sampling above it.  Violations
-    are report content, never exceptions.
+    instances) the implication adjunction and a <= ~~a, over all triples.
+    Violations are report content, never exceptions.
     """
     report = LawReport()
     elems = algebra.elements
-    n = len(elems)
     bot, top = algebra.bottom, algebra.top
     for a in elems:
         if not algebra.leq(bot, a) or not algebra.leq(a, top):
@@ -517,15 +523,8 @@ def check_heyting_laws(algebra: BoundedLattice, *, exhaustive_limit: int = 64,
             if algebra.leq(a, b) != (algebra.meet(a, b) == a):
                 report.lattice.append(("order-meet-consistency", a, b))
 
-    if n <= exhaustive_limit:
-        triples = ((a, b, c) for a in elems for b in elems for c in elems)
-    else:
-        report.exhaustive = False
-        rng = random.Random(seed)
-        triples = ((rng.choice(elems), rng.choice(elems), rng.choice(elems))
-                   for _ in range(samples))
     is_heyting = isinstance(algebra, HeytingAlgebra)
-    for a, b, c in triples:
+    for a, b, c in product(elems, repeat=3):
         if algebra.meet(algebra.meet(a, b), c) != algebra.meet(a, algebra.meet(b, c)):
             report.lattice.append(("meet-associativity", a, b, c))
         if algebra.join(algebra.join(a, b), c) != algebra.join(a, algebra.join(b, c)):

@@ -17,9 +17,9 @@ from typing import Mapping
 
 import jsonschema
 
-from .category import FiniteCategory, Morphism, from_poset, one_object_category
+from .category import FiniteCategory, Morphism, from_poset, one_object_category, sieve_heyting
 from .errors import InputError, ToposlangError
-from .heyting import HeytingAlgebra, build_algebra
+from .heyting import HeytingAlgebra, lower_set_algebra, open_set_algebra, powerset_algebra
 from .local.axioms import AxiomPack, Sequent, abelian_axiom_pack, pack_signature
 from .local.check import substitute
 from .local.syntax import Signature, Var, parse_term, parse_type
@@ -188,13 +188,12 @@ def build_project(document: Mapping) -> Project:
         kind = spec["kind"]
         try:
             if kind == "powerset":
-                alg = build_algebra({"kind": kind, "base": spec["base"]})
+                alg = powerset_algebra(spec["base"])
             elif kind == "open_sets":
-                alg = build_algebra({"kind": kind,
-                                     "sets": [frozenset(s) for s in spec["sets"]]})
+                alg = open_set_algebra([frozenset(s) for s in spec["sets"]])
             elif kind == "lower_sets":
-                alg = build_algebra({"kind": kind, "elements": spec["elements"],
-                                     "order": [tuple(p) for p in spec.get("order", ())]})
+                alg = lower_set_algebra(spec["elements"],
+                                        [tuple(p) for p in spec.get("order", ())])
             else:
                 cat = project.categories.get(spec.get("category", ""))
                 if cat is None:
@@ -203,8 +202,7 @@ def build_project(document: Mapping) -> Project:
                 if spec.get("object") not in cat.objects:
                     raise ProjectError(
                         f"unknown object {spec.get('object')!r}", f"{ptr}/object")
-                alg = build_algebra({"kind": "sieves", "category": cat,
-                                     "object": spec["object"]})
+                alg = sieve_heyting(cat, spec["object"])
         except ProjectError:
             raise
         except (ToposlangError, KeyError) as exc:

@@ -49,7 +49,6 @@ def _provable(gamma: frozenset, goal, memo: dict) -> bool:
     got = memo.get(key)
     if got is not None:
         return got
-    memo[key] = False  # cycles cannot help a contraction-free search
     result = _search(gamma, goal, memo)
     memo[key] = result
     return result

@@ -146,6 +146,20 @@ def test_resource_caps_exit_2_with_their_kind(tmp_path, capsys):
     assert code == 2 and payload["kind"] == "resource-cap"
 
 
+def test_cap_hit_while_loading_keeps_its_kind_and_pointer(tmp_path, capsys):
+    doc = json.loads(Path(FIXTURE).read_text())
+    doc["algebras"].append({"name": "bool13", "kind": "powerset",
+                            "base": [f"b{i:02d}" for i in range(13)]})
+    big = tmp_path / "bool13.json"
+    big.write_text(json.dumps(doc))
+    code, payload, err = run(capsys, "validate", str(big))
+    assert code == 2
+    assert payload == {"error": "algebra 'bool13': more than 4096 subsets of 13 points "
+                                "(cap 4096)",
+                       "kind": "resource-cap", "pointer": "/algebras/4"}
+    assert err.startswith("cap exceeded:")
+
+
 def test_pl_prove(capsys):
     code, payload, _ = run(capsys, "pl", "prove", FIXTURE, "--proof", "identity")
     assert code == 0 and payload["accepted"]

@@ -43,9 +43,9 @@ from toposlang.heyting import (
     DEFAULT_CAP,
     DownsetAlgebra,
     HeytingAlgebra,
+    InvalidOrder,
     LatticeError,
     TopologyError,
-    build_algebra,
     canonical_carrier,
     iter_downsets,
     lower_set_algebra,
@@ -61,7 +61,7 @@ from toposlang.presheaf import (
     sub_heyting,
     terminal_presheaf,
 )
-from toposlang.project import load_project
+from toposlang.project import build_project, load_project
 from toposlang.prop.decide import _posets, _upsets
 
 PROJECT = load_project(Path(__file__).resolve().parent.parent / "fixtures" / "two_point.json")
@@ -180,6 +180,45 @@ def test_open_sets_rejected_exactly_when_not_a_topology(poset, data):
             open_set_algebra(family)
 
 
+# -- the certificate: a DownsetAlgebra is built on a preorder's down-sets only --
+
+CHAIN_BELOW = [0b001, 0b011, 0b111]  # 0 < 1 < 2
+CHAIN_DOWNSETS = [0b000, 0b001, 0b011, 0b111]
+
+
+@pytest.mark.parametrize("below, message", [
+    ([0b001, 0b001, 0b111], "order not reflexive at point 1"),
+    ([0b001, 0b011, 0b110],
+     "order not transitive: point 1 is below point 2, but not all that is below 1"),
+], ids=["not-reflexive", "not-transitive"])
+def test_certificate_rejects_a_planted_bad_order(below, message):
+    with pytest.raises(InvalidOrder, match=message):
+        DownsetAlgebra(below, [(m, m) for m in CHAIN_DOWNSETS])
+
+
+@pytest.mark.parametrize("below, masks, message", [
+    (CHAIN_BELOW, CHAIN_DOWNSETS + [0b010], "element 2 \\(mask 0b10\\) is not a down-set"),
+    ([0b01, 0b110], [0b00, 0b01, 0b11], "element 3 \\(mask 0b11\\) is not a down-set"),
+    (CHAIN_BELOW, [0b000, 0b001, 0b111], "lacks the down-set 0b11: 0 joined with what is "
+     "below point 1"),
+    (CHAIN_BELOW, [0b000, 0b001, 0b001, 0b011, 0b111], "element 1 repeats the mask 0b1"),
+    (CHAIN_BELOW, [0b001, 0b011, 0b111], "lacks the empty down-set"),
+], ids=["not-a-down-set", "holds-a-barred-point", "missing", "duplicate", "no-zero"])
+def test_certificate_rejects_a_planted_bad_carrier(below, masks, message):
+    # element ids are the masks, except that a repeated mask gets a new id
+    carrier = [(m, m if m not in masks[:i] else -m) for i, m in enumerate(masks)]
+    with pytest.raises(LatticeError, match=message):
+        DownsetAlgebra(below, carrier)
+
+
+def test_certificate_is_exhaustive_at_the_cap():
+    """One down-set missing from 4096 is found: no sampling."""
+    below = [1 << i for i in range(12)]
+    carrier = [(m, m) for m in range(1 << 12) if m != 0b100110100101]
+    with pytest.raises(LatticeError, match="lacks the down-set 0b100110100101"):
+        DownsetAlgebra(below, carrier)
+
+
 def test_powerset_matches_generic_algebra():
     for n in range(6):
         items = [f"s{i}" for i in range(n)]
@@ -258,6 +297,13 @@ def test_powerset_at_the_cap_builds_quickly():
     assert len(alg) == DEFAULT_CAP == 4096
 
 
+def test_declared_six_point_powerset_builds_quickly():
+    document = {"algebras": [{"name": "bool6", "kind": "powerset", "base": list("abcdef")}]}
+    with budget("build_project with a declared 6-point powerset", 0.5):
+        project = build_project(document)
+    assert len(project.algebras["bool6"]) == 64
+
+
 def chain(n: int) -> FiniteCategory:
     points = [f"p{i:02d}" for i in range(n)]
     return from_poset(points, list(zip(points, points[1:])))
@@ -278,11 +324,15 @@ def test_subobjects_of_the_terminal_presheaf_on_a_long_chain():
 # -- the caps count down-sets, not points ---------------------------------------
 
 def test_thirteen_point_chain_declares_its_fourteen_element_algebras():
-    chain13 = chain(13)
-    elements = list(chain13.objects)
-    lower = build_algebra({"kind": "lower_sets", "elements": elements,
-                           "order": list(zip(elements, elements[1:]))})
-    sieves = build_algebra({"kind": "sieves", "category": chain13, "object": "p12"})
+    elements = list(chain(13).objects)
+    order = [list(pair) for pair in zip(elements, elements[1:])]
+    project = build_project({
+        "posets": [{"name": "chain13", "elements": elements, "order": order}],
+        "algebras": [
+            {"name": "lower", "kind": "lower_sets", "elements": elements, "order": order},
+            {"name": "sieves", "kind": "sieves", "category": "chain13", "object": "p12"},
+        ]})
+    lower, sieves = project.algebras["lower"], project.algebras["sieves"]
     assert len(lower) == len(sieves) == 14
 
 

@@ -14,7 +14,6 @@ from toposlang.heyting import (
     NotALattice,
     TopologyError,
     UnknownElement,
-    build_algebra,
     check_heyting_laws,
     lower_set_algebra,
     open_set_algebra,
@@ -23,6 +22,7 @@ from toposlang.heyting import (
     ray_label,
     subspace_lattice_2d,
 )
+from toposlang.project import build_project
 
 SIERPINSKI = [frozenset(), frozenset({1}), frozenset({1, 2})]
 
@@ -110,21 +110,25 @@ def test_boolean_negation_is_complement_and_involutive():
         assert alg.negate(alg.negate(a)) == a
 
 
+def declared(spec):
+    """The algebra that a project document declaring only `spec` builds."""
+    return build_project({"algebras": [dict(spec, name="declared")]}).algebras["declared"]
+
+
 def test_build_algebra_powerset():
-    alg = build_algebra({"kind": "powerset", "base": ["a", "b"]})
+    alg = declared({"kind": "powerset", "base": ["a", "b"]})
     assert len(alg) == 4
     for a in alg.elements:
         assert alg.join(a, alg.negate(a)) == alg.top
 
 
 def test_build_algebra_lower_sets_of_chain():
-    alg = build_algebra({"kind": "lower_sets", "elements": ["p", "q"],
-                         "order": [["p", "q"]]})
+    alg = declared({"kind": "lower_sets", "elements": ["p", "q"], "order": [["p", "q"]]})
     assert set(alg.elements) == {fs(), fs("p"), fs("p", "q")}
 
 
 def test_build_algebra_open_sets_is_not_boolean():
-    alg = build_algebra({"kind": "open_sets", "sets": SIERPINSKI})
+    alg = declared({"kind": "open_sets", "sets": [[], [1], [1, 2]]})
     assert len(alg) == 3
     assert any(alg.join(a, alg.negate(a)) != alg.top for a in alg.elements)
 
