@@ -8,6 +8,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+# Emptied when full, so that a long-running process does not grow with it.
+KEY_CACHE_LIMIT = 1 << 16
 _KEY_CACHE: dict = {}
 
 
@@ -15,8 +17,9 @@ def canon_key(value):
     """Total order key over the element kinds the engine produces.
 
     Numbers order by value with an exact rational tie-break, so ints and
-    equal Fractions share a key.  Keys of structured values are memoized:
-    the same stage elements get sorted many times across enumerations.
+    equal Fractions share a key.  Keys of structured values are memoized,
+    up to KEY_CACHE_LIMIT entries: the same stage elements get sorted many
+    times across enumerations.
     """
     if isinstance(value, str):
         return (1, value)
@@ -35,6 +38,8 @@ def canon_key(value):
         key = (3, tuple(sorted(canon_key(v) for v in value)))
     else:
         raise TypeError(f"no canonical order for {type(value).__name__}")
+    if len(_KEY_CACHE) >= KEY_CACHE_LIMIT:
+        _KEY_CACHE.clear()
     _KEY_CACHE[value] = key
     return key
 

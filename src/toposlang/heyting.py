@@ -267,11 +267,16 @@ def iter_downsets(below: Sequence[int], *, cap: Optional[int] = None,
 
 
 def canonical_carrier(points: Sequence, masks: Iterable[int]) -> list[tuple[int, frozenset]]:
-    """(mask, frozenset of its points) for each mask, in canonical order."""
-    carrier = [(m, frozenset(p for i, p in enumerate(points) if m >> i & 1))
-               for m in masks]
-    carrier.sort(key=lambda c: canon_key(c[1]))
-    return carrier
+    """(mask, frozenset of its points) for each mask, in canonical order.
+
+    canon_key orders frozensets by the sorted keys of their members, so a
+    mask sorts by the ranks of its points in canon_key order, ascending;
+    the ranks are computed once, not a key per frozenset."""
+    by_rank = sorted(range(len(points)), key=lambda i: canon_key(points[i]))
+    bits = [(r, 1 << i) for r, i in enumerate(by_rank)]
+    ranked = [points[i] for i in by_rank]
+    keyed = sorted((tuple(r for r, b in bits if m & b), m) for m in masks)
+    return [(m, frozenset(map(ranked.__getitem__, ranks))) for ranks, m in keyed]
 
 
 class DownsetAlgebra(HeytingAlgebra):

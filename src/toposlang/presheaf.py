@@ -13,10 +13,12 @@ one-object category gives the plain category of sets, where the classifier
 degenerates to the two truth values.
 
 This module owns the element format of exponentials and power objects: an
-element of Y^X at stage A is a tuple of ((B, g: B -> A, x), y) cells sorted
-by canon_key.  `exp_element` builds one and `exp_lookup` reads a cell; other
-modules (term interpretation in `rep`) go through these two and never take
-an element apart themselves.
+element of Y^X at stage A is a tuple of ((B, g: B -> A, x), y) cells in
+canon_key order, built in that order without a sort.  It is a tuple
+subclass that keeps its hash after the first use, and stays equal, and
+hash-equal, to the plain tuple of its cells.  `exp_element` builds one and
+`exp_lookup` reads a cell; other modules (term interpretation in `rep`) go
+through these two and never take an element apart themselves.
 """
 from __future__ import annotations
 
@@ -31,6 +33,9 @@ from .heyting import DownsetAlgebra, iter_downsets, preorder_closure
 
 ENUM_NODE_CAP = 10_000_000
 SUB_ENUM_CAP = 1 << 20
+# Entries kept by each of the process-wide caches on `classifier_kit` and
+# `exponential`, least recently used first out.
+CACHE_SIZE = 128
 
 
 class PresheafError(ToposlangError):
@@ -281,7 +286,7 @@ def terminal_presheaf(cat: FiniteCategory) -> Presheaf:
                     {m.id: {(): ()} for m in cat.morphisms})
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CACHE_SIZE)
 def classifier_kit(cat: FiniteCategory) -> ClassifierKit:
     """Terminal object, sieve classifier and the arrow picking the principal
     sieve at each stage."""
@@ -537,15 +542,29 @@ def representable(cat: FiniteCategory, obj: str) -> Presheaf:
     return Presheaf(cat, at, maps)
 
 
+class _Cells(tuple):
+    """The cells of one exponential element.  Equal, and hash-equal, to the
+    plain tuple of the same cells, but hashed once: a tuple does not keep
+    its hash, and every set or dict lookup of an element would otherwise
+    rehash each stage value in its cells."""
+
+    def __hash__(self):
+        try:
+            return self._hash
+        except AttributeError:
+            self._hash = tuple.__hash__(self)
+            return self._hash
+
+
 def exp_element(cat: FiniteCategory, obj: str, x: Presheaf, value) -> tuple:
     """The element of Y^X at stage `obj` whose cell (B, g: B -> obj, xv)
-    holds value(B, g, xv), for every arrow g into obj and every xv in X(B)."""
-    cells = []
-    for g in cat.into(obj):
-        b = cat.morphism(g).dom
-        for xv in x.stage(b):
-            cells.append(((b, g, xv), value(b, g, xv)))
-    return tuple(sorted(cells, key=canon_key))
+    holds value(B, g, xv), for every arrow g into obj and every xv in X(B).
+
+    The cells come out in canon_key order without a sort: the keys (B, g, xv)
+    are distinct, so their order is that of the (B, g) pairs, then that of
+    X(B), which the stage already keeps."""
+    arrows = sorted(((cat.morphism(g).dom, g) for g in cat.into(obj)), key=canon_key)
+    return _Cells(((b, g, xv), value(b, g, xv)) for b, g in arrows for xv in x.stage(b))
 
 
 def exp_lookup(element: tuple, obj: str, f: str, xv):
@@ -556,11 +575,12 @@ def exp_lookup(element: tuple, obj: str, f: str, xv):
     raise PresheafError(f"exponential element has no cell ({obj!r}, {f!r}, {xv!r})")
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CACHE_SIZE)
 def exponential(x: Presheaf, y: Presheaf, *, cap: int = ENUM_NODE_CAP) -> Presheaf:
     """Y^X with stage A the natural transformations Hom(-,A) x X -> Y and
-    restriction by precomposition of the representable slot.  Cached: the
-    same exponentials recur throughout term interpretation."""
+    restriction by precomposition of the representable slot.  Cached, up to
+    CACHE_SIZE of them: the same exponentials recur throughout term
+    interpretation."""
     if x.base != y.base:
         raise ShapeMismatch("exponential needs a common base")
     cat = x.base
@@ -569,11 +589,13 @@ def exponential(x: Presheaf, y: Presheaf, *, cap: int = ENUM_NODE_CAP) -> Preshe
         hom_x = product_presheaf([representable(cat, obj), x])
         at[obj] = tuple(exp_element(cat, obj, x, lambda b, g, xv: n.apply(b, (g, xv)))
                         for n in enumerate_nats(hom_x, y, cap=cap))
-    # theta'(h: C -> dom(m), xv) = theta(m o h, xv)
+    # theta'(h: C -> dom(m), xv) = theta(m o h, xv).  Along an identity
+    # that is theta itself, and `Presheaf` fills in identity tables with the
+    # stage's own elements, so no element is built a second time.
     maps = {m.id: {el: exp_element(cat, m.dom, x, lambda b, h, xv:
                                    exp_lookup(el, b, cat.compose(m.id, h), xv))
                    for el in at[m.cod]}
-            for m in cat.morphisms}
+            for m in cat.morphisms if m.id != cat.id_of(m.dom)}
     return Presheaf(cat, at, maps)
 
 

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 from ._canon import canon_sorted
 from .category import FiniteCategory, one_object_category, principal_sieve
@@ -72,6 +72,16 @@ from .presheaf import (
     validate_presheaf,
 )
 from .prop.semantics import ClassicalSystem
+
+
+class _Scope(NamedTuple):
+    """A typing context as `interpret_term` evaluates under it: its index
+    among the contexts of one call, the variables' positions in an
+    environment, and their types' presheaves."""
+    index: int
+    ctx: tuple
+    names: dict
+    types: tuple
 
 
 class RepresentationError(ToposlangError):
@@ -160,64 +170,76 @@ def interpret_term(term: Term, context: Sequence[tuple[str, TypeExpr]],
     target_type = infer_type(term, ctx_types, rep.signature)
     cat = rep.base
 
-    memo: dict = {}
+    # Eq and Compr revisit a subterm at the domain of every arrow into a
+    # stage, so the memo pays only where some stage has an arrow into it
+    # besides its identity.  On a discrete base, the classical one included,
+    # a lookup can hit only a node the term shares after desugaring: a
+    # variable, `*` or the constant true, cheaper to evaluate than to look
+    # up.  The key names the scope by index, so a lookup hashes no types.
+    memo: dict | None = {} if any(len(cat.into(o)) > 1 for o in cat.objects) else None
+    scopes: dict = {}
 
-    def ev(n: Term, obj: str, env: tuple, ctx: tuple):
-        key = (id(n), obj, env, ctx)
-        if key in memo:
-            return memo[key]
-        out = _ev(n, obj, env, ctx)
-        memo[key] = out
+    def scope(ctx: tuple) -> _Scope:
+        found = scopes.get(ctx)
+        if found is None:
+            found = scopes[ctx] = _Scope(
+                len(scopes), ctx, {name: i for i, (name, _) in enumerate(ctx)},
+                tuple(interpret_type(t, rep) for _, t in ctx))
+        return found
+
+    def ev(n: Term, obj: str, env: tuple, sc: _Scope):
+        if memo is None:
+            return _ev(n, obj, env, sc)
+        key = (id(n), obj, env, sc.index)
+        out = memo.get(key, memo)
+        if out is memo:
+            out = memo[key] = _ev(n, obj, env, sc)
         return out
 
-    def env_restrict(f: str, env: tuple, ctx: tuple) -> tuple:
-        if not ctx:
-            return ()
-        types = [interpret_type(t, rep) for _, t in ctx]
-        return tuple(x.apply(f, v) for x, v in zip(types, env))
+    def env_restrict(f: str, env: tuple, sc: _Scope) -> tuple:
+        return tuple(x.apply(f, v) for x, v in zip(sc.types, env))
 
-    def _ev(n: Term, obj: str, env: tuple, ctx: tuple):
-        names = {name: i for i, (name, _) in enumerate(ctx)}
+    def _ev(n: Term, obj: str, env: tuple, sc: _Scope):
         if isinstance(n, Var):
-            if n.name not in names:
+            if n.name not in sc.names:
                 raise RepresentationError(f"unbound variable {n.name!r}")
-            return env[names[n.name]]
+            return env[sc.names[n.name]]
         if isinstance(n, Star):
             return ()
         if isinstance(n, App):
             if n.symbol not in rep.symbols:
                 raise RepresentationError(f"unassigned function symbol {n.symbol!r}")
-            return rep.symbols[n.symbol].apply(obj, ev(n.arg, obj, env, ctx))
+            return rep.symbols[n.symbol].apply(obj, ev(n.arg, obj, env, sc))
         if isinstance(n, Tup):
-            return tuple(ev(t, obj, env, ctx) for t in n.items)
+            return tuple(ev(t, obj, env, sc) for t in n.items)
         if isinstance(n, Proj):
-            return ev(n.item, obj, env, ctx)[n.index - 1]
+            return ev(n.item, obj, env, sc)[n.index - 1]
         if isinstance(n, Eq):
             members = []
             for f in cat.into(obj):
                 dom = cat.morphism(f).dom
-                env_f = env_restrict(f, env, ctx)
-                if ev(n.left, dom, env_f, ctx) == ev(n.right, dom, env_f, ctx):
+                env_f = env_restrict(f, env, sc)
+                if ev(n.left, dom, env_f, sc) == ev(n.right, dom, env_f, sc):
                     members.append(f)
             return frozenset(members)
         if isinstance(n, In):
-            theta = ev(n.container, obj, env, ctx)
-            xv = ev(n.element, obj, env, ctx)
+            theta = ev(n.container, obj, env, sc)
+            xv = ev(n.element, obj, env, sc)
             return exp_lookup(theta, obj, cat.id_of(obj), xv)
         if isinstance(n, Compr):
-            inner_ctx = ctx + ((n.var.name, n.var.vtype),)
+            inner = scope(sc.ctx + ((n.var.name, n.var.vtype),))
             return exp_element(
                 cat, obj, interpret_type(n.var.vtype, rep),
-                lambda b, f, xv: ev(n.body, b, env_restrict(f, env, ctx) + (xv,), inner_ctx))
+                lambda b, f, xv: ev(n.body, b, env_restrict(f, env, sc) + (xv,), inner))
         raise RepresentationError(f"cannot interpret term former {type(n).__name__}")
 
     source = product_presheaf([interpret_type(t, rep) for _, t in context]) \
         if context else rep.kit.terminal
     target = interpret_type(target_type, rep)
-    ctx = tuple(context)
+    top = scope(tuple(context))
     components = {}
     for obj in cat.objects:
-        components[obj] = {env: ev(term, obj, env, ctx) for env in source.stage(obj)}
+        components[obj] = {env: ev(term, obj, env, top) for env in source.stage(obj)}
     arrow = NatTransform(source, target, components)
     bad = validate_nat(arrow)
     if bad.items:
@@ -342,10 +364,12 @@ def _set_arrow(base: FiniteCategory, source: Presheaf, target: Presheaf,
 class EffectiveClassicalRep:
     """A finite-state system lifted to the one-object backend.
 
-    The value stage holds exactly the attained quantity values; interval
-    sets stay intensional and are turned into power-object elements on
-    demand, so preimages of arbitrary interval descriptions are computed
-    without ever enumerating the real line.
+    The value stage holds exactly the attained quantity values, so the real
+    line is never enumerated: an interval set stays intensional until
+    `delta_element` decides it on those values.  A preimage still goes
+    through `prop_family`, which enumerates the power object of the value
+    stage, all 2^values subsets of it, and transposes membership over every
+    one, once per quantity.
     """
     system: ClassicalSystem
     rep: ToposRep

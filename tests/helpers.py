@@ -107,6 +107,14 @@ def brute_subsets(base) -> list[frozenset]:
     return out
 
 
+def canonical_carrier_by_key(points, masks) -> list[tuple[int, frozenset]]:
+    """`heyting.canonical_carrier` as it was: a frozenset per mask, sorted by
+    its canon_key."""
+    carrier = [(m, frozenset(p for i, p in enumerate(points) if m >> i & 1)) for m in masks]
+    carrier.sort(key=lambda c: canon_key(c[1]))
+    return carrier
+
+
 def brute_downsets(points, below) -> list[frozenset]:
     """The subsets holding `below[x]` (a set) with each of their points x."""
     return [s for s in brute_subsets(points) if all(below[x] <= s for x in s)]

@@ -6,6 +6,7 @@ top and bottom, and the same order, meet, join, implication and negation on
 all pairs.  Every enumeration must equal its old `range(1 << n)` filter as a
 list, order included.
 """
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -24,11 +25,13 @@ from helpers import (
     brute_subsets,
     brute_upsets,
     budget,
+    canonical_carrier_by_key,
     presheaf_fixture_pool,
     set_presheaf,
     transitive_closure,
 )
 
+from toposlang import _canon
 from toposlang._canon import canon_sorted
 from toposlang.category import (
     FiniteCategory,
@@ -119,6 +122,40 @@ def test_random_preorders_match_generic_algebra(relation):
     assert len(masks) == len(set(masks))
     alg = DownsetAlgebra(below, canonical_carrier(range(n), masks))
     assert_same_algebra(alg, HeytingAlgebra(canon_sorted(expected), frozenset.issubset))
+
+
+# Points of every kind canon_key orders, listed out of canonical order.
+MIXED_POINTS = ("b", 3, ("t", 1), Fraction(1, 2), "a", -1, Fraction(7, 3), ("s",), 0, "c")
+
+
+@st.composite
+def pointed_preorders(draw):
+    """Up to 10 mixed points in a drawn order, and a preorder on them."""
+    n = draw(st.integers(0, len(MIXED_POINTS)))
+    points = draw(st.permutations(MIXED_POINTS))[:n]
+    needs = [draw(st.integers(0, (1 << n) - 1)) for _ in range(n)]
+    return points, preorder_closure(needs)
+
+
+@settings(max_examples=80, deadline=None)
+@given(pointed_preorders())
+def test_canonical_carrier_matches_the_frozenset_key_on_random_preorders(pointed):
+    points, below = pointed
+    masks = list(iter_downsets(below))
+    assert canonical_carrier(points, masks) == canonical_carrier_by_key(points, masks)
+
+
+@pytest.mark.parametrize("n", range(11))
+def test_canonical_carrier_matches_the_frozenset_key_on_powersets_and_chains(n):
+    points = MIXED_POINTS[:n]
+    chain = [(1 << (i + 1)) - 1 for i in range(n)]
+    for masks in (range(1 << n), iter_downsets(chain)):
+        masks = list(masks)
+        assert canonical_carrier(points, masks) == canonical_carrier_by_key(points, masks)
+    names = [f"p{i}" for i in range(n)]
+    before = len(_canon._KEY_CACHE)
+    canonical_carrier(names, range(1 << n))
+    assert len(_canon._KEY_CACHE) == before
 
 
 @st.composite

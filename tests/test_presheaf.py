@@ -11,13 +11,16 @@ from helpers import (
     two_point_presheaf,
 )
 
-from toposlang._canon import canon_key
-from toposlang.category import principal_sieve
+from toposlang import _canon
+from toposlang._canon import KEY_CACHE_LIMIT, canon_key
+from toposlang.category import one_object_category, principal_sieve
 from toposlang.errors import CapExceeded
 from toposlang.heyting import check_heyting_laws
 from toposlang.presheaf import (
+    CACHE_SIZE,
     GlobalElement,
     NatTransform,
+    Presheaf,
     PresheafError,
     Subobject,
     char_morphism,
@@ -340,6 +343,20 @@ def test_exp_lookup_on_a_missing_cell_raises_presheaf_error():
             for element in px.stage(obj):
                 with pytest.raises(PresheafError):
                     exp_lookup(element, obj, base.id_of(obj), "not-an-element")
+
+
+def test_process_wide_caches_stay_within_their_bounds():
+    kits, exps = classifier_kit.cache_info().misses, exponential.cache_info().misses
+    for i in range(CACHE_SIZE + 8):
+        base = one_object_category(f"bound{i}")
+        power_object(Presheaf(base, {f"bound{i}": ("a", "b")}, {}))
+    assert classifier_kit.cache_info().misses - kits > CACHE_SIZE
+    assert exponential.cache_info().misses - exps > CACHE_SIZE
+    assert classifier_kit.cache_info().currsize <= CACHE_SIZE
+    assert exponential.cache_info().currsize <= CACHE_SIZE
+    for i in range(KEY_CACHE_LIMIT + 8):
+        canon_key(("bound", i))
+    assert len(_canon._KEY_CACHE) <= KEY_CACHE_LIMIT
 
 
 def test_global_elements_of_omega_on_two_point_poset():
