@@ -171,12 +171,9 @@ def interpret_term(term: Term, context: Sequence[tuple[str, TypeExpr]],
     cat = rep.base
 
     # Eq and Compr revisit a subterm at the domain of every arrow into a
-    # stage, so the memo pays only where some stage has an arrow into it
-    # besides its identity.  On a discrete base, the classical one included,
-    # a lookup can hit only a node the term shares after desugaring: a
-    # variable, `*` or the constant true, cheaper to evaluate than to look
-    # up.  The key names the scope by index, so a lookup hashes no types.
-    memo: dict | None = {} if any(len(cat.into(o)) > 1 for o in cat.objects) else None
+    # stage.  The memo key names the scope by index, so a lookup hashes no
+    # types, and an environment's power-object elements keep their hash.
+    memo: dict = {}
     scopes: dict = {}
 
     def scope(ctx: tuple) -> _Scope:
@@ -188,8 +185,6 @@ def interpret_term(term: Term, context: Sequence[tuple[str, TypeExpr]],
         return found
 
     def ev(n: Term, obj: str, env: tuple, sc: _Scope):
-        if memo is None:
-            return _ev(n, obj, env, sc)
         key = (id(n), obj, env, sc.index)
         out = memo.get(key, memo)
         if out is memo:
