@@ -52,7 +52,9 @@ def test_validate_schema_violation_pointer(tmp_path, capsys):
     bad.write_text(json.dumps(doc))
     code, payload, _ = run(capsys, "validate", str(bad))
     assert code == 2
-    assert payload["pointer"].startswith("/systems/0/quantities/A")
+    assert payload["pointer"] == "/systems/0/quantities/A/s1"
+    assert payload["error"] == "schema violation: 'not-a-rational' does not match " \
+        "'^-?[0-9]+(/[0-9]+)?$'"
 
 
 def test_validate_duplicate_name(tmp_path, capsys):

@@ -2,10 +2,12 @@
 
 `tests/golden/cases.json` lists each command (argv as run from the repo
 root) with its exit code; `tests/golden/<name>.out` holds its exact stdout.
-The cases are every README command on `fixtures/two_point.json` plus two
-comprehensions that print power-object elements: `prop_family` on the
+The cases are every README command on `fixtures/two_point.json`, two
+comprehensions that print power-object elements (`prop_family` on the
 classical (one-object) base and `{ x : Sigma | x = x }` on the two-point
-presheaf base. The files were captured from cold processes under
+presheaf base), and `validate` on the broken project files
+`tests/golden/broken_*.json`, which pin the schema check's first error
+message and pointer. The files were captured from cold processes under
 PYTHONHASHSEED 1, 2 and 3, which gave identical bytes.
 """
 import json
@@ -22,8 +24,7 @@ CASES = json.loads((GOLDEN / "cases.json").read_text())
 
 @pytest.mark.parametrize("case", CASES, ids=[c["name"] for c in CASES])
 def test_cli_output_matches_golden(case, capsys):
-    fixture = str(REPO / "fixtures" / "two_point.json")
-    argv = [fixture if arg == "fixtures/two_point.json" else arg for arg in case["argv"]]
+    argv = [str(REPO / arg) if arg.endswith(".json") else arg for arg in case["argv"]]
     code = main(argv)
     out = capsys.readouterr().out
     assert code == case["exit"]
