@@ -23,87 +23,58 @@ The package is organized in layers:
 - `rep`: representations of the typed language in a chosen backend, with
   the classical finite-state backend as a special case.
 - `project` / `cli`: the JSON project-file format and the command-line
-  front door.
+  front door; `schema_check` checks project files against their JSON
+  Schema without a third-party package.
+
+The names below are exported lazily (PEP 562): `import toposlang` loads no
+submodule, and `toposlang.X` imports the module that defines X on first use.
 """
+
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-from .errors import CapExceeded, InputError, ToposlangError  # noqa: F401
-from .intervals import Interval, IntervalSet  # noqa: F401
-from .heyting import (  # noqa: F401
-    BoundedLattice,
-    DownsetAlgebra,
-    HeytingAlgebra,
-    check_heyting_laws,
-    lower_set_algebra,
-    open_set_algebra,
-    powerset_algebra,
-    subspace_lattice_2d,
-)
-from .category import (  # noqa: F401
-    FiniteCategory,
-    Morphism,
-    Sieve,
-    from_poset,
-    one_object_category,
-    principal_sieve,
-    pullback_sieve,
-    sieve_heyting,
-    sieves_on,
-    validate_category,
-)
-from .presheaf import (  # noqa: F401
-    GlobalElement,
-    NatTransform,
-    Presheaf,
-    Subobject,
-    char_morphism,
-    classifier_kit,
-    eval_arrow,
-    exponential,
-    global_elements,
-    power_object,
-    power_transpose,
-    power_untranspose,
-    product,
-    sub_heyting,
-    subobject_of_char,
-    validate_nat,
-    validate_presheaf,
-)
-from .prop.syntax import format_formula, parse_formula  # noqa: F401
-from .prop.semantics import (  # noqa: F401
-    ClassicalSystem,
-    check_optional_axioms,
-    classical_rep,
-    pl_represent,
-    truth_value,
-)
-from .prop.proofs import Proof, ProofLine, check_proof  # noqa: F401
-from .prop.decide import decide  # noqa: F401
-from .prop.kripke import KripkeModel  # noqa: F401
-from .prop.demo import excluded_middle_demo, nondistributivity_demo  # noqa: F401
-from .local import (  # noqa: F401
-    Sequent,
-    Signature,
-    abelian_axiom_pack,
-    check_derivation,
-    desugar_connectives,
-    format_term,
-    infer_type,
-    is_axiom_instance,
-    lset_intersection,
-    parse_term,
-    parse_type,
-    substitute,
-)
-from .rep import (  # noqa: F401
-    EffectiveClassicalRep,
-    ToposRep,
-    build_rep,
-    interpret_term,
-    interpret_type,
-    prop_family,
-    validate_axioms,
-)
-from .project import Project, load_project  # noqa: F401
+# Defining submodule -> the names the package exports from it.
+_EXPORTS = {
+    "errors": ("CapExceeded", "InputError", "ToposlangError"),
+    "intervals": ("Interval", "IntervalSet"),
+    "heyting": ("BoundedLattice", "DownsetAlgebra", "HeytingAlgebra", "check_heyting_laws",
+                "lower_set_algebra", "open_set_algebra", "powerset_algebra",
+                "subspace_lattice_2d"),
+    "category": ("FiniteCategory", "Morphism", "Sieve", "from_poset", "one_object_category",
+                 "principal_sieve", "pullback_sieve", "sieve_heyting", "sieves_on",
+                 "validate_category"),
+    "presheaf": ("GlobalElement", "NatTransform", "Presheaf", "Subobject", "char_morphism",
+                 "classifier_kit", "eval_arrow", "exponential", "global_elements",
+                 "power_object", "power_transpose", "power_untranspose", "product",
+                 "sub_heyting", "subobject_of_char", "validate_nat", "validate_presheaf"),
+    "prop.syntax": ("format_formula", "parse_formula"),
+    "prop.semantics": ("ClassicalSystem", "check_optional_axioms", "classical_rep",
+                       "pl_represent", "truth_value"),
+    "prop.proofs": ("Proof", "ProofLine", "check_proof"),
+    "prop.decide": ("decide",),
+    "prop.kripke": ("KripkeModel",),
+    "prop.demo": ("excluded_middle_demo", "nondistributivity_demo"),
+    "local.axioms": ("Sequent", "abelian_axiom_pack", "check_derivation",
+                     "is_axiom_instance", "lset_intersection"),
+    "local.syntax": ("Signature", "format_term", "parse_term", "parse_type"),
+    "local.check": ("desugar_connectives", "infer_type", "substitute"),
+    "rep": ("EffectiveClassicalRep", "ToposRep", "build_rep", "interpret_term",
+            "interpret_type", "prop_family", "validate_axioms"),
+    "project": ("Project", "load_project"),
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
+__all__ = list(_MODULE_OF)
+
+
+def __getattr__(name):
+    # Not cached in this namespace: the package hands out whatever the
+    # defining module holds at the time, also when a name there is rebound.
+    module = _MODULE_OF.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(import_module(f"{__name__}.{module}"), name)
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

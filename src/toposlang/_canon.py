@@ -6,6 +6,7 @@ enumeration deterministic, which in turn keeps printed output byte-stable.
 """
 from __future__ import annotations
 
+import json
 from fractions import Fraction
 
 # Emptied when full, so that a long-running process does not grow with it.
@@ -67,3 +68,8 @@ def jsonable(value):
     if isinstance(value, frozenset):
         return [jsonable(v) for v in canon_sorted(value)]
     raise TypeError(f"not JSON-projectable: {type(value).__name__}")
+
+
+def canonical_json(payload) -> str:
+    """Sorted keys, no whitespace, one trailing newline: byte-stable output."""
+    return json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"

@@ -11,30 +11,19 @@ and for inputs past a resource cap (`"kind": "resource-cap"`).
 Canonical JSON goes to stdout (sorted keys, no whitespace, one trailing
 newline) so identical inputs and seeds are byte-identical; a one-line human
 summary goes to stderr.
+
+Each command imports what it uses inside its own function, so a cold
+process loads only that command's modules: `pl parse` loads the formula
+parser alone, and only the commands that read a project file load the
+project loader.
 """
 from __future__ import annotations
 
 import argparse
 import sys
 
-from ._canon import canon_sorted, jsonable
+from ._canon import canon_sorted, canonical_json, jsonable
 from .errors import CapExceeded, InputError, ToposlangError
-from .local.check import LsTypeError, infer_type
-from .local.syntax import format_term, parse_term, parse_type
-from .presheaf import (
-    char_morphism,
-    classifier_kit,
-    enumerate_nats,
-    enumerate_subobjects,
-    subobject_of_char,
-)
-from .project import Project, canonical_json, load_project
-from .prop.decide import decide
-from .prop.demo import excluded_middle_demo, nondistributivity_demo
-from .prop.proofs import check_proof
-from .prop.semantics import check_optional_axioms, classical_rep, truth_value
-from .prop.syntax import format_formula, parse_formula
-from .rep import interpret_term, validate_axioms
 
 OK, NEGATIVE, BAD_INPUT = 0, 1, 2
 
@@ -70,6 +59,8 @@ def _formula_ast(node) -> dict:
 
 
 def cmd_validate(args) -> int:
+    from .project import load_project
+    from .prop.semantics import check_optional_axioms
     project = load_project(args.file)
     reports = {}
     for name, system in sorted(project.systems.items()):
@@ -83,6 +74,8 @@ def cmd_validate(args) -> int:
 
 
 def cmd_omega(args) -> int:
+    from .presheaf import classifier_kit
+    from .project import load_project
     project = load_project(args.file)
     cat = project.categories.get(args.category)
     if cat is None:
@@ -105,6 +98,9 @@ def cmd_omega(args) -> int:
 
 
 def cmd_sub_classify(args) -> int:
+    from .presheaf import (
+        char_morphism, classifier_kit, enumerate_nats, enumerate_subobjects, subobject_of_char)
+    from .project import load_project
     project = load_project(args.file)
     x = project.presheaves.get(args.presheaf)
     if x is None:
@@ -131,19 +127,24 @@ def cmd_sub_classify(args) -> int:
 
 
 def cmd_pl_parse(args) -> int:
+    from .prop.syntax import format_formula, parse_formula
     formula = parse_formula(args.formula)
     payload = {"text": format_formula(formula), "ast": _formula_ast(formula)}
     _emit(payload, f"parsed: {payload['text']}")
     return OK
 
 
-def _resolve_formula(project: Project, text: str):
+def _resolve_formula(project, text: str):
+    from .prop.syntax import parse_formula
     if text in project.formulas:
         return project.formulas[text]
     return parse_formula(text)
 
 
 def cmd_pl_represent(args) -> int:
+    from .project import load_project
+    from .prop.semantics import classical_rep
+    from .prop.syntax import format_formula
     project = load_project(args.file)
     system = project.systems.get(args.system)
     if system is None:
@@ -159,6 +160,9 @@ def cmd_pl_represent(args) -> int:
 
 
 def cmd_pl_truth(args) -> int:
+    from .project import load_project
+    from .prop.semantics import truth_value
+    from .prop.syntax import format_formula
     project = load_project(args.file)
     system = project.systems.get(args.system)
     if system is None:
@@ -171,6 +175,8 @@ def cmd_pl_truth(args) -> int:
 
 
 def cmd_pl_decide(args) -> int:
+    from .prop.decide import decide
+    from .prop.syntax import format_formula, parse_formula
     formula = parse_formula(args.formula)
     verdict = decide(formula, max_worlds=args.max_worlds)
     payload = verdict.to_json()
@@ -184,6 +190,9 @@ def cmd_pl_decide(args) -> int:
 
 
 def cmd_pl_prove(args) -> int:
+    from .project import load_project
+    from .prop.proofs import check_proof
+    from .prop.syntax import format_formula
     project = load_project(args.file)
     proof = project.proofs.get(args.proof)
     if proof is None:
@@ -199,7 +208,8 @@ def cmd_pl_prove(args) -> int:
     return NEGATIVE
 
 
-def _context_from_args(project: Project, args):
+def _context_from_args(args):
+    from .local.syntax import parse_type
     context = []
     for binding in args.context or ():
         if "=" not in binding:
@@ -210,6 +220,9 @@ def _context_from_args(project: Project, args):
 
 
 def cmd_ls_typecheck(args) -> int:
+    from .local.check import LsTypeError, infer_type
+    from .local.syntax import format_term, parse_term
+    from .project import load_project
     project = load_project(args.file)
     if args.term in project.terms:
         loaded = project.terms[args.term]
@@ -221,7 +234,7 @@ def cmd_ls_typecheck(args) -> int:
             return _fail(InputError(
                 f"unknown signature {args.signature!r}; name one with --signature"))
         term = parse_term(args.term, signature)
-        context = _context_from_args(project, args)
+        context = _context_from_args(args)
     try:
         inferred = infer_type(term, dict(context), signature)
     except LsTypeError as exc:
@@ -235,7 +248,7 @@ def cmd_ls_typecheck(args) -> int:
     return OK
 
 
-def _find_rep(project: Project, name: str):
+def _find_rep(project, name: str):
     if name in project.topos_reps:
         return project.topos_reps[name]
     if name in project.classical_reps:
@@ -244,6 +257,9 @@ def _find_rep(project: Project, name: str):
 
 
 def cmd_ls_represent(args) -> int:
+    from .local.syntax import format_term, parse_term
+    from .project import load_project
+    from .rep import interpret_term
     project = load_project(args.file)
     rep = _find_rep(project, args.rep)
     if args.term in project.terms:
@@ -251,7 +267,7 @@ def cmd_ls_represent(args) -> int:
         term, context = loaded.term, loaded.context
     else:
         term = parse_term(args.term, rep.signature)
-        context = _context_from_args(project, args)
+        context = _context_from_args(args)
     arrow = interpret_term(term, context, rep)
     payload = {
         "term": format_term(term),
@@ -265,6 +281,8 @@ def cmd_ls_represent(args) -> int:
 
 
 def cmd_ls_check_axioms(args) -> int:
+    from .project import load_project
+    from .rep import validate_axioms
     project = load_project(args.file)
     rep = _find_rep(project, args.rep)
     report = validate_axioms(rep)
@@ -285,6 +303,7 @@ def cmd_ls_check_axioms(args) -> int:
 
 
 def cmd_demo(args) -> int:
+    from .prop.demo import excluded_middle_demo, nondistributivity_demo
     if args.which == "nondistributivity":
         payload = nondistributivity_demo().to_json()
         _emit(payload, f"lhs {payload['lhs']} != rhs {payload['rhs']}")

@@ -6,6 +6,10 @@ Loading is deterministic and eager: every declared object is constructed
 and validated in a fixed order, cross-references resolve by name, and any
 failure carries a JSON-pointer-style location.  Exact rationals travel as
 strings in lowest terms ("5/2"); the terminal point prints as "*".
+
+The document is first checked against `schema/project-v1.schema.json` by
+`schema_check`, which needs no third-party package and reports the first
+violation with the message and pointer jsonschema 4.x would give.
 """
 from __future__ import annotations
 
@@ -14,8 +18,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from importlib import resources
 from typing import Mapping
-
-import jsonschema
 
 from .category import FiniteCategory, Morphism, from_poset, one_object_category, sieve_heyting
 from .errors import InputError, ToposlangError
@@ -28,6 +30,7 @@ from .prop.proofs import Proof, ProofLine
 from .prop.semantics import ClassicalSystem
 from .prop.syntax import Formula, format_formula, parse_formula
 from .rep import EffectiveClassicalRep, ToposRep, build_rep, interpret_type
+from .schema_check import SchemaCheck
 
 
 class ProjectError(InputError):
@@ -99,12 +102,11 @@ def _schema() -> dict:
 
 
 def validate_schema(document) -> None:
-    validator = jsonschema.Draft202012Validator(_schema())
-    errors = sorted(validator.iter_errors(document), key=lambda e: list(e.absolute_path))
-    if errors:
-        first = errors[0]
-        pointer = "/" + "/".join(str(p) for p in first.absolute_path)
-        raise ProjectError(f"schema violation: {first.message}", pointer)
+    """Raise the first schema violation, as jsonschema would report it."""
+    error = SchemaCheck(_schema()).first_error(document)
+    if error is not None:
+        path, message = error
+        raise ProjectError(f"schema violation: {message}", "/" + "/".join(map(str, path)))
 
 
 class _Registry:
@@ -407,7 +409,3 @@ def _topos_rep_from_json(project: Project, spec: Mapping, ptr: str) -> ToposRep:
         return build_rep(signature, base, grounds, symbols, tuple(axioms))
     except ToposlangError as exc:
         raise ProjectError(f"representation {name!r}: {exc}", ptr) from exc
-
-
-def canonical_json(payload) -> str:
-    return json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"

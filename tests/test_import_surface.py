@@ -1,0 +1,89 @@
+"""The package's export surface, and what each cold command imports.
+
+`toposlang/__init__.py` exports its names lazily and `cli.py` imports each
+command's dependencies inside the command, so a cold process loads only what
+its command uses. The import checks run in fresh interpreters and compare
+module names, which, unlike a time budget, does not depend on the host.
+"""
+import importlib
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import toposlang
+
+REPO = Path(__file__).resolve().parent.parent
+FIXTURE = str(REPO / "fixtures" / "two_point.json")
+
+EXPORTS = (
+    "BoundedLattice", "CapExceeded", "ClassicalSystem", "DownsetAlgebra",
+    "EffectiveClassicalRep", "FiniteCategory", "GlobalElement", "HeytingAlgebra",
+    "InputError", "Interval", "IntervalSet", "KripkeModel", "Morphism", "NatTransform",
+    "Presheaf", "Project", "Proof", "ProofLine", "Sequent", "Sieve", "Signature",
+    "Subobject", "ToposRep", "ToposlangError", "abelian_axiom_pack", "build_rep",
+    "char_morphism", "check_derivation", "check_heyting_laws", "check_optional_axioms",
+    "check_proof", "classical_rep", "classifier_kit", "decide", "desugar_connectives",
+    "eval_arrow", "excluded_middle_demo", "exponential", "format_formula", "format_term",
+    "from_poset", "global_elements", "infer_type", "interpret_term", "interpret_type",
+    "is_axiom_instance", "load_project", "lower_set_algebra", "lset_intersection",
+    "nondistributivity_demo", "one_object_category", "open_set_algebra", "parse_formula",
+    "parse_term", "parse_type", "pl_represent", "power_object", "power_transpose",
+    "power_untranspose", "powerset_algebra", "principal_sieve", "product", "prop_family",
+    "pullback_sieve", "sieve_heyting", "sieves_on", "sub_heyting", "subobject_of_char",
+    "subspace_lattice_2d", "substitute", "truth_value", "validate_axioms",
+    "validate_category", "validate_nat", "validate_presheaf",
+)
+
+SCRIPT = """
+import contextlib, io, sys
+from toposlang.cli import main
+with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+    main(sys.argv[1:])
+print(" ".join(sorted(sys.modules)))
+"""
+
+NOT_FOR_PROP = ("jsonschema", "toposlang.category", "toposlang.presheaf", "toposlang.rep",
+                "toposlang.project", "toposlang.local")
+
+
+def test_exports_are_the_75_names_of_their_defining_modules():
+    assert len(EXPORTS) == 75
+    assert sorted(toposlang.__all__) == sorted(EXPORTS)
+    for name in EXPORTS:
+        obj = getattr(toposlang, name)
+        assert obj.__module__.startswith("toposlang.")
+        assert getattr(importlib.import_module(obj.__module__), name) is obj
+    assert set(EXPORTS) <= set(dir(toposlang))
+    with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
+        toposlang.no_such_name
+
+
+def _modules_loaded(code, *argv):
+    env = dict(os.environ, PYTHONPATH=str(REPO / "src"))
+    proc = subprocess.run([sys.executable, "-c", code, *argv], capture_output=True,
+                          text=True, env=env, cwd=REPO, check=True)
+    return set(proc.stdout.split())
+
+
+def _loaded(modules, name):
+    return any(m == name or m.startswith(name + ".") for m in modules)
+
+
+@pytest.mark.parametrize("argv, forbidden, needed", [
+    (["pl", "parse", "~A in [0,1] -> b"], NOT_FOR_PROP + ("toposlang.heyting",),
+     "toposlang.prop.syntax"),
+    (["pl", "decide", "((a -> b) -> a) -> a"], NOT_FOR_PROP, "toposlang.prop.decide"),
+    (["validate", FIXTURE], ("jsonschema",), "toposlang.project"),
+], ids=["pl-parse", "pl-decide", "validate"])
+def test_cold_command_imports_only_its_share(argv, forbidden, needed):
+    modules = _modules_loaded(SCRIPT, *argv)
+    assert needed in modules
+    assert [name for name in forbidden if _loaded(modules, name)] == []
+
+
+def test_importing_the_package_loads_no_submodule():
+    modules = _modules_loaded("import sys, toposlang; print(' '.join(sys.modules))")
+    assert sorted(m for m in modules if m.startswith("toposlang")) == ["toposlang"]
