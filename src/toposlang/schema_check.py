@@ -86,11 +86,8 @@ class SchemaCheck:
 
     def first_error(self, instance):
         """(instance path, message) of jsonschema's first error, or None."""
-        best = None
-        for path, message in self.errors(self.root, instance, ()):
-            if best is None or path < best[0]:
-                best = (path, message)
-        return best
+        # min keeps the first of equal paths, as a stable sort would.
+        return min(self.errors(self.root, instance, ()), key=lambda e: e[0], default=None)
 
     def errors(self, schema, x, path):
         for key, value in schema.items():
