@@ -5,10 +5,14 @@ root) with its exit code; `tests/golden/<name>.out` holds its exact stdout.
 The cases are every README command on `fixtures/two_point.json`, two
 comprehensions that print power-object elements (`prop_family` on the
 classical (one-object) base and `{ x : Sigma | x = x }` on the two-point
-presheaf base), and `validate` on the broken project files
+presheaf base), `validate` on the broken project files
 `tests/golden/broken_*.json`, which pin the schema check's first error
-message and pointer. The files were captured from cold processes under
-PYTHONHASHSEED 1, 2 and 3, which gave identical bytes.
+message and pointer, and `pl decide` on Dummett's (a -> b) | (b -> a), on
+(a -> b) | (b -> c) | (c -> a), on a | ~a and on the Rieger-Nishimura
+implication n10 -> n9, whose countermodels need more than four worlds (exit
+2, resource-cap), which pin the countermodel search's smallest-first order.
+The files were captured from cold processes under PYTHONHASHSEED 1, 2 and
+3, which gave identical bytes.
 """
 import json
 from pathlib import Path
