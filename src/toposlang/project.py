@@ -10,6 +10,10 @@ strings in lowest terms ("5/2"); the terminal point prints as "*".
 The document is first checked against `schema/project-v1.schema.json` by
 `schema_check`, which needs no third-party package and reports the first
 violation with the message and pointer jsonschema 4.x would give.
+
+Each section imports the layer that builds its declarations, so a project
+without presheaves, signatures or representations never loads the presheaf,
+local-language or representation code.
 """
 from __future__ import annotations
 
@@ -17,20 +21,21 @@ import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 from importlib import resources
-from typing import Mapping
+from typing import TYPE_CHECKING, Mapping
 
-from .category import FiniteCategory, Morphism, from_poset, one_object_category, sieve_heyting
 from .errors import InputError, ToposlangError
-from .heyting import HeytingAlgebra, lower_set_algebra, open_set_algebra, powerset_algebra
-from .local.axioms import AxiomPack, Sequent, abelian_axiom_pack, pack_signature
-from .local.check import substitute
-from .local.syntax import Signature, Var, parse_term, parse_type
-from .presheaf import NatTransform, Presheaf, validate_presheaf
-from .prop.proofs import Proof, ProofLine
-from .prop.semantics import ClassicalSystem
-from .prop.syntax import Formula, format_formula, parse_formula
-from .rep import EffectiveClassicalRep, ToposRep, build_rep, interpret_type
 from .schema_check import SchemaCheck
+
+if TYPE_CHECKING:
+    from .category import FiniteCategory
+    from .heyting import HeytingAlgebra
+    from .local.axioms import AxiomPack, Sequent
+    from .local.syntax import Signature
+    from .presheaf import Presheaf
+    from .prop.proofs import Proof
+    from .prop.semantics import ClassicalSystem
+    from .prop.syntax import Formula
+    from .rep import EffectiveClassicalRep, ToposRep
 
 
 class ProjectError(InputError):
@@ -146,6 +151,7 @@ def build_project(document: Mapping) -> Project:
         registry.add(table, name, value, pointer, kind)
 
     for i, spec in enumerate(document.get("posets", ())):
+        from .category import from_poset
         ptr = f"/posets/{i}"
         try:
             cat = from_poset(spec["elements"], [tuple(p) for p in spec.get("order", ())])
@@ -154,6 +160,7 @@ def build_project(document: Mapping) -> Project:
         _register(project.categories, spec["name"], cat, ptr, "category")
 
     for i, spec in enumerate(document.get("categories", ())):
+        from .category import FiniteCategory, Morphism
         ptr = f"/categories/{i}"
         try:
             cat = FiniteCategory(
@@ -166,6 +173,7 @@ def build_project(document: Mapping) -> Project:
         _register(project.categories, spec["name"], cat, ptr, "category")
 
     for i, spec in enumerate(document.get("presheaves", ())):
+        from .presheaf import Presheaf, validate_presheaf
         ptr = f"/presheaves/{i}"
         base = project.categories.get(spec["base"])
         if base is None:
@@ -186,6 +194,7 @@ def build_project(document: Mapping) -> Project:
         _register(project.presheaves, spec["name"], x, ptr, "presheaf")
 
     for i, spec in enumerate(document.get("algebras", ())):
+        from .heyting import lower_set_algebra, open_set_algebra, powerset_algebra
         ptr = f"/algebras/{i}"
         kind = spec["kind"]
         try:
@@ -204,6 +213,7 @@ def build_project(document: Mapping) -> Project:
                 if spec.get("object") not in cat.objects:
                     raise ProjectError(
                         f"unknown object {spec.get('object')!r}", f"{ptr}/object")
+                from .category import sieve_heyting
                 alg = sieve_heyting(cat, spec["object"])
         except ProjectError:
             raise
@@ -212,6 +222,7 @@ def build_project(document: Mapping) -> Project:
         _register(project.algebras, spec["name"], alg, ptr, "algebra")
 
     for i, spec in enumerate(document.get("systems", ())):
+        from .prop.semantics import ClassicalSystem
         ptr = f"/systems/{i}"
         states = tuple(spec["states"])
         quantities = {}
@@ -231,6 +242,7 @@ def build_project(document: Mapping) -> Project:
         _register(project.systems, spec["name"], system, ptr, "system")
 
     for i, spec in enumerate(document.get("signatures", ())):
+        from .local.syntax import Signature, parse_type
         ptr = f"/signatures/{i}"
         try:
             symbols = {name: (parse_type(dom), parse_type(cod))
@@ -241,6 +253,7 @@ def build_project(document: Mapping) -> Project:
         _register(project.signatures, spec["name"], signature, ptr, "signature")
 
     for i, spec in enumerate(document.get("axiom_packs", ())):
+        from .local.axioms import AxiomPack, abelian_axiom_pack
         ptr = f"/axiom_packs/{i}"
         if spec.get("builtin") == "abelian":
             pack = abelian_axiom_pack()
@@ -255,6 +268,7 @@ def build_project(document: Mapping) -> Project:
         _register(project.axiom_packs, spec["name"], pack, ptr, "axiom pack")
 
     for i, spec in enumerate(document.get("representations", ())):
+        from .rep import EffectiveClassicalRep
         ptr = f"/representations/{i}"
         name = spec["name"]
         if name in project.classical_reps or name in project.topos_reps:
@@ -272,6 +286,7 @@ def build_project(document: Mapping) -> Project:
             project.topos_reps[name] = _topos_rep_from_json(project, spec, ptr)
 
     for i, spec in enumerate(document.get("formulas", ())):
+        from .prop.syntax import format_formula, parse_formula
         ptr = f"/formulas/{i}"
         try:
             formula = parse_formula(spec["text"])
@@ -284,6 +299,7 @@ def build_project(document: Mapping) -> Project:
         _register(project.formulas, spec["name"], formula, ptr, "formula")
 
     for i, spec in enumerate(document.get("terms", ())):
+        from .local.syntax import parse_term, parse_type
         ptr = f"/terms/{i}"
         signature = project.signatures.get(spec["signature"])
         if signature is None:
@@ -300,6 +316,8 @@ def build_project(document: Mapping) -> Project:
                   ptr, "term")
 
     for i, spec in enumerate(document.get("proofs", ())):
+        from .prop.proofs import Proof, ProofLine
+        from .prop.syntax import parse_formula
         ptr = f"/proofs/{i}"
         lines = []
         for j, line in enumerate(spec["lines"]):
@@ -316,6 +334,9 @@ def build_project(document: Mapping) -> Project:
 
 
 def _sequent_from_json(spec: Mapping, pointer: str) -> Sequent:
+    from .local.axioms import Sequent
+    from .local.check import substitute
+    from .local.syntax import Var, parse_term, parse_type
     try:
         conclusion = parse_term(spec["conclusion"])
         context = frozenset(parse_term(t) for t in spec.get("context", ()))
@@ -334,6 +355,10 @@ def _sequent_from_json(spec: Mapping, pointer: str) -> Sequent:
 
 
 def _topos_rep_from_json(project: Project, spec: Mapping, ptr: str) -> ToposRep:
+    from .category import one_object_category
+    from .local.axioms import pack_signature
+    from .presheaf import NatTransform, Presheaf
+    from .rep import ToposRep, build_rep, interpret_type
     name = spec["name"]
     signature = project.signatures.get(spec.get("signature", ""))
     if signature is None:

@@ -5,10 +5,12 @@ usual terminating sequent presentation: the invertible rules are applied to
 saturation, then the search branches on the right-disjunction choice and on
 nested-implication antecedents.  Negation is treated as implication into an
 absurdity constant.  Invalid formulas additionally get a finite Kripke
-countermodel, found by bounded search over labeled posets of at most
-`max_worlds` worlds and confirmed by the forcing evaluator, so a verdict is
-never wrong: if the certificate search exhausts its cap, the caller gets a
-SearchCapExceeded instead of an unconfirmed answer.
+countermodel, found by a smallest-first search over labeled posets of at most
+`max_worlds` worlds.  The search evaluates each candidate valuation on
+bitmasks of worlds and builds a `KripkeModel` only for the first failure;
+`decide` then confirms it with the model's own forcing evaluator, so a
+verdict is never wrong: if the certificate search exhausts its cap, the
+caller gets a SearchCapExceeded instead of an unconfirmed answer.
 """
 from __future__ import annotations
 
@@ -136,31 +138,90 @@ def _posets(n: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
     return tuple(out)
 
 
-def _upsets(upset_of: tuple[tuple[int, ...], ...]) -> list[frozenset[int]]:
-    """The up-sets of the order, which are the down-sets of its opposite,
-    ordered by bitmask."""
-    n = len(upset_of)
-    below = [sum(1 << j for j in ups) for ups in upset_of]
-    return [frozenset(i for i in range(n) if mask >> i & 1)
-            for mask in sorted(iter_downsets(below))]
+@lru_cache(maxsize=None)
+def _frames(n: int) -> tuple[tuple, ...]:
+    """Per order of `_posets(n)`: its up-set tuples, its up-sets as bitmasks in
+    increasing order, and `box`, where `box[m]` is the mask of the worlds whose
+    up-set misses `m`, for every mask `m` on the n worlds."""
+    out = []
+    for upset_of in _posets(n):
+        up = [sum(1 << j for j in ups) for ups in upset_of]
+        # the up-sets of the order are the down-sets of its opposite
+        masks = tuple(sorted(iter_downsets(up)))
+        box = tuple(sum(1 << w for w in range(n) if not up[w] & m)
+                    for m in range(1 << n))
+        out.append((upset_of, masks, box))
+    return tuple(out)
+
+
+_AND, _OR, _IMP, _NOT = range(4)
+
+
+def _compile(formula: Formula, keys: list) -> tuple[list, int]:
+    """The formula as a postorder program over value slots: slots 0..len(keys)-1
+    hold the atoms in `keys` order, and each step (slot, op, a, b) fills the
+    next slot from earlier ones.  Equal subformulas share one slot."""
+    slot_of = {("atom", k): i for i, k in enumerate(keys)}
+    program = []
+
+    def walk(f) -> int:
+        if isinstance(f, (Prim, Atom)):
+            return slot_of[("atom", leaf_key(f))]
+        if isinstance(f, Not):
+            node = (_NOT, walk(f.operand), 0)
+        elif isinstance(f, And):
+            node = (_AND, walk(f.left), walk(f.right))
+        elif isinstance(f, Or):
+            node = (_OR, walk(f.left), walk(f.right))
+        elif isinstance(f, Implies):
+            node = (_IMP, walk(f.left), walk(f.right))
+        else:
+            raise TypeError(f"not a formula node: {f!r}")
+        slot = slot_of.get(node)
+        if slot is None:
+            slot = slot_of[node] = len(slot_of)
+            program.append((slot, *node))
+        return slot
+
+    return program, walk(formula)
 
 
 def find_countermodel(formula: Formula, *, max_worlds: int = 4) -> Optional[tuple]:
-    """Smallest-first search for a model and world where the formula fails."""
+    """Smallest-first search for a model and world where the formula fails.
+
+    Models are tried by world count, then by order in `_posets`, then by
+    valuation, each atom (in sorted key order) ranging over the up-sets in
+    increasing bitmask order; the world returned is the first that fails.
+    Each candidate is evaluated on bitmasks of worlds: `a & b` and `a | b`
+    are mask operations, and `a -> b` holds at the worlds whose up-set misses
+    `a & ~b`, a lookup in the frame's `box` table.  Only the hit is built as a
+    `KripkeModel`; `decide` confirms it with the forcing evaluator.
+    """
     keys = sorted({leaf_key(leaf) for leaf in leaves(formula)})
+    program, root = _compile(formula, keys)
+    val = [0] * (len(keys) + len(program))
     for n in range(1, max_worlds + 1):
-        names = tuple(f"w{i}" for i in range(n))
-        for upset_of in _posets(n):
-            order = frozenset((names[i], names[j])
-                              for i in range(n) for j in upset_of[i])
-            ups = _upsets(upset_of)
-            for assignment in itertools.product(ups, repeat=len(keys)):
-                model = KripkeModel(names, order, {
-                    k: frozenset(names[i] for i in ws)
-                    for k, ws in zip(keys, assignment)})
-                bad = model.counterexample_world(formula)
-                if bad is not None:
-                    return model, bad
+        full = (1 << n) - 1
+        for upset_of, masks, box in _frames(n):
+            for assignment in itertools.product(masks, repeat=len(keys)):
+                val[:len(keys)] = assignment
+                for slot, op, a, b in program:
+                    if op == _IMP:
+                        val[slot] = box[val[a] & ~val[b]]
+                    elif op == _AND:
+                        val[slot] = val[a] & val[b]
+                    elif op == _OR:
+                        val[slot] = val[a] | val[b]
+                    else:
+                        val[slot] = box[val[a]]
+                failing = full & ~val[root]
+                if failing:
+                    names = tuple(f"w{i}" for i in range(n))
+                    model = KripkeModel(names, frozenset(
+                        (names[i], names[j]) for i in range(n) for j in upset_of[i]), {
+                        k: frozenset(names[i] for i in range(n) if mask >> i & 1)
+                        for k, mask in zip(keys, assignment)})
+                    return model, names[(failing & -failing).bit_length() - 1]
     return None
 
 
@@ -192,6 +253,6 @@ def decide(formula: Formula, *, max_worlds: int = 4) -> Decision:
         raise SearchCapExceeded(
             f"no countermodel within {max_worlds} worlds; raise the bound")
     model, world = found
-    if model.forces(world, formula):
+    if model.counterexample_world(formula) != world:
         raise AssertionError("countermodel failed confirmation")  # unreachable
     return Decision(valid=False, countermodel=model, fails_at=world)

@@ -1,6 +1,8 @@
 """Shared fixtures: small base categories, deterministic presheaf generators,
 brute-force enumeration oracles, the quantified sieve and sub-object
-implications, and the wall-clock budget."""
+implications, the string-keyed Kripke countermodel search, and the
+wall-clock budget."""
+import itertools
 import random
 import time
 
@@ -15,6 +17,9 @@ from toposlang.category import (
 )
 from toposlang.heyting import InvalidOrder, UnknownElement
 from toposlang.presheaf import Presheaf, Subobject
+from toposlang.prop.decide import _posets
+from toposlang.prop.kripke import KripkeModel
+from toposlang.prop.syntax import leaf_key, leaves
 
 PT = one_object_category()
 TWO = from_poset(["p", "q"], [("p", "q")])
@@ -191,6 +196,27 @@ def brute_posets(n: int) -> tuple:
             out.append(tuple(tuple(j for j in range(n) if (i, j) in rel)
                              for i in range(n)))
     return tuple(out)
+
+
+def brute_countermodel(formula, *, max_worlds: int = 4):
+    """Smallest-first search for a model and world where the formula fails:
+    every candidate is built as a `KripkeModel` and checked by its recursive,
+    string-keyed forcing, with the up-sets of `brute_upsets`."""
+    keys = sorted({leaf_key(leaf) for leaf in leaves(formula)})
+    for n in range(1, max_worlds + 1):
+        names = tuple(f"w{i}" for i in range(n))
+        for upset_of in _posets(n):
+            order = frozenset((names[i], names[j])
+                              for i in range(n) for j in upset_of[i])
+            ups = brute_upsets(upset_of)
+            for assignment in itertools.product(ups, repeat=len(keys)):
+                model = KripkeModel(names, order, {
+                    k: frozenset(names[i] for i in ws)
+                    for k, ws in zip(keys, assignment)})
+                bad = model.counterexample_world(formula)
+                if bad is not None:
+                    return model, bad
+    return None
 
 
 def transitive_closure(elements, pairs) -> dict:

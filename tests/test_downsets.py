@@ -65,7 +65,7 @@ from toposlang.presheaf import (
     terminal_presheaf,
 )
 from toposlang.project import build_project, load_project
-from toposlang.prop.decide import _posets, _upsets
+from toposlang.prop.decide import _frames, _posets
 
 PROJECT = load_project(Path(__file__).resolve().parent.parent / "fixtures" / "two_point.json")
 
@@ -316,8 +316,10 @@ def test_subobjects_match_subset_filter(x):
 
 def test_kripke_upsets_match_subset_filter():
     for n in range(1, 5):
-        for upset_of in brute_posets(n):
-            assert _upsets(upset_of) == brute_upsets(upset_of)
+        assert [frame[0] for frame in _frames(n)] == list(_posets(n))
+        for upset_of, masks, _box in _frames(n):
+            assert list(masks) == [sum(1 << i for i in ups)
+                                   for ups in brute_upsets(upset_of)]
 
 
 def test_posets_match_pairwise_transitivity_scan():

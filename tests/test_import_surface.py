@@ -6,6 +6,7 @@ its command uses. The import checks run in fresh interpreters and compare
 module names, which, unlike a time budget, does not depend on the host.
 """
 import importlib
+import json
 import os
 import subprocess
 import sys
@@ -82,6 +83,31 @@ def test_cold_command_imports_only_its_share(argv, forbidden, needed):
     modules = _modules_loaded(SCRIPT, *argv)
     assert needed in modules
     assert [name for name in forbidden if _loaded(modules, name)] == []
+
+
+def test_validate_loads_only_the_layers_a_project_declares(tmp_path):
+    # posets, algebras, systems and formulas, as in the benchmark's generated
+    # project: no presheaf, local-language or representation code is needed
+    elements, order = ["g0", "g1", "g2"], [["g0", "g1"], ["g1", "g2"]]
+    doc = {
+        "schema_version": 1,
+        "posets": [{"name": "chain", "elements": elements, "order": order}],
+        "algebras": [
+            {"name": "lower", "kind": "lower_sets", "elements": elements, "order": order},
+            {"name": "sieves", "kind": "sieves", "category": "chain", "object": "g2"},
+            {"name": "subsets", "kind": "powerset", "base": ["p", "q"]},
+        ],
+        "systems": [{"name": "sys", "states": ["s0", "s1", "s2"],
+                     "quantities": {"A": {"s0": "1", "s1": "5/2", "s2": "3"}}}],
+        "formulas": [{"name": "f", "text": "A in [1,3] -> ~A in (2,3]"}],
+    }
+    path = tmp_path / "project.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    modules = _modules_loaded(SCRIPT, "validate", str(path))
+    assert {"toposlang.project", "toposlang.category", "toposlang.heyting",
+            "toposlang.prop.semantics"} <= modules
+    assert [name for name in ("toposlang.local", "toposlang.presheaf", "toposlang.rep")
+            if _loaded(modules, name)] == []
 
 
 def test_importing_the_package_loads_no_submodule():

@@ -1,6 +1,9 @@
 import random
 
 import pytest
+from helpers import brute_countermodel
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from toposlang.errors import InputError
 from toposlang.prop.decide import (
@@ -195,3 +198,54 @@ def test_provable_formulas_are_top_in_every_small_algebra():
                 assignment = {leaf: rng.choice(alg.elements) for leaf in leaves(f)}
                 assert pl_represent(f, assignment, alg) == alg.top
     assert provable_seen >= 10
+
+
+# -- the bitmask countermodel search against the string-keyed oracle -----------
+
+def _found(result):
+    return None if result is None else (result[0].to_json(), result[1])
+
+
+def _rieger_nishimura(k, a):
+    """n0 = a & ~a, n1 = a, n2 = ~a, n(2j+3) = n(2j+1) | n(2j+2),
+    n(2j+4) = n(2j+3) -> n(2j+1)."""
+    n = {0: And(a, Not(a)), 1: a, 2: Not(a)}
+    for i in range(3, k + 1):
+        n[i] = Or(n[i - 2], n[i - 1]) if i % 2 else Implies(n[i - 1], n[i - 3])
+    return n
+
+
+RN = _rieger_nishimura(9, A)
+PRIM = parse_formula("A in [0,1]")  # its key sorts before the atoms'
+
+
+def formulas(max_leaves=8):
+    leaf = st.sampled_from([A, B, PRIM])
+    return st.recursive(leaf, lambda sub: st.one_of(
+        st.builds(Not, sub), st.builds(And, sub, sub),
+        st.builds(Or, sub, sub), st.builds(Implies, sub, sub)), max_leaves=max_leaves)
+
+
+@settings(max_examples=150, deadline=None)
+@given(formulas(), st.integers(1, 3))
+def test_countermodel_search_matches_the_forcing_oracle(formula, max_worlds):
+    found = find_countermodel(formula, max_worlds=max_worlds)
+    assert _found(found) == _found(brute_countermodel(formula, max_worlds=max_worlds))
+    if found is not None:
+        # a failing world's up-set would be a smaller countermodel, so the
+        # first one found fails only at its least world
+        model, world = found
+        assert set(model.above(world)) == set(model.worlds)
+        assert [w for w in model.worlds if not model.forces(w, formula)] == [world]
+
+
+@pytest.mark.parametrize("formula, worlds", [
+    (parse_formula("((a -> b) -> a) -> a"), 2),
+    (parse_formula("(a -> b) | (b -> a)"), 3),
+    (parse_formula("(a -> b) | (b -> c) | (c -> a)"), 4),
+    (Implies(RN[9], RN[7]), 4),
+], ids=["peirce", "dummett", "three-cycle", "rn-n9-n7"])
+def test_known_countermodels_match_the_forcing_oracle(formula, worlds):
+    found = find_countermodel(formula, max_worlds=4)
+    assert len(found[0].worlds) == worlds
+    assert _found(found) == _found(brute_countermodel(formula, max_worlds=4))
