@@ -5,10 +5,10 @@ The package is organized in layers:
 
 - `intervals`: exact rational interval sets (the value descriptions that
   primitive propositions quantify over).
-- `heyting`: finite bounded lattices and Heyting algebras, with builders
-  for powerset, open-set, lower-set and sieve instances that certify
-  their carrier at construction, the exhaustive law checker the tests use
-  as an oracle, and the rank-two subspace lattice used by the
+- `heyting`: `DownsetAlgebra`, the one Heyting algebra class: the
+  down-sets of a finite preorder as bitmasks, certified at construction,
+  with builders for powerset, open-set and lower-set instances; and the
+  generic bounded lattice behind the rank-two subspace lattice of the
   non-distributivity demonstration.
 - `category`: finite categories as composition tables, plus sieves,
   pullbacks and the sieve Heyting algebras.
@@ -38,16 +38,15 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "errors": ("CapExceeded", "InputError", "ToposlangError"),
     "intervals": ("Interval", "IntervalSet"),
-    "heyting": ("BoundedLattice", "DownsetAlgebra", "HeytingAlgebra", "check_heyting_laws",
-                "lower_set_algebra", "open_set_algebra", "powerset_algebra",
-                "subspace_lattice_2d"),
+    "heyting": ("BoundedLattice", "DownsetAlgebra", "lower_set_algebra", "open_set_algebra",
+                "powerset_algebra", "subspace_lattice_2d"),
     "category": ("FiniteCategory", "Morphism", "Sieve", "from_poset", "one_object_category",
                  "principal_sieve", "pullback_sieve", "sieve_heyting", "sieves_on",
                  "validate_category"),
     "presheaf": ("GlobalElement", "NatTransform", "Presheaf", "Subobject", "char_morphism",
-                 "classifier_kit", "eval_arrow", "exponential", "global_elements",
-                 "power_object", "power_transpose", "power_untranspose", "product",
-                 "sub_heyting", "subobject_of_char", "validate_nat", "validate_presheaf"),
+                 "classifier_kit", "exponential", "global_elements", "power_object",
+                 "power_transpose", "product", "sub_heyting", "subobject_of_char",
+                 "validate_nat", "validate_presheaf"),
     "prop.syntax": ("format_formula", "parse_formula"),
     "prop.semantics": ("ClassicalSystem", "check_optional_axioms", "classical_rep",
                        "pl_represent", "truth_value"),

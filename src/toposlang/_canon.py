@@ -7,6 +7,7 @@ enumeration deterministic, which in turn keeps printed output byte-stable.
 from __future__ import annotations
 
 import json
+import math
 from fractions import Fraction
 
 # Emptied when full, so that a long-running process does not grow with it.
@@ -17,22 +18,23 @@ _KEY_CACHE: dict = {}
 def canon_key(value):
     """Total order key over the element kinds the engine produces.
 
-    Numbers order by value with an exact rational tie-break, so ints and
-    equal Fractions share a key.  Keys of structured values are memoized,
-    up to KEY_CACHE_LIMIT entries: the same stage elements get sorted many
-    times across enumerations.
+    Numbers order by value: the key is the nearest float, ±inf past float
+    range, then the exact value to break ties, so ints and equal Fractions
+    share a key.  Keys of structured values are memoized, up to
+    KEY_CACHE_LIMIT entries: the same stage elements get sorted many times
+    across enumerations.
     """
     if isinstance(value, str):
         return (1, value)
     if isinstance(value, int) and not isinstance(value, bool):
-        return (0, value, value, 1)
+        return (0, _approx(value), value)
     cached = _KEY_CACHE.get(value)
     if cached is not None:
         return cached
     if isinstance(value, bool):
-        key = (0, int(value), int(value), 1)
+        key = (0, float(value), int(value))
     elif isinstance(value, Fraction):
-        key = (0, float(value), value.numerator, value.denominator)
+        key = (0, _approx(value), value)
     elif isinstance(value, tuple):
         key = (2, tuple(canon_key(v) for v in value))
     elif isinstance(value, frozenset):
@@ -43,6 +45,15 @@ def canon_key(value):
         _KEY_CACHE.clear()
     _KEY_CACHE[value] = key
     return key
+
+
+def _approx(number) -> float:
+    """The float nearest an int or Fraction, or ±inf past float range:
+    rounding is monotone, so the float orders numbers up to ties."""
+    try:
+        return float(number)
+    except OverflowError:
+        return math.inf if number > 0 else -math.inf
 
 
 def canon_sorted(values):

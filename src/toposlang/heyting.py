@@ -1,4 +1,4 @@
-"""Finite bounded lattices and Heyting algebras.
+"""Finite Heyting algebras of down-sets, and finite bounded lattices.
 
 Every Heyting algebra the toolkit builds is the algebra of down-sets of a
 finite preorder, and is a `DownsetAlgebra`: its elements are int bitmasks
@@ -7,25 +7,19 @@ pass over the points, and the carrier is enumerated by a search that visits
 only down-sets (see the down-set kernel below).  It certifies its preorder
 and carrier when built, so no law check runs on it.
 
-The generic classes take any carrier and order.  Elements are interned: the
-carrier is an ordered tuple of hashable ids and all structure is
-precomputed against integer indices.  The order relation is stored as one
-bitmask per element (its down-set), which makes meets and joins dictionary
-lookups: the down-set of a glb is exactly the intersection of the
-down-sets, so ``meet(a, b)`` is the unique element whose down-mask equals
-``down[a] & down[b]``; every pair is checked to have a meet at construction.
-`HeytingAlgebra` tabulates implication at construction by definition, as
-the largest g with g & a <= b, and is the oracle the kernel is tested
-against; `BoundedLattice` carries the non-distributive subspace
-lattice, which has no Heyting structure.  `check_heyting_laws` verifies the
-adjunction (and the lattice axioms, distributivity and double negation)
-exhaustively in O(N³): the tests' oracle, and the subspace lattice's reporter.
+`BoundedLattice` takes any carrier and order and carries the
+non-distributive subspace lattice, which has no Heyting structure.  Its
+elements are interned: the carrier is an ordered tuple of hashable ids and
+the order is stored as one bitmask per element (its down-set), which makes
+meets and joins dictionary lookups: the down-set of a glb is exactly the
+intersection of the down-sets, so ``meet(a, b)`` is the unique element whose
+down-mask equals ``down[a] & down[b]``; every pair is checked to have a meet
+at construction.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import islice, product
+from itertools import islice
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from ._canon import canon_key, canon_sorted
@@ -168,37 +162,6 @@ class BoundedLattice:
         return self._elems[out]
 
 
-class HeytingAlgebra(BoundedLattice):
-    """Bounded lattice with implication; negate(a) = implies(a, bottom)."""
-
-    def __init__(self, elements: Sequence, leq: Callable[[object, object], bool],
-                 *, cap: int = DEFAULT_CAP):
-        super().__init__(elements, leq, cap=cap)
-        n, down, up = len(self._elems), self._down, self._up
-        self._implies = []
-        for i in range(n):
-            row = []
-            for j in range(n):
-                bi, bj = down[i], down[j]
-                candidates = [g for g in range(n) if (down[g] & bi) | bj == bj]
-                common = (1 << n) - 1
-                for g in candidates:
-                    common &= up[g]
-                got = self._by_up.get(common)
-                if got is None or got not in candidates:
-                    raise NotALattice(
-                        f"no largest g with g & {self._elems[i]!r} <= {self._elems[j]!r}; "
-                        "lattice is not a Heyting algebra")
-                row.append(got)
-            self._implies.append(row)
-
-    def implies(self, a, b):
-        return self._elems[self._implies[self._ix(a)][self._ix(b)]]
-
-    def negate(self, a):
-        return self._elems[self._implies[self._ix(a)][self._bottom]]
-
-
 # -- the down-set kernel ---------------------------------------------------------
 #
 # The preorders: the discrete order for a powerset, the specialization
@@ -279,7 +242,7 @@ def canonical_carrier(points: Sequence, masks: Iterable[int]) -> list[tuple[int,
     return [(m, frozenset(map(ranked.__getitem__, ranks))) for ranks, m in keyed]
 
 
-class DownsetAlgebra(HeytingAlgebra):
+class DownsetAlgebra:
     """Heyting algebra of the down-sets of a finite preorder, as bitmasks.
 
     ``below[x]`` is the mask of the points at or below point x; a bit at or
@@ -303,7 +266,6 @@ class DownsetAlgebra(HeytingAlgebra):
     """
 
     def __init__(self, below: Sequence[int], carrier: Iterable[tuple[int, object]]):
-        # The generic constructor is not run: it would build N x N tables.
         # The builders cap the carrier where they enumerate it.
         pairs = list(carrier)
         self._below = tuple(below)
@@ -348,6 +310,12 @@ class DownsetAlgebra(HeytingAlgebra):
                                        f"{e!r} joined with what is below point {x}")
         return top
 
+    def _ix(self, a) -> int:
+        try:
+            return self._index[a]
+        except KeyError:
+            raise UnknownElement(f"unknown element id {a!r}") from None
+
     def _mask(self, a) -> int:
         return self._masks[self._ix(a)]
 
@@ -361,6 +329,24 @@ class DownsetAlgebra(HeytingAlgebra):
             if not m & outside:
                 out |= 1 << x
         return out & self._top_mask
+
+    @property
+    def elements(self) -> tuple:
+        return self._elems
+
+    def __len__(self) -> int:
+        return len(self._elems)
+
+    def __contains__(self, a) -> bool:
+        return a in self._index
+
+    @property
+    def bottom(self):
+        return self._elems[self._bottom]
+
+    @property
+    def top(self):
+        return self._elems[self._top]
 
     def leq(self, a, b) -> bool:
         return not self._mask(a) & ~self._mask(b)
@@ -477,79 +463,6 @@ def lower_set_algebra(elements: Sequence, pairs: Iterable[tuple], *,
     return DownsetAlgebra(below, canonical_carrier(elems, masks))
 
 
-# -- law checking -------------------------------------------------------------
-
-@dataclass
-class LawReport:
-    lattice: list = field(default_factory=list)
-    distributivity: list = field(default_factory=list)
-    adjunction: list = field(default_factory=list)
-    double_negation: list = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return not (self.lattice or self.distributivity
-                    or self.adjunction or self.double_negation)
-
-    def summary(self) -> str:
-        if self.ok:
-            return "all laws hold"
-        bits = []
-        for name in ("lattice", "distributivity", "adjunction", "double_negation"):
-            bad = getattr(self, name)
-            if bad:
-                bits.append(f"{name}: {len(bad)} violation(s), first {bad[0]}")
-        return "; ".join(bits)
-
-
-def check_heyting_laws(algebra: BoundedLattice) -> LawReport:
-    """Exhaustively verify lattice laws, distributivity and (for Heyting
-    instances) the implication adjunction and a <= ~~a, over all triples.
-    Violations are report content, never exceptions.
-    """
-    report = LawReport()
-    elems = algebra.elements
-    bot, top = algebra.bottom, algebra.top
-    for a in elems:
-        if not algebra.leq(bot, a) or not algebra.leq(a, top):
-            report.lattice.append(("bounds", a))
-        if algebra.meet(a, a) != a or algebra.join(a, a) != a:
-            report.lattice.append(("idempotence", a))
-    for a in elems:
-        for b in elems:
-            if algebra.meet(a, b) != algebra.meet(b, a):
-                report.lattice.append(("meet-commutativity", a, b))
-            if algebra.join(a, b) != algebra.join(b, a):
-                report.lattice.append(("join-commutativity", a, b))
-            if algebra.meet(a, algebra.join(a, b)) != a:
-                report.lattice.append(("absorption-meet-join", a, b))
-            if algebra.join(a, algebra.meet(a, b)) != a:
-                report.lattice.append(("absorption-join-meet", a, b))
-            if algebra.leq(a, b) != (algebra.meet(a, b) == a):
-                report.lattice.append(("order-meet-consistency", a, b))
-
-    is_heyting = isinstance(algebra, HeytingAlgebra)
-    for a, b, c in product(elems, repeat=3):
-        if algebra.meet(algebra.meet(a, b), c) != algebra.meet(a, algebra.meet(b, c)):
-            report.lattice.append(("meet-associativity", a, b, c))
-        if algebra.join(algebra.join(a, b), c) != algebra.join(a, algebra.join(b, c)):
-            report.lattice.append(("join-associativity", a, b, c))
-        if algebra.meet(algebra.join(a, b), algebra.join(a, c)) != \
-                algebra.join(a, algebra.meet(b, c)):
-            report.distributivity.append((a, b, c))
-        if algebra.meet(a, algebra.join(b, c)) != \
-                algebra.join(algebra.meet(a, b), algebra.meet(a, c)):
-            report.distributivity.append((a, b, c))
-        if is_heyting:
-            if algebra.leq(c, algebra.implies(a, b)) != algebra.leq(algebra.meet(c, a), b):
-                report.adjunction.append((c, a, b))
-    if is_heyting:
-        for a in elems:
-            if not algebra.leq(a, algebra.negate(algebra.negate(a))):
-                report.double_negation.append((a,))
-    return report
-
-
 # -- two-dimensional subspace lattice ----------------------------------------
 
 def ray_direction(dx, dy) -> tuple[int, int]:
@@ -582,8 +495,7 @@ def subspace_lattice_2d(directions: Iterable[tuple]) -> BoundedLattice:
     of rays: the zero subspace, the given rays, and the full plane.
 
     Meets are intersections and joins are linear spans; with two or more
-    distinct rays the lattice is not distributive, which
-    `check_heyting_laws` reports as violations.
+    distinct rays the lattice is not distributive.
     """
     rays = sorted({ray_label(d) for d in directions})
     elems = [ZERO_SUBSPACE] + rays + [FULL_PLANE]

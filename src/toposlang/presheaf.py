@@ -5,7 +5,7 @@ stage sets and restriction tables.  The module provides the full kit the
 rest of the toolkit needs: the terminal object and sub-object classifier,
 characteristic morphisms and their inverses, the Heyting algebra of
 sub-objects, products, exponentials via representables, power objects,
-evaluation and power transposes, and global-element enumeration.
+exponential and power transposes, and global-element enumeration.
 
 Stage elements are arbitrary hashables; every enumeration is emitted in
 canonical order (see _canon) so repeated runs are byte-identical.  The
@@ -127,16 +127,6 @@ class NatTransform:
 
     def __hash__(self):
         return hash(self._canon_key())
-
-
-def compose_nats(late: NatTransform, early: NatTransform) -> NatTransform:
-    """late o early, checking the middle object matches on the nose."""
-    if early.target != late.source:
-        raise ShapeMismatch("middle objects of composition differ")
-    comps = {obj: {x: late.apply(obj, early.apply(obj, x))
-                   for x in early.source.stage(obj)}
-             for obj in early.source.base.objects}
-    return NatTransform(early.source, late.target, comps)
 
 
 @dataclass
@@ -446,31 +436,6 @@ def product(x: Presheaf, y: Presheaf) -> ProductDiagram:
     return product_many([x, y])
 
 
-def pair_into_product(diagram: ProductDiagram, arrows: Sequence[NatTransform]) -> NatTransform:
-    """The mediating arrow <f1,...,fn> into the product."""
-    z = arrows[0].source
-    comps = {obj: {el: tuple(a.apply(obj, el) for a in arrows) for el in z.stage(obj)}
-             for obj in z.base.objects}
-    return NatTransform(z, diagram.presheaf, comps)
-
-
-def verify_product_universal(diagram: ProductDiagram, z: Presheaf,
-                             *, cap: int = ENUM_NODE_CAP) -> bool:
-    """Exhaustion check of the universal property against a test object z."""
-    factors = [p.target for p in diagram.projections]
-    homs = [enumerate_nats(z, f, cap=cap) for f in factors]
-    into_prod = enumerate_nats(z, diagram.presheaf, cap=cap)
-    import itertools
-    seen = set()
-    for combo in itertools.product(*homs):
-        h = pair_into_product(diagram, combo)
-        if tuple(compose_nats(p, h) for p in diagram.projections) != tuple(combo):
-            return False
-        seen.add(h._canon_key())
-    return len(seen) == len(into_prod) and \
-        {n._canon_key() for n in into_prod} == seen
-
-
 # -- natural transformation enumeration ----------------------------------------
 
 def enumerate_nats(x: Presheaf, y: Presheaf, *, cap: int = ENUM_NODE_CAP) -> list[NatTransform]:
@@ -603,27 +568,6 @@ def power_object(x: Presheaf, *, cap: int = ENUM_NODE_CAP) -> Presheaf:
     return exponential(x, classifier_kit(x.base).omega, cap=cap)
 
 
-def evaluation(x: Presheaf, y: Presheaf, *, cap: int = ENUM_NODE_CAP) -> NatTransform:
-    """ev: Y^X x X -> Y, (theta, x) at stage A = theta(id_A, x)."""
-    cat = x.base
-    prod = product_presheaf([exponential(x, y, cap=cap), x])
-    comps = {obj: {(theta, xv): exp_lookup(theta, obj, cat.id_of(obj), xv)
-                   for (theta, xv) in prod.stage(obj)}
-             for obj in cat.objects}
-    return NatTransform(prod, y, comps)
-
-
-def eval_arrow(x: Presheaf, *, cap: int = ENUM_NODE_CAP) -> NatTransform:
-    """Membership evaluation X x PX -> Omega, (x, theta) = theta(id, x)."""
-    cat = x.base
-    kit = classifier_kit(cat)
-    prod = product_presheaf([x, power_object(x, cap=cap)])
-    comps = {obj: {(xv, theta): exp_lookup(theta, obj, cat.id_of(obj), xv)
-                   for (xv, theta) in prod.stage(obj)}
-             for obj in cat.objects}
-    return NatTransform(prod, kit.omega, comps)
-
-
 def exp_transpose(f: NatTransform, z: Presheaf, x: Presheaf, y: Presheaf,
                   *, cap: int = ENUM_NODE_CAP) -> NatTransform:
     """Hom(Z x X, Y) -> Hom(Z, Y^X).  `f` must go out of product(z, x)."""
@@ -645,75 +589,7 @@ def exp_transpose(f: NatTransform, z: Presheaf, x: Presheaf, y: Presheaf,
     return NatTransform(z, exp, comps)
 
 
-def exp_untranspose(h: NatTransform, z: Presheaf, x: Presheaf, y: Presheaf,
-                    *, cap: int = ENUM_NODE_CAP) -> NatTransform:
-    """Hom(Z, Y^X) -> Hom(Z x X, Y)."""
-    cat = z.base
-    exp = exponential(x, y, cap=cap)
-    if h.source != z or h.target != exp:
-        raise ShapeMismatch("arrow to untranspose is not Z -> Y^X")
-    prod = product_presheaf([z, x])
-    comps = {obj: {(zv, xv): exp_lookup(h.apply(obj, zv), obj, cat.id_of(obj), xv)
-                   for (zv, xv) in prod.stage(obj)}
-             for obj in cat.objects}
-    return NatTransform(prod, y, comps)
-
-
 def power_transpose(f: NatTransform, z: Presheaf, x: Presheaf,
                     *, cap: int = ENUM_NODE_CAP) -> NatTransform:
     """The name-forming bijection Hom(Z x X, Omega) -> Hom(Z, PX)."""
     return exp_transpose(f, z, x, classifier_kit(z.base).omega, cap=cap)
-
-
-def power_untranspose(h: NatTransform, z: Presheaf, x: Presheaf,
-                      *, cap: int = ENUM_NODE_CAP) -> NatTransform:
-    return exp_untranspose(h, z, x, classifier_kit(z.base).omega, cap=cap)
-
-
-def verify_exponential_adjunction(z: Presheaf, x: Presheaf, y: Presheaf,
-                                  *, cap: int = ENUM_NODE_CAP) -> bool:
-    """Element-for-element bijection Hom(Z x X, Y) = Hom(Z, Y^X)."""
-    lhs = enumerate_nats(product_presheaf([z, x]), y, cap=cap)
-    exp = exponential(x, y, cap=cap)
-    rhs = enumerate_nats(z, exp, cap=cap)
-    image = set()
-    for f in lhs:
-        h = exp_transpose(f, z, x, y, cap=cap)
-        if exp_untranspose(h, z, x, y, cap=cap) != f:
-            return False
-        image.add(h._canon_key())
-    if len(image) != len(lhs):
-        return False
-    if image != {h._canon_key() for h in rhs}:
-        return False
-    for h in rhs:
-        if exp_transpose(exp_untranspose(h, z, x, y, cap=cap), z, x, y, cap=cap) != h:
-            return False
-    return True
-
-
-# -- stretch validation extras: initial object and co-products --------------------
-
-def initial_presheaf(cat: FiniteCategory) -> Presheaf:
-    """Empty at every stage; Hom(0, X) is a singleton for every X."""
-    return Presheaf(cat, {obj: () for obj in cat.objects},
-                    {m.id: {} for m in cat.morphisms})
-
-
-def coproduct(x: Presheaf, y: Presheaf) -> ProductDiagram:
-    """Tagged disjoint union with the two injections (validation extra)."""
-    if x.base != y.base:
-        raise ShapeMismatch("coproduct needs a common base")
-    cat = x.base
-    at = {obj: tuple(canon_sorted([("inl", v) for v in x.stage(obj)]
-                                  + [("inr", v) for v in y.stage(obj)]))
-          for obj in cat.objects}
-    maps = {m.id: {("inl", v): ("inl", x.apply(m.id, v)) for v in x.stage(m.cod)}
-            | {("inr", v): ("inr", y.apply(m.id, v)) for v in y.stage(m.cod)}
-            for m in cat.morphisms}
-    cop = Presheaf(cat, at, maps)
-    inl = NatTransform(x, cop, {obj: {v: ("inl", v) for v in x.stage(obj)}
-                                for obj in cat.objects})
-    inr = NatTransform(y, cop, {obj: {v: ("inr", v) for v in y.stage(obj)}
-                                for obj in cat.objects})
-    return ProductDiagram(cop, (inl, inr))

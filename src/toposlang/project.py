@@ -28,7 +28,7 @@ from .schema_check import SchemaCheck
 
 if TYPE_CHECKING:
     from .category import FiniteCategory
-    from .heyting import HeytingAlgebra
+    from .heyting import DownsetAlgebra
     from .local.axioms import AxiomPack, Sequent
     from .local.syntax import Signature
     from .presheaf import Presheaf
@@ -74,7 +74,7 @@ class LoadedTerm:
 class Project:
     categories: dict[str, FiniteCategory] = field(default_factory=dict)
     presheaves: dict[str, Presheaf] = field(default_factory=dict)
-    algebras: dict[str, HeytingAlgebra] = field(default_factory=dict)
+    algebras: dict[str, DownsetAlgebra] = field(default_factory=dict)
     systems: dict[str, ClassicalSystem] = field(default_factory=dict)
     signatures: dict[str, Signature] = field(default_factory=dict)
     axiom_packs: dict[str, AxiomPack] = field(default_factory=dict)

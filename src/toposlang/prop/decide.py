@@ -119,11 +119,22 @@ def is_provable(formula: Formula) -> bool:
 
 # -- countermodel search -------------------------------------------------------
 
+# The scan in `_posets` tries 2^(n(n-1)) relations: 2^20 at 5 worlds takes
+# seconds, 2^30 at 6 would take hours.
+MAX_SCAN_WORLDS = 5
+
+
 @lru_cache(maxsize=None)
 def _posets(n: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
     """All reflexive-transitive-antisymmetric orders on n labeled points,
-    each given as a tuple of up-set tuples."""
+    each given as a tuple of up-set tuples.  Raises CapExceeded before
+    scanning when n is past MAX_SCAN_WORLDS."""
     pairs = [(i, j) for i in range(n) for j in range(n) if i != j]
+    if n > MAX_SCAN_WORLDS:
+        raise CapExceeded(
+            f"countermodel search over {n} worlds would scan 2^{len(pairs)} = "
+            f"{1 << len(pairs)} relations; the scan stops at {MAX_SCAN_WORLDS} "
+            f"worlds, so lower --max-worlds to {MAX_SCAN_WORLDS}")
     out = []
     for mask in range(1 << len(pairs)):
         up = [1 << i for i in range(n)]

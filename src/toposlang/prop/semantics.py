@@ -15,7 +15,7 @@ from fractions import Fraction
 from typing import Mapping, Sequence
 
 from ..errors import InputError, ToposlangError
-from ..heyting import HeytingAlgebra, powerset_algebra
+from ..heyting import DownsetAlgebra, powerset_algebra
 from ..intervals import IntervalSet
 from .syntax import And, Atom, Formula, Implies, Not, Or, Prim, leaves
 
@@ -24,7 +24,7 @@ class SemanticsError(ToposlangError):
     pass
 
 
-def pl_represent(formula: Formula, assignment: Mapping, algebra: HeytingAlgebra):
+def pl_represent(formula: Formula, assignment: Mapping, algebra: DownsetAlgebra):
     """Evaluate a formula in an algebra, given elements for its leaves.
 
     Conjunction, disjunction, negation and implication land on the algebra's
@@ -73,7 +73,7 @@ class ClassicalSystem:
 class ClassicalRep:
     """Powerset-of-states algebra plus the preimage assignment of primitives."""
     system: ClassicalSystem
-    algebra: HeytingAlgebra
+    algebra: DownsetAlgebra
 
     def preimage(self, quantity: str, delta: IntervalSet) -> frozenset:
         if quantity not in self.system.quantities:

@@ -321,19 +321,12 @@ def build_rep(signature: Signature, base: FiniteCategory,
     return rep
 
 
-# -- the distinguished arrows ------------------------------------------------------
-
-def proposition_arrow(symbol: str, rep: ToposRep) -> NatTransform:
-    """The truth-valued arrow of 'the quantity's value lies in the set': from
-    the product of the state object with the power of the value object."""
-    return interpret_term(
-        In(App(symbol, Var("s")), Var("D")),
-        (("s", SIGMA), ("D", PowerType(RQ))), rep)
-
+# -- proposition families ---------------------------------------------------------
 
 def prop_family(symbol: str, rep: ToposRep) -> NatTransform:
-    """Power transpose of the proposition arrow, as a family of state subsets
-    indexed by value sets.  Cached per representation and symbol."""
+    """Power transpose of the arrow P(R) x Sigma -> Omega interpreting
+    ``symbol(s) in D``, as a family of state subsets indexed by value sets.
+    Cached per representation and symbol."""
     cached = rep._family_cache.get(symbol)
     if cached is not None:
         return cached

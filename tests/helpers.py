@@ -1,10 +1,14 @@
 """Shared fixtures: small base categories, deterministic presheaf generators,
 brute-force enumeration oracles, the quantified sieve and sub-object
-implications, the string-keyed Kripke countermodel search, and the
-wall-clock budget."""
+implications, the string-keyed Kripke countermodel search, the wall-clock
+budget, and the oracles no library code calls: the tabulating Heyting
+algebra, the exhaustive law checker, and the universal-property checks of
+products and exponentials."""
 import itertools
 import random
 import time
+from dataclasses import dataclass, field
+from typing import Callable, Sequence
 
 from toposlang._canon import canon_key
 from toposlang.category import (
@@ -15,8 +19,26 @@ from toposlang.category import (
     from_poset,
     one_object_category,
 )
-from toposlang.heyting import InvalidOrder, UnknownElement
-from toposlang.presheaf import Presheaf, Subobject
+from toposlang.heyting import (
+    DEFAULT_CAP,
+    BoundedLattice,
+    InvalidOrder,
+    NotALattice,
+    UnknownElement,
+)
+from toposlang.presheaf import (
+    ENUM_NODE_CAP,
+    NatTransform,
+    Presheaf,
+    ProductDiagram,
+    ShapeMismatch,
+    Subobject,
+    enumerate_nats,
+    exp_lookup,
+    exp_transpose,
+    exponential,
+    product_presheaf,
+)
 from toposlang.prop.decide import _posets
 from toposlang.prop.kripke import KripkeModel
 from toposlang.prop.syntax import leaf_key, leaves
@@ -290,3 +312,193 @@ def subobject_implies(k: Subobject, l: Subobject) -> Subobject:
                 keep.append(el)
         parts[obj] = frozenset(keep)
     return Subobject(x, parts)
+
+
+# -- the tabulating Heyting algebra and the exhaustive law checker ---------------
+
+class HeytingAlgebra(BoundedLattice):
+    """Bounded lattice with implication; negate(a) = implies(a, bottom).
+
+    Implication is tabulated at construction by definition, as the largest
+    g with g & a <= b: the oracle the down-set kernel is tested against."""
+
+    def __init__(self, elements: Sequence, leq: Callable[[object, object], bool],
+                 *, cap: int = DEFAULT_CAP):
+        super().__init__(elements, leq, cap=cap)
+        n, down, up = len(self._elems), self._down, self._up
+        self._implies = []
+        for i in range(n):
+            row = []
+            for j in range(n):
+                bi, bj = down[i], down[j]
+                candidates = [g for g in range(n) if (down[g] & bi) | bj == bj]
+                common = (1 << n) - 1
+                for g in candidates:
+                    common &= up[g]
+                got = self._by_up.get(common)
+                if got is None or got not in candidates:
+                    raise NotALattice(
+                        f"no largest g with g & {self._elems[i]!r} <= {self._elems[j]!r}; "
+                        "lattice is not a Heyting algebra")
+                row.append(got)
+            self._implies.append(row)
+
+    def implies(self, a, b):
+        return self._elems[self._implies[self._ix(a)][self._ix(b)]]
+
+    def negate(self, a):
+        return self._elems[self._implies[self._ix(a)][self._bottom]]
+
+
+@dataclass
+class LawReport:
+    lattice: list = field(default_factory=list)
+    distributivity: list = field(default_factory=list)
+    adjunction: list = field(default_factory=list)
+    double_negation: list = field(default_factory=list)
+
+    @property
+    def ok(self) -> bool:
+        return not (self.lattice or self.distributivity
+                    or self.adjunction or self.double_negation)
+
+    def summary(self) -> str:
+        if self.ok:
+            return "all laws hold"
+        bits = []
+        for name in ("lattice", "distributivity", "adjunction", "double_negation"):
+            bad = getattr(self, name)
+            if bad:
+                bits.append(f"{name}: {len(bad)} violation(s), first {bad[0]}")
+        return "; ".join(bits)
+
+
+def check_heyting_laws(algebra) -> LawReport:
+    """Exhaustively verify lattice laws, distributivity and (for algebras
+    with `implies` and `negate`) the implication adjunction and a <= ~~a,
+    over all triples.  Violations are report content, never exceptions.
+    """
+    report = LawReport()
+    elems = algebra.elements
+    bot, top = algebra.bottom, algebra.top
+    for a in elems:
+        if not algebra.leq(bot, a) or not algebra.leq(a, top):
+            report.lattice.append(("bounds", a))
+        if algebra.meet(a, a) != a or algebra.join(a, a) != a:
+            report.lattice.append(("idempotence", a))
+    for a in elems:
+        for b in elems:
+            if algebra.meet(a, b) != algebra.meet(b, a):
+                report.lattice.append(("meet-commutativity", a, b))
+            if algebra.join(a, b) != algebra.join(b, a):
+                report.lattice.append(("join-commutativity", a, b))
+            if algebra.meet(a, algebra.join(a, b)) != a:
+                report.lattice.append(("absorption-meet-join", a, b))
+            if algebra.join(a, algebra.meet(a, b)) != a:
+                report.lattice.append(("absorption-join-meet", a, b))
+            if algebra.leq(a, b) != (algebra.meet(a, b) == a):
+                report.lattice.append(("order-meet-consistency", a, b))
+
+    is_heyting = callable(getattr(algebra, "implies", None)) and \
+        callable(getattr(algebra, "negate", None))
+    for a, b, c in itertools.product(elems, repeat=3):
+        if algebra.meet(algebra.meet(a, b), c) != algebra.meet(a, algebra.meet(b, c)):
+            report.lattice.append(("meet-associativity", a, b, c))
+        if algebra.join(algebra.join(a, b), c) != algebra.join(a, algebra.join(b, c)):
+            report.lattice.append(("join-associativity", a, b, c))
+        if algebra.meet(algebra.join(a, b), algebra.join(a, c)) != \
+                algebra.join(a, algebra.meet(b, c)):
+            report.distributivity.append((a, b, c))
+        if algebra.meet(a, algebra.join(b, c)) != \
+                algebra.join(algebra.meet(a, b), algebra.meet(a, c)):
+            report.distributivity.append((a, b, c))
+        if is_heyting:
+            if algebra.leq(c, algebra.implies(a, b)) != algebra.leq(algebra.meet(c, a), b):
+                report.adjunction.append((c, a, b))
+    if is_heyting:
+        for a in elems:
+            if not algebra.leq(a, algebra.negate(algebra.negate(a))):
+                report.double_negation.append((a,))
+    return report
+
+
+# -- universal properties of products and exponentials, by exhaustion -----------
+
+def compose_nats(late: NatTransform, early: NatTransform) -> NatTransform:
+    """late o early, checking the middle object matches on the nose."""
+    if early.target != late.source:
+        raise ShapeMismatch("middle objects of composition differ")
+    comps = {obj: {x: late.apply(obj, early.apply(obj, x))
+                   for x in early.source.stage(obj)}
+             for obj in early.source.base.objects}
+    return NatTransform(early.source, late.target, comps)
+
+
+def pair_into_product(diagram: ProductDiagram, arrows: Sequence[NatTransform]) -> NatTransform:
+    """The mediating arrow <f1,...,fn> into the product."""
+    z = arrows[0].source
+    comps = {obj: {el: tuple(a.apply(obj, el) for a in arrows) for el in z.stage(obj)}
+             for obj in z.base.objects}
+    return NatTransform(z, diagram.presheaf, comps)
+
+
+def verify_product_universal(diagram: ProductDiagram, z: Presheaf,
+                             *, cap: int = ENUM_NODE_CAP) -> bool:
+    """Exhaustion check of the universal property against a test object z."""
+    factors = [p.target for p in diagram.projections]
+    homs = [enumerate_nats(z, f, cap=cap) for f in factors]
+    into_prod = enumerate_nats(z, diagram.presheaf, cap=cap)
+    seen = set()
+    for combo in itertools.product(*homs):
+        h = pair_into_product(diagram, combo)
+        if tuple(compose_nats(p, h) for p in diagram.projections) != tuple(combo):
+            return False
+        seen.add(h._canon_key())
+    return len(seen) == len(into_prod) and \
+        {n._canon_key() for n in into_prod} == seen
+
+
+def evaluation(x: Presheaf, y: Presheaf, *, cap: int = ENUM_NODE_CAP) -> NatTransform:
+    """ev: Y^X x X -> Y, (theta, x) at stage A = theta(id_A, x)."""
+    cat = x.base
+    prod = product_presheaf([exponential(x, y, cap=cap), x])
+    comps = {obj: {(theta, xv): exp_lookup(theta, obj, cat.id_of(obj), xv)
+                   for (theta, xv) in prod.stage(obj)}
+             for obj in cat.objects}
+    return NatTransform(prod, y, comps)
+
+
+def exp_untranspose(h: NatTransform, z: Presheaf, x: Presheaf, y: Presheaf,
+                    *, cap: int = ENUM_NODE_CAP) -> NatTransform:
+    """Hom(Z, Y^X) -> Hom(Z x X, Y)."""
+    cat = z.base
+    exp = exponential(x, y, cap=cap)
+    if h.source != z or h.target != exp:
+        raise ShapeMismatch("arrow to untranspose is not Z -> Y^X")
+    prod = product_presheaf([z, x])
+    comps = {obj: {(zv, xv): exp_lookup(h.apply(obj, zv), obj, cat.id_of(obj), xv)
+                   for (zv, xv) in prod.stage(obj)}
+             for obj in cat.objects}
+    return NatTransform(prod, y, comps)
+
+
+def verify_exponential_adjunction(z: Presheaf, x: Presheaf, y: Presheaf,
+                                  *, cap: int = ENUM_NODE_CAP) -> bool:
+    """Element-for-element bijection Hom(Z x X, Y) = Hom(Z, Y^X)."""
+    lhs = enumerate_nats(product_presheaf([z, x]), y, cap=cap)
+    exp = exponential(x, y, cap=cap)
+    rhs = enumerate_nats(z, exp, cap=cap)
+    image = set()
+    for f in lhs:
+        h = exp_transpose(f, z, x, y, cap=cap)
+        if exp_untranspose(h, z, x, y, cap=cap) != f:
+            return False
+        image.add(h._canon_key())
+    if len(image) != len(lhs):
+        return False
+    if image != {h._canon_key() for h in rhs}:
+        return False
+    for h in rhs:
+        if exp_transpose(exp_untranspose(h, z, x, y, cap=cap), z, x, y, cap=cap) != h:
+            return False
+    return True

@@ -18,15 +18,19 @@ from helpers import (
     PT,
     TWO,
     VEE,
+    HeytingAlgebra,
     budget,
+    compose_nats,
+    evaluation,
     presheaf_fixture_pool,
     set_presheaf,
     two_point_presheaf,
+    verify_exponential_adjunction,
 )
 
 from toposlang.category import principal_sieve, pullback_sieve, sieve_heyting, sieves_on
 from toposlang.heyting import (
-    HeytingAlgebra,
+    DownsetAlgebra,
     lower_set_algebra,
     open_set_algebra,
     powerset_algebra,
@@ -49,10 +53,8 @@ from toposlang.presheaf import (
     Presheaf,
     char_morphism,
     classifier_kit,
-    compose_nats,
     enumerate_nats,
     enumerate_subobjects,
-    eval_arrow,
     global_elements,
     power_object,
     product,
@@ -60,7 +62,6 @@ from toposlang.presheaf import (
     subobject_of_char,
     terminal_presheaf,
     validate_nat,
-    verify_exponential_adjunction,
 )
 from toposlang.prop.decide import decide, find_countermodel, is_provable
 from toposlang.prop.proofs import (
@@ -83,8 +84,8 @@ from toposlang.rep import (
     RepresentationError,
     ToposRep,
     build_rep,
+    interpret_term,
     interpret_type,
-    proposition_arrow,
     validate_axioms,
 )
 
@@ -106,7 +107,7 @@ SMALL = ClassicalSystem(
 )
 
 
-def built_algebras() -> list[HeytingAlgebra]:
+def built_algebras() -> list[DownsetAlgebra | HeytingAlgebra]:
     """Every Heyting instance the suite constructs, carriers up to 64."""
     out = [
         powerset_algebra([]),
@@ -334,16 +335,18 @@ def test_criterion_09_typed_language_semantics():
         rep = eff.rep
         point = rep.base.objects[0]
         # the compositional interpretation of membership equals the explicit
-        # chain: (value map x identity) then the evaluation arrow
+        # chain: (value map x identity, factors swapped) then the evaluation
+        # arrow
         sigma = interpret_type(SIGMA, rep)
         rvals = interpret_type(RQ, rep)
         prvals = interpret_type(PowerType(RQ), rep)
         dia = product(sigma, prvals)
-        cross = NatTransform(dia.presheaf, product(rvals, prvals).presheaf, {
-            point: {(s, d): (rep.symbols["A"].apply(point, s), d)
+        cross = NatTransform(dia.presheaf, product(prvals, rvals).presheaf, {
+            point: {(s, d): (d, rep.symbols["A"].apply(point, s))
                     for (s, d) in dia.presheaf.stage(point)}})
-        chain = compose_nats(eval_arrow(rvals), cross)
-        assert proposition_arrow("A", rep) == chain
+        chain = compose_nats(evaluation(rvals, rep.kit.omega), cross)
+        assert interpret_term(parse_term("A(s) in D", rep.signature),
+                              (("s", SIGMA), ("D", PowerType(RQ))), rep) == chain
         # the power transpose reproduces exact preimages on a delta grid
         oracle = classical_rep(SMALL)
         grid = [

@@ -35,6 +35,17 @@ def test_validate_fixture(capsys):
     assert "ok" in err
 
 
+def test_validate_accepts_values_past_float_range(tmp_path, capsys):
+    doc = json.loads(Path(FIXTURE).read_text())
+    huge = "1" + "0" * 400
+    for system in doc["systems"]:
+        system["quantities"]["A"]["s3"] = huge
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(doc))
+    code, payload, _ = run(capsys, "validate", str(path))
+    assert code == 0 and payload["valid"] is True
+
+
 def test_validate_dangling_quantity_state(tmp_path, capsys):
     doc = json.loads(Path(FIXTURE).read_text())
     doc["systems"][0]["quantities"]["A"]["s9"] = "1"
@@ -128,6 +139,10 @@ def test_pl_decide_exit_codes(capsys):
     code, payload, _ = run(capsys, "pl", "decide", "((a->b)->a)->a")
     assert code == 1
     assert payload["verdict"] == "invalid"
+    assert len(payload["countermodel"]["worlds"]) == 2
+    # a bound past the poset scan's limit still answers small countermodels
+    code, payload, _ = run(capsys, "pl", "decide", "--max-worlds", "7", "a | ~a")
+    assert code == 1
     assert len(payload["countermodel"]["worlds"]) == 2
 
 

@@ -1,7 +1,7 @@
 """The down-set kernel against the brute-force subset filters it replaced.
 
-Every algebra built on `DownsetAlgebra` must agree with the generic
-`HeytingAlgebra` over the brute-force carrier: the same `elements` tuple,
+Every algebra built on `DownsetAlgebra` must agree with the tabulating
+`helpers.HeytingAlgebra` over the brute-force carrier: the same `elements` tuple,
 top and bottom, and the same order, meet, join, implication and negation on
 all pairs.  Every enumeration must equal its old `range(1 << n)` filter as a
 list, order included.
@@ -18,6 +18,7 @@ from helpers import (
     DIAMOND,
     MONOID,
     TWO,
+    HeytingAlgebra,
     brute_downsets,
     brute_posets,
     brute_sieves,
@@ -45,7 +46,6 @@ from toposlang.errors import CapExceeded
 from toposlang.heyting import (
     DEFAULT_CAP,
     DownsetAlgebra,
-    HeytingAlgebra,
     InvalidOrder,
     LatticeError,
     TopologyError,

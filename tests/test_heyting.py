@@ -1,6 +1,7 @@
 from fractions import Fraction
 
 import pytest
+from helpers import HeytingAlgebra, check_heyting_laws
 
 from toposlang.category import from_poset, sieve_heyting
 from toposlang.errors import CapExceeded
@@ -8,13 +9,14 @@ from toposlang.heyting import (
     FULL_PLANE,
     ZERO_SUBSPACE,
     BoundedLattice,
-    HeytingAlgebra,
+    DownsetAlgebra,
     InvalidOrder,
     LatticeError,
     NotALattice,
     TopologyError,
     UnknownElement,
-    check_heyting_laws,
+    canonical_carrier,
+    iter_downsets,
     lower_set_algebra,
     open_set_algebra,
     powerset_algebra,
@@ -154,6 +156,26 @@ def test_check_laws_passes_on_powerset_and_sieves():
     assert check_heyting_laws(powerset_algebra([1, 2])).ok
     cat = from_poset(["p", "q"], [("p", "q")])
     assert check_heyting_laws(sieve_heyting(cat, "q")).ok
+
+
+def test_downset_algebra_is_its_own_class():
+    assert DownsetAlgebra.__mro__ == (DownsetAlgebra, object)
+
+
+class ImpliesTop(DownsetAlgebra):
+    """A planted break: implication always answers top."""
+
+    def implies(self, a, b):
+        return self.top
+
+
+def test_law_checker_checks_implication_on_downset_algebras():
+    below = [1 << i for i in range(2)]
+    broken = ImpliesTop(below, canonical_carrier([1, 2], iter_downsets(below)))
+    report = check_heyting_laws(broken)
+    assert report.adjunction
+    assert not (report.lattice or report.distributivity or report.double_negation)
+    assert "adjunction" in report.summary()
 
 
 def test_check_laws_reports_nondistributive_subspaces():

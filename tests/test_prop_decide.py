@@ -1,14 +1,16 @@
 import random
+import time
 
 import pytest
 from helpers import brute_countermodel
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from toposlang.errors import InputError
+from toposlang.errors import CapExceeded, InputError
 from toposlang.prop.decide import (
     Decision,
     SearchCapExceeded,
+    _posets,
     decide,
     find_countermodel,
     is_provable,
@@ -106,6 +108,13 @@ def test_cap_exceeded_is_reported_never_guessed():
     # provably-unprovable formula whose countermodel needs more than 1 world
     with pytest.raises(SearchCapExceeded):
         decide(parse_formula("a | ~a"), max_worlds=1)
+
+
+def test_poset_scan_past_five_worlds_is_refused_before_it_starts():
+    start = time.perf_counter()
+    with pytest.raises(CapExceeded, match=r"over 6 worlds would scan 2\^30 = 1073741824 relations"):
+        _posets(6)
+    assert time.perf_counter() - start < 0.5
 
 
 def test_classical_but_not_intuitionistic_distinctions():

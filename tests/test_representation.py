@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from helpers import TWO, two_point_presheaf
+from helpers import TWO, compose_nats, evaluation, exp_untranspose, two_point_presheaf
 
 from toposlang.category import one_object_category, principal_sieve
 from toposlang.intervals import IntervalSet
@@ -21,11 +21,8 @@ from toposlang.local import (
 from toposlang.presheaf import (
     NatTransform,
     Presheaf,
-    compose_nats,
-    eval_arrow,
     global_elements,
     power_transpose,
-    power_untranspose,
     product,
     product_many,
     validate_nat,
@@ -41,7 +38,6 @@ from toposlang.rep import (
     interpret_term,
     interpret_type,
     prop_family,
-    proposition_arrow,
     validate_axioms,
 )
 
@@ -125,7 +121,8 @@ def test_build_rep_on_presheaf_backend():
     arrow = NatTransform(sigma, rvals, {"q": {"a0": "u", "a1": "v"}, "p": {"b0": "w"}})
     rep = build_rep(signature, TWO, {"Sigma": sigma, "R": rvals}, {"A": arrow})
     assert interpret_type(SIGMA, rep) == sigma
-    chain = proposition_arrow("A", rep)
+    chain = interpret_term(parse_term("A(s) in D", signature),
+                           (("s", SIGMA), ("D", PowerType(RQ))), rep)
     assert validate_nat(chain).ok
 
 
@@ -164,18 +161,19 @@ def parse_type_cached(text):
 
 def test_proposition_arrow_equals_explicit_chain():
     # the chain: product of state and value-set stages, value map crossed
-    # with identity, then the membership evaluation cell
+    # with identity and the factors swapped, then the membership evaluation
     eff = EffectiveClassicalRep.build(SMALL)
     rep = eff.rep
     sigma = interpret_type(SIGMA, rep)
     rvals = interpret_type(RQ, rep)
     prvals = interpret_type(PowerType(RQ), rep)
-    lhs = proposition_arrow("A", rep)
+    lhs = interpret_term(parse_term("A(s) in D", rep.signature),
+                         (("s", SIGMA), ("D", PowerType(RQ))), rep)
     dia = product(sigma, prvals)
-    cross = NatTransform(dia.presheaf, product(rvals, prvals).presheaf, {
-        POINT: {(s, d): (rep.symbols["A"].apply(POINT, s), d)
+    cross = NatTransform(dia.presheaf, product(prvals, rvals).presheaf, {
+        POINT: {(s, d): (d, rep.symbols["A"].apply(POINT, s))
                 for (s, d) in dia.presheaf.stage(POINT)}})
-    chain = compose_nats(eval_arrow(rvals), cross)
+    chain = compose_nats(evaluation(rvals, rep.kit.omega), cross)
     assert lhs == chain
 
 
@@ -232,7 +230,7 @@ def test_prop_family_round_trip_through_untranspose():
     family = prop_family("A", rep)
     z = interpret_type(PowerType(RQ), rep)
     x = interpret_type(SIGMA, rep)
-    back = power_untranspose(family, z, x)
+    back = exp_untranspose(family, z, x, rep.kit.omega)
     flipped = interpret_term(
         parse_term("A(s) in D", rep.signature),
         (("D", PowerType(RQ)), ("s", SIGMA)), rep)
