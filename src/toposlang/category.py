@@ -258,19 +258,20 @@ def _sieve_order(cat: FiniteCategory, obj: str) -> list[int]:
     return preorder_closure(needs)
 
 
-def sieves_on(cat: FiniteCategory, obj: str, *, cap: int = SIEVE_ENUM_CAP) -> list[Sieve]:
+def sieves_on(cat: FiniteCategory, obj: str) -> list[Sieve]:
     """All sieves on obj, ordered by member-set bitmask over cat's morphism order."""
     incoming = cat.into(obj)
-    masks = sorted(iter_downsets(_sieve_order(cat, obj), cap=cap, what=f"sieves on {obj!r}"))
+    masks = sorted(iter_downsets(_sieve_order(cat, obj), cap=SIEVE_ENUM_CAP,
+                                 what=f"sieves on {obj!r}"))
     return [Sieve(obj, frozenset(f for i, f in enumerate(incoming) if mask >> i & 1))
             for mask in masks]
 
 
-def sieve_heyting(cat: FiniteCategory, obj: str, *, cap: int = SIEVE_ENUM_CAP) -> DownsetAlgebra:
+def sieve_heyting(cat: FiniteCategory, obj: str) -> DownsetAlgebra:
     """Heyting algebra of all sieves on obj, in `sieves_on` order: meet and
     join are intersection and union, and implication is the down-set
     formula: f is in S1 => S2 when every f o g in S1 is also in S2."""
     index = {f: i for i, f in enumerate(cat.into(obj))}
     carrier = [(sum(1 << index[f] for f in s.members), s.members)
-               for s in sieves_on(cat, obj, cap=cap)]
+               for s in sieves_on(cat, obj)]
     return DownsetAlgebra(_sieve_order(cat, obj), carrier)

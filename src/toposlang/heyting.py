@@ -51,13 +51,12 @@ class TopologyError(LatticeError):
 class BoundedLattice:
     """Finite bounded lattice over an ordered carrier of hashable ids."""
 
-    def __init__(self, elements: Sequence, leq: Callable[[object, object], bool],
-                 *, cap: int = DEFAULT_CAP):
+    def __init__(self, elements: Sequence, leq: Callable[[object, object], bool]):
         elems = tuple(elements)
         if len(elems) == 0:
             raise InvalidOrder("carrier is empty")
-        if len(elems) > cap:
-            raise CapExceeded(f"carrier size {len(elems)} exceeds cap {cap}")
+        if len(elems) > DEFAULT_CAP:
+            raise CapExceeded(f"carrier size {len(elems)} exceeds cap {DEFAULT_CAP}")
         if len(set(elems)) != len(elems):
             raise InvalidOrder("duplicate element ids in carrier")
         self._elems = elems
@@ -378,15 +377,15 @@ class DownsetAlgebra:
 
 # -- builders ---------------------------------------------------------------
 
-def powerset_algebra(base: Iterable, *, cap: int = DEFAULT_CAP) -> DownsetAlgebra:
+def powerset_algebra(base: Iterable) -> DownsetAlgebra:
     """Boolean algebra of all subsets of a finite base set."""
     items = tuple(canon_sorted(set(base)))
     below = [1 << i for i in range(len(items))]  # the discrete order
-    masks = list(iter_downsets(below, cap=cap, what=f"subsets of {len(items)} points"))
+    masks = list(iter_downsets(below, cap=DEFAULT_CAP, what=f"subsets of {len(items)} points"))
     return DownsetAlgebra(below, canonical_carrier(items, masks))
 
 
-def open_set_algebra(opens: Iterable[Iterable], *, cap: int = DEFAULT_CAP) -> DownsetAlgebra:
+def open_set_algebra(opens: Iterable[Iterable]) -> DownsetAlgebra:
     """Heyting algebra of the open sets of a finite topology.
 
     The family must contain the empty set and the whole space and be closed
@@ -411,7 +410,8 @@ def open_set_algebra(opens: Iterable[Iterable], *, cap: int = DEFAULT_CAP) -> Do
         mask = sum(1 << index[p] for p in s)
         for p in s:
             below[index[p]] &= mask
-    masks = list(islice(iter_downsets(below, cap=cap, what="open sets"), len(family) + 1))
+    masks = list(islice(iter_downsets(below, cap=DEFAULT_CAP, what="open sets"),
+                        len(family) + 1))
     if len(masks) != len(family):
         _raise_closure_witness(family)
     return DownsetAlgebra(below, canonical_carrier(points, masks))
@@ -452,14 +452,14 @@ def poset_below(elements: Sequence, pairs: Iterable[tuple]) -> list[int]:
     return below
 
 
-def lower_set_algebra(elements: Sequence, pairs: Iterable[tuple], *,
-                      cap: int = DEFAULT_CAP) -> DownsetAlgebra:
+def lower_set_algebra(elements: Sequence, pairs: Iterable[tuple]) -> DownsetAlgebra:
     """Heyting algebra of all lower sets of a finite poset."""
     elems = list(elements)
     below = poset_below(elems, pairs)
     if len(set(elems)) != len(elems):
         raise InvalidOrder("duplicate element ids in carrier")
-    masks = list(iter_downsets(below, cap=cap, what=f"lower sets of {len(elems)} points"))
+    masks = list(iter_downsets(below, cap=DEFAULT_CAP,
+                               what=f"lower sets of {len(elems)} points"))
     return DownsetAlgebra(below, canonical_carrier(elems, masks))
 
 

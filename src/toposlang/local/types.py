@@ -81,21 +81,3 @@ def product_type(factors: Sequence[TypeExpr]) -> TypeExpr:
     if len(factors) == 1:
         return factors[0]
     return ProductType(factors)
-
-
-def type_grounds(t: TypeExpr) -> set[str]:
-    """Names of the ground types a type expression mentions."""
-    if isinstance(t, StateType):
-        return {"Sigma"}
-    if isinstance(t, QuantityType):
-        return {"R"}
-    if isinstance(t, GroundType):
-        return {t.name}
-    if isinstance(t, ProductType):
-        out: set[str] = set()
-        for f in t.factors:
-            out |= type_grounds(f)
-        return out
-    if isinstance(t, PowerType):
-        return type_grounds(t.inner)
-    return set()

@@ -7,10 +7,12 @@ characteristic morphisms and their inverses, the Heyting algebra of
 sub-objects, products, exponentials via representables, power objects,
 exponential and power transposes, and global-element enumeration.
 
-Stage elements are arbitrary hashables; every enumeration is emitted in
-canonical order (see _canon) so repeated runs are byte-identical.  The
-one-object category gives the plain category of sets, where the classifier
-degenerates to the two truth values.
+Stage elements are arbitrary hashables.  Sub-objects and global elements
+come in canonical order (see _canon); hom-sets come in the order of their
+backtracking search, which follows object, stage and morphism order and not
+the hash seed, so repeated runs are byte-identical.  The one-object
+category gives the plain category of sets, where the classifier degenerates
+to the two truth values.
 
 This module owns the element format of exponentials and power objects: an
 element of Y^X at stage A is a tuple of ((B, g: B -> A, x), y) cells in
@@ -337,10 +339,11 @@ def _element_order(x: Presheaf) -> tuple[list, list[int]]:
     return points, preorder_closure(needs)
 
 
-def enumerate_subobjects(x: Presheaf, *, cap: int = SUB_ENUM_CAP) -> list[Subobject]:
-    """All restriction-closed part families, in canonical key order."""
+def enumerate_subobjects(x: Presheaf) -> list[Subobject]:
+    """All restriction-closed part families, in canonical key order;
+    CapExceeded past SUB_ENUM_CAP of them."""
     points, below = _element_order(x)
-    masks = list(iter_downsets(below, cap=cap,
+    masks = list(iter_downsets(below, cap=SUB_ENUM_CAP,
                                what=f"sub-objects of a presheaf with {len(points)} elements"))
     out = []
     for mask in masks:
@@ -359,12 +362,12 @@ class SubobjectAlgebra:
     subobjects: Mapping  # element id (Subobject.key()) -> Subobject
 
 
-def sub_heyting(x: Presheaf, *, cap: int = SUB_ENUM_CAP) -> SubobjectAlgebra:
+def sub_heyting(x: Presheaf) -> SubobjectAlgebra:
     """Heyting algebra of Sub(X), in `enumerate_subobjects` order: meet and
     join are stage-wise, and implication is the down-set formula over the
     category of elements (the stage-wise quantified formula is checked
     against it in the test suite)."""
-    subs = enumerate_subobjects(x, cap=cap)
+    subs = enumerate_subobjects(x)
     points, below = _element_order(x)
     index = {p: i for i, p in enumerate(points)}
     by_key = {k.key(): k for k in subs}
@@ -374,23 +377,9 @@ def sub_heyting(x: Presheaf, *, cap: int = SUB_ENUM_CAP) -> SubobjectAlgebra:
 
 
 def global_elements(x: Presheaf) -> list[GlobalElement]:
-    """All matching families, canonically ordered."""
-    cat = x.base
-    objs = list(cat.objects)
-    out = []
-
-    def rec(i: int, choice: dict):
-        if i == len(objs):
-            g = GlobalElement(x, choice)
-            if not g.violations():
-                out.append(g)
-            return
-        for el in x.stage(objs[i]):
-            choice[objs[i]] = el
-            rec(i + 1, choice)
-        del choice[objs[i]]
-
-    rec(0, {})
+    """All matching families, canonically ordered: the arrows 1 -> x."""
+    out = [GlobalElement(x, {obj: n.apply(obj, ()) for obj in x.base.objects})
+           for n in enumerate_nats(terminal_presheaf(x.base), x)]
     out.sort(key=lambda g: canon_key(g.key()))
     return out
 
@@ -438,10 +427,12 @@ def product(x: Presheaf, y: Presheaf) -> ProductDiagram:
 
 # -- natural transformation enumeration ----------------------------------------
 
-def enumerate_nats(x: Presheaf, y: Presheaf, *, cap: int = ENUM_NODE_CAP) -> list[NatTransform]:
+def enumerate_nats(x: Presheaf, y: Presheaf) -> list[NatTransform]:
     """All natural transformations x -> y via backtracking with forced
-    propagation along restrictions.  Deterministic order; CapExceeded when
-    the search would visit more than `cap` nodes."""
+    propagation along restrictions, in search order: cells by object order
+    and x's stage order, values by y's stage order.  That order depends on
+    no hash seed.  CapExceeded when the search would visit more than
+    ENUM_NODE_CAP nodes."""
     if x.base != y.base:
         raise ShapeMismatch("hom-set needs a common base")
     cat = x.base
@@ -474,8 +465,8 @@ def enumerate_nats(x: Presheaf, y: Presheaf, *, cap: int = ENUM_NODE_CAP) -> lis
     def rec(i: int):
         nonlocal nodes
         nodes += 1
-        if nodes > cap:
-            raise CapExceeded(f"hom-set enumeration exceeded {cap} nodes")
+        if nodes > ENUM_NODE_CAP:
+            raise CapExceeded(f"hom-set enumeration exceeded {ENUM_NODE_CAP} nodes")
         while i < len(cells) and assign[i] is not None:
             i += 1
         if i == len(cells):
@@ -493,7 +484,6 @@ def enumerate_nats(x: Presheaf, y: Presheaf, *, cap: int = ENUM_NODE_CAP) -> lis
                 assign[j] = None
 
     rec(0)
-    out.sort(key=lambda n: canon_key(n._canon_key()[2]))
     return out
 
 
@@ -541,7 +531,7 @@ def exp_lookup(element: tuple, obj: str, f: str, xv):
 
 
 @lru_cache(maxsize=CACHE_SIZE)
-def exponential(x: Presheaf, y: Presheaf, *, cap: int = ENUM_NODE_CAP) -> Presheaf:
+def exponential(x: Presheaf, y: Presheaf) -> Presheaf:
     """Y^X with stage A the natural transformations Hom(-,A) x X -> Y and
     restriction by precomposition of the representable slot.  Cached, up to
     CACHE_SIZE of them: the same exponentials recur throughout term
@@ -553,7 +543,7 @@ def exponential(x: Presheaf, y: Presheaf, *, cap: int = ENUM_NODE_CAP) -> Preshe
     for obj in cat.objects:
         hom_x = product_presheaf([representable(cat, obj), x])
         at[obj] = tuple(exp_element(cat, obj, x, lambda b, g, xv: n.apply(b, (g, xv)))
-                        for n in enumerate_nats(hom_x, y, cap=cap))
+                        for n in enumerate_nats(hom_x, y))
     # theta'(h: C -> dom(m), xv) = theta(m o h, xv).  Along an identity
     # that is theta itself, and `Presheaf` fills in identity tables with the
     # stage's own elements, so no element is built a second time.
@@ -564,17 +554,16 @@ def exponential(x: Presheaf, y: Presheaf, *, cap: int = ENUM_NODE_CAP) -> Preshe
     return Presheaf(cat, at, maps)
 
 
-def power_object(x: Presheaf, *, cap: int = ENUM_NODE_CAP) -> Presheaf:
-    return exponential(x, classifier_kit(x.base).omega, cap=cap)
+def power_object(x: Presheaf) -> Presheaf:
+    return exponential(x, classifier_kit(x.base).omega)
 
 
-def exp_transpose(f: NatTransform, z: Presheaf, x: Presheaf, y: Presheaf,
-                  *, cap: int = ENUM_NODE_CAP) -> NatTransform:
+def exp_transpose(f: NatTransform, z: Presheaf, x: Presheaf, y: Presheaf) -> NatTransform:
     """Hom(Z x X, Y) -> Hom(Z, Y^X).  `f` must go out of product(z, x)."""
     cat = z.base
     if f.source != product_presheaf([z, x]) or f.target != y:
         raise ShapeMismatch("arrow to transpose is not Z x X -> Y")
-    exp = exponential(x, y, cap=cap)
+    exp = exponential(x, y)
     comps = {}
     for obj in cat.objects:
         members = set(exp.stage(obj))
@@ -589,7 +578,6 @@ def exp_transpose(f: NatTransform, z: Presheaf, x: Presheaf, y: Presheaf,
     return NatTransform(z, exp, comps)
 
 
-def power_transpose(f: NatTransform, z: Presheaf, x: Presheaf,
-                    *, cap: int = ENUM_NODE_CAP) -> NatTransform:
+def power_transpose(f: NatTransform, z: Presheaf, x: Presheaf) -> NatTransform:
     """The name-forming bijection Hom(Z x X, Omega) -> Hom(Z, PX)."""
-    return exp_transpose(f, z, x, classifier_kit(z.base).omega, cap=cap)
+    return exp_transpose(f, z, x, classifier_kit(z.base).omega)

@@ -147,9 +147,6 @@ def build_project(document: Mapping) -> Project:
     project = Project()
     registry = _Registry()
 
-    def _register(table, name, value, pointer, kind):
-        registry.add(table, name, value, pointer, kind)
-
     for i, spec in enumerate(document.get("posets", ())):
         from .category import from_poset
         ptr = f"/posets/{i}"
@@ -157,7 +154,7 @@ def build_project(document: Mapping) -> Project:
             cat = from_poset(spec["elements"], [tuple(p) for p in spec.get("order", ())])
         except ToposlangError as exc:
             raise ProjectError(f"poset {spec['name']!r}: {exc}", ptr) from exc
-        _register(project.categories, spec["name"], cat, ptr, "category")
+        registry.add(project.categories, spec["name"], cat, ptr, "category")
 
     for i, spec in enumerate(document.get("categories", ())):
         from .category import FiniteCategory, Morphism
@@ -170,7 +167,7 @@ def build_project(document: Mapping) -> Project:
                 {(f, g): fg for f, g, fg in spec["composition"]})
         except ToposlangError as exc:
             raise ProjectError(f"category {spec['name']!r}: {exc}", ptr) from exc
-        _register(project.categories, spec["name"], cat, ptr, "category")
+        registry.add(project.categories, spec["name"], cat, ptr, "category")
 
     for i, spec in enumerate(document.get("presheaves", ())):
         from .presheaf import Presheaf, validate_presheaf
@@ -191,7 +188,7 @@ def build_project(document: Mapping) -> Project:
         if not bad.ok:
             raise ProjectError(
                 f"presheaf {spec['name']!r} violates functor laws: {bad.items[0]}", ptr)
-        _register(project.presheaves, spec["name"], x, ptr, "presheaf")
+        registry.add(project.presheaves, spec["name"], x, ptr, "presheaf")
 
     for i, spec in enumerate(document.get("algebras", ())):
         from .heyting import lower_set_algebra, open_set_algebra, powerset_algebra
@@ -219,7 +216,7 @@ def build_project(document: Mapping) -> Project:
             raise
         except (ToposlangError, KeyError) as exc:
             raise ProjectError(f"algebra {spec['name']!r}: {exc}", ptr) from exc
-        _register(project.algebras, spec["name"], alg, ptr, "algebra")
+        registry.add(project.algebras, spec["name"], alg, ptr, "algebra")
 
     for i, spec in enumerate(document.get("systems", ())):
         from .prop.semantics import ClassicalSystem
@@ -239,7 +236,7 @@ def build_project(document: Mapping) -> Project:
         except ToposlangError as exc:
             raise ProjectError(f"system {spec['name']!r}: {exc}",
                                f"{ptr}/quantities") from exc
-        _register(project.systems, spec["name"], system, ptr, "system")
+        registry.add(project.systems, spec["name"], system, ptr, "system")
 
     for i, spec in enumerate(document.get("signatures", ())):
         from .local.syntax import Signature, parse_type
@@ -250,7 +247,7 @@ def build_project(document: Mapping) -> Project:
             signature = Signature(symbols, tuple(spec.get("grounds", ())))
         except ToposlangError as exc:
             raise ProjectError(f"signature {spec['name']!r}: {exc}", ptr) from exc
-        _register(project.signatures, spec["name"], signature, ptr, "signature")
+        registry.add(project.signatures, spec["name"], signature, ptr, "signature")
 
     for i, spec in enumerate(document.get("axiom_packs", ())):
         from .local.axioms import AxiomPack, abelian_axiom_pack
@@ -265,7 +262,7 @@ def build_project(document: Mapping) -> Project:
             pack = AxiomPack(spec["name"], (), tuple(sequents))
         else:
             raise ProjectError("axiom pack needs either builtin or sequents", ptr)
-        _register(project.axiom_packs, spec["name"], pack, ptr, "axiom pack")
+        registry.add(project.axiom_packs, spec["name"], pack, ptr, "axiom pack")
 
     for i, spec in enumerate(document.get("representations", ())):
         from .rep import EffectiveClassicalRep
@@ -296,7 +293,7 @@ def build_project(document: Mapping) -> Project:
         if canonical != spec["text"]:
             project.notes.append({"kind": "normalized", "pointer": f"{ptr}/text",
                                   "name": spec["name"], "canonical": canonical})
-        _register(project.formulas, spec["name"], formula, ptr, "formula")
+        registry.add(project.formulas, spec["name"], formula, ptr, "formula")
 
     for i, spec in enumerate(document.get("terms", ())):
         from .local.syntax import parse_term, parse_type
@@ -311,9 +308,9 @@ def build_project(document: Mapping) -> Project:
             term = parse_term(spec["text"], signature)
         except ToposlangError as exc:
             raise ProjectError(f"term {spec['name']!r}: {exc}", f"{ptr}/text") from exc
-        _register(project.terms, spec["name"],
-                  LoadedTerm(spec["signature"], context, term, spec["text"]),
-                  ptr, "term")
+        registry.add(project.terms, spec["name"],
+                     LoadedTerm(spec["signature"], context, term, spec["text"]),
+                     ptr, "term")
 
     for i, spec in enumerate(document.get("proofs", ())):
         from .prop.proofs import Proof, ProofLine
@@ -328,7 +325,7 @@ def build_project(document: Mapping) -> Project:
                                    f"{ptr}/lines/{j}/formula") from exc
             lines.append(ProofLine(formula, line["rule"],
                                    tuple(line.get("refs", ())), line.get("schema")))
-        _register(project.proofs, spec["name"], Proof(tuple(lines)), ptr, "proof")
+        registry.add(project.proofs, spec["name"], Proof(tuple(lines)), ptr, "proof")
 
     return project
 

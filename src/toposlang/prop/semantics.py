@@ -12,12 +12,17 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Mapping, Sequence
+from typing import Mapping
 
 from ..errors import InputError, ToposlangError
 from ..heyting import DownsetAlgebra, powerset_algebra
 from ..intervals import IntervalSet
 from .syntax import And, Atom, Formula, Implies, Not, Or, Prim, leaves
+
+
+# `sample_interval_sets` pads each quantity's points, half-lines and brackets
+# with random intervals up to this many, besides the empty set and the line.
+SAMPLES_PER_QUANTITY = 12
 
 
 class SemanticsError(ToposlangError):
@@ -132,8 +137,8 @@ class OptionalAxiomReport:
         return not self.failures
 
 
-def sample_interval_sets(system: ClassicalSystem, *, seed: int = 0,
-                         per_quantity: int = 12) -> Mapping[str, list[IntervalSet]]:
+def sample_interval_sets(system: ClassicalSystem, *, seed: int = 0
+                         ) -> Mapping[str, list[IntervalSet]]:
     """Deterministic interval samples that straddle each quantity's attained
     values: brackets between consecutive values, half-lines, the empty set
     and the full line."""
@@ -148,7 +153,7 @@ def sample_interval_sets(system: ClassicalSystem, *, seed: int = 0,
             deltas.append(IntervalSet.interval(v, False, None, False))
         for lo, hi in zip(values, values[1:]):
             deltas.append(IntervalSet.interval(lo, True, hi, False))
-        while len(deltas) < per_quantity + 2:
+        while len(deltas) < SAMPLES_PER_QUANTITY + 2:
             lo = rng.choice(values) - Fraction(rng.randint(0, 3), rng.randint(1, 4))
             hi = lo + Fraction(rng.randint(0, 5), rng.randint(1, 3))
             deltas.append(IntervalSet.interval(lo, bool(rng.getrandbits(1)),
@@ -157,19 +162,15 @@ def sample_interval_sets(system: ClassicalSystem, *, seed: int = 0,
     return out
 
 
-def check_optional_axioms(system: ClassicalSystem, *, seed: int = 0,
-                          deltas: Mapping[str, Sequence[IntervalSet]] | None = None
-                          ) -> OptionalAxiomReport:
+def check_optional_axioms(system: ClassicalSystem, *, seed: int = 0) -> OptionalAxiomReport:
     """Verify that preimages turn interval intersection, union and complement
     into state-set intersection, union and complement, for sampled interval
     pairs over every quantity.  Classically none of these can fail; failures
     are report content for broken inputs, not exceptions."""
     rep = classical_rep(system)
-    if deltas is None:
-        deltas = sample_interval_sets(system, seed=seed)
     report = OptionalAxiomReport()
     everything = frozenset(system.states)
-    for name, ds in deltas.items():
+    for name, ds in sample_interval_sets(system, seed=seed).items():
         for d1 in ds:
             p1 = rep.preimage(name, d1)
             comp = everything - p1

@@ -31,7 +31,7 @@ from typing import Mapping, NamedTuple, Sequence
 
 from ._canon import canon_sorted
 from .category import FiniteCategory, one_object_category, principal_sieve
-from .errors import InputError, ToposlangError
+from .errors import ToposlangError
 from .intervals import IntervalSet
 from .local.axioms import Sequent
 from .local.check import desugar_connectives, free_vars, infer_type
@@ -382,12 +382,6 @@ class EffectiveClassicalRep:
                   for name in system.quantities}
         built = build_rep(signature, base, {"Sigma": states, "R": value_obj}, arrows)
         return EffectiveClassicalRep(system, built)
-
-    def indicator(self, symbol: str, state: str, delta: IntervalSet) -> int:
-        """Exact two-valued answer to 'the quantity's value lies in delta'."""
-        if state not in self.system.states:
-            raise InputError(f"unknown state {state!r}")
-        return 1 if delta.member(self.system.value(symbol, state)) else 0
 
     def delta_element(self, delta: IntervalSet):
         """The power-object element of the value stage deciding membership in

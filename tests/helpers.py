@@ -20,14 +20,13 @@ from toposlang.category import (
     one_object_category,
 )
 from toposlang.heyting import (
-    DEFAULT_CAP,
     BoundedLattice,
     InvalidOrder,
     NotALattice,
     UnknownElement,
 )
 from toposlang.presheaf import (
-    ENUM_NODE_CAP,
+    GlobalElement,
     NatTransform,
     Presheaf,
     ProductDiagram,
@@ -184,6 +183,28 @@ def brute_subobjects(x: Presheaf) -> list[Subobject]:
     return out
 
 
+def brute_global_elements(x: Presheaf) -> list[GlobalElement]:
+    """Every choice of one element per stage that passes the matching
+    check, in canonical key order."""
+    objs = list(x.base.objects)
+    out = []
+
+    def rec(i: int, choice: dict):
+        if i == len(objs):
+            g = GlobalElement(x, choice)
+            if not g.violations():
+                out.append(g)
+            return
+        for el in x.stage(objs[i]):
+            choice[objs[i]] = el
+            rec(i + 1, choice)
+        del choice[objs[i]]
+
+    rec(0, {})
+    out.sort(key=lambda g: canon_key(g.key()))
+    return out
+
+
 def brute_upsets(upset_of) -> list[frozenset]:
     """Up-sets of an order on range(n) given as up-set tuples, ordered by bitmask."""
     n = len(upset_of)
@@ -322,9 +343,8 @@ class HeytingAlgebra(BoundedLattice):
     Implication is tabulated at construction by definition, as the largest
     g with g & a <= b: the oracle the down-set kernel is tested against."""
 
-    def __init__(self, elements: Sequence, leq: Callable[[object, object], bool],
-                 *, cap: int = DEFAULT_CAP):
-        super().__init__(elements, leq, cap=cap)
+    def __init__(self, elements: Sequence, leq: Callable[[object, object], bool]):
+        super().__init__(elements, leq)
         n, down, up = len(self._elems), self._down, self._up
         self._implies = []
         for i in range(n):
@@ -442,12 +462,11 @@ def pair_into_product(diagram: ProductDiagram, arrows: Sequence[NatTransform]) -
     return NatTransform(z, diagram.presheaf, comps)
 
 
-def verify_product_universal(diagram: ProductDiagram, z: Presheaf,
-                             *, cap: int = ENUM_NODE_CAP) -> bool:
+def verify_product_universal(diagram: ProductDiagram, z: Presheaf) -> bool:
     """Exhaustion check of the universal property against a test object z."""
     factors = [p.target for p in diagram.projections]
-    homs = [enumerate_nats(z, f, cap=cap) for f in factors]
-    into_prod = enumerate_nats(z, diagram.presheaf, cap=cap)
+    homs = [enumerate_nats(z, f) for f in factors]
+    into_prod = enumerate_nats(z, diagram.presheaf)
     seen = set()
     for combo in itertools.product(*homs):
         h = pair_into_product(diagram, combo)
@@ -458,21 +477,20 @@ def verify_product_universal(diagram: ProductDiagram, z: Presheaf,
         {n._canon_key() for n in into_prod} == seen
 
 
-def evaluation(x: Presheaf, y: Presheaf, *, cap: int = ENUM_NODE_CAP) -> NatTransform:
+def evaluation(x: Presheaf, y: Presheaf) -> NatTransform:
     """ev: Y^X x X -> Y, (theta, x) at stage A = theta(id_A, x)."""
     cat = x.base
-    prod = product_presheaf([exponential(x, y, cap=cap), x])
+    prod = product_presheaf([exponential(x, y), x])
     comps = {obj: {(theta, xv): exp_lookup(theta, obj, cat.id_of(obj), xv)
                    for (theta, xv) in prod.stage(obj)}
              for obj in cat.objects}
     return NatTransform(prod, y, comps)
 
 
-def exp_untranspose(h: NatTransform, z: Presheaf, x: Presheaf, y: Presheaf,
-                    *, cap: int = ENUM_NODE_CAP) -> NatTransform:
+def exp_untranspose(h: NatTransform, z: Presheaf, x: Presheaf, y: Presheaf) -> NatTransform:
     """Hom(Z, Y^X) -> Hom(Z x X, Y)."""
     cat = z.base
-    exp = exponential(x, y, cap=cap)
+    exp = exponential(x, y)
     if h.source != z or h.target != exp:
         raise ShapeMismatch("arrow to untranspose is not Z -> Y^X")
     prod = product_presheaf([z, x])
@@ -482,16 +500,15 @@ def exp_untranspose(h: NatTransform, z: Presheaf, x: Presheaf, y: Presheaf,
     return NatTransform(prod, y, comps)
 
 
-def verify_exponential_adjunction(z: Presheaf, x: Presheaf, y: Presheaf,
-                                  *, cap: int = ENUM_NODE_CAP) -> bool:
+def verify_exponential_adjunction(z: Presheaf, x: Presheaf, y: Presheaf) -> bool:
     """Element-for-element bijection Hom(Z x X, Y) = Hom(Z, Y^X)."""
-    lhs = enumerate_nats(product_presheaf([z, x]), y, cap=cap)
-    exp = exponential(x, y, cap=cap)
-    rhs = enumerate_nats(z, exp, cap=cap)
+    lhs = enumerate_nats(product_presheaf([z, x]), y)
+    exp = exponential(x, y)
+    rhs = enumerate_nats(z, exp)
     image = set()
     for f in lhs:
-        h = exp_transpose(f, z, x, y, cap=cap)
-        if exp_untranspose(h, z, x, y, cap=cap) != f:
+        h = exp_transpose(f, z, x, y)
+        if exp_untranspose(h, z, x, y) != f:
             return False
         image.add(h._canon_key())
     if len(image) != len(lhs):
@@ -499,6 +516,6 @@ def verify_exponential_adjunction(z: Presheaf, x: Presheaf, y: Presheaf,
     if image != {h._canon_key() for h in rhs}:
         return False
     for h in rhs:
-        if exp_transpose(exp_untranspose(h, z, x, y, cap=cap), z, x, y, cap=cap) != h:
+        if exp_transpose(exp_untranspose(h, z, x, y), z, x, y) != h:
             return False
     return True

@@ -1,6 +1,7 @@
 import pytest
 from helpers import brute_sieves, sieve_implies, sieve_negate
 
+from toposlang import category
 from toposlang.category import (
     CategoryError,
     FiniteCategory,
@@ -104,11 +105,13 @@ def test_sieves_on_one_object_category():
     assert [s.members for s in got] == [fs(), fs("id[pt]")]
 
 
-def test_sieve_enumeration_cap():
+def test_sieve_enumeration_cap(monkeypatch):
     # the cap counts sieves: CHAIN3 has exactly 4 on its top
-    assert len(sieves_on(CHAIN3, "c", cap=4)) == 4
+    monkeypatch.setattr(category, "SIEVE_ENUM_CAP", 4)
+    assert len(sieves_on(CHAIN3, "c")) == 4
+    monkeypatch.setattr(category, "SIEVE_ENUM_CAP", 3)
     with pytest.raises(CapExceeded, match="more than 3 sieves on 'c'"):
-        sieves_on(CHAIN3, "c", cap=3)
+        sieves_on(CHAIN3, "c")
 
 
 def test_principal_sieves():

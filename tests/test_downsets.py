@@ -32,7 +32,7 @@ from helpers import (
     transitive_closure,
 )
 
-from toposlang import _canon
+from toposlang import _canon, heyting
 from toposlang._canon import canon_sorted
 from toposlang.category import (
     FiniteCategory,
@@ -375,12 +375,15 @@ def test_thirteen_point_chain_declares_its_fourteen_element_algebras():
     assert len(lower) == len(sieves) == 14
 
 
-def test_cap_counts_the_downsets_it_enumerates():
-    assert len(powerset_algebra(range(3), cap=8)) == 8
+def test_cap_counts_the_downsets_it_enumerates(monkeypatch):
+    monkeypatch.setattr(heyting, "DEFAULT_CAP", 8)
+    assert len(powerset_algebra(range(3))) == 8
+    monkeypatch.setattr(heyting, "DEFAULT_CAP", 7)
     with pytest.raises(CapExceeded, match=r"more than 7 subsets of 3 points \(cap 7\)"):
-        powerset_algebra(range(3), cap=7)
+        powerset_algebra(range(3))
+    monkeypatch.setattr(heyting, "DEFAULT_CAP", 2)
     with pytest.raises(CapExceeded, match="more than 2 lower sets of 2 points"):
-        lower_set_algebra(["a", "b"], [], cap=2)
+        lower_set_algebra(["a", "b"], [])
     assert sorted(iter_downsets([1, 3, 7], cap=4)) == [0, 1, 3, 7]
     with pytest.raises(CapExceeded):
         list(iter_downsets([1, 3, 7], cap=3))

@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 from helpers import HeytingAlgebra, check_heyting_laws
 
+from toposlang import heyting
 from toposlang.category import from_poset, sieve_heyting
 from toposlang.errors import CapExceeded
 from toposlang.heyting import (
@@ -142,9 +143,10 @@ def test_build_algebra_rejects_bad_topology():
         open_set_algebra([fs(1), fs(1, 2)])  # no empty set
 
 
-def test_build_algebra_respects_cap():
+def test_build_algebra_respects_cap(monkeypatch):
+    monkeypatch.setattr(heyting, "DEFAULT_CAP", 4096)
     with pytest.raises(CapExceeded):
-        powerset_algebra(range(13), cap=4096)
+        powerset_algebra(range(13))
 
 
 def test_cycle_detected_in_order():

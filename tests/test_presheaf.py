@@ -1,4 +1,8 @@
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from helpers import (
@@ -8,6 +12,8 @@ from helpers import (
     PT,
     TWO,
     HeytingAlgebra,
+    brute_global_elements,
+    budget,
     check_heyting_laws,
     compose_nats,
     evaluation,
@@ -20,9 +26,9 @@ from helpers import (
     verify_product_universal,
 )
 
-from toposlang import _canon
+from toposlang import _canon, presheaf
 from toposlang._canon import KEY_CACHE_LIMIT, canon_key
-from toposlang.category import one_object_category, principal_sieve
+from toposlang.category import from_poset, one_object_category, principal_sieve
 from toposlang.errors import CapExceeded
 from toposlang.presheaf import (
     CACHE_SIZE,
@@ -386,6 +392,50 @@ def test_global_elements_counting():
     assert [g.choice["pt"] for g in global_elements(x)] == ["a", "b", "c"]
 
 
+def test_global_elements_match_the_brute_force_product_scan():
+    pool = presheaf_fixture_pool() + [classifier_kit(b).omega for b in ALL_BASES]
+    assert any(x.base == MONOID for x in pool)
+    for x in pool:
+        assert global_elements(x) == brute_global_elements(x)
+
+
+def test_global_elements_past_the_node_cap_are_refused_in_time(monkeypatch):
+    # 8^8 matching families on a discrete base: the hom search stops at the cap
+    objs = [f"o{i}" for i in range(8)]
+    x = Presheaf(from_poset(objs, []), {o: tuple(range(8)) for o in objs}, {})
+    monkeypatch.setattr(presheaf, "ENUM_NODE_CAP", 1000)
+    with budget("8^8 global elements refused at a 1000-node cap", 1.0):
+        with pytest.raises(CapExceeded, match="exceeded 1000 nodes"):
+            global_elements(x)
+
+
+HOM_ORDER_SCRIPT = """
+from toposlang.category import from_poset
+from toposlang.presheaf import Presheaf, classifier_kit, enumerate_nats
+two = from_poset(["p", "q"], [("p", "q")])
+x = Presheaf(two, {"q": ("x0", "x1", "x2"), "p": ("y0", "y1")},
+             {"le[p,q]": {"x0": "y0", "x1": "y0", "x2": "y1"}})
+omega = classifier_kit(two).omega
+for n in enumerate_nats(x, omega):
+    print([omega.stage(o).index(n.apply(o, e)) for o in two.objects for e in x.stage(o)])
+"""
+
+
+def test_hom_set_order_is_the_same_under_three_hash_seeds():
+    # enumerate_nats emits its search order unsorted; the order must come
+    # from object and stage order alone, never from set iteration
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    runs = []
+    for seed in ("1", "2", "3"):
+        env = dict(os.environ, PYTHONHASHSEED=seed)
+        env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+        proc = subprocess.run([sys.executable, "-c", HOM_ORDER_SCRIPT], capture_output=True,
+                              text=True, env=env, timeout=120, check=True)
+        runs.append(proc.stdout)
+    assert len(runs[0].splitlines()) > 1
+    assert runs[0] == runs[1] == runs[2]
+
+
 def test_global_elements_of_omega_form_heyting_algebra_pointwise():
     kit = classifier_kit(TWO)
     gs = global_elements(kit.omega)
@@ -408,12 +458,14 @@ def test_global_elements_of_omega_form_heyting_algebra_pointwise():
                        for o in TWO.objects)
 
 
-def test_enumeration_caps_are_enforced():
+def test_enumeration_caps_are_enforced(monkeypatch):
     big = set_presheaf(list(range(9)))
+    monkeypatch.setattr(presheaf, "ENUM_NODE_CAP", 10)
     with pytest.raises(CapExceeded):
-        enumerate_nats(big, big, cap=10)
+        enumerate_nats(big, big)
+    monkeypatch.setattr(presheaf, "SUB_ENUM_CAP", 8)
     with pytest.raises(CapExceeded):
-        enumerate_subobjects(big, cap=8)
+        enumerate_subobjects(big)
 
 
 def test_initial_object_and_coproduct_stretch():

@@ -198,21 +198,6 @@ def test_conjunction_interprets_as_pointwise_meet():
     assert len(omega.stage(POINT)) == 2
 
 
-def test_classical_indicator_matches_truth_value():
-    eff = EffectiveClassicalRep.build(FIXTURE)
-    assert eff.indicator("A", "s2", iv(2, True, 5, True)) == 1
-    assert eff.indicator("A", "s1", IntervalSet.empty()) == 0
-    grid = [iv(2, True, 5, True), iv(0, False, 1, False), IntervalSet.full(),
-            IntervalSet.empty(), iv(None, False, 2, False)]
-    for name in ("A", "x", "p", "H"):
-        for delta in grid:
-            formula = parse_formula(f"{name} in {delta}") if not delta.is_empty \
-                else parse_formula(f"{name} in empty")
-            for state in FIXTURE.states:
-                assert eff.indicator(name, state, delta) == \
-                    truth_value(formula, state, FIXTURE)
-
-
 def test_prop_family_computes_preimages():
     eff = EffectiveClassicalRep.build(SMALL)
     rep_cl = classical_rep(SMALL)
