@@ -1,16 +1,33 @@
 """Decision procedure for intuitionistic propositional validity.
 
-Provability is decided by contraction-free backward proof search in the
-usual terminating sequent presentation: the invertible rules are applied to
-saturation, then the search branches on the right-disjunction choice and on
-nested-implication antecedents.  Negation is treated as implication into an
-absurdity constant.  Invalid formulas additionally get a finite Kripke
-countermodel, found by a smallest-first search over labeled posets of at most
-`max_worlds` worlds.  The search evaluates each candidate valuation on
-bitmasks of worlds and builds a `KripkeModel` only for the first failure;
-`decide` then confirms it with the model's own forcing evaluator, so a
-verdict is never wrong: if the certificate search exhausts its cap, the
-caller gets a SearchCapExceeded instead of an unconfirmed answer.
+Provability is decided by contraction-free backward proof search (G4ip,
+Dyckhoff 1992): the invertible rules are applied to saturation, then the
+search branches on the right-disjunction choice and on nested-implication
+antecedents.  Negation is treated as implication into an absurdity constant.
+
+Each search interns its formulas into a table of dense ints, one per
+distinct node `(op, left, right)`, so a context is a frozenset of ints, a
+node's parts are list lookups, and the search order depends on no hash seed.
+The formulas the saturation rules build are interned the same way.
+
+Intuitionistic provability implies classical validity, so a premise that
+some classical valuation refutes (its context true, its goal false) cannot
+be proved and is skipped.  The check runs only at the non-invertible
+choices, the two right-disjunction premises and both premises of the
+nested-implication rule: the invertible rules preserve classical validity,
+so a check there would refute nothing new.  Each node's truth table is a
+bitmask over the valuations of at most `PRUNE_ATOMS` atoms, built when the
+search first reaches a choice.  Past that many atoms, atom i takes column
+i mod `PRUNE_ATOMS`: each column is still a classical valuation, so the
+prune stays sound and only refutes less.
+
+Invalid formulas additionally get a finite Kripke countermodel, found by a
+smallest-first search over labeled posets of at most `max_worlds` worlds.
+The search evaluates each candidate valuation on bitmasks of worlds and
+builds a `KripkeModel` only for the first failure; `decide` then confirms it
+with the model's own forcing evaluator, so a verdict is never wrong: if the
+certificate search exhausts its cap, the caller gets a SearchCapExceeded
+instead of an unconfirmed answer.
 """
 from __future__ import annotations
 
@@ -20,43 +37,114 @@ from functools import lru_cache
 from typing import Optional
 
 from ..errors import CapExceeded
-from ..heyting import iter_downsets, preorder_closure
+from ..heyting import iter_downsets
 from .kripke import KripkeModel
 from .syntax import And, Atom, Formula, Implies, Not, Or, Prim, leaf_key, leaves
 
-BOT = ("bot",)
+# Truth tables cover at most 2^12 = 4096 valuations.
+PRUNE_ATOMS = 12
+
+_ATOM, _BOT, _AND, _OR, _IMP, _NOT = range(6)  # node kinds; _NOT only in `_compile`
+BOT = 0  # the absurdity node, first in every table
 
 
 class SearchCapExceeded(CapExceeded):
     """No countermodel within the world bound: the verdict is withheld."""
 
 
-def _translate(formula: Formula):
-    """Internal tuple form with negation as implication into absurdity."""
-    if isinstance(formula, (Prim, Atom)):
-        return ("atom", leaf_key(formula))
-    if isinstance(formula, Not):
-        return ("imp", _translate(formula.operand), BOT)
-    if isinstance(formula, And):
-        return ("and", _translate(formula.left), _translate(formula.right))
-    if isinstance(formula, Or):
-        return ("or", _translate(formula.left), _translate(formula.right))
-    if isinstance(formula, Implies):
-        return ("imp", _translate(formula.left), _translate(formula.right))
-    raise TypeError(f"not a formula node: {formula!r}")
+class _Table:
+    """One search's interned formulas and memo.  Node i is `(op[i], left[i],
+    right[i])`, its parts interned before it; an atom's left part is its
+    number in order of first appearance.  `masks` holds the truth tables of
+    the first len(masks) nodes, over `full`'s valuations."""
+
+    def __init__(self):
+        self.op, self.left, self.right = [_BOT], [0], [0]
+        self.ids = {(_BOT, 0, 0): BOT}
+        self.atoms: dict = {}
+        self.masks: list = []
+        self.full = 0
+        self.memo: dict = {}
+
+    def node(self, op: int, left: int, right: int = 0) -> int:
+        key = (op, left, right)
+        i = self.ids.get(key)
+        if i is None:
+            i = self.ids[key] = len(self.op)
+            self.op.append(op)
+            self.left.append(left)
+            self.right.append(right)
+        return i
+
+    def mask(self, i: int) -> int:
+        """The truth table of node i: bit v is its value under valuation v."""
+        masks = self.masks
+        if i >= len(masks):
+            op, left, right, full = self.op, self.left, self.right, self.full
+            for j in range(len(masks), i + 1):
+                o = op[j]
+                if o == _ATOM:
+                    width = 1 << left[j] % PRUNE_ATOMS
+                    m = full // ((1 << 2 * width) - 1) * (((1 << width) - 1) << width)
+                elif o == _BOT:
+                    m = 0
+                elif o == _AND:
+                    m = masks[left[j]] & masks[right[j]]
+                elif o == _OR:
+                    m = masks[left[j]] | masks[right[j]]
+                else:
+                    m = full ^ (masks[left[j]] & ~masks[right[j]])
+                masks.append(m)
+        return masks[i]
+
+    def conj(self, gamma) -> int:
+        """The truth table of the conjunction of the nodes in gamma."""
+        m = self.full
+        for f in gamma:
+            m &= self.mask(f)
+        return m
 
 
-def _provable(gamma: frozenset, goal, memo: dict) -> bool:
+def _translate(formula: Formula, t: _Table) -> int:
+    """The formula's node in t, with negation as implication into absurdity;
+    atoms are numbered as they are first met."""
+    node, atoms = t.node, t.atoms
+
+    def walk(f) -> int:
+        if isinstance(f, Atom):
+            return node(_ATOM, atoms.setdefault(f.name, len(atoms)))
+        if isinstance(f, Implies):
+            return node(_IMP, walk(f.left), walk(f.right))
+        if isinstance(f, Or):
+            return node(_OR, walk(f.left), walk(f.right))
+        if isinstance(f, And):
+            return node(_AND, walk(f.left), walk(f.right))
+        if isinstance(f, Not):
+            return node(_IMP, walk(f.operand), BOT)
+        if isinstance(f, Prim):
+            return node(_ATOM, atoms.setdefault(leaf_key(f), len(atoms)))
+        raise TypeError(f"not a formula node: {f!r}")
+
+    return walk(formula)
+
+
+def _classical(t: _Table, context: int, goal: int) -> bool:
+    """Whether every valuation in the context's truth table makes goal true."""
+    return not context & ~t.mask(goal)
+
+
+def _provable(gamma: frozenset, goal: int, t: _Table) -> bool:
     key = (gamma, goal)
-    got = memo.get(key)
+    got = t.memo.get(key)
     if got is not None:
         return got
-    result = _search(gamma, goal, memo)
-    memo[key] = result
+    result = _search(gamma, goal, t)
+    t.memo[key] = result
     return result
 
 
-def _search(gamma: frozenset, goal, memo: dict) -> bool:
+def _search(gamma: frozenset, goal: int, t: _Table) -> bool:
+    op, left, right = t.op, t.left, t.right
     # saturate the invertible left rules
     changed = True
     while changed:
@@ -64,89 +152,115 @@ def _search(gamma: frozenset, goal, memo: dict) -> bool:
         if BOT in gamma or goal in gamma:
             return True
         for f in gamma:
-            head = f[0]
-            if head == "and":
-                gamma = gamma - {f} | {f[1], f[2]}
+            head = op[f]
+            if head == _AND:
+                gamma = gamma - {f} | {left[f], right[f]}
                 changed = True
                 break
-            if head == "imp":
-                ante = f[1]
+            if head == _IMP:
+                ante, c = left[f], right[f]
                 if ante == BOT:
                     gamma = gamma - {f}
                     changed = True
                     break
-                if ante[0] == "and":
-                    gamma = gamma - {f} | {("imp", ante[1], ("imp", ante[2], f[2]))}
+                kind = op[ante]
+                if kind == _AND:
+                    gamma = gamma - {f} | {t.node(_IMP, left[ante], t.node(_IMP, right[ante], c))}
                     changed = True
                     break
-                if ante[0] == "or":
-                    gamma = gamma - {f} | {("imp", ante[1], f[2]),
-                                           ("imp", ante[2], f[2])}
+                if kind == _OR:
+                    gamma = gamma - {f} | {t.node(_IMP, left[ante], c),
+                                           t.node(_IMP, right[ante], c)}
                     changed = True
                     break
-                if ante[0] == "atom" and ante in gamma:
-                    gamma = gamma - {f} | {f[2]}
+                if kind == _ATOM and ante in gamma:
+                    gamma = gamma - {f} | {c}
                     changed = True
                     break
     # invertible right rules
-    if goal[0] == "imp":
-        return _provable(gamma | {goal[1]}, goal[2], memo)
-    if goal[0] == "and":
-        return _provable(gamma, goal[1], memo) and _provable(gamma, goal[2], memo)
+    head = op[goal]
+    if head == _IMP:
+        return _provable(gamma | {left[goal]}, right[goal], t)
+    if head == _AND:
+        return _provable(gamma, left[goal], t) and _provable(gamma, right[goal], t)
     # branching: left disjunction splits both premises
     for f in gamma:
-        if f[0] == "or":
+        if op[f] == _OR:
             rest = gamma - {f}
-            return _provable(rest | {f[1]}, goal, memo) and \
-                _provable(rest | {f[2]}, goal, memo)
-    # non-invertible choices
-    if goal[0] == "or":
-        if _provable(gamma, goal[1], memo) or _provable(gamma, goal[2], memo):
-            return True
+            return _provable(rest | {left[f]}, goal, t) and \
+                _provable(rest | {right[f]}, goal, t)
+    # non-invertible choices, each premise first checked on truth tables
+    if head == _OR:
+        context = t.conj(gamma)
+        for choice in (left[goal], right[goal]):
+            if _classical(t, context, choice) and _provable(gamma, choice, t):
+                return True
     for f in gamma:
-        if f[0] == "imp" and f[1][0] == "imp":
-            inner, c = f[1], f[2]
+        inner = left[f]
+        if op[f] == _IMP and op[inner] == _IMP:
+            c = right[f]
             rest = gamma - {f}
-            if _provable(rest | {("imp", inner[2], c)}, inner, memo) and \
-                    _provable(rest | {c}, goal, memo):
+            context = t.conj(rest)
+            side = t.node(_IMP, right[inner], c)
+            if _classical(t, context & t.mask(side), inner) and \
+                    _classical(t, context & t.mask(c), goal) and \
+                    _provable(rest | {side}, inner, t) and _provable(rest | {c}, goal, t):
                 return True
     return False
 
 
 def is_provable(formula: Formula) -> bool:
-    return _provable(frozenset(), _translate(formula), {})
+    t = _Table()
+    root = _translate(formula, t)
+    t.full = (1 << (1 << min(len(t.atoms), PRUNE_ATOMS))) - 1
+    return _provable(frozenset(), root, t)
 
 
 # -- countermodel search -------------------------------------------------------
 
-# The scan in `_posets` tries 2^(n(n-1)) relations: 2^20 at 5 worlds takes
-# seconds, 2^30 at 6 would take hours.
+# Countermodels are searched on at most 5 worlds: 6 worlds carry 130,023
+# labelled orders, and the candidate valuations on them run to millions for
+# a few atoms, with no cap on that count.
 MAX_SCAN_WORLDS = 5
 
 
 @lru_cache(maxsize=None)
 def _posets(n: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
-    """All reflexive-transitive-antisymmetric orders on n labeled points,
-    each given as a tuple of up-set tuples.  Raises CapExceeded before
-    scanning when n is past MAX_SCAN_WORLDS."""
-    pairs = [(i, j) for i in range(n) for j in range(n) if i != j]
+    """All reflexive-transitive-antisymmetric orders on n labeled points, each
+    given as a tuple of up-set tuples, ordered by the bitmask of their pairs
+    (i, j), i != j, taken in row-major order.  Raises CapExceeded before
+    building when n is past MAX_SCAN_WORLDS.
+
+    Each order extends one on the points below n-1 by the point n-1: its
+    strict up-set U is an up-set of the smaller order, and its strict
+    down-set is a down-set disjoint from U whose points are all below all
+    of U.  Every order on n points arises once this way."""
     if n > MAX_SCAN_WORLDS:
         raise CapExceeded(
-            f"countermodel search over {n} worlds would scan 2^{len(pairs)} = "
-            f"{1 << len(pairs)} relations; the scan stops at {MAX_SCAN_WORLDS} "
-            f"worlds, so lower --max-worlds to {MAX_SCAN_WORLDS}")
-    out = []
-    for mask in range(1 << len(pairs)):
-        up = [1 << i for i in range(n)]
-        for k, (i, j) in enumerate(pairs):
-            if mask >> k & 1:
-                up[i] |= 1 << j
-        if any(up[i] >> j & 1 and up[j] >> i & 1 for i, j in pairs):  # antisymmetry
-            continue
-        if preorder_closure(up) == up:
-            out.append(tuple(tuple(j for j in range(n) if up[i] >> j & 1)
-                             for i in range(n)))
-    return tuple(out)
+            f"countermodel search over {n} worlds is past the limit of "
+            f"{MAX_SCAN_WORLDS} worlds; lower --max-worlds to {MAX_SCAN_WORLDS}")
+    if n == 0:
+        return ((),)
+    new = n - 1
+    orders = []
+    for upset_of in _posets(new):
+        up = [sum(1 << j for j in ups) for ups in upset_of]
+        down = [sum(1 << i for i in range(new) if up[i] >> j & 1) for j in range(new)]
+        downsets = list(iter_downsets(down))
+        for above in iter_downsets(up):
+            room = sum(1 << x for x in range(new) if not above & ~up[x]) & ~above
+            for below in downsets:
+                if not below & ~room:
+                    orders.append([u | 1 << new if below >> x & 1 else u
+                                   for x, u in enumerate(up)] + [above | 1 << new])
+
+    def pair_mask(up: list) -> int:
+        return sum(1 << i * new + j - (j > i)
+                   for i in range(n) for j in range(n) if j != i and up[i] >> j & 1)
+
+    orders.sort(key=pair_mask)
+    return tuple(tuple(tuple(j for j in range(n) if up[i] >> j & 1) for i in range(n))
+                 for up in orders)
 
 
 @lru_cache(maxsize=None)
@@ -163,9 +277,6 @@ def _frames(n: int) -> tuple[tuple, ...]:
                     for m in range(1 << n))
         out.append((upset_of, masks, box))
     return tuple(out)
-
-
-_AND, _OR, _IMP, _NOT = range(4)
 
 
 def _compile(formula: Formula, keys: list) -> tuple[list, int]:

@@ -1,12 +1,15 @@
 """Shared fixtures: small base categories, deterministic presheaf generators,
 brute-force enumeration oracles, the quantified sieve and sub-object
-implications, the string-keyed Kripke countermodel search, the wall-clock
+implications, the string-keyed Kripke countermodel search, the tuple-form
+G4ip prover without pruning, the `decide` benchmark corpus, the wall-clock
 budget, and the oracles no library code calls: the tabulating Heyting
 algebra, the exhaustive law checker, and the universal-property checks of
 products and exponentials."""
 import itertools
 import random
+import sys
 import time
+from pathlib import Path
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -40,7 +43,7 @@ from toposlang.presheaf import (
 )
 from toposlang.prop.decide import _posets
 from toposlang.prop.kripke import KripkeModel
-from toposlang.prop.syntax import leaf_key, leaves
+from toposlang.prop.syntax import And, Atom, Formula, Implies, Not, Or, Prim, leaf_key, leaves
 
 PT = one_object_category()
 TWO = from_poset(["p", "q"], [("p", "q")])
@@ -260,6 +263,112 @@ def brute_countermodel(formula, *, max_worlds: int = 4):
                 if bad is not None:
                     return model, bad
     return None
+
+
+# -- the tuple-form G4ip prover: the oracle of the interned, pruned search ------
+
+BOT = ("bot",)
+
+
+def _translate(formula: Formula):
+    """Internal tuple form with negation as implication into absurdity."""
+    if isinstance(formula, (Prim, Atom)):
+        return ("atom", leaf_key(formula))
+    if isinstance(formula, Not):
+        return ("imp", _translate(formula.operand), BOT)
+    if isinstance(formula, And):
+        return ("and", _translate(formula.left), _translate(formula.right))
+    if isinstance(formula, Or):
+        return ("or", _translate(formula.left), _translate(formula.right))
+    if isinstance(formula, Implies):
+        return ("imp", _translate(formula.left), _translate(formula.right))
+    raise TypeError(f"not a formula node: {formula!r}")
+
+
+def _provable(gamma: frozenset, goal, memo: dict) -> bool:
+    key = (gamma, goal)
+    got = memo.get(key)
+    if got is not None:
+        return got
+    result = _search(gamma, goal, memo)
+    memo[key] = result
+    return result
+
+
+def _search(gamma: frozenset, goal, memo: dict) -> bool:
+    # saturate the invertible left rules
+    changed = True
+    while changed:
+        changed = False
+        if BOT in gamma or goal in gamma:
+            return True
+        for f in gamma:
+            head = f[0]
+            if head == "and":
+                gamma = gamma - {f} | {f[1], f[2]}
+                changed = True
+                break
+            if head == "imp":
+                ante = f[1]
+                if ante == BOT:
+                    gamma = gamma - {f}
+                    changed = True
+                    break
+                if ante[0] == "and":
+                    gamma = gamma - {f} | {("imp", ante[1], ("imp", ante[2], f[2]))}
+                    changed = True
+                    break
+                if ante[0] == "or":
+                    gamma = gamma - {f} | {("imp", ante[1], f[2]),
+                                           ("imp", ante[2], f[2])}
+                    changed = True
+                    break
+                if ante[0] == "atom" and ante in gamma:
+                    gamma = gamma - {f} | {f[2]}
+                    changed = True
+                    break
+    # invertible right rules
+    if goal[0] == "imp":
+        return _provable(gamma | {goal[1]}, goal[2], memo)
+    if goal[0] == "and":
+        return _provable(gamma, goal[1], memo) and _provable(gamma, goal[2], memo)
+    # branching: left disjunction splits both premises
+    for f in gamma:
+        if f[0] == "or":
+            rest = gamma - {f}
+            return _provable(rest | {f[1]}, goal, memo) and \
+                _provable(rest | {f[2]}, goal, memo)
+    # non-invertible choices
+    if goal[0] == "or":
+        if _provable(gamma, goal[1], memo) or _provable(gamma, goal[2], memo):
+            return True
+    for f in gamma:
+        if f[0] == "imp" and f[1][0] == "imp":
+            inner, c = f[1], f[2]
+            rest = gamma - {f}
+            if _provable(rest | {("imp", inner[2], c)}, inner, memo) and \
+                    _provable(rest | {c}, goal, memo):
+                return True
+    return False
+
+
+def reference_is_provable(formula: Formula) -> bool:
+    """G4ip on tuple-form formulas, every premise searched: the prover that
+    `decide.is_provable` replaced, kept verbatim as its oracle."""
+    return _provable(frozenset(), _translate(formula), {})
+
+
+def decide_corpus(seed: int, r: int) -> list:
+    """Formula texts of round r of the `decide` benchmark workload, drawn from
+    the benchmark's own generator in `perfbench/`."""
+    perfbench = str(Path(__file__).resolve().parent.parent / "perfbench")
+    sys.path.insert(0, perfbench)
+    try:
+        import gen
+        import wl_decide
+    finally:
+        sys.path.remove(perfbench)
+    return [gen.text(item.formula) for item in wl_decide.corpus(seed, r)]
 
 
 def transitive_closure(elements, pairs) -> dict:

@@ -325,7 +325,8 @@ def test_kripke_upsets_match_subset_filter():
 def test_posets_match_pairwise_transitivity_scan():
     for n in range(1, 5):
         assert list(_posets(n)) == list(brute_posets(n))
-    assert [len(_posets(n)) for n in range(1, 5)] == [1, 3, 19, 219]
+    # OEIS A001035: labelled posets on n points
+    assert [len(_posets(n)) for n in range(1, 6)] == [1, 3, 19, 219, 4231]
 
 
 # -- output sensitivity: cost follows the down-sets, not the 2^n subsets ------

@@ -1,12 +1,17 @@
+import os
 import random
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
-from helpers import brute_countermodel
+from helpers import brute_countermodel, decide_corpus, reference_is_provable
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from toposlang.errors import CapExceeded, InputError
+import toposlang.prop.decide as decide_module
 from toposlang.prop.decide import (
     Decision,
     SearchCapExceeded,
@@ -112,7 +117,7 @@ def test_cap_exceeded_is_reported_never_guessed():
 
 def test_poset_scan_past_five_worlds_is_refused_before_it_starts():
     start = time.perf_counter()
-    with pytest.raises(CapExceeded, match=r"over 6 worlds would scan 2\^30 = 1073741824 relations"):
+    with pytest.raises(CapExceeded, match=r"over 6 worlds is past the limit of 5 worlds; lower --max-worlds to 5"):
         _posets(6)
     assert time.perf_counter() - start < 0.5
 
@@ -258,3 +263,82 @@ def test_known_countermodels_match_the_forcing_oracle(formula, worlds):
     found = find_countermodel(formula, max_worlds=4)
     assert len(found[0].worlds) == worlds
     assert _found(found) == _found(brute_countermodel(formula, max_worlds=4))
+
+
+# -- the interned, pruned G4ip search against the tuple-form prover -------------
+
+def _random_formula(rng, atoms, depth):
+    if depth == 0 or rng.random() < 0.3:
+        return rng.choice(atoms)
+    k = rng.randrange(4)
+    if k == 0:
+        return Not(_random_formula(rng, atoms, depth - 1))
+    return [And, Or, Implies][k - 1](_random_formula(rng, atoms, depth - 1),
+                                      _random_formula(rng, atoms, depth - 1))
+
+
+def _wide(text):
+    """The formula over a13, a14 and a3 instead of a, b and c, or'ed with the
+    conjunction of a1..a12: 14 atoms, so the truth tables wrap atoms 13 and
+    14 onto the columns of a1 and a2, and every verdict stays the same."""
+    named = text.replace("a", "a13").replace("b", "a14").replace("c", "a3")
+    return f"({named}) | ({' & '.join(f'a{i}' for i in range(1, 13))})"
+
+
+def test_pruned_search_matches_reference():
+    texts = [text for seed in (101, 102, 103) for text in decide_corpus(seed, 0)]
+    texts += [_wide(text) for text in VALID + INVALID]
+    formulas = [parse_formula(text) for text in texts]
+    rng = random.Random(2024)
+    atoms = [Atom(x) for x in "abcd"]
+    formulas += [_random_formula(rng, atoms[:1 + i % 4], 4) for i in range(2000)]
+    verdicts = [is_provable(f) for f in formulas]
+    assert verdicts == [reference_is_provable(f) for f in formulas]
+    wide = verdicts[3 * 81:3 * 81 + len(VALID) + len(INVALID)]
+    assert wide == [True] * len(VALID) + [False] * len(INVALID)
+
+
+# The S-axiom instance of the `decide` benchmark workload on which the search
+# without truth tables visits tens of thousands of sequents.
+STRESS = ("(((((b | b) -> (c | c)) | (~c | (a -> b))) -> (((c -> ~b) -> ((c | b) -> (a | b)))"
+          " -> ((c | (a -> c)) | ((a | b) | (b -> c))))) -> (((((b | b) -> (c | c)) | (~c | (a -> b)))"
+          " -> ((c -> ~b) -> ((c | b) -> (a | b)))) -> ((((b | b) -> (c | c)) | (~c | (a -> b)))"
+          " -> ((c | (a -> c)) | ((a | b) | (b -> c))))))")
+
+COUNT_SCRIPT = """
+import sys
+import toposlang.prop.decide as decide
+from toposlang.prop.syntax import parse_formula
+calls = 0
+search = decide._provable
+def counted(*args):
+    global calls
+    calls += 1
+    return search(*args)
+decide._provable = counted
+assert decide.is_provable(parse_formula(sys.argv[1]))
+print(calls)
+"""
+
+
+def test_stress_instance_search_is_small_and_free_of_hash_seeds(monkeypatch):
+    calls = 0
+    search = decide_module._provable
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return search(*args)
+
+    monkeypatch.setattr(decide_module, "_provable", counted)
+    assert is_provable(parse_formula(STRESS))
+    assert 0 < calls <= 1000
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    counts = []
+    for seed in ("1", "2", "3"):
+        env = dict(os.environ, PYTHONHASHSEED=seed)
+        env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+        proc = subprocess.run([sys.executable, "-c", COUNT_SCRIPT, STRESS], capture_output=True,
+                              text=True, env=env, timeout=120, check=True)
+        counts.append(int(proc.stdout))
+    assert counts == [calls] * 3
