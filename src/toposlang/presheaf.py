@@ -7,10 +7,13 @@ characteristic morphisms and their inverses, the Heyting algebra of
 sub-objects, products, exponentials via representables, power objects,
 exponential and power transposes, and global-element enumeration.
 
-Stage elements are arbitrary hashables.  Sub-objects and global elements
-come in canonical order (see _canon); hom-sets come in the order of their
-backtracking search, which follows object, stage and morphism order and not
-the hash seed, so repeated runs are byte-identical.  The one-object
+Stage elements are arbitrary hashables.  A constructed presheaf's stages
+are canonical: distinct elements in canon_key order (see _canon).  Products
+are built in that order without a sort, and presheaves and natural
+transformations compare by their stage and component tables.  Sub-objects
+and global elements come in canonical order; hom-sets come in the order of
+their backtracking search, which follows object, stage and morphism order
+and not the hash seed, so repeated runs are byte-identical.  The one-object
 category gives the plain category of sets, where the classifier degenerates
 to the two truth values.
 
@@ -24,6 +27,7 @@ through these two and never take an element apart themselves.
 """
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Iterable, Mapping, Sequence
@@ -51,15 +55,32 @@ class ShapeMismatch(PresheafError):
 class Presheaf:
     """Stage sets ``at[A]`` plus restriction tables ``maps[f]: X_cod(f) -> X_dom(f)``.
 
-    The constructor normalizes stage order and fills in identity maps; law
-    checking lives in `validate_presheaf` so that broken functors can still
-    be constructed and reported on.
+    After construction every stage is a tuple of distinct elements in
+    canon_key order, and every morphism has a table, the identities filled
+    in with the stage's own elements where none was given.  Two presheaves
+    are equal when their bases, stages and tables are: the stages are
+    canonical, so plain tuple and dict equality needs no sort.  Law
+    checking lives in `validate_presheaf`, so that broken functors can
+    still be constructed and reported on.
     """
 
     def __init__(self, base: FiniteCategory, at: Mapping[str, Iterable],
                  maps: Mapping[str, Mapping]):
+        self._fill(base, {obj: tuple(canon_sorted(set(at.get(obj, ())))) for obj in base.objects},
+                   maps)
+
+    @classmethod
+    def _canonical(cls, base: FiniteCategory, at: Mapping[str, tuple],
+                   maps: Mapping[str, Mapping]) -> "Presheaf":
+        """The presheaf of stages `at` that already hold distinct elements in
+        canon_key order, one per object of `base`: no sort."""
+        x = cls.__new__(cls)
+        x._fill(base, at, maps)
+        return x
+
+    def _fill(self, base, at, maps):
         self.base = base
-        self.at = {obj: tuple(canon_sorted(set(at.get(obj, ())))) for obj in base.objects}
+        self.at = at
         self.maps = {}
         for m in base.morphisms:
             if m.id in maps:
@@ -68,7 +89,7 @@ class Presheaf:
                 self.maps[m.id] = {x: x for x in self.at[m.dom]}
             else:
                 self.maps[m.id] = {}
-        self._canon = None
+        self._hash = None
 
     def stage(self, obj: str) -> tuple:
         return self.at[obj]
@@ -80,25 +101,19 @@ class Presheaf:
         except KeyError:
             raise PresheafError(f"restriction along {mid!r} undefined at {x!r}") from None
 
-    def _canon_key(self):
-        if self._canon is None:
-            self._canon = (
-                self.base,
-                tuple(sorted((o, s) for o, s in self.at.items())),
-                tuple(sorted((m, tuple(sorted(t.items(), key=lambda kv: canon_key(kv[0]))))
-                             for m, t in self.maps.items())),
-            )
-        return self._canon
-
     def __eq__(self, other):
-        return isinstance(other, Presheaf) and self._canon_key() == other._canon_key()
+        return self is other or (isinstance(other, Presheaf) and self.base == other.base
+                                 and self.at == other.at and self.maps == other.maps)
 
     def __hash__(self):
-        return hash(self._canon_key())
+        if self._hash is None:
+            self._hash = hash((self.base, *(self.at[obj] for obj in self.base.objects)))
+        return self._hash
 
 
 class NatTransform:
-    """Stage-indexed component maps between presheaves on the same base."""
+    """Stage-indexed component maps between presheaves on the same base.
+    Two are equal when their sources, targets and component tables are."""
 
     def __init__(self, source: Presheaf, target: Presheaf,
                  components: Mapping[str, Mapping]):
@@ -107,7 +122,7 @@ class NatTransform:
         self.source = source
         self.target = target
         self.components = {obj: dict(components.get(obj, {})) for obj in source.base.objects}
-        self._canon = None
+        self._hash = None
 
     def apply(self, obj: str, x):
         try:
@@ -115,20 +130,19 @@ class NatTransform:
         except KeyError:
             raise PresheafError(f"component at {obj!r} undefined at {x!r}") from None
 
-    def _canon_key(self):
-        if self._canon is None:
-            self._canon = (
-                self.source._canon_key(), self.target._canon_key(),
-                tuple(sorted((o, tuple(sorted(t.items(), key=lambda kv: canon_key(kv[0]))))
-                             for o, t in self.components.items())),
-            )
-        return self._canon
-
     def __eq__(self, other):
-        return isinstance(other, NatTransform) and self._canon_key() == other._canon_key()
+        return self is other or (isinstance(other, NatTransform)
+                                 and self.components == other.components
+                                 and self.source == other.source and self.target == other.target)
 
     def __hash__(self):
-        return hash(self._canon_key())
+        # The values in source-stage order: arrows of one hom-set share
+        # their source and target, so these alone tell them apart.
+        if self._hash is None:
+            self._hash = hash(tuple(self.components[obj].get(x)
+                                    for obj in self.source.base.objects
+                                    for x in self.source.at[obj]))
+        return self._hash
 
 
 @dataclass
@@ -401,13 +415,14 @@ def product_presheaf(factors: Sequence[Presheaf]) -> Presheaf:
     for f in factors:
         if f.base != cat:
             raise ShapeMismatch("product factors live on different bases")
-    import itertools
+    # canon_key orders tuples by their items' keys, so the product of
+    # canon-ordered stages comes out in canon_key order without a sort.
     at = {obj: tuple(itertools.product(*(f.stage(obj) for f in factors)))
           for obj in cat.objects}
     maps = {m.id: {tup: tuple(f.apply(m.id, v) for f, v in zip(factors, tup))
                    for tup in at[m.cod]}
             for m in cat.morphisms}
-    return Presheaf(cat, at, maps)
+    return Presheaf._canonical(cat, at, maps)
 
 
 def product_many(factors: Sequence[Presheaf]) -> ProductDiagram:

@@ -171,14 +171,13 @@ def check_optional_axioms(system: ClassicalSystem, *, seed: int = 0) -> Optional
     report = OptionalAxiomReport()
     everything = frozenset(system.states)
     for name, ds in sample_interval_sets(system, seed=seed).items():
-        for d1 in ds:
-            p1 = rep.preimage(name, d1)
+        preimages = [rep.preimage(name, d) for d in ds]
+        for d1, p1 in zip(ds, preimages):
             comp = everything - p1
             if rep.preimage(name, d1.complement()) != comp:
                 report.failures.append(("complement", name, str(d1)))
             report.checked += 1
-            for d2 in ds:
-                p2 = rep.preimage(name, d2)
+            for d2, p2 in zip(ds, preimages):
                 if p1 & p2 != rep.preimage(name, d1.intersect(d2)):
                     report.failures.append(("conjunction", name, str(d1), str(d2)))
                 if p1 | p2 != rep.preimage(name, d1.union(d2)):

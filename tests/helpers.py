@@ -3,8 +3,9 @@ brute-force enumeration oracles, the quantified sieve and sub-object
 implications, the string-keyed Kripke countermodel search, the tuple-form
 G4ip prover without pruning, the `decide` benchmark corpus, the wall-clock
 budget, and the oracles no library code calls: the tabulating Heyting
-algebra, the exhaustive law checker, and the universal-property checks of
-products and exponentials."""
+algebra, the exhaustive law checker, the universal-property checks of
+products and exponentials, and the canonical keys presheaves and natural
+transformations were once compared by."""
 import itertools
 import random
 import sys
@@ -571,6 +572,45 @@ def pair_into_product(diagram: ProductDiagram, arrows: Sequence[NatTransform]) -
     return NatTransform(z, diagram.presheaf, comps)
 
 
+def reference_presheaf_key(x: Presheaf) -> tuple:
+    """The canonical key `Presheaf` once compared and hashed by: the base,
+    the stages sorted by object, and each restriction table sorted by
+    object id and then by the canon_key of its arguments."""
+    return (
+        x.base,
+        tuple(sorted((o, s) for o, s in x.at.items())),
+        tuple(sorted((m, tuple(sorted(t.items(), key=lambda kv: canon_key(kv[0]))))
+                     for m, t in x.maps.items())),
+    )
+
+
+def reference_nat_key(n: NatTransform) -> tuple:
+    """The canonical key `NatTransform` once compared and hashed by: both
+    ends' reference keys and the component tables, sorted as above."""
+    return (
+        reference_presheaf_key(n.source), reference_presheaf_key(n.target),
+        tuple(sorted((o, tuple(sorted(t.items(), key=lambda kv: canon_key(kv[0]))))
+                     for o, t in n.components.items())),
+    )
+
+
+def reversed_copy(x: Presheaf) -> Presheaf:
+    """An equal presheaf built from its objects, stages and tables, each
+    listed in reverse order."""
+    return Presheaf(x.base, {obj: x.stage(obj)[::-1] for obj in reversed(x.base.objects)},
+                    {mid: dict(reversed(t.items())) for mid, t in reversed(x.maps.items())})
+
+
+def assert_equality_matches_reference(items: Sequence, reference_key: Callable) -> None:
+    """Over every pair: equal exactly when the reference keys are, and
+    hash-equal whenever equal."""
+    keys = [reference_key(a) for a in items]
+    for (a, key_a), (b, key_b) in itertools.product(zip(items, keys), repeat=2):
+        assert (a == b) == (key_a == key_b), (key_a, key_b)
+        if a == b:
+            assert hash(a) == hash(b)
+
+
 def verify_product_universal(diagram: ProductDiagram, z: Presheaf) -> bool:
     """Exhaustion check of the universal property against a test object z."""
     factors = [p.target for p in diagram.projections]
@@ -581,9 +621,8 @@ def verify_product_universal(diagram: ProductDiagram, z: Presheaf) -> bool:
         h = pair_into_product(diagram, combo)
         if tuple(compose_nats(p, h) for p in diagram.projections) != tuple(combo):
             return False
-        seen.add(h._canon_key())
-    return len(seen) == len(into_prod) and \
-        {n._canon_key() for n in into_prod} == seen
+        seen.add(h)
+    return len(seen) == len(into_prod) and set(into_prod) == seen
 
 
 def evaluation(x: Presheaf, y: Presheaf) -> NatTransform:
@@ -619,10 +658,10 @@ def verify_exponential_adjunction(z: Presheaf, x: Presheaf, y: Presheaf) -> bool
         h = exp_transpose(f, z, x, y)
         if exp_untranspose(h, z, x, y) != f:
             return False
-        image.add(h._canon_key())
+        image.add(h)
     if len(image) != len(lhs):
         return False
-    if image != {h._canon_key() for h in rhs}:
+    if image != set(rhs):
         return False
     for h in rhs:
         if exp_transpose(exp_untranspose(h, z, x, y), z, x, y) != h:

@@ -1,7 +1,9 @@
-"""The exponential-element format that `presheaf.exp_element` owns.
+"""The exponential-element format that `presheaf.exp_element` owns, and the
+canonical stage order that products keep.
 
 An element comes out in canon_key order without a sort, and keeps its hash
-after the first use; neither may show to a caller.  Every builder of
+after the first use; neither may show to a caller.  A product's stages also
+come out in canon_key order without a sort.  Every builder of
 power-object elements (the exponential's stages, a transpose, a
 comprehension, `delta_element`) must give elements that are equal, and
 hash-equal, to each other and to plain tuples of the same cells.
@@ -11,13 +13,35 @@ import random
 from fractions import Fraction
 
 import pytest
-from helpers import CHAIN3, DIAMOND, MONOID, PT, VEE, random_presheaf
+from helpers import (
+    CHAIN3,
+    DIAMOND,
+    MONOID,
+    PT,
+    TWO,
+    VEE,
+    assert_equality_matches_reference,
+    random_presheaf,
+    reference_presheaf_key,
+    reversed_copy,
+    set_presheaf,
+    two_point_presheaf,
+)
 
-from toposlang._canon import canon_key
+from toposlang._canon import canon_key, canon_sorted
 from toposlang.category import principal_sieve
 from toposlang.intervals import IntervalSet
 from toposlang.local import RQ, SIGMA, PowerType, Signature, parse_term
-from toposlang.presheaf import NatTransform, Presheaf, exp_element, power_object
+from toposlang.presheaf import (
+    NatTransform,
+    Presheaf,
+    classifier_kit,
+    exp_element,
+    power_object,
+    product_presheaf,
+    terminal_presheaf,
+    validate_presheaf,
+)
 from toposlang.prop.semantics import ClassicalSystem
 from toposlang.rep import EffectiveClassicalRep, build_rep, interpret_term, prop_family
 
@@ -54,6 +78,62 @@ def test_exp_element_is_its_cells_in_canonical_order(base):
         cells = [((base.morphism(g).dom, g, xv), value(base.morphism(g).dom, g, xv))
                  for g in base.into(obj) for xv in x.stage(base.morphism(g).dom)]
         assert exp_element(base, obj, x, value) == tuple(sorted(cells, key=canon_key))
+
+
+@pytest.mark.parametrize("base", BASES, ids=lambda c: "+".join(c.objects))
+def test_product_stages_come_out_in_canonical_order(base):
+    # A constant presheaf of mixed numbers and strings, the classifier's
+    # frozensets, power-object elements and the sampled presheaf, each
+    # listed with the same values in another order; 1 and Fraction(1) in
+    # different factors.
+    mixed = (Fraction(5, 2), 1, "b", -3, "a", Fraction(1, 3))
+    constant = Presheaf(base, {obj: mixed for obj in base.objects},
+                        {m.id: {v: v for v in mixed} for m in base.morphisms})
+    ones = Presheaf(base, {obj: (Fraction(1), "1", 0) for obj in base.objects},
+                    {m.id: {v: v for v in (Fraction(1), "1", 0)} for m in base.morphisms})
+    omega = classifier_kit(base).omega
+    power = power_object(terminal_presheaf(base))
+    for factors in ([constant], [omega], [power], [constant, omega], [power, ones],
+                    [sample(base), constant], [omega, ones, power],
+                    [constant, power, sample(base)]):
+        prod = product_presheaf(factors)
+        for obj in base.objects:
+            stage = prod.stage(obj)
+            assert stage == tuple(canon_sorted(set(stage)))
+        assert prod == Presheaf(base, prod.at, prod.maps)
+
+
+@pytest.mark.parametrize("base", BASES, ids=lambda c: "+".join(c.objects))
+def test_presheaf_equality_matches_the_reference_key(base):
+    # Each presheaf next to an equal copy whose stages and tables were
+    # listed in reverse, so its dicts were filled in another order.
+    x = sample(base)
+    pool = [x, reversed_copy(x), terminal_presheaf(base), classifier_kit(base).omega,
+            power_object(terminal_presheaf(base)), product_presheaf([x, x])]
+    pool += [reversed_copy(p) for p in pool[2:]]
+    assert_equality_matches_reference(pool, reference_presheaf_key)
+
+
+def test_equality_of_numeric_and_broken_presheaves_matches_the_reference_key():
+    pool = [set_presheaf([1, 2]), set_presheaf([Fraction(1), 2]),
+            set_presheaf([Fraction(1), Fraction(2)]), set_presheaf([1, Fraction(1, 2)]),
+            two_point_presheaf([1, "x"], [0], {1: 0, "x": 0}),
+            two_point_presheaf([Fraction(1), "x"], [Fraction(0)], {Fraction(1): 0, "x": 0}),
+            two_point_presheaf(["x", 1], [0], {"x": Fraction(0), 1: Fraction(0)}),
+            two_point_presheaf([1, "x"], [0], {1: 0, "x": 1})]
+    broken = [two_point_presheaf(["x0", "x1"], ["y0"], {"x0": "y0"}),
+              two_point_presheaf(["x0", "x1"], ["y0"], {"x1": "y0"}),
+              two_point_presheaf(["x0", "x1"], ["y0"], {"x0": "y0", "x1": "y0"}),
+              two_point_presheaf(["x0", "x1"], ["y0"], {"x0": "y0", "x1": "y0", "junk": "y0"}),
+              two_point_presheaf(["x0", "x1"], ["y0"], {"junk": "y0", "x1": "y0", "x0": "y0"}),
+              two_point_presheaf(["x0", "x1"], ["y0"], {"x0": "y0", "x1": "y0", "junk": "y1"}),
+              Presheaf(TWO, {"q": ("x0",), "p": ("y0",)}, {"le[p,q]": {"x0": "y0"},
+                                                          "id[q]": {}})]
+    assert [validate_presheaf(b).ok for b in broken] == [False, False, True, False, False,
+                                                         False, False]
+    pool += broken
+    pool += [reversed_copy(p) for p in pool]
+    assert_equality_matches_reference(pool, reference_presheaf_key)
 
 
 @pytest.mark.parametrize("base", BASES, ids=lambda c: "+".join(c.objects))

@@ -12,6 +12,7 @@ from helpers import (
     PT,
     TWO,
     HeytingAlgebra,
+    assert_equality_matches_reference,
     brute_global_elements,
     budget,
     check_heyting_laws,
@@ -19,6 +20,8 @@ from helpers import (
     evaluation,
     exp_untranspose,
     presheaf_fixture_pool,
+    reference_nat_key,
+    reversed_copy,
     set_presheaf,
     subobject_implies,
     two_point_presheaf,
@@ -434,6 +437,24 @@ def test_hom_set_order_is_the_same_under_three_hash_seeds():
         runs.append(proc.stdout)
     assert len(runs[0].splitlines()) > 1
     assert runs[0] == runs[1] == runs[2]
+
+
+def test_hom_set_equality_matches_the_reference_key():
+    # Arrows out of X2 and out of an equal copy built in another order,
+    # the arrows into the classifier from the fixture pool, one-cell arrows
+    # whose values are 1 or Fraction(1), and arrows that are not total or
+    # hold a cell outside their source.
+    omega = classifier_kit(TWO).omega
+    arrows = enumerate_nats(X2, omega) + enumerate_nats(reversed_copy(X2), omega) \
+        + enumerate_nats(X2, X2)
+    for x in presheaf_fixture_pool():
+        arrows += enumerate_nats(x, classifier_kit(x.base).omega)
+    one, numbers = set_presheaf([0]), set_presheaf([1, 2])
+    arrows += [NatTransform(one, numbers, {"pt": {0: v}}) for v in (1, Fraction(1), 2)]
+    for source in (X2, reversed_copy(X2)):
+        arrows += [NatTransform(source, omega, {"q": {"x0": fs()}}),
+                   NatTransform(source, omega, {"q": {"x0": fs(), "junk": fs()}, "p": {}})]
+    assert_equality_matches_reference(arrows, reference_nat_key)
 
 
 def test_global_elements_of_omega_form_heyting_algebra_pointwise():
