@@ -82,10 +82,10 @@ def test_exp_element_is_its_cells_in_canonical_order(base):
 
 @pytest.mark.parametrize("base", BASES, ids=lambda c: "+".join(c.objects))
 def test_product_stages_come_out_in_canonical_order(base):
-    # A constant presheaf of mixed numbers and strings, the classifier's
-    # frozensets, power-object elements and the sampled presheaf, each
-    # listed with the same values in another order; 1 and Fraction(1) in
-    # different factors.
+    # Factors of every element kind: numbers and strings given out of
+    # canonical order, with 1 in one factor and Fraction(1) in another, the
+    # classifier's frozensets, power-object elements and the sampled
+    # presheaf's strings.
     mixed = (Fraction(5, 2), 1, "b", -3, "a", Fraction(1, 3))
     constant = Presheaf(base, {obj: mixed for obj in base.objects},
                         {m.id: {v: v for v in mixed} for m in base.morphisms})
