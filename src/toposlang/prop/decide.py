@@ -36,7 +36,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional
 
-from ..errors import CapExceeded
+from ..errors import CapExceeded, InputError
 from ..heyting import iter_downsets
 from .kripke import KripkeModel
 from .syntax import And, Atom, Formula, Implies, Not, Or, Prim, leaf_key, leaves
@@ -366,8 +366,11 @@ def decide(formula: Formula, *, max_worlds: int = 4) -> Decision:
 
     Raises SearchCapExceeded when a formula is unprovable but no countermodel
     exists within the world bound; the verdict is then withheld rather than
-    guessed.
+    guessed.  A bound below one world is an InputError, raised before any
+    search.
     """
+    if max_worlds < 1:
+        raise InputError(f"the world bound must be at least 1, got {max_worlds}")
     if is_provable(formula):
         return Decision(valid=True)
     found = find_countermodel(formula, max_worlds=max_worlds)

@@ -4,11 +4,14 @@ A representation assigns presheaves to the ground types and natural
 transformations to the function symbols; types are interpreted structurally
 (products as products, power types as power objects, the truth type as the
 classifier, the unit type as the terminal object) and terms compositionally
-as arrows out of the product of their free-variable context.
+as arrows out of the product of their free-variable context.  Each subterm
+is interpreted once, as the component tables of such an arrow, and its
+parent reads those tables; no (stage, environment) is evaluated twice.
 
 Equality lands on the classifier through the sieve of arrows equalizing the
 two sides; membership applies the evaluation cell of the power object; and
-comprehension builds the power transpose directly.  Every registered axiom
+comprehension builds the power transpose directly from its body's arrow out
+of the context extended by the binder.  Every registered axiom
 sequent must hold, which for an empty context means its interpretation is
 the constant arrow at the principal sieve.
 
@@ -27,7 +30,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Mapping, NamedTuple, Sequence
+from typing import Mapping, Sequence
 
 from ._canon import canon_sorted
 from .category import FiniteCategory, one_object_category, principal_sieve
@@ -72,16 +75,6 @@ from .presheaf import (
     validate_presheaf,
 )
 from .prop.semantics import ClassicalSystem
-
-
-class _Scope(NamedTuple):
-    """A typing context as `interpret_term` evaluates under it: its index
-    among the contexts of one call, the variables' positions in an
-    environment, and their types' presheaves."""
-    index: int
-    ctx: tuple
-    names: dict
-    types: tuple
 
 
 class RepresentationError(ToposlangError):
@@ -164,82 +157,74 @@ def interpret_term(term: Term, context: Sequence[tuple[str, TypeExpr]],
     """Compositional semantics: an arrow from the context product to the
     interpretation of the term's type.  Closed truth-valued terms come out
     as global elements of the classifier (arrows from the terminal object).
+
+    Each subterm is interpreted once, as the components {stage: {env: value}}
+    of an arrow out of its own context's product, and its parent reads those
+    tables: equality at the restricted environments, a comprehension its
+    body's table over the context extended by the binder.
     """
     term = desugar_connectives(term)
-    ctx_types = dict(context)
-    target_type = infer_type(term, ctx_types, rep.signature)
+    target_type = infer_type(term, dict(context), rep.signature)
     cat = rep.base
 
-    # Eq and Compr revisit a subterm at the domain of every arrow into a
-    # stage.  The memo key names the scope by index, so a lookup hashes no
-    # types, and an environment's power-object elements keep their hash.
-    memo: dict = {}
-    scopes: dict = {}
+    def arrow(n: Term, names: dict, types: tuple, envs: Mapping[str, Sequence]) -> dict:
+        # names: a variable's slot in an environment; types: the slots'
+        # presheaves; envs: each stage's environments, the product's elements.
+        def each(value) -> dict:
+            return {obj: {env: value(obj, env) for env in envs[obj]} for obj in cat.objects}
 
-    def scope(ctx: tuple) -> _Scope:
-        found = scopes.get(ctx)
-        if found is None:
-            found = scopes[ctx] = _Scope(
-                len(scopes), ctx, {name: i for i, (name, _) in enumerate(ctx)},
-                tuple(interpret_type(t, rep) for _, t in ctx))
-        return found
+        def restrict(f: str, env: tuple) -> tuple:
+            return tuple(x.apply(f, v) for x, v in zip(types, env))
 
-    def ev(n: Term, obj: str, env: tuple, sc: _Scope):
-        key = (id(n), obj, env, sc.index)
-        out = memo.get(key, memo)
-        if out is memo:
-            out = memo[key] = _ev(n, obj, env, sc)
-        return out
+        def sub(child: Term) -> dict:
+            return arrow(child, names, types, envs)
 
-    def env_restrict(f: str, env: tuple, sc: _Scope) -> tuple:
-        return tuple(x.apply(f, v) for x, v in zip(sc.types, env))
-
-    def _ev(n: Term, obj: str, env: tuple, sc: _Scope):
         if isinstance(n, Var):
-            if n.name not in sc.names:
+            if n.name not in names:
                 raise RepresentationError(f"unbound variable {n.name!r}")
-            return env[sc.names[n.name]]
+            slot = names[n.name]
+            return each(lambda obj, env: env[slot])
         if isinstance(n, Star):
-            return ()
+            return each(lambda obj, env: ())
         if isinstance(n, App):
             if n.symbol not in rep.symbols:
                 raise RepresentationError(f"unassigned function symbol {n.symbol!r}")
-            return rep.symbols[n.symbol].apply(obj, ev(n.arg, obj, env, sc))
+            symbol, arg = rep.symbols[n.symbol], sub(n.arg)
+            return each(lambda obj, env: symbol.apply(obj, arg[obj][env]))
         if isinstance(n, Tup):
-            return tuple(ev(t, obj, env, sc) for t in n.items)
+            items = [sub(t) for t in n.items]
+            return each(lambda obj, env: tuple(t[obj][env] for t in items))
         if isinstance(n, Proj):
-            return ev(n.item, obj, env, sc)[n.index - 1]
+            item, k = sub(n.item), n.index - 1
+            return each(lambda obj, env: item[obj][env][k])
         if isinstance(n, Eq):
-            members = []
-            for f in cat.into(obj):
-                dom = cat.morphism(f).dom
-                env_f = env_restrict(f, env, sc)
-                if ev(n.left, dom, env_f, sc) == ev(n.right, dom, env_f, sc):
-                    members.append(f)
-            return frozenset(members)
+            left, right = sub(n.left), sub(n.right)
+
+            def agree(f: str, env: tuple) -> bool:
+                dom, env_f = cat.morphism(f).dom, restrict(f, env)
+                return left[dom][env_f] == right[dom][env_f]
+            return each(lambda obj, env: frozenset(f for f in cat.into(obj) if agree(f, env)))
         if isinstance(n, In):
-            theta = ev(n.container, obj, env, sc)
-            xv = ev(n.element, obj, env, sc)
-            return exp_lookup(theta, obj, cat.id_of(obj), xv)
+            container, element = sub(n.container), sub(n.element)
+            return each(lambda obj, env: exp_lookup(
+                container[obj][env], obj, cat.id_of(obj), element[obj][env]))
         if isinstance(n, Compr):
-            inner = scope(sc.ctx + ((n.var.name, n.var.vtype),))
-            return exp_element(
-                cat, obj, interpret_type(n.var.vtype, rep),
-                lambda b, f, xv: ev(n.body, b, env_restrict(f, env, sc) + (xv,), inner))
+            x = interpret_type(n.var.vtype, rep)
+            body = arrow(n.body, {**names, n.var.name: len(types)}, types + (x,),
+                         {b: [env + (xv,) for env in envs[b] for xv in x.stage(b)]
+                          for b in cat.objects})
+            return each(lambda obj, env: exp_element(
+                cat, obj, x, lambda b, g, xv: body[b][restrict(g, env) + (xv,)]))
         raise RepresentationError(f"cannot interpret term former {type(n).__name__}")
 
-    source = product_presheaf([interpret_type(t, rep) for _, t in context]) \
-        if context else rep.kit.terminal
-    target = interpret_type(target_type, rep)
-    top = scope(tuple(context))
-    components = {}
-    for obj in cat.objects:
-        components[obj] = {env: ev(term, obj, env, top) for env in source.stage(obj)}
-    arrow = NatTransform(source, target, components)
-    bad = validate_nat(arrow)
+    types = tuple(interpret_type(t, rep) for _, t in context)
+    source = product_presheaf(types) if context else rep.kit.terminal
+    components = arrow(term, {name: i for i, (name, _) in enumerate(context)}, types, source.at)
+    result = NatTransform(source, interpret_type(target_type, rep), components)
+    bad = validate_nat(result)
     if bad.items:
         raise RepresentationError(f"interpretation is not natural: {bad.items[0]}")
-    return arrow
+    return result
 
 
 def validate_axioms(rep: ToposRep,

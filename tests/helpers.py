@@ -4,15 +4,15 @@ implications, the string-keyed Kripke countermodel search, the tuple-form
 G4ip prover without pruning, the `decide` benchmark corpus, the wall-clock
 budget, and the oracles no library code calls: the tabulating Heyting
 algebra, the exhaustive law checker, the universal-property checks of
-products and exponentials, and the canonical keys presheaves and natural
-transformations were once compared by."""
+products and exponentials, the canonical keys presheaves and natural
+transformations were once compared by, and the memoized term evaluator."""
 import itertools
 import random
 import sys
 import time
 from pathlib import Path
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from toposlang._canon import canon_key
 from toposlang.category import (
@@ -37,14 +37,20 @@ from toposlang.presheaf import (
     ShapeMismatch,
     Subobject,
     enumerate_nats,
+    exp_element,
     exp_lookup,
     exp_transpose,
     exponential,
     product_presheaf,
+    validate_nat,
 )
+from toposlang.local.check import desugar_connectives, infer_type
+from toposlang.local.syntax import App, Compr, Eq, In, Proj, Star, Term, Tup, Var
+from toposlang.local.types import TypeExpr
 from toposlang.prop.decide import _posets
 from toposlang.prop.kripke import KripkeModel
 from toposlang.prop.syntax import And, Atom, Formula, Implies, Not, Or, Prim, leaf_key, leaves
+from toposlang.rep import RepresentationError, ToposRep, interpret_type
 
 PT = one_object_category()
 TWO = from_poset(["p", "q"], [("p", "q")])
@@ -667,3 +673,97 @@ def verify_exponential_adjunction(z: Presheaf, x: Presheaf, y: Presheaf) -> bool
         if exp_transpose(exp_untranspose(h, z, x, y), z, x, y) != h:
             return False
     return True
+
+
+# -- term interpretation, one stage and environment at a time --------------------
+
+class _Scope(NamedTuple):
+    """A typing context as `interpret_term` evaluates under it: its index
+    among the contexts of one call, the variables' positions in an
+    environment, and their types' presheaves."""
+    index: int
+    ctx: tuple
+    names: dict
+    types: tuple
+
+
+def reference_interpret_term(term: Term, context: Sequence[tuple[str, TypeExpr]],
+                             rep: ToposRep) -> NatTransform:
+    """`rep.interpret_term` as it once was: each subterm evaluated at one
+    (stage, environment) at a time, behind a memo keyed on the node, the
+    stage, the environment and the scope's index."""
+    term = desugar_connectives(term)
+    ctx_types = dict(context)
+    target_type = infer_type(term, ctx_types, rep.signature)
+    cat = rep.base
+
+    # Eq and Compr revisit a subterm at the domain of every arrow into a
+    # stage.  The memo key names the scope by index, so a lookup hashes no
+    # types, and an environment's power-object elements keep their hash.
+    memo: dict = {}
+    scopes: dict = {}
+
+    def scope(ctx: tuple) -> _Scope:
+        found = scopes.get(ctx)
+        if found is None:
+            found = scopes[ctx] = _Scope(
+                len(scopes), ctx, {name: i for i, (name, _) in enumerate(ctx)},
+                tuple(interpret_type(t, rep) for _, t in ctx))
+        return found
+
+    def ev(n: Term, obj: str, env: tuple, sc: _Scope):
+        key = (id(n), obj, env, sc.index)
+        out = memo.get(key, memo)
+        if out is memo:
+            out = memo[key] = _ev(n, obj, env, sc)
+        return out
+
+    def env_restrict(f: str, env: tuple, sc: _Scope) -> tuple:
+        return tuple(x.apply(f, v) for x, v in zip(sc.types, env))
+
+    def _ev(n: Term, obj: str, env: tuple, sc: _Scope):
+        if isinstance(n, Var):
+            if n.name not in sc.names:
+                raise RepresentationError(f"unbound variable {n.name!r}")
+            return env[sc.names[n.name]]
+        if isinstance(n, Star):
+            return ()
+        if isinstance(n, App):
+            if n.symbol not in rep.symbols:
+                raise RepresentationError(f"unassigned function symbol {n.symbol!r}")
+            return rep.symbols[n.symbol].apply(obj, ev(n.arg, obj, env, sc))
+        if isinstance(n, Tup):
+            return tuple(ev(t, obj, env, sc) for t in n.items)
+        if isinstance(n, Proj):
+            return ev(n.item, obj, env, sc)[n.index - 1]
+        if isinstance(n, Eq):
+            members = []
+            for f in cat.into(obj):
+                dom = cat.morphism(f).dom
+                env_f = env_restrict(f, env, sc)
+                if ev(n.left, dom, env_f, sc) == ev(n.right, dom, env_f, sc):
+                    members.append(f)
+            return frozenset(members)
+        if isinstance(n, In):
+            theta = ev(n.container, obj, env, sc)
+            xv = ev(n.element, obj, env, sc)
+            return exp_lookup(theta, obj, cat.id_of(obj), xv)
+        if isinstance(n, Compr):
+            inner = scope(sc.ctx + ((n.var.name, n.var.vtype),))
+            return exp_element(
+                cat, obj, interpret_type(n.var.vtype, rep),
+                lambda b, f, xv: ev(n.body, b, env_restrict(f, env, sc) + (xv,), inner))
+        raise RepresentationError(f"cannot interpret term former {type(n).__name__}")
+
+    source = product_presheaf([interpret_type(t, rep) for _, t in context]) \
+        if context else rep.kit.terminal
+    target = interpret_type(target_type, rep)
+    top = scope(tuple(context))
+    components = {}
+    for obj in cat.objects:
+        components[obj] = {env: ev(term, obj, env, top) for env in source.stage(obj)}
+    arrow = NatTransform(source, target, components)
+    bad = validate_nat(arrow)
+    if bad.items:
+        raise RepresentationError(f"interpretation is not natural: {bad.items[0]}")
+    return arrow

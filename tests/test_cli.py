@@ -146,6 +146,14 @@ def test_pl_decide_exit_codes(capsys):
     assert len(payload["countermodel"]["worlds"]) == 2
 
 
+def test_pl_decide_nonpositive_world_bound_is_bad_input_not_a_cap(capsys):
+    for bound in ("0", "-2"):
+        code, payload, err = run(capsys, "pl", "decide", "--max-worlds", bound, "a | ~a")
+        assert code == 2
+        assert payload == {"error": f"the world bound must be at least 1, got {bound}"}
+        assert err.startswith("error:")
+
+
 def test_resource_caps_exit_2_with_their_kind(tmp_path, capsys):
     doc = json.loads(Path(FIXTURE).read_text())
     states = [f"t{i:02d}" for i in range(13)]

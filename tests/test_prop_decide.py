@@ -115,6 +115,17 @@ def test_cap_exceeded_is_reported_never_guessed():
         decide(parse_formula("a | ~a"), max_worlds=1)
 
 
+def test_nonpositive_world_bound_is_an_input_error_before_any_search(monkeypatch):
+    def no_search(*args, **kwargs):
+        raise AssertionError("searched despite an out-of-range bound")
+    monkeypatch.setattr(decide_module, "is_provable", no_search)
+    monkeypatch.setattr(decide_module, "find_countermodel", no_search)
+    for bound in (0, -2):
+        with pytest.raises(InputError, match=f"at least 1, got {bound}") as err:
+            decide(parse_formula("a | ~a"), max_worlds=bound)
+        assert not isinstance(err.value, CapExceeded)
+
+
 def test_poset_scan_past_five_worlds_is_refused_before_it_starts():
     start = time.perf_counter()
     with pytest.raises(CapExceeded, match=r"over 6 worlds is past the limit of 5 worlds; lower --max-worlds to 5"):

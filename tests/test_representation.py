@@ -1,7 +1,18 @@
 from fractions import Fraction
 
 import pytest
-from helpers import TWO, compose_nats, evaluation, exp_untranspose, two_point_presheaf
+from helpers import (
+    CHAIN3,
+    DIAMOND,
+    MONOID,
+    TWO,
+    VEE,
+    compose_nats,
+    evaluation,
+    exp_untranspose,
+    reference_interpret_term,
+    two_point_presheaf,
+)
 
 from toposlang.category import one_object_category, principal_sieve
 from toposlang.intervals import IntervalSet
@@ -366,3 +377,92 @@ def test_set_backend_agrees_with_classical_evaluation_formula_for_formula():
     for state in SMALL.states:
         got = arrow.apply(point, (state, e1, e2))
         assert (got == top) == bool(truth_value(formula, state, SMALL))
+
+
+# Hand-built representations of one state ground, one value ground and the
+# symbol A: Sigma -> R, one per base: (stages, restrictions) of Sigma and of
+# R, then A's components.  Restriction merges elements, so equality sieves
+# are proper; on MONOID the idempotent e and the identity share a domain.
+HAND_BUILT = {
+    "PT": (PT,
+           ({"pt": ["s0", "s1", "s2"]}, {}),
+           ({"pt": [0, 1]}, {}),
+           {"pt": {"s0": 0, "s1": 1, "s2": 1}}),
+    "TWO": (TWO,
+            ({"q": ["a0", "a1", "a2"], "p": ["b0", "b1"]},
+             {"le[p,q]": {"a0": "b0", "a1": "b0", "a2": "b1"}}),
+            ({"q": ["u", "v"], "p": ["w"]}, {"le[p,q]": {"u": "w", "v": "w"}}),
+            {"q": {"a0": "u", "a1": "v", "a2": "v"}, "p": {"b0": "w", "b1": "w"}}),
+    "CHAIN3": (CHAIN3,
+               ({"c": ["c0", "c1", "c2"], "b": ["b0", "b1"], "a": ["a0"]},
+                {"le[b,c]": {"c0": "b0", "c1": "b0", "c2": "b1"},
+                 "le[a,b]": {"b0": "a0", "b1": "a0"},
+                 "le[a,c]": {"c0": "a0", "c1": "a0", "c2": "a0"}}),
+               ({"c": ["u", "v"], "b": ["w"], "a": ["z"]},
+                {"le[b,c]": {"u": "w", "v": "w"}, "le[a,b]": {"w": "z"},
+                 "le[a,c]": {"u": "z", "v": "z"}}),
+               {"c": {"c0": "u", "c1": "v", "c2": "u"}, "b": {"b0": "w", "b1": "w"},
+                "a": {"a0": "z"}}),
+    "VEE": (VEE,
+            ({"b": ["b0", "b1"], "c": ["c0", "c1"], "a": ["a0", "a1"]},
+             {"le[a,b]": {"b0": "a0", "b1": "a1"}, "le[a,c]": {"c0": "a0", "c1": "a0"}}),
+            ({"b": ["u", "v"], "c": ["w"], "a": ["z"]},
+             {"le[a,b]": {"u": "z", "v": "z"}, "le[a,c]": {"w": "z"}}),
+            {"b": {"b0": "u", "b1": "v"}, "c": {"c0": "w", "c1": "w"},
+             "a": {"a0": "z", "a1": "z"}}),
+    "DIAMOND": (DIAMOND,
+                ({"d": ["d0", "d1", "d2"], "b": ["b0", "b1"], "c": ["c0", "c1"], "a": ["a0"]},
+                 {"le[b,d]": {"d0": "b0", "d1": "b0", "d2": "b1"},
+                  "le[c,d]": {"d0": "c0", "d1": "c1", "d2": "c1"},
+                  "le[a,b]": {"b0": "a0", "b1": "a0"},
+                  "le[a,c]": {"c0": "a0", "c1": "a0"},
+                  "le[a,d]": {"d0": "a0", "d1": "a0", "d2": "a0"}}),
+                ({"d": ["u", "v"], "b": ["w"], "c": ["y0", "y1"], "a": ["z"]},
+                 {"le[b,d]": {"u": "w", "v": "w"}, "le[c,d]": {"u": "y0", "v": "y1"},
+                  "le[a,b]": {"w": "z"}, "le[a,c]": {"y0": "z", "y1": "z"},
+                  "le[a,d]": {"u": "z", "v": "z"}}),
+                {"d": {"d0": "u", "d1": "v", "d2": "v"}, "b": {"b0": "w", "b1": "w"},
+                 "c": {"c0": "y0", "c1": "y1"}, "a": {"a0": "z"}}),
+    "MONOID": (MONOID,
+               ({"x": ["s0", "s1", "s2", "s3"]},
+                {"e": {"s0": "s0", "s1": "s0", "s2": "s2", "s3": "s2"}}),
+               ({"x": ["u", "v", "w"]}, {"e": {"u": "u", "v": "u", "w": "w"}}),
+               {"x": {"s0": "u", "s1": "v", "s2": "w", "s3": "w"}}),
+}
+
+# Every term former and every piece of sugar, under closed contexts and
+# contexts holding a P(R) variable.  In the last two `s`-context terms the
+# inner binder `s` shadows the context's `s`.
+TERMS_IN_CONTEXT = [
+    ("", ["*", "true", "* = *",
+          "{ s : Sigma | { t : Sigma | A(t) = A(s) } = { t : Sigma | t = s } }"]),
+    ("D : P(R)", ["{ r : R | r in D & true }",
+                  "{ s : Sigma | A(s) in D <=> proj_1(<A(s), s>) in D }"]),
+    ("s : Sigma, D : P(R)", ["A(s) in D", "<A(s), proj_2(<*, s>)>",
+                             "proj_1(<A(s), s>) in D & s in { s : Sigma | A(s) in D }",
+                             "{ t : Sigma | t in { s : Sigma | s = t } }"]),
+    ("s : Sigma, t : Sigma", ["A(s) = A(t)", "s = t <=> A(s) = A(t)",
+                              "<s, A(t)> = <t, A(s)>"]),
+]
+
+
+def _hand_built_rep(name: str) -> ToposRep:
+    base, (sigma_at, sigma_maps), (r_at, r_maps), a_components = HAND_BUILT[name]
+    sigma, rvals = Presheaf(base, sigma_at, sigma_maps), Presheaf(base, r_at, r_maps)
+    return build_rep(Signature({"A": (SIGMA, RQ)}), base, {"Sigma": sigma, "R": rvals},
+                     {"A": NatTransform(sigma, rvals, a_components)})
+
+
+@pytest.mark.parametrize("name", list(HAND_BUILT))
+def test_interpret_term_matches_the_memoized_reference(name):
+    rep = _hand_built_rep(name)
+    for context_text, terms in TERMS_IN_CONTEXT:
+        context = tuple((var.strip(), parse_type_cached(vtype))
+                        for var, vtype in (decl.split(":") for decl in
+                                           filter(None, context_text.split(","))))
+        for text in terms:
+            term = parse_term(text, rep.signature)
+            got = interpret_term(term, context, rep)
+            assert got == reference_interpret_term(term, context, rep), (context_text, text)
+            assert [list(got.components[obj]) for obj in rep.base.objects] == \
+                [list(got.source.stage(obj)) for obj in rep.base.objects]
