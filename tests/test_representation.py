@@ -434,15 +434,17 @@ HAND_BUILT = {
 # contexts holding a P(R) variable.  In the last two `s`-context terms the
 # inner binder `s` shadows the context's `s`.
 TERMS_IN_CONTEXT = [
-    ("", ["*", "true", "* = *",
+    ((), ["*", "true", "* = *",
           "{ s : Sigma | { t : Sigma | A(t) = A(s) } = { t : Sigma | t = s } }"]),
-    ("D : P(R)", ["{ r : R | r in D & true }",
-                  "{ s : Sigma | A(s) in D <=> proj_1(<A(s), s>) in D }"]),
-    ("s : Sigma, D : P(R)", ["A(s) in D", "<A(s), proj_2(<*, s>)>",
-                             "proj_1(<A(s), s>) in D & s in { s : Sigma | A(s) in D }",
-                             "{ t : Sigma | t in { s : Sigma | s = t } }"]),
-    ("s : Sigma, t : Sigma", ["A(s) = A(t)", "s = t <=> A(s) = A(t)",
-                              "<s, A(t)> = <t, A(s)>"]),
+    ((("D", PowerType(RQ)),),
+     ["{ r : R | r in D & true }",
+      "{ s : Sigma | A(s) in D <=> proj_1(<A(s), s>) in D }"]),
+    ((("s", SIGMA), ("D", PowerType(RQ))),
+     ["A(s) in D", "<A(s), proj_2(<*, s>)>",
+      "proj_1(<A(s), s>) in D & s in { s : Sigma | A(s) in D }",
+      "{ t : Sigma | t in { s : Sigma | s = t } }"]),
+    ((("s", SIGMA), ("t", SIGMA)),
+     ["A(s) = A(t)", "s = t <=> A(s) = A(t)", "<s, A(t)> = <t, A(s)>"]),
 ]
 
 
@@ -456,13 +458,10 @@ def _hand_built_rep(name: str) -> ToposRep:
 @pytest.mark.parametrize("name", list(HAND_BUILT))
 def test_interpret_term_matches_the_memoized_reference(name):
     rep = _hand_built_rep(name)
-    for context_text, terms in TERMS_IN_CONTEXT:
-        context = tuple((var.strip(), parse_type_cached(vtype))
-                        for var, vtype in (decl.split(":") for decl in
-                                           filter(None, context_text.split(","))))
+    for context, terms in TERMS_IN_CONTEXT:
         for text in terms:
             term = parse_term(text, rep.signature)
             got = interpret_term(term, context, rep)
-            assert got == reference_interpret_term(term, context, rep), (context_text, text)
+            assert got == reference_interpret_term(term, context, rep), (context, text)
             assert [list(got.components[obj]) for obj in rep.base.objects] == \
                 [list(got.source.stage(obj)) for obj in rep.base.objects]
