@@ -9,9 +9,10 @@ derived structure (the classifier, its algebras, golden output) byte-stable.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
+from ._canon import canon_key
+from ._record import record
 from .errors import ToposlangError
 from .heyting import DownsetAlgebra, iter_downsets, poset_below, preorder_closure
 
@@ -26,7 +27,7 @@ class NotASieve(CategoryError):
     pass
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Morphism:
     id: str
     dom: str
@@ -70,6 +71,7 @@ class FiniteCategory:
                 raise CategoryError(f"composition entry ({f!r}, {g!r}) mentions unknown morphism")
         self._into = {obj: tuple(m.id for m in self.morphisms if m.cod == obj)
                       for obj in self.objects}
+        self._into_by_key: dict[str, tuple[tuple[str, str], ...]] = {}
         self._key = (self.objects, self.morphisms, tuple(sorted(self.identity.items())),
                      tuple(sorted(self._compose.items())))
 
@@ -109,8 +111,18 @@ class FiniteCategory:
             raise CategoryError(f"unknown object {obj!r}")
         return self._into[obj]
 
+    def into_by_key(self, obj: str) -> tuple[tuple[str, str], ...]:
+        """The (domain, morphism) pairs into obj, in canon_key order: the
+        cell order of exponential elements at obj, sorted once per object."""
+        pairs = self._into_by_key.get(obj)
+        if pairs is None:
+            pairs = tuple(sorted(((self._mor[g].dom, g) for g in self.into(obj)),
+                                 key=canon_key))
+            self._into_by_key[obj] = pairs
+        return pairs
 
-@dataclass
+
+@record
 class CategoryReport:
     closure: list
     units: list
@@ -199,7 +211,7 @@ def one_object_category(obj: str = "pt") -> FiniteCategory:
 
 # -- sieves -------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Sieve:
     target: str
     members: frozenset[str]

@@ -13,9 +13,10 @@ below it).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional
+
+from ._record import record
 
 
 def _lo_key(lo: Optional[Fraction], closed: bool):
@@ -39,7 +40,7 @@ def _succ(hi_key):
     return (rank, value, eps + 1)
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Interval:
     lo: Optional[Fraction]  # None = unbounded below
     lo_closed: bool
@@ -87,7 +88,7 @@ def _merge(parts: Iterable[Interval]) -> tuple[Interval, ...]:
     return tuple(merged)
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class IntervalSet:
     parts: tuple[Interval, ...]
 
@@ -119,7 +120,8 @@ class IntervalSet:
         return not self.parts
 
     def member(self, q) -> bool:
-        q = Fraction(q)
+        if not isinstance(q, Fraction):
+            q = Fraction(q)
         return any(p.contains(q) for p in self.parts)
 
     def __contains__(self, q) -> bool:

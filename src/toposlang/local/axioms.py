@@ -10,9 +10,9 @@ to be checked, not found.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional, Sequence
 
+from .._record import record
 from ..errors import InputError
 from .check import alpha_equal, free_vars, substitute
 from .syntax import (
@@ -34,7 +34,7 @@ from .syntax import (
 from .types import RQ, SIGMA, UNIT, ProductType, TypeExpr
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Sequent:
     context: frozenset[Term]
     conclusion: Term
@@ -175,7 +175,7 @@ def is_axiom_instance(seq: Sequent) -> Optional[str]:
 
 # -- derivations -----------------------------------------------------------------
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class DerivationLine:
     sequent: Sequent
     rule: str                      # axiom | thinning | cut | substitute | rewrite
@@ -184,7 +184,7 @@ class DerivationLine:
     term: Optional[Term] = None    # for substitute
 
 
-@dataclass
+@record
 class DerivationVerdict:
     accepted: bool
     bad_line: Optional[int] = None
@@ -275,7 +275,7 @@ def _set_alpha_equal(a: frozenset, b: frozenset) -> bool:
 
 # -- axiom packs and set operations ------------------------------------------------
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class AxiomPack:
     name: str
     symbols: tuple[tuple[str, TypeExpr, TypeExpr], ...]  # (name, dom, cod)

@@ -9,9 +9,9 @@ after which terms consist of core formers only.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Mapping, Optional
 
+from .._record import record
 from ..errors import ToposlangError
 from .syntax import (
     STAR,
@@ -32,7 +32,7 @@ from .syntax import (
 from .types import OMEGA, UNIT, PowerType, ProductType, TypeExpr
 
 
-@dataclass
+@record
 class LsTypeError(ToposlangError):
     subterm: Term
     message: str

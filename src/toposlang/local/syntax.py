@@ -13,9 +13,9 @@ variable context and the signature's function symbols.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from typing import Mapping, Optional, Union
 
+from .._record import record
 from ..errors import InputError
 from .types import (
     OMEGA,
@@ -33,58 +33,58 @@ class LsParseError(InputError):
     pass
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Var:
     name: str
     vtype: Optional[TypeExpr] = None
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Star:
     pass
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class App:
     symbol: str
     arg: "Term"
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Tup:
     items: tuple["Term", ...]
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Proj:
     index: int  # 1-based
     item: "Term"
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Compr:
     var: Var          # binder, vtype always set
     body: "Term"      # type Omega
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Eq:
     left: "Term"
     right: "Term"
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class In:
     element: "Term"
     container: "Term"
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class TrueLit:
     pass
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class AndT:
     left: "Term"
     right: "Term"
@@ -96,7 +96,7 @@ STAR = Star()
 TRUE = TrueLit()
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Signature:
     """Function symbols with their signatures, plus user ground types.
 

@@ -8,35 +8,36 @@ product to its component, so product types always have two or more factors.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence, Union
 
+from .._record import record
 
-@dataclass(frozen=True)
+
+@record(frozen=True)
 class UnitType:
     def __str__(self):
         return "1"
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class TruthType:
     def __str__(self):
         return "Omega"
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class StateType:
     def __str__(self):
         return "Sigma"
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class QuantityType:
     def __str__(self):
         return "R"
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class GroundType:
     name: str
 
@@ -44,7 +45,7 @@ class GroundType:
         return self.name
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class ProductType:
     factors: tuple["TypeExpr", ...]
 
@@ -52,7 +53,7 @@ class ProductType:
         return "*".join(_atom_str(f) for f in self.factors)
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class PowerType:
     inner: "TypeExpr"
 

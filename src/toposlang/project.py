@@ -18,11 +18,11 @@ local-language or representation code.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 from fractions import Fraction
 from importlib import resources
 from typing import TYPE_CHECKING, Mapping
 
+from ._record import field, record
 from .errors import InputError, ToposlangError
 from .schema_check import SchemaCheck
 
@@ -62,7 +62,7 @@ def _table_from_json(rows) -> dict:
     return {element_from_json(k): element_from_json(v) for k, v in rows}
 
 
-@dataclass
+@record
 class LoadedTerm:
     signature_name: str
     context: tuple[tuple[str, object], ...]
@@ -70,7 +70,7 @@ class LoadedTerm:
     text: str
 
 
-@dataclass
+@record
 class Project:
     categories: dict[str, FiniteCategory] = field(default_factory=dict)
     presheaves: dict[str, Presheaf] = field(default_factory=dict)

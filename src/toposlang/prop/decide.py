@@ -32,10 +32,10 @@ instead of an unconfirmed answer.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional
 
+from .._record import record
 from ..errors import CapExceeded, InputError
 from ..heyting import iter_downsets
 from .kripke import KripkeModel
@@ -347,7 +347,7 @@ def find_countermodel(formula: Formula, *, max_worlds: int = 4) -> Optional[tupl
     return None
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Decision:
     valid: bool
     countermodel: Optional[KripkeModel] = None

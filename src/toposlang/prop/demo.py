@@ -12,9 +12,8 @@ sieve algebra on the top of the two-point poset, where witnesses fail it.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .._canon import jsonable
+from .._record import record
 from ..category import from_poset, sieve_heyting
 from ..heyting import (
     FULL_PLANE,
@@ -26,7 +25,7 @@ from ..heyting import (
 )
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class NondistributivityReport:
     rays: tuple[str, str, str]
     lhs: str   # a & (b | c)

@@ -6,14 +6,14 @@ quantify over all later worlds, so monotonicity propagates automatically.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Mapping
 
+from .._record import record
 from ..errors import InputError
 from .syntax import And, Atom, Formula, Implies, Not, Or, Prim, leaf_key
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class KripkeModel:
     worlds: tuple[str, ...]
     order: frozenset[tuple[str, str]]  # reflexive-transitive (w, v) pairs, w <= v

@@ -14,9 +14,9 @@ raw Hilbert derivations would be tedious to write by hand.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Mapping, Optional, Sequence
 
+from .._record import field, record
 from .syntax import And, Atom, Formula, Implies, Not, Or, format_formula
 
 _a, _b, _c = Atom("?a"), Atom("?b"), Atom("?c")
@@ -77,7 +77,7 @@ def axiom_schema_of(formula: Formula) -> Optional[str]:
     return None
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class ProofLine:
     formula: Formula
     rule: str  # "axiom" | "mp" | "hypothesis"
@@ -85,7 +85,7 @@ class ProofLine:
     schema: Optional[str] = None
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Proof:
     lines: tuple[ProofLine, ...]
 
@@ -94,7 +94,7 @@ class Proof:
         return self.lines[-1].formula
 
 
-@dataclass
+@record
 class ProofVerdict:
     accepted: bool
     bad_line: Optional[int] = None

@@ -10,10 +10,10 @@ truth value by direct recursion.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Mapping
 
+from .._record import field, record
 from ..errors import InputError, ToposlangError
 from ..heyting import DownsetAlgebra, powerset_algebra
 from ..intervals import IntervalSet
@@ -53,7 +53,7 @@ def pl_represent(formula: Formula, assignment: Mapping, algebra: DownsetAlgebra)
     return walk(formula)
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class ClassicalSystem:
     """Finite state set with exact rational value tables per quantity."""
     states: tuple[str, ...]
@@ -74,17 +74,28 @@ class ClassicalSystem:
         return Fraction(self.quantities[quantity][state])
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class ClassicalRep:
     """Powerset-of-states algebra plus the preimage assignment of primitives."""
     system: ClassicalSystem
     algebra: DownsetAlgebra
 
+    def __post_init__(self):
+        # Each quantity's states grouped by value, each value converted
+        # once, so that a preimage decides membership once per value.
+        by_value = {}
+        for name, table in self.system.quantities.items():
+            groups: dict = {}
+            for s in self.system.states:
+                groups.setdefault(Fraction(table[s]), []).append(s)
+            by_value[name] = tuple(groups.items())
+        object.__setattr__(self, "_by_value", by_value)
+
     def preimage(self, quantity: str, delta: IntervalSet) -> frozenset:
-        if quantity not in self.system.quantities:
+        if quantity not in self._by_value:
             raise InputError(f"unknown quantity name {quantity!r}")
-        return frozenset(s for s in self.system.states
-                         if delta.member(self.system.value(quantity, s)))
+        return frozenset(s for value, states in self._by_value[quantity]
+                         if delta.member(value) for s in states)
 
     def assign(self, prim: Prim) -> frozenset:
         if not isinstance(prim, Prim):
@@ -127,7 +138,7 @@ def truth_value(formula: Formula, state: str, system: ClassicalSystem) -> int:
 
 # -- the optional interval axioms, verified per representation ------------------
 
-@dataclass
+@record
 class OptionalAxiomReport:
     checked: int = 0
     failures: list = field(default_factory=list)

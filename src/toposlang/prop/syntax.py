@@ -13,10 +13,10 @@ canonical form and is the inverse of the parser on normal forms.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
 
+from .._record import record
 from ..errors import InputError
 from ..intervals import Interval, IntervalSet
 
@@ -25,35 +25,35 @@ class ParseError(InputError):
     pass
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Prim:
     quantity: str
     delta: IntervalSet
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Atom:
     name: str
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Not:
     operand: "Formula"
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class And:
     left: "Formula"
     right: "Formula"
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Or:
     left: "Formula"
     right: "Formula"
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Implies:
     left: "Formula"
     right: "Formula"

@@ -28,11 +28,11 @@ denotes the power-object element deciding membership against them.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Mapping, Sequence
 
 from ._canon import canon_sorted
+from ._record import field, record
 from .category import FiniteCategory, one_object_category, principal_sieve
 from .errors import ToposlangError
 from .intervals import IntervalSet
@@ -85,7 +85,7 @@ class FaithfulnessError(RepresentationError):
     pass
 
 
-@dataclass
+@record
 class AxiomWitness:
     axiom: str
     stage: str
@@ -94,7 +94,7 @@ class AxiomWitness:
     expected: frozenset
 
 
-@dataclass
+@record
 class AxiomReport:
     checked: int = 0
     failures: list[AxiomWitness] = field(default_factory=list)
@@ -333,7 +333,7 @@ def _set_arrow(base: FiniteCategory, source: Presheaf, target: Presheaf,
     return NatTransform(source, target, {obj: dict(table)})
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class EffectiveClassicalRep:
     """A finite-state system lifted to the one-object backend.
 

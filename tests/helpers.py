@@ -5,7 +5,12 @@ G4ip prover without pruning, the `decide` benchmark corpus, the wall-clock
 budget, and the oracles no library code calls: the tabulating Heyting
 algebra, the exhaustive law checker, the universal-property checks of
 products and exponentials, the canonical keys presheaves and natural
-transformations were once compared by, and the memoized term evaluator."""
+transformations were once compared by, the memoized term evaluator, and
+the `dataclasses` twins of the record classes."""
+import __future__
+import ast
+import dataclasses
+import importlib
 import itertools
 import random
 import sys
@@ -767,3 +772,32 @@ def reference_interpret_term(term: Term, context: Sequence[tuple[str, TypeExpr]]
     if bad.items:
         raise RepresentationError(f"interpretation is not natural: {bad.items[0]}")
     return arrow
+
+
+# -- dataclass twins of the record classes -----------------------------------------
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def _is_record(decorator: ast.expr) -> bool:
+    call = decorator.func if isinstance(decorator, ast.Call) else decorator
+    return isinstance(call, ast.Name) and call.id == "record"
+
+
+def record_twins() -> list[tuple[type, type]]:
+    """Each `@record` class under src/, paired with its twin: the same class
+    statement run again in a copy of its module's namespace, where `record`
+    and `field` are `dataclasses.dataclass` and `dataclasses.field`."""
+    pairs = []
+    for path in sorted((SRC / "toposlang").rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in tree.body:
+            if not (isinstance(node, ast.ClassDef)
+                    and any(_is_record(d) for d in node.decorator_list)):
+                continue
+            module = importlib.import_module(".".join(path.relative_to(SRC).with_suffix("").parts))
+            namespace = dict(vars(module), record=dataclasses.dataclass, field=dataclasses.field)
+            exec(compile(ast.Module([node], []), str(path), "exec",
+                         flags=__future__.annotations.compiler_flag, dont_inherit=True), namespace)
+            pairs.append((getattr(module, node.name), namespace[node.name]))
+    return pairs

@@ -5,6 +5,7 @@ import os
 import shutil
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -169,6 +170,19 @@ def test_resource_caps_exit_2_with_their_kind(tmp_path, capsys):
     assert err.startswith("cap exceeded:")
     code, payload, _ = run(capsys, "pl", "decide", "--max-worlds", "1", "((a->b)->a)->a")
     assert code == 2 and payload["kind"] == "resource-cap"
+
+
+def test_eight_variable_context_is_refused_within_a_second(capsys):
+    # 8^8 environments over |P(R)| = 8: counted before the product is built
+    context = [arg for i in range(1, 9) for arg in ("--context", f"A{i}=P(R)")]
+    start = time.perf_counter()
+    code, payload, err = run(capsys, "ls", "represent", FIXTURE, "A1 = A2", "--rep", "z3",
+                             *context)
+    assert time.perf_counter() - start < 1.0
+    assert code == 2
+    assert payload == {"error": "product of 8 factors has 16777216 elements, exceeds cap 32768",
+                       "kind": "resource-cap"}
+    assert err.startswith("cap exceeded:")
 
 
 def test_cap_hit_while_loading_keeps_its_kind_and_pointer(tmp_path, capsys):

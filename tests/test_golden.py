@@ -10,9 +10,11 @@ presheaf base), `validate` on the broken project files
 message and pointer, and `pl decide` on Dummett's (a -> b) | (b -> a), on
 (a -> b) | (b -> c) | (c -> a), on a | ~a and on the Rieger-Nishimura
 implication n10 -> n9, whose countermodels need more than four worlds (exit
-2, resource-cap), which pin the countermodel search's smallest-first order.
-The files were captured from cold processes under PYTHONHASHSEED 1, 2 and
-3, which gave identical bytes.
+2, resource-cap), which pin the countermodel search's smallest-first order,
+and `ls represent` over eight context variables of type P(R), whose 8^8
+environments the product cap refuses before building them (exit 2,
+resource-cap).  The files were captured from cold processes under
+PYTHONHASHSEED 1, 2 and 3, which gave identical bytes.
 """
 import json
 from pathlib import Path

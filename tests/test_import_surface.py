@@ -46,8 +46,8 @@ with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.St
 print(" ".join(sorted(sys.modules)))
 """
 
-NOT_FOR_PROP = ("jsonschema", "toposlang.category", "toposlang.presheaf", "toposlang.rep",
-                "toposlang.project", "toposlang.local")
+NOT_FOR_PROP = ("jsonschema", "dataclasses", "inspect", "toposlang.category",
+                "toposlang.presheaf", "toposlang.rep", "toposlang.project", "toposlang.local")
 
 
 def test_exports_are_the_71_names_of_their_defining_modules():
@@ -77,12 +77,28 @@ def _loaded(modules, name):
     (["pl", "parse", "~A in [0,1] -> b"], NOT_FOR_PROP + ("toposlang.heyting",),
      "toposlang.prop.syntax"),
     (["pl", "decide", "((a -> b) -> a) -> a"], NOT_FOR_PROP, "toposlang.prop.decide"),
-    (["validate", FIXTURE], ("jsonschema",), "toposlang.project"),
+    (["validate", FIXTURE], ("jsonschema", "dataclasses", "inspect"), "toposlang.project"),
 ], ids=["pl-parse", "pl-decide", "validate"])
 def test_cold_command_imports_only_its_share(argv, forbidden, needed):
     modules = _modules_loaded(SCRIPT, *argv)
     assert needed in modules
     assert [name for name in forbidden if _loaded(modules, name)] == []
+
+
+def test_no_command_loads_dataclasses_or_inspect():
+    # Every golden command, run in turn in one process: the record classes
+    # need neither module, and `dataclasses` would load `inspect`.
+    script = """
+import contextlib, io, json, sys
+from toposlang.cli import main
+for case in json.load(open("tests/golden/cases.json")):
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        main(case["argv"])
+print(" ".join(sorted(sys.modules)))
+"""
+    modules = _modules_loaded(script)
+    assert {"toposlang.project", "toposlang.rep", "toposlang.prop.decide"} <= modules
+    assert [name for name in ("dataclasses", "inspect") if _loaded(modules, name)] == []
 
 
 def test_validate_loads_only_the_layers_a_project_declares(tmp_path):

@@ -35,6 +35,7 @@ from toposlang.category import from_poset, one_object_category, principal_sieve
 from toposlang.errors import CapExceeded
 from toposlang.presheaf import (
     CACHE_SIZE,
+    PRODUCT_CAP,
     GlobalElement,
     NatTransform,
     Presheaf,
@@ -52,6 +53,7 @@ from toposlang.presheaf import (
     power_object,
     power_transpose,
     product,
+    product_presheaf,
     sub_heyting,
     subobject_of_char,
     terminal_presheaf,
@@ -89,6 +91,33 @@ def test_non_natural_transformation_is_reported():
     n = NatTransform(y, y, {"q": {"u": "u"}, "p": {"v0": "v1", "v1": "v0"}})
     report = validate_nat(n)
     assert any(v[0] == "naturality" for v in report.items)
+
+
+def test_broken_identity_table_is_still_reported_by_naturality():
+    # validate_nat skips the squares along identities only when both
+    # presheaves' identity tables fix their stages; a swapping one keeps them
+    swapped = Presheaf(PT, {"pt": ("a", "b")}, {"id[pt]": {"a": "b", "b": "a"}})
+    plain = set_presheaf(["a", "b"])
+    assert not swapped._identity_law and plain._identity_law
+    ident = {"pt": {"a": "a", "b": "b"}}
+    assert validate_nat(NatTransform(plain, plain, ident)).ok
+    for source, target in ((swapped, plain), (plain, swapped)):
+        report = validate_nat(NatTransform(source, target, ident))
+        assert report.items == [("naturality", "id[pt]", "a"), ("naturality", "id[pt]", "b")]
+    square = Presheaf(TWO, {"q": ("x",), "p": ("y",)},
+                      {"le[p,q]": {"x": "y"}, "id[q]": {"x": "x"}, "id[p]": {}})
+    assert not square._identity_law
+    with pytest.raises(PresheafError, match="restriction along 'id\\[p\\]' undefined"):
+        validate_nat(NatTransform(square, square, {"q": {"x": "x"}, "p": {"y": "y"}}))
+
+
+def test_product_is_refused_before_it_is_built_past_its_cap():
+    eight = set_presheaf(range(8))
+    at_cap = product_presheaf([eight] * 5)
+    assert len(at_cap.stage("pt")) == PRODUCT_CAP == 8 ** 5
+    assert at_cap._identity_law and validate_presheaf(at_cap).ok
+    with pytest.raises(CapExceeded, match=f"has {8 ** 8} elements, exceeds cap"):
+        product_presheaf([eight] * 8)
 
 
 def test_classifier_on_one_object_category_is_two_valued():
