@@ -41,9 +41,10 @@ from .heyting import DownsetAlgebra, iter_downsets, preorder_closure
 ENUM_NODE_CAP = 10_000_000
 SUB_ENUM_CAP = 1 << 20
 # Elements a product may have over all its stages.  A term context is such a
-# product, and `ls represent` spends about 0.18 ms and 6 KB per environment:
-# five variables of type P(R) on the fixture, 2^15 environments, take 6 s
-# and 211 MB, and the next factor of 8 would not fit a 10 s budget.
+# product, and `ls represent` spends about 0.18 ms and 6 KB per environment
+# (2-core host, Python 3.11): five variables of type P(R) on the fixture,
+# 2^15 environments, take 6 s and 211 MB, and the next factor of 8 would not
+# fit a 10 s budget.
 PRODUCT_CAP = 1 << 15
 # Entries kept by each of the process-wide caches on `classifier_kit` and
 # `exponential`, least recently used first out.
