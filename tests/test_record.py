@@ -42,7 +42,7 @@ EXTRA_ARGS = {
 
 def outcome(thunk):
     """A call's value, or the kind and message of what it raised; the
-    frozen-field error is an AttributeError under either builder."""
+    frozen-field error is an AttributeError under either decorator."""
     try:
         return "ok", thunk()
     except AttributeError as exc:
@@ -128,7 +128,7 @@ def test_equality_across_classes_matches_the_twins():
 
 
 def test_written_methods_win_over_generated_ones():
-    # No record class under src/ writes these, so both builders get the
+    # No record class under src/ writes these, so both decorators get the
     # same small classes here.
     from toposlang._record import record
 
