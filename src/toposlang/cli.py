@@ -210,13 +210,17 @@ def cmd_pl_prove(args) -> int:
 
 def _context_from_args(args):
     from .local.syntax import parse_type
-    context = []
+    context = {}
     for binding in args.context or ():
         if "=" not in binding:
             raise InputError(f"context bindings look like var=Type, got {binding!r}")
-        vname, tname = binding.split("=", 1)
-        context.append((vname.strip(), parse_type(tname.strip())))
-    return tuple(context)
+        vname, tname = (part.strip() for part in binding.split("=", 1))
+        if not vname:
+            raise InputError(f"context binding {binding!r} names no variable")
+        if vname in context:
+            raise InputError(f"context variable {vname!r} is bound more than once")
+        context[vname] = parse_type(tname)
+    return tuple(context.items())
 
 
 def cmd_ls_typecheck(args) -> int:

@@ -19,16 +19,8 @@ from typing import Iterable, Optional
 from ._record import record
 
 
-def _lo_key(lo: Optional[Fraction], closed: bool):
-    if lo is None:
-        return (-1, Fraction(0), 0)
-    return (0, lo, 0 if closed else 1)
-
-
-def _hi_key(hi: Optional[Fraction], closed: bool):
-    if hi is None:
-        return (1, Fraction(0), 0)
-    return (0, hi, 0 if closed else -1)
+_UNBOUNDED_LO = (-1, Fraction(0), 0)
+_UNBOUNDED_HI = (1, Fraction(0), 0)
 
 
 def _succ(hi_key):
@@ -52,14 +44,11 @@ class Interval:
             raise ValueError("an unbounded end cannot be closed")
         if self.hi is None and self.hi_closed:
             raise ValueError("an unbounded end cannot be closed")
-
-    @property
-    def lo_key(self):
-        return _lo_key(self.lo, self.lo_closed)
-
-    @property
-    def hi_key(self):
-        return _hi_key(self.hi, self.hi_closed)
+        # the endpoint keys, computed once: every comparison reads them
+        object.__setattr__(self, "lo_key", _UNBOUNDED_LO if self.lo is None
+                           else (0, self.lo, 0 if self.lo_closed else 1))
+        object.__setattr__(self, "hi_key", _UNBOUNDED_HI if self.hi is None
+                           else (0, self.hi, 0 if self.hi_closed else -1))
 
     @property
     def is_empty(self) -> bool:

@@ -14,10 +14,10 @@ from typing import Optional, Sequence
 
 from .._record import record
 from ..errors import InputError
-from .check import alpha_equal, free_vars, substitute
+from .check import alpha_equal, annotate, free_vars, map_children, substitute
 from .syntax import (
+    STAR,
     AndT,
-    App,
     Compr,
     Eq,
     In,
@@ -25,7 +25,6 @@ from .syntax import (
     Signature,
     Star,
     Term,
-    TrueLit,
     Tup,
     Var,
     format_term,
@@ -78,15 +77,6 @@ def _replaceable(phi: Term, psi: Term, x: Term, y: Term) -> bool:
             return True
         if type(a) is not type(b):
             return False
-        if isinstance(a, (Var, Star, TrueLit)):
-            return a == b
-        if isinstance(a, App):
-            return a.symbol == b.symbol and walk(a.arg, b.arg)
-        if isinstance(a, Tup):
-            return len(a.items) == len(b.items) and \
-                all(walk(s, t) for s, t in zip(a.items, b.items))
-        if isinstance(a, Proj):
-            return a.index == b.index and walk(a.item, b.item)
         if isinstance(a, Compr):
             if a.var.vtype != b.var.vtype:
                 return False
@@ -94,13 +84,12 @@ def _replaceable(phi: Term, psi: Term, x: Term, y: Term) -> bool:
             fresh = Var(f"%r{counter[0]}", a.var.vtype)
             return walk(substitute(a.body, a.var.name, fresh),
                         substitute(b.body, b.var.name, fresh))
-        if isinstance(a, Eq):
-            return walk(a.left, b.left) and walk(a.right, b.right)
-        if isinstance(a, In):
-            return walk(a.element, b.element) and walk(a.container, b.container)
-        if isinstance(a, AndT):
-            return walk(a.left, b.left) and walk(a.right, b.right)
-        return False
+        a_kids, b_kids = [], []
+        # the same former with the same symbol, index or arity, or equal leaves
+        if map_children(a, lambda t: a_kids.append(t) or STAR) != \
+                map_children(b, lambda t: b_kids.append(t) or STAR):
+            return False
+        return all(walk(s, t) for s, t in zip(a_kids, b_kids))
 
     return walk(phi, psi)
 
@@ -288,10 +277,8 @@ def abelian_axiom_pack() -> AxiomPack:
     symbols = (("zero", UNIT, RQ), ("add", ProductType((RQ, RQ)), RQ), ("neg", RQ, RQ))
 
     def seqt(text: str) -> Sequent:
-        term = parse_term(text)
-        for name in free_vars(term):  # every free variable ranges over R
-            term = substitute(term, name, Var(name, RQ))
-        return Sequent(frozenset(), term)
+        term = parse_term(text)  # every free variable ranges over R
+        return Sequent(frozenset(), annotate(term, dict.fromkeys(free_vars(term), RQ)))
 
     sequents = (
         ("unit", seqt("add(<r, zero(*)>) = r")),

@@ -6,10 +6,15 @@ capture-avoiding: comprehension binders are renamed when the replacement
 would capture.  `desugar_connectives` eliminates the surface constant
 `true` into `* = *` and conjunction into equality of pairs of truth values,
 after which terms consist of core formers only.
+
+`map_children` is the one structural traversal: `free_vars`, `substitute`,
+`alpha_normal`, `desugar_connectives` and the rewrite matcher of
+`axioms.py` handle variables and binders themselves and leave every other
+former to it.
 """
 from __future__ import annotations
 
-from typing import Mapping, Optional
+from typing import Callable, Mapping, Optional
 
 from .._record import record
 from ..errors import ToposlangError
@@ -111,29 +116,44 @@ def infer_type(term: Term, context: Mapping[str, TypeExpr] | None = None,
     return walk(term, ctx)
 
 
+def map_children(term: Term, f: Callable[[Term], Term]) -> Term:
+    """The term with f applied to each immediate subterm, left to right.
+
+    The one place outside the parser, the printer and the interpreters that
+    knows the fields of each term former.  A comprehension's binder is not a
+    subterm; variables, `*` and `true` have none and come back as they are.
+    """
+    if isinstance(term, (Var, Star, TrueLit)):
+        return term
+    if isinstance(term, App):
+        return App(term.symbol, f(term.arg))
+    if isinstance(term, Tup):
+        return Tup(tuple(f(t) for t in term.items))
+    if isinstance(term, Proj):
+        return Proj(term.index, f(term.item))
+    if isinstance(term, Compr):
+        return Compr(term.var, f(term.body))
+    if isinstance(term, Eq):
+        return Eq(f(term.left), f(term.right))
+    if isinstance(term, In):
+        return In(f(term.element), f(term.container))
+    if isinstance(term, AndT):
+        return AndT(f(term.left), f(term.right))
+    raise TypeError(f"not a term node: {term!r}")
+
+
 def free_vars(term: Term) -> dict[str, set]:
     """Free variable names with the annotation types seen on them."""
     out: dict[str, set] = {}
 
-    def walk(n: Term, bound: frozenset):
+    def walk(n: Term, bound: frozenset) -> Term:
         if isinstance(n, Var):
             if n.name not in bound:
                 out.setdefault(n.name, set()).add(n.vtype)
-        elif isinstance(n, App):
-            walk(n.arg, bound)
-        elif isinstance(n, Tup):
-            for t in n.items:
-                walk(t, bound)
-        elif isinstance(n, Proj):
-            walk(n.item, bound)
-        elif isinstance(n, Compr):
-            walk(n.body, bound | {n.var.name})
-        elif isinstance(n, (Eq, AndT)):
-            walk(n.left, bound)
-            walk(n.right, bound)
-        elif isinstance(n, In):
-            walk(n.element, bound)
-            walk(n.container, bound)
+            return n
+        if isinstance(n, Compr):
+            bound = bound | {n.var.name}
+        return map_children(n, lambda c: walk(c, bound))
 
     walk(term, frozenset())
     return out
@@ -159,30 +179,22 @@ def substitute(term: Term, var_name: str, replacement: Term) -> Term:
     def walk(n: Term) -> Term:
         if isinstance(n, Var):
             return replacement if n.name == var_name else n
-        if isinstance(n, (Star, TrueLit)):
-            return n
-        if isinstance(n, App):
-            return App(n.symbol, walk(n.arg))
-        if isinstance(n, Tup):
-            return Tup(tuple(walk(t) for t in n.items))
-        if isinstance(n, Proj):
-            return Proj(n.index, walk(n.item))
         if isinstance(n, Compr):
             if n.var.name == var_name:
                 return n  # occurrences below are bound, not free
             if n.var.name in repl_free:
                 taken = repl_free | set(free_vars(n.body)) | {var_name}
                 n = rename_binder(n, _fresh(n.var.name, taken))
-            return Compr(n.var, walk(n.body))
-        if isinstance(n, Eq):
-            return Eq(walk(n.left), walk(n.right))
-        if isinstance(n, In):
-            return In(walk(n.element), walk(n.container))
-        if isinstance(n, AndT):
-            return AndT(walk(n.left), walk(n.right))
-        raise TypeError(f"not a term node: {n!r}")
+        return map_children(n, walk)
 
     return walk(term)
+
+
+def annotate(term: Term, var_types: Mapping[str, TypeExpr]) -> Term:
+    """Substitute each free variable named in var_types by its typed twin."""
+    for name, vtype in var_types.items():
+        term = substitute(term, name, Var(name, vtype))
+    return term
 
 
 def alpha_normal(term: Term) -> Term:
@@ -192,27 +204,13 @@ def alpha_normal(term: Term) -> Term:
     def walk(n: Term, env: Mapping[str, str]) -> Term:
         if isinstance(n, Var):
             return Var(env.get(n.name, n.name), n.vtype)
-        if isinstance(n, (Star, TrueLit)):
-            return n
-        if isinstance(n, App):
-            return App(n.symbol, walk(n.arg, env))
-        if isinstance(n, Tup):
-            return Tup(tuple(walk(t, env) for t in n.items))
-        if isinstance(n, Proj):
-            return Proj(n.index, walk(n.item, env))
         if isinstance(n, Compr):
             counter[0] += 1
             fresh = f"%{counter[0]}"
             inner = dict(env)
             inner[n.var.name] = fresh
             return Compr(Var(fresh, n.var.vtype), walk(n.body, inner))
-        if isinstance(n, Eq):
-            return Eq(walk(n.left, env), walk(n.right, env))
-        if isinstance(n, In):
-            return In(walk(n.element, env), walk(n.container, env))
-        if isinstance(n, AndT):
-            return AndT(walk(n.left, env), walk(n.right, env))
-        raise TypeError(f"not a term node: {n!r}")
+        return map_children(n, lambda c: walk(c, env))
 
     return walk(term, {})
 
@@ -232,20 +230,6 @@ def desugar_connectives(term: Term) -> Term:
             return CORE_TRUE
         if isinstance(n, AndT):
             return Eq(Tup((walk(n.left), walk(n.right))), Tup((CORE_TRUE, CORE_TRUE)))
-        if isinstance(n, (Var, Star)):
-            return n
-        if isinstance(n, App):
-            return App(n.symbol, walk(n.arg))
-        if isinstance(n, Tup):
-            return Tup(tuple(walk(t) for t in n.items))
-        if isinstance(n, Proj):
-            return Proj(n.index, walk(n.item))
-        if isinstance(n, Compr):
-            return Compr(n.var, walk(n.body))
-        if isinstance(n, Eq):
-            return Eq(walk(n.left), walk(n.right))
-        if isinstance(n, In):
-            return In(walk(n.element), walk(n.container))
-        raise TypeError(f"not a term node: {n!r}")
+        return map_children(n, walk)
 
     return walk(term)

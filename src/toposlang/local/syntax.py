@@ -15,6 +15,7 @@ from __future__ import annotations
 import re
 from typing import Mapping, Optional, Union
 
+from .._lex import Cursor
 from .._record import record
 from ..errors import InputError
 from .types import (
@@ -121,57 +122,21 @@ class Signature:
 _TOKEN = re.compile(r"""
     (?P<ws>\s+)
   | (?P<iff><=>)
-  | (?P<proj>proj_(?P<projn>\d+))
+  | proj_(?P<proj>\d+)
   | (?P<name>[A-Za-z_][A-Za-z0-9_']*)
   | (?P<num>\d+)
   | (?P<sym>[{}()<>,|:*&=])
 """, re.VERBOSE)
 
-_KEYWORDS = {"in", "true", "P", "Omega", "Sigma", "R"}
+_KEYWORDS = frozenset({"in", "true", "P", "Omega", "Sigma", "R"})
 
 
-def _tokenize(text: str):
-    out = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN.match(text, pos)
-        if not m:
-            raise LsParseError(f"lexical error at column {pos}: {text[pos:pos + 10]!r}")
-        if m.lastgroup != "ws":
-            kind, value = m.lastgroup, m.group()
-            if kind == "name" and value in _KEYWORDS:
-                kind = value
-            if kind == "proj":
-                out.append(("proj", m.group("projn"), pos))
-            else:
-                out.append((kind, value, pos))
-        pos = m.end()
-    out.append(("eof", "", len(text)))
-    return out
+class _Parser(Cursor):
+    token, reserved, error = _TOKEN, _KEYWORDS, LsParseError
 
-
-class _Parser:
     def __init__(self, text: str, signature: Optional[Signature]):
-        self.toks = _tokenize(text)
-        self.i = 0
+        super().__init__(text)
         self.signature = signature
-
-    def peek(self):
-        return self.toks[self.i]
-
-    def next(self):
-        tok = self.toks[self.i]
-        self.i += 1
-        return tok
-
-    def expect(self, kind, value=None):
-        k, v, pos = self.next()
-        if k != kind or (value is not None and v != value):
-            raise LsParseError(f"expected {value or kind!r} at column {pos}, got {v!r}")
-        return v
-
-    def at_sym(self, ch):
-        return self.peek()[:2] == ("sym", ch)
 
     # ---- types ---------------------------------------------------------
 
@@ -291,18 +256,14 @@ class _Parser:
 def parse_term(text: str, signature: Optional[Signature] = None) -> Term:
     p = _Parser(text, signature)
     node = p.term()
-    if p.peek()[0] != "eof":
-        _, v, pos = p.peek()
-        raise LsParseError(f"trailing input at column {pos}: {v!r}")
+    p.finish()
     return node
 
 
 def parse_type(text: str) -> TypeExpr:
     p = _Parser(text, None)
     node = p.type_expr()
-    if p.peek()[0] != "eof":
-        _, v, pos = p.peek()
-        raise LsParseError(f"trailing input at column {pos}: {v!r}")
+    p.finish()
     return node
 
 

@@ -332,8 +332,8 @@ def build_project(document: Mapping) -> Project:
 
 def _sequent_from_json(spec: Mapping, pointer: str) -> Sequent:
     from .local.axioms import Sequent
-    from .local.check import substitute
-    from .local.syntax import Var, parse_term, parse_type
+    from .local.check import annotate
+    from .local.syntax import parse_term, parse_type
     try:
         conclusion = parse_term(spec["conclusion"])
         context = frozenset(parse_term(t) for t in spec.get("context", ()))
@@ -341,14 +341,8 @@ def _sequent_from_json(spec: Mapping, pointer: str) -> Sequent:
         raise ProjectError(f"sequent: {exc}", pointer) from exc
     var_types = {vname: parse_type(tname)
                  for vname, tname in spec.get("variables", {}).items()}
-    if var_types:
-        def annotate(term):
-            for vname, vtype in var_types.items():
-                term = substitute(term, vname, Var(vname, vtype))
-            return term
-        conclusion = annotate(conclusion)
-        context = frozenset(annotate(t) for t in context)
-    return Sequent(context, conclusion)
+    return Sequent(frozenset(annotate(t, var_types) for t in context),
+                   annotate(conclusion, var_types))
 
 
 def _topos_rep_from_json(project: Project, spec: Mapping, ptr: str) -> ToposRep:

@@ -44,7 +44,7 @@ from .syntax import And, Atom, Formula, Implies, Not, Or, Prim, leaf_key, leaves
 # Truth tables cover at most 2^12 = 4096 valuations.
 PRUNE_ATOMS = 12
 
-_ATOM, _BOT, _AND, _OR, _IMP, _NOT = range(6)  # node kinds; _NOT only in `_compile`
+_ATOM, _BOT, _AND, _OR, _IMP = range(5)  # node kinds
 BOT = 0  # the absurdity node, first in every table
 
 
@@ -55,8 +55,8 @@ class SearchCapExceeded(CapExceeded):
 class _Table:
     """One search's interned formulas and memo.  Node i is `(op[i], left[i],
     right[i])`, its parts interned before it; an atom's left part is its
-    number in order of first appearance.  `masks` holds the truth tables of
-    the first len(masks) nodes, over `full`'s valuations."""
+    number in the order the atoms were interned.  `masks` holds the truth
+    tables of the first len(masks) nodes, over `full`'s valuations."""
 
     def __init__(self):
         self.op, self.left, self.right = [_BOT], [0], [0]
@@ -279,35 +279,6 @@ def _frames(n: int) -> tuple[tuple, ...]:
     return tuple(out)
 
 
-def _compile(formula: Formula, keys: list) -> tuple[list, int]:
-    """The formula as a postorder program over value slots: slots 0..len(keys)-1
-    hold the atoms in `keys` order, and each step (slot, op, a, b) fills the
-    next slot from earlier ones.  Equal subformulas share one slot."""
-    slot_of = {("atom", k): i for i, k in enumerate(keys)}
-    program = []
-
-    def walk(f) -> int:
-        if isinstance(f, (Prim, Atom)):
-            return slot_of[("atom", leaf_key(f))]
-        if isinstance(f, Not):
-            node = (_NOT, walk(f.operand), 0)
-        elif isinstance(f, And):
-            node = (_AND, walk(f.left), walk(f.right))
-        elif isinstance(f, Or):
-            node = (_OR, walk(f.left), walk(f.right))
-        elif isinstance(f, Implies):
-            node = (_IMP, walk(f.left), walk(f.right))
-        else:
-            raise TypeError(f"not a formula node: {f!r}")
-        slot = slot_of.get(node)
-        if slot is None:
-            slot = slot_of[node] = len(slot_of)
-            program.append((slot, *node))
-        return slot
-
-    return program, walk(formula)
-
-
 def find_countermodel(formula: Formula, *, max_worlds: int = 4) -> Optional[tuple]:
     """Smallest-first search for a model and world where the formula fails.
 
@@ -318,24 +289,31 @@ def find_countermodel(formula: Formula, *, max_worlds: int = 4) -> Optional[tupl
     are mask operations, and `a -> b` holds at the worlds whose up-set misses
     `a & ~b`, a lookup in the frame's `box` table.  Only the hit is built as a
     `KripkeModel`; `decide` confirms it with the forcing evaluator.
+
+    The formula is evaluated as the nodes of a `_Table`, one value slot per
+    node: absurdity in slot 0, never written, so a negation `a -> BOT` reads
+    `box[a]`; the atoms next, interned first in sorted key order; then the
+    compound nodes, each after its parts.
     """
-    keys = sorted({leaf_key(leaf) for leaf in leaves(formula)})
-    program, root = _compile(formula, keys)
-    val = [0] * (len(keys) + len(program))
+    t = _Table()
+    for key in sorted({leaf_key(leaf) for leaf in leaves(formula)}):
+        t.node(_ATOM, t.atoms.setdefault(key, len(t.atoms)))
+    root = _translate(formula, t)
+    keys, start = list(t.atoms), len(t.atoms) + 1
+    program = list(zip(range(start, len(t.op)), t.op[start:], t.left[start:], t.right[start:]))
+    val = [0] * len(t.op)
     for n in range(1, max_worlds + 1):
         full = (1 << n) - 1
         for upset_of, masks, box in _frames(n):
             for assignment in itertools.product(masks, repeat=len(keys)):
-                val[:len(keys)] = assignment
+                val[1:start] = assignment
                 for slot, op, a, b in program:
                     if op == _IMP:
                         val[slot] = box[val[a] & ~val[b]]
                     elif op == _AND:
                         val[slot] = val[a] & val[b]
-                    elif op == _OR:
-                        val[slot] = val[a] | val[b]
                     else:
-                        val[slot] = box[val[a]]
+                        val[slot] = val[a] | val[b]
                 failing = full & ~val[root]
                 if failing:
                     names = tuple(f"w{i}" for i in range(n))

@@ -16,6 +16,7 @@ import re
 from fractions import Fraction
 from typing import Union
 
+from .._lex import Cursor
 from .._record import record
 from ..errors import InputError
 from ..intervals import Interval, IntervalSet
@@ -69,45 +70,11 @@ _TOKEN = re.compile(r"""
   | (?P<sym>[~&|()\[\],+\-])
 """, re.VERBOSE)
 
-_RESERVED = {"in", "u", "empty", "inf"}
+_RESERVED = frozenset({"in", "u", "empty", "inf"})
 
 
-def tokenize(text: str) -> list[tuple[str, str, int]]:
-    out = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN.match(text, pos)
-        if not m:
-            raise ParseError(f"lexical error at column {pos}: {text[pos:pos + 10]!r}")
-        if m.lastgroup != "ws":
-            kind = m.lastgroup
-            value = m.group()
-            if kind == "name" and value in _RESERVED:
-                kind = value
-            out.append((kind, value, pos))
-        pos = m.end()
-    out.append(("eof", "", len(text)))
-    return out
-
-
-class _Parser:
-    def __init__(self, text: str):
-        self.toks = tokenize(text)
-        self.i = 0
-
-    def peek(self):
-        return self.toks[self.i]
-
-    def next(self):
-        tok = self.toks[self.i]
-        self.i += 1
-        return tok
-
-    def expect(self, kind: str, value: str | None = None):
-        k, v, pos = self.next()
-        if k != kind or (value is not None and v != value):
-            raise ParseError(f"expected {value or kind!r} at column {pos}, got {v!r}")
-        return v
+class _Parser(Cursor):
+    token, reserved, error = _TOKEN, _RESERVED, ParseError
 
     def fail(self, what: str):
         _, v, pos = self.peek()
@@ -123,20 +90,20 @@ class _Parser:
 
     def or_f(self) -> Formula:
         node = self.and_f()
-        while self.peek()[:2] == ("sym", "|"):
+        while self.at_sym("|"):
             self.next()
             node = Or(node, self.and_f())
         return node
 
     def and_f(self) -> Formula:
         node = self.unary()
-        while self.peek()[:2] == ("sym", "&"):
+        while self.at_sym("&"):
             self.next()
             node = And(node, self.unary())
         return node
 
     def unary(self) -> Formula:
-        if self.peek()[:2] == ("sym", "~"):
+        if self.at_sym("~"):
             self.next()
             return Not(self.unary())
         return self.atom()
@@ -206,18 +173,14 @@ class _Parser:
 def parse_formula(text: str) -> Formula:
     p = _Parser(text)
     node = p.formula()
-    if p.peek()[0] != "eof":
-        _, v, pos = p.peek()
-        raise ParseError(f"trailing input at column {pos}: {v!r}")
+    p.finish()
     return node
 
 
 def parse_interval_set(text: str) -> IntervalSet:
     p = _Parser(text)
     got = p.interval_set()
-    if p.peek()[0] != "eof":
-        _, v, pos = p.peek()
-        raise ParseError(f"trailing input at column {pos}: {v!r}")
+    p.finish()
     return got
 
 

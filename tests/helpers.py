@@ -5,8 +5,9 @@ G4ip prover without pruning, the `decide` benchmark corpus, the wall-clock
 budget, and the oracles no library code calls: the tabulating Heyting
 algebra, the exhaustive law checker, the universal-property checks of
 products and exponentials, the canonical keys presheaves and natural
-transformations were once compared by, the memoized term evaluator, and
-the `dataclasses` twins of the record classes."""
+transformations were once compared by, the memoized term evaluator, the
+local language's term walkers with one branch per term former, and the
+`dataclasses` twins of the record classes."""
 import __future__
 import ast
 import dataclasses
@@ -17,7 +18,7 @@ import sys
 import time
 from pathlib import Path
 from dataclasses import dataclass, field
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, Mapping, NamedTuple, Sequence
 
 from toposlang._canon import canon_key
 from toposlang.category import (
@@ -50,7 +51,19 @@ from toposlang.presheaf import (
     validate_nat,
 )
 from toposlang.local.check import desugar_connectives, infer_type
-from toposlang.local.syntax import App, Compr, Eq, In, Proj, Star, Term, Tup, Var
+from toposlang.local.syntax import (
+    AndT,
+    App,
+    Compr,
+    Eq,
+    In,
+    Proj,
+    Star,
+    Term,
+    TrueLit,
+    Tup,
+    Var,
+)
 from toposlang.local.types import TypeExpr
 from toposlang.prop.decide import _posets
 from toposlang.prop.kripke import KripkeModel
@@ -772,6 +785,184 @@ def reference_interpret_term(term: Term, context: Sequence[tuple[str, TypeExpr]]
     if bad.items:
         raise RepresentationError(f"interpretation is not natural: {bad.items[0]}")
     return arrow
+
+
+# -- the local language's term walkers, one branch per term former ---------------
+
+def reference_free_vars(term: Term) -> dict[str, set]:
+    """`check.free_vars` as it was before `map_children`."""
+    out: dict[str, set] = {}
+
+    def walk(n: Term, bound: frozenset):
+        if isinstance(n, Var):
+            if n.name not in bound:
+                out.setdefault(n.name, set()).add(n.vtype)
+        elif isinstance(n, App):
+            walk(n.arg, bound)
+        elif isinstance(n, Tup):
+            for t in n.items:
+                walk(t, bound)
+        elif isinstance(n, Proj):
+            walk(n.item, bound)
+        elif isinstance(n, Compr):
+            walk(n.body, bound | {n.var.name})
+        elif isinstance(n, (Eq, AndT)):
+            walk(n.left, bound)
+            walk(n.right, bound)
+        elif isinstance(n, In):
+            walk(n.element, bound)
+            walk(n.container, bound)
+
+    walk(term, frozenset())
+    return out
+
+
+def _reference_fresh(base: str, taken: set[str]) -> str:
+    i = 1
+    while f"{base}_{i}" in taken:
+        i += 1
+    return f"{base}_{i}"
+
+
+def _reference_rename_binder(node: Compr, new_name: str) -> Compr:
+    new_var = Var(new_name, node.var.vtype)
+    return Compr(new_var, reference_substitute(node.body, node.var.name, new_var))
+
+
+def reference_substitute(term: Term, var_name: str, replacement: Term) -> Term:
+    """`check.substitute` as it was before `map_children`."""
+    repl_free = set(reference_free_vars(replacement))
+
+    def walk(n: Term) -> Term:
+        if isinstance(n, Var):
+            return replacement if n.name == var_name else n
+        if isinstance(n, (Star, TrueLit)):
+            return n
+        if isinstance(n, App):
+            return App(n.symbol, walk(n.arg))
+        if isinstance(n, Tup):
+            return Tup(tuple(walk(t) for t in n.items))
+        if isinstance(n, Proj):
+            return Proj(n.index, walk(n.item))
+        if isinstance(n, Compr):
+            if n.var.name == var_name:
+                return n  # occurrences below are bound, not free
+            if n.var.name in repl_free:
+                taken = repl_free | set(reference_free_vars(n.body)) | {var_name}
+                n = _reference_rename_binder(n, _reference_fresh(n.var.name, taken))
+            return Compr(n.var, walk(n.body))
+        if isinstance(n, Eq):
+            return Eq(walk(n.left), walk(n.right))
+        if isinstance(n, In):
+            return In(walk(n.element), walk(n.container))
+        if isinstance(n, AndT):
+            return AndT(walk(n.left), walk(n.right))
+        raise TypeError(f"not a term node: {n!r}")
+
+    return walk(term)
+
+
+def reference_alpha_normal(term: Term) -> Term:
+    """`check.alpha_normal` as it was before `map_children`."""
+    counter = [0]
+
+    def walk(n: Term, env: Mapping[str, str]) -> Term:
+        if isinstance(n, Var):
+            return Var(env.get(n.name, n.name), n.vtype)
+        if isinstance(n, (Star, TrueLit)):
+            return n
+        if isinstance(n, App):
+            return App(n.symbol, walk(n.arg, env))
+        if isinstance(n, Tup):
+            return Tup(tuple(walk(t, env) for t in n.items))
+        if isinstance(n, Proj):
+            return Proj(n.index, walk(n.item, env))
+        if isinstance(n, Compr):
+            counter[0] += 1
+            fresh = f"%{counter[0]}"
+            inner = dict(env)
+            inner[n.var.name] = fresh
+            return Compr(Var(fresh, n.var.vtype), walk(n.body, inner))
+        if isinstance(n, Eq):
+            return Eq(walk(n.left, env), walk(n.right, env))
+        if isinstance(n, In):
+            return In(walk(n.element, env), walk(n.container, env))
+        if isinstance(n, AndT):
+            return AndT(walk(n.left, env), walk(n.right, env))
+        raise TypeError(f"not a term node: {n!r}")
+
+    return walk(term, {})
+
+
+def _reference_alpha_equal(a: Term, b: Term) -> bool:
+    return reference_alpha_normal(a) == reference_alpha_normal(b)
+
+
+REFERENCE_CORE_TRUE = Eq(Star(), Star())
+
+
+def reference_desugar_connectives(term: Term) -> Term:
+    """`check.desugar_connectives` as it was before `map_children`."""
+    def walk(n: Term) -> Term:
+        if isinstance(n, TrueLit):
+            return REFERENCE_CORE_TRUE
+        if isinstance(n, AndT):
+            return Eq(Tup((walk(n.left), walk(n.right))),
+                      Tup((REFERENCE_CORE_TRUE, REFERENCE_CORE_TRUE)))
+        if isinstance(n, (Var, Star)):
+            return n
+        if isinstance(n, App):
+            return App(n.symbol, walk(n.arg))
+        if isinstance(n, Tup):
+            return Tup(tuple(walk(t) for t in n.items))
+        if isinstance(n, Proj):
+            return Proj(n.index, walk(n.item))
+        if isinstance(n, Compr):
+            return Compr(n.var, walk(n.body))
+        if isinstance(n, Eq):
+            return Eq(walk(n.left), walk(n.right))
+        if isinstance(n, In):
+            return In(walk(n.element), walk(n.container))
+        raise TypeError(f"not a term node: {n!r}")
+
+    return walk(term)
+
+
+def reference_replaceable(phi: Term, psi: Term, x: Term, y: Term) -> bool:
+    """`axioms._replaceable` as it was before `map_children`, over the
+    reference substitution and alpha equality."""
+    counter = [0]
+
+    def walk(a: Term, b: Term) -> bool:
+        if _reference_alpha_equal(a, x) and _reference_alpha_equal(b, y):
+            return True
+        if type(a) is not type(b):
+            return False
+        if isinstance(a, (Var, Star, TrueLit)):
+            return a == b
+        if isinstance(a, App):
+            return a.symbol == b.symbol and walk(a.arg, b.arg)
+        if isinstance(a, Tup):
+            return len(a.items) == len(b.items) and \
+                all(walk(s, t) for s, t in zip(a.items, b.items))
+        if isinstance(a, Proj):
+            return a.index == b.index and walk(a.item, b.item)
+        if isinstance(a, Compr):
+            if a.var.vtype != b.var.vtype:
+                return False
+            counter[0] += 1
+            fresh = Var(f"%r{counter[0]}", a.var.vtype)
+            return walk(reference_substitute(a.body, a.var.name, fresh),
+                        reference_substitute(b.body, b.var.name, fresh))
+        if isinstance(a, Eq):
+            return walk(a.left, b.left) and walk(a.right, b.right)
+        if isinstance(a, In):
+            return walk(a.element, b.element) and walk(a.container, b.container)
+        if isinstance(a, AndT):
+            return walk(a.left, b.left) and walk(a.right, b.right)
+        return False
+
+    return walk(phi, psi)
 
 
 # -- dataclass twins of the record classes -----------------------------------------

@@ -222,6 +222,23 @@ def test_ls_typecheck(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("command", [
+    ("ls", "typecheck", FIXTURE, "s = s", "--signature", "point_particle"),
+    ("ls", "represent", FIXTURE, "s = s", "--rep", "z3"),
+])
+@pytest.mark.parametrize("bindings, error", [
+    (("s=Sigma", "s=R"), "context variable 's' is bound more than once"),
+    ((" s =Sigma", "s= R"), "context variable 's' is bound more than once"),
+    (("=R",), "context binding '=R' names no variable"),
+])
+def test_context_variable_repeated_or_unnamed_is_bad_input(capsys, command, bindings, error):
+    flags = [arg for binding in bindings for arg in ("--context", binding)]
+    code, payload, err = run(capsys, *command, *flags)
+    assert code == 2
+    assert payload == {"error": error}
+    assert err == f"error: {error}\n"
+
+
 def test_ls_represent(capsys):
     code, payload, _ = run(capsys, "ls", "represent", FIXTURE, "true",
                            "--rep", "classical")
