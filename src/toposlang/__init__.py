@@ -25,6 +25,8 @@ The package is organized in layers:
 - `project` / `cli`: the JSON project-file format and the command-line
   front door; `schema_check` checks project files against their JSON
   Schema without a third-party package.
+- `_lex` and `_record`: the token cursor under both languages' parsers, and
+  the record decorator their syntax trees and the reports are built with.
 
 The names below are exported lazily (PEP 562): `import toposlang` loads no
 submodule, and `toposlang.X` imports the module that defines X on first use.

@@ -52,7 +52,7 @@ class Cursor:
         return v
 
     def at_sym(self, ch: str) -> bool:
-        return self.peek()[:2] == ("sym", ch)
+        return self.toks[self.i][:2] == ("sym", ch)
 
     def finish(self) -> None:
         """Raise unless every token has been read."""
