@@ -52,7 +52,8 @@ class Cursor:
         return v
 
     def at_sym(self, ch: str) -> bool:
-        return self.toks[self.i][:2] == ("sym", ch)
+        kind, value, _ = self.toks[self.i]
+        return value == ch and kind == "sym"
 
     def finish(self) -> None:
         """Raise unless every token has been read."""

@@ -119,9 +119,10 @@ def infer_type(term: Term, context: Mapping[str, TypeExpr] | None = None,
 def map_children(term: Term, f: Callable[[Term], Term]) -> Term:
     """The term with f applied to each immediate subterm, left to right.
 
-    The one place outside the parser, the printer and the interpreters that
-    knows the fields of each term former.  A comprehension's binder is not a
-    subterm; variables, `*` and `true` have none and come back as they are.
+    Apart from the parser, `format_term`, `infer_type` and
+    `rep.interpret_term`, the one place that knows the fields of each term
+    former.  A comprehension's binder is not a subterm; variables, `*` and
+    `true` have none and come back as they are.
     """
     if isinstance(term, (Var, Star, TrueLit)):
         return term
