@@ -10,41 +10,27 @@ import json
 import math
 from fractions import Fraction
 
-# Emptied when full, so that a long-running process does not grow with it.
-KEY_CACHE_LIMIT = 1 << 16
-_KEY_CACHE: dict = {}
-
 
 def canon_key(value):
     """Total order key over the element kinds the engine produces.
 
     Numbers order by value: the key is the nearest float, ±inf past float
     range, then the exact value to break ties, so ints and equal Fractions
-    share a key.  Keys of structured values are memoized, up to
-    KEY_CACHE_LIMIT entries: the same stage elements get sorted many times
-    across enumerations.
+    share a key.  Nothing is memoized: products and exponentials build
+    their stages in this order without a sort, so keys are only asked for
+    by the few sorts that remain.
     """
     if isinstance(value, str):
         return (1, value)
-    if isinstance(value, int) and not isinstance(value, bool):
-        return (0, _approx(value), value)
-    cached = _KEY_CACHE.get(value)
-    if cached is not None:
-        return cached
     if isinstance(value, bool):
-        key = (0, float(value), int(value))
-    elif isinstance(value, Fraction):
-        key = (0, _approx(value), value)
-    elif isinstance(value, tuple):
-        key = (2, tuple(canon_key(v) for v in value))
-    elif isinstance(value, frozenset):
-        key = (3, tuple(sorted(canon_key(v) for v in value)))
-    else:
-        raise TypeError(f"no canonical order for {type(value).__name__}")
-    if len(_KEY_CACHE) >= KEY_CACHE_LIMIT:
-        _KEY_CACHE.clear()
-    _KEY_CACHE[value] = key
-    return key
+        return (0, float(value), int(value))
+    if isinstance(value, (int, Fraction)):
+        return (0, _approx(value), value)
+    if isinstance(value, tuple):
+        return (2, tuple(canon_key(v) for v in value))
+    if isinstance(value, frozenset):
+        return (3, tuple(sorted(canon_key(v) for v in value)))
+    raise TypeError(f"no canonical order for {type(value).__name__}")
 
 
 def _approx(number) -> float:

@@ -4,18 +4,18 @@ Presheaves are contravariant functors into finite sets, stored as explicit
 stage sets and restriction tables.  The module provides the full kit the
 rest of the toolkit needs: the terminal object and sub-object classifier,
 characteristic morphisms and their inverses, the Heyting algebra of
-sub-objects, products, exponentials via representables, power objects,
-exponential and power transposes, and global-element enumeration.
+sub-objects, products, exponentials, power objects, exponential and power
+transposes, and global-element enumeration.
 
 Stage elements are arbitrary hashables.  A constructed presheaf's stages
 are canonical: distinct elements in canon_key order (see _canon).  Products
-are built in that order without a sort, and presheaves and natural
-transformations compare by their stage and component tables.  Sub-objects
-and global elements come in canonical order; hom-sets come in the order of
-their backtracking search, which follows object, stage and morphism order
-and not the hash seed, so repeated runs are byte-identical.  The one-object
-category gives the plain category of sets, where the classifier degenerates
-to the two truth values.
+and exponentials are built in that order without a sort, and presheaves and
+natural transformations compare by their stage and component tables.
+Sub-objects and global elements come in canonical order; hom-sets come in
+the order of their backtracking search, which follows object, stage and
+morphism order and not the hash seed, so repeated runs are byte-identical.
+The one-object category gives the plain category of sets, where the
+classifier degenerates to the two truth values.
 
 This module owns the element format of exponentials and power objects: an
 element of Y^X at stage A is a tuple of ((B, g: B -> A, x), y) cells in
@@ -40,11 +40,12 @@ from .heyting import DownsetAlgebra, iter_downsets, preorder_closure
 
 ENUM_NODE_CAP = 10_000_000
 SUB_ENUM_CAP = 1 << 20
-# Elements a product may have over all its stages.  A term context is such a
-# product, and `ls represent` spends about 0.18 ms and 6 KB per environment
-# (2-core host, Python 3.11): five variables of type P(R) on the fixture,
-# 2^15 environments, take 6 s and 211 MB, and the next factor of 8 would not
-# fit a 10 s budget.
+# Elements a product may have over all its stages, and cells an exponential
+# element may have at one stage.  A term context is such a product, and
+# `ls represent` spends about 0.18 ms and 6 KB per environment (2-core host,
+# Python 3.11): five variables of type P(R) on the fixture, 2^15
+# environments, take 6 s and 211 MB, and the next factor of 8 would not fit
+# a 10 s budget.
 PRODUCT_CAP = 1 << 15
 # Entries kept by each of the process-wide caches on `classifier_kit` and
 # `exponential`, least recently used first out.
@@ -469,26 +470,20 @@ def product(x: Presheaf, y: Presheaf) -> ProductDiagram:
 
 # -- natural transformation enumeration ----------------------------------------
 
-def enumerate_nats(x: Presheaf, y: Presheaf) -> list[NatTransform]:
-    """All natural transformations x -> y via backtracking with forced
-    propagation along restrictions, in search order: cells by object order
-    and x's stage order, values by y's stage order.  That order depends on
-    no hash seed.  CapExceeded when the search would visit more than
-    ENUM_NODE_CAP nodes."""
-    if x.base != y.base:
-        raise ShapeMismatch("hom-set needs a common base")
-    cat = x.base
-    cells = [(obj, el) for obj in cat.objects for el in x.stage(obj)]
+def _hom_search(cat: FiniteCategory, cells: list, restrict, y: Presheaf) -> list[list]:
+    """Each natural assignment of a y-value to every cell (obj, el), as its
+    values in cell order; `restrict(mid, el)` restricts el along mid.
+    Backtracking with forced propagation: open cells are decided in list
+    order, trying y's stage order, so the value lists come out in
+    lexicographic order.  CapExceeded past ENUM_NODE_CAP search nodes."""
     cell_index = {c: i for i, c in enumerate(cells)}
-    # per cell: list of (morphism, target cell, map of y) for propagation
-    prop = [[] for _ in cells]
-    for m in cat.morphisms:
-        if m.id == cat.id_of(m.dom) and m.dom == m.cod:
-            continue
-        for el in x.stage(m.cod):
-            src = cell_index[(m.cod, el)]
-            dst = cell_index[(m.dom, x.apply(m.id, el))]
-            prop[src].append((m.id, dst))
+    # per cell: (morphism, target cell) pairs for propagation
+    prop: list = [[] for _ in cells]
+    for i, (obj, el) in enumerate(cells):
+        for mid in cat.into(obj):
+            dom = cat.morphism(mid).dom
+            if mid != cat.id_of(dom):
+                prop[i].append((mid, cell_index[(dom, restrict(mid, el))]))
     assign: list = [None] * len(cells)
     out = []
     nodes = 0
@@ -512,13 +507,9 @@ def enumerate_nats(x: Presheaf, y: Presheaf) -> list[NatTransform]:
         while i < len(cells) and assign[i] is not None:
             i += 1
         if i == len(cells):
-            comps: dict = {obj: {} for obj in cat.objects}
-            for (obj, el), val in zip(cells, assign):
-                comps[obj][el] = val
-            out.append(NatTransform(x, y, comps))
+            out.append(assign[:])
             return
-        obj, _ = cells[i]
-        for val in y.stage(obj):
+        for val in y.stage(cells[i][0]):
             trail: list = []
             if force(i, val, trail):
                 rec(i + 1)
@@ -529,15 +520,24 @@ def enumerate_nats(x: Presheaf, y: Presheaf) -> list[NatTransform]:
     return out
 
 
+def enumerate_nats(x: Presheaf, y: Presheaf) -> list[NatTransform]:
+    """All natural transformations x -> y, in the order of `_hom_search`
+    over the cells of x by object order and x's stage order.  That order
+    depends on no hash seed."""
+    if x.base != y.base:
+        raise ShapeMismatch("hom-set needs a common base")
+    cat = x.base
+    cells = [(obj, el) for obj in cat.objects for el in x.stage(obj)]
+    out = []
+    for values in _hom_search(cat, cells, x.apply, y):
+        comps: dict = {obj: {} for obj in cat.objects}
+        for (obj, el), val in zip(cells, values):
+            comps[obj][el] = val
+        out.append(NatTransform(x, y, comps))
+    return out
+
+
 # -- exponentials and power objects ----------------------------------------------
-
-def representable(cat: FiniteCategory, obj: str) -> Presheaf:
-    """Hom(-, obj) with restriction by precomposition."""
-    at = {b: tuple(f for f in cat.into(obj) if cat.morphism(f).dom == b)
-          for b in cat.objects}
-    maps = {m.id: {f: cat.compose(f, m.id) for f in at[m.cod]} for m in cat.morphisms}
-    return Presheaf(cat, at, maps)
-
 
 class _Cells(tuple):
     """The cells of one exponential element.  Equal, and hash-equal, to the
@@ -553,16 +553,20 @@ class _Cells(tuple):
             return self._hash
 
 
+def _exp_keys(cat: FiniteCategory, obj: str, x: Presheaf) -> list[tuple]:
+    """The cell keys (B, g: B -> obj, xv) of an element of Y^X at stage
+    `obj`, for every arrow g into obj and every xv in X(B).
+
+    They come out in canon_key order without a sort: the keys are distinct,
+    so their order is that of the (B, g) pairs, which the category sorts
+    once per object, then that of X(B), which the stage already keeps."""
+    return [(b, g, xv) for b, g in cat.into_by_key(obj) for xv in x.stage(b)]
+
+
 def exp_element(cat: FiniteCategory, obj: str, x: Presheaf, value) -> tuple:
     """The element of Y^X at stage `obj` whose cell (B, g: B -> obj, xv)
-    holds value(B, g, xv), for every arrow g into obj and every xv in X(B).
-
-    The cells come out in canon_key order without a sort: the keys (B, g, xv)
-    are distinct, so their order is that of the (B, g) pairs, which the
-    category sorts once per object, then that of X(B), which the stage
-    already keeps."""
-    return _Cells(((b, g, xv), value(b, g, xv))
-                  for b, g in cat.into_by_key(obj) for xv in x.stage(b))
+    holds value(B, g, xv), its cells in `_exp_keys` order."""
+    return _Cells((key, value(*key)) for key in _exp_keys(cat, obj, x))
 
 
 def exp_lookup(element: tuple, obj: str, f: str, xv):
@@ -575,26 +579,37 @@ def exp_lookup(element: tuple, obj: str, f: str, xv):
 
 @lru_cache(maxsize=CACHE_SIZE)
 def exponential(x: Presheaf, y: Presheaf) -> Presheaf:
-    """Y^X with stage A the natural transformations Hom(-,A) x X -> Y and
-    restriction by precomposition of the representable slot.  Cached, up to
-    CACHE_SIZE of them: the same exponentials recur throughout term
-    interpretation."""
+    """Y^X: stage A is Nat(Hom(-, A) x X, Y), read off `_hom_search` over
+    the cells (B, g, xv) in `_exp_keys` order, so in canon_key order without
+    a sort.  Restriction is precomposition, theta'(h, xv) = theta(m o h, xv).
+    CapExceeded, before any search, past PRODUCT_CAP cells at a stage.
+    Cached, up to CACHE_SIZE of them: the same exponentials recur
+    throughout term interpretation."""
     if x.base != y.base:
         raise ShapeMismatch("exponential needs a common base")
     cat = x.base
-    at = {}
-    for obj in cat.objects:
-        hom_x = product_presheaf([representable(cat, obj), x])
-        at[obj] = tuple(exp_element(cat, obj, x, lambda b, g, xv: n.apply(b, (g, xv)))
-                        for n in enumerate_nats(hom_x, y))
-    # theta'(h: C -> dom(m), xv) = theta(m o h, xv).  Along an identity
-    # that is theta itself, and `Presheaf` fills in identity tables with the
-    # stage's own elements, so no element is built a second time.
-    maps = {m.id: {el: exp_element(cat, m.dom, x, lambda b, h, xv:
-                                   exp_lookup(el, b, cat.compose(m.id, h), xv))
-                   for el in at[m.cod]}
-            for m in cat.morphisms if m.id != cat.id_of(m.dom)}
-    return Presheaf(cat, at, maps)
+    keys = {obj: _exp_keys(cat, obj, x) for obj in cat.objects}
+    for obj, cells in keys.items():
+        if len(cells) > PRODUCT_CAP:
+            raise CapExceeded(f"exponential stage {obj!r} has {len(cells)} cells, "
+                              f"exceeds cap {PRODUCT_CAP}")
+
+    def restrict(mid, cell):
+        g, xv = cell
+        return cat.compose(g, mid), x.apply(mid, xv)
+
+    at = {obj: tuple(_Cells(zip(keys[obj], values)) for values in
+                     _hom_search(cat, [(b, (g, xv)) for b, g, xv in keys[obj]], restrict, y))
+          for obj in cat.objects}
+    # `Presheaf` fills in the identity tables with the stage's own elements.
+    maps = {}
+    for m in cat.morphisms:
+        if m.id != cat.id_of(m.dom):
+            index = {key: i for i, key in enumerate(keys[m.cod])}
+            reads = [index[(b, cat.compose(m.id, h), xv)] for b, h, xv in keys[m.dom]]
+            maps[m.id] = {el: _Cells(zip(keys[m.dom], [el[i][1] for i in reads]))
+                          for el in at[m.cod]}
+    return Presheaf._canonical(cat, at, maps)
 
 
 def power_object(x: Presheaf) -> Presheaf:

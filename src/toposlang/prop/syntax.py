@@ -72,6 +72,13 @@ _TOKEN = re.compile(r"""
 
 _RESERVED = frozenset({"in", "u", "empty", "inf"})
 
+# The binary connectives, loosest first: token -> (former, precedence,
+# right-associative).  The parser and the printer both read this table.
+_BINARY = {"->": (Implies, 1, True), "|": (Or, 2, False), "&": (And, 3, False)}
+_SYMBOL = {former: (token, prec, right) for token, (former, prec, right) in _BINARY.items()}
+# `~` binds tighter than every binary connective; atoms tighter still.
+_NOT = 4
+
 
 class _Parser(Cursor):
     token, reserved, error = _TOKEN, _RESERVED, ParseError
@@ -80,27 +87,17 @@ class _Parser(Cursor):
         _, v, pos = self.peek()
         raise ParseError(f"expected {what} at column {pos}, got {v!r}")
 
-    # formula := or_f ("->" formula)?   (right-assoc)
-    def formula(self) -> Formula:
-        left = self.or_f()
-        if self.peek()[0] == "arrow":
-            self.next()
-            return Implies(left, self.formula())
-        return left
-
-    def or_f(self) -> Formula:
-        node = self.and_f()
-        while self.at_sym("|"):
-            self.next()
-            node = Or(node, self.and_f())
-        return node
-
-    def and_f(self) -> Formula:
+    def formula(self, floor: int) -> Formula:
+        """A formula whose binary connectives, outside parentheses, bind at
+        precedence `floor` or tighter: precedence climbing over _BINARY."""
         node = self.unary()
-        while self.at_sym("&"):
+        while True:
+            entry = _BINARY.get(self.peek()[1])
+            if entry is None or entry[1] < floor:
+                return node
             self.next()
-            node = And(node, self.unary())
-        return node
+            former, prec, right = entry
+            node = former(node, self.formula(prec + (not right)))
 
     def unary(self) -> Formula:
         if self.at_sym("~"):
@@ -112,7 +109,7 @@ class _Parser(Cursor):
         kind, value, _ = self.peek()
         if (kind, value) == ("sym", "("):
             self.next()
-            node = self.formula()
+            node = self.formula(0)
             self.expect("sym", ")")
             return node
         if kind == "name":
@@ -139,9 +136,9 @@ class _Parser(Cursor):
         if (kind, value) not in (("sym", "["), ("sym", "(")):
             raise ParseError(f"expected an interval at column {pos}, got {value!r}")
         lo_closed = value == "["
-        lo = self.bound()
+        lo = self.bound("lower")
         self.expect("sym", ",")
-        hi = self.bound()
+        hi = self.bound("upper")
         kind, value, pos = self.next()
         if (kind, value) not in (("sym", "]"), ("sym", ")")):
             raise ParseError(f"unterminated interval at column {pos}, got {value!r}")
@@ -152,19 +149,21 @@ class _Parser(Cursor):
             raise ParseError("interval cannot be closed at +inf")
         return Interval(lo, lo_closed, hi, hi_closed)
 
-    def bound(self) -> Fraction | None:
-        sign = 1
-        kind, value, pos = self.next()
-        if (kind, value) == ("sym", "-"):
-            sign = -1
-            kind, value, pos = self.next()
-        elif (kind, value) == ("sym", "+"):
+    def bound(self, side: str) -> Fraction | None:
+        """A rational, or None for inf; an inf signed for the other side of
+        the interval is refused."""
+        kind, value, start = self.next()
+        sign, pos = "", start
+        if (kind, value) in (("sym", "-"), ("sym", "+")):
+            sign = value
             kind, value, pos = self.next()
         if kind == "inf":
+            if sign == ("+" if side == "lower" else "-"):
+                raise ParseError(f"{sign}inf cannot be the {side} bound at column {start}")
             return None
         if kind == "num":
             try:
-                return sign * Fraction(value)
+                return -Fraction(value) if sign == "-" else Fraction(value)
             except (ValueError, ZeroDivisionError) as exc:
                 raise ParseError(f"malformed interval bound at column {pos}: {exc}") from None
         raise ParseError(f"expected a rational or inf at column {pos}, got {value!r}")
@@ -172,7 +171,7 @@ class _Parser(Cursor):
 
 def parse_formula(text: str) -> Formula:
     p = _Parser(text)
-    node = p.formula()
+    node = p.formula(0)
     p.finish()
     return node
 
@@ -184,25 +183,18 @@ def parse_interval_set(text: str) -> IntervalSet:
     return got
 
 
-_PREC = {Implies: 1, Or: 2, And: 3, Not: 4, Prim: 5, Atom: 5}
-
-
 def format_formula(node: Formula) -> str:
     """Minimal-paren canonical form; parse(format(x)) == x."""
     def walk(n, required: int) -> str:
-        prec = _PREC[type(n)]
         if isinstance(n, Prim):
-            body = f"{n.quantity} in {n.delta}"
-        elif isinstance(n, Atom):
-            body = n.name
-        elif isinstance(n, Not):
-            body = "~" + walk(n.operand, 4)
-        elif isinstance(n, And):
-            body = walk(n.left, 3) + " & " + walk(n.right, 4)
-        elif isinstance(n, Or):
-            body = walk(n.left, 2) + " | " + walk(n.right, 3)
+            return f"{n.quantity} in {n.delta}"
+        if isinstance(n, Atom):
+            return n.name
+        if isinstance(n, Not):
+            prec, body = _NOT, "~" + walk(n.operand, _NOT)
         else:
-            body = walk(n.left, 2) + " -> " + walk(n.right, 1)
+            symbol, prec, right = _SYMBOL[type(n)]
+            body = f"{walk(n.left, prec + right)} {symbol} {walk(n.right, prec + (not right))}"
         return "(" + body + ")" if prec < required else body
 
     return walk(node, 0)

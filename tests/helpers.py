@@ -693,6 +693,39 @@ def verify_exponential_adjunction(z: Presheaf, x: Presheaf, y: Presheaf) -> bool
     return True
 
 
+
+# -- the exponential through a representable and a product -----------------------
+
+def representable(cat: FiniteCategory, obj: str) -> Presheaf:
+    """Hom(-, obj) with restriction by precomposition."""
+    at = {b: tuple(f for f in cat.into(obj) if cat.morphism(f).dom == b)
+          for b in cat.objects}
+    maps = {m.id: {f: cat.compose(f, m.id) for f in at[m.cod]} for m in cat.morphisms}
+    return Presheaf(cat, at, maps)
+
+
+def reference_exponential(x: Presheaf, y: Presheaf) -> Presheaf:
+    """Y^X as `presheaf.exponential` once built it: stage A from the
+    natural transformations Hom(-,A) x X -> Y, each converted to cells,
+    restriction by `exp_lookup` of the precomposed cell, and every stage
+    canon-sorted by `Presheaf`."""
+    if x.base != y.base:
+        raise ShapeMismatch("exponential needs a common base")
+    cat = x.base
+    at = {}
+    for obj in cat.objects:
+        hom_x = product_presheaf([representable(cat, obj), x])
+        at[obj] = tuple(exp_element(cat, obj, x, lambda b, g, xv: n.apply(b, (g, xv)))
+                        for n in enumerate_nats(hom_x, y))
+    # theta'(h: C -> dom(m), xv) = theta(m o h, xv).  Along an identity
+    # that is theta itself, and `Presheaf` fills in identity tables with the
+    # stage's own elements, so no element is built a second time.
+    maps = {m.id: {el: exp_element(cat, m.dom, x, lambda b, h, xv:
+                                   exp_lookup(el, b, cat.compose(m.id, h), xv))
+                   for el in at[m.cod]}
+            for m in cat.morphisms if m.id != cat.id_of(m.dom)}
+    return Presheaf(cat, at, maps)
+
 # -- term interpretation, one stage and environment at a time --------------------
 
 class _Scope(NamedTuple):

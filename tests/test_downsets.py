@@ -146,16 +146,17 @@ def test_canonical_carrier_matches_the_frozenset_key_on_random_preorders(pointed
 
 
 @pytest.mark.parametrize("n", range(11))
-def test_canonical_carrier_matches_the_frozenset_key_on_powersets_and_chains(n):
+def test_canonical_carrier_matches_the_frozenset_key_on_powersets_and_chains(n, monkeypatch):
     points = MIXED_POINTS[:n]
     chain = [(1 << (i + 1)) - 1 for i in range(n)]
     for masks in (range(1 << n), iter_downsets(chain)):
         masks = list(masks)
         assert canonical_carrier(points, masks) == canonical_carrier_by_key(points, masks)
-    names = [f"p{i}" for i in range(n)]
-    before = len(_canon._KEY_CACHE)
-    canonical_carrier(names, range(1 << n))
-    assert len(_canon._KEY_CACHE) == before
+    # One key per point, none per frozenset of the 2^n in the carrier.
+    keyed = []
+    monkeypatch.setattr(heyting, "canon_key", lambda v: keyed.append(v) or _canon.canon_key(v))
+    canonical_carrier(points, range(1 << n))
+    assert sorted(keyed, key=_canon.canon_key) == canon_sorted(points)
 
 
 @st.composite

@@ -1,9 +1,11 @@
 """The exponential-element format that `presheaf.exp_element` owns, and the
-canonical stage order that products keep.
+canonical stage order that products and exponentials keep.
 
 An element comes out in canon_key order without a sort, and keeps its hash
 after the first use; neither may show to a caller.  A product's stages also
-come out in canon_key order without a sort.  Every builder of
+come out in canon_key order without a sort, and so do an exponential's,
+read off the hom search: the same stages, tables and order as the
+construction through a representable and a product.  Every builder of
 power-object elements (the exponential's stages, a transpose, a
 comprehension, `delta_element`) must give elements that are equal, and
 hash-equal, to each other and to plain tuples of the same cells.
@@ -21,7 +23,9 @@ from helpers import (
     TWO,
     VEE,
     assert_equality_matches_reference,
+    budget,
     random_presheaf,
+    reference_exponential,
     reference_presheaf_key,
     reversed_copy,
     set_presheaf,
@@ -29,14 +33,18 @@ from helpers import (
 )
 
 from toposlang._canon import canon_key, canon_sorted
+from toposlang import presheaf
 from toposlang.category import principal_sieve
+from toposlang.errors import CapExceeded
 from toposlang.intervals import IntervalSet
 from toposlang.local import RQ, SIGMA, PowerType, Signature, parse_term
 from toposlang.presheaf import (
+    PRODUCT_CAP,
     NatTransform,
     Presheaf,
     classifier_kit,
     exp_element,
+    exponential,
     power_object,
     product_presheaf,
     terminal_presheaf,
@@ -101,6 +109,42 @@ def test_product_stages_come_out_in_canonical_order(base):
             stage = prod.stage(obj)
             assert stage == tuple(canon_sorted(set(stage)))
         assert prod == Presheaf(base, prod.at, prod.maps)
+
+
+@pytest.mark.parametrize("base", BASES + [TWO], ids=lambda c: "+".join(c.objects))
+def test_exponential_matches_the_construction_through_representables(base):
+    # Power objects of the sample, the terminal object and the classifier,
+    # and Y^X for small random X and Y, the sample among the Ys.
+    rng = random.Random(f"exponential:{'+'.join(base.objects)}")
+    omega, one = classifier_kit(base).omega, terminal_presheaf(base)
+    pairs = [(sample(base), omega), (one, omega), (omega, omega),
+             (random_presheaf(base, rng, max_size=2), sample(base))]
+    pairs += [(random_presheaf(base, rng, max_size=2), random_presheaf(base, rng, max_size=3))
+              for _ in range(4)]
+    for x, y in pairs:
+        got, expected = exponential(x, y), reference_exponential(x, y)
+        for obj in base.objects:
+            assert got.stage(obj) == expected.stage(obj)
+            assert got.stage(obj) == tuple(canon_sorted(got.stage(obj)))
+        assert got.maps == expected.maps
+        assert got == expected and validate_presheaf(got).ok
+
+
+def test_exponential_stage_past_the_product_cap_is_refused_at_once(monkeypatch):
+    # 2^(PRODUCT_CAP + 1) subsets at the one stage: refused before the search.
+    wide = Presheaf(PT, {"pt": tuple(range(PRODUCT_CAP + 1))}, {})
+    with budget("a power object past the cap refused", 1.0):
+        with pytest.raises(CapExceeded, match=f"has {PRODUCT_CAP + 1} cells, exceeds cap"):
+            power_object(wide)
+    # On the two-point base the stage at q has a cell for each element at q
+    # and at p; the stage at p has one for each element at p.
+    x = Presheaf(TWO, {"q": ("x0", "x1"), "p": ("y0", "y1")},
+                 {"le[p,q]": {"x0": "y0", "x1": "y1"}})
+    monkeypatch.setattr(presheaf, "PRODUCT_CAP", 4)
+    assert len(power_object(x).stage("q")) == 9
+    monkeypatch.setattr(presheaf, "PRODUCT_CAP", 3)
+    with pytest.raises(CapExceeded, match="exponential stage 'q' has 4 cells, exceeds cap 3"):
+        exponential(x, x)
 
 
 @pytest.mark.parametrize("base", BASES, ids=lambda c: "+".join(c.objects))

@@ -30,7 +30,7 @@ from helpers import (
 )
 
 from toposlang import _canon, presheaf
-from toposlang._canon import KEY_CACHE_LIMIT, canon_key
+from toposlang._canon import canon_key
 from toposlang.category import from_poset, one_object_category, principal_sieve
 from toposlang.errors import CapExceeded
 from toposlang.presheaf import (
@@ -390,9 +390,6 @@ def test_process_wide_caches_stay_within_their_bounds():
     assert exponential.cache_info().misses - exps > CACHE_SIZE
     assert classifier_kit.cache_info().currsize <= CACHE_SIZE
     assert exponential.cache_info().currsize <= CACHE_SIZE
-    for i in range(KEY_CACHE_LIMIT + 8):
-        canon_key(("bound", i))
-    assert len(_canon._KEY_CACHE) <= KEY_CACHE_LIMIT
 
 
 def test_numbers_sort_by_value_past_float_range_and_precision():
