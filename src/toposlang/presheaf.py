@@ -379,6 +379,11 @@ def enumerate_subobjects(x: Presheaf) -> list[Subobject]:
     points, below = _element_order(x)
     masks = list(iter_downsets(below, cap=SUB_ENUM_CAP,
                                what=f"sub-objects of a presheaf with {len(points)} elements"))
+    # In the canon_key order of `Subobject.key()`: object by object, objects
+    # by name, each part by its elements' positions in the canonical stage.
+    spans = [[i for i, (o, _) in enumerate(points) if o == obj] for obj in sorted(x.base.objects)]
+    masks.sort(key=lambda mask: [[j for j, i in enumerate(span) if mask >> i & 1]
+                                 for span in spans])
     out = []
     for mask in masks:
         parts: dict = {obj: [] for obj in x.base.objects}
@@ -386,7 +391,6 @@ def enumerate_subobjects(x: Presheaf) -> list[Subobject]:
             if mask >> i & 1:
                 parts[obj].append(el)
         out.append(Subobject(x, parts))
-    out.sort(key=lambda k: canon_key(k.key()))
     return out
 
 

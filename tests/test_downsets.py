@@ -298,6 +298,10 @@ PRESHEAVES = presheaf_fixture_pool(12) + list(PROJECT.presheaves.values()) + [
     Presheaf(CHAIN3, {"a": ("a0",), "b": ("b0", "b1"), "c": ("c0", "c1")},
              {"le[a,b]": {"b0": "a0", "b1": "a0"}, "le[b,c]": {"c0": "b0", "c1": "b1"},
               "le[a,c]": {"c0": "a0", "c1": "a0"}}),
+    # Objects listed out of name order, elements of mixed kinds.
+    Presheaf(from_poset(["z", "a"], [("z", "a")]),
+             {"a": ("b", Fraction(5, 2), ("t", 0), -3), "z": (1, "a", Fraction(1, 3))},
+             {"le[z,a]": {"b": 1, Fraction(5, 2): "a", ("t", 0): 1, -3: Fraction(1, 3)}}),
 ]
 
 
