@@ -527,7 +527,7 @@ def _hom_search(cat: FiniteCategory, cells: list, restrict, y: Presheaf) -> list
 def enumerate_nats(x: Presheaf, y: Presheaf) -> list[NatTransform]:
     """All natural transformations x -> y, in the order of `_hom_search`
     over the cells of x by object order and x's stage order.  That order
-    depends on no hash seed."""
+    depends on no hash seed.  CapExceeded past ENUM_NODE_CAP search nodes."""
     if x.base != y.base:
         raise ShapeMismatch("hom-set needs a common base")
     cat = x.base

@@ -4,8 +4,9 @@ implications, the string-keyed Kripke countermodel search, the tuple-form
 G4ip prover without pruning, the `decide` benchmark corpus, the wall-clock
 budget, and the oracles no library code calls: the tabulating Heyting
 algebra, the exhaustive law checker, the universal-property checks of
-products and exponentials, the canonical keys presheaves and natural
-transformations were once compared by, the memoized term evaluator, the
+products and exponentials, the exponential built through representables,
+the canonical keys presheaves and natural transformations were once
+compared by, the memoized term evaluator, the
 local language's term walkers with one branch per term former, and the
 `dataclasses` twins of the record classes."""
 import __future__
@@ -693,7 +694,6 @@ def verify_exponential_adjunction(z: Presheaf, x: Presheaf, y: Presheaf) -> bool
     return True
 
 
-
 # -- the exponential through a representable and a product -----------------------
 
 def representable(cat: FiniteCategory, obj: str) -> Presheaf:
@@ -725,6 +725,7 @@ def reference_exponential(x: Presheaf, y: Presheaf) -> Presheaf:
                    for el in at[m.cod]}
             for m in cat.morphisms if m.id != cat.id_of(m.dom)}
     return Presheaf(cat, at, maps)
+
 
 # -- term interpretation, one stage and environment at a time --------------------
 

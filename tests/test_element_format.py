@@ -32,8 +32,8 @@ from helpers import (
     two_point_presheaf,
 )
 
-from toposlang._canon import canon_key, canon_sorted
 from toposlang import presheaf
+from toposlang._canon import canon_key, canon_sorted
 from toposlang.category import principal_sieve
 from toposlang.errors import CapExceeded
 from toposlang.intervals import IntervalSet
