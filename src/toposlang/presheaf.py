@@ -21,15 +21,19 @@ This module owns the element format of exponentials and power objects: an
 element of Y^X at stage A is a tuple of ((B, g: B -> A, x), y) cells in
 canon_key order, built in that order without a sort.  It is a tuple
 subclass that keeps its hash after the first use, and stays equal, and
-hash-equal, to the plain tuple of its cells.  `exp_element` builds one and
-`exp_lookup` reads a cell; other modules (term interpretation in `rep`) go
-through these two and never take an element apart themselves.
+hash-equal, to the plain tuple of its cells.  Three functions know that
+layout: `exp_element` builds one element cell by cell, `exp_from_blocks`
+builds a stage's elements from the blocks of cells that share (B, g), and
+`exp_column` reads the evaluation cells (A, id_A, x) of many elements by
+position.  Other modules (term interpretation and the classical preimage in
+`rep`) go through these three and never take an element apart themselves.
 """
 from __future__ import annotations
 
 import itertools
 import math
 from functools import lru_cache
+from operator import getitem, itemgetter
 from typing import Iterable, Mapping, Sequence
 
 from ._canon import canon_key, canon_sorted
@@ -39,6 +43,11 @@ from .errors import CapExceeded, ToposlangError
 from .heyting import DownsetAlgebra, iter_downsets, preorder_closure
 
 ENUM_NODE_CAP = 10_000_000
+# Values a hom search may hold over all its results: results times cells.
+# A search with few dead ends builds a result at nearly every leaf, so the
+# node cap alone admits about 10^7 results.  P(P(R)) with |R| = 4 on the
+# one-object base, 2^16 elements of 16 cells, is 2^20 values.
+HOM_CELL_CAP = 1 << 22
 SUB_ENUM_CAP = 1 << 20
 # Elements a product may have over all its stages, and cells an exponential
 # element may have at one stage.  A term context is such a product, and
@@ -479,7 +488,8 @@ def _hom_search(cat: FiniteCategory, cells: list, restrict, y: Presheaf) -> list
     values in cell order; `restrict(mid, el)` restricts el along mid.
     Backtracking with forced propagation: open cells are decided in list
     order, trying y's stage order, so the value lists come out in
-    lexicographic order.  CapExceeded past ENUM_NODE_CAP search nodes."""
+    lexicographic order.  CapExceeded past ENUM_NODE_CAP search nodes, or
+    before the results would hold more than HOM_CELL_CAP values."""
     cell_index = {c: i for i, c in enumerate(cells)}
     # per cell: (morphism, target cell) pairs for propagation
     prop: list = [[] for _ in cells]
@@ -511,6 +521,9 @@ def _hom_search(cat: FiniteCategory, cells: list, restrict, y: Presheaf) -> list
         while i < len(cells) and assign[i] is not None:
             i += 1
         if i == len(cells):
+            if (len(out) + 1) * len(cells) > HOM_CELL_CAP:
+                raise CapExceeded(f"hom search results of {len(cells)} cells each exceed "
+                                  f"cap {HOM_CELL_CAP} cells after {len(out)} results")
             out.append(assign[:])
             return
         for val in y.stage(cells[i][0]):
@@ -573,12 +586,36 @@ def exp_element(cat: FiniteCategory, obj: str, x: Presheaf, value) -> tuple:
     return _Cells((key, value(*key)) for key in _exp_keys(cat, obj, x))
 
 
-def exp_lookup(element: tuple, obj: str, f: str, xv):
-    """The value in cell (obj, f, xv) of an exponential element."""
-    for (o, g, x), y in element:
-        if o == obj and g == f and x == xv:
-            return y
-    raise PresheafError(f"exponential element has no cell ({obj!r}, {f!r}, {xv!r})")
+def exp_from_blocks(cat: FiniteCategory, obj: str, x: Presheaf,
+                    rows: Iterable[Sequence[Sequence]]) -> list[tuple]:
+    """One element of Y^X at stage `obj` per row.  A row holds a block for
+    each (B, g) of `cat.into_by_key(obj)`, in that order, and a block the
+    values of the cells (B, g, xv) in X(B)'s order: in `_exp_keys` order
+    the cells sharing (B, g) stand together."""
+    keys = _exp_keys(cat, obj, x)
+    chain = itertools.chain.from_iterable
+    return [_Cells(zip(keys, chain(row))) for row in rows]
+
+
+def exp_column(cat: FiniteCategory, obj: str, x: Presheaf,
+               elements: Iterable[tuple], xvs: Iterable) -> list:
+    """The value in the evaluation cell (obj, id_obj, xv) of each element of
+    Y^X at stage `obj`, for the xv beside it.  In `_exp_keys` order the
+    identity's cells stand together in X(obj)'s order, so each is read by
+    position.  PresheafError on an xv outside X(obj)."""
+    ident = cat.id_of(obj)
+    start = 0
+    for b, g in cat.into_by_key(obj):
+        if g == ident:
+            break
+        start += len(x.stage(b))
+    position = {xv: start + i for i, xv in enumerate(x.stage(obj))}
+    try:
+        cells = list(map(getitem, elements, map(position.__getitem__, xvs)))
+    except KeyError as missing:
+        raise PresheafError(f"exponential element has no cell "
+                            f"({obj!r}, {ident!r}, {missing.args[0]!r})") from None
+    return list(map(itemgetter(1), cells))
 
 
 @lru_cache(maxsize=CACHE_SIZE)
@@ -621,22 +658,29 @@ def power_object(x: Presheaf) -> Presheaf:
 
 
 def exp_transpose(f: NatTransform, z: Presheaf, x: Presheaf, y: Presheaf) -> NatTransform:
-    """Hom(Z x X, Y) -> Hom(Z, Y^X).  `f` must go out of product(z, x)."""
+    """Hom(Z x X, Y) -> Hom(Z, Y^X).  `f` must go out of product(z, x).
+    The transpose of zv at stage A holds f(z(g)(zv), xv) in cell (B, g, xv):
+    its block at (B, g) is f's row at z(g)(zv), read once per zb in Z(B)."""
     cat = z.base
     if f.source != product_presheaf([z, x]) or f.target != y:
         raise ShapeMismatch("arrow to transpose is not Z x X -> Y")
     exp = exponential(x, y)
+    blocks = {b: {zb: [f.apply(b, (zb, xv)) for xv in x.stage(b)] for zb in z.stage(b)}
+              for b in cat.objects}
     comps = {}
     for obj in cat.objects:
         members = set(exp.stage(obj))
-        table = {}
-        for zv in z.stage(obj):
-            element = exp_element(cat, obj, x,
-                                  lambda b, g, xv: f.apply(b, (z.apply(g, zv), xv)))
+        zs, pairs = z.stage(obj), cat.into_by_key(obj)
+        try:
+            elements = exp_from_blocks(cat, obj, x, ([blocks[b][z.apply(g, zv)] for b, g in pairs]
+                                                     for zv in zs))
+        except KeyError as missing:
+            raise PresheafError(f"restriction of Z leaves its stage at {missing.args[0]!r}") \
+                from None
+        for element in elements:
             if element not in members:
                 raise PresheafError("transpose produced a non-natural family")
-            table[zv] = element
-        comps[obj] = table
+        comps[obj] = dict(zip(zs, elements))
     return NatTransform(z, exp, comps)
 
 

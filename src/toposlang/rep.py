@@ -5,20 +5,23 @@ transformations to the function symbols; types are interpreted structurally
 (products as products, power types as power objects, the truth type as the
 classifier, the unit type as the terminal object) and terms compositionally
 as arrows out of the product of their free-variable context.  Each subterm
-is interpreted once, as the component tables of such an arrow, and its
-parent reads those tables; no (stage, environment) is evaluated twice.
+is interpreted once, as one column per stage: its values listed in the
+order of that stage's environments, the elements of the context product.
+Variables, application, tuples and projections map over a column;
+restricting the environments along an arrow is an index list into the
+environments at its domain, built once per context and arrow.
 
 Equality lands on the classifier through the sieve of arrows equalizing the
-two sides; membership applies the evaluation cell of the power object; and
-comprehension builds the power transpose directly from its body's arrow out
-of the context extended by the binder.  Every registered axiom
-sequent must hold, which for an empty context means its interpretation is
-the constant arrow at the principal sieve.
+two sides, read through those index lists; membership reads the evaluation
+cells of the power object; and comprehension builds the power transpose
+from blocks of its body's column over the context extended by the binder.
+Every registered axiom sequent must hold, which for an empty context means
+its interpretation is the constant arrow at the principal sieve.
 
 This module builds no presheaf structure of its own: the context object is
 `presheaf.product_presheaf`, and power-object elements are built and read
-only through `presheaf.exp_element` and `presheaf.exp_lookup`, which own
-their format.
+only through `presheaf.exp_element`, `exp_from_blocks` and `exp_column`,
+which own their format.
 
 The one-object backend gives classical set semantics.  A finite-state
 system with rational value tables becomes such a representation through
@@ -28,7 +31,9 @@ denotes the power-object element deciding membership against them.
 """
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
+from operator import eq, itemgetter
 from typing import Mapping, Sequence
 
 from ._canon import canon_sorted
@@ -66,8 +71,9 @@ from .presheaf import (
     NatTransform,
     Presheaf,
     classifier_kit,
+    exp_column,
     exp_element,
-    exp_lookup,
+    exp_from_blocks,
     power_object,
     power_transpose,
     product_presheaf,
@@ -152,75 +158,145 @@ def interpret_type(t: TypeExpr, rep: ToposRep) -> Presheaf:
     return out
 
 
+class _Context:
+    """A typing context as `interpret_term` walks it: each variable's slot in
+    an environment, the slots' types, and each stage's environments in
+    order.  The term's own context reads them off its product presheaf
+    `source`.  A comprehension's body is walked in the `outer` context
+    extended by the binder, of presheaf `binder`: its environments at B list
+    each outer environment with every xv of X(B) in turn."""
+
+    def __init__(self, cat: FiniteCategory, names: dict, types: tuple,
+                 envs: Mapping[str, Sequence], lawful: bool, source: Presheaf | None = None,
+                 outer: "_Context | None" = None, binder: Presheaf | None = None):
+        self.cat, self.names, self.types, self.envs = cat, names, types, envs
+        # Whether every slot's identity tables fix their stages: then
+        # restriction along an identity keeps each environment in place.
+        self.lawful = lawful
+        self.source, self.outer, self.binder = source, outer, binder
+        self._reads: dict[str, list[int]] = {}
+
+    def extend(self, name: str, vtype: TypeExpr, x: Presheaf) -> "_Context":
+        envs = {b: [env + (xv,) for env in self.envs[b] for xv in x.stage(b)]
+                for b in self.cat.objects}
+        return _Context(self.cat, {**self.names, name: len(self.types)}, self.types + (vtype,),
+                        envs, self.lawful and x._identity_law, outer=self, binder=x)
+
+    def typing(self) -> dict[str, TypeExpr]:
+        return {name: self.types[slot] for name, slot in self.names.items()}
+
+    def reads(self, f: str) -> Sequence[int]:
+        """For each environment at cod(f), the position of its restriction
+        along f among the environments at dom(f)."""
+        dom = self.cat.morphism(f).dom
+        if self.lawful and f == self.cat.id_of(dom):
+            return range(len(self.envs[dom]))
+        out = self._reads.get(f)
+        if out is None:
+            out = self._reads[f] = self._restrict(f)
+        return out
+
+    def _restrict(self, f: str) -> list[int]:
+        m = self.cat.morphism(f)
+        try:
+            if self.outer is None:
+                index = {env: i for i, env in enumerate(self.envs[m.dom])}
+                return [index[self.source.apply(f, env)] for env in self.envs[m.cod]]
+            # Outer position j and binder position t sit at j * |X(dom)| + t.
+            x = self.binder
+            position = {xv: t for t, xv in enumerate(x.stage(m.dom))}
+            width = len(x.stage(m.dom))
+            col = [position[x.apply(f, xv)] for xv in x.stage(m.cod)]
+            return [j * width + t for j in self.outer.reads(f) for t in col]
+        except KeyError:
+            raise RepresentationError(
+                f"restriction along {f!r} takes an environment out of its stage") from None
+
+
+def _apply_column(symbol: NatTransform, obj: str, column: Sequence) -> list:
+    component = symbol.components[obj]
+    try:
+        return list(map(component.__getitem__, column))
+    except KeyError:
+        # Raise the component's own error for the value it lacks.
+        return [symbol.apply(obj, v) for v in column]
+
+
 def interpret_term(term: Term, context: Sequence[tuple[str, TypeExpr]],
                    rep: ToposRep) -> NatTransform:
     """Compositional semantics: an arrow from the context product to the
     interpretation of the term's type.  Closed truth-valued terms come out
     as global elements of the classifier (arrows from the terminal object).
 
-    Each subterm is interpreted once, as the components {stage: {env: value}}
-    of an arrow out of its own context's product, and its parent reads those
-    tables: equality at the restricted environments, a comprehension its
-    body's table over the context extended by the binder.
+    Each subterm is interpreted once, as the columns {stage: [value, ...]}
+    of an arrow out of its context's product, aligned with the context's
+    environments at that stage.  Its parent reads those columns: equality
+    through the index lists restricting environments along each arrow, a
+    comprehension its body's column over the context extended by the binder,
+    one block of |X(B)| values per environment.  The root's columns are the
+    components, and `validate_nat` checks them.
     """
     term = desugar_connectives(term)
     target_type = infer_type(term, dict(context), rep.signature)
     cat = rep.base
 
-    def arrow(n: Term, names: dict, types: tuple, envs: Mapping[str, Sequence]) -> dict:
-        # names: a variable's slot in an environment; types: the slots'
-        # presheaves; envs: each stage's environments, the product's elements.
-        def each(value) -> dict:
-            return {obj: {env: value(obj, env) for env in envs[obj]} for obj in cat.objects}
-
-        def restrict(f: str, env: tuple) -> tuple:
-            return tuple(x.apply(f, v) for x, v in zip(types, env))
-
-        def sub(child: Term) -> dict:
-            return arrow(child, names, types, envs)
-
+    def arrow(n: Term, ctx: _Context) -> dict[str, list]:
+        envs = ctx.envs
         if isinstance(n, Var):
-            if n.name not in names:
+            if n.name not in ctx.names:
                 raise RepresentationError(f"unbound variable {n.name!r}")
-            slot = names[n.name]
-            return each(lambda obj, env: env[slot])
+            get = itemgetter(ctx.names[n.name])
+            return {obj: list(map(get, envs[obj])) for obj in cat.objects}
         if isinstance(n, Star):
-            return each(lambda obj, env: ())
+            return {obj: [()] * len(envs[obj]) for obj in cat.objects}
         if isinstance(n, App):
             if n.symbol not in rep.symbols:
                 raise RepresentationError(f"unassigned function symbol {n.symbol!r}")
-            symbol, arg = rep.symbols[n.symbol], sub(n.arg)
-            return each(lambda obj, env: symbol.apply(obj, arg[obj][env]))
+            symbol, arg = rep.symbols[n.symbol], arrow(n.arg, ctx)
+            return {obj: _apply_column(symbol, obj, arg[obj]) for obj in cat.objects}
         if isinstance(n, Tup):
-            items = [sub(t) for t in n.items]
-            return each(lambda obj, env: tuple(t[obj][env] for t in items))
+            items = [arrow(t, ctx) for t in n.items]
+            return {obj: list(zip(*(t[obj] for t in items))) for obj in cat.objects}
         if isinstance(n, Proj):
-            item, k = sub(n.item), n.index - 1
-            return each(lambda obj, env: item[obj][env][k])
+            item, get = arrow(n.item, ctx), itemgetter(n.index - 1)
+            return {obj: list(map(get, item[obj])) for obj in cat.objects}
         if isinstance(n, Eq):
-            left, right = sub(n.left), sub(n.right)
-
-            def agree(f: str, env: tuple) -> bool:
-                dom, env_f = cat.morphism(f).dom, restrict(f, env)
-                return left[dom][env_f] == right[dom][env_f]
-            return each(lambda obj, env: frozenset(f for f in cat.into(obj) if agree(f, env)))
+            left, right = arrow(n.left, ctx), arrow(n.right, ctx)
+            same = {obj: list(map(eq, left[obj], right[obj])) for obj in cat.objects}
+            out = {}
+            for obj in cat.objects:
+                into = cat.into(obj)
+                patterns = list(zip(*(map(same[cat.morphism(f).dom].__getitem__, ctx.reads(f))
+                                      for f in into)))
+                # One sieve per distinct pattern, members in `into` order.
+                sieves = {p: frozenset(itertools.compress(into, p)) for p in set(patterns)}
+                out[obj] = list(map(sieves.__getitem__, patterns))
+            return out
         if isinstance(n, In):
-            container, element = sub(n.container), sub(n.element)
-            return each(lambda obj, env: exp_lookup(
-                container[obj][env], obj, cat.id_of(obj), element[obj][env]))
+            container, element = arrow(n.container, ctx), arrow(n.element, ctx)
+            x = interpret_type(infer_type(n.element, ctx.typing(), rep.signature), rep)
+            return {obj: exp_column(cat, obj, x, container[obj], element[obj])
+                    for obj in cat.objects}
         if isinstance(n, Compr):
             x = interpret_type(n.var.vtype, rep)
-            body = arrow(n.body, {**names, n.var.name: len(types)}, types + (x,),
-                         {b: [env + (xv,) for env in envs[b] for xv in x.stage(b)]
-                          for b in cat.objects})
-            return each(lambda obj, env: exp_element(
-                cat, obj, x, lambda b, g, xv: body[b][restrict(g, env) + (xv,)]))
+            body = arrow(n.body, ctx.extend(n.var.name, n.var.vtype, x))
+            # The block of outer environment j at B: its |X(B)| body values.
+            blocks = {}
+            for b in cat.objects:
+                width, col = len(x.stage(b)), body[b]
+                blocks[b] = [col[j * width:(j + 1) * width] for j in range(len(envs[b]))]
+            return {obj: exp_from_blocks(cat, obj, x, zip(*(
+                map(blocks[b].__getitem__, ctx.reads(g)) for b, g in cat.into_by_key(obj))))
+                for obj in cat.objects}
         raise RepresentationError(f"cannot interpret term former {type(n).__name__}")
 
-    types = tuple(interpret_type(t, rep) for _, t in context)
-    source = product_presheaf(types) if context else rep.kit.terminal
-    components = arrow(term, {name: i for i, (name, _) in enumerate(context)}, types, source.at)
-    result = NatTransform(source, interpret_type(target_type, rep), components)
+    presheaves = tuple(interpret_type(t, rep) for _, t in context)
+    source = product_presheaf(presheaves) if context else rep.kit.terminal
+    top = _Context(cat, {name: i for i, (name, _) in enumerate(context)},
+                   tuple(t for _, t in context), source.at, source._identity_law, source=source)
+    columns = arrow(term, top)
+    result = NatTransform(source, interpret_type(target_type, rep),
+                          {obj: dict(zip(source.at[obj], columns[obj])) for obj in cat.objects})
     bad = validate_nat(result)
     if bad.items:
         raise RepresentationError(f"interpretation is not natural: {bad.items[0]}")
@@ -380,7 +456,8 @@ class EffectiveClassicalRep:
         transpose of the proposition arrow."""
         family = prop_family(symbol, self.rep)
         subset_element = family.apply(self.point, self.delta_element(delta))
-        pt, base = self.point, self.rep.base
+        pt, base, sigma = self.point, self.rep.base, self.rep.ground("Sigma")
         top = principal_sieve(base, pt).members
-        return frozenset(s for s in self.rep.ground("Sigma").stage(pt)
-                         if exp_lookup(subset_element, pt, base.id_of(pt), s) == top)
+        states = sigma.stage(pt)
+        truth = exp_column(base, pt, sigma, itertools.repeat(subset_element), states)
+        return frozenset(s for s, value in zip(states, truth) if value == top)

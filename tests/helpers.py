@@ -40,12 +40,12 @@ from toposlang.presheaf import (
     GlobalElement,
     NatTransform,
     Presheaf,
+    PresheafError,
     ProductDiagram,
     ShapeMismatch,
     Subobject,
     enumerate_nats,
     exp_element,
-    exp_lookup,
     exp_transpose,
     exponential,
     product_presheaf,
@@ -648,6 +648,16 @@ def verify_product_universal(diagram: ProductDiagram, z: Presheaf) -> bool:
             return False
         seen.add(h)
     return len(seen) == len(into_prod) and set(into_prod) == seen
+
+
+def exp_lookup(element: tuple, obj: str, f: str, xv):
+    """The value in cell (obj, f, xv) of an exponential element, found by
+    scanning its cells: the reader the library used before it read cells
+    by position (`presheaf.exp_column`)."""
+    for (o, g, x), y in element:
+        if o == obj and g == f and x == xv:
+            return y
+    raise PresheafError(f"exponential element has no cell ({obj!r}, {f!r}, {xv!r})")
 
 
 def evaluation(x: Presheaf, y: Presheaf) -> NatTransform:

@@ -185,6 +185,35 @@ def test_eight_variable_context_is_refused_within_a_second(capsys):
     assert err.startswith("cap exceeded:")
 
 
+# A cold process under a 2 GB address-space limit: without the hom search's
+# cell cap, P(P(P(R))) on the fixture (256 cells per element, 2^256
+# elements) ran into memory and ended in a traceback.
+CAPPED_MAIN = """
+import resource, sys
+resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+from toposlang.cli import main
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+def test_nested_power_type_is_refused_by_the_hom_search_cell_cap():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(REPO / "src"), env.get("PYTHONPATH")) if p)
+    start = time.perf_counter()
+    proc = subprocess.run([sys.executable, "-c", CAPPED_MAIN, "ls", "represent", FIXTURE,
+                           "D = D", "--rep", "z3", "--context", "D=P(P(P(R)))"],
+                          capture_output=True, text=True, env=env, timeout=120)
+    elapsed = time.perf_counter() - start
+    assert proc.returncode == 2, proc.stderr
+    assert json.loads(proc.stdout) == {
+        "error": "hom search results of 256 cells each exceed cap 4194304 cells "
+                 "after 16384 results",
+        "kind": "resource-cap"}
+    assert proc.stderr.startswith("cap exceeded:")
+    assert elapsed < 2.0, f"refused after {elapsed:.2f}s"
+
+
 def test_cap_hit_while_loading_keeps_its_kind_and_pointer(tmp_path, capsys):
     doc = json.loads(Path(FIXTURE).read_text())
     doc["algebras"].append({"name": "bool13", "kind": "powerset",

@@ -18,6 +18,7 @@ from helpers import (
     check_heyting_laws,
     compose_nats,
     evaluation,
+    exp_lookup,
     exp_untranspose,
     presheaf_fixture_pool,
     reference_nat_key,
@@ -45,8 +46,8 @@ from toposlang.presheaf import (
     classifier_kit,
     enumerate_nats,
     enumerate_subobjects,
+    exp_column,
     exp_element,
-    exp_lookup,
     exp_transpose,
     exponential,
     global_elements,
@@ -370,15 +371,21 @@ def test_exp_element_cells_are_sorted_and_read_back_by_lookup():
         assert {cell for cell, _ in element} == expected
         for b, g, xv in expected:
             assert exp_lookup(element, b, g, xv) == value(b, g, xv)
+        xvs = x.stage(obj)
+        assert exp_column(TWO, obj, x, [element] * len(xvs), xvs) == \
+            [value(obj, TWO.id_of(obj), xv) for xv in xvs]
 
 
-def test_exp_lookup_on_a_missing_cell_raises_presheaf_error():
+def test_exp_column_on_a_missing_cell_raises_presheaf_error():
     for base, x in ((PT, set_presheaf(["a", "b"])), (TWO, X2)):
         px = power_object(x)
         for obj in base.objects:
-            for element in px.stage(obj):
-                with pytest.raises(PresheafError):
-                    exp_lookup(element, obj, base.id_of(obj), "not-an-element")
+            elements = px.stage(obj)
+            assert exp_column(base, obj, x, elements, [x.stage(obj)[0]] * len(elements)) == \
+                [exp_lookup(el, obj, base.id_of(obj), x.stage(obj)[0]) for el in elements]
+            for element in elements:
+                with pytest.raises(PresheafError, match="has no cell .*'not-an-element'"):
+                    exp_column(base, obj, x, [element], ["not-an-element"])
 
 
 def test_process_wide_caches_stay_within_their_bounds():
@@ -436,6 +443,42 @@ def test_global_elements_past_the_node_cap_are_refused_in_time(monkeypatch):
     with budget("8^8 global elements refused at a 1000-node cap", 1.0):
         with pytest.raises(CapExceeded, match="exceeded 1000 nodes"):
             global_elements(x)
+
+
+def test_hom_search_results_past_the_cell_cap_are_refused(monkeypatch):
+    # P(X) for a two-element X on the one-object base: 4 results of 2 cells.
+    monkeypatch.setattr(presheaf, "HOM_CELL_CAP", 8)
+    assert len(power_object(set_presheaf(["cap8", "b"])).stage("pt")) == 4
+    monkeypatch.setattr(presheaf, "HOM_CELL_CAP", 7)
+    with pytest.raises(CapExceeded, match="results of 2 cells each exceed cap 7 cells "
+                                          "after 3 results"):
+        power_object(set_presheaf(["cap7", "b"]))
+    with pytest.raises(CapExceeded, match="exceed cap 7 cells"):
+        enumerate_nats(set_presheaf(["a", "b", "c"]), set_presheaf(["y0", "y1"]))
+
+
+# Run in its own process under a 2 GB address-space limit: P(P(R)) with
+# |R| = 4 holds 2^16 elements of 16 cells, 2^20 values, inside the cap.
+POWER_OF_POWER_SCRIPT = """
+import resource
+resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+from toposlang.category import one_object_category
+from toposlang.presheaf import HOM_CELL_CAP, Presheaf, power_object
+pt = one_object_category()
+stage = power_object(power_object(Presheaf(pt, {"pt": range(4)}, {}))).stage("pt")
+print(len(stage), len(stage[0]), HOM_CELL_CAP)
+"""
+
+
+def test_power_object_of_2_to_the_20_cells_builds_inside_the_cell_cap():
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-c", POWER_OF_POWER_SCRIPT], capture_output=True,
+                          text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    elements, cells, cap = map(int, proc.stdout.split())
+    assert (elements, cells) == (1 << 16, 16) and elements * cells <= cap
 
 
 HOM_ORDER_SCRIPT = """

@@ -432,7 +432,10 @@ HAND_BUILT = {
 
 # Every term former and every piece of sugar, under closed contexts and
 # contexts holding a P(R) variable.  In the last two `s`-context terms the
-# inner binder `s` shadows the context's `s`.
+# inner binder `s` shadows the context's `s`.  The (s, t) terms take `*`
+# inside a tuple, a comprehension whose body ignores its binder, and
+# membership in a comprehension that nests another; the last context holds
+# a variable `u` that no term uses.
 TERMS_IN_CONTEXT = [
     ((), ["*", "true", "* = *",
           "{ s : Sigma | { t : Sigma | A(t) = A(s) } = { t : Sigma | t = s } }"]),
@@ -442,9 +445,14 @@ TERMS_IN_CONTEXT = [
     ((("s", SIGMA), ("D", PowerType(RQ))),
      ["A(s) in D", "<A(s), proj_2(<*, s>)>",
       "proj_1(<A(s), s>) in D & s in { s : Sigma | A(s) in D }",
-      "{ t : Sigma | t in { s : Sigma | s = t } }"]),
+      "{ t : Sigma | t in { s : Sigma | s = t } }",
+      "{ t : Sigma | A(s) in D }"]),
     ((("s", SIGMA), ("t", SIGMA)),
-     ["A(s) = A(t)", "s = t <=> A(s) = A(t)", "<s, A(t)> = <t, A(s)>"]),
+     ["A(s) = A(t)", "s = t <=> A(s) = A(t)", "<s, A(t)> = <t, A(s)>",
+      "<*, A(s)> = <*, A(t)>",
+      "s in { r : Sigma | t in { q : Sigma | A(q) = A(r) } }"]),
+    ((("s", SIGMA), ("u", SIGMA), ("D", PowerType(RQ))),
+     ["A(s) in D", "s = s", "{ r : R | r in D }"]),
 ]
 
 
@@ -465,3 +473,32 @@ def test_interpret_term_matches_the_memoized_reference(name):
             assert got == reference_interpret_term(term, context, rep), (context, text)
             assert [list(got.components[obj]) for obj in rep.base.objects] == \
                 [list(got.source.stage(obj)) for obj in rep.base.objects]
+
+
+def _rep_with_a_moving_identity() -> ToposRep:
+    # Sigma's identity table at q sends a1 to a0.  `ToposRep` does not
+    # validate, so the walk must read along that identity, not skip it.
+    sigma = Presheaf(TWO, {"q": ["a0", "a1", "a2"], "p": ["b0"]},
+                     {"id[q]": {"a0": "a0", "a1": "a0", "a2": "a2"},
+                      "le[p,q]": {"a0": "b0", "a1": "b0", "a2": "b0"}})
+    rvals = Presheaf(TWO, {"q": ["u", "v"], "p": ["w"]}, {"le[p,q]": {"u": "w", "v": "w"}})
+    a = NatTransform(sigma, rvals, {"q": {"a0": "u", "a1": "u", "a2": "v"}, "p": {"b0": "w"}})
+    return ToposRep(Signature({"A": (SIGMA, RQ)}), TWO, {"Sigma": sigma, "R": rvals}, {"A": a})
+
+
+def test_interpret_term_reads_along_an_identity_that_moves_elements():
+    rep = _rep_with_a_moving_identity()
+    assert not rep.ground("Sigma")._identity_law
+    agreed = 0
+    for context, terms in TERMS_IN_CONTEXT:
+        for text in terms:
+            term = parse_term(text, rep.signature)
+            try:
+                expected = reference_interpret_term(term, context, rep)
+            except RepresentationError:
+                with pytest.raises(RepresentationError):
+                    interpret_term(term, context, rep)
+                continue
+            assert interpret_term(term, context, rep) == expected, (context, text)
+            agreed += 1
+    assert agreed >= 5
