@@ -3,7 +3,8 @@ brute-force enumeration oracles, the quantified sieve and sub-object
 implications, the string-keyed Kripke countermodel search, the tuple-form
 G4ip prover without pruning, the `decide` benchmark corpus, the wall-clock
 budget, and the oracles no library code calls: the tabulating Heyting
-algebra, the exhaustive law checker, the universal-property checks of
+algebra, the exhaustive law checker, the exponential-cell reader that scans
+an element's cells, the universal-property checks of
 products and exponentials, the exponential built through representables,
 the canonical keys presheaves and natural transformations were once
 compared by, the memoized term evaluator, the
