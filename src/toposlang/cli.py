@@ -48,14 +48,11 @@ def _fail(exc: Exception) -> int:
 
 def _formula_ast(node) -> dict:
     from .prop import syntax as s
-    if isinstance(node, s.Prim):
-        return {"op": "prim", "quantity": node.quantity, "delta": str(node.delta)}
-    if isinstance(node, s.Atom):
-        return {"op": "atom", "name": node.name}
-    if isinstance(node, s.Not):
-        return {"op": "not", "operand": _formula_ast(node.operand)}
-    name = {s.And: "and", s.Or: "or", s.Implies: "implies"}[type(node)]
-    return {"op": name, "left": _formula_ast(node.left), "right": _formula_ast(node.right)}
+    return s.fold_formula(
+        node, lambda n: ({"op": "prim", "quantity": n.quantity, "delta": str(n.delta)}
+                         if isinstance(n, s.Prim) else {"op": "atom", "name": n.name}),
+        lambda v: {"op": "not", "operand": v},
+        lambda former, v, w: {"op": former.__name__.lower(), "left": v, "right": w})
 
 
 def cmd_validate(args) -> int:

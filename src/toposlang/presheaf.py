@@ -21,12 +21,12 @@ This module owns the element format of exponentials and power objects: an
 element of Y^X at stage A is a tuple of ((B, g: B -> A, x), y) cells in
 canon_key order, built in that order without a sort.  It is a tuple
 subclass that keeps its hash after the first use, and stays equal, and
-hash-equal, to the plain tuple of its cells.  Three functions know that
-layout: `exp_element` builds one element cell by cell, `exp_from_blocks`
-builds a stage's elements from the blocks of cells that share (B, g), and
-`exp_column` reads the evaluation cells (A, id_A, x) of many elements by
-position.  Other modules (term interpretation and the classical preimage in
-`rep`) go through these three and never take an element apart themselves.
+hash-equal, to the plain tuple of its cells.  Two functions know that
+layout: `exp_from_blocks` builds a stage's elements from the blocks of
+cells that share (B, g), and `exp_column` reads the evaluation cells
+(A, id_A, x) of many elements by position.  Other modules (term
+interpretation and the classical representation in `rep`) go through these
+two and never take an element apart themselves.
 """
 from __future__ import annotations
 
@@ -360,9 +360,10 @@ def subobject_of_char(chi: NatTransform) -> Subobject:
     if bad.items:
         raise PresheafError(f"characteristic arrow is not natural: {bad.items[0]}")
     cat = chi.source.base
-    parts = {obj: frozenset(el for el in chi.source.stage(obj)
-                            if chi.apply(obj, el) == principal_sieve(cat, obj).members)
-             for obj in cat.objects}
+    parts = {}
+    for obj in cat.objects:
+        top = principal_sieve(cat, obj).members
+        parts[obj] = frozenset(el for el in chi.source.stage(obj) if chi.apply(obj, el) == top)
     return Subobject(chi.source, parts)
 
 
@@ -489,7 +490,10 @@ def _hom_search(cat: FiniteCategory, cells: list, restrict, y: Presheaf) -> list
     Backtracking with forced propagation: open cells are decided in list
     order, trying y's stage order, so the value lists come out in
     lexicographic order.  CapExceeded past ENUM_NODE_CAP search nodes, or
-    before the results would hold more than HOM_CELL_CAP values."""
+    before the results would hold more than HOM_CELL_CAP values.
+    PresheafError, before the search, on a restriction of a cell or of a
+    value of y that leaves its stage: every value forced into a cell is then
+    one of y's."""
     cell_index = {c: i for i, c in enumerate(cells)}
     # per cell: (morphism, target cell) pairs for propagation
     prop: list = [[] for _ in cells]
@@ -497,7 +501,18 @@ def _hom_search(cat: FiniteCategory, cells: list, restrict, y: Presheaf) -> list
         for mid in cat.into(obj):
             dom = cat.morphism(mid).dom
             if mid != cat.id_of(dom):
-                prop[i].append((mid, cell_index[(dom, restrict(mid, el))]))
+                j = cell_index.get((dom, restrict(mid, el)))
+                if j is None:
+                    raise PresheafError(f"restriction along {mid!r} takes {el!r} "
+                                        f"out of the source's stage {dom!r}")
+                prop[i].append((mid, j))
+    for m in cat.morphisms:
+        if m.id != cat.id_of(m.dom):
+            stage = set(y.stage(m.dom))
+            for v in y.stage(m.cod):
+                if y.apply(m.id, v) not in stage:
+                    raise PresheafError(f"restriction along {m.id!r} takes {v!r} "
+                                        f"out of the target's stage {m.dom!r}")
     assign: list = [None] * len(cells)
     out = []
     nodes = 0
@@ -578,12 +593,6 @@ def _exp_keys(cat: FiniteCategory, obj: str, x: Presheaf) -> list[tuple]:
     so their order is that of the (B, g) pairs, which the category sorts
     once per object, then that of X(B), which the stage already keeps."""
     return [(b, g, xv) for b, g in cat.into_by_key(obj) for xv in x.stage(b)]
-
-
-def exp_element(cat: FiniteCategory, obj: str, x: Presheaf, value) -> tuple:
-    """The element of Y^X at stage `obj` whose cell (B, g: B -> obj, xv)
-    holds value(B, g, xv), its cells in `_exp_keys` order."""
-    return _Cells((key, value(*key)) for key in _exp_keys(cat, obj, x))
 
 
 def exp_from_blocks(cat: FiniteCategory, obj: str, x: Presheaf,

@@ -39,7 +39,7 @@ from .._record import record
 from ..errors import CapExceeded, InputError
 from ..heyting import iter_downsets
 from .kripke import KripkeModel
-from .syntax import And, Atom, Formula, Implies, Not, Or, Prim, leaf_key, leaves
+from .syntax import And, Formula, Implies, Or, fold_formula, leaf_key, leaves
 
 # Truth tables cover at most 2^12 = 4096 valuations.
 PRUNE_ATOMS = 12
@@ -109,23 +109,11 @@ def _translate(formula: Formula, t: _Table) -> int:
     """The formula's node in t, with negation as implication into absurdity;
     atoms are numbered as they are first met."""
     node, atoms = t.node, t.atoms
-
-    def walk(f) -> int:
-        if isinstance(f, Atom):
-            return node(_ATOM, atoms.setdefault(f.name, len(atoms)))
-        if isinstance(f, Implies):
-            return node(_IMP, walk(f.left), walk(f.right))
-        if isinstance(f, Or):
-            return node(_OR, walk(f.left), walk(f.right))
-        if isinstance(f, And):
-            return node(_AND, walk(f.left), walk(f.right))
-        if isinstance(f, Not):
-            return node(_IMP, walk(f.operand), BOT)
-        if isinstance(f, Prim):
-            return node(_ATOM, atoms.setdefault(leaf_key(f), len(atoms)))
-        raise TypeError(f"not a formula node: {f!r}")
-
-    return walk(formula)
+    ops = {And: _AND, Or: _OR, Implies: _IMP}
+    return fold_formula(formula,
+                        lambda f: node(_ATOM, atoms.setdefault(leaf_key(f), len(atoms))),
+                        lambda v: node(_IMP, v, BOT),
+                        lambda former, v, w: node(ops[former], v, w))
 
 
 def _classical(t: _Table, context: int, goal: int) -> bool:

@@ -17,7 +17,7 @@ from __future__ import annotations
 from typing import Mapping, Optional, Sequence
 
 from .._record import field, record
-from .syntax import And, Atom, Formula, Implies, Not, Or, format_formula
+from .syntax import And, Atom, Formula, Implies, Not, Or, fold_formula, format_formula
 
 _a, _b, _c = Atom("?a"), Atom("?b"), Atom("?c")
 
@@ -59,14 +59,8 @@ def _match(pattern: Formula, formula: Formula, binding: dict) -> Optional[dict]:
 
 
 def instantiate(pattern: Formula, binding: Mapping[str, Formula]) -> Formula:
-    if isinstance(pattern, Atom):
-        return binding[pattern.name]
-    if isinstance(pattern, Not):
-        return Not(instantiate(pattern.operand, binding))
-    if isinstance(pattern, (And, Or, Implies)):
-        return type(pattern)(instantiate(pattern.left, binding),
-                             instantiate(pattern.right, binding))
-    return pattern
+    return fold_formula(pattern, lambda n: binding[n.name] if isinstance(n, Atom) else n,
+                        Not, lambda former, v, w: former(v, w))
 
 
 def axiom_schema_of(formula: Formula) -> Optional[str]:

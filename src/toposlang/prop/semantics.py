@@ -17,7 +17,7 @@ from .._record import field, record
 from ..errors import InputError, ToposlangError
 from ..heyting import DownsetAlgebra, powerset_algebra
 from ..intervals import IntervalSet
-from .syntax import And, Atom, Formula, Implies, Not, Or, Prim, leaves
+from .syntax import And, Atom, Formula, Implies, Or, Prim, fold_formula, leaves
 
 
 # `sample_interval_sets` pads each quantity's points, half-lines and brackets
@@ -35,22 +35,13 @@ def pl_represent(formula: Formula, assignment: Mapping, algebra: DownsetAlgebra)
     Conjunction, disjunction, negation and implication land on the algebra's
     meet, join, pseudo-complement and relative pseudo-complement.
     """
-    def walk(n):
-        if isinstance(n, (Prim, Atom)):
-            if n not in assignment:
-                raise SemanticsError(f"unassigned primitive {n!r}")
-            return assignment[n]
-        if isinstance(n, Not):
-            return algebra.negate(walk(n.operand))
-        if isinstance(n, And):
-            return algebra.meet(walk(n.left), walk(n.right))
-        if isinstance(n, Or):
-            return algebra.join(walk(n.left), walk(n.right))
-        if isinstance(n, Implies):
-            return algebra.implies(walk(n.left), walk(n.right))
-        raise TypeError(f"not a formula node: {n!r}")
+    def leaf(n):
+        if n not in assignment:
+            raise SemanticsError(f"unassigned primitive {n!r}")
+        return assignment[n]
 
-    return walk(formula)
+    ops = {And: algebra.meet, Or: algebra.join, Implies: algebra.implies}
+    return fold_formula(formula, leaf, algebra.negate, lambda former, v, w: ops[former](v, w))
 
 
 @record(frozen=True)
@@ -118,22 +109,13 @@ def truth_value(formula: Formula, state: str, system: ClassicalSystem) -> int:
     if state not in system.states:
         raise InputError(f"unknown state {state!r}")
 
-    def walk(n) -> int:
-        if isinstance(n, Prim):
-            return 1 if n.delta.member(system.value(n.quantity, state)) else 0
+    def leaf(n) -> int:
         if isinstance(n, Atom):
             raise SemanticsError(f"abstract atom {n.name!r} has no classical truth value")
-        if isinstance(n, Not):
-            return 1 - walk(n.operand)
-        if isinstance(n, And):
-            return min(walk(n.left), walk(n.right))
-        if isinstance(n, Or):
-            return max(walk(n.left), walk(n.right))
-        if isinstance(n, Implies):
-            return max(1 - walk(n.left), walk(n.right))
-        raise TypeError(f"not a formula node: {n!r}")
+        return 1 if n.delta.member(system.value(n.quantity, state)) else 0
 
-    return walk(formula)
+    ops = {And: min, Or: max, Implies: lambda v, w: max(1 - v, w)}
+    return fold_formula(formula, leaf, lambda v: 1 - v, lambda former, v, w: ops[former](v, w))
 
 
 # -- the optional interval axioms, verified per representation ------------------

@@ -9,6 +9,9 @@ literals built from `[ ] ( ) ,`, rational numbers, `-inf`, `+inf`, the
 union separator `u` and the literal `empty`.  Precedence is ~ over & over |
 over ->, with -> right-associative.  The printer emits the minimal-paren
 canonical form and is the inverse of the parser on normal forms.
+
+`fold_formula` is the one structural recursion of formulas: a semantics is
+fixed by its values at the leaves and one operation per connective.
 """
 from __future__ import annotations
 
@@ -61,6 +64,26 @@ class Implies:
 
 
 Formula = Union[Prim, Atom, Not, And, Or, Implies]
+
+
+def fold_formula(node: Formula, leaf, negate, binary):
+    """`leaf(n)` at a Prim or Atom, `negate(v)` at a Not, `binary(former, v,
+    w)` at an And, Or or Implies; children before parent, left before right.
+    TypeError on a node that is not a formula.  Three walkers keep their own
+    recursion: `format_formula` needs its parent's precedence, the countermodel
+    check `KripkeModel.forces` stays independent of the code it confirms, and
+    `proofs._match` walks two formulas in lockstep."""
+    def walk(n):
+        if isinstance(n, (Prim, Atom)):
+            return leaf(n)
+        if isinstance(n, Not):
+            return negate(walk(n.operand))
+        if isinstance(n, (And, Or, Implies)):
+            return binary(type(n), walk(n.left), walk(n.right))
+        raise TypeError(f"not a formula node: {n!r}")
+
+    return walk(node)
+
 
 _TOKEN = re.compile(r"""
     (?P<ws>\s+)
@@ -202,22 +225,9 @@ def format_formula(node: Formula) -> str:
 
 def leaves(node: Formula) -> list:
     """Distinct primitive leaves (Prim or Atom), in first-occurrence order."""
-    out: list = []
-    seen = set()
-
-    def walk(n):
-        if isinstance(n, (Prim, Atom)):
-            if n not in seen:
-                seen.add(n)
-                out.append(n)
-        elif isinstance(n, Not):
-            walk(n.operand)
-        else:
-            walk(n.left)
-            walk(n.right)
-
-    walk(node)
-    return out
+    seen: dict = {}
+    fold_formula(node, seen.setdefault, lambda v: v, lambda former, v, w: w)
+    return list(seen)
 
 
 def leaf_key(leaf) -> str:

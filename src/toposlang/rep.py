@@ -20,8 +20,8 @@ its interpretation is the constant arrow at the principal sieve.
 
 This module builds no presheaf structure of its own: the context object is
 `presheaf.product_presheaf`, and power-object elements are built and read
-only through `presheaf.exp_element`, `exp_from_blocks` and `exp_column`,
-which own their format.
+only through `presheaf.exp_from_blocks` and `exp_column`, which own their
+format.
 
 The one-object backend gives classical set semantics.  A finite-state
 system with rational value tables becomes such a representation through
@@ -72,7 +72,6 @@ from .presheaf import (
     Presheaf,
     classifier_kit,
     exp_column,
-    exp_element,
     exp_from_blocks,
     power_object,
     power_transpose,
@@ -447,9 +446,11 @@ class EffectiveClassicalRep:
     def delta_element(self, delta: IntervalSet):
         """The power-object element of the value stage deciding membership in
         the interval set."""
-        top = principal_sieve(self.rep.base, self.point).members
-        return exp_element(self.rep.base, self.point, self.rep.ground("R"),
-                           lambda b, g, v: top if delta.member(v) else frozenset())
+        base, pt, values = self.rep.base, self.point, self.rep.ground("R")
+        top = principal_sieve(base, pt).members
+        row = [[top if delta.member(v) else frozenset() for v in values.stage(b)]
+               for b, _ in base.into_by_key(pt)]
+        return exp_from_blocks(base, pt, values, [row])[0]
 
     def preimage(self, symbol: str, delta: IntervalSet) -> frozenset:
         """States whose value lands in the interval set, through the power

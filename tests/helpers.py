@@ -46,7 +46,6 @@ from toposlang.presheaf import (
     ShapeMismatch,
     Subobject,
     enumerate_nats,
-    exp_element,
     exp_transpose,
     exponential,
     product_presheaf,
@@ -649,6 +648,16 @@ def verify_product_universal(diagram: ProductDiagram, z: Presheaf) -> bool:
             return False
         seen.add(h)
     return len(seen) == len(into_prod) and set(into_prod) == seen
+
+
+def exp_element(cat: FiniteCategory, obj: str, x: Presheaf, value) -> tuple:
+    """The element of Y^X at stage `obj` whose cell (B, g: B -> obj, xv)
+    holds value(B, g, xv), written cell by cell as a plain tuple: the
+    reference writer of the element format, arrows in `into_by_key` order
+    and each block in X(B)'s order, which every builder in `presheaf` must
+    match."""
+    return tuple(((b, g, xv), value(b, g, xv))
+                 for b, g in cat.into_by_key(obj) for xv in x.stage(b))
 
 
 def exp_lookup(element: tuple, obj: str, f: str, xv):

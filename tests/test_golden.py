@@ -23,6 +23,8 @@ import pytest
 
 from toposlang.cli import main
 
+pytestmark = pytest.mark.hash_seeds
+
 REPO = Path(__file__).resolve().parent.parent
 GOLDEN = REPO / "tests" / "golden"
 CASES = json.loads((GOLDEN / "cases.json").read_text())

@@ -18,6 +18,7 @@ from helpers import (
     check_heyting_laws,
     compose_nats,
     evaluation,
+    exp_element,
     exp_lookup,
     exp_untranspose,
     presheaf_fixture_pool,
@@ -47,7 +48,6 @@ from toposlang.presheaf import (
     enumerate_nats,
     enumerate_subobjects,
     exp_column,
-    exp_element,
     exp_transpose,
     exponential,
     global_elements,
@@ -445,6 +445,7 @@ def test_global_elements_past_the_node_cap_are_refused_in_time(monkeypatch):
             global_elements(x)
 
 
+@pytest.mark.hash_seeds
 def test_hom_search_results_past_the_cell_cap_are_refused(monkeypatch):
     # P(X) for a two-element X on the one-object base: 4 results of 2 cells.
     monkeypatch.setattr(presheaf, "HOM_CELL_CAP", 8)
@@ -455,6 +456,26 @@ def test_hom_search_results_past_the_cell_cap_are_refused(monkeypatch):
         power_object(set_presheaf(["cap7", "b"]))
     with pytest.raises(CapExceeded, match="exceed cap 7 cells"):
         enumerate_nats(set_presheaf(["a", "b", "c"]), set_presheaf(["y0", "y1"]))
+
+
+@pytest.mark.parametrize("base", [TWO, from_poset(["q", "p"], [("p", "q")])],
+                         ids=["p-first", "q-first"])
+def test_hom_search_refuses_a_restriction_that_leaves_its_stage(base):
+    # x1 restricts to y9, outside the stage at p: not a presheaf, on either
+    # side of a hom-set, whichever object the search decides first.
+    leaky = Presheaf(base, {"q": ("x0", "x1"), "p": ("y0",)},
+                     {"le[p,q]": {"x0": "y0", "x1": "y9"}})
+    one, omega = terminal_presheaf(base), classifier_kit(base).omega
+    source = r"along 'le\[p,q\]' takes .*'x1'.* out of the source's stage 'p'"
+    target = r"along 'le\[p,q\]' takes 'x1' out of the target's stage 'p'"
+    for search, message in ((lambda: enumerate_nats(leaky, omega), source),
+                            (lambda: enumerate_nats(leaky, one), source),
+                            (lambda: power_object(leaky), source),
+                            (lambda: enumerate_nats(one, leaky), target),
+                            (lambda: global_elements(leaky), target),
+                            (lambda: exponential(one, leaky), target)):
+        with pytest.raises(PresheafError, match=message):
+            search()
 
 
 # Run in its own process under a 2 GB address-space limit: P(P(R)) with
@@ -493,6 +514,7 @@ for n in enumerate_nats(x, omega):
 """
 
 
+@pytest.mark.hash_seeds
 def test_hom_set_order_is_the_same_under_three_hash_seeds():
     # enumerate_nats emits its search order unsorted; the order must come
     # from object and stage order alone, never from set iteration

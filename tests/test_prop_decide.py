@@ -332,6 +332,7 @@ print(calls)
 """
 
 
+@pytest.mark.hash_seeds
 def test_stress_instance_search_is_small_and_free_of_hash_seeds(monkeypatch):
     calls = 0
     search = decide_module._provable

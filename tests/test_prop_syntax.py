@@ -4,7 +4,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from toposlang.cli import _formula_ast
+from toposlang.heyting import powerset_algebra
 from toposlang.intervals import IntervalSet
+from toposlang.prop.decide import _Table, _translate
+from toposlang.prop.proofs import instantiate
+from toposlang.prop.semantics import (
+    ClassicalSystem,
+    SemanticsError,
+    classical_rep,
+    pl_represent,
+    truth_value,
+)
 from toposlang.prop.syntax import (
     And,
     Atom,
@@ -13,6 +24,7 @@ from toposlang.prop.syntax import (
     Or,
     ParseError,
     Prim,
+    fold_formula,
     format_formula,
     leaf_key,
     leaves,
@@ -121,19 +133,117 @@ def interval_set_st(draw):
     return out
 
 
-formula_st = st.recursive(
-    st.one_of(st.builds(Atom, names), st.builds(Prim, names, interval_set_st())),
-    lambda inner: st.one_of(
+def formulas_over(leaf):
+    """Formulas of at most 12 leaves drawn from `leaf`."""
+    return st.recursive(leaf, lambda inner: st.one_of(
         st.builds(Not, inner),
         st.builds(And, inner, inner),
         st.builds(Or, inner, inner),
         st.builds(Implies, inner, inner),
-    ),
-    max_leaves=12,
-)
+    ), max_leaves=12)
+
+
+formula_st = formulas_over(
+    st.one_of(st.builds(Atom, names), st.builds(Prim, names, interval_set_st())))
 
 
 @settings(max_examples=300, deadline=None)
 @given(formula_st)
 def test_parse_inverts_printer(formula):
     assert parse_formula(format_formula(formula)) == formula
+
+
+# -- the fold and the functions built on it ------------------------------------
+
+def test_fold_visits_children_before_parent_and_left_before_right():
+    trace = []
+
+    def leaf(n):
+        trace.append(leaf_key(n))
+        return leaf_key(n)
+
+    def negate(v):
+        trace.append("~")
+        return f"~{v}"
+
+    def binary(former, v, w):
+        trace.append(former.__name__)
+        return f"({v} {former.__name__} {w})"
+
+    got = fold_formula(parse_formula("~a & (b -> A in [0,1]) | c"), leaf, negate, binary)
+    assert got == "((~a And (b Implies A in [0,1])) Or c)"
+    assert trace == ["a", "~", "b", "A in [0,1]", "Implies", "And", "c", "Or"]
+
+
+PRIM = Prim("A", IntervalSet.full())
+ONE_STATE = ClassicalSystem(("s",), {"A": {"s": Fraction(1)}})
+FOLDS = {
+    "pl_represent": lambda f: pl_represent(f, {PRIM: frozenset({"s"})},
+                                           powerset_algebra(["s"])),
+    "truth_value": lambda f: truth_value(f, "s", ONE_STATE),
+    "decide._translate": lambda f: _translate(f, _Table()),
+    "cli._formula_ast": _formula_ast,
+    "leaves": leaves,
+    "instantiate": lambda f: instantiate(f, {}),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FOLDS))
+def test_folds_refuse_a_node_that_is_not_a_formula(name):
+    fold = FOLDS[name]
+    fold(And(PRIM, Not(PRIM)))
+    # Unparsed text where a formula belongs, under a connective.
+    with pytest.raises(TypeError, match=r"not a formula node: 'A in \[0,1\]'"):
+        fold(And(PRIM, "A in [0,1]"))
+
+
+def test_the_first_unassigned_leaf_reported_is_the_leftmost():
+    with pytest.raises(SemanticsError, match="name='a'"):
+        pl_represent(parse_formula("a -> ~b"), {}, powerset_algebra(["s"]))
+    with pytest.raises(SemanticsError, match="'a'"):
+        truth_value(parse_formula("a -> ~b"), "s", ONE_STATE)
+
+
+@settings(max_examples=100, deadline=None)
+@given(formula_st)
+def test_decide_numbers_atoms_in_leaf_order_and_each_node_after_its_parts(formula):
+    t = _Table()
+    root = _translate(formula, t)
+    assert list(t.atoms) == list(dict.fromkeys(leaf_key(leaf) for leaf in leaves(formula)))
+    assert root == len(t.op) - 1
+    for i in range(1, len(t.op)):
+        assert t.op[i] == 0 or (t.left[i] < i and t.right[i] < i)
+
+
+# Few values, so that interval ends often meet the values states take.
+small_values = st.sampled_from([-1, 0, Fraction(1, 2), 1, 2])
+
+
+@st.composite
+def small_interval_sets(draw):
+    lo, hi = draw(st.one_of(st.none(), small_values)), draw(st.one_of(st.none(), small_values))
+    return IntervalSet.interval(lo, lo is not None and draw(st.booleans()),
+                                hi, hi is not None and draw(st.booleans()))
+
+
+@st.composite
+def systems_and_formulas(draw):
+    """A system of at most 4 states and 3 quantities with small rational
+    values, and a formula of primitives over its quantities."""
+    states = tuple(f"s{i}" for i in range(draw(st.integers(1, 4))))
+    quantities = draw(st.lists(st.sampled_from(["A", "B", "C"]),
+                               min_size=1, max_size=3, unique=True))
+    system = ClassicalSystem(states, {q: {s: draw(small_values) for s in states}
+                                      for q in quantities})
+    formula = draw(formulas_over(st.builds(Prim, st.sampled_from(quantities),
+                                           small_interval_sets())))
+    return system, formula
+
+
+@settings(max_examples=100, deadline=None)
+@given(systems_and_formulas())
+def test_truth_at_a_state_is_membership_in_the_classical_representation(drawn):
+    system, formula = drawn
+    subset = classical_rep(system).represent(formula)
+    for state in system.states:
+        assert truth_value(formula, state, system) == (state in subset)

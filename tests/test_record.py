@@ -18,6 +18,8 @@ from toposlang.heyting import powerset_algebra
 from toposlang.local.types import RQ, SIGMA
 from toposlang.prop.semantics import ClassicalSystem
 
+pytestmark = pytest.mark.hash_seeds
+
 TWINS = record_twins()
 SYSTEM = ClassicalSystem(("s0", "s1"), {"A": {"s0": Fraction(1), "s1": Fraction(5, 2)}})
 

@@ -463,6 +463,7 @@ def _hand_built_rep(name: str) -> ToposRep:
                      {"A": NatTransform(sigma, rvals, a_components)})
 
 
+@pytest.mark.hash_seeds
 @pytest.mark.parametrize("name", list(HAND_BUILT))
 def test_interpret_term_matches_the_memoized_reference(name):
     rep = _hand_built_rep(name)
@@ -486,6 +487,7 @@ def _rep_with_a_moving_identity() -> ToposRep:
     return ToposRep(Signature({"A": (SIGMA, RQ)}), TWO, {"Sigma": sigma, "R": rvals}, {"A": a})
 
 
+@pytest.mark.hash_seeds
 def test_interpret_term_reads_along_an_identity_that_moves_elements():
     rep = _rep_with_a_moving_identity()
     assert not rep.ground("Sigma")._identity_law
