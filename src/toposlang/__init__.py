@@ -6,8 +6,9 @@ The package is organized in layers:
 - `intervals`: exact rational interval sets (the value descriptions that
   primitive propositions quantify over).
 - `heyting`: `DownsetAlgebra`, the one Heyting algebra class: the
-  down-sets of a finite preorder as bitmasks, certified at construction,
-  with builders for powerset, open-set and lower-set instances; and the
+  down-sets of a finite preorder, computed on as bitmasks, with its
+  preorder certified at construction and its carrier listed and certified
+  only when asked for, with builders for powerset, open-set and lower-set instances; and the
   generic bounded lattice behind the rank-two subspace lattice of the
   non-distributivity demonstration.
 - `category`: finite categories as composition tables, plus sieves,

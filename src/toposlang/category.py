@@ -5,7 +5,8 @@ associativity and closure laws are finite checks.  Sieves on an object are
 precomposition-closed sets of incoming morphisms; on a poset category they
 are exactly the lower sets below the object.  Sieve enumeration is ordered
 by bitmask over the category's fixed morphism ordering, which makes every
-derived structure (the classifier, its algebras, golden output) byte-stable.
+derived structure (the classifier, golden output) byte-stable.  The sieve
+algebras list in the canonical order of every `DownsetAlgebra`.
 """
 from __future__ import annotations
 
@@ -280,10 +281,8 @@ def sieves_on(cat: FiniteCategory, obj: str) -> list[Sieve]:
 
 
 def sieve_heyting(cat: FiniteCategory, obj: str) -> DownsetAlgebra:
-    """Heyting algebra of all sieves on obj, in `sieves_on` order: meet and
-    join are intersection and union, and implication is the down-set
-    formula: f is in S1 => S2 when every f o g in S1 is also in S2."""
-    index = {f: i for i, f in enumerate(cat.into(obj))}
-    carrier = [(sum(1 << index[f] for f in s.members), s.members)
-               for s in sieves_on(cat, obj)]
-    return DownsetAlgebra(_sieve_order(cat, obj), carrier)
+    """Heyting algebra of all sieves on obj, each element the frozenset of
+    its members: meet and join are intersection and union, and implication
+    is the down-set formula: f is in S1 => S2 when every f o g in S1 is
+    also in S2."""
+    return DownsetAlgebra(_sieve_order(cat, obj), cat.into(obj), f"sieves on {obj!r}")

@@ -1,11 +1,14 @@
 """Finite Heyting algebras of down-sets, and finite bounded lattices.
 
 Every Heyting algebra the toolkit builds is the algebra of down-sets of a
-finite preorder, and is a `DownsetAlgebra`: its elements are int bitmasks
-over the preorder's points, meet is ``&``, join is ``|``, implication is one
-pass over the points, and the carrier is enumerated by a search that visits
-only down-sets (see the down-set kernel below).  It certifies its preorder
-and carrier when built, so no law check runs on it.
+finite preorder, and is a `DownsetAlgebra`, built from the preorder and its
+point labels alone.  An element is the frozenset of a down-set's points;
+each operation works on int bitmasks over the points (meet is ``&``, join
+is ``|``, implication is one pass over the points), so it costs bit
+operations whatever the size of the carrier.  The carrier is listed only
+when asked for, by a search that visits only down-sets (see the down-set
+kernel below), under ``DEFAULT_CAP``.  The algebra certifies its preorder
+when built and its carrier when listed, so no law check runs on it.
 
 `BoundedLattice` takes any carrier and order and carries the
 non-distributive subspace lattice, which has no Heyting structure.  Its
@@ -242,46 +245,54 @@ def canonical_carrier(points: Sequence, masks: Iterable[int]) -> list[tuple[int,
 
 
 class DownsetAlgebra:
-    """Heyting algebra of the down-sets of a finite preorder, as bitmasks.
+    """Heyting algebra of the down-sets of a finite preorder.
 
-    ``below[x]`` is the mask of the points at or below point x; a bit at or
-    past the last point bars x from every down-set.  ``carrier`` lists every
-    down-set as a (mask, element id) pair, in the order `elements` keeps.
-    Meet is ``&``, join is ``|``, and ``implies(a, b)`` is
-    {x : below[x] & a & ~b == 0}, the points with no predecessor in a
-    outside b.  Nothing is tabulated: each operation costs O(points) word
-    operations.
+    ``below[x]`` is the mask of the points at or below point x, and
+    ``points[x]`` labels x; a bit at or past the last point bars x from every
+    down-set.  An element id is the frozenset of a down-set's points.  Each
+    operation decodes its arguments to masks through the point index,
+    computes with ``&`` (meet), ``|`` (join) or ``implies(a, b)`` =
+    {x : below[x] & a & ~b == 0}, the points with no predecessor in a outside
+    b, and encodes the result back into a frozenset: O(points) word
+    operations, with no carrier needed.
+
+    The carrier is listed only when `elements` or ``len`` asks for it, and
+    then once: `iter_downsets` under ``DEFAULT_CAP`` finds the down-sets and
+    `canonical_carrier` orders them.  Past the cap the listing raises
+    CapExceeded naming ``what`` the down-sets stand for.  Once listed, an
+    operation decodes and encodes through the listing's two dictionaries.
 
     The down-sets of a preorder are the opens of its Alexandrov topology, a
     Heyting algebra (Davey & Priestley, *Introduction to Lattices and
-    Order*, 2002), so construction certifies the inputs, not the laws, and
-    raises InvalidOrder or LatticeError at the first failure: ``below`` is
-    reflexive and transitive; the masks are distinct down-sets of the points
-    that are not barred, 0 among them; and the carrier is closed under
-    ``m | below[x]`` for every mask m and point x that is not barred.  Every
-    down-set is 0 joined with the ``below[x]`` of its points one at a time,
-    so the carrier is exactly the down-sets.  This costs O(points²) plus
-    O(N·points), exhaustively at every size.
+    Order*, 2002), so the inputs are certified, not the laws, raising
+    InvalidOrder or LatticeError at the first failure.  Construction
+    certifies the preorder: one distinct label per point, and ``below``
+    reflexive and transitive, O(points²).  A listing certifies the carrier
+    (see `_certify`), O(N·points), exhaustively at every size.  An
+    operation refuses, with UnknownElement, an id that is not a frozenset
+    of known points forming a down-set.
     """
 
-    def __init__(self, below: Sequence[int], carrier: Iterable[tuple[int, object]]):
-        # The builders cap the carrier where they enumerate it.
-        pairs = list(carrier)
+    def __init__(self, below: Sequence[int], points: Sequence, what: str = "down-sets"):
         self._below = tuple(below)
-        self._masks = tuple(m for m, _ in pairs)
-        self._elems = tuple(e for _, e in pairs)
-        self._index = {e: i for i, e in enumerate(self._elems)}
-        if len(self._index) != len(self._elems):
+        self._points = tuple(points)
+        self._what = what
+        if len(self._points) != len(self._below):
+            raise InvalidOrder(f"{len(self._points)} labels for {len(self._below)} points")
+        self._index = {p: x for x, p in enumerate(self._points)}
+        if len(self._index) != len(self._points):
             raise InvalidOrder("duplicate element ids in carrier")
-        self._by_mask = {m: i for i, m in enumerate(self._masks)}
-        self._top_mask = self._certify()
-        self._top = self._by_mask[self._top_mask]
-        self._bottom = self._by_mask[0]
+        self._top_mask = self._certify_order()
+        self._elems: Optional[tuple] = None
+        # Filled by the listing: each listed id and its mask, both ways.
+        self._listed_masks: dict = {}
+        self._listed_ids: dict = {}
+        self._top = self._elem(self._top_mask)
 
-    def _certify(self) -> int:
-        """Check the certificate above; return the top mask, the points that
-        are not barred."""
-        below, by_mask = self._below, self._by_mask
+    def _certify_order(self) -> int:
+        """Check that ``below`` is reflexive and transitive; return the top
+        mask, the points that are not barred."""
+        below = self._below
         for x, m in enumerate(below):
             if not m >> x & 1:
                 raise InvalidOrder(f"order not reflexive at point {x}")
@@ -290,13 +301,25 @@ class DownsetAlgebra:
                     raise InvalidOrder(f"order not transitive: point {y} is below "
                                        f"point {x}, but not all that is below {y}")
         full = (1 << len(below)) - 1
-        points = [(x, down) for x, down in enumerate(below) if down <= full]
-        top = sum(1 << x for x, _ in points)
+        return sum(1 << x for x, down in enumerate(below) if down <= full)
+
+    def _certify(self, carrier: Sequence[tuple[int, frozenset]]) -> dict:
+        """Check a listed carrier: its masks are distinct down-sets of the
+        points that are not barred, 0 among them, and it is closed under
+        ``m | below[x]`` for every mask m and point x that is not barred.
+        Every down-set is 0 joined with the ``below[x]`` of its points one
+        at a time, so the carrier is then exactly the down-sets.  Return
+        each mask's id."""
+        top = self._top_mask
+        points = [(x, down) for x, down in enumerate(self._below) if top >> x & 1]
+        by_mask = {}
+        for m, e in carrier:
+            if m in by_mask:
+                raise LatticeError(f"carrier element {e!r} repeats the mask {m:#b}")
+            by_mask[m] = e
         if 0 not in by_mask:
             raise LatticeError("carrier lacks the empty down-set")
-        for i, (e, m) in enumerate(zip(self._elems, self._masks)):
-            if by_mask[m] != i:
-                raise LatticeError(f"carrier element {e!r} repeats the mask {m:#b}")
+        for m, e in by_mask.items():
             if m & ~top:
                 raise LatticeError(f"carrier element {e!r} (mask {m:#b}) is not a down-set")
             for x, down in points:
@@ -307,19 +330,32 @@ class DownsetAlgebra:
                 elif m | down not in by_mask:
                     raise LatticeError(f"carrier lacks the down-set {m | down:#b}: "
                                        f"{e!r} joined with what is below point {x}")
-        return top
-
-    def _ix(self, a) -> int:
-        try:
-            return self._index[a]
-        except KeyError:
-            raise UnknownElement(f"unknown element id {a!r}") from None
+        return by_mask
 
     def _mask(self, a) -> int:
-        return self._masks[self._ix(a)]
+        """The mask of an element id; UnknownElement unless it is a
+        frozenset of known points forming a down-set.  A barred point's
+        ``below`` has a bit past the points, which no mask holds, so the
+        down-set test also refuses barred points."""
+        if isinstance(a, frozenset):
+            mask = self._listed_masks.get(a)
+            if mask is not None:
+                return mask
+            try:
+                xs = [self._index[p] for p in a]
+            except KeyError:
+                pass
+            else:
+                mask, below = sum(1 << x for x in xs), self._below
+                if not any(below[x] & ~mask for x in xs):
+                    return mask
+        raise UnknownElement(f"unknown element id {a!r}")
 
-    def _elem(self, mask: int):
-        return self._elems[self._by_mask[mask]]
+    def _elem(self, mask: int) -> frozenset:
+        e = self._listed_ids.get(mask)
+        if e is None:
+            e = frozenset(p for x, p in enumerate(self._points) if mask >> x & 1)
+        return e
 
     def _implies_mask(self, a: int, b: int) -> int:
         outside = a & ~b
@@ -331,47 +367,57 @@ class DownsetAlgebra:
 
     @property
     def elements(self) -> tuple:
+        if self._elems is None:
+            carrier = canonical_carrier(self._points, iter_downsets(
+                self._below, cap=DEFAULT_CAP, what=self._what))
+            self._listed_ids = self._certify(carrier)
+            self._listed_masks = {e: m for m, e in carrier}
+            self._elems = tuple(e for _, e in carrier)
         return self._elems
 
     def __len__(self) -> int:
-        return len(self._elems)
+        return len(self.elements)
 
     def __contains__(self, a) -> bool:
-        return a in self._index
+        try:
+            self._mask(a)
+        except UnknownElement:
+            return False
+        return True
 
     @property
-    def bottom(self):
-        return self._elems[self._bottom]
+    def bottom(self) -> frozenset:
+        return frozenset()
 
     @property
-    def top(self):
-        return self._elems[self._top]
+    def top(self) -> frozenset:
+        return self._top
 
     def leq(self, a, b) -> bool:
         return not self._mask(a) & ~self._mask(b)
 
-    def meet(self, a, b):
+    def meet(self, a, b) -> frozenset:
         return self._elem(self._mask(a) & self._mask(b))
 
-    def join(self, a, b):
+    def join(self, a, b) -> frozenset:
         return self._elem(self._mask(a) | self._mask(b))
 
-    def meet_all(self, items) -> object:
+    def meet_all(self, items) -> frozenset:
         out = self._top_mask
         for a in items:
             out &= self._mask(a)
         return self._elem(out)
 
-    def join_all(self, items) -> object:
+    def join_all(self, items) -> frozenset:
         out = 0
         for a in items:
             out |= self._mask(a)
         return self._elem(out)
 
-    def implies(self, a, b):
+    def implies(self, a, b) -> frozenset:
         return self._elem(self._implies_mask(self._mask(a), self._mask(b)))
 
-    def negate(self, a):
+    def negate(self, a) -> frozenset:
         return self._elem(self._implies_mask(self._mask(a), 0))
 
 
@@ -381,8 +427,7 @@ def powerset_algebra(base: Iterable) -> DownsetAlgebra:
     """Boolean algebra of all subsets of a finite base set."""
     items = tuple(canon_sorted(set(base)))
     below = [1 << i for i in range(len(items))]  # the discrete order
-    masks = list(iter_downsets(below, cap=DEFAULT_CAP, what=f"subsets of {len(items)} points"))
-    return DownsetAlgebra(below, canonical_carrier(items, masks))
+    return DownsetAlgebra(below, items, f"subsets of {len(items)} points")
 
 
 def open_set_algebra(opens: Iterable[Iterable]) -> DownsetAlgebra:
@@ -414,7 +459,7 @@ def open_set_algebra(opens: Iterable[Iterable]) -> DownsetAlgebra:
                         len(family) + 1))
     if len(masks) != len(family):
         _raise_closure_witness(family)
-    return DownsetAlgebra(below, canonical_carrier(points, masks))
+    return DownsetAlgebra(below, points, "open sets")
 
 
 def _raise_closure_witness(family: set) -> None:
@@ -455,12 +500,7 @@ def poset_below(elements: Sequence, pairs: Iterable[tuple]) -> list[int]:
 def lower_set_algebra(elements: Sequence, pairs: Iterable[tuple]) -> DownsetAlgebra:
     """Heyting algebra of all lower sets of a finite poset."""
     elems = list(elements)
-    below = poset_below(elems, pairs)
-    if len(set(elems)) != len(elems):
-        raise InvalidOrder("duplicate element ids in carrier")
-    masks = list(iter_downsets(below, cap=DEFAULT_CAP,
-                               what=f"lower sets of {len(elems)} points"))
-    return DownsetAlgebra(below, canonical_carrier(elems, masks))
+    return DownsetAlgebra(poset_below(elems, pairs), elems, f"lower sets of {len(elems)} points")
 
 
 # -- two-dimensional subspace lattice ----------------------------------------

@@ -10,6 +10,7 @@ to be checked, not found.
 """
 from __future__ import annotations
 
+from functools import cache
 from typing import Optional, Sequence
 
 from .._record import record
@@ -271,9 +272,11 @@ class AxiomPack:
     sequents: tuple[tuple[str, Sequent], ...]
 
 
+@cache
 def abelian_axiom_pack() -> AxiomPack:
     """Commutative-group laws for the quantity-value type, with an outer free
-    variable per law standing for its universal closure."""
+    variable per law standing for its universal closure.  The sequents are
+    parsed once per process; every call returns the same frozen pack."""
     symbols = (("zero", UNIT, RQ), ("add", ProductType((RQ, RQ)), RQ), ("neg", RQ, RQ))
 
     def seqt(text: str) -> Sequent:

@@ -32,9 +32,10 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections.abc import Mapping
 from functools import lru_cache
 from operator import getitem, itemgetter
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 from ._canon import canon_key, canon_sorted
 from ._record import field, record
@@ -404,24 +405,44 @@ def enumerate_subobjects(x: Presheaf) -> list[Subobject]:
     return out
 
 
+class _SubobjectsById(Mapping):
+    """The sub-object each element id of a `sub_heyting` algebra stands
+    for, built when looked up."""
+
+    def __init__(self, x: Presheaf, algebra: DownsetAlgebra):
+        self._x, self._algebra = x, algebra
+
+    def __getitem__(self, key) -> Subobject:
+        if key not in self._algebra:
+            raise KeyError(key)
+        parts: dict = {obj: [] for obj in self._x.base.objects}
+        for obj, el in key:
+            parts[obj].append(el)
+        return Subobject(self._x, parts)
+
+    def __iter__(self):
+        return iter(self._algebra.elements)
+
+    def __len__(self) -> int:
+        return len(self._algebra)
+
+
 @record(frozen=True)
 class SubobjectAlgebra:
     algebra: DownsetAlgebra
-    subobjects: Mapping  # element id (Subobject.key()) -> Subobject
+    subobjects: Mapping  # element id -> Subobject
 
 
 def sub_heyting(x: Presheaf) -> SubobjectAlgebra:
-    """Heyting algebra of Sub(X), in `enumerate_subobjects` order: meet and
-    join are stage-wise, and implication is the down-set formula over the
-    category of elements (the stage-wise quantified formula is checked
-    against it in the test suite)."""
-    subs = enumerate_subobjects(x)
+    """Heyting algebra of Sub(X), each element the frozenset of the (object,
+    element) points of a sub-object: meet and join are stage-wise, and
+    implication is the down-set formula over the category of elements (the
+    stage-wise quantified formula is checked against it in the test
+    suite)."""
     points, below = _element_order(x)
-    index = {p: i for i, p in enumerate(points)}
-    by_key = {k.key(): k for k in subs}
-    carrier = [(sum(1 << index[(obj, el)] for obj, part in k.parts.items() for el in part), key)
-               for key, k in by_key.items()]
-    return SubobjectAlgebra(DownsetAlgebra(below, carrier), by_key)
+    algebra = DownsetAlgebra(below, points,
+                             f"sub-objects of a presheaf with {len(points)} elements")
+    return SubobjectAlgebra(algebra, _SubobjectsById(x, algebra))
 
 
 def global_elements(x: Presheaf) -> list[GlobalElement]:

@@ -4,7 +4,8 @@ A representation assigns each primitive leaf an element of a Heyting
 algebra and pushes the connectives onto the algebra's operations.  The
 classical representation of a finite-state system interprets "A in D" as
 the preimage of D under the quantity's value table, inside the Boolean
-powerset algebra of states; a state then assigns each formula a two-valued
+powerset algebra of states, which never lists its subsets: each connective
+costs a few bit operations; a state then assigns each formula a two-valued
 truth value by direct recursion.
 """
 from __future__ import annotations

@@ -11,6 +11,8 @@ from pathlib import Path
 import pytest
 
 from toposlang.cli import main
+from toposlang.errors import CapExceeded
+from toposlang.heyting import powerset_algebra
 
 REPO = Path(__file__).resolve().parent.parent
 FIXTURE = str(REPO / "fixtures" / "two_point.json")
@@ -162,14 +164,40 @@ def test_resource_caps_exit_2_with_their_kind(tmp_path, capsys):
                            "quantities": {"A": {s: str(i) for i, s in enumerate(states)}}})
     big = tmp_path / "thirteen.json"
     big.write_text(json.dumps(doc))
-    code, payload, err = run(capsys, "pl", "represent", str(big),
-                             "--system", "thirteen", "A in [0,1]")
-    assert code == 2
-    assert payload == {"error": "more than 4096 subsets of 13 points (cap 4096)",
-                       "kind": "resource-cap"}
-    assert err.startswith("cap exceeded:")
+    # A classical representation lists no subsets, so 13 states answer.
+    code, payload, _ = run(capsys, "pl", "represent", str(big),
+                           "--system", "thirteen", "A in [0,1]")
+    assert code == 0
+    assert payload["element"] == ["t00", "t01"] and payload["top"] == states
     code, payload, _ = run(capsys, "pl", "decide", "--max-worlds", "1", "((a->b)->a)->a")
     assert code == 2 and payload["kind"] == "resource-cap"
+
+
+def test_sixty_four_states_are_represented_within_a_second(tmp_path, capsys):
+    # 2^64 state subsets: the representation lists none of them
+    doc = json.loads(Path(FIXTURE).read_text())
+    states = [f"u{i:02d}" for i in range(64)]
+    a_of = {s: i % 17 for i, s in enumerate(states)}
+    b_of = {s: (5 * i) % 7 for i, s in enumerate(states)}
+    doc["systems"].append({"name": "wide", "states": states, "quantities": {
+        "A": {s: str(v) for s, v in a_of.items()}, "B": {s: str(v) for s, v in b_of.items()}}})
+    wide = tmp_path / "wide.json"
+    wide.write_text(json.dumps(doc))
+    formula = "(A in [3,9] & ~B in [0,2]) -> A in [6,12]"
+    holds = {s for s in states
+             if not (3 <= a_of[s] <= 9 and not 0 <= b_of[s] <= 2) or 6 <= a_of[s] <= 12}
+    assert 0 < len(holds) < 64
+    start = time.perf_counter()
+    code, payload, _ = run(capsys, "pl", "represent", str(wide), "--system", "wide", formula)
+    assert code == 0
+    assert payload["element"] == sorted(holds) and payload["is_top"] is False
+    for state in ("u03", "u04"):
+        code, payload, _ = run(capsys, "pl", "truth", str(wide), "--system", "wide",
+                               "--state", state, formula)
+        assert code == 0 and payload["value"] == int(state in holds)
+    with pytest.raises(CapExceeded, match=r"^more than 4096 subsets of 64 points \(cap 4096\)$"):
+        len(powerset_algebra(states))
+    assert time.perf_counter() - start < 1.0
 
 
 def test_eight_variable_context_is_refused_within_a_second(capsys):
@@ -215,16 +243,21 @@ def test_nested_power_type_is_refused_by_the_hom_search_cell_cap():
 
 
 def test_cap_hit_while_loading_keeps_its_kind_and_pointer(tmp_path, capsys):
+    # An axiom over eight variables of type P(R): its context has 8^8
+    # environments, refused by the product cap while z3 is validated.
     doc = json.loads(Path(FIXTURE).read_text())
-    doc["algebras"].append({"name": "bool13", "kind": "powerset",
-                            "base": [f"b{i:02d}" for i in range(13)]})
-    big = tmp_path / "bool13.json"
+    names = [f"D{i}" for i in range(1, 9)]
+    doc["representations"][1]["axioms"] = [{
+        "name": "wide", "conclusion": "D1 = D1",
+        "context": [f"{d} = {d}" for d in names[1:]],
+        "variables": dict.fromkeys(names, "P(R)")}]
+    big = tmp_path / "wide.json"
     big.write_text(json.dumps(doc))
     code, payload, err = run(capsys, "validate", str(big))
     assert code == 2
-    assert payload == {"error": "algebra 'bool13': more than 4096 subsets of 13 points "
-                                "(cap 4096)",
-                       "kind": "resource-cap", "pointer": "/algebras/4"}
+    assert payload == {"error": "representation 'z3': product of 8 factors has 16777216 "
+                                "elements, exceeds cap 32768",
+                       "kind": "resource-cap", "pointer": "/representations/1"}
     assert err.startswith("cap exceeded:")
 
 

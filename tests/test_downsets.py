@@ -49,6 +49,7 @@ from toposlang.heyting import (
     InvalidOrder,
     LatticeError,
     TopologyError,
+    UnknownElement,
     canonical_carrier,
     iter_downsets,
     lower_set_algebra,
@@ -71,18 +72,22 @@ PROJECT = load_project(Path(__file__).resolve().parent.parent / "fixtures" / "tw
 
 
 def assert_same_algebra(new, old):
+    """Compared before and after `new` lists its carrier: its operations
+    decode ids through the point index first, through the listing after."""
     assert isinstance(new, DownsetAlgebra)
-    assert new.elements == old.elements
-    assert (new.top, new.bottom) == (old.top, old.bottom)
-    for a in old.elements:
-        assert new.negate(a) == old.negate(a)
-        for b in old.elements:
-            assert new.leq(a, b) == old.leq(a, b)
-            assert new.meet(a, b) == old.meet(a, b)
-            assert new.join(a, b) == old.join(a, b)
-            assert new.implies(a, b) == old.implies(a, b)
-    assert new.meet_all(old.elements) == old.meet_all(old.elements)
-    assert new.join_all(old.elements) == old.join_all(old.elements)
+    for listed in (False, True):
+        if listed:
+            assert new.elements == old.elements
+        assert (new.top, new.bottom) == (old.top, old.bottom)
+        for a in old.elements:
+            assert new.negate(a) == old.negate(a)
+            for b in old.elements:
+                assert new.leq(a, b) == old.leq(a, b)
+                assert new.meet(a, b) == old.meet(a, b)
+                assert new.join(a, b) == old.join(a, b)
+                assert new.implies(a, b) == old.implies(a, b)
+        assert new.meet_all(old.elements) == old.meet_all(old.elements)
+        assert new.join_all(old.elements) == old.join_all(old.elements)
 
 
 def reach(needs, x):
@@ -99,17 +104,18 @@ def reach(needs, x):
 
 @st.composite
 def relations(draw):
-    """A relation on at most 6 points, and the points that need something
-    outside them."""
-    n = draw(st.integers(0, 6))
+    """A relation on at most 7 points, and the points that need something
+    outside them, as in the sieve order of an arrow whose composite leaves
+    the arrows into its codomain."""
+    n = draw(st.integers(0, 7))
     needs = [draw(st.integers(0, (1 << n) - 1)) for _ in range(n)]
     barred = draw(st.integers(0, (1 << n) - 1))
     return needs, barred
 
 
-@settings(max_examples=60, deadline=None)
-@given(relations())
-def test_random_preorders_match_generic_algebra(relation):
+def relation_downsets(relation):
+    """The preorder a drawn relation generates on range(n), and its
+    down-sets found by brute force."""
     needs, barred = relation
     n = len(needs)
     below_sets = {x: reach(needs, x) for x in range(n)}
@@ -118,10 +124,32 @@ def test_random_preorders_match_generic_algebra(relation):
     outside = 1 << n
     below = preorder_closure([m | (outside if barred >> x & 1 else 0)
                               for x, m in enumerate(needs)])
+    return below, expected
+
+
+@settings(max_examples=60, deadline=None)
+@given(relations())
+def test_random_preorders_match_generic_algebra(relation):
+    below, expected = relation_downsets(relation)
     masks = list(iter_downsets(below))
     assert len(masks) == len(set(masks))
-    alg = DownsetAlgebra(below, canonical_carrier(range(n), masks))
+    alg = DownsetAlgebra(below, range(len(below)))
     assert_same_algebra(alg, HeytingAlgebra(canon_sorted(expected), frozenset.issubset))
+
+
+@settings(max_examples=60, deadline=None)
+@given(relations())
+def test_membership_holds_exactly_on_the_downsets(relation):
+    below, expected = relation_downsets(relation)
+    n = len(below)
+    alg = DownsetAlgebra(below, range(n))
+    for listed in (False, True):
+        if listed:
+            len(alg)
+        for s in brute_subsets(range(n)):
+            assert (s in alg) == (s in expected)
+        for other in (frozenset({n}), frozenset({"0"}), set(), 0, (), None):
+            assert other not in alg
 
 
 # Points of every kind canon_key orders, listed out of canonical order.
@@ -231,30 +259,38 @@ CHAIN_DOWNSETS = [0b000, 0b001, 0b011, 0b111]
 ], ids=["not-reflexive", "not-transitive"])
 def test_certificate_rejects_a_planted_bad_order(below, message):
     with pytest.raises(InvalidOrder, match=message):
-        DownsetAlgebra(below, [(m, m) for m in CHAIN_DOWNSETS])
+        DownsetAlgebra(below, range(3))
+
+
+def plant_listing(monkeypatch, masks):
+    """Make the next listing see `masks` in place of the down-sets."""
+    monkeypatch.setattr(heyting, "iter_downsets", lambda below, **kw: iter(masks))
 
 
 @pytest.mark.parametrize("below, masks, message", [
-    (CHAIN_BELOW, CHAIN_DOWNSETS + [0b010], "element 2 \\(mask 0b10\\) is not a down-set"),
-    ([0b01, 0b110], [0b00, 0b01, 0b11], "element 3 \\(mask 0b11\\) is not a down-set"),
-    (CHAIN_BELOW, [0b000, 0b001, 0b111], "lacks the down-set 0b11: 0 joined with what is "
-     "below point 1"),
-    (CHAIN_BELOW, [0b000, 0b001, 0b001, 0b011, 0b111], "element 1 repeats the mask 0b1"),
+    (CHAIN_BELOW, CHAIN_DOWNSETS + [0b010],
+     "element frozenset\\(\\{1\\}\\) \\(mask 0b10\\) is not a down-set"),
+    ([0b01, 0b110], [0b00, 0b01, 0b11],
+     "element frozenset\\(\\{0, 1\\}\\) \\(mask 0b11\\) is not a down-set"),
+    (CHAIN_BELOW, [0b000, 0b001, 0b111], "lacks the down-set 0b11: frozenset\\(\\) joined "
+     "with what is below point 1"),
+    (CHAIN_BELOW, [0b000, 0b001, 0b001, 0b011, 0b111],
+     "element frozenset\\(\\{0\\}\\) repeats the mask 0b1"),
     (CHAIN_BELOW, [0b001, 0b011, 0b111], "lacks the empty down-set"),
 ], ids=["not-a-down-set", "holds-a-barred-point", "missing", "duplicate", "no-zero"])
-def test_certificate_rejects_a_planted_bad_carrier(below, masks, message):
-    # element ids are the masks, except that a repeated mask gets a new id
-    carrier = [(m, m if m not in masks[:i] else -m) for i, m in enumerate(masks)]
+def test_certificate_rejects_a_planted_bad_carrier(below, masks, message, monkeypatch):
+    alg = DownsetAlgebra(below, range(len(below)))
+    plant_listing(monkeypatch, masks)
     with pytest.raises(LatticeError, match=message):
-        DownsetAlgebra(below, carrier)
+        len(alg)
 
 
-def test_certificate_is_exhaustive_at_the_cap():
+def test_certificate_is_exhaustive_at_the_cap(monkeypatch):
     """One down-set missing from 4096 is found: no sampling."""
-    below = [1 << i for i in range(12)]
-    carrier = [(m, m) for m in range(1 << 12) if m != 0b100110100101]
+    alg = DownsetAlgebra([1 << i for i in range(12)], range(12))
+    plant_listing(monkeypatch, [m for m in range(1 << 12) if m != 0b100110100101])
     with pytest.raises(LatticeError, match="lacks the down-set 0b100110100101"):
-        DownsetAlgebra(below, carrier)
+        len(alg)
 
 
 def test_powerset_matches_generic_algebra():
@@ -282,7 +318,7 @@ def test_sieves_match_subset_filter(cat):
         expected = brute_sieves(cat, obj)
         assert sieves_on(cat, obj) == [Sieve(obj, members) for members in expected]
         assert_same_algebra(sieve_heyting(cat, obj),
-                            HeytingAlgebra(expected, frozenset.issubset))
+                            HeytingAlgebra(canon_sorted(expected), frozenset.issubset))
 
 
 def _leaky_presheaf() -> Presheaf:
@@ -305,18 +341,73 @@ PRESHEAVES = presheaf_fixture_pool(12) + list(PROJECT.presheaves.values()) + [
 ]
 
 
+def subobject_points(k):
+    """The element id of a sub-object in `sub_heyting`: its (object, element) points."""
+    return frozenset((obj, el) for obj, part in k.parts.items() for el in part)
+
+
 @pytest.mark.parametrize("x", PRESHEAVES, ids=lambda x: "+".join(x.base.objects))
 def test_subobjects_match_subset_filter(x):
     expected = brute_subobjects(x)
     assert enumerate_subobjects(x) == expected
     sa = sub_heyting(x)
-    by_key = {k.key(): k for k in expected}
+    by_id = {subobject_points(k): k for k in expected}
 
     def leq(a, b):
-        return all(by_key[a].parts[obj] <= by_key[b].parts[obj] for obj in x.base.objects)
+        return all(by_id[a].parts[obj] <= by_id[b].parts[obj] for obj in x.base.objects)
 
-    assert_same_algebra(sa.algebra, HeytingAlgebra(list(by_key), leq))
-    assert sa.subobjects == by_key
+    assert_same_algebra(sa.algebra, HeytingAlgebra(canon_sorted(by_id), leq))
+    assert sa.subobjects == by_id
+
+
+CHAIN_POSET = (["c", "a", "b"], [("a", "b"), ("b", "c")])
+ORDERED_BUILDS = {
+    "powerset": (lambda: powerset_algebra(reversed(MIXED_POINTS[:6])),
+                 lambda: brute_subsets(MIXED_POINTS[:6])),
+    "lower-sets": (lambda: lower_set_algebra(*CHAIN_POSET),
+                   lambda: brute_downsets(CHAIN_POSET[0], transitive_closure(*CHAIN_POSET))),
+    "open-sets": (lambda: open_set_algebra([(), (2,), (1,), (1, 2), (1, 2, 3)]),
+                  lambda: [frozenset(s) for s in ((), (2,), (1,), (1, 2), (1, 2, 3))]),
+    "sieves": (lambda: sieve_heyting(DIAMOND, DIAMOND.objects[-1]),
+               lambda: brute_sieves(DIAMOND, DIAMOND.objects[-1])),
+    "sub-objects": (lambda: sub_heyting(PRESHEAVES[-1]).algebra,
+                    lambda: map(subobject_points, brute_subobjects(PRESHEAVES[-1]))),
+}
+
+
+@pytest.mark.hash_seeds
+@pytest.mark.parametrize("builder", ORDERED_BUILDS)
+def test_elements_list_in_canonical_order(builder):
+    build, expected = ORDERED_BUILDS[builder]
+    assert build().elements == tuple(canon_sorted(expected()))
+
+
+@pytest.mark.hash_seeds
+def test_canonical_order_is_by_the_ranks_of_the_points():
+    assert powerset_algebra(["b", 2, "a"]).elements == tuple(map(frozenset, (
+        (), (2,), (2, "a"), (2, "a", "b"), (2, "b"), ("a",), ("a", "b"), ("b",))))
+
+
+@pytest.mark.parametrize("listed", [False, True])
+def test_unknown_points_and_other_ids_are_refused(listed):
+    chain = lower_set_algebra(["a", "b"], [("a", "b")])  # {b} is no down-set
+    barred = sieve_heyting(_bad_signature_category(), "y")  # no sieve holds f
+    for alg, good, bads in ((chain, frozenset({"a"}),
+                             [frozenset({"c"}), frozenset({"a", "c"}), frozenset({"b"}),
+                              {"a"}, "a", 1]),
+                            (barred, frozenset(),
+                             [frozenset({"f"}), frozenset({"f", "id[y]"})])):
+        if listed:
+            len(alg)
+        for bad in bads:
+            assert bad not in alg
+            for op in (lambda: alg.leq(bad, good), lambda: alg.leq(good, bad),
+                       lambda: alg.meet(good, bad), lambda: alg.join(bad, good),
+                       lambda: alg.implies(bad, good), lambda: alg.implies(good, bad),
+                       lambda: alg.negate(bad), lambda: alg.meet_all([good, bad]),
+                       lambda: alg.join_all([bad])):
+                with pytest.raises(UnknownElement, match="unknown element id"):
+                    op()
 
 
 def test_kripke_upsets_match_subset_filter():
@@ -338,8 +429,8 @@ def test_posets_match_pairwise_transitivity_scan():
 
 def test_powerset_at_the_cap_builds_quickly():
     with budget("powerset_algebra(range(12)) with its Boolean check", 2.0):
-        alg = powerset_algebra(range(12))
-    assert len(alg) == DEFAULT_CAP == 4096
+        size = len(powerset_algebra(range(12)))
+    assert size == DEFAULT_CAP == 4096
 
 
 def test_declared_six_point_powerset_builds_quickly():
@@ -386,10 +477,10 @@ def test_cap_counts_the_downsets_it_enumerates(monkeypatch):
     assert len(powerset_algebra(range(3))) == 8
     monkeypatch.setattr(heyting, "DEFAULT_CAP", 7)
     with pytest.raises(CapExceeded, match=r"more than 7 subsets of 3 points \(cap 7\)"):
-        powerset_algebra(range(3))
+        len(powerset_algebra(range(3)))
     monkeypatch.setattr(heyting, "DEFAULT_CAP", 2)
     with pytest.raises(CapExceeded, match="more than 2 lower sets of 2 points"):
-        lower_set_algebra(["a", "b"], [])
+        len(lower_set_algebra(["a", "b"], []))
     assert sorted(iter_downsets([1, 3, 7], cap=4)) == [0, 1, 3, 7]
     with pytest.raises(CapExceeded):
         list(iter_downsets([1, 3, 7], cap=3))

@@ -319,6 +319,12 @@ def test_abelian_pack_contents():
         assert infer_type(s.conclusion, ctx, signature) == OMEGA
 
 
+def test_abelian_pack_is_parsed_once_per_process():
+    pack = abelian_axiom_pack()
+    assert abelian_axiom_pack() is pack
+    assert pack == abelian_axiom_pack.__wrapped__()  # a fresh parse
+
+
 def test_pack_symbol_clash_detected():
     pack = abelian_axiom_pack()
     clashing = Signature({"A": (SIGMA, RQ), "zero": (SIGMA, RQ)})

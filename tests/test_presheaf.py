@@ -167,6 +167,15 @@ def test_char_morphism_of_half_open_subterminal():
     assert subobject_of_char(chi) == k
 
 
+def test_subobject_of_char_rejects_an_arrow_that_is_not_natural():
+    # the top sieve at q restricts to the top sieve at p, not to the empty one
+    one = terminal_presheaf(TWO)
+    chi = NatTransform(one, classifier_kit(TWO).omega,
+                       {"q": {(): fs("id[q]", "le[p,q]")}, "p": {(): fs()}})
+    with pytest.raises(PresheafError, match="characteristic arrow is not natural"):
+        subobject_of_char(chi)
+
+
 def test_char_rejects_invalid_subobject():
     bad = Subobject(X2, {"q": ("x0",), "p": ()})  # not restriction-closed
     with pytest.raises(PresheafError):
@@ -196,7 +205,9 @@ def test_sub_of_terminal_on_two_point_poset():
     sa = sub_heyting(one)
     assert len(sa.algebra) == 3
     # excluded middle fails at the half-open sub-object
-    half_key = Subobject(one, {"q": (), "p": ((),)}).key()
+    # an element id is the frozenset of the sub-object's (object, element) points
+    half_key = frozenset({("p", ())})
+    assert sa.subobjects[half_key] == Subobject(one, {"q": (), "p": ((),)})
     neg = sa.algebra.negate(half_key)
     assert sa.subobjects[neg].parts == {"q": fs(), "p": fs()}
     assert sa.algebra.join(half_key, neg) != sa.algebra.top

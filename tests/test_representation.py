@@ -487,6 +487,19 @@ def _rep_with_a_moving_identity() -> ToposRep:
     return ToposRep(Signature({"A": (SIGMA, RQ)}), TWO, {"Sigma": sigma, "R": rvals}, {"A": a})
 
 
+def test_interpret_term_rejects_a_symbol_arrow_that_is_not_natural():
+    # A(a1) = v restricts to z at p, but a1 restricts to b0 and A(b0) = w.
+    # `ToposRep` does not validate its arrows; the interpretation's own
+    # naturality check must catch this one.
+    sigma = Presheaf(TWO, {"q": ["a0", "a1"], "p": ["b0"]},
+                     {"le[p,q]": {"a0": "b0", "a1": "b0"}})
+    rvals = Presheaf(TWO, {"q": ["u", "v"], "p": ["w", "z"]}, {"le[p,q]": {"u": "w", "v": "z"}})
+    a = NatTransform(sigma, rvals, {"q": {"a0": "u", "a1": "v"}, "p": {"b0": "w"}})
+    rep = ToposRep(Signature({"A": (SIGMA, RQ)}), TWO, {"Sigma": sigma, "R": rvals}, {"A": a})
+    with pytest.raises(RepresentationError, match="interpretation is not natural"):
+        interpret_term(parse_term("A(s)", rep.signature), (("s", SIGMA),), rep)
+
+
 @pytest.mark.hash_seeds
 def test_interpret_term_reads_along_an_identity_that_moves_elements():
     rep = _rep_with_a_moving_identity()
