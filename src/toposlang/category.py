@@ -75,12 +75,16 @@ class FiniteCategory:
         self._into_by_key: dict[str, tuple[tuple[str, str], ...]] = {}
         self._key = (self.objects, self.morphisms, tuple(sorted(self.identity.items())),
                      tuple(sorted(self._compose.items())))
+        # Hashed once: every `classifier_kit` and `exponential` lookup, and
+        # every presheaf's hash, hashes its base.
+        self._hash = hash(self._key)
 
     def __eq__(self, other):
-        return isinstance(other, FiniteCategory) and self._key == other._key
+        return self is other or (isinstance(other, FiniteCategory) and self._hash == other._hash
+                                 and self._key == other._key)
 
     def __hash__(self):
-        return hash(self._key)
+        return self._hash
 
     def morphism(self, mid: str) -> Morphism:
         try:

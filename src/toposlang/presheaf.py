@@ -17,6 +17,18 @@ morphism order and not the hash seed, so repeated runs are byte-identical.
 The one-object category gives the plain category of sets, where the
 classifier degenerates to the two truth values.
 
+Law checks run at the input boundary.  `validate_presheaf` and
+`validate_nat` check what a caller supplies; an arrow this module builds
+natural carries a construction-time certificate instead, the private
+`NatTransform._natural` flag, which takes no part in equality or hashing.
+`char_morphism` folds its sub-object check into the sieves it computes, and
+`exp_transpose` checks each transposed element locally, block against
+restricted block, so neither lists anything to check its output, and
+`subobject_of_char` runs `validate_nat` only on an uncertified arrow.  The
+certificates assume the presheaves they are built from are functorial, as
+`validate_presheaf` checks and as every presheaf the library builds or
+loads from a project is.
+
 This module owns the element format of exponentials and power objects: an
 element of Y^X at stage A is a tuple of ((B, g: B -> A, x), y) cells in
 canon_key order, built in that order without a sort.  It is a tuple
@@ -137,7 +149,12 @@ class Presheaf:
 
 class NatTransform:
     """Stage-indexed component maps between presheaves on the same base.
-    Two are equal when their sources, targets and component tables are."""
+    Two are equal when their sources, targets and component tables are.
+
+    `_natural` is the construction-time certificate: the functions of this
+    module and of `rep` that build an arrow natural by construction set it,
+    and it takes no part in equality or hashing.  An arrow built here, by a
+    caller, starts without it, so the public checks still run on it."""
 
     def __init__(self, source: Presheaf, target: Presheaf,
                  components: Mapping[str, Mapping]):
@@ -147,6 +164,7 @@ class NatTransform:
         self.target = target
         self.components = {obj: dict(components.get(obj, {})) for obj in source.base.objects}
         self._hash = None
+        self._natural = False
 
     def apply(self, obj: str, x):
         try:
@@ -247,18 +265,27 @@ class Subobject:
         self.ambient = ambient
         self.parts = {obj: frozenset(parts.get(obj, ())) for obj in ambient.base.objects}
 
-    def violations(self) -> list:
+    def _outside(self) -> list:
+        """Per object whose part leaves its stage, the first element outside
+        in canon_key order."""
         bad = []
-        stages = {obj: set(self.ambient.stage(obj)) for obj in self.parts}
-        for obj, sub in self.parts.items():
-            extra = sub - stages[obj]
+        for obj in self.ambient.base.objects:
+            extra = self.parts[obj].difference(self.ambient.stage(obj))
             if extra:
                 bad.append(("not-a-subset", obj, canon_sorted(extra)[0]))
-        for m in self.ambient.base.morphisms:
-            for el in self.parts[m.cod]:
-                if el in stages[m.cod] and \
-                        self.ambient.apply(m.id, el) not in self.parts[m.dom]:
-                    bad.append(("not-restriction-closed", m.id, el))
+        return bad
+
+    def violations(self) -> list:
+        """`_outside`, then the restrictions that leave the parts, in object,
+        canonical-stage and `into` order."""
+        cat = self.ambient.base
+        bad = self._outside()
+        for obj in cat.objects:
+            part = self.parts[obj]
+            for el in self.ambient.stage(obj):
+                if el in part:
+                    bad.extend(("not-restriction-closed", f, el) for f in cat.into(obj)
+                               if self.ambient.apply(f, el) not in self.parts[cat.morphism(f).dom])
         return bad
 
     def key(self):
@@ -339,32 +366,55 @@ def classifier_kit(cat: FiniteCategory) -> ClassifierKit:
 
 
 def char_morphism(k: Subobject) -> NatTransform:
-    """x at stage A goes to the sieve of arrows pulling x into the sub-object."""
-    bad = k.violations()
-    if bad:
-        raise PresheafError(f"invalid sub-object: {bad[0]}")
+    """x at stage A goes to the sieve of arrows pulling x into the sub-object.
+
+    The sub-object check is folded into that computation: K is closed under
+    restriction exactly when every el in K(A) goes to the principal sieve.
+    PresheafError names the first violation in the order of
+    `Subobject.violations`.  The arrow is certified natural: its values are
+    sieves and commute with restriction whenever the ambient is a presheaf."""
+    outside = k._outside()
+    if outside:
+        raise PresheafError(f"invalid sub-object: {outside[0]}")
     x = k.ambient
     cat = x.base
-    kit = classifier_kit(cat)
     comps = {}
     for obj in cat.objects:
-        comps[obj] = {
-            el: frozenset(f for f in cat.into(obj)
-                          if x.apply(f, el) in k.parts[cat.morphism(f).dom])
-            for el in x.stage(obj)}
-    return NatTransform(x, kit.omega, comps)
+        into, stage = cat.into(obj), x.stage(obj)
+        reads = [(f, x.maps[f], k.parts[cat.morphism(f).dom]) for f in into]
+        try:
+            comp = comps[obj] = {
+                el: frozenset([f for f, table, below in reads if table[el] in below])
+                for el in stage}
+        except KeyError as missing:
+            el = missing.args[0]
+            f = next(f for f, table, _ in reads if el not in table)
+            raise PresheafError(f"restriction along {f!r} undefined at {el!r}") from None
+        part = k.parts[obj]
+        for el in stage:
+            # The principal sieve holds every arrow into obj.
+            if el in part and len(comp[el]) < len(into):
+                bad = ("not-restriction-closed", next(f for f in into if f not in comp[el]), el)
+                raise PresheafError(f"invalid sub-object: {bad}")
+    out = NatTransform(x, classifier_kit(cat).omega, comps)
+    out._natural = True
+    return out
 
 
 def subobject_of_char(chi: NatTransform) -> Subobject:
-    """Inverse of `char_morphism`: the stage-wise preimage of the principal sieve."""
-    bad = validate_nat(chi)
-    if bad.items:
-        raise PresheafError(f"characteristic arrow is not natural: {bad.items[0]}")
+    """Inverse of `char_morphism`: the stage-wise preimage of the principal
+    sieve.  An arrow without the certificate is checked with `validate_nat`
+    first."""
+    if not chi._natural:
+        bad = validate_nat(chi)
+        if bad.items:
+            raise PresheafError(f"characteristic arrow is not natural: {bad.items[0]}")
     cat = chi.source.base
+    true = classifier_kit(cat).true_arrow.components
     parts = {}
     for obj in cat.objects:
-        top = principal_sieve(cat, obj).members
-        parts[obj] = frozenset(el for el in chi.source.stage(obj) if chi.apply(obj, el) == top)
+        top, comp = true[obj][()], chi.components[obj]
+        parts[obj] = frozenset(el for el in chi.source.stage(obj) if comp[el] == top)
     return Subobject(chi.source, parts)
 
 
@@ -690,28 +740,46 @@ def power_object(x: Presheaf) -> Presheaf:
 def exp_transpose(f: NatTransform, z: Presheaf, x: Presheaf, y: Presheaf) -> NatTransform:
     """Hom(Z x X, Y) -> Hom(Z, Y^X).  `f` must go out of product(z, x).
     The transpose of zv at stage A holds f(z(g)(zv), xv) in cell (B, g, xv):
-    its block at (B, g) is f's row at z(g)(zv), read once per zb in Z(B)."""
+    its block at (B, g) is f's row at z(g)(zv), read once per zb in Z(B).
+
+    Each element is checked locally, not looked up in the listed stage of
+    Y^X: its values lie in Y's stages, and along every arrow h into B its
+    block at (dom h, g o h) is the restriction of its block at (B, g).
+    PresheafError when f is not natural.  The output is certified natural,
+    which holds whenever Z is a presheaf."""
     cat = z.base
     if f.source != product_presheaf([z, x]) or f.target != y:
         raise ShapeMismatch("arrow to transpose is not Z x X -> Y")
-    exp = exponential(x, y)
     blocks = {b: {zb: [f.apply(b, (zb, xv)) for xv in x.stage(b)] for zb in z.stage(b)}
               for b in cat.objects}
+    for b in cat.objects:
+        if not set(y.stage(b)).issuperset(itertools.chain.from_iterable(blocks[b].values())):
+            raise PresheafError(f"transpose produced a non-natural family: "
+                                f"a value at {b!r} is outside Y's stage")
+    position = {b: {xv: i for i, xv in enumerate(x.stage(b))} for b in cat.objects}
+    lawful = x._identity_law and y._identity_law and z._identity_law
     comps = {}
-    for obj in cat.objects:
-        members = set(exp.stage(obj))
-        zs, pairs = z.stage(obj), cat.into_by_key(obj)
-        try:
-            elements = exp_from_blocks(cat, obj, x, ([blocks[b][z.apply(g, zv)] for b, g in pairs]
-                                                     for zv in zs))
-        except KeyError as missing:
-            raise PresheafError(f"restriction of Z leaves its stage at {missing.args[0]!r}") \
-                from None
-        for element in elements:
-            if element not in members:
-                raise PresheafError("transpose produced a non-natural family")
-        comps[obj] = dict(zip(zs, elements))
-    return NatTransform(z, exp, comps)
+    try:
+        for obj in cat.objects:
+            zs, pairs = z.stage(obj), cat.into_by_key(obj)
+            for b, g in pairs:
+                for h in cat.into(b):
+                    if lawful and h == cat.id_of(b):
+                        continue
+                    c, gh, down = cat.morphism(h).dom, cat.compose(g, h), y.maps[h]
+                    reads = [position[c][x.apply(h, xv)] for xv in x.stage(b)]
+                    for zv in zs:
+                        below, above = blocks[c][z.apply(gh, zv)], blocks[b][z.apply(g, zv)]
+                        if [below[i] for i in reads] != [down[v] for v in above]:
+                            raise PresheafError(f"transpose produced a non-natural family: "
+                                                f"restriction along {h!r} at {zv!r}")
+            comps[obj] = dict(zip(zs, exp_from_blocks(
+                cat, obj, x, ([blocks[b][z.apply(g, zv)] for b, g in pairs] for zv in zs))))
+    except KeyError as missing:
+        raise PresheafError(f"restriction leaves its stage at {missing.args[0]!r}") from None
+    out = NatTransform(z, exponential(x, y), comps)
+    out._natural = True
+    return out
 
 
 def power_transpose(f: NatTransform, z: Presheaf, x: Presheaf) -> NatTransform:

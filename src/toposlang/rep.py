@@ -18,6 +18,13 @@ from blocks of its body's column over the context extended by the binder.
 Every registered axiom sequent must hold, which for an empty context means
 its interpretation is the constant arrow at the principal sieve.
 
+`build_rep` checks its inputs once: the grounds are functorial and the
+symbol arrows natural, unless certified natural by construction like the
+classical backend's.  It then marks the representation validated, and on
+such a representation every interpretation is natural by construction:
+`interpret_term` certifies its result without `validate_nat`, which it keeps
+for a `ToposRep` built directly.
+
 This module builds no presheaf structure of its own: the context object is
 `presheaf.product_presheaf`, and power-object elements are built and read
 only through `presheaf.exp_from_blocks` and `exp_column`, which own their
@@ -110,8 +117,9 @@ class AxiomReport:
 
 
 class ToposRep:
-    """Validated representation: backend category, ground and symbol arrows,
-    and the axiom sequents it is required to satisfy."""
+    """A representation: backend category, ground and symbol arrows, and the
+    axiom sequents it is required to satisfy.  `build_rep` validates one;
+    one built directly is not validated."""
 
     def __init__(self, signature: Signature, base: FiniteCategory,
                  grounds: Mapping[str, Presheaf],
@@ -125,6 +133,9 @@ class ToposRep:
         self.axioms = tuple(axioms)
         self._type_cache: dict[TypeExpr, Presheaf] = {}
         self._family_cache: dict[str, NatTransform] = {}
+        # Set by `build_rep` once the grounds are functorial and the symbol
+        # arrows natural: then every interpretation is natural by construction.
+        self._validated = False
 
     def ground(self, name: str) -> Presheaf:
         if name not in self.grounds:
@@ -233,7 +244,9 @@ def interpret_term(term: Term, context: Sequence[tuple[str, TypeExpr]],
     through the index lists restricting environments along each arrow, a
     comprehension its body's column over the context extended by the binder,
     one block of |X(B)| values per environment.  The root's columns are the
-    components, and `validate_nat` checks them.
+    components.  On a representation `build_rep` validated they are natural
+    by construction; on a `ToposRep` built directly `validate_nat` checks
+    them.  Either way the result is certified natural.
     """
     term = desugar_connectives(term)
     target_type = infer_type(term, dict(context), rep.signature)
@@ -296,9 +309,11 @@ def interpret_term(term: Term, context: Sequence[tuple[str, TypeExpr]],
     columns = arrow(term, top)
     result = NatTransform(source, interpret_type(target_type, rep),
                           {obj: dict(zip(source.at[obj], columns[obj])) for obj in cat.objects})
-    bad = validate_nat(result)
-    if bad.items:
-        raise RepresentationError(f"interpretation is not natural: {bad.items[0]}")
+    if not rep._validated:
+        bad = validate_nat(result)
+        if bad.items:
+            raise RepresentationError(f"interpretation is not natural: {bad.items[0]}")
+    result._natural = True
     return result
 
 
@@ -344,7 +359,10 @@ def build_rep(signature: Signature, base: FiniteCategory,
               axioms: Sequence[tuple[str, Sequent]] = ()) -> ToposRep:
     """Construct and fully validate a representation: ground presheaves are
     functorial, symbol arrows are natural with the right shapes, quantity
-    symbols are assigned faithfully, and every axiom holds."""
+    symbols are assigned faithfully, and every axiom holds.  A symbol arrow
+    certified natural is not checked again.  Once the grounds and symbols
+    pass, the representation is marked validated, so that the axiom check's
+    interpretations, and every later one, skip their naturality check."""
     rep = ToposRep(signature, base, grounds, symbols, axioms)
     for name, presheaf in rep.grounds.items():
         if presheaf.base != base:
@@ -359,12 +377,14 @@ def build_rep(signature: Signature, base: FiniteCategory,
         if arrow.source != interpret_type(dom, rep) or \
                 arrow.target != interpret_type(cod, rep):
             raise RepresentationError(f"arrow for {name!r} has the wrong shape")
-        bad = validate_nat(arrow)
-        if bad.items:
-            raise RepresentationError(f"arrow for {name!r} is not natural: {bad.items[0]}")
+        if not arrow._natural:
+            bad = validate_nat(arrow)
+            if bad.items:
+                raise RepresentationError(f"arrow for {name!r} is not natural: {bad.items[0]}")
     extra = set(rep.symbols) - set(signature.symbols)
     if extra:
         raise RepresentationError(f"arrows assigned to undeclared symbols {sorted(extra)}")
+    rep._validated = True
     quantity = signature.quantity_symbols()
     for i, a in enumerate(quantity):
         for b in quantity[i + 1:]:
@@ -404,8 +424,12 @@ def prop_family(symbol: str, rep: ToposRep) -> NatTransform:
 
 def _set_arrow(base: FiniteCategory, source: Presheaf, target: Presheaf,
                table: Mapping) -> NatTransform:
+    """The arrow of the one-object base given by `table`, a total function
+    from the source's stage into the target's: natural, so certified."""
     obj = base.objects[0]
-    return NatTransform(source, target, {obj: dict(table)})
+    out = NatTransform(source, target, {obj: dict(table)})
+    out._natural = True
+    return out
 
 
 @record(frozen=True)

@@ -1,13 +1,17 @@
 import os
+import re
 import subprocess
 import sys
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from helpers import (
     ALL_BASES,
     CHAIN3,
+    DIAMOND,
     MONOID,
     PT,
     TWO,
@@ -182,6 +186,61 @@ def test_char_rejects_invalid_subobject():
         char_morphism(bad)
 
 
+def test_char_morphism_rejects_a_part_that_is_not_a_subset_or_not_closed():
+    outside = Subobject(X2, {"q": ("x0", "w"), "p": ("y0",)})
+    assert outside.violations() == [("not-a-subset", "q", "w")]
+    with pytest.raises(PresheafError, match=r"\('not-a-subset', 'q', 'w'\)"):
+        char_morphism(outside)
+    open_part = Subobject(X2, {"q": ("x1",), "p": ()})
+    assert open_part.violations() == [("not-restriction-closed", "le[p,q]", "x1")]
+    with pytest.raises(PresheafError, match=r"\('not-restriction-closed', 'le\[p,q\]', 'x1'\)"):
+        char_morphism(open_part)
+
+
+@pytest.mark.hash_seeds
+def test_char_morphism_names_the_first_violation_in_stage_order():
+    # Every element of the q-stage leaves the part along le[p,q], and the
+    # part holds two elements outside X; the messages must not depend on
+    # the order a frozenset happens to list them in.
+    x = two_point_presheaf(["d", "b", "a", "c"], ["y"], {e: "y" for e in "abcd"})
+    unclosed = Subobject(x, {"q": ("c", "d", "a", "b"), "p": ()})
+    assert unclosed.violations() == [("not-restriction-closed", "le[p,q]", e) for e in "abcd"]
+    with pytest.raises(PresheafError, match=r"'le\[p,q\]', 'a'\)"):
+        char_morphism(unclosed)
+    outside = Subobject(x, {"q": ("a", "zz", "zb"), "p": ("y", "w")})
+    assert outside.violations()[:2] == [("not-a-subset", "p", "w"), ("not-a-subset", "q", "zb")]
+    with pytest.raises(PresheafError, match=r"\('not-a-subset', 'p', 'w'\)"):
+        char_morphism(outside)
+
+
+def test_subobject_of_char_checks_an_equal_copy_of_a_certified_arrow(monkeypatch):
+    k = Subobject(X2, {"q": ("x0",), "p": ("y0",)})
+    chi = char_morphism(k)
+    copy = NatTransform(chi.source, chi.target, chi.components)
+    assert chi._natural and not copy._natural
+    assert copy == chi and hash(copy) == hash(chi)
+    checked = []
+
+    def spy(n):
+        checked.append(n)
+        return validate_nat(n)
+
+    monkeypatch.setattr(presheaf, "validate_nat", spy)
+    assert subobject_of_char(chi) == k and checked == []
+    assert subobject_of_char(copy) == k and checked == [copy]
+
+
+def test_categories_built_apart_share_a_hash_and_a_kit_cache_entry():
+    first = from_poset(["kit-p", "kit-q"], [("kit-p", "kit-q")])
+    second = from_poset(["kit-p", "kit-q"], [("kit-p", "kit-q")])
+    assert first is not second and first == second and hash(first) == hash(second)
+    assert first != from_poset(["kit-p", "kit-q"], [])
+    before = classifier_kit.cache_info()
+    assert classifier_kit(first) is classifier_kit(second)
+    after = classifier_kit.cache_info()
+    assert (after.misses - before.misses, after.hits - before.hits) == (1, 1)
+
+
 def test_char_and_inverse_are_mutually_inverse_on_pool():
     pool = presheaf_fixture_pool(10)
     assert len(pool) >= 10
@@ -345,6 +404,74 @@ def test_all_transposes_round_trip_on_two_point_fixture():
     exp = exponential(x, y)
     for h in enumerate_nats(z, exp):
         assert exp_transpose(exp_untranspose(h, z, x, y), z, x, y) == h
+
+
+def test_exp_transpose_rejects_an_arrow_that_is_not_natural():
+    # the top sieve at q restricts to the top sieve at p, not to the empty one
+    z, x = terminal_presheaf(TWO), X2
+    omega = classifier_kit(TWO).omega
+    prod = product_presheaf([z, x])
+    top = {obj: principal_sieve(TWO, obj).members for obj in TWO.objects}
+    f = NatTransform(prod, omega, {"q": {el: top["q"] for el in prod.stage("q")},
+                                   "p": {el: fs() for el in prod.stage("p")}})
+    assert not validate_nat(f).ok
+    with pytest.raises(PresheafError, match="non-natural family: restriction along 'le\\[p,q\\]'"):
+        exp_transpose(f, z, x, omega)
+    outside = NatTransform(prod, omega, {obj: {el: fs("junk") for el in prod.stage(obj)}
+                                         for obj in TWO.objects})
+    with pytest.raises(PresheafError, match="outside Y's stage"):
+        exp_transpose(outside, z, x, omega)
+
+
+def _generated(x: Presheaf, points) -> Subobject:
+    """The sub-object of x that the (object, element) points generate."""
+    cat = x.base
+    parts: dict = {obj: set() for obj in cat.objects}
+    for obj, el in points:
+        for f in cat.into(obj):
+            parts[cat.morphism(f).dom].add(x.apply(f, el))
+    return Subobject(x, parts)
+
+
+CERTIFIED_POOL = {base: [x for x in presheaf_fixture_pool() if x.base == base]
+                  + [classifier_kit(base).terminal, classifier_kit(base).omega]
+                  for base in ALL_BASES + [DIAMOND]}
+
+
+def _points(x: Presheaf) -> list:
+    return [(obj, el) for obj in x.base.objects for el in x.stage(obj)]
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_certified_arrows_pass_validate_nat(data):
+    # Differential test of the construction-time certificate: every arrow
+    # char_morphism and power_transpose certify passes validate_nat, and
+    # every transposed element lies in the listed power object.
+    base = data.draw(st.sampled_from(list(CERTIFIED_POOL)))
+    x = data.draw(st.sampled_from(CERTIFIED_POOL[base]))
+    outside = [(obj, "outside") for obj in base.objects]
+    picked = data.draw(st.sets(st.sampled_from(_points(x) + outside)))
+    parts = Subobject(x, {obj: {el for o, el in picked if o == obj} for obj in base.objects})
+    if parts.violations():
+        with pytest.raises(PresheafError, match=re.escape(str(parts.violations()[0]))):
+            char_morphism(parts)
+    else:
+        chi = char_morphism(parts)
+        assert chi._natural and validate_nat(chi).ok
+        assert subobject_of_char(chi) == parts
+    z = data.draw(st.sampled_from(CERTIFIED_POOL[base]))
+    prod = product_presheaf([z, x])
+    k = _generated(prod, data.draw(st.sets(st.sampled_from(_points(prod)), max_size=3)))
+    f = char_morphism(k)
+    assert f._natural and validate_nat(f).ok
+    name = power_transpose(f, z, x)
+    assert name._natural and validate_nat(name).ok
+    listed = power_object(x)
+    for obj in base.objects:
+        members = set(listed.stage(obj))
+        assert all(name.apply(obj, zv) in members for zv in z.stage(obj))
+    assert exp_untranspose(name, z, x, classifier_kit(base).omega) == f
 
 
 def test_exponential_adjunction_bijection_on_fixtures():

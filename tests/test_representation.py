@@ -1,6 +1,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from helpers import (
     CHAIN3,
     DIAMOND,
@@ -14,6 +16,7 @@ from helpers import (
     two_point_presheaf,
 )
 
+from toposlang import rep as rep_module
 from toposlang.category import one_object_category, principal_sieve
 from toposlang.intervals import IntervalSet
 from toposlang.local import (
@@ -33,9 +36,11 @@ from toposlang.presheaf import (
     NatTransform,
     Presheaf,
     global_elements,
+    power_object,
     power_transpose,
     product,
     product_many,
+    product_presheaf,
     validate_nat,
 )
 from toposlang.prop.semantics import ClassicalSystem, classical_rep, truth_value
@@ -474,6 +479,55 @@ def test_interpret_term_matches_the_memoized_reference(name):
             assert got == reference_interpret_term(term, context, rep), (context, text)
             assert [list(got.components[obj]) for obj in rep.base.objects] == \
                 [list(got.source.stage(obj)) for obj in rep.base.objects]
+
+
+TERMS_BY_CONTEXT = [(context, text) for context, terms in TERMS_IN_CONTEXT for text in terms]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(list(HAND_BUILT)), st.sampled_from(TERMS_BY_CONTEXT))
+def test_certified_interpretations_pass_validate_nat(name, context_and_text):
+    # `build_rep` marks its representation validated, so `interpret_term`
+    # certifies its result without checking it: the check must agree.
+    rep = _hand_built_rep(name)
+    assert rep._validated
+    context, text = context_and_text
+    got = interpret_term(parse_term(text, rep.signature), context, rep)
+    assert got._natural and validate_nat(got).ok, (name, context, text)
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.lists(st.sampled_from([Fraction(0), Fraction(1, 2), Fraction(1), Fraction(3)]),
+                min_size=1, max_size=4))
+def test_classical_symbol_arrows_and_families_are_certified(values):
+    system = ClassicalSystem(tuple(f"s{i}" for i in range(len(values))),
+                             {"A": {f"s{i}": v for i, v in enumerate(values)}})
+    eff = EffectiveClassicalRep.build(system)
+    arrow = eff.rep.symbols["A"]
+    assert arrow._natural and validate_nat(arrow).ok
+    family = prop_family("A", eff.rep)
+    assert family._natural and validate_nat(family).ok
+    members = set(power_object(eff.rep.ground("Sigma")).stage(POINT))
+    assert all(family.apply(POINT, d) in members for d in family.source.stage(POINT))
+
+
+def test_only_build_rep_marks_a_representation_validated(monkeypatch):
+    checked = []
+
+    def spy(n):
+        checked.append(n)
+        return validate_nat(n)
+
+    monkeypatch.setattr(rep_module, "validate_nat", spy)
+    built = _hand_built_rep("TWO")
+    direct = ToposRep(built.signature, built.base, built.grounds, built.symbols)
+    assert built._validated and not direct._validated
+    term = parse_term("A(s) = A(t)", built.signature)
+    context = (("s", SIGMA), ("t", SIGMA))
+    del checked[:]
+    assert interpret_term(term, context, built) == interpret_term(term, context, direct)
+    assert len(checked) == 1 and checked[0].source == product_presheaf(
+        [built.ground("Sigma"), built.ground("Sigma")])
 
 
 def _rep_with_a_moving_identity() -> ToposRep:
