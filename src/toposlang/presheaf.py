@@ -20,7 +20,8 @@ classifier degenerates to the two truth values.
 Law checks run at the input boundary.  `validate_presheaf` and
 `validate_nat` check what a caller supplies; an arrow this module builds
 natural carries a construction-time certificate instead, the private
-`NatTransform._natural` flag, which takes no part in equality or hashing.
+`NatTransform._natural` flag, which takes no part in equality or hashing
+and which only `NatTransform._certified` sets.
 `char_morphism` folds its sub-object check into the sieves it computes, and
 `exp_transpose` checks each transposed element locally, block against
 restricted block, so neither lists anything to check its output, and
@@ -152,9 +153,10 @@ class NatTransform:
     Two are equal when their sources, targets and component tables are.
 
     `_natural` is the construction-time certificate: the functions of this
-    module and of `rep` that build an arrow natural by construction set it,
-    and it takes no part in equality or hashing.  An arrow built here, by a
-    caller, starts without it, so the public checks still run on it."""
+    module and of `rep` that build an arrow natural by construction make it
+    through `_certified`, and it takes no part in equality or hashing.  The
+    public constructor copies what a caller supplies and leaves the arrow
+    uncertified, so the public checks still run on it."""
 
     def __init__(self, source: Presheaf, target: Presheaf,
                  components: Mapping[str, Mapping]):
@@ -165,6 +167,18 @@ class NatTransform:
         self.components = {obj: dict(components.get(obj, {})) for obj in source.base.objects}
         self._hash = None
         self._natural = False
+
+    @classmethod
+    def _certified(cls, source: Presheaf, target: Presheaf,
+                   components: dict[str, dict]) -> "NatTransform":
+        """The arrow this library has just built natural, from its component
+        dicts, one per object of the common base: taken as they are, with no
+        copy, and certified."""
+        n = cls.__new__(cls)
+        n.source, n.target, n.components = source, target, components
+        n._hash = None
+        n._natural = True
+        return n
 
     def apply(self, obj: str, x):
         try:
@@ -396,9 +410,7 @@ def char_morphism(k: Subobject) -> NatTransform:
             if el in part and len(comp[el]) < len(into):
                 bad = ("not-restriction-closed", next(f for f in into if f not in comp[el]), el)
                 raise PresheafError(f"invalid sub-object: {bad}")
-    out = NatTransform(x, classifier_kit(cat).omega, comps)
-    out._natural = True
-    return out
+    return NatTransform._certified(x, classifier_kit(cat).omega, comps)
 
 
 def subobject_of_char(chi: NatTransform) -> Subobject:
@@ -777,9 +789,7 @@ def exp_transpose(f: NatTransform, z: Presheaf, x: Presheaf, y: Presheaf) -> Nat
                 cat, obj, x, ([blocks[b][z.apply(g, zv)] for b, g in pairs] for zv in zs))))
     except KeyError as missing:
         raise PresheafError(f"restriction leaves its stage at {missing.args[0]!r}") from None
-    out = NatTransform(z, exponential(x, y), comps)
-    out._natural = True
-    return out
+    return NatTransform._certified(z, exponential(x, y), comps)
 
 
 def power_transpose(f: NatTransform, z: Presheaf, x: Presheaf) -> NatTransform:

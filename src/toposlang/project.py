@@ -396,7 +396,10 @@ def _topos_rep_from_json(project: Project, spec: Mapping, ptr: str) -> ToposRep:
             raise ProjectError("ground needs a presheaf or a set",
                                f"{ptr}/grounds/{gname}")
 
-    probe = ToposRep(signature, base, grounds, {})
+    try:
+        probe = ToposRep(signature, base, grounds, {})
+    except ToposlangError as exc:
+        raise ProjectError(f"representation {name!r}: {exc}", ptr) from exc
     symbols: dict[str, NatTransform] = {}
     for sname, sspec in spec.get("symbols", {}).items():
         if sname not in signature.symbols:

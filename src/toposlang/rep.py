@@ -18,12 +18,15 @@ from blocks of its body's column over the context extended by the binder.
 Every registered axiom sequent must hold, which for an empty context means
 its interpretation is the constant arrow at the principal sieve.
 
-`build_rep` checks its inputs once: the grounds are functorial and the
-symbol arrows natural, unless certified natural by construction like the
-classical backend's.  It then marks the representation validated, and on
-such a representation every interpretation is natural by construction:
-`interpret_term` certifies its result without `validate_nat`, which it keeps
-for a `ToposRep` built directly.
+A representation assigns objects and arrows of the topos, so a `ToposRep`
+is valid by construction: its constructor checks that each ground lives on
+the base and is functorial, and that each assigned symbol arrow is
+declared, has its declared shape and is natural, unless certified natural
+by construction like the classical backend's.  Every
+interpreted type is then a presheaf and every interpretation natural by
+construction, so `interpret_term` certifies its result and checks nothing.
+`build_rep` adds what a representation need not have: an arrow for every
+declared symbol, faithfulness, and the axioms.
 
 This module builds no presheaf structure of its own: the context object is
 `presheaf.product_presheaf`, and power-object elements are built and read
@@ -118,8 +121,13 @@ class AxiomReport:
 
 class ToposRep:
     """A representation: backend category, ground and symbol arrows, and the
-    axiom sequents it is required to satisfy.  `build_rep` validates one;
-    one built directly is not validated."""
+    axiom sequents it is required to satisfy.
+
+    RepresentationError unless each ground lives on the base and is
+    functorial, and each assigned symbol arrow is declared, has the shape
+    `interpret_type` gives its declared type, and is natural (checked with
+    `validate_nat` unless certified).  Symbols may be left unassigned and
+    the axioms are not checked: `build_rep` does both."""
 
     def __init__(self, signature: Signature, base: FiniteCategory,
                  grounds: Mapping[str, Presheaf],
@@ -133,9 +141,26 @@ class ToposRep:
         self.axioms = tuple(axioms)
         self._type_cache: dict[TypeExpr, Presheaf] = {}
         self._family_cache: dict[str, NatTransform] = {}
-        # Set by `build_rep` once the grounds are functorial and the symbol
-        # arrows natural: then every interpretation is natural by construction.
-        self._validated = False
+        for name, presheaf in self.grounds.items():
+            if presheaf.base != base:
+                raise RepresentationError(f"ground {name!r} lives on a different base")
+            bad = validate_presheaf(presheaf)
+            if bad.items:
+                raise RepresentationError(f"ground {name!r} is not functorial: {bad.items[0]}")
+        for name, (dom, cod) in signature.symbols.items():
+            arrow = self.symbols.get(name)
+            if arrow is None:
+                continue
+            if arrow.source != interpret_type(dom, self) or \
+                    arrow.target != interpret_type(cod, self):
+                raise RepresentationError(f"arrow for {name!r} has the wrong shape")
+            if not arrow._natural:
+                bad = validate_nat(arrow)
+                if bad.items:
+                    raise RepresentationError(f"arrow for {name!r} is not natural: {bad.items[0]}")
+        extra = set(self.symbols) - set(signature.symbols)
+        if extra:
+            raise RepresentationError(f"arrows assigned to undeclared symbols {sorted(extra)}")
 
     def ground(self, name: str) -> Presheaf:
         if name not in self.grounds:
@@ -177,12 +202,9 @@ class _Context:
     each outer environment with every xv of X(B) in turn."""
 
     def __init__(self, cat: FiniteCategory, names: dict, types: tuple,
-                 envs: Mapping[str, Sequence], lawful: bool, source: Presheaf | None = None,
+                 envs: Mapping[str, Sequence], source: Presheaf | None = None,
                  outer: "_Context | None" = None, binder: Presheaf | None = None):
         self.cat, self.names, self.types, self.envs = cat, names, types, envs
-        # Whether every slot's identity tables fix their stages: then
-        # restriction along an identity keeps each environment in place.
-        self.lawful = lawful
         self.source, self.outer, self.binder = source, outer, binder
         self._reads: dict[str, list[int]] = {}
 
@@ -190,16 +212,17 @@ class _Context:
         envs = {b: [env + (xv,) for env in self.envs[b] for xv in x.stage(b)]
                 for b in self.cat.objects}
         return _Context(self.cat, {**self.names, name: len(self.types)}, self.types + (vtype,),
-                        envs, self.lawful and x._identity_law, outer=self, binder=x)
+                        envs, outer=self, binder=x)
 
     def typing(self) -> dict[str, TypeExpr]:
         return {name: self.types[slot] for name, slot in self.names.items()}
 
     def reads(self, f: str) -> Sequence[int]:
         """For each environment at cod(f), the position of its restriction
-        along f among the environments at dom(f)."""
+        along f among the environments at dom(f).  Every slot's type is a
+        presheaf, so an identity keeps each environment in place."""
         dom = self.cat.morphism(f).dom
-        if self.lawful and f == self.cat.id_of(dom):
+        if f == self.cat.id_of(dom):
             return range(len(self.envs[dom]))
         out = self._reads.get(f)
         if out is None:
@@ -208,28 +231,15 @@ class _Context:
 
     def _restrict(self, f: str) -> list[int]:
         m = self.cat.morphism(f)
-        try:
-            if self.outer is None:
-                index = {env: i for i, env in enumerate(self.envs[m.dom])}
-                return [index[self.source.apply(f, env)] for env in self.envs[m.cod]]
-            # Outer position j and binder position t sit at j * |X(dom)| + t.
-            x = self.binder
-            position = {xv: t for t, xv in enumerate(x.stage(m.dom))}
-            width = len(x.stage(m.dom))
-            col = [position[x.apply(f, xv)] for xv in x.stage(m.cod)]
-            return [j * width + t for j in self.outer.reads(f) for t in col]
-        except KeyError:
-            raise RepresentationError(
-                f"restriction along {f!r} takes an environment out of its stage") from None
-
-
-def _apply_column(symbol: NatTransform, obj: str, column: Sequence) -> list:
-    component = symbol.components[obj]
-    try:
-        return list(map(component.__getitem__, column))
-    except KeyError:
-        # Raise the component's own error for the value it lacks.
-        return [symbol.apply(obj, v) for v in column]
+        if self.outer is None:
+            index = {env: i for i, env in enumerate(self.envs[m.dom])}
+            return [index[self.source.apply(f, env)] for env in self.envs[m.cod]]
+        # Outer position j and binder position t sit at j * |X(dom)| + t.
+        x = self.binder
+        position = {xv: t for t, xv in enumerate(x.stage(m.dom))}
+        width = len(x.stage(m.dom))
+        col = [position[x.apply(f, xv)] for xv in x.stage(m.cod)]
+        return [j * width + t for j in self.outer.reads(f) for t in col]
 
 
 def interpret_term(term: Term, context: Sequence[tuple[str, TypeExpr]],
@@ -244,9 +254,8 @@ def interpret_term(term: Term, context: Sequence[tuple[str, TypeExpr]],
     through the index lists restricting environments along each arrow, a
     comprehension its body's column over the context extended by the binder,
     one block of |X(B)| values per environment.  The root's columns are the
-    components.  On a representation `build_rep` validated they are natural
-    by construction; on a `ToposRep` built directly `validate_nat` checks
-    them.  Either way the result is certified natural.
+    components, natural by construction on the grounds and symbol arrows
+    `ToposRep` checked, so the result is certified and checked no further.
     """
     term = desugar_connectives(term)
     target_type = infer_type(term, dict(context), rep.signature)
@@ -264,8 +273,8 @@ def interpret_term(term: Term, context: Sequence[tuple[str, TypeExpr]],
         if isinstance(n, App):
             if n.symbol not in rep.symbols:
                 raise RepresentationError(f"unassigned function symbol {n.symbol!r}")
-            symbol, arg = rep.symbols[n.symbol], arrow(n.arg, ctx)
-            return {obj: _apply_column(symbol, obj, arg[obj]) for obj in cat.objects}
+            components, arg = rep.symbols[n.symbol].components, arrow(n.arg, ctx)
+            return {obj: list(map(components[obj].__getitem__, arg[obj])) for obj in cat.objects}
         if isinstance(n, Tup):
             items = [arrow(t, ctx) for t in n.items]
             return {obj: list(zip(*(t[obj] for t in items))) for obj in cat.objects}
@@ -305,16 +314,11 @@ def interpret_term(term: Term, context: Sequence[tuple[str, TypeExpr]],
     presheaves = tuple(interpret_type(t, rep) for _, t in context)
     source = product_presheaf(presheaves) if context else rep.kit.terminal
     top = _Context(cat, {name: i for i, (name, _) in enumerate(context)},
-                   tuple(t for _, t in context), source.at, source._identity_law, source=source)
+                   tuple(t for _, t in context), source.at, source=source)
     columns = arrow(term, top)
-    result = NatTransform(source, interpret_type(target_type, rep),
-                          {obj: dict(zip(source.at[obj], columns[obj])) for obj in cat.objects})
-    if not rep._validated:
-        bad = validate_nat(result)
-        if bad.items:
-            raise RepresentationError(f"interpretation is not natural: {bad.items[0]}")
-    result._natural = True
-    return result
+    return NatTransform._certified(
+        source, interpret_type(target_type, rep),
+        {obj: dict(zip(source.at[obj], columns[obj])) for obj in cat.objects})
 
 
 def validate_axioms(rep: ToposRep,
@@ -357,34 +361,14 @@ def build_rep(signature: Signature, base: FiniteCategory,
               grounds: Mapping[str, Presheaf],
               symbols: Mapping[str, NatTransform],
               axioms: Sequence[tuple[str, Sequent]] = ()) -> ToposRep:
-    """Construct and fully validate a representation: ground presheaves are
-    functorial, symbol arrows are natural with the right shapes, quantity
-    symbols are assigned faithfully, and every axiom holds.  A symbol arrow
-    certified natural is not checked again.  Once the grounds and symbols
-    pass, the representation is marked validated, so that the axiom check's
-    interpretations, and every later one, skip their naturality check."""
+    """Construct a representation, which checks its grounds and symbol
+    arrows (see `ToposRep`), then check the rest: every declared symbol has
+    an arrow, quantity symbols are assigned faithfully, and every axiom
+    holds."""
     rep = ToposRep(signature, base, grounds, symbols, axioms)
-    for name, presheaf in rep.grounds.items():
-        if presheaf.base != base:
-            raise RepresentationError(f"ground {name!r} lives on a different base")
-        bad = validate_presheaf(presheaf)
-        if bad.items:
-            raise RepresentationError(f"ground {name!r} is not functorial: {bad.items[0]}")
-    for name, (dom, cod) in signature.symbols.items():
+    for name in signature.symbols:
         if name not in rep.symbols:
             raise RepresentationError(f"function symbol {name!r} has no assigned arrow")
-        arrow = rep.symbols[name]
-        if arrow.source != interpret_type(dom, rep) or \
-                arrow.target != interpret_type(cod, rep):
-            raise RepresentationError(f"arrow for {name!r} has the wrong shape")
-        if not arrow._natural:
-            bad = validate_nat(arrow)
-            if bad.items:
-                raise RepresentationError(f"arrow for {name!r} is not natural: {bad.items[0]}")
-    extra = set(rep.symbols) - set(signature.symbols)
-    if extra:
-        raise RepresentationError(f"arrows assigned to undeclared symbols {sorted(extra)}")
-    rep._validated = True
     quantity = signature.quantity_symbols()
     for i, a in enumerate(quantity):
         for b in quantity[i + 1:]:
@@ -422,16 +406,6 @@ def prop_family(symbol: str, rep: ToposRep) -> NatTransform:
 
 # -- classical backend --------------------------------------------------------------
 
-def _set_arrow(base: FiniteCategory, source: Presheaf, target: Presheaf,
-               table: Mapping) -> NatTransform:
-    """The arrow of the one-object base given by `table`, a total function
-    from the source's stage into the target's: natural, so certified."""
-    obj = base.objects[0]
-    out = NatTransform(source, target, {obj: dict(table)})
-    out._natural = True
-    return out
-
-
 @record(frozen=True)
 class EffectiveClassicalRep:
     """A finite-state system lifted to the one-object backend.
@@ -460,9 +434,9 @@ class EffectiveClassicalRep:
                                      for table in system.quantities.values()
                                      for v in table.values()}))
         value_obj = Presheaf(base, {pt: values}, {})
-        arrows = {name: _set_arrow(base, states, value_obj,
-                                   {s: Fraction(system.quantities[name][s])
-                                    for s in system.states})
+        # Total functions on the one object's stage: natural, so certified.
+        arrows = {name: NatTransform._certified(states, value_obj, {pt: {
+                      s: Fraction(system.quantities[name][s]) for s in system.states}})
                   for name in system.quantities}
         built = build_rep(signature, base, {"Sigma": states, "R": value_obj}, arrows)
         return EffectiveClassicalRep(system, built)

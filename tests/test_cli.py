@@ -82,6 +82,21 @@ def test_validate_duplicate_name(tmp_path, capsys):
     assert payload["pointer"] == f"/algebras/{len(doc['algebras']) - 1}"
 
 
+def test_validate_ground_on_another_base(tmp_path, capsys):
+    doc = json.loads(Path(FIXTURE).read_text())
+    doc["posets"].append({"name": "lone", "elements": ["o"], "order": []})
+    doc["presheaves"].append({"name": "far", "base": "lone", "stages": {"o": ["*"]},
+                              "restrictions": {}})
+    doc["representations"][2]["grounds"]["R"] = {"presheaf": "far"}
+    bad = tmp_path / "far.json"
+    bad.write_text(json.dumps(doc))
+    code, payload, _ = run(capsys, "validate", str(bad))
+    assert code == 2
+    assert payload["error"] == \
+        "representation 'toy_presheaf': ground 'R' lives on a different base"
+    assert payload["pointer"] == "/representations/2"
+
+
 def test_output_is_byte_stable(capsys):
     code1 = main(["validate", FIXTURE])
     out1 = capsys.readouterr().out

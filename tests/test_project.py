@@ -108,6 +108,24 @@ def test_unknown_references_carry_pointers():
     assert err.value.pointer == "/terms/0/signature"
 
 
+def cross_base_doc():
+    """The fixture with toy_presheaf's R ground moved to a one-point poset."""
+    doc = base_doc()
+    doc["posets"].append({"name": "lone", "elements": ["o"], "order": []})
+    doc["presheaves"].append({"name": "far", "base": "lone", "stages": {"o": ["*"]},
+                              "restrictions": {}})
+    toy = next(r for r in doc["representations"] if r["name"] == "toy_presheaf")
+    toy["grounds"]["R"] = {"presheaf": "far"}
+    return doc
+
+
+def test_ground_on_another_base_names_its_representation():
+    with pytest.raises(ProjectError) as err:
+        build_project(cross_base_doc())
+    assert str(err.value) == "representation 'toy_presheaf': ground 'R' lives on a different base"
+    assert err.value.pointer == "/representations/2"
+
+
 def test_broken_presheaf_restriction_rejected():
     doc = base_doc()
     doc["presheaves"][0]["restrictions"]["le[p,q]"] = [["x0", "y0"]]  # not total

@@ -42,6 +42,7 @@ from toposlang.presheaf import (
     product_many,
     product_presheaf,
     validate_nat,
+    validate_presheaf,
 )
 from toposlang.prop.semantics import ClassicalSystem, classical_rep, truth_value
 from toposlang.prop.syntax import parse_formula
@@ -461,11 +462,16 @@ TERMS_IN_CONTEXT = [
 ]
 
 
-def _hand_built_rep(name: str) -> ToposRep:
+def _hand_built_parts(name: str) -> tuple:
+    """The signature, base, grounds and symbol arrows of a `HAND_BUILT` entry."""
     base, (sigma_at, sigma_maps), (r_at, r_maps), a_components = HAND_BUILT[name]
     sigma, rvals = Presheaf(base, sigma_at, sigma_maps), Presheaf(base, r_at, r_maps)
-    return build_rep(Signature({"A": (SIGMA, RQ)}), base, {"Sigma": sigma, "R": rvals},
-                     {"A": NatTransform(sigma, rvals, a_components)})
+    return (Signature({"A": (SIGMA, RQ)}), base, {"Sigma": sigma, "R": rvals},
+            {"A": NatTransform(sigma, rvals, a_components)})
+
+
+def _hand_built_rep(name: str) -> ToposRep:
+    return build_rep(*_hand_built_parts(name))
 
 
 @pytest.mark.hash_seeds
@@ -487,13 +493,12 @@ TERMS_BY_CONTEXT = [(context, text) for context, terms in TERMS_IN_CONTEXT for t
 @settings(max_examples=60, deadline=None)
 @given(st.sampled_from(list(HAND_BUILT)), st.sampled_from(TERMS_BY_CONTEXT))
 def test_certified_interpretations_pass_validate_nat(name, context_and_text):
-    # `build_rep` marks its representation validated, so `interpret_term`
-    # certifies its result without checking it: the check must agree.
-    rep = _hand_built_rep(name)
-    assert rep._validated
+    # `interpret_term` certifies its result without checking it, on a
+    # representation from `build_rep` or built directly: the check must agree.
     context, text = context_and_text
-    got = interpret_term(parse_term(text, rep.signature), context, rep)
-    assert got._natural and validate_nat(got).ok, (name, context, text)
+    for rep in (_hand_built_rep(name), ToposRep(*_hand_built_parts(name))):
+        got = interpret_term(parse_term(text, rep.signature), context, rep)
+        assert got._natural and validate_nat(got).ok, (name, context, text)
 
 
 @settings(max_examples=20, deadline=None)
@@ -518,21 +523,23 @@ def test_only_build_rep_marks_a_representation_validated(monkeypatch):
         checked.append(n)
         return validate_nat(n)
 
+    # Each construction checks the symbol arrow once; no interpretation
+    # checks its result, whichever way the representation was built.
     monkeypatch.setattr(rep_module, "validate_nat", spy)
     built = _hand_built_rep("TWO")
-    direct = ToposRep(built.signature, built.base, built.grounds, built.symbols)
-    assert built._validated and not direct._validated
+    direct = ToposRep(*_hand_built_parts("TWO"))
+    assert [n.source for n in checked] == [built.ground("Sigma"), direct.ground("Sigma")]
     term = parse_term("A(s) = A(t)", built.signature)
     context = (("s", SIGMA), ("t", SIGMA))
     del checked[:]
-    assert interpret_term(term, context, built) == interpret_term(term, context, direct)
-    assert len(checked) == 1 and checked[0].source == product_presheaf(
-        [built.ground("Sigma"), built.ground("Sigma")])
+    got = interpret_term(term, context, direct)
+    assert got == interpret_term(term, context, built)
+    assert got.source == product_presheaf([built.ground("Sigma"), built.ground("Sigma")])
+    assert checked == []
 
 
 def _rep_with_a_moving_identity() -> ToposRep:
-    # Sigma's identity table at q sends a1 to a0.  `ToposRep` does not
-    # validate, so the walk must read along that identity, not skip it.
+    # Sigma's identity table at q sends a1 to a0, so Sigma is no presheaf.
     sigma = Presheaf(TWO, {"q": ["a0", "a1", "a2"], "p": ["b0"]},
                      {"id[q]": {"a0": "a0", "a1": "a0", "a2": "a2"},
                       "le[p,q]": {"a0": "b0", "a1": "b0", "a2": "b0"}})
@@ -543,31 +550,92 @@ def _rep_with_a_moving_identity() -> ToposRep:
 
 def test_interpret_term_rejects_a_symbol_arrow_that_is_not_natural():
     # A(a1) = v restricts to z at p, but a1 restricts to b0 and A(b0) = w.
-    # `ToposRep` does not validate its arrows; the interpretation's own
-    # naturality check must catch this one.
+    # No interpretation checks naturality; `ToposRep` refuses the arrow.
     sigma = Presheaf(TWO, {"q": ["a0", "a1"], "p": ["b0"]},
                      {"le[p,q]": {"a0": "b0", "a1": "b0"}})
     rvals = Presheaf(TWO, {"q": ["u", "v"], "p": ["w", "z"]}, {"le[p,q]": {"u": "w", "v": "z"}})
     a = NatTransform(sigma, rvals, {"q": {"a0": "u", "a1": "v"}, "p": {"b0": "w"}})
-    rep = ToposRep(Signature({"A": (SIGMA, RQ)}), TWO, {"Sigma": sigma, "R": rvals}, {"A": a})
-    with pytest.raises(RepresentationError, match="interpretation is not natural"):
-        interpret_term(parse_term("A(s)", rep.signature), (("s", SIGMA),), rep)
+    with pytest.raises(RepresentationError, match="arrow for 'A' is not natural"):
+        ToposRep(Signature({"A": (SIGMA, RQ)}), TWO, {"Sigma": sigma, "R": rvals}, {"A": a})
 
 
 @pytest.mark.hash_seeds
 def test_interpret_term_reads_along_an_identity_that_moves_elements():
-    rep = _rep_with_a_moving_identity()
-    assert not rep.ground("Sigma")._identity_law
-    agreed = 0
-    for context, terms in TERMS_IN_CONTEXT:
-        for text in terms:
-            term = parse_term(text, rep.signature)
-            try:
-                expected = reference_interpret_term(term, context, rep)
-            except RepresentationError:
-                with pytest.raises(RepresentationError):
-                    interpret_term(term, context, rep)
-                continue
-            assert interpret_term(term, context, rep) == expected, (context, text)
-            agreed += 1
-    assert agreed >= 5
+    # Term interpretation reads along an identity as keeping each
+    # environment in place, which holds because no such ground gets in.
+    with pytest.raises(RepresentationError) as err:
+        _rep_with_a_moving_identity()
+    assert str(err.value) == "ground 'Sigma' is not functorial: ('identity-law', 'q', 'a1')"
+
+
+def _identity_arrow(x: Presheaf) -> NatTransform:
+    return NatTransform(x, x, {obj: {v: v for v in x.stage(obj)} for obj in x.base.objects})
+
+
+def _law_check_faults(grounds: dict, symbols: dict, base) -> list[str]:
+    """What the base check, `validate_presheaf`, the shape comparison against
+    A: Sigma -> R and `validate_nat` report, worded as `build_rep` words it."""
+    out = []
+    for name, x in grounds.items():
+        if x.base != base:
+            out.append(f"ground {name!r} lives on a different base")
+        elif not validate_presheaf(x).ok:
+            out.append(f"ground {name!r} is not functorial: {validate_presheaf(x).items[0]}")
+    a = symbols["A"]
+    if (a.source, a.target) != (grounds["Sigma"], grounds["R"]):
+        out.append("arrow for 'A' has the wrong shape")
+    elif not validate_nat(a).ok:
+        out.append(f"arrow for 'A' is not natural: {validate_nat(a).items[0]}")
+    extra = sorted(set(symbols) - {"A"})
+    if extra:
+        out.append(f"arrows assigned to undeclared symbols {extra}")
+    return out
+
+
+FAULTS = ["symbol value", "identity entry", "other base", "undeclared symbol", "wrong shape"]
+
+
+@pytest.mark.hash_seeds
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(list(HAND_BUILT)), st.sampled_from(FAULTS), st.data())
+def test_topos_rep_refuses_exactly_what_the_law_checks_report(name, fault, data):
+    # One random fault in a hand-built representation.  A changed value or
+    # a moved identity entry may leave it lawful; the other faults never do.
+    signature, base, grounds, symbols = _hand_built_parts(name)
+    a = symbols["A"]
+    if fault == "symbol value":
+        obj = data.draw(st.sampled_from(base.objects))
+        el = data.draw(st.sampled_from(grounds["Sigma"].stage(obj)))
+        components = {o: dict(c) for o, c in a.components.items()}
+        components[obj][el] = data.draw(st.sampled_from(grounds["R"].stage(obj) + ("junk",)))
+        symbols["A"] = NatTransform(a.source, a.target, components)
+    elif fault == "identity entry":
+        ground = data.draw(st.sampled_from(["Sigma", "R"]))
+        x, obj = grounds[ground], data.draw(st.sampled_from(base.objects))
+        maps = {m: dict(table) for m, table in x.maps.items()}
+        maps[base.id_of(obj)][data.draw(st.sampled_from(x.stage(obj)))] = \
+            data.draw(st.sampled_from(x.stage(obj)))
+        grounds[ground] = Presheaf(base, x.at, maps)
+        symbols["A"] = NatTransform(grounds["Sigma"], grounds["R"], a.components)
+    elif fault == "other base":
+        far = one_object_category("far")
+        grounds[data.draw(st.sampled_from(["Sigma", "R"]))] = \
+            Presheaf(far, {"far": ["f0", "f1"]}, {})
+    elif fault == "undeclared symbol":
+        symbols[data.draw(st.sampled_from(["B", "id"]))] = _identity_arrow(grounds["Sigma"])
+    else:
+        symbols["A"] = _identity_arrow(grounds[data.draw(st.sampled_from(["Sigma", "R"]))])
+    faults = _law_check_faults(grounds, symbols, base)
+    assert faults or fault in ("symbol value", "identity entry")
+    if not faults:
+        rep = ToposRep(signature, base, grounds, symbols)
+        assert build_rep(signature, base, grounds, symbols).symbols == rep.symbols
+        term = parse_term("A(s) = A(t)", signature)
+        context = (("s", SIGMA), ("t", SIGMA))
+        assert interpret_term(term, context, rep) == \
+            reference_interpret_term(term, context, rep)
+        return
+    for construct in (ToposRep, build_rep):
+        with pytest.raises(RepresentationError) as err:
+            construct(signature, base, grounds, symbols)
+        assert str(err.value) == faults[0], (name, fault)
