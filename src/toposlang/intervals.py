@@ -10,6 +10,13 @@ Endpoints are compared through (rank, value, epsilon) triples: rank orders
 -inf < finite < +inf, and epsilon resolves open/closed ties the usual way
 (an open lower bound sits just above the point, an open upper bound just
 below it).
+
+:class:`Rational` is the exact rational that a classical system stores for
+each of its values: a `Fraction` that keeps its hash after the first use,
+and is otherwise a `Fraction` in every way its users see (equality, hash,
+order, `str`, `repr`, pickling, and arithmetic, whose results are plain
+`Fraction`s).  A system holds one per distinct value, so every later lookup
+finds it by identity and never hashes it again.
 """
 from __future__ import annotations
 
@@ -19,8 +26,30 @@ from typing import Iterable, Optional
 from ._record import record
 
 
+class Rational(Fraction):
+    """A `Fraction` that hashes once: equal, and hash-equal, to the
+    `Fraction` of the same value, with its `repr`.  A `Fraction` does not
+    keep its hash, and each one costs a modular inverse."""
+    __slots__ = ("_hash",)
+
+    def __hash__(self):
+        try:
+            return self._hash
+        except AttributeError:
+            self._hash = Fraction.__hash__(self)
+            return self._hash
+
+    def __repr__(self):
+        return f"Fraction({self._numerator}, {self._denominator})"
+
+
 _UNBOUNDED_LO = (-1, Fraction(0), 0)
 _UNBOUNDED_HI = (1, Fraction(0), 0)
+
+
+def _exact(q) -> Fraction:
+    """q as an exact rational, kept as it is when it already is one."""
+    return q if isinstance(q, Fraction) else Fraction(q)
 
 
 def _succ(hi_key):
@@ -95,13 +124,13 @@ class IntervalSet:
 
     @staticmethod
     def interval(lo, lo_closed: bool, hi, hi_closed: bool) -> "IntervalSet":
-        lo = None if lo is None else Fraction(lo)
-        hi = None if hi is None else Fraction(hi)
+        lo = None if lo is None else _exact(lo)
+        hi = None if hi is None else _exact(hi)
         return IntervalSet.from_parts([Interval(lo, lo_closed, hi, hi_closed)])
 
     @staticmethod
     def point(q) -> "IntervalSet":
-        q = Fraction(q)
+        q = _exact(q)
         return IntervalSet((Interval(q, True, q, True),))
 
     @property
@@ -109,8 +138,7 @@ class IntervalSet:
         return not self.parts
 
     def member(self, q) -> bool:
-        if not isinstance(q, Fraction):
-            q = Fraction(q)
+        q = _exact(q)
         return any(p.contains(q) for p in self.parts)
 
     def __contains__(self, q) -> bool:

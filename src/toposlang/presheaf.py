@@ -47,7 +47,7 @@ import itertools
 import math
 from collections.abc import Mapping
 from functools import lru_cache
-from operator import getitem, itemgetter
+from operator import eq, getitem, itemgetter
 from typing import Iterable, Sequence
 
 from ._canon import canon_key, canon_sorted
@@ -527,16 +527,7 @@ def product_presheaf(factors: Sequence[Presheaf]) -> Presheaf:
     """n-ary product object with tuple stages, without projections.  No
     factors raise ShapeMismatch: the empty product is `terminal_presheaf`.
     CapExceeded, before any stage is built, past PRODUCT_CAP elements."""
-    if not factors:
-        raise ShapeMismatch("product of no factors: use terminal_presheaf")
-    cat = factors[0].base
-    for f in factors:
-        if f.base != cat:
-            raise ShapeMismatch("product factors live on different bases")
-    count = sum(math.prod(len(f.stage(obj)) for f in factors) for obj in cat.objects)
-    if count > PRODUCT_CAP:
-        raise CapExceeded(f"product of {len(factors)} factors has {count} elements, "
-                          f"exceeds cap {PRODUCT_CAP}")
+    cat = _product_base(factors)
     # canon_key orders tuples by their items' keys, so the product of
     # canon-ordered stages comes out in canon_key order without a sort.
     at = {obj: tuple(itertools.product(*(f.stage(obj) for f in factors)))
@@ -548,6 +539,54 @@ def product_presheaf(factors: Sequence[Presheaf]) -> Presheaf:
                    for tup in at[m.cod]}
             for m in cat.morphisms if not (lawful and m.id == cat.id_of(m.dom))}
     return Presheaf._canonical(cat, at, maps)
+
+
+def _product_base(factors: Sequence[Presheaf]) -> FiniteCategory:
+    """The factors' common base, after the checks `product_presheaf` makes
+    before it builds anything."""
+    if not factors:
+        raise ShapeMismatch("product of no factors: use terminal_presheaf")
+    cat = factors[0].base
+    for f in factors:
+        if f.base != cat:
+            raise ShapeMismatch("product factors live on different bases")
+    count = sum(math.prod(len(f.stage(obj)) for f in factors) for obj in cat.objects)
+    if count > PRODUCT_CAP:
+        raise CapExceeded(f"product of {len(factors)} factors has {count} elements, "
+                          f"exceeds cap {PRODUCT_CAP}")
+    return cat
+
+
+def _is_product(p: Presheaf, factors: Sequence[Presheaf]) -> bool:
+    """Whether `p == product_presheaf(factors)`, decided without building
+    the product, and raising where building it raises.  Each restriction
+    table the product computes is read off the factors, in the same order,
+    and compared with p's; each stage is compared with the product of the
+    factor stages.  Where every factor's identity tables fix their stages,
+    the product's are the identity on its stage, which p's equal exactly
+    when p's identity tables fix its stages and hold nothing else."""
+    cat = _product_base(factors)
+    same = p.base == cat
+    lawful = all(f._identity_law for f in factors)
+    for m in cat.morphisms:
+        if lawful and m.id == cat.id_of(m.dom):
+            continue
+        stages = [f.stage(m.cod) for f in factors]
+        table = p.maps[m.id] if same else {}
+        same = same and len(table) == math.prod(map(len, stages))
+        for tup in itertools.product(*stages):
+            image = tuple(f.apply(m.id, v) for f, v in zip(factors, tup))
+            same = same and tup in table and table[tup] == image
+    if not same:
+        return False
+    for obj in cat.objects:
+        stage, stages = p.stage(obj), [f.stage(obj) for f in factors]
+        if len(stage) != math.prod(map(len, stages)) or \
+                not all(map(eq, stage, itertools.product(*stages))):
+            return False
+        if lawful and not (p._identity_law and len(p.maps[cat.id_of(obj)]) == len(stage)):
+            return False
+    return True
 
 
 def product_many(factors: Sequence[Presheaf]) -> ProductDiagram:
@@ -750,7 +789,8 @@ def power_object(x: Presheaf) -> Presheaf:
 
 
 def exp_transpose(f: NatTransform, z: Presheaf, x: Presheaf, y: Presheaf) -> NatTransform:
-    """Hom(Z x X, Y) -> Hom(Z, Y^X).  `f` must go out of product(z, x).
+    """Hom(Z x X, Y) -> Hom(Z, Y^X).  `f` must go out of product(z, x),
+    which is checked against z and x without building that product.
     The transpose of zv at stage A holds f(z(g)(zv), xv) in cell (B, g, xv):
     its block at (B, g) is f's row at z(g)(zv), read once per zb in Z(B).
 
@@ -760,7 +800,7 @@ def exp_transpose(f: NatTransform, z: Presheaf, x: Presheaf, y: Presheaf) -> Nat
     PresheafError when f is not natural.  The output is certified natural,
     which holds whenever Z is a presheaf."""
     cat = z.base
-    if f.source != product_presheaf([z, x]) or f.target != y:
+    if not _is_product(f.source, [z, x]) or f.target != y:
         raise ShapeMismatch("arrow to transpose is not Z x X -> Y")
     blocks = {b: {zb: [f.apply(b, (zb, xv)) for xv in x.stage(b)] for zb in z.stage(b)}
               for b in cat.objects}

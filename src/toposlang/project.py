@@ -18,7 +18,6 @@ local-language or representation code.
 from __future__ import annotations
 
 import json
-from fractions import Fraction
 from importlib import resources
 from typing import TYPE_CHECKING, Mapping
 
@@ -222,7 +221,6 @@ def build_project(document: Mapping) -> Project:
         from .prop.semantics import ClassicalSystem
         ptr = f"/systems/{i}"
         states = tuple(spec["states"])
-        quantities = {}
         for qname, table in spec["quantities"].items():
             bad_states = set(table) - set(states)
             if bad_states:
@@ -230,9 +228,8 @@ def build_project(document: Mapping) -> Project:
                 raise ProjectError(
                     f"quantity {qname!r} mentions unknown state {bad!r}",
                     f"{ptr}/quantities/{qname}/{bad}")
-            quantities[qname] = {s: Fraction(v) for s, v in table.items()}
         try:
-            system = ClassicalSystem(states, quantities)
+            system = ClassicalSystem(states, spec["quantities"])
         except ToposlangError as exc:
             raise ProjectError(f"system {spec['name']!r}: {exc}",
                                f"{ptr}/quantities") from exc

@@ -17,7 +17,7 @@ from typing import Mapping
 from .._record import field, record
 from ..errors import InputError, ToposlangError
 from ..heyting import DownsetAlgebra, powerset_algebra
-from ..intervals import IntervalSet
+from ..intervals import IntervalSet, Rational
 from .syntax import And, Atom, Formula, Implies, Or, Prim, fold_formula, leaves
 
 
@@ -47,23 +47,44 @@ def pl_represent(formula: Formula, assignment: Mapping, algebra: DownsetAlgebra)
 
 @record(frozen=True)
 class ClassicalSystem:
-    """Finite state set with exact rational value tables per quantity."""
+    """Finite state set with exact rational value tables per quantity.
+
+    The constructor converts each table value once, to an `intervals.Rational`,
+    and keeps one object per distinct value across all quantities:
+    `quantities` holds these, and every reader (`value`, `ClassicalRep`,
+    `sample_interval_sets`, `rep.EffectiveClassicalRep`) uses them as they
+    are, so each value is hashed once and found by identity.  A value is
+    anything `Fraction` accepts: an int, a `Fraction`, a decimal string or a
+    finite float.  InputError when a table misses a state or holds a value
+    that is not a rational."""
     states: tuple[str, ...]
     quantities: Mapping[str, Mapping[str, Fraction]]
 
     def __post_init__(self):
+        interned: dict = {}
+        tables = {}
         for name, table in self.quantities.items():
             missing = set(self.states) - set(table)
             if missing:
                 raise InputError(
                     f"quantity {name!r} is not total: missing {sorted(missing)}")
+            tables[name] = converted = {}
+            for state, raw in table.items():
+                try:
+                    q = Rational(raw)
+                except (TypeError, ValueError, ArithmeticError):
+                    raise InputError(f"quantity {name!r} has a value that is not a rational "
+                                     f"at state {state!r}: {raw!r}") from None
+                # Keyed by the int pair, which hashes without a modular inverse.
+                converted[state] = interned.setdefault((q.numerator, q.denominator), q)
+        object.__setattr__(self, "quantities", tables)
 
     def value(self, quantity: str, state: str) -> Fraction:
         if quantity not in self.quantities:
             raise InputError(f"unknown quantity name {quantity!r}")
         if state not in self.quantities[quantity]:
             raise InputError(f"unknown state {state!r}")
-        return Fraction(self.quantities[quantity][state])
+        return self.quantities[quantity][state]
 
 
 @record(frozen=True)
@@ -73,13 +94,13 @@ class ClassicalRep:
     algebra: DownsetAlgebra
 
     def __post_init__(self):
-        # Each quantity's states grouped by value, each value converted
-        # once, so that a preimage decides membership once per value.
+        # Each quantity's states grouped by value, so that a preimage
+        # decides membership once per value.
         by_value = {}
         for name, table in self.system.quantities.items():
             groups: dict = {}
             for s in self.system.states:
-                groups.setdefault(Fraction(table[s]), []).append(s)
+                groups.setdefault(table[s], []).append(s)
             by_value[name] = tuple(groups.items())
         object.__setattr__(self, "_by_value", by_value)
 
@@ -139,7 +160,7 @@ def sample_interval_sets(system: ClassicalSystem, *, seed: int = 0
     rng = random.Random(seed)
     out = {}
     for name, table in system.quantities.items():
-        values = sorted({Fraction(v) for v in table.values()})
+        values = sorted(set(table.values()))
         deltas = [IntervalSet.empty(), IntervalSet.full()]
         for v in values:
             deltas.append(IntervalSet.point(v))

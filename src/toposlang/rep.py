@@ -42,11 +42,9 @@ denotes the power-object element deciding membership against them.
 from __future__ import annotations
 
 import itertools
-from fractions import Fraction
 from operator import eq, itemgetter
 from typing import Mapping, Sequence
 
-from ._canon import canon_sorted
 from ._record import field, record
 from .category import FiniteCategory, one_object_category, principal_sieve
 from .errors import ToposlangError
@@ -412,7 +410,11 @@ class EffectiveClassicalRep:
 
     The value stage holds exactly the attained quantity values, so the real
     line is never enumerated: an interval set stays intensional until
-    `delta_element` decides it on those values.  A preimage still goes
+    `delta_element` decides it on those values.  The stage and the symbol
+    arrows hold the system's own value objects, one hash-keeping
+    `intervals.Rational` per distinct value (see `ClassicalSystem`), so the
+    power object's cells and every lookup of a value find it by identity
+    and hash it once.  A preimage still goes
     through `prop_family`, which enumerates the power object of the value
     stage, all 2^values subsets of it, and transposes membership over every
     one, once per quantity.
@@ -430,14 +432,12 @@ class EffectiveClassicalRep:
         pt = base.objects[0]
         signature = Signature({name: (SIGMA, RQ) for name in system.quantities})
         states = Presheaf(base, {pt: system.states}, {})
-        values = tuple(canon_sorted({Fraction(v)
-                                     for table in system.quantities.values()
-                                     for v in table.values()}))
-        value_obj = Presheaf(base, {pt: values}, {})
+        value_obj = Presheaf(base, {pt: {v for table in system.quantities.values()
+                                         for v in table.values()}}, {})
         # Total functions on the one object's stage: natural, so certified.
         arrows = {name: NatTransform._certified(states, value_obj, {pt: {
-                      s: Fraction(system.quantities[name][s]) for s in system.states}})
-                  for name in system.quantities}
+                      s: table[s] for s in system.states}})
+                  for name, table in system.quantities.items()}
         built = build_rep(signature, base, {"Sigma": states, "R": value_obj}, arrows)
         return EffectiveClassicalRep(system, built)
 

@@ -49,3 +49,31 @@ def test_fold_gives_medians_quartiles_wins_and_layer_counts(tmp_path):
     assert entry["metrics"]["peak_rss_mb"]["change_better_in"] == 0
     assert entry["layer_counts"] == {"parent": {"1": {"heyting.elements": 6336}},
                                      "change": {"1": {"heyting.elements": 6336}}}
+
+
+def test_unpaired_timed_runs_stop_the_record(tmp_path, monkeypatch, capsys):
+    parent, change = tmp_path / "parent", tmp_path / "change"
+    for seed in (101, 102, 103):
+        write_result(parent, "classical", seed, 0, timed(10.0))
+        write_result(parent, "topos", seed, 0, timed(10.0))
+        write_result(change, "topos", seed, 0, timed(11.0))
+    for seed in (101, 104):
+        write_result(change, "classical", seed, 0, timed(12.0))
+    write_result(parent, "topos", 1, 1, {"heyting.elements": (5, "count")})  # traced: unpaired is fine
+    (change / "BENCHMARK.json").write_text((ROOT / "BENCHMARK.json").read_text())
+    out = tmp_path / "BENCH.json"
+    argv = ["bench_record.py", "--parent", str(parent), "--change", str(change), "--out", str(out)]
+    monkeypatch.setattr("sys.argv", argv)
+    assert bench_record.main() == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "classical: timed runs of seeds [102, 103] exist only in the parent tree",
+        "classical: timed runs of seeds [104] exist only in the change tree",
+    ]
+    assert not out.exists()
+    write_result(parent, "classical", 104, 0, timed(10.0))
+    write_result(change, "classical", 102, 0, timed(12.0))
+    write_result(change, "classical", 103, 0, timed(12.0))
+    assert bench_record.main() == 0
+    record = json.loads(out.read_text())
+    assert record["workloads"]["classical"]["seeds"] == [101, 102, 103, 104]
+    assert record["workloads"]["topos"]["seeds"] == [101, 102, 103]

@@ -97,6 +97,18 @@ def test_validate_ground_on_another_base(tmp_path, capsys):
     assert payload["pointer"] == "/representations/2"
 
 
+def test_validate_system_value_with_a_zero_denominator(tmp_path, capsys):
+    doc = json.loads(Path(FIXTURE).read_text())
+    doc["systems"][1]["quantities"]["A"]["s3"] = "-4/0"
+    bad = tmp_path / "zero.json"
+    bad.write_text(json.dumps(doc))
+    code, payload, _ = run(capsys, "validate", str(bad))
+    assert code == 2
+    assert payload["error"] == ("system 'particle_small': quantity 'A' has a value that is "
+                                "not a rational at state 's3': '-4/0'")
+    assert payload["pointer"] == "/systems/1/quantities"
+
+
 def test_output_is_byte_stable(capsys):
     code1 = main(["validate", FIXTURE])
     out1 = capsys.readouterr().out

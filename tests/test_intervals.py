@@ -1,9 +1,12 @@
+import copy
+import pickle
 from fractions import Fraction
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from toposlang.intervals import Interval, IntervalSet
+from toposlang._canon import canon_key, jsonable
+from toposlang.intervals import Interval, IntervalSet, Rational
 
 
 def iv(lo, lc, hi, hc):
@@ -109,3 +112,39 @@ def test_normal_form_is_sorted_disjoint_nonadjacent(a):
         # a shared endpoint with at least one closed side would have merged
         if cur.hi is not None and nxt.lo is not None and cur.hi == nxt.lo:
             assert not cur.hi_closed and not nxt.lo_closed
+
+
+@given(st.fractions(max_denominator=50), st.fractions(max_denominator=50))
+def test_rational_behaves_as_the_fraction_of_its_value(a, b):
+    r, s = Rational(a), Rational(b)
+    for mine, plain in ((r, a), (s, b)):
+        assert type(mine) is Rational and mine == plain and plain == mine
+        assert hash(mine) == hash(plain) and hash(mine) == hash(plain)
+        assert (str(mine), repr(mine)) == (str(plain), repr(plain))
+        assert canon_key(mine) == canon_key(plain) and jsonable(mine) == jsonable(plain)
+        for again in (pickle.loads(pickle.dumps(mine)), copy.deepcopy(mine), copy.copy(mine)):
+            assert type(again) is Rational and again == plain and hash(again) == hash(plain)
+    assert (r < s, r <= s, r == s, r != s) == (a < b, a <= b, a == b, a != b)
+    results = [r + s, r - s, r * s, -r, abs(r), r ** 2, r + 1, 1 - s]
+    expected = [a + b, a - b, a * b, -a, abs(a), a ** 2, a + 1, 1 - b]
+    if b:
+        results.append(r / s)
+        expected.append(a / b)
+    for got, want in zip(results, expected):
+        assert got == want and type(got) is Fraction and repr(got) == repr(want)
+
+
+def test_rational_keeps_the_hash_of_its_value():
+    r = Rational("-5/2")
+    assert repr(r) == "Fraction(-5, 2)" and str(r) == "-5/2"
+    assert hash(r) == hash(Fraction(-5, 2)) != hash(r.numerator)
+    assert r._hash == hash(Fraction(-5, 2))
+    assert {Fraction(-5, 2): "x"}[r] == "x" and {r: "y"}[Fraction(-5, 2)] == "y"
+
+
+def test_interval_sets_keep_the_rationals_they_are_given():
+    q = Rational(5, 2)
+    assert IntervalSet.point(q).parts[0].lo is q
+    assert iv(q, True, None, False).parts[0].lo is q
+    assert IntervalSet.point(q) == IntervalSet.point(Fraction(5, 2))
+    assert str(iv(1, False, q, True)) == "(1,5/2]"

@@ -46,6 +46,7 @@ from toposlang.presheaf import (
     NatTransform,
     Presheaf,
     PresheafError,
+    ShapeMismatch,
     Subobject,
     char_morphism,
     classifier_kit,
@@ -738,3 +739,108 @@ def test_subobject_order_is_monotone_under_restriction():
             for m in cat.morphisms:
                 moved = {x.apply(m.id, el) for el in k.parts[m.cod]}
                 assert moved <= l.parts[m.dom]
+
+
+# -- the shape check of exp_transpose ---------------------------------------------
+
+def _copy_tables(x: Presheaf) -> tuple[dict, dict]:
+    return {obj: list(x.stage(obj)) for obj in x.base.objects}, \
+        {m: dict(table) for m, table in x.maps.items()}
+
+
+def _factor(data, x: Presheaf) -> Presheaf:
+    """x as it is, with an identity table that moves an element, or with a
+    restriction table missing an entry."""
+    how = data.draw(st.sampled_from(["lawful", "lawful", "moving identity", "partial"]))
+    at, maps = _copy_tables(x)
+    cat = x.base
+    if how == "moving identity":
+        wide = [obj for obj in cat.objects if len(at[obj]) > 1]
+        if wide:
+            obj = data.draw(st.sampled_from(wide))
+            maps[cat.id_of(obj)][at[obj][0]] = at[obj][1]
+    elif how == "partial":
+        filled = [m for m, table in maps.items() if table]
+        if filled:
+            m = data.draw(st.sampled_from(filled))
+            del maps[m][data.draw(st.sampled_from(sorted(maps[m], key=canon_key)))]
+    return Presheaf(cat, at, maps)
+
+
+def _shape_fault(data, p: Presheaf) -> Presheaf:
+    """p with one fault in a stage or a restriction table, or none."""
+    fault = data.draw(st.sampled_from(["none", "none", "drop element", "extra element", "entry",
+                                       "extra key", "missing key"]))
+    at, maps = _copy_tables(p)
+    cat = p.base
+    obj = data.draw(st.sampled_from(cat.objects))
+    m = data.draw(st.sampled_from(sorted(maps)))
+    keys = sorted(maps[m], key=canon_key)
+    if fault == "drop element" and at[obj]:
+        at[obj].remove(data.draw(st.sampled_from(at[obj])))
+    elif fault == "extra element":
+        at[obj].append(("extra",))
+    elif fault == "entry" and keys:
+        dom = at[cat.morphism(m).dom]
+        maps[m][data.draw(st.sampled_from(keys))] = data.draw(st.sampled_from(dom + [("junk",)]))
+    elif fault == "extra key":
+        maps[m][("junk",)] = ("junk",)
+    elif fault == "missing key" and keys:
+        del maps[m][data.draw(st.sampled_from(keys))]
+    return Presheaf(cat, at, maps)
+
+
+@pytest.mark.hash_seeds
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_exp_transpose_refuses_exactly_the_sources_that_are_not_the_product(data):
+    # Oracle: the comparison with the built product that exp_transpose made
+    # before it compared the source with the factors directly.
+    base = data.draw(st.sampled_from(list(CERTIFIED_POOL)))
+    z0, x0 = (data.draw(st.sampled_from(CERTIFIED_POOL[base])) for _ in range(2))
+    z, x = _factor(data, z0), _factor(data, x0)
+    kit = classifier_kit(base)
+    origin = data.draw(st.sampled_from(["lawful product", "product", "swapped"]))
+    if origin == "product":
+        try:
+            p = product_presheaf([z, x])
+        except PresheafError:
+            p = product_presheaf([z0, x0])
+    else:
+        p = product_presheaf([z0, x0] if origin == "lawful product" else [x0, z0])
+    p = _shape_fault(data, p)
+    top = {obj: principal_sieve(base, obj).members for obj in base.objects}
+    f = NatTransform(p, kit.omega, {obj: {el: top[obj] for el in p.stage(obj)}
+                                    for obj in base.objects})
+    y = data.draw(st.sampled_from([kit.omega, kit.omega, kit.terminal]))
+    try:
+        wrong = f.source != product_presheaf([z, x]) or f.target != y
+    except PresheafError as exc:
+        expected = (type(exc), str(exc))
+    else:
+        expected = (ShapeMismatch, "arrow to transpose is not Z x X -> Y") if wrong else None
+    try:
+        exp_transpose(f, z, x, y)
+    except PresheafError as exc:
+        if expected is None:
+            assert not isinstance(exc, ShapeMismatch), exc
+        else:
+            assert (type(exc), str(exc)) == expected
+    else:
+        assert expected is None
+
+
+def test_exp_transpose_builds_no_product(monkeypatch):
+    z, x = two_point_presheaf(["z0", "z1"], ["z'"], {"z0": "z'", "z1": "z'"}), X2
+    omega = classifier_kit(TWO).omega
+    prod = product_presheaf([z, x])
+    f = NatTransform(prod, omega, {obj: {el: principal_sieve(TWO, obj).members
+                                         for el in prod.stage(obj)} for obj in TWO.objects})
+    built = []
+    monkeypatch.setattr(presheaf, "product_presheaf",
+                        lambda factors: built.append(factors) or product_presheaf(factors))
+    name = exp_transpose(f, z, x, omega)
+    assert built == [] and name == power_transpose(f, z, x)
+    with pytest.raises(ShapeMismatch):
+        exp_transpose(f, x, z, omega)
+    assert built == []

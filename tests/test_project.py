@@ -126,6 +126,17 @@ def test_ground_on_another_base_names_its_representation():
     assert err.value.pointer == "/representations/2"
 
 
+def test_system_value_with_a_zero_denominator_is_a_project_error():
+    # The schema's rational pattern admits "1/0".
+    doc = base_doc()
+    doc["systems"][0]["quantities"]["p"]["s2"] = "1/0"
+    with pytest.raises(ProjectError) as err:
+        build_project(doc)
+    assert str(err.value) == ("system 'particle': quantity 'p' has a value that is not "
+                              "a rational at state 's2': '1/0'")
+    assert err.value.pointer == "/systems/0/quantities"
+
+
 def test_broken_presheaf_restriction_rejected():
     doc = base_doc()
     doc["presheaves"][0]["restrictions"]["le[p,q]"] = [["x0", "y0"]]  # not total

@@ -1,11 +1,12 @@
 import random
+import re
 from fractions import Fraction
 
 import pytest
 
 from toposlang.errors import InputError
 from toposlang.heyting import open_set_algebra, powerset_algebra
-from toposlang.intervals import IntervalSet
+from toposlang.intervals import IntervalSet, Rational
 from toposlang.prop.semantics import (
     ClassicalSystem,
     SemanticsError,
@@ -37,6 +38,39 @@ FIXTURE = ClassicalSystem(
 def test_system_requires_total_tables():
     with pytest.raises(InputError):
         ClassicalSystem(("s1", "s2"), {"A": {"s1": Fraction(0)}})
+
+
+@pytest.mark.parametrize("bad", ["x", float("nan"), float("inf"), "1/0", None])
+def test_system_refuses_a_value_that_is_not_a_rational(bad):
+    with pytest.raises(InputError, match=f"quantity 'A' has a value that is not a rational "
+                                         f"at state 't': {re.escape(repr(bad))}$"):
+        ClassicalSystem(("s", "t"), {"B": {"s": 1, "t": 2}, "A": {"s": "1/2", "t": bad}})
+
+
+def test_system_accepts_what_fraction_accepts_and_keeps_one_object_per_value():
+    system = ClassicalSystem(("s", "t", "u"), {
+        "A": {"s": 1, "t": "5/2", "u": 2.5},
+        "B": {"s": Fraction(5, 2), "t": "-0.75", "u": True},
+        "C": {"s": "1", "t": Fraction(-3, 4), "u": Rational(2)},
+    })
+    assert system.quantities == {"A": {"s": 1, "t": Fraction(5, 2), "u": Fraction(5, 2)},
+                                 "B": {"s": Fraction(5, 2), "t": Fraction(-3, 4), "u": 1},
+                                 "C": {"s": 1, "t": Fraction(-3, 4), "u": 2}}
+    stored = [v for table in system.quantities.values() for v in table.values()]
+    assert all(type(v) is Rational for v in stored)
+    # One object per distinct value across all quantities.
+    assert len({id(v) for v in stored}) == len(set(stored)) == 4
+    assert system.value("B", "s") is system.quantities["A"]["t"] is system.quantities["A"]["u"]
+    assert system.value("C", "s") is system.quantities["B"]["u"]
+    rep = classical_rep(system)
+    assert all(value is system.quantities["A"][states[0]] for value, states in rep._by_value["A"])
+    # The point and half-line samples end at the stored objects themselves.
+    for name, deltas in sample_interval_sets(system).items():
+        attained = set(system.quantities[name].values())
+        ends = [end for d in deltas[2:2 + 3 * len(attained)] for p in d.parts
+                for end in (p.lo, p.hi) if end is not None]
+        assert len(ends) == 4 * len(attained)
+        assert all(any(end is v for v in stored) for end in ends)
 
 
 def test_represent_pushes_connectives_onto_algebra():

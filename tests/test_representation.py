@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -18,7 +19,7 @@ from helpers import (
 
 from toposlang import rep as rep_module
 from toposlang.category import one_object_category, principal_sieve
-from toposlang.intervals import IntervalSet
+from toposlang.intervals import IntervalSet, Rational
 from toposlang.local import (
     RQ,
     SIGMA,
@@ -44,7 +45,13 @@ from toposlang.presheaf import (
     validate_nat,
     validate_presheaf,
 )
-from toposlang.prop.semantics import ClassicalSystem, classical_rep, truth_value
+from toposlang.prop.semantics import (
+    ClassicalSystem,
+    check_optional_axioms,
+    classical_rep,
+    sample_interval_sets,
+    truth_value,
+)
 from toposlang.prop.syntax import parse_formula
 from toposlang.rep import (
     EffectiveClassicalRep,
@@ -639,3 +646,120 @@ def test_topos_rep_refuses_exactly_what_the_law_checks_report(name, fault, data)
         with pytest.raises(RepresentationError) as err:
             construct(signature, base, grounds, symbols)
         assert str(err.value) == faults[0], (name, fault)
+
+
+# -- one hash-keeping object per classical value ------------------------------------
+
+def _shared_value_tables(rng: random.Random, n_states: int, n_values: int):
+    """States s0.. and two different tables A and B that both attain the same
+    `n_values` values, each entry its own `Fraction` object."""
+    states = tuple(f"s{i}" for i in range(n_states))
+    values: set = set()
+    while len(values) < n_values:
+        values.add(Fraction(rng.randint(-40, 40), rng.randint(1, 4)))
+    values = sorted(values)
+    tables: dict = {}
+    for q in ("A", "B"):
+        while True:
+            pick = values + [rng.choice(values) for _ in range(n_states - n_values)]
+            rng.shuffle(pick)
+            table = {s: Fraction(v.numerator, v.denominator) for s, v in zip(states, pick)}
+            if table not in tables.values():
+                break
+        tables[q] = table
+    return states, tables
+
+
+def test_classical_value_stage_and_arrows_hold_the_systems_own_objects():
+    states, tables = _shared_value_tables(random.Random(3), 7, 5)
+    rotated = [tables["A"][s] for s in states[1:] + states[:1]]
+    tables["C"] = {s: str(v) for s, v in zip(states, rotated)}
+    system = ClassicalSystem(states, tables)
+    stored = [v for table in system.quantities.values() for v in table.values()]
+    eff = EffectiveClassicalRep.build(system)
+    stage = eff.rep.ground("R").stage(POINT)
+    assert len(stage) == 5 and all(type(v) is Rational for v in stage)
+    assert {id(v) for v in stage} == {id(v) for v in stored}
+    for name, table in system.quantities.items():
+        component = eff.rep.symbols[name].components[POINT]
+        assert all(component[s] is table[s] for s in states)
+
+
+def test_classical_values_are_hashed_once_each(monkeypatch):
+    # At the parent, where each reader converted the table values again,
+    # the same calls hashed a Fraction 4,498 times on this system.
+    states, tables = _shared_value_tables(random.Random(11), 9, 8)
+    deltas = [iv(None, False, 0, True), iv(-5, False, 5, True).union(iv(8, True, None, False))]
+    hashed = []
+    fraction_hash = Fraction.__hash__
+
+    def spy(self):
+        hashed.append((self.numerator, self.denominator))
+        return fraction_hash(self)
+
+    monkeypatch.setattr(Fraction, "__hash__", spy)
+    system = ClassicalSystem(states, tables)
+    eff = EffectiveClassicalRep.build(system)
+    images = [eff.preimage("A", d) for d in deltas]
+    monkeypatch.undo()
+    assert len(hashed) <= len(set(hashed)) == 8
+    assert images == [frozenset(s for s in states if d.member(tables["A"][s])) for d in deltas]
+
+
+def _plain_fraction_system(states, tables) -> ClassicalSystem:
+    """The system storing a fresh plain `Fraction` per table entry, made
+    without the constructor's conversion to `Rational`."""
+    system = object.__new__(ClassicalSystem)
+    object.__setattr__(system, "states", states)
+    object.__setattr__(system, "quantities", {q: {s: Fraction(v) for s, v in table.items()}
+                                              for q, table in tables.items()})
+    return system
+
+
+VALUE_POOL = [Fraction(-1), Fraction(0), Fraction(1, 2), Fraction(5, 2), Fraction(3),
+              Fraction(-3, 4)]
+FORMULA_TEXTS = ["A in [0,3)", "~(B in (-1,1/2])", "A in (-inf,1/2] | B in [5/2,+inf)",
+                 "(A in [0,0] -> B in (0,3]) & ~~(A in [-3/4,5/2])"]
+
+
+def _written(data, v: Fraction):
+    """v as an int, a Fraction, a ratio string or a decimal string."""
+    forms = [v, str(v), str(float(v))]
+    if v.denominator == 1:
+        forms.append(int(v))
+    return data.draw(st.sampled_from(forms))
+
+
+def _outcome(thunk):
+    try:
+        return "ok", thunk()
+    except Exception as exc:  # both sides must fail alike
+        return type(exc), str(exc)
+
+
+@pytest.mark.hash_seeds
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_rational_values_answer_as_plain_fractions(data):
+    states = tuple(f"s{i}" for i in range(data.draw(st.integers(1, 5))))
+    tables = {q: {s: _written(data, data.draw(st.sampled_from(VALUE_POOL))) for s in states}
+              for q in ("A", "B")}
+    system, plain = ClassicalSystem(states, tables), _plain_fraction_system(states, tables)
+    assert system == plain
+    formula = parse_formula(data.draw(st.sampled_from(FORMULA_TEXTS)))
+    assert classical_rep(system).represent(formula) == classical_rep(plain).represent(formula)
+    assert [truth_value(formula, s, system) for s in states] == \
+        [truth_value(formula, s, plain) for s in states]
+    seed = data.draw(st.integers(0, 3))
+    samples = sample_interval_sets(system, seed=seed)
+    assert samples == sample_interval_sets(plain, seed=seed)
+    assert check_optional_axioms(system, seed=seed) == check_optional_axioms(plain, seed=seed)
+    built = _outcome(lambda: EffectiveClassicalRep.build(system))
+    assert built[0] == _outcome(lambda: EffectiveClassicalRep.build(plain))[0]
+    ours, theirs = classical_rep(system), classical_rep(plain)
+    for q in ("A", "B"):
+        for delta in samples[q][:6]:
+            want = frozenset(s for s in states if delta.member(plain.quantities[q][s]))
+            assert ours.preimage(q, delta) == theirs.preimage(q, delta) == want
+            if built[0] == "ok":
+                assert built[1].preimage(q, delta) == want

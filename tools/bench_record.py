@@ -7,7 +7,9 @@ and one traced run with `--trace 1`), then, from the root of the change:
     python3 tools/bench_record.py --parent PARENT_TREE --change . --out BENCH_<n>.json
 
 Each tree's `.perfbench_out/result-<workload>-<seed>-<trace>.json` files are
-read.  For every workload, each end-to-end metric of `BENCHMARK.json` gets
+read.  A timed run must have its pair, the same workload and seed, in the
+other tree: the script exits 2 and names each unpaired seed, since a run
+that crashed would otherwise drop out of the record unseen.  For every workload, each end-to-end metric of `BENCHMARK.json` gets
 its per-seed values, median and quartiles on both sides, and the number of
 seeds on which the change reads better; the traced runs' layer counts are
 copied per seed.  The record also holds each tree's git revision, the
@@ -51,6 +53,20 @@ def read_results(tree: str) -> dict:
             result = json.load(handle)["result"]
         key = (match["workload"], int(match["trace"]))
         out.setdefault(key, {})[int(match["seed"])] = result
+    return out
+
+
+def unpaired(parent: dict, change: dict) -> dict:
+    """{workload: {side: seeds}} of the timed runs that one tree has and the
+    other lacks, such as a run that crashed before writing its result."""
+    out: dict = {}
+    for workload in sorted({w for w, trace in (*parent, *change) if trace == 0}):
+        seeds_p = set(parent.get((workload, 0), {}))
+        seeds_c = set(change.get((workload, 0), {}))
+        lonely = {side: sorted(only) for side, only in
+                  (("parent", seeds_p - seeds_c), ("change", seeds_c - seeds_p)) if only}
+        if lonely:
+            out[workload] = lonely
     return out
 
 
@@ -113,6 +129,13 @@ def main() -> int:
     parent, change = read_results(args.parent), read_results(args.change)
     if not parent or not change:
         print("no perfbench results in one of the trees", file=sys.stderr)
+        return 2
+    lonely = unpaired(parent, change)
+    for workload, sides in lonely.items():
+        for side, seeds in sides.items():
+            print(f"{workload}: timed runs of seeds {seeds} exist only in the {side} tree",
+                  file=sys.stderr)
+    if lonely:
         return 2
     record = {
         "revisions": {"parent": git_revision(args.parent), "change": git_revision(args.change)},
