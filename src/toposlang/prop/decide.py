@@ -22,7 +22,11 @@ i mod `PRUNE_ATOMS`: each column is still a classical valuation, so the
 prune stays sound and only refutes less.
 
 Invalid formulas additionally get a finite Kripke countermodel, found by a
-smallest-first search over labeled posets of at most `max_worlds` worlds.
+smallest-first search over the orders on at most `max_worlds` worlds, one
+labeled order per isomorphism class: the first of its class in `_posets`
+order.  An order isomorphic to an earlier one carries a relabeled copy of
+each of its countermodels, so it refutes a formula only if the earlier one
+does, and the first hit is the one a scan of every labeled order would find.
 The search evaluates each candidate valuation on bitmasks of worlds and
 builds a `KripkeModel` only for the first failure; `decide` then confirms it
 with the model's own forcing evaluator, so a verdict is never wrong: if the
@@ -206,9 +210,9 @@ def is_provable(formula: Formula) -> bool:
 
 # -- countermodel search -------------------------------------------------------
 
-# Countermodels are searched on at most 5 worlds: 6 worlds carry 130,023
-# labelled orders, and the candidate valuations on them run to millions for
-# a few atoms, with no cap on that count.
+# Countermodels are searched on at most 5 worlds: the frames of 6 worlds are
+# found among 130,023 labelled orders, and the candidate valuations on their
+# 318 classes run to millions for a few atoms, with no cap on that count.
 MAX_SCAN_WORLDS = 5
 
 
@@ -251,13 +255,44 @@ def _posets(n: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
                  for up in orders)
 
 
+def _class_key(upset_of: tuple) -> tuple:
+    """A key that two orders share exactly when they are isomorphic: the
+    least tuple of relabelled up-set bitmasks, over the relabellings that list
+    the points by increasing (up-set size, down-set size).  An isomorphism
+    keeps both sizes, so isomorphic orders have the same candidates."""
+    n = len(upset_of)
+    height = [0] * n
+    for ups in upset_of:
+        for j in ups:
+            height[j] += 1
+    blocks: dict = {}
+    for i, ups in enumerate(upset_of):
+        blocks.setdefault((len(ups), height[i]), []).append(i)
+    best = None
+    for parts in itertools.product(*(itertools.permutations(blocks[size])
+                                     for size in sorted(blocks))):
+        seq = [i for part in parts for i in part]
+        pos = [0] * n
+        for k, i in enumerate(seq):
+            pos[i] = k
+        key = tuple(sum(1 << pos[j] for j in upset_of[i]) for i in seq)
+        if best is None or key < best:
+            best = key
+    return best
+
+
 @lru_cache(maxsize=None)
 def _frames(n: int) -> tuple[tuple, ...]:
-    """Per order of `_posets(n)`: its up-set tuples, its up-sets as bitmasks in
-    increasing order, and `box`, where `box[m]` is the mask of the worlds whose
-    up-set misses `m`, for every mask `m` on the n worlds."""
-    out = []
+    """The first order of each isomorphism class in `_posets(n)`, in that
+    order, each as its up-set tuples, its up-sets as bitmasks in increasing
+    order, and `box`, where `box[m]` is the mask of the worlds whose up-set
+    misses `m`, for every mask `m` on the n worlds."""
+    out, seen = [], set()
     for upset_of in _posets(n):
+        key = _class_key(upset_of)
+        if key in seen:
+            continue
+        seen.add(key)
         up = [sum(1 << j for j in ups) for ups in upset_of]
         # the up-sets of the order are the down-sets of its opposite
         masks = tuple(sorted(iter_downsets(up)))
@@ -270,7 +305,8 @@ def _frames(n: int) -> tuple[tuple, ...]:
 def find_countermodel(formula: Formula, *, max_worlds: int = 4) -> Optional[tuple]:
     """Smallest-first search for a model and world where the formula fails.
 
-    Models are tried by world count, then by order in `_posets`, then by
+    Models are tried by world count, then by frame in `_frames` (the first
+    order of each isomorphism class, by order in `_posets`), then by
     valuation, each atom (in sorted key order) ranging over the up-sets in
     increasing bitmask order; the world returned is the first that fails.
     Each candidate is evaluated on bitmasks of worlds: `a & b` and `a | b`

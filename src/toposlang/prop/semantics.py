@@ -55,21 +55,24 @@ class ClassicalSystem:
     `sample_interval_sets`, `rep.EffectiveClassicalRep`) uses them as they
     are, so each value is hashed once and found by identity.  A value is
     anything `Fraction` accepts: an int, a `Fraction`, a decimal string or a
-    finite float.  InputError when a table misses a state or holds a value
-    that is not a rational."""
+    finite float.  InputError when a table misses a state, has an entry for
+    a state outside `states`, or holds a value that is not a rational."""
     states: tuple[str, ...]
     quantities: Mapping[str, Mapping[str, Fraction]]
 
     def __post_init__(self):
         interned: dict = {}
         tables = {}
+        states = set(self.states)
         for name, table in self.quantities.items():
-            missing = set(self.states) - set(table)
+            missing = states - set(table)
             if missing:
                 raise InputError(
                     f"quantity {name!r} is not total: missing {sorted(missing)}")
             tables[name] = converted = {}
             for state, raw in table.items():
+                if state not in states:
+                    raise InputError(f"quantity {name!r} mentions unknown state {state!r}")
                 try:
                     q = Rational(raw)
                 except (TypeError, ValueError, ArithmeticError):

@@ -36,6 +36,7 @@ from toposlang.heyting import (
     InvalidOrder,
     NotALattice,
     UnknownElement,
+    iter_downsets,
 )
 from toposlang.presheaf import (
     GlobalElement,
@@ -66,7 +67,8 @@ from toposlang.local.syntax import (
     Var,
 )
 from toposlang.local.types import TypeExpr
-from toposlang.prop.decide import _posets
+from toposlang.prop.decide import _AND, _ATOM, _IMP, _Table, _posets
+from toposlang.prop.decide import _translate as _translate_node
 from toposlang.prop.kripke import KripkeModel
 from toposlang.prop.syntax import And, Atom, Formula, Implies, Not, Or, Prim, leaf_key, leaves
 from toposlang.rep import RepresentationError, ToposRep, interpret_type
@@ -270,6 +272,20 @@ def brute_posets(n: int) -> tuple:
     return tuple(out)
 
 
+def brute_frame_classes(n: int) -> tuple:
+    """The orders of `_posets(n)` that no permutation of the n points maps
+    onto an earlier order, in `_posets` order."""
+    earlier: set = set()
+    out = []
+    for upset_of in _posets(n):
+        if not any(tuple(tuple(sorted(perm[j] for j in upset_of[i]))
+                         for i in sorted(range(n), key=perm.__getitem__)) in earlier
+                   for perm in itertools.permutations(range(n))):
+            out.append(upset_of)
+        earlier.add(upset_of)
+    return tuple(out)
+
+
 def brute_countermodel(formula, *, max_worlds: int = 4):
     """Smallest-first search for a model and world where the formula fails:
     every candidate is built as a `KripkeModel` and checked by its recursive,
@@ -288,6 +304,43 @@ def brute_countermodel(formula, *, max_worlds: int = 4):
                 bad = model.counterexample_world(formula)
                 if bad is not None:
                     return model, bad
+    return None
+
+
+def all_orders_countermodel(formula, *, max_worlds: int = 4):
+    """`find_countermodel`'s bitmask scan over every labelled order of
+    `_posets(n)`, not only the first of each isomorphism class: the same
+    interned program, valuation order and `box` table, built per order."""
+    t = _Table()
+    for key in sorted({leaf_key(leaf) for leaf in leaves(formula)}):
+        t.node(_ATOM, t.atoms.setdefault(key, len(t.atoms)))
+    root = _translate_node(formula, t)
+    keys, start = list(t.atoms), len(t.atoms) + 1
+    program = list(zip(range(start, len(t.op)), t.op[start:], t.left[start:], t.right[start:]))
+    val = [0] * len(t.op)
+    for n in range(1, max_worlds + 1):
+        full = (1 << n) - 1
+        for upset_of in _posets(n):
+            up = [sum(1 << j for j in ups) for ups in upset_of]
+            masks = sorted(iter_downsets(up))
+            box = [sum(1 << w for w in range(n) if not up[w] & m) for m in range(1 << n)]
+            for assignment in itertools.product(masks, repeat=len(keys)):
+                val[1:start] = assignment
+                for slot, op, a, b in program:
+                    if op == _IMP:
+                        val[slot] = box[val[a] & ~val[b]]
+                    elif op == _AND:
+                        val[slot] = val[a] & val[b]
+                    else:
+                        val[slot] = val[a] | val[b]
+                failing = full & ~val[root]
+                if failing:
+                    names = tuple(f"w{i}" for i in range(n))
+                    model = KripkeModel(names, frozenset(
+                        (names[i], names[j]) for i in range(n) for j in upset_of[i]), {
+                        k: frozenset(names[i] for i in range(n) if mask >> i & 1)
+                        for k, mask in zip(keys, assignment)})
+                    return model, names[(failing & -failing).bit_length() - 1]
     return None
 
 

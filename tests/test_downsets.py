@@ -20,6 +20,7 @@ from helpers import (
     TWO,
     HeytingAlgebra,
     brute_downsets,
+    brute_frame_classes,
     brute_posets,
     brute_sieves,
     brute_subobjects,
@@ -410,12 +411,21 @@ def test_unknown_points_and_other_ids_are_refused(listed):
                     op()
 
 
+@pytest.mark.hash_seeds
 def test_kripke_upsets_match_subset_filter():
     for n in range(1, 5):
-        assert [frame[0] for frame in _frames(n)] == list(_posets(n))
+        assert [frame[0] for frame in _frames(n)] == list(brute_frame_classes(n))
         for upset_of, masks, _box in _frames(n):
             assert list(masks) == [sum(1 << i for i in ups)
                                    for ups in brute_upsets(upset_of)]
+
+
+@pytest.mark.hash_seeds
+def test_frames_keep_the_first_order_of_each_isomorphism_class():
+    for n in range(1, 6):
+        assert [frame[0] for frame in _frames(n)] == list(brute_frame_classes(n))
+    # OEIS A000112: posets on n unlabelled points
+    assert [len(_frames(n)) for n in range(1, 6)] == [1, 2, 5, 16, 63]
 
 
 def test_posets_match_pairwise_transitivity_scan():

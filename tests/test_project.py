@@ -137,6 +137,15 @@ def test_system_value_with_a_zero_denominator_is_a_project_error():
     assert err.value.pointer == "/systems/0/quantities"
 
 
+def test_system_entry_for_an_unknown_state_keeps_the_project_message():
+    doc = base_doc()
+    doc["systems"][0]["quantities"]["p"]["s9"] = "1"
+    with pytest.raises(ProjectError) as err:
+        build_project(doc)
+    assert str(err.value) == "quantity 'p' mentions unknown state 's9'"
+    assert err.value.pointer == "/systems/0/quantities/p/s9"
+
+
 def test_broken_presheaf_restriction_rejected():
     doc = base_doc()
     doc["presheaves"][0]["restrictions"]["le[p,q]"] = [["x0", "y0"]]  # not total

@@ -6,7 +6,12 @@ import time
 from pathlib import Path
 
 import pytest
-from helpers import brute_countermodel, decide_corpus, reference_is_provable
+from helpers import (
+    all_orders_countermodel,
+    brute_countermodel,
+    decide_corpus,
+    reference_is_provable,
+)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -240,7 +245,7 @@ def _rieger_nishimura(k, a):
     return n
 
 
-RN = _rieger_nishimura(9, A)
+RN = _rieger_nishimura(11, A)
 PRIM = parse_formula("A in [0,1]")  # its key sorts before the atoms'
 
 
@@ -252,7 +257,7 @@ def formulas(max_leaves=8):
 
 
 @settings(max_examples=150, deadline=None)
-@given(formulas(), st.integers(1, 3))
+@given(formulas(), st.integers(1, 4))
 def test_countermodel_search_matches_the_forcing_oracle(formula, max_worlds):
     found = find_countermodel(formula, max_worlds=max_worlds)
     assert _found(found) == _found(brute_countermodel(formula, max_worlds=max_worlds))
@@ -274,6 +279,15 @@ def test_known_countermodels_match_the_forcing_oracle(formula, worlds):
     found = find_countermodel(formula, max_worlds=4)
     assert len(found[0].worlds) == worlds
     assert _found(found) == _found(brute_countermodel(formula, max_worlds=4))
+
+
+@pytest.mark.parametrize("high", [10, 11], ids=["rn-n10-n9", "rn-n11-n9"])
+def test_five_world_countermodels_match_the_all_orders_scan(high):
+    formula = Implies(RN[high], RN[9])
+    assert find_countermodel(formula, max_worlds=4) is None
+    found = find_countermodel(formula, max_worlds=5)
+    assert len(found[0].worlds) == 5
+    assert _found(found) == _found(all_orders_countermodel(formula, max_worlds=5))
 
 
 # -- the interned, pruned G4ip search against the tuple-form prover -------------

@@ -47,6 +47,11 @@ def test_system_refuses_a_value_that_is_not_a_rational(bad):
         ClassicalSystem(("s", "t"), {"B": {"s": 1, "t": 2}, "A": {"s": "1/2", "t": bad}})
 
 
+def test_system_refuses_an_entry_for_a_state_outside_its_states():
+    with pytest.raises(InputError, match="^quantity 'A' mentions unknown state 't'$"):
+        ClassicalSystem(("s",), {"B": {"s": 2}, "A": {"s": 1, "t": 7}})
+
+
 def test_system_accepts_what_fraction_accepts_and_keeps_one_object_per_value():
     system = ClassicalSystem(("s", "t", "u"), {
         "A": {"s": 1, "t": "5/2", "u": 2.5},
