@@ -268,17 +268,14 @@ def _class_key(upset_of: tuple) -> tuple:
     blocks: dict = {}
     for i, ups in enumerate(upset_of):
         blocks.setdefault((len(ups), height[i]), []).append(i)
-    best = None
-    for parts in itertools.product(*(itertools.permutations(blocks[size])
-                                     for size in sorted(blocks))):
+
+    def relabelled(parts) -> tuple:
         seq = [i for part in parts for i in part]
-        pos = [0] * n
-        for k, i in enumerate(seq):
-            pos[i] = k
-        key = tuple(sum(1 << pos[j] for j in upset_of[i]) for i in seq)
-        if best is None or key < best:
-            best = key
-    return best
+        pos = {i: k for k, i in enumerate(seq)}
+        return tuple(sum(1 << pos[j] for j in upset_of[i]) for i in seq)
+
+    return min(map(relabelled, itertools.product(
+        *(itertools.permutations(blocks[sizes]) for sizes in sorted(blocks)))))
 
 
 @lru_cache(maxsize=None)

@@ -275,11 +275,17 @@ def brute_posets(n: int) -> tuple:
 def brute_frame_classes(n: int) -> tuple:
     """The orders of `_posets(n)` that no permutation of the n points maps
     onto an earlier order, in `_posets` order."""
+    def relabel(upset_of, perm):
+        """The order with each point i renamed perm[i]."""
+        out = [()] * n
+        for i, ups in enumerate(upset_of):
+            out[perm[i]] = tuple(sorted(perm[j] for j in ups))
+        return tuple(out)
+
     earlier: set = set()
     out = []
     for upset_of in _posets(n):
-        if not any(tuple(tuple(sorted(perm[j] for j in upset_of[i]))
-                         for i in sorted(range(n), key=perm.__getitem__)) in earlier
+        if not any(relabel(upset_of, perm) in earlier
                    for perm in itertools.permutations(range(n))):
             out.append(upset_of)
         earlier.add(upset_of)
