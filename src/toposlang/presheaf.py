@@ -17,18 +17,18 @@ morphism order and not the hash seed, so repeated runs are byte-identical.
 The one-object category gives the plain category of sets, where the
 classifier degenerates to the two truth values.
 
-Law checks run at the input boundary.  `validate_presheaf` and
-`validate_nat` check what a caller supplies; an arrow this module builds
-natural carries a construction-time certificate instead, the private
-`NatTransform._natural` flag, which takes no part in equality or hashing
-and which only `NatTransform._certified` sets.
+Law checks run at the input boundary.  Every `Presheaf` is a functor: the
+public constructor runs `validate_presheaf` on what a caller supplies, and
+the library's own constructions (the terminal object, the classifier,
+products and exponentials) are functorial whenever their inputs are, so
+they skip it.  `validate_nat` checks an arrow a caller supplies; an arrow
+this module builds natural carries a construction-time certificate instead,
+the private `NatTransform._natural` flag, which takes no part in equality
+or hashing and which only `NatTransform._certified` sets.
 `char_morphism` folds its sub-object check into the sieves it computes, and
 `exp_transpose` checks each transposed element locally, block against
 restricted block, so neither lists anything to check its output, and
-`subobject_of_char` runs `validate_nat` only on an uncertified arrow.  The
-certificates assume the presheaves they are built from are functorial, as
-`validate_presheaf` checks and as every presheaf the library builds or
-loads from a project is.
+`subobject_of_char` runs `validate_nat` only on an uncertified arrow.
 
 This module owns the element format of exponentials and power objects: an
 element of Y^X at stage A is a tuple of ((B, g: B -> A, x), y) cells in
@@ -90,21 +90,32 @@ class Presheaf:
     canon_key order, and every morphism has a table, the identities filled
     in with the stage's own elements where none was given.  Two presheaves
     are equal when their bases, stages and tables are: the stages are
-    canonical, so plain tuple and dict equality needs no sort.  Law
-    checking lives in `validate_presheaf`, so that broken functors can
-    still be constructed and reported on.
+    canonical, so plain tuple and dict equality needs no sort.
+
+    The constructor raises PresheafError naming the first item of
+    `validate_presheaf`, a stage or table under a name the base lacks
+    included, so every presheaf obeys the functor laws.  `maps` stays a
+    mutable dict: a caller who edits a table after construction voids that
+    guarantee, as one who edits `NatTransform.components` voids `_natural`.
     """
 
     def __init__(self, base: FiniteCategory, at: Mapping[str, Iterable],
                  maps: Mapping[str, Mapping]):
-        self._fill(base, {obj: tuple(canon_sorted(set(at.get(obj, ())))) for obj in base.objects},
-                   maps)
+        # Stages and tables under names the base lacks are kept for the check.
+        self._fill(base, {obj: tuple(canon_sorted(set(at.get(obj, ()))))
+                          for obj in (*base.objects, *at)}, maps)
+        self.maps.update((mid, dict(table)) for mid, table in maps.items()
+                         if mid not in self.maps)
+        bad = validate_presheaf(self)
+        if bad.items:
+            raise PresheafError(f"violates functor laws: {bad.items[0]}")
 
     @classmethod
     def _canonical(cls, base: FiniteCategory, at: Mapping[str, tuple],
                    maps: Mapping[str, Mapping]) -> "Presheaf":
         """The presheaf of stages `at` that already hold distinct elements in
-        canon_key order, one per object of `base`: no sort."""
+        canon_key order, one per object of `base`: no sort and no law check,
+        for the library's constructions that are functorial by design."""
         x = cls.__new__(cls)
         x._fill(base, at, maps)
         return x
@@ -113,17 +124,11 @@ class Presheaf:
         self.base = base
         self.at = at
         self.maps = {}
-        # Whether every identity table fixes each element of its stage, so
-        # that no naturality square along an identity can fail.
-        self._identity_law = True
         for m in base.morphisms:
-            identity = m.dom == m.cod and m.id == base.id_of(m.dom)
             if m.id in maps:
-                table = self.maps[m.id] = dict(maps[m.id])
-                if identity and self._identity_law:
-                    self._identity_law = all(x in table and table[x] == x for x in at[m.dom])
-            elif identity:
-                self.maps[m.id] = {x: x for x in self.at[m.dom]}
+                self.maps[m.id] = dict(maps[m.id])
+            elif m.id == base.id_of(m.dom):
+                self.maps[m.id] = {x: x for x in at[m.dom]}
             else:
                 self.maps[m.id] = {}
         self._hash = None
@@ -211,9 +216,16 @@ class LawViolations:
 
 
 def validate_presheaf(x: Presheaf) -> LawViolations:
-    """Totality, codomain, identity and contravariant-composition checks."""
+    """Stages and tables under names the base lacks, then totality,
+    codomain, identity and contravariant-composition checks; the laws are
+    checked only on tables that passed the earlier checks."""
     bad = LawViolations()
     cat = x.base
+    mids = {m.id for m in cat.morphisms}
+    bad.items += [("unknown-object", obj) for obj in x.at if obj not in cat.identity]
+    bad.items += [("unknown-morphism", mid) for mid in x.maps if mid not in mids]
+    if not bad.ok:
+        return bad
     stages = {obj: set(x.stage(obj)) for obj in cat.objects}
     for m in cat.morphisms:
         table = x.maps[m.id]
@@ -243,10 +255,9 @@ def validate_presheaf(x: Presheaf) -> LawViolations:
 
 
 def validate_nat(n: NatTransform) -> LawViolations:
-    """Totality plus the naturality square at every morphism and element.
-    The squares along identities are skipped when both presheaves' identity
-    tables fix their stages, which `Presheaf` records at construction: then
-    both sides of such a square are the component's value."""
+    """Totality plus the naturality square at every non-identity morphism
+    and element.  Both presheaves' identity tables fix their stages, so both
+    sides of a square along an identity are the component's value."""
     bad = LawViolations()
     cat = n.source.base
     for obj in cat.objects:
@@ -259,9 +270,8 @@ def validate_nat(n: NatTransform) -> LawViolations:
                 bad.items.append(("bad-codomain", obj, el))
     if not bad.ok:
         return bad
-    lawful = n.source._identity_law and n.target._identity_law
     for m in cat.morphisms:
-        if lawful and m.id == cat.id_of(m.dom):
+        if m.id == cat.id_of(m.dom):
             continue
         for el in n.source.stage(m.cod):
             if n.apply(m.dom, n.source.apply(m.id, el)) != \
@@ -359,8 +369,8 @@ class ClassifierKit:
 
 def terminal_presheaf(cat: FiniteCategory) -> Presheaf:
     """Single point () at every stage."""
-    return Presheaf(cat, {obj: ((),) for obj in cat.objects},
-                    {m.id: {(): ()} for m in cat.morphisms})
+    return Presheaf._canonical(cat, {obj: ((),) for obj in cat.objects},
+                               {m.id: {(): ()} for m in cat.morphisms})
 
 
 @lru_cache(maxsize=CACHE_SIZE)
@@ -368,12 +378,14 @@ def classifier_kit(cat: FiniteCategory) -> ClassifierKit:
     """Terminal object, sieve classifier and the arrow picking the principal
     sieve at each stage."""
     terminal = terminal_presheaf(cat)
-    at = {obj: tuple(s.members for s in sieves_on(cat, obj)) for obj in cat.objects}
+    at = {obj: tuple(canon_sorted(s.members for s in sieves_on(cat, obj)))
+          for obj in cat.objects}
     maps = {}
     for m in cat.morphisms:
         maps[m.id] = {members: pullback_members(cat, m.id, members)
                       for members in at[m.cod]}
-    omega = Presheaf(cat, at, maps)
+    # Pullback of sieves is functorial, so omega skips the law check.
+    omega = Presheaf._canonical(cat, at, maps)
     true_arrow = NatTransform(terminal, omega, {
         obj: {(): principal_sieve(cat, obj).members} for obj in cat.objects})
     return ClassifierKit(terminal, omega, true_arrow)
@@ -386,7 +398,8 @@ def char_morphism(k: Subobject) -> NatTransform:
     restriction exactly when every el in K(A) goes to the principal sieve.
     PresheafError names the first violation in the order of
     `Subobject.violations`.  The arrow is certified natural: its values are
-    sieves and commute with restriction whenever the ambient is a presheaf."""
+    sieves, and they commute with restriction because the ambient is a
+    presheaf."""
     outside = k._outside()
     if outside:
         raise PresheafError(f"invalid sub-object: {outside[0]}")
@@ -396,14 +409,8 @@ def char_morphism(k: Subobject) -> NatTransform:
     for obj in cat.objects:
         into, stage = cat.into(obj), x.stage(obj)
         reads = [(f, x.maps[f], k.parts[cat.morphism(f).dom]) for f in into]
-        try:
-            comp = comps[obj] = {
-                el: frozenset([f for f, table, below in reads if table[el] in below])
-                for el in stage}
-        except KeyError as missing:
-            el = missing.args[0]
-            f = next(f for f, table, _ in reads if el not in table)
-            raise PresheafError(f"restriction along {f!r} undefined at {el!r}") from None
+        comp = comps[obj] = {el: frozenset([f for f, table, below in reads if table[el] in below])
+                             for el in stage}
         part = k.parts[obj]
         for el in stage:
             # The principal sieve holds every arrow into obj.
@@ -433,16 +440,14 @@ def subobject_of_char(chi: NatTransform) -> Subobject:
 def _element_order(x: Presheaf) -> tuple[list, list[int]]:
     """The points (B, e) of the category of elements of x, and their
     preorder as masks: a sub-object holding e at B holds every restriction
-    of e.  A restriction that leaves its stage bars e from every sub-object."""
+    of e."""
     cat = x.base
     points = [(obj, el) for obj in cat.objects for el in x.stage(obj)]
     index = {p: i for i, p in enumerate(points)}
-    outside = 1 << len(points)
     needs = [0] * len(points)
     for m in cat.morphisms:
         for el in x.stage(m.cod):
-            j = index.get((m.dom, x.apply(m.id, el)))
-            needs[index[(m.cod, el)]] |= outside if j is None else 1 << j
+            needs[index[(m.cod, el)]] |= 1 << index[(m.dom, x.maps[m.id][el])]
     return points, preorder_closure(needs)
 
 
@@ -532,12 +537,10 @@ def product_presheaf(factors: Sequence[Presheaf]) -> Presheaf:
     # canon-ordered stages comes out in canon_key order without a sort.
     at = {obj: tuple(itertools.product(*(f.stage(obj) for f in factors)))
           for obj in cat.objects}
-    # `Presheaf` fills in the identity tables when every factor's fix their
-    # stages.
-    lawful = all(f._identity_law for f in factors)
+    # `Presheaf` fills in the identity tables with the stage's own elements.
     maps = {m.id: {tup: tuple(f.apply(m.id, v) for f, v in zip(factors, tup))
                    for tup in at[m.cod]}
-            for m in cat.morphisms if not (lawful and m.id == cat.id_of(m.dom))}
+            for m in cat.morphisms if m.id != cat.id_of(m.dom)}
     return Presheaf._canonical(cat, at, maps)
 
 
@@ -559,33 +562,25 @@ def _product_base(factors: Sequence[Presheaf]) -> FiniteCategory:
 
 def _is_product(p: Presheaf, factors: Sequence[Presheaf]) -> bool:
     """Whether `p == product_presheaf(factors)`, decided without building
-    the product, and raising where building it raises.  Each restriction
-    table the product computes is read off the factors, in the same order,
-    and compared with p's; each stage is compared with the product of the
-    factor stages.  Where every factor's identity tables fix their stages,
-    the product's are the identity on its stage, which p's equal exactly
-    when p's identity tables fix its stages and hold nothing else."""
+    the product, and raising where building it raises.  Each stage is
+    compared with the product of the factor stages, then each non-identity
+    restriction table with the one the product reads off the factors.  The
+    identity tables need no comparison: a presheaf's fix its stages and hold
+    nothing else."""
     cat = _product_base(factors)
-    same = p.base == cat
-    lawful = all(f._identity_law for f in factors)
-    for m in cat.morphisms:
-        if lawful and m.id == cat.id_of(m.dom):
-            continue
-        stages = [f.stage(m.cod) for f in factors]
-        table = p.maps[m.id] if same else {}
-        same = same and len(table) == math.prod(map(len, stages))
-        for tup in itertools.product(*stages):
-            image = tuple(f.apply(m.id, v) for f, v in zip(factors, tup))
-            same = same and tup in table and table[tup] == image
-    if not same:
+    if p.base != cat:
         return False
     for obj in cat.objects:
         stage, stages = p.stage(obj), [f.stage(obj) for f in factors]
         if len(stage) != math.prod(map(len, stages)) or \
                 not all(map(eq, stage, itertools.product(*stages))):
             return False
-        if lawful and not (p._identity_law and len(p.maps[cat.id_of(obj)]) == len(stage)):
-            return False
+    for m in cat.morphisms:
+        if m.id != cat.id_of(m.dom):
+            table = p.maps[m.id]
+            if any(table[tup] != tuple(f.apply(m.id, v) for f, v in zip(factors, tup))
+                   for tup in p.stage(m.cod)):
+                return False
     return True
 
 
@@ -612,10 +607,9 @@ def _hom_search(cat: FiniteCategory, cells: list, restrict, y: Presheaf) -> list
     Backtracking with forced propagation: open cells are decided in list
     order, trying y's stage order, so the value lists come out in
     lexicographic order.  CapExceeded past ENUM_NODE_CAP search nodes, or
-    before the results would hold more than HOM_CELL_CAP values.
-    PresheafError, before the search, on a restriction of a cell or of a
-    value of y that leaves its stage: every value forced into a cell is then
-    one of y's."""
+    before the results would hold more than HOM_CELL_CAP values.  The cells
+    are closed under `restrict` and y is a presheaf, so every value forced
+    into a cell is one of y's."""
     cell_index = {c: i for i, c in enumerate(cells)}
     # per cell: (morphism, target cell) pairs for propagation
     prop: list = [[] for _ in cells]
@@ -623,18 +617,7 @@ def _hom_search(cat: FiniteCategory, cells: list, restrict, y: Presheaf) -> list
         for mid in cat.into(obj):
             dom = cat.morphism(mid).dom
             if mid != cat.id_of(dom):
-                j = cell_index.get((dom, restrict(mid, el)))
-                if j is None:
-                    raise PresheafError(f"restriction along {mid!r} takes {el!r} "
-                                        f"out of the source's stage {dom!r}")
-                prop[i].append((mid, j))
-    for m in cat.morphisms:
-        if m.id != cat.id_of(m.dom):
-            stage = set(y.stage(m.dom))
-            for v in y.stage(m.cod):
-                if y.apply(m.id, v) not in stage:
-                    raise PresheafError(f"restriction along {m.id!r} takes {v!r} "
-                                        f"out of the target's stage {m.dom!r}")
+                prop[i].append((mid, cell_index[(dom, restrict(mid, el))]))
     assign: list = [None] * len(cells)
     out = []
     nodes = 0
@@ -796,9 +779,10 @@ def exp_transpose(f: NatTransform, z: Presheaf, x: Presheaf, y: Presheaf) -> Nat
 
     Each element is checked locally, not looked up in the listed stage of
     Y^X: its values lie in Y's stages, and along every arrow h into B its
-    block at (dom h, g o h) is the restriction of its block at (B, g).
-    PresheafError when f is not natural.  The output is certified natural,
-    which holds whenever Z is a presheaf."""
+    block at (dom h, g o h) is the restriction of its block at (B, g), for
+    every h but the identities, along which both presheaves fix their
+    stages.  PresheafError when f is not natural.  The output is certified
+    natural, which holds because Z is a presheaf."""
     cat = z.base
     if not _is_product(f.source, [z, x]) or f.target != y:
         raise ShapeMismatch("arrow to transpose is not Z x X -> Y")
@@ -809,26 +793,22 @@ def exp_transpose(f: NatTransform, z: Presheaf, x: Presheaf, y: Presheaf) -> Nat
             raise PresheafError(f"transpose produced a non-natural family: "
                                 f"a value at {b!r} is outside Y's stage")
     position = {b: {xv: i for i, xv in enumerate(x.stage(b))} for b in cat.objects}
-    lawful = x._identity_law and y._identity_law and z._identity_law
     comps = {}
-    try:
-        for obj in cat.objects:
-            zs, pairs = z.stage(obj), cat.into_by_key(obj)
-            for b, g in pairs:
-                for h in cat.into(b):
-                    if lawful and h == cat.id_of(b):
-                        continue
-                    c, gh, down = cat.morphism(h).dom, cat.compose(g, h), y.maps[h]
-                    reads = [position[c][x.apply(h, xv)] for xv in x.stage(b)]
-                    for zv in zs:
-                        below, above = blocks[c][z.apply(gh, zv)], blocks[b][z.apply(g, zv)]
-                        if [below[i] for i in reads] != [down[v] for v in above]:
-                            raise PresheafError(f"transpose produced a non-natural family: "
-                                                f"restriction along {h!r} at {zv!r}")
-            comps[obj] = dict(zip(zs, exp_from_blocks(
-                cat, obj, x, ([blocks[b][z.apply(g, zv)] for b, g in pairs] for zv in zs))))
-    except KeyError as missing:
-        raise PresheafError(f"restriction leaves its stage at {missing.args[0]!r}") from None
+    for obj in cat.objects:
+        zs, pairs = z.stage(obj), cat.into_by_key(obj)
+        for b, g in pairs:
+            for h in cat.into(b):
+                if h == cat.id_of(b):
+                    continue
+                c, gh, down = cat.morphism(h).dom, cat.compose(g, h), y.maps[h]
+                reads = [position[c][x.apply(h, xv)] for xv in x.stage(b)]
+                for zv in zs:
+                    below, above = blocks[c][z.apply(gh, zv)], blocks[b][z.apply(g, zv)]
+                    if [below[i] for i in reads] != [down[v] for v in above]:
+                        raise PresheafError(f"transpose produced a non-natural family: "
+                                            f"restriction along {h!r} at {zv!r}")
+        comps[obj] = dict(zip(zs, exp_from_blocks(
+            cat, obj, x, ([blocks[b][z.apply(g, zv)] for b, g in pairs] for zv in zs))))
     return NatTransform._certified(z, exponential(x, y), comps)
 
 

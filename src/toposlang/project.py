@@ -169,7 +169,7 @@ def build_project(document: Mapping) -> Project:
         registry.add(project.categories, spec["name"], cat, ptr, "category")
 
     for i, spec in enumerate(document.get("presheaves", ())):
-        from .presheaf import Presheaf, validate_presheaf
+        from .presheaf import Presheaf, PresheafError
         ptr = f"/presheaves/{i}"
         base = project.categories.get(spec["base"])
         if base is None:
@@ -182,11 +182,10 @@ def build_project(document: Mapping) -> Project:
                                f"{ptr}/stages")
         maps = {mid: _table_from_json(rows)
                 for mid, rows in spec.get("restrictions", {}).items()}
-        x = Presheaf(base, stages, maps)
-        bad = validate_presheaf(x)
-        if not bad.ok:
-            raise ProjectError(
-                f"presheaf {spec['name']!r} violates functor laws: {bad.items[0]}", ptr)
+        try:
+            x = Presheaf(base, stages, maps)
+        except PresheafError as exc:
+            raise ProjectError(f"presheaf {spec['name']!r} {exc}", ptr) from exc
         registry.add(project.presheaves, spec["name"], x, ptr, "presheaf")
 
     for i, spec in enumerate(document.get("algebras", ())):

@@ -20,8 +20,8 @@ its interpretation is the constant arrow at the principal sieve.
 
 A representation assigns objects and arrows of the topos, so a `ToposRep`
 is valid by construction: its constructor checks that each ground lives on
-the base and is functorial, and that each assigned symbol arrow is
-declared, has its declared shape and is natural, unless certified natural
+the base, which is functorial as every `Presheaf` is, and that each
+assigned symbol arrow is declared, has its declared shape and is natural, unless certified natural
 by construction like the classical backend's.  Every
 interpreted type is then a presheaf and every interpretation natural by
 construction, so `interpret_term` certifies its result and checks nothing.
@@ -85,7 +85,6 @@ from .presheaf import (
     power_transpose,
     product_presheaf,
     validate_nat,
-    validate_presheaf,
 )
 from .prop.semantics import ClassicalSystem
 
@@ -121,10 +120,10 @@ class ToposRep:
     """A representation: backend category, ground and symbol arrows, and the
     axiom sequents it is required to satisfy.
 
-    RepresentationError unless each ground lives on the base and is
-    functorial, and each assigned symbol arrow is declared, has the shape
-    `interpret_type` gives its declared type, and is natural (checked with
-    `validate_nat` unless certified).  Symbols may be left unassigned and
+    RepresentationError unless each ground lives on the base (a presheaf is
+    functorial by construction), and each assigned symbol arrow is declared,
+    has the shape `interpret_type` gives its declared type, and is natural
+    (checked with `validate_nat` unless certified).  Symbols may be left unassigned and
     the axioms are not checked: `build_rep` does both."""
 
     def __init__(self, signature: Signature, base: FiniteCategory,
@@ -142,9 +141,6 @@ class ToposRep:
         for name, presheaf in self.grounds.items():
             if presheaf.base != base:
                 raise RepresentationError(f"ground {name!r} lives on a different base")
-            bad = validate_presheaf(presheaf)
-            if bad.items:
-                raise RepresentationError(f"ground {name!r} is not functorial: {bad.items[0]}")
         for name, (dom, cod) in signature.symbols.items():
             arrow = self.symbols.get(name)
             if arrow is None:

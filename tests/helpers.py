@@ -106,8 +106,8 @@ def two_point_presheaf(at_q, at_p, down: dict) -> Presheaf:
 
 def random_presheaf(cat: FiniteCategory, rng: random.Random, max_size: int = 3,
                     attempts: int = 500) -> Presheaf:
-    """Seeded rejection sampling of functorial restriction tables."""
-    from toposlang.presheaf import validate_presheaf
+    """Seeded rejection sampling of functorial restriction tables: the
+    constructor refuses the others."""
     for _ in range(attempts):
         at = {obj: tuple(f"{obj}{i}" for i in range(rng.randint(1, max_size)))
               for obj in cat.objects}
@@ -116,10 +116,51 @@ def random_presheaf(cat: FiniteCategory, rng: random.Random, max_size: int = 3,
             if m.id == cat.id_of(m.dom) and m.dom == m.cod:
                 continue
             maps[m.id] = {x: rng.choice(at[m.dom]) for x in at[m.cod]}
-        x = Presheaf(cat, at, maps)
-        if validate_presheaf(x).ok:
-            return x
+        try:
+            return Presheaf(cat, at, maps)
+        except PresheafError:
+            pass
     raise AssertionError("could not sample a functorial presheaf")
+
+
+def reference_law_violations(cat: FiniteCategory, at: Mapping, maps: Mapping) -> list:
+    """The functor-law check on raw stage and restriction tables, in the
+    order the `Presheaf` constructor reports it: stages and tables under
+    names the base lacks; then, per morphism, the stage elements its table
+    misses or sends outside the domain's stage, and the table's entries for
+    elements outside the codomain's stage; then the identity law per object
+    and the composition law per composable pair.  Stages lose duplicates
+    and list in canon_key order, and a missing identity table is the
+    identity."""
+    ids = {m.id for m in cat.morphisms}
+    out = [("unknown-object", obj) for obj in at if obj not in cat.objects]
+    out += [("unknown-morphism", mid) for mid in maps if mid not in ids]
+    if out:
+        return out
+    stage = {obj: sorted(set(at.get(obj, ())), key=canon_key) for obj in cat.objects}
+    table = {m.id: dict(maps[m.id]) if m.id in maps
+             else {x: x for x in stage[m.dom]} if m.id == cat.id_of(m.dom) else {}
+             for m in cat.morphisms}
+    for m in cat.morphisms:
+        t, dom, cod = table[m.id], set(stage[m.dom]), set(stage[m.cod])
+        for el in stage[m.cod]:
+            if el not in t:
+                out.append(("not-total", m.id, el))
+            elif t[el] not in dom:
+                out.append(("bad-codomain", m.id, el))
+        out += [("junk-domain", m.id, el) for el in t if el not in cod]
+    if out:
+        return out
+    for obj in cat.objects:
+        ident = table[cat.id_of(obj)]
+        out += [("identity-law", obj, el) for el in stage[obj] if ident[el] != el]
+    for f in cat.morphisms:
+        for g in cat.morphisms:
+            if g.cod == f.dom and cat.has_composite(f.id, g.id):
+                fg = table[cat.compose(f.id, g.id)]
+                out += [("composition-law", f.id, g.id, el) for el in stage[f.cod]
+                        if table[g.id][table[f.id][el]] != fg[el]]
+    return out
 
 
 def presheaf_fixture_pool(count: int = 12, seed: int = 7):

@@ -6,6 +6,7 @@ top and bottom, and the same order, meet, join, implication and negation on
 all pairs.  Every enumeration must equal its old `range(1 << n)` filter as a
 list, order included.
 """
+import re
 from fractions import Fraction
 from pathlib import Path
 
@@ -62,6 +63,7 @@ from toposlang.heyting import (
 from toposlang.presheaf import (
     SUB_ENUM_CAP,
     Presheaf,
+    PresheafError,
     enumerate_subobjects,
     sub_heyting,
     terminal_presheaf,
@@ -322,15 +324,18 @@ def test_sieves_match_subset_filter(cat):
                             HeytingAlgebra(canon_sorted(expected), frozenset.issubset))
 
 
-def _leaky_presheaf() -> Presheaf:
-    """x1 restricts to an element outside the stage at p, so no sub-object
-    holds it."""
-    return Presheaf(TWO, {"q": ("x0", "x1"), "p": ("y0",)},
-                    {"le[p,q]": {"x0": "y0", "x1": "y9"}})
+def test_a_restriction_that_leaves_its_stage_is_refused_at_construction():
+    # x1 restricts to y9, outside the stage at p: no presheaf, so no
+    # category of elements is ever built for it.
+    with pytest.raises(PresheafError, match=re.escape("('bad-codomain', 'le[p,q]', 'x1')")):
+        Presheaf(TWO, {"q": ("x0", "x1"), "p": ("y0",)}, {"le[p,q]": {"x0": "y0", "x1": "y9"}})
 
 
 PRESHEAVES = presheaf_fixture_pool(12) + list(PROJECT.presheaves.values()) + [
-    set_presheaf([1, 2, 3]), _leaky_presheaf(),
+    set_presheaf([1, 2, 3]),
+    # y9 at p is the restriction of x1 alone; y1 is no element's.
+    Presheaf(TWO, {"q": ("x0", "x1"), "p": ("y0", "y1", "y9")},
+             {"le[p,q]": {"x0": "y0", "x1": "y9"}}),
     Presheaf(MONOID, {"x": ("u", "v", "w")}, {"e": {"u": "u", "v": "u", "w": "w"}}),
     Presheaf(CHAIN3, {"a": ("a0",), "b": ("b0", "b1"), "c": ("c0", "c1")},
              {"le[a,b]": {"b0": "a0", "b1": "a0"}, "le[b,c]": {"c0": "b0", "c1": "b1"},

@@ -13,6 +13,7 @@ hash-equal, to each other and to plain tuples of the same cells.
 """
 import itertools
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -44,6 +45,7 @@ from toposlang.presheaf import (
     PRODUCT_CAP,
     NatTransform,
     Presheaf,
+    PresheafError,
     classifier_kit,
     exponential,
     power_object,
@@ -168,18 +170,25 @@ def test_equality_of_numeric_and_broken_presheaves_matches_the_reference_key():
             two_point_presheaf([1, "x"], [0], {1: 0, "x": 0}),
             two_point_presheaf([Fraction(1), "x"], [Fraction(0)], {Fraction(1): 0, "x": 0}),
             two_point_presheaf(["x", 1], [0], {"x": Fraction(0), 1: Fraction(0)}),
-            two_point_presheaf([1, "x"], [0], {1: 0, "x": 1})]
-    broken = [two_point_presheaf(["x0", "x1"], ["y0"], {"x0": "y0"}),
-              two_point_presheaf(["x0", "x1"], ["y0"], {"x1": "y0"}),
-              two_point_presheaf(["x0", "x1"], ["y0"], {"x0": "y0", "x1": "y0"}),
-              two_point_presheaf(["x0", "x1"], ["y0"], {"x0": "y0", "x1": "y0", "junk": "y0"}),
-              two_point_presheaf(["x0", "x1"], ["y0"], {"junk": "y0", "x1": "y0", "x0": "y0"}),
-              two_point_presheaf(["x0", "x1"], ["y0"], {"x0": "y0", "x1": "y0", "junk": "y1"}),
-              Presheaf(TWO, {"q": ("x0",), "p": ("y0",)}, {"le[p,q]": {"x0": "y0"},
-                                                          "id[q]": {}})]
-    assert [validate_presheaf(b).ok for b in broken] == [False, False, True, False, False,
-                                                         False, False]
-    pool += broken
+            two_point_presheaf([1, "x"], [0, 1], {1: 0, "x": 0}),
+            two_point_presheaf([1, "x"], [0, 1], {1: 0, "x": 1}),
+            two_point_presheaf(["x0", "x1"], ["y0"], {"x0": "y0", "x1": "y0"})]
+    # The broken tables never become presheaves: the constructor names
+    # their first violation.
+    broken = [(["x0", "x1"], ["y0"], {"x0": "y0"}, ("not-total", "le[p,q]", "x1")),
+              (["x0", "x1"], ["y0"], {"x1": "y0"}, ("not-total", "le[p,q]", "x0")),
+              (["x0", "x1"], ["y0"], {"x0": "y0", "x1": "y0", "junk": "y0"},
+               ("junk-domain", "le[p,q]", "junk")),
+              (["x0", "x1"], ["y0"], {"junk": "y0", "x1": "y0", "x0": "y0"},
+               ("junk-domain", "le[p,q]", "junk")),
+              (["x0", "x1"], ["y0"], {"x0": "y0", "x1": "y0", "junk": "y1"},
+               ("junk-domain", "le[p,q]", "junk")),
+              ([1, "x"], [0], {1: 0, "x": 1}, ("bad-codomain", "le[p,q]", "x"))]
+    for at_q, at_p, down, first in broken:
+        with pytest.raises(PresheafError, match=re.escape(f"violates functor laws: {first}")):
+            two_point_presheaf(at_q, at_p, down)
+    with pytest.raises(PresheafError, match=re.escape("('not-total', 'id[q]', 'x0')")):
+        Presheaf(TWO, {"q": ("x0",), "p": ("y0",)}, {"le[p,q]": {"x0": "y0"}, "id[q]": {}})
     pool += [reversed_copy(p) for p in pool]
     assert_equality_matches_reference(pool, reference_presheaf_key)
 

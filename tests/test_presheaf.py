@@ -26,6 +26,7 @@ from helpers import (
     exp_lookup,
     exp_untranspose,
     presheaf_fixture_pool,
+    reference_law_violations,
     reference_nat_key,
     reversed_copy,
     set_presheaf,
@@ -81,9 +82,19 @@ def test_constant_presheaf_is_valid():
 
 
 def test_non_total_restriction_is_reported():
-    broken = two_point_presheaf(["x0", "x1"], ["y0"], {"x0": "y0"})
-    report = validate_presheaf(broken)
-    assert ("not-total", "le[p,q]", "x1") in report.items
+    with pytest.raises(PresheafError) as err:
+        two_point_presheaf(["x0", "x1"], ["y0"], {"x0": "y0"})
+    assert str(err.value) == "violates functor laws: ('not-total', 'le[p,q]', 'x1')"
+
+
+def test_a_stage_or_table_the_base_lacks_is_reported():
+    pt = one_object_category()
+    with pytest.raises(PresheafError) as err:
+        Presheaf(pt, {"pt": ["a"], "nowhere": ["b"]}, {"foo": {"a": "a"}})
+    assert str(err.value) == "violates functor laws: ('unknown-object', 'nowhere')"
+    with pytest.raises(PresheafError) as err:
+        Presheaf(pt, {"pt": ["a"]}, {"id[pt]": {"a": "a"}, "foo": {"a": "a"}})
+    assert str(err.value) == "violates functor laws: ('unknown-morphism', 'foo')"
 
 
 def test_identity_transformation_is_natural():
@@ -100,28 +111,29 @@ def test_non_natural_transformation_is_reported():
 
 
 def test_broken_identity_table_is_still_reported_by_naturality():
-    # validate_nat skips the squares along identities only when both
-    # presheaves' identity tables fix their stages; a swapping one keeps them
-    swapped = Presheaf(PT, {"pt": ("a", "b")}, {"id[pt]": {"a": "b", "b": "a"}})
+    # validate_nat skips the squares along identities, which no presheaf's
+    # identity tables can fail: one that moves or misses an element is
+    # refused at construction.
+    with pytest.raises(PresheafError) as err:
+        Presheaf(PT, {"pt": ("a", "b")}, {"id[pt]": {"a": "b", "b": "a"}})
+    assert str(err.value) == "violates functor laws: ('identity-law', 'pt', 'a')"
+    with pytest.raises(PresheafError) as err:
+        Presheaf(TWO, {"q": ("x",), "p": ("y",)},
+                 {"le[p,q]": {"x": "y"}, "id[q]": {"x": "x"}, "id[p]": {}})
+    assert str(err.value) == "violates functor laws: ('not-total', 'id[p]', 'y')"
     plain = set_presheaf(["a", "b"])
-    assert not swapped._identity_law and plain._identity_law
-    ident = {"pt": {"a": "a", "b": "b"}}
-    assert validate_nat(NatTransform(plain, plain, ident)).ok
-    for source, target in ((swapped, plain), (plain, swapped)):
-        report = validate_nat(NatTransform(source, target, ident))
-        assert report.items == [("naturality", "id[pt]", "a"), ("naturality", "id[pt]", "b")]
-    square = Presheaf(TWO, {"q": ("x",), "p": ("y",)},
-                      {"le[p,q]": {"x": "y"}, "id[q]": {"x": "x"}, "id[p]": {}})
-    assert not square._identity_law
-    with pytest.raises(PresheafError, match="restriction along 'id\\[p\\]' undefined"):
-        validate_nat(NatTransform(square, square, {"q": {"x": "x"}, "p": {"y": "y"}}))
+    assert validate_nat(NatTransform(plain, plain, {"pt": {"a": "a", "b": "b"}})).ok
+    # The squares along other arrows are all checked.
+    y = two_point_presheaf(["u"], ["v0", "v1"], {"u": "v0"})
+    n = NatTransform(y, y, {"q": {"u": "u"}, "p": {"v0": "v1", "v1": "v0"}})
+    assert validate_nat(n).items == [("naturality", "le[p,q]", "u")]
 
 
 def test_product_is_refused_before_it_is_built_past_its_cap():
     eight = set_presheaf(range(8))
     at_cap = product_presheaf([eight] * 5)
     assert len(at_cap.stage("pt")) == PRODUCT_CAP == 8 ** 5
-    assert at_cap._identity_law and validate_presheaf(at_cap).ok
+    assert validate_presheaf(at_cap).ok
     with pytest.raises(CapExceeded, match=f"has {8 ** 8} elements, exceeds cap"):
         product_presheaf([eight] * 8)
 
@@ -600,21 +612,11 @@ def test_hom_search_results_past_the_cell_cap_are_refused(monkeypatch):
 @pytest.mark.parametrize("base", [TWO, from_poset(["q", "p"], [("p", "q")])],
                          ids=["p-first", "q-first"])
 def test_hom_search_refuses_a_restriction_that_leaves_its_stage(base):
-    # x1 restricts to y9, outside the stage at p: not a presheaf, on either
-    # side of a hom-set, whichever object the search decides first.
-    leaky = Presheaf(base, {"q": ("x0", "x1"), "p": ("y0",)},
-                     {"le[p,q]": {"x0": "y0", "x1": "y9"}})
-    one, omega = terminal_presheaf(base), classifier_kit(base).omega
-    source = r"along 'le\[p,q\]' takes .*'x1'.* out of the source's stage 'p'"
-    target = r"along 'le\[p,q\]' takes 'x1' out of the target's stage 'p'"
-    for search, message in ((lambda: enumerate_nats(leaky, omega), source),
-                            (lambda: enumerate_nats(leaky, one), source),
-                            (lambda: power_object(leaky), source),
-                            (lambda: enumerate_nats(one, leaky), target),
-                            (lambda: global_elements(leaky), target),
-                            (lambda: exponential(one, leaky), target)):
-        with pytest.raises(PresheafError, match=message):
-            search()
+    # x1 restricts to y9, outside the stage at p: not a presheaf, whichever
+    # object the base lists first, so no hom search ever sees it.
+    with pytest.raises(PresheafError) as err:
+        Presheaf(base, {"q": ("x0", "x1"), "p": ("y0",)}, {"le[p,q]": {"x0": "y0", "x1": "y9"}})
+    assert str(err.value) == "violates functor laws: ('bad-codomain', 'le[p,q]', 'x1')"
 
 
 # Run in its own process under a 2 GB address-space limit: P(P(R)) with
@@ -748,35 +750,37 @@ def _copy_tables(x: Presheaf) -> tuple[dict, dict]:
         {m: dict(table) for m, table in x.maps.items()}
 
 
-def _factor(data, x: Presheaf) -> Presheaf:
-    """x as it is, with an identity table that moves an element, or with a
-    restriction table missing an entry."""
-    how = data.draw(st.sampled_from(["lawful", "lawful", "moving identity", "partial"]))
-    at, maps = _copy_tables(x)
-    cat = x.base
-    if how == "moving identity":
-        wide = [obj for obj in cat.objects if len(at[obj]) > 1]
-        if wide:
-            obj = data.draw(st.sampled_from(wide))
-            maps[cat.id_of(obj)][at[obj][0]] = at[obj][1]
-    elif how == "partial":
-        filled = [m for m, table in maps.items() if table]
-        if filled:
-            m = data.draw(st.sampled_from(filled))
-            del maps[m][data.draw(st.sampled_from(sorted(maps[m], key=canon_key)))]
+def _built(cat, at: dict, maps: dict):
+    """The presheaf of these tables, or None when the reference law check
+    finds a violation, which the constructor must then name."""
+    violations = reference_law_violations(cat, at, maps)
+    if violations:
+        with pytest.raises(PresheafError) as err:
+            Presheaf(cat, at, maps)
+        assert str(err.value) == f"violates functor laws: {violations[0]}"
+        return None
     return Presheaf(cat, at, maps)
 
 
-def _shape_fault(data, p: Presheaf) -> Presheaf:
-    """p with one fault in a stage or a restriction table, or none."""
-    fault = data.draw(st.sampled_from(["none", "none", "drop element", "extra element", "entry",
-                                       "extra key", "missing key"]))
+def _shape_fault(data, p: Presheaf):
+    """p with one fault in a stage or a restriction table, or none; None
+    when the fault leaves no presheaf."""
+    fault = data.draw(st.sampled_from(["none", "none", "rename", "drop element",
+                                       "extra element", "entry", "extra key", "missing key"]))
     at, maps = _copy_tables(p)
     cat = p.base
     obj = data.draw(st.sampled_from(cat.objects))
     m = data.draw(st.sampled_from(sorted(maps)))
     keys = sorted(maps[m], key=canon_key)
-    if fault == "drop element" and at[obj]:
+    if fault == "rename" and at[obj]:
+        # Still a presheaf: one element renamed in its stage and tables.
+        old, new = data.draw(st.sampled_from(at[obj])), ("renamed",)
+        at[obj] = [new if el == old else el for el in at[obj]]
+        for mid, table in maps.items():
+            mor = cat.morphism(mid)
+            maps[mid] = {(new if mor.cod == obj and k == old else k):
+                         (new if mor.dom == obj and v == old else v) for k, v in table.items()}
+    elif fault == "drop element" and at[obj]:
         at[obj].remove(data.draw(st.sampled_from(at[obj])))
     elif fault == "extra element":
         at[obj].append(("extra",))
@@ -787,7 +791,7 @@ def _shape_fault(data, p: Presheaf) -> Presheaf:
         maps[m][("junk",)] = ("junk",)
     elif fault == "missing key" and keys:
         del maps[m][data.draw(st.sampled_from(keys))]
-    return Presheaf(cat, at, maps)
+    return _built(cat, at, maps)
 
 
 @pytest.mark.hash_seeds
@@ -795,39 +799,23 @@ def _shape_fault(data, p: Presheaf) -> Presheaf:
 @given(st.data())
 def test_exp_transpose_refuses_exactly_the_sources_that_are_not_the_product(data):
     # Oracle: the comparison with the built product that exp_transpose made
-    # before it compared the source with the factors directly.
+    # before it compared the source with the factors directly.  A fault that
+    # leaves no presheaf stops at the constructor.
     base = data.draw(st.sampled_from(list(CERTIFIED_POOL)))
-    z0, x0 = (data.draw(st.sampled_from(CERTIFIED_POOL[base])) for _ in range(2))
-    z, x = _factor(data, z0), _factor(data, x0)
+    z, x = (data.draw(st.sampled_from(CERTIFIED_POOL[base])) for _ in range(2))
     kit = classifier_kit(base)
-    origin = data.draw(st.sampled_from(["lawful product", "product", "swapped"]))
-    if origin == "product":
-        try:
-            p = product_presheaf([z, x])
-        except PresheafError:
-            p = product_presheaf([z0, x0])
-    else:
-        p = product_presheaf([z0, x0] if origin == "lawful product" else [x0, z0])
-    p = _shape_fault(data, p)
+    p = _shape_fault(data, product_presheaf([z, x] if data.draw(st.booleans()) else [x, z]))
+    if p is None:
+        return
     top = {obj: principal_sieve(base, obj).members for obj in base.objects}
     f = NatTransform(p, kit.omega, {obj: {el: top[obj] for el in p.stage(obj)}
                                     for obj in base.objects})
     y = data.draw(st.sampled_from([kit.omega, kit.omega, kit.terminal]))
-    try:
-        wrong = f.source != product_presheaf([z, x]) or f.target != y
-    except PresheafError as exc:
-        expected = (type(exc), str(exc))
+    if f.source != product_presheaf([z, x]) or f.target != y:
+        with pytest.raises(ShapeMismatch, match="^arrow to transpose is not Z x X -> Y$"):
+            exp_transpose(f, z, x, y)
     else:
-        expected = (ShapeMismatch, "arrow to transpose is not Z x X -> Y") if wrong else None
-    try:
-        exp_transpose(f, z, x, y)
-    except PresheafError as exc:
-        if expected is None:
-            assert not isinstance(exc, ShapeMismatch), exc
-        else:
-            assert (type(exc), str(exc)) == expected
-    else:
-        assert expected is None
+        assert validate_nat(exp_transpose(f, z, x, y)).ok
 
 
 def test_exp_transpose_builds_no_product(monkeypatch):
@@ -844,3 +832,64 @@ def test_exp_transpose_builds_no_product(monkeypatch):
     with pytest.raises(ShapeMismatch):
         exp_transpose(f, x, z, omega)
     assert built == []
+
+
+# -- the law check at the constructor ----------------------------------------------
+
+def _raw_tables(data, cat) -> tuple[dict, dict]:
+    """Stages and restriction tables on cat, functorial or not: a pool
+    presheaf's tables with at most one entry changed, dropped or added, or
+    tables drawn afresh from stages of up to two elements; now and then a
+    stage or a table under a name the base lacks."""
+    if data.draw(st.booleans()):
+        at, maps = _copy_tables(data.draw(st.sampled_from(CERTIFIED_POOL[cat][:-1])))
+        m = data.draw(st.sampled_from(sorted(maps)))
+        keys = sorted(maps[m], key=canon_key)
+        how = data.draw(st.sampled_from(["none", "entry", "drop", "add"]))
+        if how == "entry" and keys:
+            maps[m][data.draw(st.sampled_from(keys))] = \
+                data.draw(st.sampled_from(at[cat.morphism(m).dom] + ["junk"]))
+        elif how == "drop" and keys:
+            del maps[m][data.draw(st.sampled_from(keys))]
+        elif how == "add":
+            maps[m]["junk"] = data.draw(st.sampled_from(at[cat.morphism(m).dom] + ["junk"]))
+    else:
+        at = {obj: [f"{obj}{i}" for i in range(data.draw(st.integers(0, 2)))]
+              for obj in cat.objects}
+        maps = {}
+        for m in cat.morphisms:
+            if data.draw(st.booleans()) or m.id != cat.id_of(m.dom):
+                values = st.sampled_from(at[m.dom] or ["junk"])
+                maps[m.id] = {el: data.draw(values) for el in at[m.cod]}
+    if data.draw(st.integers(0, 9)) == 0:
+        at["nowhere"] = ["n0"]
+    if data.draw(st.integers(0, 9)) == 0:
+        maps["le[nope]"] = {}
+    return at, maps
+
+
+@pytest.mark.hash_seeds
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_only_lawful_tables_construct_and_their_arrows_are_natural(data):
+    # Presheaf(...) raises exactly when the reference law check on the raw
+    # tables finds a violation, naming its first.  On what constructs, the
+    # certified arrows of char_morphism and exp_transpose pass validate_nat.
+    cat = data.draw(st.sampled_from(list(CERTIFIED_POOL)))
+    x = _built(cat, *_raw_tables(data, cat))
+    if x is None:
+        return
+    assert validate_presheaf(x).ok
+    for k in enumerate_subobjects(x):
+        chi = char_morphism(k)
+        assert chi._natural and validate_nat(chi).ok
+    # Z x X -> Y stays small enough to list: Z is X only for an X of at
+    # most three elements, and Y is X only when Z is the terminal.
+    kit = classifier_kit(cat)
+    small = sum(map(len, x.at.values())) <= 3
+    z = data.draw(st.sampled_from([kit.terminal, x] if small else [kit.terminal]))
+    y = data.draw(st.sampled_from([kit.omega, kit.terminal] + ([x] if z is kit.terminal else [])))
+    arrows = enumerate_nats(product_presheaf([z, x]), y)
+    for f in data.draw(st.lists(st.sampled_from(arrows), max_size=3)) if arrows else ():
+        name = exp_transpose(f, z, x, y)
+        assert name._natural and validate_nat(name).ok

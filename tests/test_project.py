@@ -151,7 +151,37 @@ def test_broken_presheaf_restriction_rejected():
     doc["presheaves"][0]["restrictions"]["le[p,q]"] = [["x0", "y0"]]  # not total
     with pytest.raises(ProjectError) as err:
         build_project(doc)
-    assert "functor laws" in str(err.value)
+    assert str(err.value) == "presheaf 'X' violates functor laws: ('not-total', 'le[p,q]', 'x1')"
+    assert err.value.pointer == "/presheaves/0"
+
+
+def test_restriction_for_an_unknown_morphism_is_rejected():
+    doc = base_doc()
+    doc["presheaves"][0]["restrictions"]["le[nope]"] = []
+    with pytest.raises(ProjectError) as err:
+        build_project(doc)
+    assert str(err.value) == "presheaf 'X' violates functor laws: ('unknown-morphism', 'le[nope]')"
+    assert err.value.pointer == "/presheaves/0"
+
+
+def test_stage_for_an_unknown_object_keeps_the_project_message():
+    doc = base_doc()
+    doc["presheaves"][0]["stages"]["nowhere"] = ["n0"]
+    with pytest.raises(ProjectError) as err:
+        build_project(doc)
+    assert str(err.value) == "stages mention unknown objects ['nowhere']"
+    assert err.value.pointer == "/presheaves/0/stages"
+
+
+def test_loading_checks_each_presheaf_once(monkeypatch):
+    # Two project presheaves, two inline sets and the classical
+    # representation's two stages: six presheaves, six law checks.
+    from toposlang import presheaf
+    calls = []
+    check = presheaf.validate_presheaf
+    monkeypatch.setattr(presheaf, "validate_presheaf", lambda x: calls.append(x) or check(x))
+    load_project(str(FIXTURE))
+    assert len(calls) == 6
 
 
 def test_duplicate_error_names_both_sites():

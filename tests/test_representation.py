@@ -14,6 +14,7 @@ from helpers import (
     evaluation,
     exp_untranspose,
     reference_interpret_term,
+    reference_law_violations,
     two_point_presheaf,
 )
 
@@ -36,6 +37,7 @@ from toposlang.local import (
 from toposlang.presheaf import (
     NatTransform,
     Presheaf,
+    PresheafError,
     global_elements,
     power_object,
     power_transpose,
@@ -43,7 +45,6 @@ from toposlang.presheaf import (
     product_many,
     product_presheaf,
     validate_nat,
-    validate_presheaf,
 )
 from toposlang.prop.semantics import (
     ClassicalSystem,
@@ -545,16 +546,6 @@ def test_only_build_rep_marks_a_representation_validated(monkeypatch):
     assert checked == []
 
 
-def _rep_with_a_moving_identity() -> ToposRep:
-    # Sigma's identity table at q sends a1 to a0, so Sigma is no presheaf.
-    sigma = Presheaf(TWO, {"q": ["a0", "a1", "a2"], "p": ["b0"]},
-                     {"id[q]": {"a0": "a0", "a1": "a0", "a2": "a2"},
-                      "le[p,q]": {"a0": "b0", "a1": "b0", "a2": "b0"}})
-    rvals = Presheaf(TWO, {"q": ["u", "v"], "p": ["w"]}, {"le[p,q]": {"u": "w", "v": "w"}})
-    a = NatTransform(sigma, rvals, {"q": {"a0": "u", "a1": "u", "a2": "v"}, "p": {"b0": "w"}})
-    return ToposRep(Signature({"A": (SIGMA, RQ)}), TWO, {"Sigma": sigma, "R": rvals}, {"A": a})
-
-
 def test_interpret_term_rejects_a_symbol_arrow_that_is_not_natural():
     # A(a1) = v restricts to z at p, but a1 restricts to b0 and A(b0) = w.
     # No interpretation checks naturality; `ToposRep` refuses the arrow.
@@ -569,10 +560,13 @@ def test_interpret_term_rejects_a_symbol_arrow_that_is_not_natural():
 @pytest.mark.hash_seeds
 def test_interpret_term_reads_along_an_identity_that_moves_elements():
     # Term interpretation reads along an identity as keeping each
-    # environment in place, which holds because no such ground gets in.
-    with pytest.raises(RepresentationError) as err:
-        _rep_with_a_moving_identity()
-    assert str(err.value) == "ground 'Sigma' is not functorial: ('identity-law', 'q', 'a1')"
+    # environment in place, which holds because no presheaf's identity
+    # table moves an element: this Sigma's sends a1 to a0 at q.
+    with pytest.raises(PresheafError) as err:
+        Presheaf(TWO, {"q": ["a0", "a1", "a2"], "p": ["b0"]},
+                 {"id[q]": {"a0": "a0", "a1": "a0", "a2": "a2"},
+                  "le[p,q]": {"a0": "b0", "a1": "b0", "a2": "b0"}})
+    assert str(err.value) == "violates functor laws: ('identity-law', 'q', 'a1')"
 
 
 def _identity_arrow(x: Presheaf) -> NatTransform:
@@ -580,14 +574,12 @@ def _identity_arrow(x: Presheaf) -> NatTransform:
 
 
 def _law_check_faults(grounds: dict, symbols: dict, base) -> list[str]:
-    """What the base check, `validate_presheaf`, the shape comparison against
-    A: Sigma -> R and `validate_nat` report, worded as `build_rep` words it."""
+    """What the base check, the shape comparison against A: Sigma -> R and
+    `validate_nat` report, worded as `build_rep` words it."""
     out = []
     for name, x in grounds.items():
         if x.base != base:
             out.append(f"ground {name!r} lives on a different base")
-        elif not validate_presheaf(x).ok:
-            out.append(f"ground {name!r} is not functorial: {validate_presheaf(x).items[0]}")
     a = symbols["A"]
     if (a.source, a.target) != (grounds["Sigma"], grounds["R"]):
         out.append("arrow for 'A' has the wrong shape")
@@ -608,6 +600,7 @@ FAULTS = ["symbol value", "identity entry", "other base", "undeclared symbol", "
 def test_topos_rep_refuses_exactly_what_the_law_checks_report(name, fault, data):
     # One random fault in a hand-built representation.  A changed value or
     # a moved identity entry may leave it lawful; the other faults never do.
+    # A moved identity entry that breaks the identity law leaves no presheaf.
     signature, base, grounds, symbols = _hand_built_parts(name)
     a = symbols["A"]
     if fault == "symbol value":
@@ -622,6 +615,12 @@ def test_topos_rep_refuses_exactly_what_the_law_checks_report(name, fault, data)
         maps = {m: dict(table) for m, table in x.maps.items()}
         maps[base.id_of(obj)][data.draw(st.sampled_from(x.stage(obj)))] = \
             data.draw(st.sampled_from(x.stage(obj)))
+        violations = reference_law_violations(base, x.at, maps)
+        if violations:
+            with pytest.raises(PresheafError) as err:
+                Presheaf(base, x.at, maps)
+            assert str(err.value) == f"violates functor laws: {violations[0]}"
+            return
         grounds[ground] = Presheaf(base, x.at, maps)
         symbols["A"] = NatTransform(grounds["Sigma"], grounds["R"], a.components)
     elif fault == "other base":
