@@ -842,6 +842,7 @@ def _raw_tables(data, cat) -> tuple[dict, dict]:
     tables drawn afresh from stages of up to two elements; now and then a
     stage or a table under a name the base lacks."""
     if data.draw(st.booleans()):
+        # Not Omega, the pool's last member: its sub-objects are too many.
         at, maps = _copy_tables(data.draw(st.sampled_from(CERTIFIED_POOL[cat][:-1])))
         m = data.draw(st.sampled_from(sorted(maps)))
         keys = sorted(maps[m], key=canon_key)
