@@ -22,11 +22,15 @@ i mod `PRUNE_ATOMS`: each column is still a classical valuation, so the
 prune stays sound and only refutes less.
 
 Invalid formulas additionally get a finite Kripke countermodel, found by a
-smallest-first search over the orders on at most `max_worlds` worlds, one
-labeled order per isomorphism class: the first of its class in `_posets`
-order.  An order isomorphic to an earlier one carries a relabeled copy of
-each of its countermodels, so it refutes a formula only if the earlier one
-does, and the first hit is the one a scan of every labeled order would find.
+smallest-first search over rooted frames: a least world `w0` below one order
+per isomorphism class on one world fewer.  A formula that fails at a world
+also fails there in the submodel that world generates, its up-set, so the
+first countermodel of a smallest-first search is rooted and fails at its
+root; by persistence, a rooted frame that refutes a formula anywhere
+refutes it at the root, so only the root is tested.  Each class carries its
+labelling with the least pair mask, the first of its class in a scan of
+every labelled order by pair mask, and an isomorphic order refutes a formula
+only if that one does, so the first hit is the one such a scan would find.
 The search evaluates each candidate valuation on bitmasks of worlds and
 builds a `KripkeModel` only for the first failure; `decide` then confirms it
 with the model's own forcing evaluator, so a verdict is never wrong: if the
@@ -210,102 +214,72 @@ def is_provable(formula: Formula) -> bool:
 
 # -- countermodel search -------------------------------------------------------
 
-# Countermodels are searched on at most 5 worlds: the frames of 6 worlds are
-# found among 130,023 labelled orders, and the candidate valuations on their
-# 318 classes run to millions for a few atoms, with no cap on that count.
+# Countermodels are searched on at most 5 worlds.  The scan has no cap on its
+# candidates, the sum over frames of (up-sets)^atoms: on the 63 rooted frames
+# of 6 worlds they run to 829, 12,141 and 202,141 for 1, 2 and 3 atoms.
 MAX_SCAN_WORLDS = 5
 
 
 @lru_cache(maxsize=None)
-def _posets(n: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
-    """All reflexive-transitive-antisymmetric orders on n labeled points, each
-    given as a tuple of up-set tuples, ordered by the bitmask of their pairs
-    (i, j), i != j, taken in row-major order.  Raises CapExceeded before
-    building when n is past MAX_SCAN_WORLDS.
+def _classes(n: int) -> tuple[tuple[int, ...], ...]:
+    """One order per isomorphism class on n points, as up-set bitmasks.  Each
+    is labelled by its least pair mask over all n! relabellings, and the
+    classes come in increasing order of it; the pair mask sets bit
+    i*(n-1) + j - (j > i) for each point j above another point i.
 
-    Each order extends one on the points below n-1 by the point n-1: its
-    strict up-set U is an up-set of the smaller order, and its strict
-    down-set is a down-set disjoint from U whose points are all below all
-    of U.  Every order on n points arises once this way."""
-    if n > MAX_SCAN_WORLDS:
-        raise CapExceeded(
-            f"countermodel search over {n} worlds is past the limit of "
-            f"{MAX_SCAN_WORLDS} worlds; lower --max-worlds to {MAX_SCAN_WORLDS}")
+    The classes on n points come from those on n-1: every order has a
+    maximal point, so each class arises by putting a new point above some
+    down-set of a class on one point fewer.  The least pair mask is both the
+    key that identifies isomorphic results and the labelling kept."""
     if n == 0:
         return ((),)
     new = n - 1
-    orders = []
-    for upset_of in _posets(new):
-        up = [sum(1 << j for j in ups) for ups in upset_of]
+    perms = list(itertools.permutations(range(n)))
+    least = set()
+    for up in _classes(new):
         down = [sum(1 << i for i in range(new) if up[i] >> j & 1) for j in range(new)]
-        downsets = list(iter_downsets(down))
-        for above in iter_downsets(up):
-            room = sum(1 << x for x in range(new) if not above & ~up[x]) & ~above
-            for below in downsets:
-                if not below & ~room:
-                    orders.append([u | 1 << new if below >> x & 1 else u
-                                   for x, u in enumerate(up)] + [above | 1 << new])
-
-    def pair_mask(up: list) -> int:
-        return sum(1 << i * new + j - (j > i)
-                   for i in range(n) for j in range(n) if j != i and up[i] >> j & 1)
-
-    orders.sort(key=pair_mask)
-    return tuple(tuple(tuple(j for j in range(n) if up[i] >> j & 1) for i in range(n))
-                 for up in orders)
-
-
-def _class_key(upset_of: tuple) -> tuple:
-    """A key that two orders share exactly when they are isomorphic: the
-    least tuple of relabelled up-set bitmasks, over the relabellings that list
-    the points by increasing (up-set size, down-set size).  An isomorphism
-    keeps both sizes, so isomorphic orders have the same candidates."""
-    n = len(upset_of)
-    height = [0] * n
-    for ups in upset_of:
-        for j in ups:
-            height[j] += 1
-    blocks: dict = {}
-    for i, ups in enumerate(upset_of):
-        blocks.setdefault((len(ups), height[i]), []).append(i)
-
-    def relabelled(parts) -> tuple:
-        seq = [i for part in parts for i in part]
-        pos = {i: k for k, i in enumerate(seq)}
-        return tuple(sum(1 << pos[j] for j in upset_of[i]) for i in seq)
-
-    return min(map(relabelled, itertools.product(
-        *(itertools.permutations(blocks[sizes]) for sizes in sorted(blocks)))))
+        for below in iter_downsets(down):
+            grown = [u | (below >> x & 1) << new for x, u in enumerate(up)] + [1 << new]
+            pairs = [(i, j) for i in range(n) for j in range(n) if j != i and grown[i] >> j & 1]
+            least.add(min(sum(1 << p[i] * new + p[j] - (p[j] > p[i]) for i, j in pairs)
+                          for p in perms))
+    return tuple(tuple(1 << i | sum(1 << j for j in range(n)
+                                    if j != i and mask >> i * new + j - (j > i) & 1)
+                       for i in range(n))
+                 for mask in sorted(least))
 
 
 @lru_cache(maxsize=None)
 def _frames(n: int) -> tuple[tuple, ...]:
-    """The first order of each isomorphism class in `_posets(n)`, in that
-    order, each as its up-set tuples, its up-sets as bitmasks in increasing
-    order, and `box`, where `box[m]` is the mask of the worlds whose up-set
-    misses `m`, for every mask `m` on the n worlds."""
-    out, seen = [], set()
-    for upset_of in _posets(n):
-        key = _class_key(upset_of)
-        if key in seen:
-            continue
-        seen.add(key)
-        up = [sum(1 << j for j in ups) for ups in upset_of]
+    """The rooted frames on n worlds: `w0` below each class of
+    `_classes(n-1)`, its points shifted by one, in that order.  Each is given
+    as its up-set bitmasks, its up-sets as bitmasks in increasing order, and
+    `box`, where `box[m]` is the mask of the worlds whose up-set misses `m`,
+    for every mask `m` on the n worlds.  Raises CapExceeded before building
+    when n is past MAX_SCAN_WORLDS."""
+    if n > MAX_SCAN_WORLDS:
+        raise CapExceeded(
+            f"countermodel search over {n} worlds is past the limit of "
+            f"{MAX_SCAN_WORLDS} worlds; lower --max-worlds to {MAX_SCAN_WORLDS}")
+    out = []
+    for rest in _classes(n - 1):
+        up = ((1 << n) - 1,) + tuple(u << 1 for u in rest)
         # the up-sets of the order are the down-sets of its opposite
         masks = tuple(sorted(iter_downsets(up)))
         box = tuple(sum(1 << w for w in range(n) if not up[w] & m)
                     for m in range(1 << n))
-        out.append((upset_of, masks, box))
+        out.append((up, masks, box))
     return tuple(out)
 
 
 def find_countermodel(formula: Formula, *, max_worlds: int = 4) -> Optional[tuple]:
     """Smallest-first search for a model and world where the formula fails.
 
-    Models are tried by world count, then by frame in `_frames` (the first
-    order of each isomorphism class, by order in `_posets`), then by
-    valuation, each atom (in sorted key order) ranging over the up-sets in
-    increasing bitmask order; the world returned is the first that fails.
+    Models are tried by world count, then by rooted frame in `_frames`
+    order, then by valuation, each atom (in sorted key order) ranging over
+    the up-sets in increasing bitmask order.  Only the root is tested, and
+    the world returned is the root, `w0`: in a rooted frame a failure
+    anywhere is, by persistence, a failure at the root.
     Each candidate is evaluated on bitmasks of worlds: `a & b` and `a | b`
     are mask operations, and `a -> b` holds at the worlds whose up-set misses
     `a & ~b`, a lookup in the frame's `box` table.  Only the hit is built as a
@@ -319,13 +293,12 @@ def find_countermodel(formula: Formula, *, max_worlds: int = 4) -> Optional[tupl
     t = _Table()
     for key in sorted({leaf_key(leaf) for leaf in leaves(formula)}):
         t.node(_ATOM, t.atoms.setdefault(key, len(t.atoms)))
-    root = _translate(formula, t)
+    goal = _translate(formula, t)
     keys, start = list(t.atoms), len(t.atoms) + 1
     program = list(zip(range(start, len(t.op)), t.op[start:], t.left[start:], t.right[start:]))
     val = [0] * len(t.op)
     for n in range(1, max_worlds + 1):
-        full = (1 << n) - 1
-        for upset_of, masks, box in _frames(n):
+        for up, masks, box in _frames(n):
             for assignment in itertools.product(masks, repeat=len(keys)):
                 val[1:start] = assignment
                 for slot, op, a, b in program:
@@ -335,14 +308,14 @@ def find_countermodel(formula: Formula, *, max_worlds: int = 4) -> Optional[tupl
                         val[slot] = val[a] & val[b]
                     else:
                         val[slot] = val[a] | val[b]
-                failing = full & ~val[root]
-                if failing:
+                if not val[goal] & 1:
                     names = tuple(f"w{i}" for i in range(n))
                     model = KripkeModel(names, frozenset(
-                        (names[i], names[j]) for i in range(n) for j in upset_of[i]), {
+                        (names[i], names[j])
+                        for i in range(n) for j in range(n) if up[i] >> j & 1), {
                         k: frozenset(names[i] for i in range(n) if mask >> i & 1)
                         for k, mask in zip(keys, assignment)})
-                    return model, names[(failing & -failing).bit_length() - 1]
+                    return model, names[0]
     return None
 
 

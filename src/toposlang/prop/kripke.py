@@ -27,9 +27,17 @@ class KripkeModel:
         for w, v in self.order:
             if w not in ws or v not in ws:
                 raise InputError(f"order pair ({w!r}, {v!r}) mentions unknown world")
+        above = {w: self.above(w) for w in self.worlds}
+        for w in self.worlds:
+            for v in above[w]:
+                for u in above[v]:
+                    if (w, u) not in self.order:
+                        raise InputError(
+                            f"world order is not transitive: ({w!r}, {v!r}) and "
+                            f"({v!r}, {u!r}) without ({w!r}, {u!r})")
         for key, ups in self.valuation.items():
             for w in ups:
-                for v in self.above(w):
+                for v in above.get(w, ()):
                     if v not in ups:
                         raise InputError(
                             f"valuation of {key!r} is not upward closed at {w!r}")

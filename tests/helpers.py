@@ -1,13 +1,13 @@
-"""Shared fixtures: small base categories, deterministic presheaf generators,
-brute-force enumeration oracles, the quantified sieve and sub-object
-implications, the string-keyed Kripke countermodel search, the tuple-form
-G4ip prover without pruning, the `decide` benchmark corpus, the wall-clock
-budget, and the oracles no library code calls: the tabulating Heyting
-algebra, the exhaustive law checker, the exponential-cell reader that scans
-an element's cells, the universal-property checks of
-products and exponentials, the exponential built through representables,
-the canonical keys presheaves and natural transformations were once
-compared by, the memoized term evaluator, the
+"""Shared fixtures: small base categories, deterministic presheaf
+generators, brute-force enumeration oracles, every labelled order by pair
+mask, the quantified sieve and sub-object implications, the string-keyed
+Kripke countermodel search, the tuple-form G4ip prover without pruning, the
+`decide` benchmark corpus, the wall-clock budget, and the oracles no library
+code calls: the tabulating Heyting algebra, the exhaustive law checker, the
+exponential-cell reader that scans an element's cells, the
+universal-property checks of products and exponentials, the exponential
+built through representables, the canonical keys presheaves and natural
+transformations were once compared by, the memoized term evaluator, the
 local language's term walkers with one branch per term former, and the
 `dataclasses` twins of the record classes."""
 import __future__
@@ -20,6 +20,7 @@ import sys
 import time
 from pathlib import Path
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Callable, Mapping, NamedTuple, Sequence
 
 from toposlang._canon import canon_key
@@ -67,7 +68,8 @@ from toposlang.local.syntax import (
     Var,
 )
 from toposlang.local.types import TypeExpr
-from toposlang.prop.decide import _AND, _ATOM, _IMP, _Table, _posets
+from toposlang.errors import CapExceeded
+from toposlang.prop.decide import _AND, _ATOM, _IMP, MAX_SCAN_WORLDS, _Table
 from toposlang.prop.decide import _translate as _translate_node
 from toposlang.prop.kripke import KripkeModel
 from toposlang.prop.syntax import And, Atom, Formula, Implies, Not, Or, Prim, leaf_key, leaves
@@ -288,6 +290,45 @@ def brute_upsets(upset_of) -> list[frozenset]:
     return out
 
 
+@lru_cache(maxsize=None)
+def _posets(n: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
+    """All reflexive-transitive-antisymmetric orders on n labeled points, each
+    given as a tuple of up-set tuples, ordered by the bitmask of their pairs
+    (i, j), i != j, taken in row-major order.  Raises CapExceeded before
+    building when n is past MAX_SCAN_WORLDS.
+
+    Each order extends one on the points below n-1 by the point n-1: its
+    strict up-set U is an up-set of the smaller order, and its strict
+    down-set is a down-set disjoint from U whose points are all below all
+    of U.  Every order on n points arises once this way."""
+    if n > MAX_SCAN_WORLDS:
+        raise CapExceeded(
+            f"countermodel search over {n} worlds is past the limit of "
+            f"{MAX_SCAN_WORLDS} worlds; lower --max-worlds to {MAX_SCAN_WORLDS}")
+    if n == 0:
+        return ((),)
+    new = n - 1
+    orders = []
+    for upset_of in _posets(new):
+        up = [sum(1 << j for j in ups) for ups in upset_of]
+        down = [sum(1 << i for i in range(new) if up[i] >> j & 1) for j in range(new)]
+        downsets = list(iter_downsets(down))
+        for above in iter_downsets(up):
+            room = sum(1 << x for x in range(new) if not above & ~up[x]) & ~above
+            for below in downsets:
+                if not below & ~room:
+                    orders.append([u | 1 << new if below >> x & 1 else u
+                                   for x, u in enumerate(up)] + [above | 1 << new])
+
+    def pair_mask(up: list) -> int:
+        return sum(1 << i * new + j - (j > i)
+                   for i in range(n) for j in range(n) if j != i and up[i] >> j & 1)
+
+    orders.sort(key=pair_mask)
+    return tuple(tuple(tuple(j for j in range(n) if up[i] >> j & 1) for i in range(n))
+                 for up in orders)
+
+
 def brute_posets(n: int) -> tuple:
     """All reflexive-transitive-antisymmetric orders on n labeled points, each
     as a tuple of up-set tuples, by a pairwise scan of every relation on them."""
@@ -356,8 +397,10 @@ def brute_countermodel(formula, *, max_worlds: int = 4):
 
 def all_orders_countermodel(formula, *, max_worlds: int = 4):
     """`find_countermodel`'s bitmask scan over every labelled order of
-    `_posets(n)`, not only the first of each isomorphism class: the same
-    interned program, valuation order and `box` table, built per order."""
+    `_posets(n)`, not only the rooted frames of one labelling per
+    isomorphism class: the same interned program, valuation order and `box`
+    table, built per order, and every world tested, the first failing one
+    returned."""
     t = _Table()
     for key in sorted({leaf_key(leaf) for leaf in leaves(formula)}):
         t.node(_ATOM, t.atoms.setdefault(key, len(t.atoms)))

@@ -32,6 +32,7 @@ from helpers import (
     presheaf_fixture_pool,
     set_presheaf,
     transitive_closure,
+    _posets,
 )
 
 from toposlang import _canon, heyting
@@ -69,7 +70,7 @@ from toposlang.presheaf import (
     terminal_presheaf,
 )
 from toposlang.project import build_project, load_project
-from toposlang.prop.decide import _frames, _posets
+from toposlang.prop.decide import _classes, _frames
 
 PROJECT = load_project(Path(__file__).resolve().parent.parent / "fixtures" / "two_point.json")
 
@@ -416,16 +417,31 @@ def test_unknown_points_and_other_ids_are_refused(listed):
                     op()
 
 
+def _bitmasks(upset_of) -> tuple:
+    return tuple(sum(1 << j for j in ups) for ups in upset_of)
+
+
+@pytest.mark.hash_seeds
+def test_classes_are_the_first_labelled_order_of_each_class():
+    for n in range(1, 6):
+        assert list(_classes(n)) == [_bitmasks(upset_of) for upset_of in brute_frame_classes(n)]
+    # OEIS A000112: posets on n unlabelled points
+    assert [len(_classes(n)) for n in range(1, 6)] == [1, 2, 5, 16, 63]
+
+
 @pytest.mark.hash_seeds
 def test_kripke_upsets_match_subset_filter():
-    # the frames are the first order of each isomorphism class
+    # the frames are the classes with a least point, which each has at w0
     for n in range(1, 6):
-        assert [frame[0] for frame in _frames(n)] == list(brute_frame_classes(n))
-        for upset_of, masks, _box in _frames(n):
+        rooted = [_bitmasks(upset_of) for upset_of in brute_frame_classes(n)
+                  if any(len(ups) == n for ups in upset_of)]
+        assert [frame[0] for frame in _frames(n)] == rooted
+        for up, masks, _box in _frames(n):
+            upset_of = tuple(tuple(j for j in range(n) if u >> j & 1) for u in up)
             assert list(masks) == [sum(1 << i for i in ups)
                                    for ups in brute_upsets(upset_of)]
-    # OEIS A000112: posets on n unlabelled points
-    assert [len(_frames(n)) for n in range(1, 6)] == [1, 2, 5, 16, 63]
+    # OEIS A000112 once more: a rooted frame is a root below any order
+    assert [len(_frames(n)) for n in range(1, 6)] == [1, 1, 2, 5, 16]
 
 
 def test_posets_match_pairwise_transitivity_scan():

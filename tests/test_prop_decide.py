@@ -12,7 +12,7 @@ from helpers import (
     decide_corpus,
     reference_is_provable,
 )
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from toposlang.errors import CapExceeded, InputError
@@ -20,7 +20,7 @@ import toposlang.prop.decide as decide_module
 from toposlang.prop.decide import (
     Decision,
     SearchCapExceeded,
-    _posets,
+    _frames,
     decide,
     find_countermodel,
     is_provable,
@@ -96,6 +96,16 @@ def test_kripke_model_validation_and_monotonicity():
     assert m.forces("w0", parse_formula("~~a"))
 
 
+def test_kripke_model_refuses_an_order_that_is_not_transitive():
+    # without (w0, w2), w0 would force ~a while the later w1 does not
+    worlds = ("w0", "w1", "w2")
+    order = frozenset({("w0", "w0"), ("w1", "w1"), ("w2", "w2"), ("w0", "w1"), ("w1", "w2")})
+    with pytest.raises(InputError, match=r"not transitive: \('w0', 'w1'\) and \('w1', 'w2'\) "
+                                         r"without \('w0', 'w2'\)"):
+        KripkeModel(worlds, order, {"a": frozenset({"w2"})})
+    KripkeModel(worlds, order | {("w0", "w2")}, {"a": frozenset({"w2"})})
+
+
 def test_decide_consistent_with_proof_checker():
     # every schema instance is decided valid; the certified ~~(a|~a) proof's
     # conclusion is decided valid; nothing invalid has an accepted proof
@@ -134,7 +144,7 @@ def test_nonpositive_world_bound_is_an_input_error_before_any_search(monkeypatch
 def test_poset_scan_past_five_worlds_is_refused_before_it_starts():
     start = time.perf_counter()
     with pytest.raises(CapExceeded, match=r"over 6 worlds is past the limit of 5 worlds; lower --max-worlds to 5"):
-        _posets(6)
+        _frames(6)
     assert time.perf_counter() - start < 0.5
 
 
@@ -267,6 +277,14 @@ def test_countermodel_search_matches_the_forcing_oracle(formula, max_worlds):
         model, world = found
         assert set(model.above(world)) == set(model.worlds)
         assert [w for w in model.worlds if not model.forces(w, formula)] == [world]
+
+
+@settings(max_examples=500, deadline=None)
+@given(formulas(), st.integers(1, 4))
+def test_rooted_search_matches_the_all_orders_scan(formula, max_worlds):
+    assume(not is_provable(formula))
+    assert _found(find_countermodel(formula, max_worlds=max_worlds)) == \
+        _found(all_orders_countermodel(formula, max_worlds=max_worlds))
 
 
 @pytest.mark.parametrize("formula, worlds", [
