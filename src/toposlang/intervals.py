@@ -6,10 +6,11 @@ endpoint tagged open/closed.  The class is closed under union, intersection
 and complement, and membership is decided exactly, so structural equality of
 the normal form is semantic equality.
 
-Endpoints are compared through (rank, value, epsilon) triples: rank orders
--inf < finite < +inf, and epsilon resolves open/closed ties the usual way
-(an open lower bound sits just above the point, an open upper bound just
-below it).
+Endpoints are compared with each other through (rank, value, epsilon)
+triples: rank orders -inf < finite < +inf, and epsilon resolves open/closed
+ties the usual way (an open lower bound sits just above the point, an open
+upper bound just below it).  Membership compares the value with each
+bounded endpoint once, directly.
 
 :class:`Rational` is the exact rational that a classical system stores for
 each of its values: a `Fraction` that keeps its hash after the first use,
@@ -84,8 +85,11 @@ class Interval:
         return self.lo_key > self.hi_key
 
     def contains(self, q: Fraction) -> bool:
-        point = (0, q, 0)
-        return self.lo_key <= point <= self.hi_key
+        """One comparison with each bounded end."""
+        lo, hi = self.lo, self.hi
+        if lo is not None and (q < lo if self.lo_closed else q <= lo):
+            return False
+        return hi is None or (q <= hi if self.hi_closed else q < hi)
 
     def __str__(self) -> str:
         left = "(-inf" if self.lo is None else ("[" if self.lo_closed else "(") + str(self.lo)

@@ -15,7 +15,7 @@ from __future__ import annotations
 import re
 from typing import Mapping, Optional, Union
 
-from .._lex import Cursor
+from .._lex import NAME_START, Cursor
 from .._record import record
 from ..errors import InputError
 from .types import (
@@ -119,56 +119,75 @@ class Signature:
                 if dom == SIGMA and cod == RQ]
 
 
+# One alternative per kind of token, in the order that decides each split:
+# `proj_2x` is `proj_2` then `x`, and `proj_x` a name.
 _TOKEN = re.compile(r"""
-    (?P<ws>\s+)
-  | (?P<iff><=>)
-  | proj_(?P<proj>\d+)
-  | (?P<name>[A-Za-z_][A-Za-z0-9_']*)
-  | (?P<num>\d+)
-  | (?P<sym>[{}()<>,|:*&=])
+    <=>
+  | proj_\d+
+  | [A-Za-z_][A-Za-z0-9_']*
+  | \d+
+  | [{}()<>,|:*&=]
 """, re.VERBOSE)
 
 _KEYWORDS = frozenset({"in", "true", "P", "Omega", "Sigma", "R"})
 
 
+def _is_proj(tok: str) -> bool:
+    return tok[:5] == "proj_" and tok[5:].isdecimal()
+
+
+def _is_name(tok: str) -> bool:
+    return tok[:1] in NAME_START and tok not in _KEYWORDS and not _is_proj(tok)
+
+
 class _Parser(Cursor):
-    token, reserved, error = _TOKEN, _KEYWORDS, LsParseError
+    token, error = _TOKEN, LsParseError
 
     def __init__(self, text: str, signature: Optional[Signature]):
         super().__init__(text)
         self.signature = signature
 
+    def shown(self, i: int) -> str:
+        """A projection is quoted by its index."""
+        tok = self.toks[i]
+        return tok[5:] if _is_proj(tok) else tok
+
+    def take(self) -> str:
+        tok = self.toks[self.i]
+        self.i += 1
+        return tok
+
     # ---- types ---------------------------------------------------------
 
     def type_expr(self) -> TypeExpr:
         factors = [self.type_atom()]
-        while self.at_sym("*"):
-            self.next()
+        while self.toks[self.i] == "*":
+            self.i += 1
             factors.append(self.type_atom())
         return product_type(factors)
 
     def type_atom(self) -> TypeExpr:
-        kind, value, pos = self.next()
-        if kind == "num" and value == "1":
+        tok = self.take()
+        if tok == "1":
             return UNIT
-        if kind == "Omega":
+        if tok == "Omega":
             return OMEGA
-        if kind == "Sigma":
+        if tok == "Sigma":
             return SIGMA
-        if kind == "R":
+        if tok == "R":
             return RQ
-        if kind == "P":
-            self.expect("sym", "(")
+        if tok == "P":
+            self.expect("(")
             inner = self.type_expr()
-            self.expect("sym", ")")
+            self.expect(")")
             return PowerType(inner)
-        if (kind, value) == ("sym", "("):
+        if tok == "(":
             inner = self.type_expr()
-            self.expect("sym", ")")
+            self.expect(")")
             return inner
-        if kind == "name":
-            return GroundType(value)
-        raise LsParseError(f"expected a type at column {pos}, got {value!r}")
+        if _is_name(tok):
+            return GroundType(tok)
+        raise self.expected("a type", self.i - 1)
 
     # ---- terms ---------------------------------------------------------
     # term := conj ("<=>" conj)?          bi-implication is Omega equality
@@ -179,78 +198,76 @@ class _Parser(Cursor):
 
     def term(self) -> Term:
         left = self.conj()
-        if self.peek()[0] == "iff":
-            self.next()
+        if self.toks[self.i] == "<=>":
+            self.i += 1
             return Eq(left, self.conj())
         return left
 
     def conj(self) -> Term:
         node = self.rel()
-        while self.at_sym("&"):
-            self.next()
+        while self.toks[self.i] == "&":
+            self.i += 1
             node = AndT(node, self.rel())
         return node
 
     def rel(self) -> Term:
         left = self.app()
-        kind, value, _ = self.peek()
-        if (kind, value) == ("sym", "="):
-            self.next()
+        tok = self.toks[self.i]
+        if tok == "=":
+            self.i += 1
             return Eq(left, self.app())
-        if kind == "in":
-            self.next()
+        if tok == "in":
+            self.i += 1
             return In(left, self.app())
         return left
 
     def app(self) -> Term:
-        kind, value, pos = self.peek()
-        if (kind, value) == ("sym", "*"):
-            self.next()
+        start = self.i
+        tok = self.take()
+        if tok == "*":
             return STAR
-        if kind == "true":
-            self.next()
+        if tok == "true":
             return TRUE
-        if kind == "proj":
-            self.next()
-            self.expect("sym", "(")
+        if _is_proj(tok):
+            self.expect("(")
             inner = self.term()
-            self.expect("sym", ")")
-            return Proj(int(value), inner)
-        if (kind, value) == ("sym", "<"):
-            self.next()
+            self.expect(")")
+            return Proj(int(tok[5:]), inner)
+        if tok == "<":
             items = [self.term()]
-            while self.at_sym(","):
-                self.next()
+            while self.toks[self.i] == ",":
+                self.i += 1
                 items.append(self.term())
-            self.expect("sym", ">")
+            self.expect(">")
             if len(items) < 2:
-                raise LsParseError(f"tuples need at least two components (column {pos})")
+                raise LsParseError(f"tuples need at least two components "
+                                   f"(column {self.column(start)})")
             return Tup(tuple(items))
-        if (kind, value) == ("sym", "{"):
-            self.next()
-            name = self.expect("name")
-            self.expect("sym", ":")
+        if tok == "{":
+            if not _is_name(self.toks[self.i]):
+                raise self.expected(repr("name"), self.i)
+            name = self.take()
+            self.expect(":")
             vtype = self.type_expr()
-            self.expect("sym", "|")
+            self.expect("|")
             body = self.term()
-            self.expect("sym", "}")
+            self.expect("}")
             return Compr(Var(name, vtype), body)
-        if (kind, value) == ("sym", "("):
-            self.next()
+        if tok == "(":
             inner = self.term()
-            self.expect("sym", ")")
+            self.expect(")")
             return inner
-        if kind == "name":
-            self.next()
-            if self.at_sym("("):
-                if self.signature is not None and value not in self.signature.symbols:
-                    raise LsParseError(f"unknown function symbol {value!r} at column {pos}")
-                self.next()
+        if _is_name(tok):
+            if self.toks[self.i] == "(":
+                if self.signature is not None and tok not in self.signature.symbols:
+                    raise LsParseError(f"unknown function symbol {tok!r} at column "
+                                       f"{self.column(start)}")
+                self.i += 1
                 arg = self.term()
-                self.expect("sym", ")")
-                return App(value, arg)
-            return Var(value)
-        raise LsParseError(f"expected a term at column {pos}, got {value!r}")
+                self.expect(")")
+                return App(tok, arg)
+            return Var(tok)
+        raise self.expected("a term", start)
 
 
 def parse_term(text: str, signature: Optional[Signature] = None) -> Term:

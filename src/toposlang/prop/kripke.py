@@ -1,7 +1,8 @@
 """Finite Kripke models: the semantic side of the propositional logic engine.
 
 A model is a finite poset of worlds with an upward-closed valuation per
-primitive.  Forcing is the usual clause set: implication and negation
+primitive; the constructor refuses an order that is not a partial order on
+the worlds and a valuation that names a world outside them.  Forcing is the usual clause set: implication and negation
 quantify over all later worlds, so monotonicity propagates automatically.
 """
 from __future__ import annotations
@@ -30,6 +31,9 @@ class KripkeModel:
         above = {w: self.above(w) for w in self.worlds}
         for w in self.worlds:
             for v in above[w]:
+                if v != w and (v, w) in self.order:
+                    raise InputError(f"world order is not antisymmetric: {w!r} and {v!r} "
+                                     f"lie below each other")
                 for u in above[v]:
                     if (w, u) not in self.order:
                         raise InputError(
@@ -37,7 +41,9 @@ class KripkeModel:
                             f"({v!r}, {u!r}) without ({w!r}, {u!r})")
         for key, ups in self.valuation.items():
             for w in ups:
-                for v in above.get(w, ()):
+                if w not in ws:
+                    raise InputError(f"valuation of {key!r} names unknown world {w!r}")
+                for v in above[w]:
                     if v not in ups:
                         raise InputError(
                             f"valuation of {key!r} is not upward closed at {w!r}")

@@ -4,9 +4,10 @@ Primitive propositions assert that a named quantity takes a value inside an
 interval set ("A in [2,5]"); bare identifiers are abstract propositional
 atoms used when reasoning about validity rather than a concrete system.
 
-Tokens: identifiers, `in`, `~`, `&`, `|`, `->`, parentheses, and interval
-literals built from `[ ] ( ) ,`, rational numbers, `-inf`, `+inf`, the
-union separator `u` and the literal `empty`.  Precedence is ~ over & over |
+Tokens are strings (see `_lex`): identifiers, `in`, `~`, `&`, `|`, `->`,
+parentheses, and interval literals built from `[ ] ( ) ,`, rational
+numbers, `-inf`, `+inf`, the union separator `u` and the literal `empty`;
+the parser tells them apart by their text.  Precedence is ~ over & over |
 over ->, with -> right-associative.  The printer emits the minimal-paren
 canonical form and is the inverse of the parser on normal forms.
 
@@ -19,7 +20,7 @@ import re
 from fractions import Fraction
 from typing import Union
 
-from .._lex import Cursor
+from .._lex import NAME_START, Cursor
 from .._record import record
 from ..errors import InputError
 from ..intervals import Interval, IntervalSet
@@ -85,17 +86,18 @@ def fold_formula(node: Formula, leaf, negate, binary):
     return walk(node)
 
 
+# One alternative per kind of token, in the order that decides each split:
+# the arrow, numbers, names (reserved words among them) and symbols.
 _TOKEN = re.compile(r"""
-    (?P<ws>\s+)
-  | (?P<arrow>->)
-  | (?P<num>\d+(?:\.\d+)?(?:/\d+)?)
-  | (?P<name>[A-Za-z_][A-Za-z0-9_@']*)
-  | (?P<sym>[~&|()\[\],+\-])
+    ->
+  | \d+(?:\.\d+)?(?:/\d+)?
+  | [A-Za-z_][A-Za-z0-9_@']*
+  | [~&|()\[\],+\-]
 """, re.VERBOSE)
 
 _RESERVED = frozenset({"in", "u", "empty", "inf"})
 
-# The binary connectives, loosest first: token -> (former, precedence,
+# The binary connectives, loosest first: token text -> (former, precedence,
 # right-associative).  The parser and the printer both read this table.
 _BINARY = {"->": (Implies, 1, True), "|": (Or, 2, False), "&": (And, 3, False)}
 _SYMBOL = {former: (token, prec, right) for token, (former, prec, right) in _BINARY.items()}
@@ -104,68 +106,65 @@ _NOT = 4
 
 
 class _Parser(Cursor):
-    token, reserved, error = _TOKEN, _RESERVED, ParseError
-
-    def fail(self, what: str):
-        _, v, pos = self.peek()
-        raise ParseError(f"expected {what} at column {pos}, got {v!r}")
+    token, error = _TOKEN, ParseError
 
     def formula(self, floor: int) -> Formula:
         """A formula whose binary connectives, outside parentheses, bind at
         precedence `floor` or tighter: precedence climbing over _BINARY."""
         node = self.unary()
+        toks = self.toks
         while True:
-            entry = _BINARY.get(self.peek()[1])
+            entry = _BINARY.get(toks[self.i])
             if entry is None or entry[1] < floor:
                 return node
-            self.next()
+            self.i += 1
             former, prec, right = entry
             node = former(node, self.formula(prec + (not right)))
 
     def unary(self) -> Formula:
-        if self.at_sym("~"):
-            self.next()
+        toks = self.toks
+        tok = toks[self.i]
+        self.i += 1
+        if tok == "~":
             return Not(self.unary())
-        return self.atom()
-
-    def atom(self) -> Formula:
-        kind, value, _ = self.peek()
-        if (kind, value) == ("sym", "("):
-            self.next()
+        if tok == "(":
             node = self.formula(0)
-            self.expect("sym", ")")
+            self.expect(")")
             return node
-        if kind == "name":
-            self.next()
-            if self.peek()[0] == "in":
-                self.next()
-                return Prim(value, self.interval_set())
-            return Atom(value)
-        self.fail("a formula")
+        if tok[:1] in NAME_START and tok not in _RESERVED:
+            if toks[self.i] == "in":
+                self.i += 1
+                return Prim(tok, self.interval_set())
+            return Atom(tok)
+        raise self.expected("a formula", self.i - 1)
 
     # interval set := "empty" | interval ("u" interval)*
     def interval_set(self) -> IntervalSet:
-        if self.peek()[0] == "empty":
-            self.next()
+        toks = self.toks
+        if toks[self.i] == "empty":
+            self.i += 1
             return IntervalSet.empty()
         parts = [self.interval()]
-        while self.peek()[0] == "u":
-            self.next()
+        while toks[self.i] == "u":
+            self.i += 1
             parts.append(self.interval())
         return IntervalSet.from_parts(parts)
 
     def interval(self) -> Interval:
-        kind, value, pos = self.next()
-        if (kind, value) not in (("sym", "["), ("sym", "(")):
-            raise ParseError(f"expected an interval at column {pos}, got {value!r}")
-        lo_closed = value == "["
+        toks, i = self.toks, self.i
+        lo_closed = toks[i] == "["
+        if not lo_closed and toks[i] != "(":
+            raise self.expected("an interval", i)
+        self.i = i + 1
         lo = self.bound("lower")
-        self.expect("sym", ",")
+        self.expect(",")
         hi = self.bound("upper")
-        kind, value, pos = self.next()
-        if (kind, value) not in (("sym", "]"), ("sym", ")")):
-            raise ParseError(f"unterminated interval at column {pos}, got {value!r}")
-        hi_closed = value == "]"
+        i = self.i
+        hi_closed = toks[i] == "]"
+        if not hi_closed and toks[i] != ")":
+            raise ParseError(f"unterminated interval at column {self.column(i)}, "
+                             f"got {toks[i]!r}")
+        self.i = i + 1
         if lo is None and lo_closed:
             raise ParseError("interval cannot be closed at -inf")
         if hi is None and hi_closed:
@@ -175,21 +174,27 @@ class _Parser(Cursor):
     def bound(self, side: str) -> Fraction | None:
         """A rational, or None for inf; an inf signed for the other side of
         the interval is refused."""
-        kind, value, start = self.next()
-        sign, pos = "", start
-        if (kind, value) in (("sym", "-"), ("sym", "+")):
-            sign = value
-            kind, value, pos = self.next()
-        if kind == "inf":
+        toks = self.toks
+        start = i = self.i
+        sign = toks[i]
+        if sign == "-" or sign == "+":
+            i += 1
+        else:
+            sign = ""
+        tok = toks[i]
+        self.i = i + 1
+        if tok == "inf":
             if sign == ("+" if side == "lower" else "-"):
-                raise ParseError(f"{sign}inf cannot be the {side} bound at column {start}")
+                raise ParseError(f"{sign}inf cannot be the {side} bound at column "
+                                 f"{self.column(start)}")
             return None
-        if kind == "num":
+        if tok[:1].isdecimal():
             try:
-                return -Fraction(value) if sign == "-" else Fraction(value)
+                return -Fraction(tok) if sign == "-" else Fraction(tok)
             except (ValueError, ZeroDivisionError) as exc:
-                raise ParseError(f"malformed interval bound at column {pos}: {exc}") from None
-        raise ParseError(f"expected a rational or inf at column {pos}, got {value!r}")
+                raise ParseError(f"malformed interval bound at column {self.column(i)}: "
+                                 f"{exc}") from None
+        raise self.expected("a rational or inf", i)
 
 
 def parse_formula(text: str) -> Formula:

@@ -8,20 +8,24 @@ exponential-cell reader that scans an element's cells, the
 universal-property checks of products and exponentials, the exponential
 built through representables, the canonical keys presheaves and natural
 transformations were once compared by, the memoized term evaluator, the
-local language's term walkers with one branch per term former, and the
-`dataclasses` twins of the record classes."""
+local language's term walkers with one branch per term former, the
+`dataclasses` twins of the record classes, the endpoint-key
+`Interval.contains`, and the match-loop token cursor with both languages'
+parsers on it."""
 import __future__
 import ast
 import dataclasses
 import importlib
 import itertools
 import random
+import re
 import sys
 import time
 from pathlib import Path
 from dataclasses import dataclass, field
+from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, Mapping, NamedTuple, Sequence
+from typing import Callable, Mapping, NamedTuple, Optional, Sequence
 
 from toposlang._canon import canon_key
 from toposlang.category import (
@@ -54,25 +58,50 @@ from toposlang.presheaf import (
     validate_nat,
 )
 from toposlang.local.check import desugar_connectives, infer_type
+from toposlang.intervals import Interval, IntervalSet
 from toposlang.local.syntax import (
+    STAR,
+    TRUE,
     AndT,
     App,
     Compr,
     Eq,
     In,
+    LsParseError,
     Proj,
+    Signature,
     Star,
     Term,
     TrueLit,
     Tup,
     Var,
 )
-from toposlang.local.types import TypeExpr
+from toposlang.local.types import (
+    OMEGA,
+    RQ,
+    SIGMA,
+    UNIT,
+    GroundType,
+    PowerType,
+    TypeExpr,
+    product_type,
+)
 from toposlang.errors import CapExceeded
 from toposlang.prop.decide import _AND, _ATOM, _IMP, MAX_SCAN_WORLDS, _Table
 from toposlang.prop.decide import _translate as _translate_node
 from toposlang.prop.kripke import KripkeModel
-from toposlang.prop.syntax import And, Atom, Formula, Implies, Not, Or, Prim, leaf_key, leaves
+from toposlang.prop.syntax import (
+    And,
+    Atom,
+    Formula,
+    Implies,
+    Not,
+    Or,
+    ParseError,
+    Prim,
+    leaf_key,
+    leaves,
+)
 from toposlang.rep import RepresentationError, ToposRep, interpret_type
 
 PT = one_object_category()
@@ -1189,3 +1218,326 @@ def record_twins() -> list[tuple[type, type]]:
                          flags=__future__.annotations.compiler_flag, dont_inherit=True), namespace)
             pairs.append((getattr(module, node.name), namespace[node.name]))
     return pairs
+
+
+def reference_contains(interval: Interval, q) -> bool:
+    """`Interval.contains` through the endpoint keys: the point key
+    `(0, q, 0)` between `lo_key` and `hi_key`."""
+    return interval.lo_key <= (0, q, 0) <= interval.hi_key
+
+
+# -- the match-loop tokenizer and the parsers on it ----------------------------------
+
+class ReferenceCursor:
+    """The match-loop token cursor that `_lex.Cursor` replaced: one
+    `match` per token and per whitespace run, and `(kind, value, column)`
+    tokens, the kind being the name of the alternative that matched (or the
+    name itself when it is reserved)."""
+    token: re.Pattern
+    reserved: frozenset[str]
+    error: type[Exception]
+
+    def __init__(self, text: str):
+        token, reserved, toks = self.token, self.reserved, []
+        pos = 0
+        while pos < len(text):
+            m = token.match(text, pos)
+            if not m:
+                raise self.error(f"lexical error at column {pos}: {text[pos:pos + 10]!r}")
+            kind = m.lastgroup
+            if kind != "ws":
+                value = m.group(kind)
+                if kind == "name" and value in reserved:
+                    kind = value
+                toks.append((kind, value, pos))
+            pos = m.end()
+        toks.append(("eof", "", len(text)))
+        self.toks = toks
+        self.i = 0
+
+    def peek(self) -> tuple[str, str, int]:
+        return self.toks[self.i]
+
+    def next(self) -> tuple[str, str, int]:
+        tok = self.toks[self.i]
+        self.i += 1
+        return tok
+
+    def expect(self, kind: str, value: str | None = None) -> str:
+        k, v, pos = self.next()
+        if k != kind or (value is not None and v != value):
+            raise self.error(f"expected {value or kind!r} at column {pos}, got {v!r}")
+        return v
+
+    def at_sym(self, ch: str) -> bool:
+        kind, value, _ = self.toks[self.i]
+        return value == ch and kind == "sym"
+
+    def finish(self) -> None:
+        """Raise unless every token has been read."""
+        kind, value, pos = self.peek()
+        if kind != "eof":
+            raise self.error(f"trailing input at column {pos}: {value!r}")
+
+
+_REFERENCE_FORMULA_TOKEN = re.compile(r"""
+    (?P<ws>\s+)
+  | (?P<arrow>->)
+  | (?P<num>\d+(?:\.\d+)?(?:/\d+)?)
+  | (?P<name>[A-Za-z_][A-Za-z0-9_@']*)
+  | (?P<sym>[~&|()\[\],+\-])
+""", re.VERBOSE)
+
+_FORMULA_RESERVED = frozenset({"in", "u", "empty", "inf"})
+_FORMULA_BINARY = {"->": (Implies, 1, True), "|": (Or, 2, False), "&": (And, 3, False)}
+
+
+class _ReferenceFormulaParser(ReferenceCursor):
+    token, reserved, error = _REFERENCE_FORMULA_TOKEN, _FORMULA_RESERVED, ParseError
+
+    def fail(self, what: str):
+        _, v, pos = self.peek()
+        raise ParseError(f"expected {what} at column {pos}, got {v!r}")
+
+    def formula(self, floor: int) -> Formula:
+        """A formula whose binary connectives, outside parentheses, bind at
+        precedence `floor` or tighter: precedence climbing over _FORMULA_BINARY."""
+        node = self.unary()
+        while True:
+            entry = _FORMULA_BINARY.get(self.peek()[1])
+            if entry is None or entry[1] < floor:
+                return node
+            self.next()
+            former, prec, right = entry
+            node = former(node, self.formula(prec + (not right)))
+
+    def unary(self) -> Formula:
+        if self.at_sym("~"):
+            self.next()
+            return Not(self.unary())
+        return self.atom()
+
+    def atom(self) -> Formula:
+        kind, value, _ = self.peek()
+        if (kind, value) == ("sym", "("):
+            self.next()
+            node = self.formula(0)
+            self.expect("sym", ")")
+            return node
+        if kind == "name":
+            self.next()
+            if self.peek()[0] == "in":
+                self.next()
+                return Prim(value, self.interval_set())
+            return Atom(value)
+        self.fail("a formula")
+
+    # interval set := "empty" | interval ("u" interval)*
+    def interval_set(self) -> IntervalSet:
+        if self.peek()[0] == "empty":
+            self.next()
+            return IntervalSet.empty()
+        parts = [self.interval()]
+        while self.peek()[0] == "u":
+            self.next()
+            parts.append(self.interval())
+        return IntervalSet.from_parts(parts)
+
+    def interval(self) -> Interval:
+        kind, value, pos = self.next()
+        if (kind, value) not in (("sym", "["), ("sym", "(")):
+            raise ParseError(f"expected an interval at column {pos}, got {value!r}")
+        lo_closed = value == "["
+        lo = self.bound("lower")
+        self.expect("sym", ",")
+        hi = self.bound("upper")
+        kind, value, pos = self.next()
+        if (kind, value) not in (("sym", "]"), ("sym", ")")):
+            raise ParseError(f"unterminated interval at column {pos}, got {value!r}")
+        hi_closed = value == "]"
+        if lo is None and lo_closed:
+            raise ParseError("interval cannot be closed at -inf")
+        if hi is None and hi_closed:
+            raise ParseError("interval cannot be closed at +inf")
+        return Interval(lo, lo_closed, hi, hi_closed)
+
+    def bound(self, side: str) -> Fraction | None:
+        """A rational, or None for inf; an inf signed for the other side of
+        the interval is refused."""
+        kind, value, start = self.next()
+        sign, pos = "", start
+        if (kind, value) in (("sym", "-"), ("sym", "+")):
+            sign = value
+            kind, value, pos = self.next()
+        if kind == "inf":
+            if sign == ("+" if side == "lower" else "-"):
+                raise ParseError(f"{sign}inf cannot be the {side} bound at column {start}")
+            return None
+        if kind == "num":
+            try:
+                return -Fraction(value) if sign == "-" else Fraction(value)
+            except (ValueError, ZeroDivisionError) as exc:
+                raise ParseError(f"malformed interval bound at column {pos}: {exc}") from None
+        raise ParseError(f"expected a rational or inf at column {pos}, got {value!r}")
+
+
+def reference_parse_formula(text: str) -> Formula:
+    p = _ReferenceFormulaParser(text)
+    node = p.formula(0)
+    p.finish()
+    return node
+
+
+def reference_parse_interval_set(text: str) -> IntervalSet:
+    p = _ReferenceFormulaParser(text)
+    got = p.interval_set()
+    p.finish()
+    return got
+
+
+_REFERENCE_TERM_TOKEN = re.compile(r"""
+    (?P<ws>\s+)
+  | (?P<iff><=>)
+  | proj_(?P<proj>\d+)
+  | (?P<name>[A-Za-z_][A-Za-z0-9_']*)
+  | (?P<num>\d+)
+  | (?P<sym>[{}()<>,|:*&=])
+""", re.VERBOSE)
+
+_TERM_KEYWORDS = frozenset({"in", "true", "P", "Omega", "Sigma", "R"})
+
+
+class _ReferenceTermParser(ReferenceCursor):
+    token, reserved, error = _REFERENCE_TERM_TOKEN, _TERM_KEYWORDS, LsParseError
+
+    def __init__(self, text: str, signature: Optional[Signature]):
+        super().__init__(text)
+        self.signature = signature
+
+    # ---- types ---------------------------------------------------------
+
+    def type_expr(self) -> TypeExpr:
+        factors = [self.type_atom()]
+        while self.at_sym("*"):
+            self.next()
+            factors.append(self.type_atom())
+        return product_type(factors)
+
+    def type_atom(self) -> TypeExpr:
+        kind, value, pos = self.next()
+        if kind == "num" and value == "1":
+            return UNIT
+        if kind == "Omega":
+            return OMEGA
+        if kind == "Sigma":
+            return SIGMA
+        if kind == "R":
+            return RQ
+        if kind == "P":
+            self.expect("sym", "(")
+            inner = self.type_expr()
+            self.expect("sym", ")")
+            return PowerType(inner)
+        if (kind, value) == ("sym", "("):
+            inner = self.type_expr()
+            self.expect("sym", ")")
+            return inner
+        if kind == "name":
+            return GroundType(value)
+        raise LsParseError(f"expected a type at column {pos}, got {value!r}")
+
+    # ---- terms ---------------------------------------------------------
+    # term := conj ("<=>" conj)?          bi-implication is Omega equality
+    # conj := rel ("&" rel)*
+    # rel  := app (("=" | "in") app)?
+    # app  := "*" | "true" | name "(" term ")" | name | "<" term {"," term} ">"
+    #       | proj_i "(" term ")" | "{" name ":" type "|" term "}" | "(" term ")"
+
+    def term(self) -> Term:
+        left = self.conj()
+        if self.peek()[0] == "iff":
+            self.next()
+            return Eq(left, self.conj())
+        return left
+
+    def conj(self) -> Term:
+        node = self.rel()
+        while self.at_sym("&"):
+            self.next()
+            node = AndT(node, self.rel())
+        return node
+
+    def rel(self) -> Term:
+        left = self.app()
+        kind, value, _ = self.peek()
+        if (kind, value) == ("sym", "="):
+            self.next()
+            return Eq(left, self.app())
+        if kind == "in":
+            self.next()
+            return In(left, self.app())
+        return left
+
+    def app(self) -> Term:
+        kind, value, pos = self.peek()
+        if (kind, value) == ("sym", "*"):
+            self.next()
+            return STAR
+        if kind == "true":
+            self.next()
+            return TRUE
+        if kind == "proj":
+            self.next()
+            self.expect("sym", "(")
+            inner = self.term()
+            self.expect("sym", ")")
+            return Proj(int(value), inner)
+        if (kind, value) == ("sym", "<"):
+            self.next()
+            items = [self.term()]
+            while self.at_sym(","):
+                self.next()
+                items.append(self.term())
+            self.expect("sym", ">")
+            if len(items) < 2:
+                raise LsParseError(f"tuples need at least two components (column {pos})")
+            return Tup(tuple(items))
+        if (kind, value) == ("sym", "{"):
+            self.next()
+            name = self.expect("name")
+            self.expect("sym", ":")
+            vtype = self.type_expr()
+            self.expect("sym", "|")
+            body = self.term()
+            self.expect("sym", "}")
+            return Compr(Var(name, vtype), body)
+        if (kind, value) == ("sym", "("):
+            self.next()
+            inner = self.term()
+            self.expect("sym", ")")
+            return inner
+        if kind == "name":
+            self.next()
+            if self.at_sym("("):
+                if self.signature is not None and value not in self.signature.symbols:
+                    raise LsParseError(f"unknown function symbol {value!r} at column {pos}")
+                self.next()
+                arg = self.term()
+                self.expect("sym", ")")
+                return App(value, arg)
+            return Var(value)
+        raise LsParseError(f"expected a term at column {pos}, got {value!r}")
+
+
+def reference_parse_term(text: str, signature: Optional[Signature] = None) -> Term:
+    p = _ReferenceTermParser(text, signature)
+    node = p.term()
+    p.finish()
+    return node
+
+
+def reference_parse_type(text: str) -> TypeExpr:
+    p = _ReferenceTermParser(text, None)
+    node = p.type_expr()
+    p.finish()
+    return node

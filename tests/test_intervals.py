@@ -5,6 +5,7 @@ from fractions import Fraction
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import reference_contains
 from toposlang._canon import canon_key, jsonable
 from toposlang.intervals import Interval, IntervalSet, Rational
 
@@ -112,6 +113,22 @@ def test_normal_form_is_sorted_disjoint_nonadjacent(a):
         # a shared endpoint with at least one closed side would have merged
         if cur.hi is not None and nxt.lo is not None and cur.hi == nxt.lo:
             assert not cur.hi_closed and not nxt.lo_closed
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(st.none(), fractions_st), st.booleans(), st.one_of(st.none(), fractions_st),
+       st.booleans(), st.lists(fractions_st, max_size=3),
+       st.sampled_from([Fraction, Rational]), st.sampled_from([Fraction, Rational]))
+def test_contains_matches_the_endpoint_key_oracle(lo, lc, hi, hc, others, end_type, value_type):
+    """Open, closed and unbounded ends, empty intervals among them, probed
+    at values equal to an endpoint that are not the endpoint object."""
+    lo = None if lo is None else end_type(lo)
+    hi = None if hi is None else end_type(hi)
+    part = Interval(lo, lo is not None and lc, hi, hi is not None and hc)
+    ends = [value_type(e) for e in (lo, hi) if e is not None]
+    assert all(q is not lo and q is not hi for q in ends)
+    for q in ends + [value_type(q) for q in others]:
+        assert part.contains(q) is reference_contains(part, q)
 
 
 @given(st.fractions(max_denominator=50), st.fractions(max_denominator=50))

@@ -106,6 +106,18 @@ def test_kripke_model_refuses_an_order_that_is_not_transitive():
     KripkeModel(worlds, order | {("w0", "w2")}, {"a": frozenset({"w2"})})
 
 
+def test_kripke_model_refuses_a_valuation_outside_its_worlds():
+    with pytest.raises(InputError, match=r"^valuation of 'a' names unknown world 'w9'$"):
+        KripkeModel(("w0",), frozenset({("w0", "w0")}), {"a": frozenset({"w9"})})
+
+
+def test_kripke_model_refuses_an_order_that_is_not_antisymmetric():
+    order = frozenset({("w0", "w0"), ("w1", "w1"), ("w0", "w1"), ("w1", "w0")})
+    with pytest.raises(InputError, match=r"^world order is not antisymmetric: 'w0' and 'w1' "
+                                         r"lie below each other$"):
+        KripkeModel(("w0", "w1"), order, {})
+
+
 def test_decide_consistent_with_proof_checker():
     # every schema instance is decided valid; the certified ~~(a|~a) proof's
     # conclusion is decided valid; nothing invalid has an accepted proof
