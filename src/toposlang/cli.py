@@ -7,7 +7,8 @@ and `demo excluded-middle|nondistributivity`.
 Exit codes: 0 for success or a positive verdict, 1 for well-formed input
 with a negative verdict (invalid formula, rejected proof, failed axiom),
 2 for input errors (bad syntax, schema violations, dangling references)
-and for inputs past a resource cap (`"kind": "resource-cap"`).
+and for inputs past a resource cap (`"kind": "resource-cap"`), among them
+input nested too deeply for the interpreter's recursion limit.
 Canonical JSON goes to stdout (sorted keys, no whitespace, one trailing
 newline) so identical inputs and seeds are byte-identical; a one-line human
 summary goes to stderr.
@@ -400,6 +401,12 @@ def main(argv=None) -> int:
         return args.run(args)
     except ToposlangError as exc:
         return _fail(exc)
+    except RecursionError:
+        # the parsers and evaluators of both languages recurse on the input's
+        # nesting, so the interpreter's stack is the cap
+        return _fail(CapExceeded(
+            f"input nested too deeply: past the recursion limit of "
+            f"{sys.getrecursionlimit()} frames; nest it less deeply"))
 
 
 if __name__ == "__main__":

@@ -10,16 +10,34 @@ distinct node `(op, left, right)`, so a context is a frozenset of ints, a
 node's parts are list lookups, and the search order depends on no hash seed.
 The formulas the saturation rules build are interned the same way.
 
-Intuitionistic provability implies classical validity, so a premise that
-some classical valuation refutes (its context true, its goal false) cannot
-be proved and is skipped.  The check runs only at the non-invertible
+Both searches run on one bit-parallel forcing evaluator over the rooted
+frames of `_frames`.  A frame of n worlds, given a number c of columns,
+holds n planes of U^c bits, U its number of up-sets: bit v of world w's
+plane says whether w forces a node under valuation v, where v reads as c
+digits in radix U, the first column slowest, digit d giving its column the
+d-th up-set.  A node's value is one int, the planes side by side, so `&`
+and `|` are int operations; `a -> b` fails at w when `a & ~b` holds at w or
+at a world above it, and in this labelling every world above w has a larger
+index, so the worlds above are reached by one right shift and mask per
+distance between a world and one above it.  A plane holds at most
+`PLANE_BITS` valuations, so a frame has fewer columns than a formula has
+atoms when U^atoms is larger: the proof search then gives atom i column
+i mod c, and every such valuation is still a Kripke model, while the
+countermodel search fixes the leading atoms, chunk by chunk.
+
+Intuitionistic provability holds in every Kripke model, so a premise that
+some world of some valuation refutes (its context forced, its goal not)
+cannot be proved and is skipped.  The check runs only at the non-invertible
 choices, the two right-disjunction premises and both premises of the
-nested-implication rule: the invertible rules preserve classical validity,
-so a check there would refute nothing new.  Each node's truth table is a
-bitmask over the valuations of at most `PRUNE_ATOMS` atoms, built when the
-search first reaches a choice.  Past that many atoms, atom i takes column
-i mod `PRUNE_ATOMS`: each column is still a classical valuation, so the
-prune stays sound and only refutes less.
+nested-implication rule: the invertible rules preserve forcing at every
+world, so a check there would refute nothing new.  The table starts on the
+1-world frame, the classical truth tables; a formula that fails there is
+unprovable at once.  At the first non-invertible premise that passes the
+check and then fails the search, the table widens to every rooted frame on
+at most `PRUNE_WORLDS` worlds side by side and drops its values, which are
+rebuilt on demand, so no value computed before the widening meets one
+computed after it.  Valid formulas rarely get there, and wide values cost
+more to build.
 
 Invalid formulas additionally get a finite Kripke countermodel, found by a
 smallest-first search over rooted frames: a least world `w0` below one order
@@ -31,11 +49,11 @@ refutes it at the root, so only the root is tested.  Each class carries its
 labelling with the least pair mask, the first of its class in a scan of
 every labelled order by pair mask, and an isomorphic order refutes a formula
 only if that one does, so the first hit is the one such a scan would find.
-The search evaluates each candidate valuation on bitmasks of worlds and
-builds a `KripkeModel` only for the first failure; `decide` then confirms it
-with the model's own forcing evaluator, so a verdict is never wrong: if the
-certificate search exhausts its cap, the caller gets a SearchCapExceeded
-instead of an unconfirmed answer.
+The search evaluates each frame's valuations a chunk of one plane at a time
+and builds a `KripkeModel` only for the first failure; `decide` then
+confirms it with the model's own forcing evaluator, so a verdict is never
+wrong: if the certificate search exhausts its cap, the caller gets a
+SearchCapExceeded instead of an unconfirmed answer.
 """
 from __future__ import annotations
 
@@ -47,10 +65,15 @@ from .._record import record
 from ..errors import CapExceeded, InputError
 from ..heyting import iter_downsets
 from .kripke import KripkeModel
-from .syntax import And, Formula, Implies, Or, fold_formula, leaf_key, leaves
+from .syntax import And, Formula, Implies, Or, fold_formula, leaf_key
 
-# Truth tables cover at most 2^12 = 4096 valuations.
-PRUNE_ATOMS = 12
+# A world's plane holds at most 2^12 = 4096 valuations: 12 atoms on the
+# 1-world frame, 7 on the 2-world chain, 5 and 6 on the 3-world frames.
+PLANE_BITS = 1 << 12
+_MOST_COLUMNS = 12  # the 1-world frame's; no frame has room for more
+# The proof search's widened check covers the 4 rooted frames on at most 3
+# worlds, 9 worlds in all.
+PRUNE_WORLDS = 3
 
 _ATOM, _BOT, _AND, _OR, _IMP = range(5)  # node kinds
 BOT = 0  # the absurdity node, first in every table
@@ -61,18 +84,21 @@ class SearchCapExceeded(CapExceeded):
 
 
 class _Table:
-    """One search's interned formulas and memo.  Node i is `(op[i], left[i],
-    right[i])`, its parts interned before it; an atom's left part is its
-    number in the order the atoms were interned.  `masks` holds the truth
-    tables of the first len(masks) nodes, over `full`'s valuations."""
+    """One search's interned formulas, memo and forcing values.  Node i is
+    `(op[i], left[i], right[i])`, its parts interned before it; an atom's
+    left part is its number in the order the atoms were interned.  `masks`
+    holds the values of the first len(masks) nodes over `full`'s bits, atom
+    number i taking `planes[i]`; `shifts` are the (shift, mask) pairs that
+    carry a plane down from the worlds above.  `worlds` is the largest frame
+    the proof search's values cover."""
 
     def __init__(self):
         self.op, self.left, self.right = [_BOT], [0], [0]
         self.ids = {(_BOT, 0, 0): BOT}
         self.atoms: dict = {}
-        self.masks: list = []
-        self.full = 0
         self.memo: dict = {}
+        self.worlds = 0
+        self.load(0, (), ())
 
     def node(self, op: int, left: int, right: int = 0) -> int:
         key = (op, left, right)
@@ -84,16 +110,31 @@ class _Table:
             self.right.append(right)
         return i
 
+    def load(self, full: int, shifts: tuple, planes) -> None:
+        """Evaluate over `full`'s bits from now on; drops every value."""
+        self.full, self.shifts, self.planes, self.masks = full, shifts, planes, []
+
+    def widen(self, worlds: int) -> None:
+        """Evaluate on every rooted frame on at most `worlds` worlds, atom i
+        on column i mod each frame's width; drops every value."""
+        if worlds != self.worlds:
+            self.worlds = worlds
+            full, shifts, blocks = _layout(worlds, min(len(self.atoms), _MOST_COLUMNS))
+            self.load(full, shifts, [sum(columns[i % width] << offset
+                                         for offset, width, columns in blocks)
+                                     for i in range(len(self.atoms))])
+
     def mask(self, i: int) -> int:
-        """The truth table of node i: bit v is its value under valuation v."""
+        """The value of node i: a bit per world and valuation, set where the
+        world forces the node."""
         masks = self.masks
         if i >= len(masks):
-            op, left, right, full = self.op, self.left, self.right, self.full
+            op, left, right = self.op, self.left, self.right
+            full, shifts, planes = self.full, self.shifts, self.planes
             for j in range(len(masks), i + 1):
                 o = op[j]
                 if o == _ATOM:
-                    width = 1 << left[j] % PRUNE_ATOMS
-                    m = full // ((1 << 2 * width) - 1) * (((1 << width) - 1) << width)
+                    m = planes[left[j]]
                 elif o == _BOT:
                     m = 0
                 elif o == _AND:
@@ -101,16 +142,72 @@ class _Table:
                 elif o == _OR:
                     m = masks[left[j]] | masks[right[j]]
                 else:
-                    m = full ^ (masks[left[j]] & ~masks[right[j]])
+                    m = masks[left[j]] & ~masks[right[j]]
+                    for shift, below in shifts:
+                        m |= m >> shift & below
+                    m ^= full
                 masks.append(m)
         return masks[i]
 
     def conj(self, gamma) -> int:
-        """The truth table of the conjunction of the nodes in gamma."""
+        """The value of the conjunction of the nodes in gamma."""
         m = self.full
         for f in gamma:
             m &= self.mask(f)
         return m
+
+
+def _width(ups: int, atoms: int) -> int:
+    """The columns of a frame with `ups` up-sets: as many as there are atoms,
+    at most as many as one plane holds."""
+    width = 0
+    while width < atoms and ups ** (width + 1) <= PLANE_BITS:
+        width += 1
+    return width
+
+
+@lru_cache(maxsize=None)
+def _block(frame: tuple, width: int) -> tuple:
+    """A frame's planes over its valuations of `width` columns: the plane
+    size U^width, each column's value, the value of each up-set as a
+    constant, and the (shift, mask) pairs of its implications."""
+    up, masks = frame
+    n, ups = len(up), len(masks)
+    size = ups ** width
+    plane = (1 << size) - 1
+    columns = []
+    for j in range(width):
+        stride = ups ** (width - 1 - j)
+        repeat = plane // ((1 << stride * ups) - 1)
+        columns.append(sum(
+            repeat * sum(((1 << stride) - 1) << d * stride
+                         for d, m in enumerate(masks) if m >> w & 1) << w * size
+            for w in range(n)))
+    fills = tuple(sum(plane << w * size for w in range(n) if m >> w & 1) for m in masks)
+    shifts: dict = {}
+    for w in range(n):
+        for v in range(w + 1, n):
+            if up[w] >> v & 1:
+                shift = (v - w) * size
+                shifts[shift] = shifts.get(shift, 0) | plane << w * size
+    return size, tuple(columns), fills, tuple(sorted(shifts.items()))
+
+
+@lru_cache(maxsize=None)
+def _layout(worlds: int, atoms: int) -> tuple:
+    """Every rooted frame on at most `worlds` worlds, in `_frames` order, one
+    block after another: the full mask, the (shift, mask) pairs, and per
+    block its offset, width and column values."""
+    offset, shifts, blocks = 0, {}, []
+    for n in range(1, worlds + 1):
+        for frame in _frames(n):
+            width = _width(len(frame[1]), atoms)
+            size, columns, _, pairs = _block(frame, width)
+            blocks.append((offset, width, columns))
+            for shift, below in pairs:
+                shifts[shift] = shifts.get(shift, 0) | below << offset
+            offset += n * size
+    return (1 << offset) - 1, tuple(sorted(shifts.items())), tuple(blocks)
 
 
 def _translate(formula: Formula, t: _Table) -> int:
@@ -124,9 +221,9 @@ def _translate(formula: Formula, t: _Table) -> int:
                         lambda former, v, w: node(ops[former], v, w))
 
 
-def _classical(t: _Table, context: int, goal: int) -> bool:
-    """Whether every valuation in the context's truth table makes goal true."""
-    return not context & ~t.mask(goal)
+def _refuted(t: _Table, context: int, goal: int) -> bool:
+    """Whether some world and valuation forcing the context fails goal."""
+    return bool(context & ~t.mask(goal))
 
 
 def _provable(gamma: frozenset, goal: int, t: _Table) -> bool:
@@ -185,12 +282,15 @@ def _search(gamma: frozenset, goal: int, t: _Table) -> bool:
             rest = gamma - {f}
             return _provable(rest | {left[f]}, goal, t) and \
                 _provable(rest | {right[f]}, goal, t)
-    # non-invertible choices, each premise first checked on truth tables
+    # non-invertible choices, each premise first checked on the table's
+    # models; a failure widens the table, so each context is computed after
+    # the search before it
     if head == _OR:
-        context = t.conj(gamma)
         for choice in (left[goal], right[goal]):
-            if _classical(t, context, choice) and _provable(gamma, choice, t):
-                return True
+            if not _refuted(t, t.conj(gamma), choice):
+                if _provable(gamma, choice, t):
+                    return True
+                t.widen(PRUNE_WORLDS)
     for f in gamma:
         inner = left[f]
         if op[f] == _IMP and op[inner] == _IMP:
@@ -198,18 +298,19 @@ def _search(gamma: frozenset, goal: int, t: _Table) -> bool:
             rest = gamma - {f}
             context = t.conj(rest)
             side = t.node(_IMP, right[inner], c)
-            if _classical(t, context & t.mask(side), inner) and \
-                    _classical(t, context & t.mask(c), goal) and \
-                    _provable(rest | {side}, inner, t) and _provable(rest | {c}, goal, t):
-                return True
+            if not _refuted(t, context & t.mask(side), inner) and \
+                    not _refuted(t, context & t.mask(c), goal):
+                if _provable(rest | {side}, inner, t) and _provable(rest | {c}, goal, t):
+                    return True
+                t.widen(PRUNE_WORLDS)
     return False
 
 
 def is_provable(formula: Formula) -> bool:
     t = _Table()
     root = _translate(formula, t)
-    t.full = (1 << (1 << min(len(t.atoms), PRUNE_ATOMS))) - 1
-    return _provable(frozenset(), root, t)
+    t.widen(1)
+    return t.mask(root) == t.full and _provable(frozenset(), root, t)
 
 
 # -- countermodel search -------------------------------------------------------
@@ -253,10 +354,8 @@ def _classes(n: int) -> tuple[tuple[int, ...], ...]:
 def _frames(n: int) -> tuple[tuple, ...]:
     """The rooted frames on n worlds: `w0` below each class of
     `_classes(n-1)`, its points shifted by one, in that order.  Each is given
-    as its up-set bitmasks, its up-sets as bitmasks in increasing order, and
-    `box`, where `box[m]` is the mask of the worlds whose up-set misses `m`,
-    for every mask `m` on the n worlds.  Raises CapExceeded before building
-    when n is past MAX_SCAN_WORLDS."""
+    as its up-set bitmasks and its up-sets as bitmasks in increasing order.
+    Raises CapExceeded before building when n is past MAX_SCAN_WORLDS."""
     if n > MAX_SCAN_WORLDS:
         raise CapExceeded(
             f"countermodel search over {n} worlds is past the limit of "
@@ -265,10 +364,7 @@ def _frames(n: int) -> tuple[tuple, ...]:
     for rest in _classes(n - 1):
         up = ((1 << n) - 1,) + tuple(u << 1 for u in rest)
         # the up-sets of the order are the down-sets of its opposite
-        masks = tuple(sorted(iter_downsets(up)))
-        box = tuple(sum(1 << w for w in range(n) if not up[w] & m)
-                    for m in range(1 << n))
-        out.append((up, masks, box))
+        out.append((up, tuple(sorted(iter_downsets(up)))))
     return tuple(out)
 
 
@@ -280,41 +376,39 @@ def find_countermodel(formula: Formula, *, max_worlds: int = 4) -> Optional[tupl
     the up-sets in increasing bitmask order.  Only the root is tested, and
     the world returned is the root, `w0`: in a rooted frame a failure
     anywhere is, by persistence, a failure at the root.
-    Each candidate is evaluated on bitmasks of worlds: `a & b` and `a | b`
-    are mask operations, and `a -> b` holds at the worlds whose up-set misses
-    `a & ~b`, a lookup in the frame's `box` table.  Only the hit is built as a
+    The valuations are evaluated a chunk at a time: the trailing atoms, as
+    many as one plane holds, are the columns of the frame's block, and the
+    leading atoms take each tuple of up-sets in product order, as constant
+    values.  The first valuation to fail is the lowest missing bit of the
+    first chunk whose root plane is not full.  Only the hit is built as a
     `KripkeModel`; `decide` confirms it with the forcing evaluator.
-
-    The formula is evaluated as the nodes of a `_Table`, one value slot per
-    node: absurdity in slot 0, never written, so a negation `a -> BOT` reads
-    `box[a]`; the atoms next, interned first in sorted key order; then the
-    compound nodes, each after its parts.
     """
     t = _Table()
-    for key in sorted({leaf_key(leaf) for leaf in leaves(formula)}):
-        t.node(_ATOM, t.atoms.setdefault(key, len(t.atoms)))
     goal = _translate(formula, t)
-    keys, start = list(t.atoms), len(t.atoms) + 1
-    program = list(zip(range(start, len(t.op)), t.op[start:], t.left[start:], t.right[start:]))
-    val = [0] * len(t.op)
+    keys = sorted(t.atoms)
+    rank = [keys.index(key) for key in t.atoms]  # atom number -> its key's place
     for n in range(1, max_worlds + 1):
-        for up, masks, box in _frames(n):
-            for assignment in itertools.product(masks, repeat=len(keys)):
-                val[1:start] = assignment
-                for slot, op, a, b in program:
-                    if op == _IMP:
-                        val[slot] = box[val[a] & ~val[b]]
-                    elif op == _AND:
-                        val[slot] = val[a] & val[b]
-                    else:
-                        val[slot] = val[a] | val[b]
-                if not val[goal] & 1:
+        for up, masks in _frames(n):
+            width = _width(len(masks), len(keys))
+            size, columns, fills, shifts = _block((up, masks), width)
+            plane, full = (1 << size) - 1, (1 << n * size) - 1
+            for lead in itertools.product(range(len(masks)), repeat=len(keys) - width):
+                values = [fills[d] for d in lead] + list(columns)
+                t.load(full, shifts, [values[i] for i in rank])
+                root = t.mask(goal) & plane
+                if root != plane:
+                    v = (root + 1 & ~root).bit_length() - 1
+                    tail = []
+                    for _ in range(width):
+                        v, d = divmod(v, len(masks))
+                        tail.append(d)
+                    digits = lead + tuple(reversed(tail))
                     names = tuple(f"w{i}" for i in range(n))
                     model = KripkeModel(names, frozenset(
                         (names[i], names[j])
                         for i in range(n) for j in range(n) if up[i] >> j & 1), {
-                        k: frozenset(names[i] for i in range(n) if mask >> i & 1)
-                        for k, mask in zip(keys, assignment)})
+                        k: frozenset(names[i] for i in range(n) if masks[d] >> i & 1)
+                        for k, d in zip(keys, digits)})
                     return model, names[0]
     return None
 

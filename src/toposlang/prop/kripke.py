@@ -28,7 +28,10 @@ class KripkeModel:
         for w, v in self.order:
             if w not in ws or v not in ws:
                 raise InputError(f"order pair ({w!r}, {v!r}) mentions unknown world")
-        above = {w: self.above(w) for w in self.worlds}
+        # each world's up-set, computed once; not a field, so equality, the
+        # hash and the JSON stay those of the three fields
+        above = {w: tuple(v for v in self.worlds if (w, v) in self.order) for w in self.worlds}
+        object.__setattr__(self, "_above", above)
         for w in self.worlds:
             for v in above[w]:
                 if v != w and (v, w) in self.order:
@@ -49,7 +52,7 @@ class KripkeModel:
                             f"valuation of {key!r} is not upward closed at {w!r}")
 
     def above(self, w: str) -> tuple[str, ...]:
-        return tuple(v for v in self.worlds if (w, v) in self.order)
+        return self._above.get(w, ())
 
     def forces(self, world: str, formula: Formula) -> bool:
         if isinstance(formula, (Prim, Atom)):
@@ -60,9 +63,9 @@ class KripkeModel:
             return self.forces(world, formula.left) or self.forces(world, formula.right)
         if isinstance(formula, Implies):
             return all(not self.forces(v, formula.left) or self.forces(v, formula.right)
-                       for v in self.above(world))
+                       for v in self._above.get(world, ()))
         if isinstance(formula, Not):
-            return all(not self.forces(v, formula.operand) for v in self.above(world))
+            return all(not self.forces(v, formula.operand) for v in self._above.get(world, ()))
         raise TypeError(f"not a formula node: {formula!r}")
 
     def counterexample_world(self, formula: Formula) -> str | None:

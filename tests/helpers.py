@@ -87,7 +87,7 @@ from toposlang.local.types import (
     product_type,
 )
 from toposlang.errors import CapExceeded
-from toposlang.prop.decide import _AND, _ATOM, _IMP, MAX_SCAN_WORLDS, _Table
+from toposlang.prop.decide import _AND, _ATOM, _IMP, MAX_SCAN_WORLDS, _Table, _frames
 from toposlang.prop.decide import _translate as _translate_node
 from toposlang.prop.kripke import KripkeModel
 from toposlang.prop.syntax import (
@@ -424,12 +424,13 @@ def brute_countermodel(formula, *, max_worlds: int = 4):
     return None
 
 
-def all_orders_countermodel(formula, *, max_worlds: int = 4):
-    """`find_countermodel`'s bitmask scan over every labelled order of
-    `_posets(n)`, not only the rooted frames of one labelling per
-    isomorphism class: the same interned program, valuation order and `box`
-    table, built per order, and every world tested, the first failing one
-    returned."""
+def _scalar_scan(formula, max_worlds: int, orders) -> Optional[tuple]:
+    """Smallest-first scan over the orders `orders(n)` gives on n worlds, as
+    up-set bitmasks: one candidate valuation at a time, each atom (in sorted
+    key order) over the order's up-sets in increasing bitmask order, every
+    node evaluated on a bitmask of worlds, `a -> b` read from the order's
+    `box` table, where `box[m]` is the mask of the worlds whose up-set misses
+    `m`.  Returns the first candidate's model and its first failing world."""
     t = _Table()
     for key in sorted({leaf_key(leaf) for leaf in leaves(formula)}):
         t.node(_ATOM, t.atoms.setdefault(key, len(t.atoms)))
@@ -439,8 +440,7 @@ def all_orders_countermodel(formula, *, max_worlds: int = 4):
     val = [0] * len(t.op)
     for n in range(1, max_worlds + 1):
         full = (1 << n) - 1
-        for upset_of in _posets(n):
-            up = [sum(1 << j for j in ups) for ups in upset_of]
+        for up in orders(n):
             masks = sorted(iter_downsets(up))
             box = [sum(1 << w for w in range(n) if not up[w] & m) for m in range(1 << n)]
             for assignment in itertools.product(masks, repeat=len(keys)):
@@ -456,11 +456,26 @@ def all_orders_countermodel(formula, *, max_worlds: int = 4):
                 if failing:
                     names = tuple(f"w{i}" for i in range(n))
                     model = KripkeModel(names, frozenset(
-                        (names[i], names[j]) for i in range(n) for j in upset_of[i]), {
+                        (names[i], names[j]) for i in range(n) for j in range(n)
+                        if up[i] >> j & 1), {
                         k: frozenset(names[i] for i in range(n) if mask >> i & 1)
                         for k, mask in zip(keys, assignment)})
                     return model, names[(failing & -failing).bit_length() - 1]
     return None
+
+
+def scalar_countermodel(formula, *, max_worlds: int = 4):
+    """The per-candidate scan that `find_countermodel` replaced, over the same
+    rooted frames of `_frames`, in the same order: its oracle."""
+    return _scalar_scan(formula, max_worlds, lambda n: [up for up, _ in _frames(n)])
+
+
+def all_orders_countermodel(formula, *, max_worlds: int = 4):
+    """The per-candidate scan over every labelled order of `_posets(n)`, not
+    only the rooted frames of one labelling per isomorphism class, every
+    world tested and the first failing one returned."""
+    return _scalar_scan(formula, max_worlds, lambda n: [
+        [sum(1 << j for j in ups) for ups in upset_of] for upset_of in _posets(n)])
 
 
 # -- the tuple-form G4ip prover: the oracle of the interned, pruned search ------

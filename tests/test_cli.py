@@ -200,6 +200,25 @@ def test_resource_caps_exit_2_with_their_kind(tmp_path, capsys):
     assert code == 2 and payload["kind"] == "resource-cap"
 
 
+NESTED = {
+    "parse-1200-negations": ("pl", "parse", "~" * 1200 + "a"),
+    "decide-450-negations": ("pl", "decide", "~" * 450 + "a"),
+    "decide-1200-conjuncts": ("pl", "decide", " & ".join(["a"] * 1200)),
+    "typecheck-300-parentheses": ("ls", "typecheck", FIXTURE, "--signature", "point_particle",
+                                  "(" * 300 + "true" + ")" * 300),
+}
+
+
+@pytest.mark.parametrize("argv", NESTED.values(), ids=NESTED.keys())
+def test_deep_nesting_is_a_resource_cap_not_a_traceback(capsys, argv):
+    code, payload, err = run(capsys, *argv)
+    assert code == 2
+    assert payload == {"error": f"input nested too deeply: past the recursion limit of "
+                                f"{sys.getrecursionlimit()} frames; nest it less deeply",
+                       "kind": "resource-cap"}
+    assert err.startswith("cap exceeded: input nested too deeply")
+
+
 def test_sixty_four_states_are_represented_within_a_second(tmp_path, capsys):
     # 2^64 state subsets: the representation lists none of them
     doc = json.loads(Path(FIXTURE).read_text())

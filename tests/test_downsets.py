@@ -436,12 +436,23 @@ def test_kripke_upsets_match_subset_filter():
         rooted = [_bitmasks(upset_of) for upset_of in brute_frame_classes(n)
                   if any(len(ups) == n for ups in upset_of)]
         assert [frame[0] for frame in _frames(n)] == rooted
-        for up, masks, _box in _frames(n):
+        for up, masks in _frames(n):
             upset_of = tuple(tuple(j for j in range(n) if u >> j & 1) for u in up)
             assert list(masks) == [sum(1 << i for i in ups)
                                    for ups in brute_upsets(upset_of)]
     # OEIS A000112 once more: a rooted frame is a root below any order
     assert [len(_frames(n)) for n in range(1, 6)] == [1, 1, 2, 5, 16]
+
+
+def test_classes_on_six_points_are_the_318_of_oeis_a000112():
+    assert len(_classes(6)) == 318
+
+
+def test_frames_label_every_world_below_the_worlds_above_it():
+    # the forcing evaluator reaches the worlds above by right shifts only
+    for n in range(1, 6):
+        for up, _ in _frames(n):
+            assert all(v > w for w in range(n) for v in range(n) if v != w and up[w] >> v & 1)
 
 
 def test_posets_match_pairwise_transitivity_scan():

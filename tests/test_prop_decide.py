@@ -1,3 +1,4 @@
+import itertools
 import os
 import random
 import subprocess
@@ -11,6 +12,7 @@ from helpers import (
     brute_countermodel,
     decide_corpus,
     reference_is_provable,
+    scalar_countermodel,
 )
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -18,16 +20,24 @@ from hypothesis import strategies as st
 from toposlang.errors import CapExceeded, InputError
 import toposlang.prop.decide as decide_module
 from toposlang.prop.decide import (
+    _ATOM,
+    PLANE_BITS,
+    PRUNE_WORLDS,
     Decision,
     SearchCapExceeded,
+    _block,
     _frames,
+    _layout,
+    _Table,
+    _translate,
+    _width,
     decide,
     find_countermodel,
     is_provable,
 )
 from toposlang.prop.kripke import KripkeModel
 from toposlang.prop.proofs import SCHEMAS, check_proof, double_negated_excluded_middle_proof, instantiate
-from toposlang.prop.syntax import And, Atom, Implies, Not, Or, parse_formula
+from toposlang.prop.syntax import And, Atom, Implies, Not, Or, leaf_key, leaves, parse_formula
 
 A, B, C = Atom("a"), Atom("b"), Atom("c")
 
@@ -398,3 +408,153 @@ def test_stress_instance_search_is_small_and_free_of_hash_seeds(monkeypatch):
                               text=True, env=env, timeout=120, check=True)
         counts.append(int(proc.stdout))
     assert counts == [calls] * 3
+
+
+# -- the bit-parallel forcing evaluator ----------------------------------------
+
+def _table(formula):
+    """A table holding the formula, its atoms interned first in sorted key
+    order, as `find_countermodel` interns them; its keys and goal node."""
+    t = _Table()
+    keys = sorted({leaf_key(leaf) for leaf in leaves(formula)})
+    for key in keys:
+        t.node(_ATOM, t.atoms.setdefault(key, len(t.atoms)))
+    return t, keys, _translate(formula, t)
+
+
+@settings(max_examples=50, deadline=None)
+@given(formulas())
+def test_forcing_evaluator_matches_kripke_forcing_up_to_three_worlds(formula):
+    t, keys, goal = _table(formula)
+    frames = [frame for n in range(1, PRUNE_WORLDS + 1) for frame in _frames(n)]
+    values = []
+    for up, masks in frames:
+        n = len(up)
+        assert _width(len(masks), len(keys)) == len(keys)
+        size, columns, _, shifts = _block((up, masks), len(keys))
+        t.load((1 << n * size) - 1, shifts, list(columns))
+        value = t.mask(goal)
+        values.append(value)
+        names = tuple(f"w{i}" for i in range(n))
+        order = frozenset((names[i], names[j]) for i in range(n) for j in range(n)
+                          if up[i] >> j & 1)
+        for v, assignment in enumerate(itertools.product(masks, repeat=len(keys))):
+            model = KripkeModel(names, order, {
+                key: frozenset(names[i] for i in range(n) if mask >> i & 1)
+                for key, mask in zip(keys, assignment)})
+            assert [value >> w * size + v & 1 for w in range(n)] == \
+                [model.forces(name, formula) for name in names]
+    # the proof search's wide table holds the same values side by side
+    t.widen(PRUNE_WORLDS)
+    wide = t.mask(goal)
+    _, _, blocks = _layout(PRUNE_WORLDS, len(keys))
+    assert [wide >> offset & (1 << len(up) * len(masks) ** width) - 1
+            for (offset, width, _), (up, masks) in zip(blocks, frames)] == values
+
+
+def test_evaluator_ints_are_at_most_worlds_times_a_plane():
+    for atoms in range(1, 15):
+        full, _, blocks = _layout(PRUNE_WORLDS, min(atoms, 12))
+        worlds = sum(len(up) for n in range(1, PRUNE_WORLDS + 1) for up, _ in _frames(n))
+        assert worlds == 9 and full.bit_length() <= worlds * PLANE_BITS
+        for n in range(1, 6):
+            for up, masks in _frames(n):
+                size = _block((up, masks), _width(len(masks), atoms))[0]
+                assert size <= PLANE_BITS and (atoms <= 12 or size * len(masks) > PLANE_BITS)
+
+
+def test_wide_formulas_widen_with_atoms_folded_onto_every_block(monkeypatch):
+    widths = []
+    layout = decide_module._layout
+
+    def spy(worlds, atoms):
+        widths.append((worlds, atoms))
+        return layout(worlds, atoms)
+
+    monkeypatch.setattr(decide_module, "_layout", spy)
+    for text in INVALID[:3]:
+        assert not is_provable(parse_formula(_wide(text)))
+    assert (PRUNE_WORLDS, 12) in widths
+    _, _, blocks = layout(PRUNE_WORLDS, 12)
+    assert [width for _, width, _ in blocks] == [12, 7, 5, 6]
+
+
+# Dummett's formula needs the 3-world fork, whose 5^6 or 5^7 valuations span
+# chunks of 5^5, one per up-set of the leading atoms.  `a`, whose key sorts
+# first, fails at the root in every chunk but the last, or, in the last
+# formula, makes the implication fail in every chunk but the first.
+FORK_WIDE = [
+    "a | (b -> c) | (c -> b) | d & e & f",
+    "a | (b -> c) | (c -> b) | d & e & f & g",
+    "(b -> c) | (c -> b) | (a & d & e -> f)",
+]
+
+
+@pytest.mark.hash_seeds
+@pytest.mark.parametrize("text", FORK_WIDE, ids=["six-atoms", "seven-atoms", "six-atoms-last"])
+def test_fork_countermodels_past_one_chunk_match_the_scalar_scan(text):
+    formula = parse_formula(text)
+    found = find_countermodel(formula, max_worlds=5)
+    assert [len(found[0].worlds), found[0].to_json()["order"]] == [3, [["w0", "w1"], ["w0", "w2"]]]
+    assert _found(found) == _found(scalar_countermodel(formula, max_worlds=5))
+
+
+@pytest.mark.hash_seeds
+@settings(max_examples=150, deadline=None)
+@given(formulas(), st.integers(1, 5))
+def test_chunked_search_matches_the_scalar_scan(formula, max_worlds):
+    assume(not is_provable(formula))
+    assert _found(find_countermodel(formula, max_worlds=max_worlds)) == \
+        _found(scalar_countermodel(formula, max_worlds=max_worlds))
+
+
+@pytest.mark.hash_seeds
+@pytest.mark.parametrize("high", [9, 10, 11], ids=["rn-n9-n7", "rn-n10-n9", "rn-n11-n9"])
+def test_rieger_nishimura_countermodels_match_the_scalar_scan(high):
+    formula = Implies(RN[high], RN[7 if high == 9 else 9])
+    for bound in range(1, 6):
+        assert _found(find_countermodel(formula, max_worlds=bound)) == \
+            _found(scalar_countermodel(formula, max_worlds=bound))
+
+
+def _provable_calls(monkeypatch, formula):
+    calls = 0
+    search = decide_module._provable
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return search(*args)
+
+    monkeypatch.setattr(decide_module, "_provable", counted)
+    verdict = is_provable(formula)
+    monkeypatch.setattr(decide_module, "_provable", search)
+    return verdict, calls
+
+
+def test_kripke_prune_keeps_the_hard_searches_small(monkeypatch):
+    # 472, 423 and 366 calls with the truth tables alone
+    verdict, calls = _provable_calls(monkeypatch, parse_formula(STRESS))
+    assert verdict and calls <= 150
+    for high in (10, 11):
+        verdict, calls = _provable_calls(monkeypatch, Implies(RN[high], RN[9]))
+        assert not verdict and calls <= 200
+
+
+def test_the_choice_after_a_failed_one_is_checked_on_the_widened_models(monkeypatch):
+    # ~~s -> s passes the truth tables and fails its search, which widens
+    # the table; p | ~p passes the truth tables too, but the 2-world chain
+    # refutes it, so it is never searched
+    _, first = _provable_calls(monkeypatch, parse_formula("~~s -> s"))
+    assert _provable_calls(monkeypatch, parse_formula("(~~s -> s) | (p | ~p)")) == \
+        (False, first + 1)
+
+
+def test_kripke_prune_adds_no_search_on_valid_formulas(monkeypatch):
+    # the truth tables alone made 8770 calls on the valid formulas
+    total = 0
+    for seed in (101, 102, 103):
+        for text in decide_corpus(seed, 0):
+            verdict, calls = _provable_calls(monkeypatch, parse_formula(text))
+            total += calls if verdict else 0
+    assert total <= 8770
