@@ -70,7 +70,6 @@ from .syntax import And, Formula, Implies, Or, fold_formula, leaf_key
 # A world's plane holds at most 2^12 = 4096 valuations: 12 atoms on the
 # 1-world frame, 7 on the 2-world chain, 5 and 6 on the 3-world frames.
 PLANE_BITS = 1 << 12
-_MOST_COLUMNS = 12  # the 1-world frame's; no frame has room for more
 # The proof search's widened check covers the 4 rooted frames on at most 3
 # worlds, 9 worlds in all.
 PRUNE_WORLDS = 3
@@ -119,7 +118,8 @@ class _Table:
         on column i mod each frame's width; drops every value."""
         if worlds != self.worlds:
             self.worlds = worlds
-            full, shifts, blocks = _layout(worlds, min(len(self.atoms), _MOST_COLUMNS))
+            # no frame has more columns than the 1-world frame, of 2 up-sets
+            full, shifts, blocks = _layout(worlds, _width(2, len(self.atoms)))
             self.load(full, shifts, [sum(columns[i % width] << offset
                                          for offset, width, columns in blocks)
                                      for i in range(len(self.atoms))])
