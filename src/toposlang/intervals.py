@@ -10,7 +10,7 @@ Endpoints are compared with each other through (rank, value, epsilon)
 triples: rank orders -inf < finite < +inf, and epsilon resolves open/closed
 ties the usual way (an open lower bound sits just above the point, an open
 upper bound just below it).  Membership compares the value with each
-bounded endpoint once, directly.
+bounded endpoint once, by integer cross-multiplication.
 
 :class:`Rational` is the exact rational that a classical system stores for
 each of its values: a `Fraction` that keeps its hash after the first use,
@@ -79,17 +79,28 @@ class Interval:
                            else (0, self.lo, 0 if self.lo_closed else 1))
         object.__setattr__(self, "hi_key", _UNBOUNDED_HI if self.hi is None
                            else (0, self.hi, 0 if self.hi_closed else -1))
+        # each bounded end as (numerator, denominator), for `contains`
+        object.__setattr__(self, "_lo", None if self.lo is None else self.lo.as_integer_ratio())
+        object.__setattr__(self, "_hi", None if self.hi is None else self.hi.as_integer_ratio())
 
     @property
     def is_empty(self) -> bool:
         return self.lo_key > self.hi_key
 
     def contains(self, q: Fraction) -> bool:
-        """One comparison with each bounded end."""
-        lo, hi = self.lo, self.hi
-        if lo is not None and (q < lo if self.lo_closed else q <= lo):
-            return False
-        return hi is None or (q <= hi if self.hi_closed else q < hi)
+        """One integer comparison with each bounded end: q = n/d lies above
+        lo = a/b when n*b > a*d, denominators being positive, so no
+        `Fraction` comparison runs."""
+        n, d = q.as_integer_ratio()
+        lo, hi = self._lo, self._hi
+        if lo is not None:
+            below, above = n * lo[1], lo[0] * d
+            if below < above if self.lo_closed else below <= above:
+                return False
+        if hi is None:
+            return True
+        below, above = n * hi[1], hi[0] * d
+        return below <= above if self.hi_closed else below < above
 
     def __str__(self) -> str:
         left = "(-inf" if self.lo is None else ("[" if self.lo_closed else "(") + str(self.lo)

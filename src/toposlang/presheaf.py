@@ -14,6 +14,8 @@ natural transformations compare by their stage and component tables.
 Sub-objects and global elements come in canonical order; hom-sets come in
 the order of their backtracking search, which follows object, stage and
 morphism order and not the hash seed, so repeated runs are byte-identical.
+Where no cell propagates, the search's order is that of a product of
+stages, and the hom-set is listed as that product.
 The one-object category gives the plain category of sets, where the
 classifier degenerates to the two truth values.
 
@@ -601,7 +603,7 @@ def product(x: Presheaf, y: Presheaf) -> ProductDiagram:
 
 # -- natural transformation enumeration ----------------------------------------
 
-def _hom_search(cat: FiniteCategory, cells: list, restrict, y: Presheaf) -> list[list]:
+def _hom_search(cat: FiniteCategory, cells: list, restrict, y: Presheaf) -> Iterable[Sequence]:
     """Each natural assignment of a y-value to every cell (obj, el), as its
     values in cell order; `restrict(mid, el)` restricts el along mid.
     Backtracking with forced propagation: open cells are decided in list
@@ -609,7 +611,14 @@ def _hom_search(cat: FiniteCategory, cells: list, restrict, y: Presheaf) -> list
     lexicographic order.  CapExceeded past ENUM_NODE_CAP search nodes, or
     before the results would hold more than HOM_CELL_CAP values.  The cells
     are closed under `restrict` and y is a presheaf, so every value forced
-    into a cell is one of y's."""
+    into a cell is one of y's.
+
+    When no cell has a non-identity arrow to propagate along (every cell of
+    a one-object base with only its identity, or of a discrete base), every
+    assignment is natural: if the search would stay inside both caps, the
+    result is `itertools.product` of the cells' target stages, which is the
+    search's own lexicographic order.  Otherwise the search runs and raises
+    where it raises."""
     cell_index = {c: i for i, c in enumerate(cells)}
     # per cell: (morphism, target cell) pairs for propagation
     prop: list = [[] for _ in cells]
@@ -618,6 +627,18 @@ def _hom_search(cat: FiniteCategory, cells: list, restrict, y: Presheaf) -> list
             dom = cat.morphism(mid).dom
             if mid != cat.id_of(dom):
                 prop[i].append((mid, cell_index[(dom, restrict(mid, el))]))
+    if not any(prop):
+        stages = [y.stage(obj) for obj, _ in cells]
+        # The search visits one node per prefix of an assignment: the sum of
+        # the partial products of the stage sizes.
+        nodes = results = 1
+        for stage in stages:
+            results *= len(stage)
+            nodes += results
+            if nodes > ENUM_NODE_CAP:
+                break
+        if nodes <= ENUM_NODE_CAP and results * len(cells) <= HOM_CELL_CAP:
+            return itertools.product(*stages)
     assign: list = [None] * len(cells)
     out = []
     nodes = 0
@@ -775,7 +796,16 @@ def exp_transpose(f: NatTransform, z: Presheaf, x: Presheaf, y: Presheaf) -> Nat
     """Hom(Z x X, Y) -> Hom(Z, Y^X).  `f` must go out of product(z, x),
     which is checked against z and x without building that product.
     The transpose of zv at stage A holds f(z(g)(zv), xv) in cell (B, g, xv):
-    its block at (B, g) is f's row at z(g)(zv), read once per zb in Z(B).
+    its block at (B, g) is f's row at z(g)(zv).
+
+    The rows are read off f's values in the product order of `f.source`,
+    zb-major: row k of stage B is the |X(B)| values after the first k rows,
+    so no (zb, xv) pair is hashed.  A component dict whose keys do not list
+    f's source stage in that order is first rebuilt in it through
+    `NatTransform.apply`, which raises PresheafError on a missing value.
+    Rows are found by position: along an identity z keeps each element in
+    place, and along another arrow g the positions of z(g)(zv) are looked up
+    once per arrow.
 
     Each element is checked locally, not looked up in the listed stage of
     Y^X: its values lie in Y's stages, and along every arrow h into B its
@@ -786,29 +816,48 @@ def exp_transpose(f: NatTransform, z: Presheaf, x: Presheaf, y: Presheaf) -> Nat
     cat = z.base
     if not _is_product(f.source, [z, x]) or f.target != y:
         raise ShapeMismatch("arrow to transpose is not Z x X -> Y")
-    blocks = {b: {zb: [f.apply(b, (zb, xv)) for xv in x.stage(b)] for zb in z.stage(b)}
-              for b in cat.objects}
+    values = {}
     for b in cat.objects:
-        if not set(y.stage(b)).issuperset(itertools.chain.from_iterable(blocks[b].values())):
+        comp, pairs = f.components.get(b, {}), f.source.stage(b)
+        if list(comp) != list(pairs):
+            comp = {pair: f.apply(b, pair) for pair in pairs}
+        values[b] = list(comp.values())
+    rows = {}
+    for b in cat.objects:
+        if not set(y.stage(b)).issuperset(values[b]):
             raise PresheafError(f"transpose produced a non-natural family: "
                                 f"a value at {b!r} is outside Y's stage")
+        width = len(x.stage(b))
+        rows[b] = [values[b][k * width:(k + 1) * width] for k in range(len(z.stage(b)))]
+    zpos: dict = {}
+
+    def row_of(g: str, zs: tuple) -> Sequence[int]:
+        """For each zv of zs, the position of z(g)(zv) in Z(dom g)."""
+        b = cat.morphism(g).dom
+        if g == cat.id_of(b):
+            return range(len(zs))
+        if b not in zpos:
+            zpos[b] = {zb: k for k, zb in enumerate(z.stage(b))}
+        return list(map(zpos[b].__getitem__, map(z.maps[g].__getitem__, zs)))
+
     position = {b: {xv: i for i, xv in enumerate(x.stage(b))} for b in cat.objects}
     comps = {}
     for obj in cat.objects:
         zs, pairs = z.stage(obj), cat.into_by_key(obj)
+        reads = {g: row_of(g, zs) for _, g in pairs}
         for b, g in pairs:
             for h in cat.into(b):
                 if h == cat.id_of(b):
                     continue
                 c, gh, down = cat.morphism(h).dom, cat.compose(g, h), y.maps[h]
-                reads = [position[c][x.apply(h, xv)] for xv in x.stage(b)]
-                for zv in zs:
-                    below, above = blocks[c][z.apply(gh, zv)], blocks[b][z.apply(g, zv)]
-                    if [below[i] for i in reads] != [down[v] for v in above]:
+                cols = [position[c][x.apply(h, xv)] for xv in x.stage(b)]
+                for zv, k, j in zip(zs, reads[gh], reads[g]):
+                    below, above = rows[c][k], rows[b][j]
+                    if [below[i] for i in cols] != [down[v] for v in above]:
                         raise PresheafError(f"transpose produced a non-natural family: "
                                             f"restriction along {h!r} at {zv!r}")
-        comps[obj] = dict(zip(zs, exp_from_blocks(
-            cat, obj, x, ([blocks[b][z.apply(g, zv)] for b, g in pairs] for zv in zs))))
+        comps[obj] = dict(zip(zs, exp_from_blocks(cat, obj, x, zip(*(
+            map(rows[b].__getitem__, reads[g]) for b, g in pairs)))))
     return NatTransform._certified(z, exponential(x, y), comps)
 
 

@@ -345,7 +345,7 @@ def _topos_rep_from_json(project: Project, spec: Mapping, ptr: str) -> ToposRep:
     from .category import one_object_category
     from .local.axioms import pack_signature
     from .presheaf import NatTransform, Presheaf
-    from .rep import ToposRep, build_rep, interpret_type
+    from .rep import ToposRep, _completed, interpret_type
     name = spec["name"]
     signature = project.signatures.get(spec.get("signature", ""))
     if signature is None:
@@ -392,8 +392,10 @@ def _topos_rep_from_json(project: Project, spec: Mapping, ptr: str) -> ToposRep:
             raise ProjectError("ground needs a presheaf or a set",
                                f"{ptr}/grounds/{gname}")
 
+    # The symbol arrows are built on the types this representation
+    # interprets, and assigned to it once built.
     try:
-        probe = ToposRep(signature, base, grounds, {})
+        rep = ToposRep(signature, base, grounds, {}, tuple(axioms))
     except ToposlangError as exc:
         raise ProjectError(f"representation {name!r}: {exc}", ptr) from exc
     symbols: dict[str, NatTransform] = {}
@@ -403,8 +405,8 @@ def _topos_rep_from_json(project: Project, spec: Mapping, ptr: str) -> ToposRep:
                                f"{ptr}/symbols/{sname}")
         dom, cod = signature.symbols[sname]
         try:
-            source = interpret_type(dom, probe)
-            target = interpret_type(cod, probe)
+            source = interpret_type(dom, rep)
+            target = interpret_type(cod, rep)
         except ToposlangError as exc:
             raise ProjectError(f"symbol {sname!r}: {exc}", f"{ptr}/symbols/{sname}") from exc
         if "table" in sspec:
@@ -421,6 +423,7 @@ def _topos_rep_from_json(project: Project, spec: Mapping, ptr: str) -> ToposRep:
         symbols[sname] = NatTransform(source, target, components)
 
     try:
-        return build_rep(signature, base, grounds, symbols, tuple(axioms))
+        rep._assign(symbols)
+        return _completed(rep)
     except ToposlangError as exc:
         raise ProjectError(f"representation {name!r}: {exc}", ptr) from exc

@@ -61,11 +61,18 @@ class KripkeModel:
             return self.forces(world, formula.left) and self.forces(world, formula.right)
         if isinstance(formula, Or):
             return self.forces(world, formula.left) or self.forces(world, formula.right)
+        # An implication or negation quantifies over the later worlds in a
+        # loop of its own, so each connective costs one stack frame.
         if isinstance(formula, Implies):
-            return all(not self.forces(v, formula.left) or self.forces(v, formula.right)
-                       for v in self._above.get(world, ()))
+            for v in self._above.get(world, ()):
+                if self.forces(v, formula.left) and not self.forces(v, formula.right):
+                    return False
+            return True
         if isinstance(formula, Not):
-            return all(not self.forces(v, formula.operand) for v in self._above.get(world, ()))
+            for v in self._above.get(world, ()):
+                if self.forces(v, formula.operand):
+                    return False
+            return True
         raise TypeError(f"not a formula node: {formula!r}")
 
     def counterexample_world(self, formula: Formula) -> str | None:

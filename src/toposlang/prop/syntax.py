@@ -67,21 +67,40 @@ class Implies:
 Formula = Union[Prim, Atom, Not, And, Or, Implies]
 
 
+# The case of each formula class in `fold_formula`: 1 a leaf, 2 a negation,
+# 3 a binary connective.  In the order of the isinstance tests it falls
+# back on for a subclass.
+_FOLD_CASE = {Prim: 1, Atom: 1, Not: 2, And: 3, Or: 3, Implies: 3}
+
+
+def _inherited_case(n) -> int:
+    """The fold case of a node whose class is not itself a formula class:
+    that of the first formula class in `_FOLD_CASE` it is an instance of."""
+    for former, case in _FOLD_CASE.items():
+        if isinstance(n, former):
+            return case
+    raise TypeError(f"not a formula node: {n!r}")
+
+
 def fold_formula(node: Formula, leaf, negate, binary):
     """`leaf(n)` at a Prim or Atom, `negate(v)` at a Not, `binary(former, v,
-    w)` at an And, Or or Implies; children before parent, left before right.
-    TypeError on a node that is not a formula.  Three walkers keep their own
-    recursion: `format_formula` needs its parent's precedence, the countermodel
-    check `KripkeModel.forces` stays independent of the code it confirms, and
-    `proofs._match` walks two formulas in lockstep."""
+    w)` at an And, Or or Implies, `former` being the node's class; children
+    before parent, left before right.  Each node is dispatched on its exact
+    class with one dict lookup; an instance of a subclass folds as its
+    formula class does.  TypeError on a node that is not a formula.  Three
+    walkers keep their own recursion: `format_formula` needs its parent's
+    precedence, the countermodel check `KripkeModel.forces` stays
+    independent of the code it confirms, and `proofs._match` walks two
+    formulas in lockstep."""
+    case_of = _FOLD_CASE.get
+
     def walk(n):
-        if isinstance(n, (Prim, Atom)):
+        case = case_of(type(n)) or _inherited_case(n)
+        if case == 1:
             return leaf(n)
-        if isinstance(n, Not):
+        if case == 2:
             return negate(walk(n.operand))
-        if isinstance(n, (And, Or, Implies)):
-            return binary(type(n), walk(n.left), walk(n.right))
-        raise TypeError(f"not a formula node: {n!r}")
+        return binary(type(n), walk(n.left), walk(n.right))
 
     return walk(node)
 
@@ -173,7 +192,9 @@ class _Parser(Cursor):
 
     def bound(self, side: str) -> Fraction | None:
         """A rational, or None for inf; an inf signed for the other side of
-        the interval is refused."""
+        the interval is refused.  An integer or p/q token is read with `int`,
+        a decimal one with `Fraction`'s string parser: both give the value
+        and the error text `Fraction(tok)` gives."""
         toks = self.toks
         start = i = self.i
         sign = toks[i]
@@ -189,8 +210,15 @@ class _Parser(Cursor):
                                  f"{self.column(start)}")
             return None
         if tok[:1].isdecimal():
+            p, _, q = tok.partition("/")
             try:
-                return -Fraction(tok) if sign == "-" else Fraction(tok)
+                if "." in p:
+                    value = Fraction(tok)
+                elif q:
+                    value = Fraction(int(p), int(q))
+                else:
+                    value = Fraction(int(p))
+                return -value if sign == "-" else value
             except (ValueError, ZeroDivisionError) as exc:
                 raise ParseError(f"malformed interval bound at column {self.column(i)}: "
                                  f"{exc}") from None

@@ -134,15 +134,22 @@ class ToposRep:
         self.base = base
         self.kit = classifier_kit(base)
         self.grounds = dict(grounds)
-        self.symbols = dict(symbols)
+        self.symbols: dict[str, NatTransform] = {}
         self.axioms = tuple(axioms)
         self._type_cache: dict[TypeExpr, Presheaf] = {}
         self._family_cache: dict[str, NatTransform] = {}
         for name, presheaf in self.grounds.items():
             if presheaf.base != base:
                 raise RepresentationError(f"ground {name!r} lives on a different base")
-        for name, (dom, cod) in signature.symbols.items():
-            arrow = self.symbols.get(name)
+        self._assign(symbols)
+
+    def _assign(self, symbols: Mapping[str, NatTransform]) -> None:
+        """Check the symbol arrows as the constructor does, then assign them.
+        A caller that needs the interpreted types to build its arrows builds
+        the representation with none and assigns them here, so the types
+        are interpreted once, into this representation's cache."""
+        for name, (dom, cod) in self.signature.symbols.items():
+            arrow = symbols.get(name)
             if arrow is None:
                 continue
             if arrow.source != interpret_type(dom, self) or \
@@ -152,9 +159,10 @@ class ToposRep:
                 bad = validate_nat(arrow)
                 if bad.items:
                     raise RepresentationError(f"arrow for {name!r} is not natural: {bad.items[0]}")
-        extra = set(self.symbols) - set(signature.symbols)
+        extra = set(symbols) - set(self.signature.symbols)
         if extra:
             raise RepresentationError(f"arrows assigned to undeclared symbols {sorted(extra)}")
+        self.symbols.update(symbols)
 
     def ground(self, name: str) -> Presheaf:
         if name not in self.grounds:
@@ -359,7 +367,12 @@ def build_rep(signature: Signature, base: FiniteCategory,
     arrows (see `ToposRep`), then check the rest: every declared symbol has
     an arrow, quantity symbols are assigned faithfully, and every axiom
     holds."""
-    rep = ToposRep(signature, base, grounds, symbols, axioms)
+    return _completed(ToposRep(signature, base, grounds, symbols, axioms))
+
+
+def _completed(rep: ToposRep) -> ToposRep:
+    """`rep` once `build_rep`'s own checks pass on it."""
+    signature = rep.signature
     for name in signature.symbols:
         if name not in rep.symbols:
             raise RepresentationError(f"function symbol {name!r} has no assigned arrow")
@@ -413,7 +426,10 @@ class EffectiveClassicalRep:
     and hash it once.  A preimage still goes
     through `prop_family`, which enumerates the power object of the value
     stage, all 2^values subsets of it, and transposes membership over every
-    one, once per quantity.
+    one, once per quantity.  On the one object no cell propagates, so that
+    power object is listed as a product of truth values with no search, and
+    the transpose reads the membership arrow's values row by row in the
+    context's product order, hashing no (subset, state) pair.
     """
     system: ClassicalSystem
     rep: ToposRep

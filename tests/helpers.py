@@ -27,6 +27,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Callable, Mapping, NamedTuple, Optional, Sequence
 
+from toposlang import presheaf as presheaf_module
 from toposlang._canon import canon_key
 from toposlang.category import (
     FiniteCategory,
@@ -301,7 +302,7 @@ def brute_global_elements(x: Presheaf) -> list[GlobalElement]:
         for el in x.stage(objs[i]):
             choice[objs[i]] = el
             rec(i + 1, choice)
-        del choice[objs[i]]
+        choice.pop(objs[i], None)
 
     rec(0, {})
     out.sort(key=lambda g: canon_key(g.key()))
@@ -899,6 +900,56 @@ def verify_exponential_adjunction(z: Presheaf, x: Presheaf, y: Presheaf) -> bool
         if exp_transpose(exp_untranspose(h, z, x, y), z, x, y) != h:
             return False
     return True
+
+
+# -- the hom search without its Cartesian shortcut --------------------------------
+
+def backtracking_hom_search(cat: FiniteCategory, cells: list, restrict, y: Presheaf) -> list:
+    """`presheaf._hom_search` as it was before it listed propagation-free
+    cells as a product: backtracking with forced propagation over every
+    input, reading both caps off the `presheaf` module when called, so that
+    a test may lower them."""
+    cell_index = {c: i for i, c in enumerate(cells)}
+    prop: list = [[] for _ in cells]
+    for i, (obj, el) in enumerate(cells):
+        for mid in cat.into(obj):
+            dom = cat.morphism(mid).dom
+            if mid != cat.id_of(dom):
+                prop[i].append((mid, cell_index[(dom, restrict(mid, el))]))
+    node_cap, cell_cap = presheaf_module.ENUM_NODE_CAP, presheaf_module.HOM_CELL_CAP
+    assign: list = [None] * len(cells)
+    out = []
+    nodes = 0
+
+    def force(i: int, value, trail: list) -> bool:
+        if assign[i] is not None:
+            return assign[i] == value
+        assign[i] = value
+        trail.append(i)
+        return all(force(dst, y.apply(mid, value), trail) for mid, dst in prop[i])
+
+    def rec(i: int):
+        nonlocal nodes
+        nodes += 1
+        if nodes > node_cap:
+            raise CapExceeded(f"hom-set enumeration exceeded {node_cap} nodes")
+        while i < len(cells) and assign[i] is not None:
+            i += 1
+        if i == len(cells):
+            if (len(out) + 1) * len(cells) > cell_cap:
+                raise CapExceeded(f"hom search results of {len(cells)} cells each exceed "
+                                  f"cap {cell_cap} cells after {len(out)} results")
+            out.append(assign[:])
+            return
+        for val in y.stage(cells[i][0]):
+            trail: list = []
+            if force(i, val, trail):
+                rec(i + 1)
+            for j in trail:
+                assign[j] = None
+
+    rec(0)
+    return out
 
 
 # -- the exponential through a representable and a product -----------------------

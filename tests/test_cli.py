@@ -200,9 +200,12 @@ def test_resource_caps_exit_2_with_their_kind(tmp_path, capsys):
     assert code == 2 and payload["kind"] == "resource-cap"
 
 
+# `pl decide` on a right-nested chain of implications recurses twice per
+# `->` in proof search, so it reaches the recursion limit past the parser,
+# from about 480 operands under pytest and 498 from a shallow caller.
 NESTED = {
     "parse-1200-negations": ("pl", "parse", "~" * 1200 + "a"),
-    "decide-450-negations": ("pl", "decide", "~" * 450 + "a"),
+    "decide-500-implications": ("pl", "decide", " -> ".join(["a"] * 500)),
     "decide-1200-conjuncts": ("pl", "decide", " & ".join(["a"] * 1200)),
     "typecheck-300-parentheses": ("ls", "typecheck", FIXTURE, "--signature", "point_particle",
                                   "(" * 300 + "true" + ")" * 300),
@@ -217,6 +220,17 @@ def test_deep_nesting_is_a_resource_cap_not_a_traceback(capsys, argv):
                                 f"{sys.getrecursionlimit()} frames; nest it less deeply",
                        "kind": "resource-cap"}
     assert err.startswith("cap exceeded: input nested too deeply")
+
+
+@pytest.mark.hash_seeds
+@pytest.mark.parametrize("depth", [400, 450])
+def test_deep_negations_are_decided_with_a_one_world_countermodel(capsys, depth):
+    # No stage of `pl decide` spends more than one frame per `~`, so the
+    # parser reaches the recursion limit first.
+    code, payload, _ = run(capsys, "pl", "decide", "~" * depth + "a")
+    assert code == 1
+    assert payload["countermodel"] == {"order": [], "valuation": {"a": []}, "worlds": ["w0"]}
+    assert payload["fails_at"] == "w0"
 
 
 def test_sixty_four_states_are_represented_within_a_second(tmp_path, capsys):

@@ -131,6 +131,30 @@ def test_contains_matches_the_endpoint_key_oracle(lo, lc, hi, hc, others, end_ty
         assert part.contains(q) is reference_contains(part, q)
 
 
+@settings(max_examples=300, deadline=None)
+@given(st.integers(-3, 3), st.booleans(), st.integers(-3, 3), st.booleans(),
+       st.sampled_from([int, Fraction, Rational]), st.sampled_from([int, Fraction, Rational]))
+def test_contains_matches_the_oracle_on_int_fraction_and_rational_ends(
+        lo, lc, hi, hc, end_type, value_type):
+    """Each end probed at a value equal to it, of each of the three types,
+    and at the halves on either side of it."""
+    part = Interval(end_type(lo), lc, end_type(hi), hc)
+    for end in (lo, hi):
+        for q in (value_type(end), Fraction(2 * end - 1, 2), Fraction(2 * end + 1, 2)):
+            assert part.contains(q) is reference_contains(part, q), (part, q)
+
+
+def test_contains_makes_no_fraction_comparison(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a Fraction comparison ran")
+
+    part = Interval(Rational(1, 3), True, Fraction(5, 2), False)
+    for name in ("_richcmp", "__eq__"):
+        monkeypatch.setattr(Fraction, name, refuse)
+    assert [part.contains(q) for q in (Rational(1, 3), Fraction(5, 2), Fraction(1), 0, 2)] == \
+        [True, False, True, False, True]
+
+
 @given(st.fractions(max_denominator=50), st.fractions(max_denominator=50))
 def test_rational_behaves_as_the_fraction_of_its_value(a, b):
     r, s = Rational(a), Rational(b)

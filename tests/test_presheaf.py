@@ -1,4 +1,5 @@
 import os
+import random
 import re
 import subprocess
 import sys
@@ -17,6 +18,7 @@ from helpers import (
     TWO,
     HeytingAlgebra,
     assert_equality_matches_reference,
+    backtracking_hom_search,
     brute_global_elements,
     budget,
     check_heyting_laws,
@@ -26,6 +28,8 @@ from helpers import (
     exp_lookup,
     exp_untranspose,
     presheaf_fixture_pool,
+    random_presheaf,
+    reference_exponential,
     reference_law_violations,
     reference_nat_key,
     reversed_copy,
@@ -619,6 +623,84 @@ def test_hom_search_refuses_a_restriction_that_leaves_its_stage(base):
     assert str(err.value) == "violates functor laws: ('bad-codomain', 'le[p,q]', 'x1')"
 
 
+# -- the Cartesian hom search ---------------------------------------------------------
+
+# Bases on which no cell of a hom search has a non-identity arrow to
+# propagate along: the hom search lists their hom-sets as a product.
+CARTESIAN_BASES = [PT, from_poset(["d0", "d1"], []), from_poset(["e2", "e0", "e1"], [])]
+
+
+def _small_presheaf(data, cat, tag: str, most: int = 4) -> Presheaf:
+    return Presheaf(cat, {obj: [f"{tag}{obj}{i}" for i in range(data.draw(st.integers(0, most)))]
+                          for obj in cat.objects}, {})
+
+
+def _search_outcome(search, *args):
+    """What a hom search lists, each item a tuple if it is a list, or the
+    text of its CapExceeded."""
+    try:
+        return [tuple(item) if isinstance(item, list) else item for item in search(*args)]
+    except CapExceeded as exc:
+        return str(exc)
+
+
+@pytest.mark.hash_seeds
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_cartesian_hom_sets_match_the_references(data):
+    # Stages of 0 to 4 elements, so some searches have no cells at all.
+    cat = data.draw(st.sampled_from(CARTESIAN_BASES))
+    x, y = _small_presheaf(data, cat, "x"), _small_presheaf(data, cat, "y")
+    assert exponential(x, y) == reference_exponential(x, y)
+    assert [exponential(x, y).stage(obj) for obj in cat.objects] == \
+        [reference_exponential(x, y).stage(obj) for obj in cat.objects]
+    omega = classifier_kit(cat).omega
+    assert power_object(x).at == reference_exponential(x, omega).at
+    assert global_elements(x) == brute_global_elements(x)
+    small = _small_presheaf(data, cat, "s", most=2)
+    cells = [(obj, el) for obj in cat.objects for el in x.stage(obj)]
+    assert [[n.apply(obj, el) for obj, el in cells] for n in enumerate_nats(x, small)] == \
+        [list(values) for values in backtracking_hom_search(cat, cells, x.apply, small)]
+
+
+@pytest.mark.hash_seeds
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_cartesian_hom_search_raises_where_the_backtracking_search_raises(data):
+    # Caps drawn at and around the search's own node and value counts: the
+    # product is taken only where the backtracking search would finish.
+    cat = data.draw(st.sampled_from(CARTESIAN_BASES))
+    x, y = _small_presheaf(data, cat, "x"), _small_presheaf(data, cat, "y")
+    cells = [(obj, el) for obj in cat.objects for el in x.stage(obj)]
+    nodes = results = 1
+    for obj, _ in cells:
+        results *= len(y.stage(obj))
+        nodes += results
+    near = lambda count: st.sampled_from([max(count - 1, 0), count, count + 1]) | \
+        st.integers(0, count + 2)
+    node_cap = data.draw(near(nodes) if results <= 4096 else st.integers(0, 4096))
+    cell_cap = data.draw(near(results * len(cells)) if results <= 4096 else
+                         st.integers(0, 4096 * len(cells)))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(presheaf, "ENUM_NODE_CAP", node_cap)
+        patch.setattr(presheaf, "HOM_CELL_CAP", cell_cap)
+        expected = _search_outcome(backtracking_hom_search, cat, cells, x.apply, y)
+        assert _search_outcome(presheaf._hom_search, cat, cells, x.apply, y) == expected
+        got = _search_outcome(lambda: [[n.apply(o, el) for o, el in cells]
+                                       for n in enumerate_nats(x, y)])
+        assert got == expected
+        if cat is PT or not data.draw(st.booleans()):
+            return
+        # The global elements of y: one cell per object, in canonical order.
+        expected = _search_outcome(backtracking_hom_search, cat,
+                                   [(obj, ()) for obj in cat.objects],
+                                   terminal_presheaf(cat).apply, y)
+        if not isinstance(expected, str):
+            expected = sorted((GlobalElement(y, dict(zip(cat.objects, values)))
+                               for values in expected), key=lambda g: canon_key(g.key()))
+        assert _search_outcome(global_elements, y) == expected
+
+
 # Run in its own process under a 2 GB address-space limit: P(P(R)) with
 # |R| = 4 holds 2^16 elements of 16 cells, 2^20 values, inside the cap.
 POWER_OF_POWER_SCRIPT = """
@@ -816,6 +898,53 @@ def test_exp_transpose_refuses_exactly_the_sources_that_are_not_the_product(data
             exp_transpose(f, z, x, y)
     else:
         assert validate_nat(exp_transpose(f, z, x, y)).ok
+
+
+def _transpose_pairs(seed: int = 3) -> list:
+    """Seeded pairs (Z, X) on every base, with at most 8 elements in Z x X."""
+    rng = random.Random(seed)
+    pairs = []
+    for cat in ALL_BASES + [DIAMOND]:
+        for _ in range(6):
+            z, x = random_presheaf(cat, rng, max_size=2), random_presheaf(cat, rng, max_size=2)
+            if sum(len(z.stage(obj)) * len(x.stage(obj)) for obj in cat.objects) <= 8:
+                pairs.append((z, x))
+    return pairs
+
+
+TRANSPOSE_PAIRS = _transpose_pairs()
+
+
+@pytest.mark.hash_seeds
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_exp_transpose_reads_shuffled_components_as_stage_ordered_ones(data):
+    # An arrow from the caller lists its components in any order: the
+    # transpose reads them in the product's order either way.
+    z, x = data.draw(st.sampled_from(TRANSPOSE_PAIRS))
+    y = classifier_kit(z.base).omega
+    prod = product_presheaf([z, x])
+    f = data.draw(st.sampled_from(enumerate_nats(prod, y)))
+    shuffled = NatTransform(prod, y, {obj: dict(data.draw(st.permutations(list(comp.items()))))
+                                      for obj, comp in f.components.items()})
+    assert not shuffled._natural
+    got = exp_transpose(shuffled, z, x, y)
+    assert got == exp_transpose(f, z, x, y)
+    assert exp_untranspose(got, z, x, y) == f
+    assert [list(got.components[obj]) for obj in z.base.objects] == \
+        [list(z.stage(obj)) for obj in z.base.objects]
+
+
+def test_exp_transpose_on_a_missing_component_raises_presheaf_error():
+    z, x = two_point_presheaf(["z0", "z1"], ["z'"], {"z0": "z'", "z1": "z'"}), X2
+    omega = classifier_kit(TWO).omega
+    prod = product_presheaf([z, x])
+    components = {obj: {el: principal_sieve(TWO, obj).members for el in prod.stage(obj)}
+                  for obj in TWO.objects}
+    del components["q"][("z1", "x0")]
+    with pytest.raises(PresheafError) as err:
+        exp_transpose(NatTransform(prod, omega, components), z, x, omega)
+    assert str(err.value) == "component at 'q' undefined at ('z1', 'x0')"
 
 
 def test_exp_transpose_builds_no_product(monkeypatch):

@@ -184,6 +184,24 @@ def test_loading_checks_each_presheaf_once(monkeypatch):
     assert len(calls) == 6
 
 
+def test_loading_builds_one_representation_per_declaration(monkeypatch):
+    # Three representations: two on the presheaf backend and the classical
+    # one.  Each symbol arrow is built on the types its own representation
+    # interprets, so every type is interpreted into that one's cache.
+    from toposlang import rep
+    built, interpreted = [], []
+    init, interpret = rep.ToposRep.__init__, rep.interpret_type
+    monkeypatch.setattr(rep.ToposRep, "__init__",
+                        lambda self, *args: built.append(self) or init(self, *args))
+    monkeypatch.setattr(rep, "interpret_type",
+                        lambda t, r: interpreted.append(r) or interpret(t, r))
+    project = load_project(str(FIXTURE))
+    assert len(built) == 3
+    assert {id(r) for r in built} == \
+        {id(r) for r in project.topos_reps.values()} | {id(project.classical_reps["classical"].rep)}
+    assert {id(r) for r in interpreted} <= {id(r) for r in built}
+
+
 def test_duplicate_error_names_both_sites():
     doc = base_doc()
     doc["posets"].append(dict(doc["posets"][0]))

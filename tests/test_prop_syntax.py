@@ -68,6 +68,40 @@ def test_parse_rational_and_negative_bounds():
     assert parse_formula("A in (-inf, 0]") == Prim("A", iv(None, False, 0, True))
 
 
+# Number tokens as the lexer cuts them, digits of any script included, and
+# with the shapes `Fraction` refuses: zero denominators and decimals over
+# an integer.
+NUMBER_TOKENS = st.one_of(
+    st.from_regex(r"\d{1,6}(\.\d{1,3})?(/\d{1,3})?", fullmatch=True),
+    st.tuples(st.integers(0, 10 ** 6), st.integers(0, 9)).map(lambda t: f"{t[0]}/{t[1]}"),
+    st.integers(0, 10 ** 30).map(str))
+
+
+@settings(max_examples=300, deadline=None)
+@given(NUMBER_TOKENS, st.sampled_from(["", "-", "+"]))
+def test_bounds_read_as_fraction_reads_their_text(tok, sign):
+    text = f"[{sign}{tok},{sign}{tok}]"
+    try:
+        want = -Fraction(tok) if sign == "-" else Fraction(tok)
+    except (ValueError, ZeroDivisionError) as exc:
+        with pytest.raises(ParseError) as err:
+            parse_interval_set(text)
+        assert str(err.value) == f"malformed interval bound at column {1 + len(sign)}: {exc}"
+        return
+    part = parse_interval_set(text).parts[0]
+    assert (part.lo, part.hi) == (want, want)
+    assert type(part.lo) is Fraction and repr(part.lo) == repr(want)
+
+
+def test_a_zero_denominator_is_reported_as_fraction_reports_it():
+    for text, column in (("[3/0,4]", 1), ("[-3/0,4]", 2), ("[1,+7/00]", 4)):
+        with pytest.raises(ParseError) as err:
+            parse_interval_set(text)
+        numerator = text[column:].split("/")[0]
+        assert str(err.value) == \
+            f"malformed interval bound at column {column}: Fraction({int(numerator)}, 0)"
+
+
 def test_non_normalized_intervals_are_normalized():
     got = parse_formula("A in [1,2] u [2,5]")
     assert got == Prim("A", iv(1, True, 5, True))
@@ -173,6 +207,19 @@ def test_fold_visits_children_before_parent_and_left_before_right():
     got = fold_formula(parse_formula("~a & (b -> A in [0,1]) | c"), leaf, negate, binary)
     assert got == "((~a And (b Implies A in [0,1])) Or c)"
     assert trace == ["a", "~", "b", "A in [0,1]", "Implies", "And", "c", "Or"]
+
+
+def test_a_subclass_of_a_formula_class_folds_as_its_class():
+    class Both(And):
+        pass
+
+    class Reading(Prim):
+        pass
+
+    formula = Not(Both(Reading("A", IntervalSet.full()), Atom("a")))
+    got = fold_formula(formula, lambda n: type(n).__name__, lambda v: ("~", v),
+                       lambda former, v, w: (former.__name__, v, w))
+    assert got == ("~", ("Both", "Reading", "Atom"))
 
 
 PRIM = Prim("A", IntervalSet.full())

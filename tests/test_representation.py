@@ -18,6 +18,7 @@ from helpers import (
     two_point_presheaf,
 )
 
+from toposlang import presheaf as presheaf_module
 from toposlang import rep as rep_module
 from toposlang.category import one_object_category, principal_sieve
 from toposlang.intervals import IntervalSet, Rational
@@ -703,6 +704,33 @@ def test_classical_values_are_hashed_once_each(monkeypatch):
     monkeypatch.undo()
     assert len(hashed) <= len(set(hashed)) == 8
     assert images == [frozenset(s for s in states if d.member(tables["A"][s])) for d in deltas]
+
+
+@pytest.mark.hash_seeds
+def test_a_first_preimage_hashes_each_power_object_element_a_counted_number_of_times(
+        monkeypatch):
+    # 8 states and 6 values: P(R) has 64 elements, P(Sigma) 256, and the
+    # context P(R) x Sigma 512.  The identity tables of P(R), P(Sigma) and
+    # the context hash 64 + 256 + 512, the term's root dict 512, the
+    # transpose's components 64, and the lookup of the interval set's
+    # element 1.  The transpose reads its rows without hashing.
+    states = tuple(f"s{i}" for i in range(8))
+    values = [Fraction(7 * i - 9, 4) for i in range(6)]
+    system = ClassicalSystem(states, {"A": {s: values[i % 6] for i, s in enumerate(states)}})
+    eff = EffectiveClassicalRep.build(system)
+    presheaf_module.exponential.cache_clear()
+    hashed = []
+    cells_hash = presheaf_module._Cells.__hash__
+
+    def spy(self):
+        hashed.append(1)
+        return cells_hash(self)
+
+    monkeypatch.setattr(presheaf_module._Cells, "__hash__", spy)
+    got = eff.preimage("A", iv(-1, True, 5, False))
+    monkeypatch.undo()
+    assert got == frozenset(s for i, s in enumerate(states) if -1 <= values[i % 6] < 5)
+    assert len(hashed) == 64 + 256 + 512 + 512 + 64 + 1
 
 
 def _plain_fraction_system(states, tables) -> ClassicalSystem:
