@@ -75,8 +75,8 @@ class FiniteCategory:
         self._into_by_key: dict[str, tuple[tuple[str, str], ...]] = {}
         self._key = (self.objects, self.morphisms, tuple(sorted(self.identity.items())),
                      tuple(sorted(self._compose.items())))
-        # Hashed once: every `classifier_kit` and `exponential` lookup, and
-        # every presheaf's hash, hashes its base.
+        # Hashed once: every `classifier_kit` lookup, and every presheaf's
+        # hash, hashes its base.
         self._hash = hash(self._key)
 
     def __eq__(self, other):

@@ -15,7 +15,8 @@ Sub-objects and global elements come in canonical order; hom-sets come in
 the order of their backtracking search, which follows object, stage and
 morphism order and not the hash seed, so repeated runs are byte-identical.
 Where no cell propagates, the search's order is that of a product of
-stages, and the hom-set is listed as that product.
+stages, and the hom-set is listed as that product, or refused before it
+is listed where the search would pass a cap.
 The one-object category gives the plain category of sets, where the
 classifier degenerates to the two truth values.
 
@@ -42,11 +43,21 @@ cells that share (B, g), and `exp_column` reads the evaluation cells
 (A, id_A, x) of many elements by position.  Other modules (term
 interpretation and the classical representation in `rep`) go through these
 two and never take an element apart themselves.
+
+An exponential is listed only when something reads its stages or tables,
+and it is kept on its exponent, not in a process-wide cache, so it lives as
+long as its inputs.  An arrow into it, such as a transpose, is certified
+cell by cell and lists nothing: the classical preimage reaches its subset
+of states through P(Sigma), which has 2^states elements, without listing
+any of them.  The one process-wide cache is `classifier_kit`'s, of
+CACHE_SIZE kits.
 """
 from __future__ import annotations
 
 import itertools
 import math
+import weakref
+from collections import namedtuple
 from collections.abc import Mapping
 from functools import lru_cache
 from operator import eq, getitem, itemgetter
@@ -72,8 +83,8 @@ SUB_ENUM_CAP = 1 << 20
 # environments, take 6 s and 211 MB, and the next factor of 8 would not fit
 # a 10 s budget.
 PRODUCT_CAP = 1 << 15
-# Entries kept by each of the process-wide caches on `classifier_kit` and
-# `exponential`, least recently used first out.
+# Entries kept by the process-wide cache on `classifier_kit`, least
+# recently used first out.
 CACHE_SIZE = 128
 
 
@@ -100,6 +111,10 @@ class Presheaf:
     mutable dict: a caller who edits a table after construction voids that
     guarantee, as one who edits `NatTransform.components` voids `_natural`.
     """
+
+    # The exponentials Y^X with this presheaf as X, by Y, once there is one
+    # (see `_exponential`).
+    _exps: dict | None = None
 
     def __init__(self, base: FiniteCategory, at: Mapping[str, Iterable],
                  maps: Mapping[str, Mapping]):
@@ -603,6 +618,47 @@ def product(x: Presheaf, y: Presheaf) -> ProductDiagram:
 
 # -- natural transformation enumeration ----------------------------------------
 
+def _search_refusal(sizes: Sequence[int]) -> str | None:
+    """The CapExceeded text the backtracking search raises first over cells
+    with nothing to propagate whose values range over stages of these
+    sizes, or None if it lists them all inside both caps.
+
+    The search visits one node per prefix of an assignment: all told the
+    sum of the partial products of the sizes.  Its leaves come in
+    lexicographic order, and the cell cap trips at result k, the first with
+    (k + 1) * cells > HOM_CELL_CAP, which is node number the sum over depths
+    d of k // P_d + 1, P_d the count of results below a node at depth d.
+    The node cap trips first when that number is past ENUM_NODE_CAP."""
+    n = len(sizes)
+    nodes = results = 1
+    for size in sizes:
+        results *= size
+        nodes += results
+        if nodes > ENUM_NODE_CAP:
+            break
+    if nodes <= ENUM_NODE_CAP and results * n <= HOM_CELL_CAP:
+        return None
+    if n and all(sizes):
+        k = HOM_CELL_CAP // n
+        node, below = 0, 1
+        for depth in range(n, 0, -1):
+            node += k // below + 1
+            below *= sizes[depth - 1]
+            if below > k:
+                # Result k exists, and each shallower depth adds one node.
+                if node + depth <= ENUM_NODE_CAP:
+                    return (f"hom search results of {n} cells each exceed "
+                            f"cap {HOM_CELL_CAP} cells after {k} results")
+                break
+    return f"hom-set enumeration exceeded {ENUM_NODE_CAP} nodes"
+
+
+def _propagates(cat: FiniteCategory, obj: str) -> bool:
+    """Whether a hom-search cell at obj has a non-identity arrow into obj to
+    propagate its value along."""
+    return cat.into(obj) != (cat.id_of(obj),)
+
+
 def _hom_search(cat: FiniteCategory, cells: list, restrict, y: Presheaf) -> Iterable[Sequence]:
     """Each natural assignment of a y-value to every cell (obj, el), as its
     values in cell order; `restrict(mid, el)` restricts el along mid.
@@ -615,10 +671,16 @@ def _hom_search(cat: FiniteCategory, cells: list, restrict, y: Presheaf) -> Iter
 
     When no cell has a non-identity arrow to propagate along (every cell of
     a one-object base with only its identity, or of a discrete base), every
-    assignment is natural: if the search would stay inside both caps, the
-    result is `itertools.product` of the cells' target stages, which is the
-    search's own lexicographic order.  Otherwise the search runs and raises
-    where it raises."""
+    assignment is natural, and the result is `itertools.product` of the
+    cells' target stages, which is the search's own lexicographic order.
+    Where the search would pass a cap, `_search_refusal` gives the text it
+    would raise, and it is raised before any result is built."""
+    if not any(_propagates(cat, obj) for obj, _ in cells):
+        stages = [y.stage(obj) for obj, _ in cells]
+        refusal = _search_refusal(list(map(len, stages)))
+        if refusal:
+            raise CapExceeded(refusal)
+        return itertools.product(*stages)
     cell_index = {c: i for i, c in enumerate(cells)}
     # per cell: (morphism, target cell) pairs for propagation
     prop: list = [[] for _ in cells]
@@ -627,18 +689,6 @@ def _hom_search(cat: FiniteCategory, cells: list, restrict, y: Presheaf) -> Iter
             dom = cat.morphism(mid).dom
             if mid != cat.id_of(dom):
                 prop[i].append((mid, cell_index[(dom, restrict(mid, el))]))
-    if not any(prop):
-        stages = [y.stage(obj) for obj, _ in cells]
-        # The search visits one node per prefix of an assignment: the sum of
-        # the partial products of the stage sizes.
-        nodes = results = 1
-        for stage in stages:
-            results *= len(stage)
-            nodes += results
-            if nodes > ENUM_NODE_CAP:
-                break
-        if nodes <= ENUM_NODE_CAP and results * len(cells) <= HOM_CELL_CAP:
-            return itertools.product(*stages)
     assign: list = [None] * len(cells)
     out = []
     nodes = 0
@@ -753,39 +803,109 @@ def exp_column(cat: FiniteCategory, obj: str, x: Presheaf,
     return list(map(itemgetter(1), cells))
 
 
-@lru_cache(maxsize=CACHE_SIZE)
-def exponential(x: Presheaf, y: Presheaf) -> Presheaf:
-    """Y^X: stage A is Nat(Hom(-, A) x X, Y), read off `_hom_search` over
-    the cells (B, g, xv) in `_exp_keys` order, so in canon_key order without
-    a sort.  Restriction is precomposition, theta'(h, xv) = theta(m o h, xv).
-    CapExceeded, before any search, past PRODUCT_CAP cells at a stage.
-    Cached, up to CACHE_SIZE of them: the same exponentials recur
-    throughout term interpretation."""
+class _Exponential(Presheaf):
+    """Y^X before its stages are listed.  The first read of `at` or `maps`,
+    through `stage`, `apply`, equality or the hash too, lists every stage
+    with `_hom_search` over the cells (B, g, xv) in `_exp_keys` order, so in
+    canon_key order without a sort, and every restriction table, which is
+    precomposition: theta'(h, xv) = theta(m o h, xv).  Listing keeps them,
+    and drops what it was listed from.
+
+    Unlisted, it holds the cell keys, X's tables and Y, but not X, which
+    keeps it: so no cycle ties the two.  `_refusal` is the text of the
+    CapExceeded that listing would raise first, where that is known without
+    a search: on the stages, in object order, whose cells have nothing to
+    propagate, up to the first stage that has."""
+
+    def __init__(self, x: Presheaf, y: Presheaf):
+        cat = self.base = x.base
+        keys = {obj: _exp_keys(cat, obj, x) for obj in cat.objects}
+        for obj, cells in keys.items():
+            if len(cells) > PRODUCT_CAP:
+                raise CapExceeded(f"exponential stage {obj!r} has {len(cells)} cells, "
+                                  f"exceeds cap {PRODUCT_CAP}")
+        self._refusal = None
+        for obj in cat.objects:
+            if any(_propagates(cat, b) for b, _, _ in keys[obj]):
+                break
+            self._refusal = _search_refusal([len(y.stage(b)) for b, _, _ in keys[obj]])
+            if self._refusal:
+                break
+        self._hash = None
+        self._unlisted = (keys, x.maps, y)
+
+    def __getattr__(self, name):
+        # Called only for an attribute not yet set: `at` and `maps` until
+        # the listing sets both.
+        if name not in ("at", "maps") or self._unlisted is None:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        keys, xmaps, y = self._unlisted
+        cat = self.base
+
+        def restrict(mid, cell):
+            g, xv = cell
+            return cat.compose(g, mid), xmaps[mid][xv]
+
+        at = {obj: tuple(_Cells(zip(keys[obj], values)) for values in
+                         _hom_search(cat, [(b, (g, xv)) for b, g, xv in keys[obj]], restrict, y))
+              for obj in cat.objects}
+        # `_fill` fills in the identity tables with the stage's own elements.
+        maps = {}
+        for m in cat.morphisms:
+            if m.id != cat.id_of(m.dom):
+                index = {key: i for i, key in enumerate(keys[m.cod])}
+                reads = [index[(b, cat.compose(m.id, h), xv)] for b, h, xv in keys[m.dom]]
+                maps[m.id] = {el: _Cells(zip(keys[m.dom], [el[i][1] for i in reads]))
+                              for el in at[m.cod]}
+        self._fill(cat, at, maps)
+        self._unlisted = None
+        return getattr(self, name)
+
+
+# Calls of `_exponential` that found Y^X kept on X, and that built it; and
+# the exponentials built and still alive, held weakly.
+_EXP_HITS_MISSES = [0, 0]
+_EXP_ALIVE: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
+_CacheInfo = namedtuple("CacheInfo", ["hits", "misses", "maxsize", "currsize"])
+
+
+def _exponential(x: Presheaf, y: Presheaf) -> _Exponential:
+    """Y^X as kept on its exponent x, keyed by y: built unlisted on the first
+    call, and kept while x lives.  CapExceeded past PRODUCT_CAP cells at a
+    stage."""
     if x.base != y.base:
         raise ShapeMismatch("exponential needs a common base")
-    cat = x.base
-    keys = {obj: _exp_keys(cat, obj, x) for obj in cat.objects}
-    for obj, cells in keys.items():
-        if len(cells) > PRODUCT_CAP:
-            raise CapExceeded(f"exponential stage {obj!r} has {len(cells)} cells, "
-                              f"exceeds cap {PRODUCT_CAP}")
+    kept = x._exps
+    if kept is None:
+        kept = x._exps = {}
+    exp = kept.get(y)
+    if exp is not None:
+        _EXP_HITS_MISSES[0] += 1
+        return exp
+    exp = kept[y] = _Exponential(x, y)
+    _EXP_HITS_MISSES[1] += 1
+    _EXP_ALIVE[_EXP_HITS_MISSES[1]] = exp
+    return exp
 
-    def restrict(mid, cell):
-        g, xv = cell
-        return cat.compose(g, mid), x.apply(mid, xv)
 
-    at = {obj: tuple(_Cells(zip(keys[obj], values)) for values in
-                     _hom_search(cat, [(b, (g, xv)) for b, g, xv in keys[obj]], restrict, y))
-          for obj in cat.objects}
-    # `Presheaf` fills in the identity tables with the stage's own elements.
-    maps = {}
-    for m in cat.morphisms:
-        if m.id != cat.id_of(m.dom):
-            index = {key: i for i, key in enumerate(keys[m.cod])}
-            reads = [index[(b, cat.compose(m.id, h), xv)] for b, h, xv in keys[m.dom]]
-            maps[m.id] = {el: _Cells(zip(keys[m.dom], [el[i][1] for i in reads]))
-                          for el in at[m.cod]}
-    return Presheaf._canonical(cat, at, maps)
+def exponential(x: Presheaf, y: Presheaf) -> Presheaf:
+    """Y^X, unlisted until it is read (see `_Exponential`), and kept on x,
+    keyed by y: the same exponentials recur throughout term interpretation,
+    and nothing process-wide holds one.  CapExceeded at the call past
+    PRODUCT_CAP cells at a stage, and where `_Exponential._refusal` says
+    listing it would pass a hom-search cap: so on a one-object or discrete
+    base an oversized power object is refused before anything is listed.
+
+    `exponential.cache_info()` has `functools`' fields: the calls that found
+    Y^X kept and the ones that built it, no size bound, and the exponentials
+    built that are still alive."""
+    exp = _exponential(x, y)
+    if exp._refusal:
+        raise CapExceeded(exp._refusal)
+    return exp
+
+
+exponential.cache_info = lambda: _CacheInfo(*_EXP_HITS_MISSES, None, len(_EXP_ALIVE))
 
 
 def power_object(x: Presheaf) -> Presheaf:
@@ -812,7 +932,10 @@ def exp_transpose(f: NatTransform, z: Presheaf, x: Presheaf, y: Presheaf) -> Nat
     block at (dom h, g o h) is the restriction of its block at (B, g), for
     every h but the identities, along which both presheaves fix their
     stages.  PresheafError when f is not natural.  The output is certified
-    natural, which holds because Z is a presheaf."""
+    natural, which holds because Z is a presheaf, and its target is Y^X as
+    kept on x and unlisted until read: no hom-set cap applies to an arrow
+    into it, so P(Sigma) of any number of states within PRODUCT_CAP can be
+    a target."""
     cat = z.base
     if not _is_product(f.source, [z, x]) or f.target != y:
         raise ShapeMismatch("arrow to transpose is not Z x X -> Y")
@@ -858,7 +981,7 @@ def exp_transpose(f: NatTransform, z: Presheaf, x: Presheaf, y: Presheaf) -> Nat
                                             f"restriction along {h!r} at {zv!r}")
         comps[obj] = dict(zip(zs, exp_from_blocks(cat, obj, x, zip(*(
             map(rows[b].__getitem__, reads[g]) for b, g in pairs)))))
-    return NatTransform._certified(z, exponential(x, y), comps)
+    return NatTransform._certified(z, _exponential(x, y), comps)
 
 
 def power_transpose(f: NatTransform, z: Presheaf, x: Presheaf) -> NatTransform:

@@ -18,7 +18,7 @@ local-language or representation code.
 from __future__ import annotations
 
 import json
-from importlib import resources
+import os
 from typing import TYPE_CHECKING, Mapping
 
 from ._record import field, record
@@ -99,10 +99,16 @@ class Project:
         }
 
 
+# Beside this module in the source tree and in an installed copy alike, read
+# by path: `importlib.resources` would load `pathlib`, `tempfile` and
+# `zipfile` on every cold start.
+_SCHEMA_PATH = os.path.join(os.path.dirname(os.path.abspath(__file__)), "schema",
+                           "project-v1.schema.json")
+
+
 def _schema() -> dict:
-    text = resources.files("toposlang.schema").joinpath("project-v1.schema.json") \
-        .read_text(encoding="utf-8")
-    return json.loads(text)
+    with open(_SCHEMA_PATH, encoding="utf-8") as handle:
+        return json.load(handle)
 
 
 def validate_schema(document) -> None:

@@ -429,7 +429,10 @@ class EffectiveClassicalRep:
     one, once per quantity.  On the one object no cell propagates, so that
     power object is listed as a product of truth values with no search, and
     the transpose reads the membership arrow's values row by row in the
-    context's product order, hashing no (subset, state) pair.
+    context's product order, hashing no (subset, state) pair.  Its target,
+    the power object of the states, is never listed: each subset of states
+    is built as one element of it, so a preimage costs time linear in the
+    states, not 2^states.
     """
     system: ClassicalSystem
     rep: ToposRep

@@ -62,9 +62,9 @@ def test_exports_are_the_71_names_of_their_defining_modules():
         toposlang.no_such_name
 
 
-def _modules_loaded(code, *argv):
+def _modules_loaded(code, *argv, flags=()):
     env = dict(os.environ, PYTHONPATH=str(REPO / "src"))
-    proc = subprocess.run([sys.executable, "-c", code, *argv], capture_output=True,
+    proc = subprocess.run([sys.executable, *flags, "-c", code, *argv], capture_output=True,
                           text=True, env=env, cwd=REPO, check=True)
     return set(proc.stdout.split())
 
@@ -99,6 +99,25 @@ print(" ".join(sorted(sys.modules)))
     modules = _modules_loaded(script)
     assert {"toposlang.project", "toposlang.rep", "toposlang.prop.decide"} <= modules
     assert [name for name in ("dataclasses", "inspect") if _loaded(modules, name)] == []
+
+
+def test_no_command_loads_the_resource_and_archive_modules():
+    # Every golden command, run in turn in one process without `site`, which
+    # on some hosts imports packages that load these modules first: the
+    # schema is read by its path beside `project.py`.
+    script = """
+import contextlib, io, json, sys
+from toposlang.cli import main
+for case in json.load(open("tests/golden/cases.json")):
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        main(case["argv"])
+print(" ".join(sorted(sys.modules)))
+"""
+    modules = _modules_loaded(script, flags=("-S",))
+    assert {"toposlang.project", "toposlang.schema_check"} <= modules
+    assert "site" not in modules
+    assert [name for name in ("importlib.resources", "tempfile", "zipfile")
+            if _loaded(modules, name)] == []
 
 
 def test_validate_loads_only_the_layers_a_project_declares(tmp_path):

@@ -1,8 +1,10 @@
+import gc
 import os
 import random
 import re
 import subprocess
 import sys
+import weakref
 from fractions import Fraction
 from pathlib import Path
 
@@ -46,6 +48,7 @@ from toposlang.category import from_poset, one_object_category, principal_sieve
 from toposlang.errors import CapExceeded
 from toposlang.presheaf import (
     CACHE_SIZE,
+    HOM_CELL_CAP,
     PRODUCT_CAP,
     GlobalElement,
     NatTransform,
@@ -544,14 +547,38 @@ def test_exp_column_on_a_missing_cell_raises_presheaf_error():
 
 
 def test_process_wide_caches_stay_within_their_bounds():
-    kits, exps = classifier_kit.cache_info().misses, exponential.cache_info().misses
+    # `classifier_kit` keeps its last CACHE_SIZE kits; an exponential lives
+    # as long as its inputs, and nothing process-wide holds one.
+    kits, exps = classifier_kit.cache_info().misses, exponential.cache_info()
+    powers = []
     for i in range(CACHE_SIZE + 8):
         base = one_object_category(f"bound{i}")
-        power_object(Presheaf(base, {f"bound{i}": ("a", "b")}, {}))
+        powers.append(weakref.ref(power_object(Presheaf(base, {f"bound{i}": ("a", "b")}, {}))))
     assert classifier_kit.cache_info().misses - kits > CACHE_SIZE
-    assert exponential.cache_info().misses - exps > CACHE_SIZE
     assert classifier_kit.cache_info().currsize <= CACHE_SIZE
-    assert exponential.cache_info().currsize <= CACHE_SIZE
+    assert exponential.cache_info().misses - exps.misses == CACHE_SIZE + 8
+    gc.collect()
+    assert [power for power in powers if power() is not None] == []
+    assert exponential.cache_info().currsize <= exps.currsize
+    assert exponential.cache_info().maxsize is None
+
+
+def test_a_power_object_lives_exactly_as_long_as_its_presheaf():
+    x = Presheaf(PT, {"pt": ("dies-a", "dies-b")}, {})
+    px = power_object(x)
+    assert power_object(x) is px and exponential(x, classifier_kit(PT).omega) is px
+    # An equal exponent built apart has its own, equal power object.
+    twin = power_object(Presheaf(PT, x.at, x.maps))
+    assert twin is not px and twin == px
+    ppx = power_object(px)
+    refs = [weakref.ref(px), weakref.ref(ppx), weakref.ref(twin)]
+    del px, ppx, twin
+    gc.collect()
+    # x keeps P(x), which keeps P(P(x)); the twin's exponent is gone.
+    assert [ref() is None for ref in refs] == [False, False, True]
+    del x
+    gc.collect()
+    assert [ref() for ref in refs] == [None, None, None]
 
 
 def test_numbers_sort_by_value_past_float_range_and_precision():
@@ -699,6 +726,133 @@ def test_cartesian_hom_search_raises_where_the_backtracking_search_raises(data):
             expected = sorted((GlobalElement(y, dict(zip(cat.objects, values)))
                                for values in expected), key=lambda g: canon_key(g.key()))
         assert _search_outcome(global_elements, y) == expected
+
+
+@pytest.mark.hash_seeds
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_an_oversized_cartesian_hom_set_is_refused_with_the_search_text(data):
+    # One cell per object of a discrete base, stages of 0 to 3 values, and
+    # caps at and around the backtracking search's node and value counts.
+    sizes = data.draw(st.lists(st.integers(0, 3), min_size=1, max_size=4))
+    objs = [f"r{i}" for i in range(len(sizes))]
+    cat = from_poset(objs, [])
+    y = Presheaf(cat, {obj: [f"v{j}" for j in range(n)] for obj, n in zip(objs, sizes)}, {})
+    cells = [(obj, ()) for obj in objs]
+    nodes = results = 1
+    for n in sizes:
+        results *= n
+        nodes += results
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(presheaf, "ENUM_NODE_CAP", data.draw(st.integers(0, nodes + 1)))
+        patch.setattr(presheaf, "HOM_CELL_CAP",
+                      data.draw(st.integers(0, results * len(cells) + 1)))
+        expected = _search_outcome(backtracking_hom_search, cat, cells,
+                                   terminal_presheaf(cat).apply, y)
+        refusal = presheaf._search_refusal(sizes)
+        assert refusal == (expected if isinstance(expected, str) else None)
+        # The product of the stages is refused before it yields anything.
+        assert _search_outcome(presheaf._hom_search, cat, cells,
+                               terminal_presheaf(cat).apply, y) == expected
+
+
+# Bases on which some stages of an exponential are listed as a product and
+# others by the search: p's cells have nothing to propagate, q's have.
+MIXED_BASES = [TWO, from_poset(["q", "p"], [("p", "q")]), PT, MONOID]
+
+
+@pytest.mark.hash_seeds
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_an_exponential_raises_what_its_listing_would_raise_first(data):
+    # Oracle: the backtracking search of each stage in object order, the
+    # first CapExceeded it raises.  `exponential` may raise it at the call,
+    # where it searches nothing, or else on the first read, but never raise
+    # another.
+    cat = data.draw(st.sampled_from(MIXED_BASES))
+    x = random_presheaf(cat, random.Random(data.draw(st.integers(0, 50))), max_size=2)
+    y = random_presheaf(cat, random.Random(data.draw(st.integers(0, 50))), max_size=3)
+
+    def restrict(mid, cell):
+        g, xv = cell
+        return cat.compose(g, mid), x.apply(mid, xv)
+
+    with pytest.MonkeyPatch.context() as patch:
+        # Small caps too, at which the stages of both kinds are refused.
+        patch.setattr(presheaf, "ENUM_NODE_CAP", data.draw(st.integers(0, 60)))
+        patch.setattr(presheaf, "HOM_CELL_CAP", data.draw(st.integers(0, 3) | st.integers(0, 120)))
+        outcomes = [_search_outcome(backtracking_hom_search, cat,
+                                    [(b, (g, xv)) for b, g, xv in presheaf._exp_keys(cat, obj, x)],
+                                    restrict, y) for obj in cat.objects]
+        expected = next((o for o in outcomes if isinstance(o, str)), None)
+        with pytest.MonkeyPatch.context() as no_search:
+            no_search.setattr(presheaf, "_hom_search", None)
+            try:
+                exp = exponential(Presheaf(cat, x.at, x.maps), y)
+            except CapExceeded as exc:
+                assert str(exc) == expected
+                return
+        try:
+            exp.at
+        except CapExceeded as exc:
+            assert str(exc) == expected
+        else:
+            assert expected is None
+
+
+@pytest.mark.parametrize("states, results", [(18, 233_016), (24, 174_762)])
+def test_a_power_object_past_the_cell_cap_is_refused_at_once(states, results):
+    x = Presheaf(PT, {"pt": [f"once{i}" for i in range(states)]}, {})
+    with budget(f"P(X) of {states} elements refused", 0.1):
+        with pytest.raises(CapExceeded) as err:
+            power_object(x)
+    assert str(err.value) == (f"hom search results of {states} cells each exceed cap "
+                              f"{HOM_CELL_CAP} cells after {results} results")
+
+
+def _exponential_pairs(seed: int = 31) -> list:
+    rng = random.Random(seed)
+    pairs = []
+    for cat in ALL_BASES + [DIAMOND]:
+        omega = classifier_kit(cat).omega
+        for _ in range(4):
+            x = random_presheaf(cat, rng, max_size=2)
+            pairs += [(x, random_presheaf(cat, rng, max_size=2)), (x, omega)]
+    return pairs
+
+
+EXPONENTIAL_PAIRS = _exponential_pairs()
+# The first read of an exponential, by what it reads, given its reference.
+FIRST_READS = {
+    "at": lambda exp, ref: exp.at,
+    "maps": lambda exp, ref: exp.maps,
+    "stage": lambda exp, ref: exp.stage(ref.base.objects[-1]),
+    "apply": lambda exp, ref: [exp.apply(mid, el) for mid, table in ref.maps.items()
+                               for el in table][:1],
+    "equality": lambda exp, ref: exp == ref,
+    "hash": lambda exp, ref: hash(exp) == hash(ref),
+}
+
+
+@pytest.mark.hash_seeds
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_a_lazily_listed_exponential_is_the_reference_exponential(data):
+    x, y = data.draw(st.sampled_from(EXPONENTIAL_PAIRS))
+    read = data.draw(st.sampled_from(sorted(FIRST_READS)))
+    # An exponent built apart has no exponential kept on it yet.
+    x = Presheaf(x.base, x.at, x.maps)
+    exp, ref = exponential(x, y), reference_exponential(x, y)
+    assert "at" not in vars(exp) and "maps" not in vars(exp)
+    FIRST_READS[read](exp, ref)
+    assert "at" in vars(exp) and "maps" in vars(exp)
+    cat = x.base
+    assert [list(exp.stage(obj)) for obj in cat.objects] == \
+        [list(ref.stage(obj)) for obj in cat.objects]
+    assert exp.maps == ref.maps and exp == ref and hash(exp) == hash(ref)
+    assert [list(table) for table in exp.maps.values()] == \
+        [list(ref.maps[mid]) for mid in exp.maps]
+    assert exponential(x, y) is exp
 
 
 # Run in its own process under a 2 GB address-space limit: P(P(R)) with

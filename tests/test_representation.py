@@ -1,3 +1,4 @@
+import gc
 import random
 from fractions import Fraction
 
@@ -10,6 +11,7 @@ from helpers import (
     MONOID,
     TWO,
     VEE,
+    budget,
     compose_nats,
     evaluation,
     exp_untranspose,
@@ -709,16 +711,15 @@ def test_classical_values_are_hashed_once_each(monkeypatch):
 @pytest.mark.hash_seeds
 def test_a_first_preimage_hashes_each_power_object_element_a_counted_number_of_times(
         monkeypatch):
-    # 8 states and 6 values: P(R) has 64 elements, P(Sigma) 256, and the
-    # context P(R) x Sigma 512.  The identity tables of P(R), P(Sigma) and
-    # the context hash 64 + 256 + 512, the term's root dict 512, the
-    # transpose's components 64, and the lookup of the interval set's
-    # element 1.  The transpose reads its rows without hashing.
+    # 8 states and 6 values: P(R) has 64 elements and the context
+    # P(R) x Sigma 512.  The identity tables of P(R) and the context hash
+    # 64 + 512, the term's root dict 512, the transpose's components 64, and
+    # the lookup of the interval set's element 1.  The transpose reads its
+    # rows without hashing, and P(Sigma), its target, is never listed.
     states = tuple(f"s{i}" for i in range(8))
     values = [Fraction(7 * i - 9, 4) for i in range(6)]
     system = ClassicalSystem(states, {"A": {s: values[i % 6] for i, s in enumerate(states)}})
     eff = EffectiveClassicalRep.build(system)
-    presheaf_module.exponential.cache_clear()
     hashed = []
     cells_hash = presheaf_module._Cells.__hash__
 
@@ -730,7 +731,57 @@ def test_a_first_preimage_hashes_each_power_object_element_a_counted_number_of_t
     got = eff.preimage("A", iv(-1, True, 5, False))
     monkeypatch.undo()
     assert got == frozenset(s for i, s in enumerate(states) if -1 <= values[i % 6] < 5)
-    assert len(hashed) == 64 + 256 + 512 + 512 + 64 + 1
+    assert len(hashed) == 64 + 512 + 512 + 64 + 1
+
+
+def _two_valued_system(n: int) -> ClassicalSystem:
+    states = tuple(f"s{i}" for i in range(n))
+    return ClassicalSystem(states, {"A": {s: Fraction(i % 2, 3) for i, s in enumerate(states)}})
+
+
+@pytest.mark.hash_seeds
+def test_a_first_two_valued_preimage_builds_cells_linear_in_the_states(monkeypatch):
+    # P(R) on 2 values lists 4 elements of 2 cells; the interval set's
+    # element has 2 cells; the transpose gives each of P(R)'s 4 elements a
+    # subset of Sigma, n cells each.  P(Sigma), the transpose's target, is
+    # never listed: a listing would build 2^n elements of n cells.
+    built = []
+
+    class Counted(presheaf_module._Cells):
+        def __new__(cls, cells):
+            out = super().__new__(cls, cells)
+            built.append(len(out))
+            return out
+
+    for n in (8, 16, 32):
+        system = _two_valued_system(n)
+        eff = EffectiveClassicalRep.build(system)
+        built.clear()
+        monkeypatch.setattr(presheaf_module, "_Cells", Counted)
+        got = eff.preimage("A", iv(0, True, Fraction(1, 6), False))
+        monkeypatch.undo()
+        assert got == classical_rep(system).preimage("A", iv(0, True, Fraction(1, 6), False))
+        assert (len(built), sum(built)) == (9, 4 * 2 + 2 + 4 * n)
+        sigma = eff.rep.ground("Sigma")
+        (p_sigma,) = sigma._exps.values()
+        assert prop_family("A", eff.rep).target is p_sigma
+        assert "at" not in vars(p_sigma)
+
+
+@pytest.mark.parametrize("n", [18, 24, 1000])
+def test_a_two_valued_preimage_answers_on_many_states(n):
+    # From 18 states on, P(Sigma) is past the hom search's cell cap and
+    # cannot be listed; the transpose into it lists nothing over Sigma.
+    system = _two_valued_system(n)
+    eff = EffectiveClassicalRep.build(system)
+    reference = classical_rep(system)
+    deltas = [iv(0, True, 0, True), iv(Fraction(1, 3), True, None, False),
+              iv(-1, False, 1, False), IntervalSet.empty()]
+    gc.collect()  # the garbage of earlier tests is not this preimage's
+    with budget(f"first 2-valued preimage on {n} states", 0.05 if n == 1000 else 0.02):
+        got = eff.preimage("A", deltas[0])
+    assert got == reference.preimage("A", deltas[0])
+    assert [eff.preimage("A", d) for d in deltas] == [reference.preimage("A", d) for d in deltas]
 
 
 def _plain_fraction_system(states, tables) -> ClassicalSystem:
