@@ -46,11 +46,13 @@ two and never take an element apart themselves.
 
 An exponential is listed only when something reads its stages or tables,
 and it is kept on its exponent, not in a process-wide cache, so it lives as
-long as its inputs.  An arrow into it, such as a transpose, is certified
-cell by cell and lists nothing: the classical preimage reaches its subset
-of states through P(Sigma), which has 2^states elements, without listing
-any of them.  The one process-wide cache is `classifier_kit`'s, of
-CACHE_SIZE kits.
+long as its inputs.  Unlisted, it still decides whether a single element
+belongs to a stage, restricts it by precomposition and builds the
+sub-presheaf it generates.  An arrow into it, such as a transpose, is
+certified cell by cell and lists nothing: the classical preimage reaches
+its subset of states through P(Sigma), which has 2^states elements, without
+listing any of them, from the one element of P(R) it is asked about.  The
+one process-wide cache is `classifier_kit`'s, of CACHE_SIZE kits.
 """
 from __future__ import annotations
 
@@ -808,14 +810,15 @@ class _Exponential(Presheaf):
     through `stage`, `apply`, equality or the hash too, lists every stage
     with `_hom_search` over the cells (B, g, xv) in `_exp_keys` order, so in
     canon_key order without a sort, and every restriction table, which is
-    precomposition: theta'(h, xv) = theta(m o h, xv).  Listing keeps them,
-    and drops what it was listed from.
+    precomposition (`_restrict`).
 
-    Unlisted, it holds the cell keys, X's tables and Y, but not X, which
-    keeps it: so no cycle ties the two.  `_refusal` is the text of the
-    CapExceeded that listing would raise first, where that is known without
-    a search: on the stages, in object order, whose cells have nothing to
-    propagate, up to the first stage that has."""
+    It holds the cell keys, X's tables and Y, but not X, which keeps it: so
+    no cycle ties the two.  With them, `_holds`, `_restrict` and
+    `_generated` answer for single elements without listing anything.
+    `_refusal` is the text of the CapExceeded that listing would raise
+    first, where that is known without a search: on the stages, in object
+    order, whose cells have nothing to propagate, up to the first stage that
+    has."""
 
     def __init__(self, x: Presheaf, y: Presheaf):
         cat = self.base = x.base
@@ -832,34 +835,88 @@ class _Exponential(Presheaf):
             if self._refusal:
                 break
         self._hash = None
-        self._unlisted = (keys, x.maps, y)
+        self._keys, self._xmaps, self._y = keys, x.maps, y
+        # Per non-identity arrow m: dom(m) and, for each key (B, h, xv) at
+        # dom(m), the position of the key (B, m o h, xv) at cod(m).
+        self._reads: dict = {}
 
     def __getattr__(self, name):
         # Called only for an attribute not yet set: `at` and `maps` until
         # the listing sets both.
-        if name not in ("at", "maps") or self._unlisted is None:
+        if name not in ("at", "maps"):
             raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
-        keys, xmaps, y = self._unlisted
-        cat = self.base
+        keys, xmaps, cat = self._keys, self._xmaps, self.base
 
         def restrict(mid, cell):
             g, xv = cell
             return cat.compose(g, mid), xmaps[mid][xv]
 
         at = {obj: tuple(_Cells(zip(keys[obj], values)) for values in
-                         _hom_search(cat, [(b, (g, xv)) for b, g, xv in keys[obj]], restrict, y))
+                         _hom_search(cat, [(b, (g, xv)) for b, g, xv in keys[obj]], restrict,
+                                     self._y))
               for obj in cat.objects}
         # `_fill` fills in the identity tables with the stage's own elements.
-        maps = {}
-        for m in cat.morphisms:
-            if m.id != cat.id_of(m.dom):
-                index = {key: i for i, key in enumerate(keys[m.cod])}
-                reads = [index[(b, cat.compose(m.id, h), xv)] for b, h, xv in keys[m.dom]]
-                maps[m.id] = {el: _Cells(zip(keys[m.dom], [el[i][1] for i in reads]))
-                              for el in at[m.cod]}
+        maps = {m.id: {el: self._restrict(m.id, el) for el in at[m.cod]}
+                for m in cat.morphisms if m.id != cat.id_of(m.dom)}
         self._fill(cat, at, maps)
-        self._unlisted = None
         return getattr(self, name)
+
+    def _restrict(self, mid: str, el: tuple) -> tuple:
+        """The element el of stage cod(mid) restricted along a non-identity
+        arrow mid, by precomposition: theta'(h, xv) = theta(mid o h, xv)."""
+        reads = self._reads.get(mid)
+        if reads is None:
+            cat = self.base
+            m = cat.morphism(mid)
+            index = {key: i for i, key in enumerate(self._keys[m.cod])}
+            reads = self._reads[mid] = (m.dom, [index[(b, cat.compose(mid, h), xv)]
+                                                for b, h, xv in self._keys[m.dom]])
+        dom, positions = reads
+        return _Cells(zip(self._keys[dom], [el[i][1] for i in positions]))
+
+    def _holds(self, obj: str, el) -> bool:
+        """Whether el lies in the stage at obj, decided without listing it:
+        its cells carry the stage's keys in order, each value lies in Y's
+        stage at the cell's object B, and along every non-identity arrow
+        h: C -> B the cell (C, g o h, X(h)(xv)) holds Y(h) of the value in
+        (B, g, xv), which is naturality."""
+        keys, cat, y = self._keys.get(obj), self.base, self._y
+        if keys is None or not isinstance(el, tuple) or len(el) != len(keys):
+            return False
+        if not all(isinstance(cell, tuple) and len(cell) == 2 and cell[0] == key
+                   for cell, key in zip(el, keys)):
+            return False
+        values = [value for _, value in el]
+        position = {key: i for i, key in enumerate(keys)}
+        try:
+            for (b, g, xv), value in el:
+                if value not in y.maps[cat.id_of(b)]:
+                    return False
+                for h in cat.into(b):
+                    if h == cat.id_of(b):
+                        continue
+                    below = (cat.morphism(h).dom, cat.compose(g, h), self._xmaps[h][xv])
+                    if values[position[below]] != y.maps[h][value]:
+                        return False
+        except TypeError:  # an unhashable value lies in no stage
+            return False
+        return True
+
+    def _generated(self, obj: str, el: tuple) -> Presheaf:
+        """<el>, the sub-presheaf generated by el in the stage at obj, which
+        `_holds` must have accepted: its stage at B is the restrictions of
+        el along the arrows B -> obj, each built by `_restrict`, and its
+        tables are `_restrict` again.  On the one-object base it is {el}."""
+        cat = self.base
+        parts: dict = {b: {} for b in cat.objects}
+        for b, g in cat.into_by_key(obj):
+            down = el if g == cat.id_of(b) else self._restrict(g, el)
+            parts[b][down] = None
+        at = {b: tuple(part) if len(part) < 2 else tuple(canon_sorted(part))
+              for b, part in parts.items()}
+        maps = {m.id: {e: self._restrict(m.id, e) for e in at[m.cod]}
+                for m in cat.morphisms if m.id != cat.id_of(m.dom)}
+        return Presheaf._canonical(cat, at, maps)
 
 
 # Calls of `_exponential` that found Y^X kept on X, and that built it; and

@@ -28,10 +28,16 @@ construction, so `interpret_term` certifies its result and checks nothing.
 `build_rep` adds what a representation need not have: an arrow for every
 declared symbol, faithfulness, and the axioms.
 
+A proposition family, the power transpose P(R) -> P(Sigma) of ``A(s) in
+D``, is read one value set zv at a time (Mac Lane & Moerdijk, "Sheaves in
+Geometry and Logic", I.6): the term is interpreted over <zv> x Sigma only,
+<zv> the sub-presheaf of P(R) that zv generates, and transposed over <zv>.
+The whole family is listed only when its components are read.
+
 This module builds no presheaf structure of its own: the context object is
-`presheaf.product_presheaf`, and power-object elements are built and read
-only through `presheaf.exp_from_blocks` and `exp_column`, which own their
-format.
+`presheaf.product_presheaf`, <zv> is `presheaf`'s too, and power-object
+elements are built and read only through `presheaf.exp_from_blocks` and
+`exp_column`, which own their format.
 
 The one-object backend gives classical set semantics.  A finite-state
 system with rational value tables becomes such a representation through
@@ -78,6 +84,8 @@ from .local.types import (
 from .presheaf import (
     NatTransform,
     Presheaf,
+    PresheafError,
+    _exponential,
     classifier_kit,
     exp_column,
     exp_from_blocks,
@@ -259,6 +267,16 @@ def interpret_term(term: Term, context: Sequence[tuple[str, TypeExpr]],
     components, natural by construction on the grounds and symbol arrows
     `ToposRep` checked, so the result is certified and checked no further.
     """
+    return _interpret_term(term, context, rep, None)
+
+
+def _interpret_term(term: Term, context: Sequence[tuple[str, TypeExpr]],
+                    rep: ToposRep, source: Presheaf | None) -> NatTransform:
+    """`interpret_term` out of `source`, a sub-presheaf of the context
+    product whose stages are the environments to interpret over, or out of
+    the whole product when None.  A term's value at an environment reads
+    only that environment and its restrictions, which stay in `source`, so
+    the result is the whole interpretation restricted to `source`."""
     term = desugar_connectives(term)
     target_type = infer_type(term, dict(context), rep.signature)
     cat = rep.base
@@ -313,8 +331,9 @@ def interpret_term(term: Term, context: Sequence[tuple[str, TypeExpr]],
                 for obj in cat.objects}
         raise RepresentationError(f"cannot interpret term former {type(n).__name__}")
 
-    presheaves = tuple(interpret_type(t, rep) for _, t in context)
-    source = product_presheaf(presheaves) if context else rep.kit.terminal
+    if source is None:
+        presheaves = tuple(interpret_type(t, rep) for _, t in context)
+        source = product_presheaf(presheaves) if context else rep.kit.terminal
     top = _Context(cat, {name: i for i, (name, _) in enumerate(context)},
                    tuple(t for _, t in context), source.at, source=source)
     columns = arrow(term, top)
@@ -394,21 +413,67 @@ def _completed(rep: ToposRep) -> ToposRep:
 
 # -- proposition families ---------------------------------------------------------
 
+# The context of the proposition ``A(s) in D`` that a family transposes.
+_FAMILY_CONTEXT = (("D", PowerType(RQ)), ("s", SIGMA))
+
+
+class _PropFamily(NatTransform):
+    """The power transpose P(R) -> P(Sigma) of the arrow P(R) x Sigma ->
+    Omega interpreting ``symbol(s) in D``, read one argument at a time.
+
+    By the Yoneda lemma its value at zv in P(R)(A) needs only <zv>, the
+    sub-presheaf of P(R) that zv generates (`_Exponential._generated`):
+    `apply` interprets the term over <zv> x Sigma, transposes that over
+    <zv> and reads the value at zv, so it lists neither P(R) nor P(Sigma).
+    An argument outside P(R)(A), decided by `_Exponential._holds`, raises
+    what `NatTransform.apply` raises.  The first read of `components`,
+    through equality or the hash too, lists P(R) and applies the family to
+    each element; `apply` then reads the listed components.  Certified
+    natural, as every power transpose is."""
+
+    def __init__(self, symbol: str, rep: ToposRep):
+        self._term = In(App(symbol, Var("s")), Var("D"))
+        infer_type(self._term, dict(_FAMILY_CONTEXT), rep.signature)
+        self.source = interpret_type(PowerType(RQ), rep)
+        self._sigma = interpret_type(SIGMA, rep)
+        if symbol not in rep.symbols:
+            raise RepresentationError(f"unassigned function symbol {symbol!r}")
+        # P(Sigma) as the transposes make it, unlisted and past no hom-set cap.
+        self.target = _exponential(self._sigma, rep.kit.omega)
+        self._rep, self._hash, self._natural = rep, None, True
+
+    def __getattr__(self, name):
+        # Called only for an attribute not yet set: `components` until the
+        # first read lists it.
+        if name != "components":
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        self.components = {obj: {zv: self._value(obj, zv) for zv in self.source.stage(obj)}
+                           for obj in self.source.base.objects}
+        return self.components
+
+    def apply(self, obj: str, zv):
+        if "components" in self.__dict__:
+            return super().apply(obj, zv)
+        if not self.source._holds(obj, zv):
+            raise PresheafError(f"component at {obj!r} undefined at {zv!r}")
+        return self._value(obj, zv)
+
+    def _value(self, obj: str, zv):
+        generated = self.source._generated(obj, zv)
+        flipped = _interpret_term(self._term, _FAMILY_CONTEXT, self._rep,
+                                  product_presheaf([generated, self._sigma]))
+        return power_transpose(flipped, generated, self._sigma).components[obj][zv]
+
+
 def prop_family(symbol: str, rep: ToposRep) -> NatTransform:
     """Power transpose of the arrow P(R) x Sigma -> Omega interpreting
-    ``symbol(s) in D``, as a family of state subsets indexed by value sets.
-    Cached per representation and symbol."""
+    ``symbol(s) in D``, as a family of state subsets indexed by value sets:
+    each value read at one argument and the whole family listed only when
+    read (see `_PropFamily`).  Cached per representation and symbol."""
     cached = rep._family_cache.get(symbol)
-    if cached is not None:
-        return cached
-    flipped = interpret_term(
-        In(App(symbol, Var("s")), Var("D")),
-        (("D", PowerType(RQ)), ("s", SIGMA)), rep)
-    z = interpret_type(PowerType(RQ), rep)
-    x = interpret_type(SIGMA, rep)
-    out = power_transpose(flipped, z, x)
-    rep._family_cache[symbol] = out
-    return out
+    if cached is None:
+        cached = rep._family_cache[symbol] = _PropFamily(symbol, rep)
+    return cached
 
 
 # -- classical backend --------------------------------------------------------------
@@ -423,16 +488,15 @@ class EffectiveClassicalRep:
     arrows hold the system's own value objects, one hash-keeping
     `intervals.Rational` per distinct value (see `ClassicalSystem`), so the
     power object's cells and every lookup of a value find it by identity
-    and hash it once.  A preimage still goes
-    through `prop_family`, which enumerates the power object of the value
-    stage, all 2^values subsets of it, and transposes membership over every
-    one, once per quantity.  On the one object no cell propagates, so that
-    power object is listed as a product of truth values with no search, and
-    the transpose reads the membership arrow's values row by row in the
-    context's product order, hashing no (subset, state) pair.  Its target,
-    the power object of the states, is never listed: each subset of states
-    is built as one element of it, so a preimage costs time linear in the
-    states, not 2^states.
+    and hash it once.  A preimage goes through `prop_family`, read at the
+    interval set's element alone: on the one object that element generates
+    only itself, so membership is interpreted over one environment per
+    state and transposed into one subset of states.  Neither the power
+    object of the values, 2^values subsets, nor that of the states,
+    2^states, is listed, so a preimage costs time linear in the states and
+    does not grow with 2^values.  The power object of the values is still
+    refused when it is interpreted, from 18 values on, since listing it
+    would pass the hom search's cell cap.
     """
     system: ClassicalSystem
     rep: ToposRep

@@ -6,7 +6,8 @@ Kripke countermodel search, the tuple-form G4ip prover without pruning, the
 code calls: the tabulating Heyting algebra, the exhaustive law checker, the
 exponential-cell reader that scans an element's cells, the
 universal-property checks of products and exponentials, the exponential
-built through representables, the canonical keys presheaves and natural
+built through representables, the proposition family built whole over
+P(R) x Sigma, the canonical keys presheaves and natural
 transformations were once compared by, the memoized term evaluator, the
 local language's term walkers with one branch per term former, the
 `dataclasses` twins of the record classes, the endpoint-key
@@ -55,6 +56,7 @@ from toposlang.presheaf import (
     enumerate_nats,
     exp_transpose,
     exponential,
+    power_transpose,
     product_presheaf,
     validate_nat,
 )
@@ -103,7 +105,7 @@ from toposlang.prop.syntax import (
     leaf_key,
     leaves,
 )
-from toposlang.rep import RepresentationError, ToposRep, interpret_type
+from toposlang.rep import RepresentationError, ToposRep, interpret_term, interpret_type
 
 PT = one_object_category()
 TWO = from_poset(["p", "q"], [("p", "q")])
@@ -983,6 +985,16 @@ def reference_exponential(x: Presheaf, y: Presheaf) -> Presheaf:
                    for el in at[m.cod]}
             for m in cat.morphisms if m.id != cat.id_of(m.dom)}
     return Presheaf(cat, at, maps)
+
+
+def reference_prop_family(symbol: str, rep: ToposRep) -> NatTransform:
+    """The family `rep.prop_family` gives, built whole as it once was:
+    ``symbol(s) in D`` interpreted over all of P(R) x Sigma, which lists
+    P(R), then power-transposed over P(R)."""
+    flipped = interpret_term(In(App(symbol, Var("s")), Var("D")),
+                             (("D", PowerType(RQ)), ("s", SIGMA)), rep)
+    return power_transpose(flipped, interpret_type(PowerType(RQ), rep),
+                           interpret_type(SIGMA, rep))
 
 
 # -- term interpretation, one stage and environment at a time --------------------

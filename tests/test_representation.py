@@ -3,7 +3,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from helpers import (
     CHAIN3,
@@ -15,14 +15,17 @@ from helpers import (
     compose_nats,
     evaluation,
     exp_untranspose,
+    random_presheaf,
     reference_interpret_term,
     reference_law_violations,
+    reference_prop_family,
     two_point_presheaf,
 )
 
 from toposlang import presheaf as presheaf_module
 from toposlang import rep as rep_module
 from toposlang.category import one_object_category, principal_sieve
+from toposlang.errors import CapExceeded
 from toposlang.intervals import IntervalSet, Rational
 from toposlang.local import (
     RQ,
@@ -41,6 +44,7 @@ from toposlang.presheaf import (
     NatTransform,
     Presheaf,
     PresheafError,
+    enumerate_nats,
     global_elements,
     power_object,
     power_transpose,
@@ -711,11 +715,12 @@ def test_classical_values_are_hashed_once_each(monkeypatch):
 @pytest.mark.hash_seeds
 def test_a_first_preimage_hashes_each_power_object_element_a_counted_number_of_times(
         monkeypatch):
-    # 8 states and 6 values: P(R) has 64 elements and the context
-    # P(R) x Sigma 512.  The identity tables of P(R) and the context hash
-    # 64 + 512, the term's root dict 512, the transpose's components 64, and
-    # the lookup of the interval set's element 1.  The transpose reads its
-    # rows without hashing, and P(Sigma), its target, is never listed.
+    # 8 states and 6 values.  The family reads the interval set's element
+    # zv alone: <zv> = {zv} is built as a dict key 1 and its identity table
+    # hashes 1, the context <zv> x Sigma's identity table and the term's
+    # root dict each hash the 8 pairs (zv, s), and the transpose's
+    # components and the lookup of its value at zv 1 each.  Neither P(R),
+    # 64 elements, nor P(R) x Sigma, 512, nor P(Sigma) is listed.
     states = tuple(f"s{i}" for i in range(8))
     values = [Fraction(7 * i - 9, 4) for i in range(6)]
     system = ClassicalSystem(states, {"A": {s: values[i % 6] for i, s in enumerate(states)}})
@@ -731,7 +736,7 @@ def test_a_first_preimage_hashes_each_power_object_element_a_counted_number_of_t
     got = eff.preimage("A", iv(-1, True, 5, False))
     monkeypatch.undo()
     assert got == frozenset(s for i, s in enumerate(states) if -1 <= values[i % 6] < 5)
-    assert len(hashed) == 64 + 512 + 512 + 64 + 1
+    assert len(hashed) == 1 + 1 + 8 + 8 + 1 + 1
 
 
 def _two_valued_system(n: int) -> ClassicalSystem:
@@ -741,10 +746,10 @@ def _two_valued_system(n: int) -> ClassicalSystem:
 
 @pytest.mark.hash_seeds
 def test_a_first_two_valued_preimage_builds_cells_linear_in_the_states(monkeypatch):
-    # P(R) on 2 values lists 4 elements of 2 cells; the interval set's
-    # element has 2 cells; the transpose gives each of P(R)'s 4 elements a
-    # subset of Sigma, n cells each.  P(Sigma), the transpose's target, is
-    # never listed: a listing would build 2^n elements of n cells.
+    # The interval set's element has 2 cells, and the transpose over <zv>
+    # gives it a subset of Sigma, n cells.  P(R), 4 elements of 2 cells, is
+    # never listed, nor is P(Sigma), the transpose's target: a listing would
+    # build 2^n elements of n cells.
     built = []
 
     class Counted(presheaf_module._Cells):
@@ -761,11 +766,12 @@ def test_a_first_two_valued_preimage_builds_cells_linear_in_the_states(monkeypat
         got = eff.preimage("A", iv(0, True, Fraction(1, 6), False))
         monkeypatch.undo()
         assert got == classical_rep(system).preimage("A", iv(0, True, Fraction(1, 6), False))
-        assert (len(built), sum(built)) == (9, 4 * 2 + 2 + 4 * n)
+        assert (len(built), sum(built)) == (2, 2 + n)
         sigma = eff.rep.ground("Sigma")
         (p_sigma,) = sigma._exps.values()
         assert prop_family("A", eff.rep).target is p_sigma
         assert "at" not in vars(p_sigma)
+        assert "at" not in vars(prop_family("A", eff.rep).source)
 
 
 @pytest.mark.parametrize("n", [18, 24, 1000])
@@ -782,6 +788,174 @@ def test_a_two_valued_preimage_answers_on_many_states(n):
         got = eff.preimage("A", deltas[0])
     assert got == reference.preimage("A", deltas[0])
     assert [eff.preimage("A", d) for d in deltas] == [reference.preimage("A", d) for d in deltas]
+
+
+def _many_valued_system(n: int, values: int) -> ClassicalSystem:
+    states = tuple(f"s{i}" for i in range(n))
+    return ClassicalSystem(states, {"A": {s: Fraction(i % values, 3)
+                                          for i, s in enumerate(states)}})
+
+
+@pytest.mark.parametrize("n, values", [(12, 12), (24, 17), (1000, 17)])
+def test_a_preimage_answers_at_any_value_count_inside_the_hom_search_caps(n, values):
+    # The family reads one argument at a time, so P(R) is never listed: at
+    # 12 values its context with Sigma passed the product cap when it was.
+    system = _many_valued_system(n, values)
+    eff = EffectiveClassicalRep.build(system)
+    reference = classical_rep(system)
+    deltas = [iv(0, True, 1, False), iv(Fraction(1, 3), True, None, False),
+              IntervalSet.point(Fraction(values - 1, 3)), IntervalSet.empty()]
+    gc.collect()  # the garbage of earlier tests is not this preimage's
+    with budget(f"first preimage on {n} states and {values} values", 0.05):
+        got = eff.preimage("A", deltas[0])
+    assert got == reference.preimage("A", deltas[0])
+    assert [eff.preimage("A", d) for d in deltas] == [reference.preimage("A", d) for d in deltas]
+    assert "at" not in vars(prop_family("A", eff.rep).source)
+
+
+def test_a_preimage_at_18_values_is_refused_at_once_by_the_hom_search_cap():
+    # P(R) would list 2^18 elements of 18 cells, past HOM_CELL_CAP values.
+    cap = presheaf_module.HOM_CELL_CAP
+    eff = EffectiveClassicalRep.build(_many_valued_system(18, 18))
+    with budget("refusing the 18-valued power object", 0.1):
+        with pytest.raises(CapExceeded) as err:
+            eff.preimage("A", iv(0, True, 1, False))
+    assert str(err.value) == \
+        f"hom search results of 18 cells each exceed cap {cap} cells after {cap // 18} results"
+
+
+@pytest.mark.hash_seeds
+def test_a_first_preimage_interprets_environments_linear_in_the_states(monkeypatch):
+    # The term is interpreted over <zv> x Sigma, and <zv> = {zv} on the one
+    # object, so one environment per state whatever the value count; over
+    # P(R) x Sigma it was n * 2^values.
+    interpreted = []
+    init = rep_module._Context.__init__
+
+    def spy(self, cat, names, types, envs, *args, **kwargs):
+        interpreted.append(sum(map(len, envs.values())))
+        init(self, cat, names, types, envs, *args, **kwargs)
+
+    for n, values in [(8, 2), (8, 6), (16, 6), (16, 12)]:
+        eff = EffectiveClassicalRep.build(_many_valued_system(n, values))
+        interpreted.clear()
+        monkeypatch.setattr(rep_module._Context, "__init__", spy)
+        eff.preimage("A", iv(0, True, 1, False))
+        monkeypatch.undo()
+        assert interpreted == [n], (n, values)
+
+
+def _family_rep(name: str, seed: int) -> ToposRep:
+    """The hand-built representation `name` at seed 0; else one on its base
+    with random grounds, Sigma of up to 3 elements a stage and R of up to 2,
+    and a random natural A: Sigma -> R."""
+    if seed == 0:
+        return _hand_built_rep(name)
+    base, rng = HAND_BUILT[name][0], random.Random(seed)
+    sigma, rvals = random_presheaf(base, rng, 3), random_presheaf(base, rng, 2)
+    arrows = enumerate_nats(sigma, rvals)
+    assume(arrows)
+    return build_rep(Signature({"A": (SIGMA, RQ)}), base, {"Sigma": sigma, "R": rvals},
+                     {"A": rng.choice(arrows)})
+
+
+def _raised(thunk) -> str | None:
+    try:
+        thunk()
+    except PresheafError as err:
+        return str(err)
+    return None
+
+
+@pytest.mark.hash_seeds
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(list(HAND_BUILT)), st.integers(0, 3),
+       st.sampled_from(["apply", "components", "eq", "hash"]), st.data())
+def test_a_lazy_family_is_the_reference_family(name, seed, first, data):
+    rep = _family_rep(name, seed)
+    family = prop_family("A", rep)
+    p_r, sigma = family.source, rep.ground("Sigma")
+    reference = reference_prop_family("A", rep)
+    fresh = rep_module._PropFamily("A", rep)
+    cat = rep.base
+    contexts = [(("D", PowerType(RQ)), ("s", SIGMA)), (("s", SIGMA), ("D", PowerType(RQ)))]
+    terms = [(contexts[0], "A(s) in D")] + \
+        [(contexts[1], text) for context, text in TERMS_BY_CONTEXT if context == contexts[1]]
+    wholes = [interpret_term(parse_term(text, rep.signature), context, rep)
+              for context, text in terms]
+    for obj in cat.objects:
+        for zv in p_r.stage(obj):
+            assert fresh.apply(obj, zv) == reference.apply(obj, zv)
+            # <zv> holds every restriction of zv and is closed under them.
+            generated = p_r._generated(obj, zv)
+            for b in cat.objects:
+                assert set(generated.stage(b)) == {
+                    p_r.apply(g, zv) for g in cat.into(obj) if cat.morphism(g).dom == b}
+            for m in cat.morphisms:
+                assert all(generated.apply(m.id, e) == p_r.apply(m.id, e)
+                           for e in generated.stage(m.cod))
+            # Over <zv> x Sigma, the whole interpretation restricted to it.
+            for (context, text), whole in zip(terms, wholes):
+                factors = [generated if t == PowerType(RQ) else sigma for _, t in context]
+                local = rep_module._interpret_term(parse_term(text, rep.signature), context,
+                                                   rep, product_presheaf(factors))
+                assert local.target == whole.target
+                for b in cat.objects:
+                    assert all(local.apply(b, env) == whole.apply(b, env)
+                               for env in local.source.stage(b)), (text, b)
+        # One cell of a listed element moved to another truth value: the
+        # family answers exactly where the listed stage holds the result.
+        stage = p_r.stage(obj)
+        zv = data.draw(st.sampled_from(stage))
+        i = data.draw(st.integers(0, len(zv) - 1))
+        (b, g, xv), value = zv[i]
+        other = data.draw(st.sampled_from(rep.kit.omega.stage(b)))
+        moved = zv[:i] + (((b, g, xv), other),) + zv[i + 1:]
+        if moved in set(stage):
+            assert fresh.apply(obj, moved) == reference.apply(obj, moved)
+        else:
+            assert _raised(lambda: fresh.apply(obj, moved)) == \
+                _raised(lambda: reference.apply(obj, moved)) is not None
+    assert "components" not in vars(fresh)
+    if first == "apply":
+        assert all(family.apply(obj, zv) == reference.apply(obj, zv)
+                   for obj in cat.objects for zv in p_r.stage(obj))
+    elif first == "components":
+        assert family.components == reference.components
+    elif first == "eq":
+        assert family == reference
+    else:
+        assert hash(family) == hash(reference)
+    assert family.components == reference.components
+    assert family == reference and reference == family and fresh == family
+    assert hash(family) == hash(reference) == hash(fresh)
+    assert family.target is reference.target
+
+
+@pytest.mark.hash_seeds
+def test_a_family_refuses_an_argument_outside_its_source_stage_without_listing_it():
+    rep = _hand_built_rep("VEE")
+    family = prop_family("A", rep)
+    p_r, cat = family.source, rep.base
+    rvals = rep.ground("R")
+    top_b = principal_sieve(cat, "b").members
+    # The empty family of sieves at b, a natural element of P(R)(b); its
+    # cells are (a, le[a,b], z) and (b, id[b], u), (b, id[b], v).
+    keys = [(c, g, xv) for c, g in cat.into_by_key("b") for xv in rvals.stage(c)]
+    empty = tuple((key, frozenset()) for key in keys)
+    assert family.apply("b", empty) == family.apply("b", empty)
+    short, reordered = empty[:-1], empty[::-1]
+    outside_omega = empty[:-1] + ((keys[-1], frozenset({"le[a,c]"})),)
+    # u in the sieve's top at b, its restriction z in the empty sieve at a.
+    not_natural = tuple((key, top_b if key == ("b", "id[b]", "u") else frozenset())
+                        for key in keys)
+    for bad in (short, reordered, outside_omega, not_natural):
+        with pytest.raises(PresheafError) as err:
+            family.apply("b", bad)
+        assert str(err.value) == f"component at 'b' undefined at {bad!r}"
+    assert "at" not in vars(p_r)
+    assert "components" not in vars(family)
+    assert not {short, reordered, outside_omega, not_natural} & set(p_r.stage("b"))
 
 
 def _plain_fraction_system(states, tables) -> ClassicalSystem:
