@@ -52,7 +52,8 @@ sub-presheaf it generates.  An arrow into it, such as a transpose, is
 certified cell by cell and lists nothing: the classical preimage reaches
 its subset of states through P(Sigma), which has 2^states elements, without
 listing any of them, from the one element of P(R) it is asked about.  The
-one process-wide cache is `classifier_kit`'s, of CACHE_SIZE kits.
+one process-wide cache is `classifier_kit`'s, of the CACHE_SIZE kits last
+used: a kit it drops holds no cycle, so reference counting frees it.
 """
 from __future__ import annotations
 
@@ -67,7 +68,7 @@ from typing import Iterable, Sequence
 
 from ._canon import canon_key, canon_sorted
 from ._record import field, record
-from .category import FiniteCategory, pullback_members, principal_sieve, sieves_on
+from .category import FiniteCategory, principal_sieve, sieves_on
 from .errors import CapExceeded, ToposlangError
 from .heyting import DownsetAlgebra, iter_downsets, preorder_closure
 
@@ -85,9 +86,14 @@ SUB_ENUM_CAP = 1 << 20
 # environments, take 6 s and 211 MB, and the next factor of 8 would not fit
 # a 10 s budget.
 PRODUCT_CAP = 1 << 15
-# Entries kept by the process-wide cache on `classifier_kit`, least
-# recently used first out.
-CACHE_SIZE = 128
+# Kits kept by the process-wide cache on `classifier_kit`, least recently
+# used first out: the fewest that keep the hits and misses of 128 on every
+# benchmark workload and golden command.  `ls represent` alternates between
+# a representation's base and the one-object base of a classical system, so
+# one kit misses where two hit.  No workload reads a kit it used before the
+# last two, and on `topos`, which builds a new base for every operation, 128
+# held about 1.8 MB of kits never read again.
+CACHE_SIZE = 2
 
 
 class PresheafError(ToposlangError):
@@ -395,17 +401,26 @@ def terminal_presheaf(cat: FiniteCategory) -> Presheaf:
 @lru_cache(maxsize=CACHE_SIZE)
 def classifier_kit(cat: FiniteCategory) -> ClassifierKit:
     """Terminal object, sieve classifier and the arrow picking the principal
-    sieve at each stage."""
+    sieve at each stage, which is natural (pulled back along any arrow, a
+    principal sieve is principal), so certified.
+
+    Omega's table along a non-identity arrow m pulls each sieve S on cod(m)
+    back to {h : m o h in S}, read off the composites m o h for h into
+    dom(m), composed once for all of S; `_fill` fills in the identity
+    tables, along which a sieve pulls back to itself."""
     terminal = terminal_presheaf(cat)
     at = {obj: tuple(canon_sorted(s.members for s in sieves_on(cat, obj)))
           for obj in cat.objects}
     maps = {}
     for m in cat.morphisms:
-        maps[m.id] = {members: pullback_members(cat, m.id, members)
+        if m.id == cat.id_of(m.dom):
+            continue
+        composites = [(h, cat.compose(m.id, h)) for h in cat.into(m.dom)]
+        maps[m.id] = {members: frozenset([h for h, mh in composites if mh in members])
                       for members in at[m.cod]}
     # Pullback of sieves is functorial, so omega skips the law check.
     omega = Presheaf._canonical(cat, at, maps)
-    true_arrow = NatTransform(terminal, omega, {
+    true_arrow = NatTransform._certified(terminal, omega, {
         obj: {(): principal_sieve(cat, obj).members} for obj in cat.objects})
     return ClassifierKit(terminal, omega, true_arrow)
 
@@ -733,7 +748,9 @@ def _hom_search(cat: FiniteCategory, cells: list, restrict, y: Presheaf) -> Iter
 def enumerate_nats(x: Presheaf, y: Presheaf) -> list[NatTransform]:
     """All natural transformations x -> y, in the order of `_hom_search`
     over the cells of x by object order and x's stage order.  That order
-    depends on no hash seed.  CapExceeded past ENUM_NODE_CAP search nodes."""
+    depends on no hash seed.  CapExceeded past ENUM_NODE_CAP search nodes.
+    Each arrow is certified natural: the search forces every value along
+    each non-identity arrow, and x and y are presheaves."""
     if x.base != y.base:
         raise ShapeMismatch("hom-set needs a common base")
     cat = x.base
@@ -743,7 +760,7 @@ def enumerate_nats(x: Presheaf, y: Presheaf) -> list[NatTransform]:
         comps: dict = {obj: {} for obj in cat.objects}
         for (obj, el), val in zip(cells, values):
             comps[obj][el] = val
-        out.append(NatTransform(x, y, comps))
+        out.append(NatTransform._certified(x, y, comps))
     return out
 
 

@@ -53,7 +53,7 @@ from typing import Mapping, Sequence
 
 from ._record import field, record
 from .category import FiniteCategory, one_object_category, principal_sieve
-from .errors import ToposlangError
+from .errors import CapExceeded, ToposlangError
 from .intervals import IntervalSet
 from .local.axioms import Sequent
 from .local.check import desugar_connectives, free_vars, infer_type
@@ -427,14 +427,20 @@ class _PropFamily(NatTransform):
     <zv> and reads the value at zv, so it lists neither P(R) nor P(Sigma).
     An argument outside P(R)(A), decided by `_Exponential._holds`, raises
     what `NatTransform.apply` raises.  The first read of `components`,
-    through equality or the hash too, lists P(R) and applies the family to
-    each element; `apply` then reads the listed components.  Certified
-    natural, as every power transpose is."""
+    through equality or the hash too, lists P(R), with the CapExceeded of
+    its hom search where that passes a cap, and applies the family to each
+    element; `apply` then reads the listed components.  Certified natural,
+    as every power transpose is."""
 
     def __init__(self, symbol: str, rep: ToposRep):
         self._term = In(App(symbol, Var("s")), Var("D"))
         infer_type(self._term, dict(_FAMILY_CONTEXT), rep.signature)
-        self.source = interpret_type(PowerType(RQ), rep)
+        try:
+            self.source = interpret_type(PowerType(RQ), rep)
+        except CapExceeded:
+            # Listing P(R) would pass a hom-search cap, but the family reads
+            # it one element at a time: P(R) as kept on R, unlisted.
+            self.source = _exponential(interpret_type(RQ, rep), rep.kit.omega)
         self._sigma = interpret_type(SIGMA, rep)
         if symbol not in rep.symbols:
             raise RepresentationError(f"unassigned function symbol {symbol!r}")
@@ -494,9 +500,10 @@ class EffectiveClassicalRep:
     state and transposed into one subset of states.  Neither the power
     object of the values, 2^values subsets, nor that of the states,
     2^states, is listed, so a preimage costs time linear in the states and
-    does not grow with 2^values.  The power object of the values is still
-    refused when it is interpreted, from 18 values on, since listing it
-    would pass the hom search's cell cap.
+    does not grow with 2^values, which is not capped.  Only listing the
+    family's components, through its equality or hash too, lists the power
+    object of the values, and that is refused from 18 values on, past the
+    hom search's cell cap.
     """
     system: ClassicalSystem
     rep: ToposRep

@@ -22,6 +22,7 @@ from pathlib import Path
 import pytest
 
 from toposlang.cli import main
+from toposlang.presheaf import classifier_kit
 
 pytestmark = pytest.mark.hash_seeds
 
@@ -37,3 +38,25 @@ def test_cli_output_matches_golden(case, capsys):
     out = capsys.readouterr().out
     assert code == case["exit"]
     assert out.encode("utf-8") == (GOLDEN / f"{case['name']}.out").read_bytes()
+
+
+# The hits and misses of `classifier_kit` per command, from an empty cache:
+# the same with 128 kits kept as with CACHE_SIZE.  `ls represent` reads the
+# kits of the fixture's base and of the one-object base in turn, so one kit
+# kept would miss where two hit.  Commands not listed read no kit.
+KIT_TRAFFIC = {
+    "validate": (1, 2), "omega": (2, 2), "sub_classify": (8, 2), "pl_represent": (1, 2),
+    "pl_truth": (1, 2), "pl_prove": (1, 2), "ls_typecheck": (1, 2), "ls_represent": (1, 2),
+    "ls_check_axioms": (1, 2), "ls_represent_prop_family": (3, 2),
+    "ls_represent_comprehension_presheaf": (2, 2), "ls_represent_context_cap": (2, 2),
+}
+
+
+@pytest.mark.parametrize("case", CASES, ids=[c["name"] for c in CASES])
+def test_each_command_reads_its_kits_with_the_same_hits_and_misses(case, capsys):
+    argv = [str(REPO / arg) if arg.endswith(".json") else arg for arg in case["argv"]]
+    classifier_kit.cache_clear()
+    assert main(argv) == case["exit"]
+    capsys.readouterr()
+    info = classifier_kit.cache_info()
+    assert (info.hits, info.misses) == KIT_TRAFFIC.get(case["name"], (0, 0))

@@ -18,10 +18,12 @@ from helpers import (
     MONOID,
     PT,
     TWO,
+    VEE,
     HeytingAlgebra,
     assert_equality_matches_reference,
     backtracking_hom_search,
     brute_global_elements,
+    brute_sieves,
     budget,
     check_heyting_laws,
     compose_nats,
@@ -43,9 +45,18 @@ from helpers import (
 )
 
 from toposlang import _canon, presheaf
-from toposlang._canon import canon_key
-from toposlang.category import from_poset, one_object_category, principal_sieve
+from toposlang._canon import canon_key, canon_sorted
+from toposlang.category import (
+    FiniteCategory,
+    Morphism,
+    from_poset,
+    one_object_category,
+    principal_sieve,
+    pullback_members,
+    sieves_on,
+)
 from toposlang.errors import CapExceeded
+from toposlang.local import RQ, SIGMA, Signature
 from toposlang.presheaf import (
     CACHE_SIZE,
     HOM_CELL_CAP,
@@ -74,6 +85,7 @@ from toposlang.presheaf import (
     validate_nat,
     validate_presheaf,
 )
+from toposlang.rep import ToposRep, build_rep, interpret_type, prop_family
 
 
 def fs(*xs):
@@ -81,6 +93,9 @@ def fs(*xs):
 
 
 X2 = two_point_presheaf(["x0", "x1"], ["y0"], {"x0": "y0", "x1": "y0"})
+# The six hand-built bases, by name.
+KIT_BASES = {"PT": PT, "TWO": TWO, "CHAIN3": CHAIN3, "VEE": VEE, "DIAMOND": DIAMOND,
+             "MONOID": MONOID}
 
 
 def test_constant_presheaf_is_valid():
@@ -756,6 +771,87 @@ def test_an_oversized_cartesian_hom_set_is_refused_with_the_search_text(data):
                                terminal_presheaf(cat).apply, y) == expected
 
 
+@pytest.mark.hash_seeds
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(list(KIT_BASES)), st.integers(0, 10 ** 6), st.booleans())
+def test_the_hom_search_certifies_exactly_the_natural_arrows(name, seed, into_omega):
+    # Each arrow is certified, and natural by `validate_nat`; the list is
+    # the backtracking search's, in its order.
+    cat, rng = KIT_BASES[name], random.Random(seed)
+    x = random_presheaf(cat, rng, max_size=2)
+    y = classifier_kit(cat).omega if into_omega else random_presheaf(cat, rng, max_size=3)
+    homs = enumerate_nats(x, y)
+    assert all(n._natural and validate_nat(n).ok for n in homs)
+    cells = [(obj, el) for obj in cat.objects for el in x.stage(obj)]
+    assert [[n.apply(obj, el) for obj, el in cells] for n in homs] == \
+        backtracking_hom_search(cat, cells, x.apply, y)
+    assert global_elements(y) == brute_global_elements(y)
+
+
+def _least_cap(name: str, listing) -> int:
+    """The least value of the cap `name` at which `listing()` completes,
+    the other cap at its default: it raises CapExceeded one below."""
+    low, high = 0, 1 << 24
+    while low < high:
+        mid = (low + high) // 2
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(presheaf, name, mid)
+            try:
+                listing()
+            except CapExceeded:
+                low = mid + 1
+            else:
+                high = mid
+    return low
+
+
+def _constant(cat, size: int) -> Presheaf:
+    return Presheaf(cat, {obj: range(size) for obj in cat.objects},
+                    {m.id: {i: i for i in range(size)} for m in cat.morphisms})
+
+
+@pytest.mark.hash_seeds
+@pytest.mark.parametrize("name, size, nodes, cells, reads", [
+    ("PT", 2, 7, 8, 4), ("PT", 3, 15, 24, 6), ("PT", 4, 31, 64, 8), ("PT", 5, 63, 160, 10),
+    ("PT", 6, 127, 384, 12), ("VEE", 1, 6, 6, 8), ("VEE", 2, 22, 36, 30),
+    ("DIAMOND", 1, 17, 24, 19), ("DIAMOND", 2, 128, 288, 122)])
+def test_the_hom_search_behind_a_power_object_does_a_counted_amount_of_work(
+        monkeypatch, name, size, nodes, cells, reads):
+    # P(X) for the constant X of `size` elements, so P(X)(A) = Omega(A)^size.
+    # The least node and cell caps under which it is listed are the search
+    # nodes of its largest stage and the values its results hold, and the
+    # reads of Omega's stages count the search's branchings.  On the one
+    # object nothing propagates: the stage is listed as the product of |X|
+    # stages of 2, with 2^(|X|+1) - 1 nodes and |X| 2^|X| values, after the
+    # call has read each cell's stage once to see the caps hold.  The
+    # backtracking search would read 2^|X| - 1 stages in place of |X|, as
+    # it would at the vee's and the diamond's bottom object from size 2.
+    cat = KIT_BASES[name]
+
+    def listing():
+        px = power_object(_constant(cat, size))
+        return [px.stage(obj) for obj in cat.objects]
+
+    omega = classifier_kit(cat).omega
+    assert [len(stage) for stage in listing()] == \
+        [len(omega.stage(obj)) ** size for obj in cat.objects]
+    assert (_least_cap("ENUM_NODE_CAP", listing), _least_cap("HOM_CELL_CAP", listing)) == \
+        (nodes, cells)
+    if cat is PT:
+        assert (nodes, cells, reads) == (2 ** (size + 1) - 1, size * 2 ** size, 2 * size)
+    read = []
+    stage = Presheaf.stage
+
+    def spy(self, obj):
+        if self is omega:
+            read.append(obj)
+        return stage(self, obj)
+
+    monkeypatch.setattr(Presheaf, "stage", spy)
+    listing()
+    assert len(read) == reads
+
+
 # Bases on which some stages of an exponential are listed as a product and
 # others by the search: p's cells have nothing to propagate, q's have.
 MIXED_BASES = [TWO, from_poset(["q", "p"], [("p", "q")]), PT, MONOID]
@@ -853,6 +949,165 @@ def test_a_lazily_listed_exponential_is_the_reference_exponential(data):
     assert [list(table) for table in exp.maps.values()] == \
         [list(ref.maps[mid]) for mid in exp.maps]
     assert exponential(x, y) is exp
+
+
+# -- the classifier kit: its cache and its tables -------------------------------------
+
+def _fresh_base(shape: str, tag: str):
+    """A base of the named shape whose object names no other call uses."""
+    if shape == "monoid":
+        x, one, e = f"{tag}x", f"id[{tag}x]", f"{tag}e"
+        comp = {(one, one): one, (one, e): e, (e, one): e, (e, e): e}
+        return FiniteCategory([x], [Morphism(one, x, x), Morphism(e, x, x)], {x: one}, comp)
+    if shape.startswith("chain"):
+        names = [f"{tag}c{i}" for i in range(int(shape[5:]))]
+        return from_poset(names, list(zip(names, names[1:])))
+    if shape == "vee":
+        return from_poset([f"{tag}a", f"{tag}b", f"{tag}c"],
+                          [(f"{tag}a", f"{tag}b"), (f"{tag}a", f"{tag}c")])
+    a, b, c, d = (f"{tag}{n}" for n in "abcd")
+    return from_poset([a, b, c, d], [(a, b), (a, c), (b, d), (c, d)])
+
+
+def _set_rep(pt, tag: str) -> ToposRep:
+    """A representation on the one-object base `pt`: four states, three
+    values, A(s_j) = v_(j mod 3)."""
+    obj = pt.objects[0]
+    sigma = Presheaf(pt, {obj: [f"{tag}s{j}" for j in range(4)]}, {})
+    values = Presheaf(pt, {obj: [f"{tag}v{j}" for j in range(3)]}, {})
+    arrow = NatTransform(sigma, values, {obj: {f"{tag}s{j}": f"{tag}v{j % 3}" for j in range(4)}})
+    return build_rep(Signature({"A": (SIGMA, RQ)}), pt, {"Sigma": sigma, "R": values},
+                     {"A": arrow})
+
+
+def _kit_traffic(seed: int, ops: int) -> list:
+    """A seeded run of operations that read kits as the `topos` benchmark's
+    do: each on bases no other operation uses, and one kind that reads a
+    representation's kit between those of a one-object base, as `ls
+    represent` does.  Weak references to the Omega of every kit built."""
+    rng = random.Random(seed)
+    omegas = []
+    for i in range(ops):
+        kind = rng.choice(["classifier", "classify", "power", "family", "interleaved"])
+        tag = f"traffic{seed}-{i}-"
+        cat = _fresh_base(rng.choice(["chain3", "chain5", "vee", "diamond", "monoid"]), tag)
+        pt = one_object_category(f"{tag}pt")
+        if kind == "classifier":
+            kits = [classifier_kit(cat)]
+            assert [len(kits[0].omega.stage(obj)) for obj in cat.objects] == \
+                [len(brute_sieves(cat, obj)) for obj in cat.objects]
+        elif kind == "classify":
+            x = random_presheaf(cat, rng, max_size=2)
+            subs = enumerate_subobjects(x)
+            kits = [classifier_kit(cat)]
+            assert len(enumerate_nats(x, kits[0].omega)) == len(subs)
+            assert all(subobject_of_char(char_morphism(k)) == k for k in subs)
+        elif kind == "power":
+            px = power_object(Presheaf(pt, {pt.objects[0]: range(3)}, {}))
+            assert len(px.stage(pt.objects[0])) == 8
+            kits = [classifier_kit(pt)]
+        else:
+            rep = _set_rep(pt, tag)
+            family = prop_family("A", rep)
+            zv = family.source.stage(pt.objects[0])[-1]
+            assert len(family.apply(pt.objects[0], zv)) == 4
+            kits = [rep.kit]
+            if kind == "interleaved":
+                x = random_presheaf(cat, rng, max_size=2)
+                other = ToposRep(Signature({"A": (SIGMA, RQ)}), cat, {"Sigma": x, "R": x}, {})
+                assert family.apply(pt.objects[0], zv) == family.apply(pt.objects[0], zv)
+                assert power_object(interpret_type(SIGMA, other)) is power_object(x)
+                kits.append(other.kit)
+        omegas += [weakref.ref(kit.omega) for kit in kits]
+    return omegas
+
+
+@pytest.mark.hash_seeds
+def test_the_kit_cache_keeps_the_traffic_of_a_long_cache_and_frees_the_rest():
+    # 128 kits kept made the same 206 hits and 49 misses; one kit kept
+    # made 171 and 67.  A kit evicted is freed: after a collection at most
+    # CACHE_SIZE are alive.
+    classifier_kit.cache_clear()
+    omegas = _kit_traffic(351, 40)
+    info = classifier_kit.cache_info()
+    assert (info.hits, info.misses) == (206, 49)
+    assert info.currsize == CACHE_SIZE
+    gc.collect()
+    assert len([ref for ref in omegas if ref() is not None]) <= CACHE_SIZE
+
+
+def test_a_kit_the_cache_drops_is_freed_by_reference_counting():
+    # Nothing a kit holds refers back to it, so the last reference dropped
+    # frees it at once, with the cyclic collector off.
+    gc.collect()
+    gc.disable()
+    try:
+        omegas = []
+        for i in range(3 * CACHE_SIZE + 2):
+            cat = _fresh_base(["chain3", "vee", "monoid"][i % 3], f"refcount{i}-")
+            x = random_presheaf(cat, random.Random(i), max_size=2)
+            assert all(subobject_of_char(char_morphism(k)) == k for k in enumerate_subobjects(x))
+            omegas.append(weakref.ref(classifier_kit(cat).omega))
+        alive = [ref() for ref in omegas if ref() is not None]
+    finally:
+        gc.enable()
+    assert len(alive) <= CACHE_SIZE
+    assert [omega.base for omega in alive] == \
+        [ref().base for ref in omegas[len(omegas) - len(alive):]]
+
+
+def _assert_omega_is_the_pullback_presheaf(cat) -> None:
+    kit = classifier_kit.__wrapped__(cat)
+    for obj in cat.objects:
+        assert kit.omega.stage(obj) == tuple(canon_sorted(s.members for s in sieves_on(cat, obj)))
+    for m in cat.morphisms:
+        for members in kit.omega.stage(m.cod):
+            assert kit.omega.apply(m.id, members) == pullback_members(cat, m.id, members)
+    assert validate_presheaf(kit.omega).ok
+    assert kit.true_arrow._natural and validate_nat(kit.true_arrow).ok
+
+
+@pytest.mark.parametrize("name", list(KIT_BASES))
+def test_omega_tables_are_the_pullbacks_of_every_sieve(name):
+    _assert_omega_is_the_pullback_presheaf(KIT_BASES[name])
+
+
+@pytest.mark.hash_seeds
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 5).flatmap(lambda n: st.tuples(
+    st.just(n), st.sets(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+                        .filter(lambda pair: pair[0] < pair[1])))))
+def test_omega_tables_are_the_pullbacks_of_every_sieve_on_random_posets(poset):
+    # Pairs i < j only, so the relation has no cycle.
+    n, pairs = poset
+    names = [f"h{i}" for i in range(n)]
+    _assert_omega_is_the_pullback_presheaf(
+        from_poset(names, [(names[i], names[j]) for i, j in sorted(pairs)]))
+
+
+@pytest.mark.hash_seeds
+@pytest.mark.parametrize("shape, composed", [("chain3", 14), ("chain6", 91), ("chain8", 204),
+                                             ("vee", 9), ("diamond", 23), ("monoid", 6)])
+def test_a_kit_composes_each_arrow_with_each_arrow_into_its_domain_once(
+        monkeypatch, shape, composed):
+    # Once for the sieve order on each arrow's codomain, and once more for
+    # Omega's table along each non-identity arrow, shared by every sieve
+    # pulled back along it.  Pulling each sieve back on its own composed
+    # 45, 378, 990, 27 and 90 times on the five posets.
+    cat = _fresh_base(shape, "composed-")
+    calls = []
+    compose = FiniteCategory.compose
+
+    def spy(self, f, g):
+        calls.append((f, g))
+        return compose(self, f, g)
+
+    monkeypatch.setattr(FiniteCategory, "compose", spy)
+    classifier_kit.__wrapped__(cat)
+    monkeypatch.undo()
+    into_dom = {m.id: len(cat.into(m.dom)) for m in cat.morphisms}
+    assert len(calls) == composed == sum(into_dom.values()) + sum(
+        n for mid, n in into_dom.items() if mid != cat.id_of(cat.morphism(mid).dom))
 
 
 # Run in its own process under a 2 GB address-space limit: P(P(R)) with

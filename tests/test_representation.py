@@ -796,10 +796,11 @@ def _many_valued_system(n: int, values: int) -> ClassicalSystem:
                                           for i, s in enumerate(states)}})
 
 
-@pytest.mark.parametrize("n, values", [(12, 12), (24, 17), (1000, 17)])
+@pytest.mark.parametrize("n, values", [(12, 12), (24, 17), (1000, 17), (18, 18), (24, 24)])
 def test_a_preimage_answers_at_any_value_count_inside_the_hom_search_caps(n, values):
     # The family reads one argument at a time, so P(R) is never listed: at
-    # 12 values its context with Sigma passed the product cap when it was.
+    # 12 values its context with Sigma passed the product cap when it was,
+    # and from 18 values on listing it passes the hom search's cell cap.
     system = _many_valued_system(n, values)
     eff = EffectiveClassicalRep.build(system)
     reference = classical_rep(system)
@@ -814,12 +815,14 @@ def test_a_preimage_answers_at_any_value_count_inside_the_hom_search_caps(n, val
 
 
 def test_a_preimage_at_18_values_is_refused_at_once_by_the_hom_search_cap():
-    # P(R) would list 2^18 elements of 18 cells, past HOM_CELL_CAP values.
+    # Listing the family lists P(R): 2^18 elements of 18 cells, past
+    # HOM_CELL_CAP values.  A preimage lists neither.
     cap = presheaf_module.HOM_CELL_CAP
     eff = EffectiveClassicalRep.build(_many_valued_system(18, 18))
+    family = prop_family("A", eff.rep)
     with budget("refusing the 18-valued power object", 0.1):
         with pytest.raises(CapExceeded) as err:
-            eff.preimage("A", iv(0, True, 1, False))
+            family.components
     assert str(err.value) == \
         f"hom search results of 18 cells each exceed cap {cap} cells after {cap // 18} results"
 
