@@ -16,7 +16,8 @@ the order of their backtracking search, which follows object, stage and
 morphism order and not the hash seed, so repeated runs are byte-identical.
 Where no cell propagates, the search's order is that of a product of
 stages, and the hom-set is listed as that product, or refused before it
-is listed where the search would pass a cap.
+is listed where the search would pass a cap.  An exponential searches its
+stages only when first read, so that is where a cap refuses it.
 The one-object category gives the plain category of sets, where the
 classifier degenerates to the two truth values.
 
@@ -121,7 +122,7 @@ class Presheaf:
     """
 
     # The exponentials Y^X with this presheaf as X, by Y, once there is one
-    # (see `_exponential`).
+    # (see `exponential`).
     _exps: dict | None = None
 
     def __init__(self, base: FiniteCategory, at: Mapping[str, Iterable],
@@ -670,12 +671,6 @@ def _search_refusal(sizes: Sequence[int]) -> str | None:
     return f"hom-set enumeration exceeded {ENUM_NODE_CAP} nodes"
 
 
-def _propagates(cat: FiniteCategory, obj: str) -> bool:
-    """Whether a hom-search cell at obj has a non-identity arrow into obj to
-    propagate its value along."""
-    return cat.into(obj) != (cat.id_of(obj),)
-
-
 def _hom_search(cat: FiniteCategory, cells: list, restrict, y: Presheaf) -> Iterable[Sequence]:
     """Each natural assignment of a y-value to every cell (obj, el), as its
     values in cell order; `restrict(mid, el)` restricts el along mid.
@@ -692,7 +687,7 @@ def _hom_search(cat: FiniteCategory, cells: list, restrict, y: Presheaf) -> Iter
     cells' target stages, which is the search's own lexicographic order.
     Where the search would pass a cap, `_search_refusal` gives the text it
     would raise, and it is raised before any result is built."""
-    if not any(_propagates(cat, obj) for obj, _ in cells):
+    if all(cat.into(obj) == (cat.id_of(obj),) for obj, _ in cells):
         stages = [y.stage(obj) for obj, _ in cells]
         refusal = _search_refusal(list(map(len, stages)))
         if refusal:
@@ -827,15 +822,13 @@ class _Exponential(Presheaf):
     through `stage`, `apply`, equality or the hash too, lists every stage
     with `_hom_search` over the cells (B, g, xv) in `_exp_keys` order, so in
     canon_key order without a sort, and every restriction table, which is
-    precomposition (`_restrict`).
+    precomposition (`_restrict`).  That read raises the CapExceeded of the
+    first stage, in object order, whose search would pass a cap; nothing
+    before it does.
 
     It holds the cell keys, X's tables and Y, but not X, which keeps it: so
     no cycle ties the two.  With them, `_holds`, `_restrict` and
-    `_generated` answer for single elements without listing anything.
-    `_refusal` is the text of the CapExceeded that listing would raise
-    first, where that is known without a search: on the stages, in object
-    order, whose cells have nothing to propagate, up to the first stage that
-    has."""
+    `_generated` answer for single elements without listing anything."""
 
     def __init__(self, x: Presheaf, y: Presheaf):
         cat = self.base = x.base
@@ -844,13 +837,6 @@ class _Exponential(Presheaf):
             if len(cells) > PRODUCT_CAP:
                 raise CapExceeded(f"exponential stage {obj!r} has {len(cells)} cells, "
                                   f"exceeds cap {PRODUCT_CAP}")
-        self._refusal = None
-        for obj in cat.objects:
-            if any(_propagates(cat, b) for b, _, _ in keys[obj]):
-                break
-            self._refusal = _search_refusal([len(y.stage(b)) for b, _, _ in keys[obj]])
-            if self._refusal:
-                break
         self._hash = None
         self._keys, self._xmaps, self._y = keys, x.maps, y
         # Per non-identity arrow m: dom(m) and, for each key (B, h, xv) at
@@ -936,17 +922,23 @@ class _Exponential(Presheaf):
         return Presheaf._canonical(cat, at, maps)
 
 
-# Calls of `_exponential` that found Y^X kept on X, and that built it; and
+# Calls of `exponential` that found Y^X kept on X, and that built it; and
 # the exponentials built and still alive, held weakly.
 _EXP_HITS_MISSES = [0, 0]
 _EXP_ALIVE: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
 _CacheInfo = namedtuple("CacheInfo", ["hits", "misses", "maxsize", "currsize"])
 
 
-def _exponential(x: Presheaf, y: Presheaf) -> _Exponential:
-    """Y^X as kept on its exponent x, keyed by y: built unlisted on the first
-    call, and kept while x lives.  CapExceeded past PRODUCT_CAP cells at a
-    stage."""
+def exponential(x: Presheaf, y: Presheaf) -> Presheaf:
+    """Y^X, unlisted until it is read (see `_Exponential`), and kept on x,
+    keyed by y: built on the first call and kept while x lives, since the
+    same exponentials recur throughout term interpretation, and nothing
+    process-wide holds one.  CapExceeded at the call only past PRODUCT_CAP
+    cells at a stage; a hom-search cap refuses it on its first read.
+
+    `exponential.cache_info()` has `functools`' fields: the calls that found
+    Y^X kept and the ones that built it, no size bound, and the exponentials
+    built that are still alive."""
     if x.base != y.base:
         raise ShapeMismatch("exponential needs a common base")
     kept = x._exps
@@ -959,23 +951,6 @@ def _exponential(x: Presheaf, y: Presheaf) -> _Exponential:
     exp = kept[y] = _Exponential(x, y)
     _EXP_HITS_MISSES[1] += 1
     _EXP_ALIVE[_EXP_HITS_MISSES[1]] = exp
-    return exp
-
-
-def exponential(x: Presheaf, y: Presheaf) -> Presheaf:
-    """Y^X, unlisted until it is read (see `_Exponential`), and kept on x,
-    keyed by y: the same exponentials recur throughout term interpretation,
-    and nothing process-wide holds one.  CapExceeded at the call past
-    PRODUCT_CAP cells at a stage, and where `_Exponential._refusal` says
-    listing it would pass a hom-search cap: so on a one-object or discrete
-    base an oversized power object is refused before anything is listed.
-
-    `exponential.cache_info()` has `functools`' fields: the calls that found
-    Y^X kept and the ones that built it, no size bound, and the exponentials
-    built that are still alive."""
-    exp = _exponential(x, y)
-    if exp._refusal:
-        raise CapExceeded(exp._refusal)
     return exp
 
 
@@ -1006,10 +981,10 @@ def exp_transpose(f: NatTransform, z: Presheaf, x: Presheaf, y: Presheaf) -> Nat
     block at (dom h, g o h) is the restriction of its block at (B, g), for
     every h but the identities, along which both presheaves fix their
     stages.  PresheafError when f is not natural.  The output is certified
-    natural, which holds because Z is a presheaf, and its target is Y^X as
-    kept on x and unlisted until read: no hom-set cap applies to an arrow
-    into it, so P(Sigma) of any number of states within PRODUCT_CAP can be
-    a target."""
+    natural, which holds because Z is a presheaf, and its target is
+    `exponential(x, y)`, unlisted until read: no hom-set cap applies to an
+    arrow into it, so P(Sigma) of any number of states within PRODUCT_CAP
+    can be a target."""
     cat = z.base
     if not _is_product(f.source, [z, x]) or f.target != y:
         raise ShapeMismatch("arrow to transpose is not Z x X -> Y")
@@ -1055,7 +1030,7 @@ def exp_transpose(f: NatTransform, z: Presheaf, x: Presheaf, y: Presheaf) -> Nat
                                             f"restriction along {h!r} at {zv!r}")
         comps[obj] = dict(zip(zs, exp_from_blocks(cat, obj, x, zip(*(
             map(rows[b].__getitem__, reads[g]) for b, g in pairs)))))
-    return NatTransform._certified(z, _exponential(x, y), comps)
+    return NatTransform._certified(z, exponential(x, y), comps)
 
 
 def power_transpose(f: NatTransform, z: Presheaf, x: Presheaf) -> NatTransform:

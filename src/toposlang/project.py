@@ -162,7 +162,7 @@ def build_project(document: Mapping) -> Project:
         registry.add(project.categories, spec["name"], cat, ptr, "category")
 
     for i, spec in enumerate(document.get("categories", ())):
-        from .category import FiniteCategory, Morphism
+        from .category import FiniteCategory, Morphism, validate_category
         ptr = f"/categories/{i}"
         try:
             cat = FiniteCategory(
@@ -172,6 +172,14 @@ def build_project(document: Mapping) -> Project:
                 {(f, g): fg for f, g, fg in spec["composition"]})
         except ToposlangError as exc:
             raise ProjectError(f"category {spec['name']!r}: {exc}", ptr) from exc
+        # The constructor checks names only; a table that breaks a law is
+        # refused here, at its first violation in `validate_category`'s order.
+        report = validate_category(cat)
+        if not report.ok:
+            first = (*report.closure, *report.units,
+                     *(("associativity", *fgh) for fgh in report.associativity))[0]
+            raise ProjectError(f"category {spec['name']!r} violates the category laws: "
+                               f"{first}", ptr)
         registry.add(project.categories, spec["name"], cat, ptr, "category")
 
     for i, spec in enumerate(document.get("presheaves", ())):

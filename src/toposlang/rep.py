@@ -53,7 +53,7 @@ from typing import Mapping, Sequence
 
 from ._record import field, record
 from .category import FiniteCategory, one_object_category, principal_sieve
-from .errors import CapExceeded, ToposlangError
+from .errors import ToposlangError
 from .intervals import IntervalSet
 from .local.axioms import Sequent
 from .local.check import desugar_connectives, free_vars, infer_type
@@ -85,10 +85,10 @@ from .presheaf import (
     NatTransform,
     Presheaf,
     PresheafError,
-    _exponential,
     classifier_kit,
     exp_column,
     exp_from_blocks,
+    exponential,
     power_object,
     power_transpose,
     product_presheaf,
@@ -145,7 +145,6 @@ class ToposRep:
         self.symbols: dict[str, NatTransform] = {}
         self.axioms = tuple(axioms)
         self._type_cache: dict[TypeExpr, Presheaf] = {}
-        self._family_cache: dict[str, NatTransform] = {}
         for name, presheaf in self.grounds.items():
             if presheaf.base != base:
                 raise RepresentationError(f"ground {name!r} lives on a different base")
@@ -280,66 +279,68 @@ def _interpret_term(term: Term, context: Sequence[tuple[str, TypeExpr]],
     term = desugar_connectives(term)
     target_type = infer_type(term, dict(context), rep.signature)
     cat = rep.base
-
-    def arrow(n: Term, ctx: _Context) -> dict[str, list]:
-        envs = ctx.envs
-        if isinstance(n, Var):
-            if n.name not in ctx.names:
-                raise RepresentationError(f"unbound variable {n.name!r}")
-            get = itemgetter(ctx.names[n.name])
-            return {obj: list(map(get, envs[obj])) for obj in cat.objects}
-        if isinstance(n, Star):
-            return {obj: [()] * len(envs[obj]) for obj in cat.objects}
-        if isinstance(n, App):
-            if n.symbol not in rep.symbols:
-                raise RepresentationError(f"unassigned function symbol {n.symbol!r}")
-            components, arg = rep.symbols[n.symbol].components, arrow(n.arg, ctx)
-            return {obj: list(map(components[obj].__getitem__, arg[obj])) for obj in cat.objects}
-        if isinstance(n, Tup):
-            items = [arrow(t, ctx) for t in n.items]
-            return {obj: list(zip(*(t[obj] for t in items))) for obj in cat.objects}
-        if isinstance(n, Proj):
-            item, get = arrow(n.item, ctx), itemgetter(n.index - 1)
-            return {obj: list(map(get, item[obj])) for obj in cat.objects}
-        if isinstance(n, Eq):
-            left, right = arrow(n.left, ctx), arrow(n.right, ctx)
-            same = {obj: list(map(eq, left[obj], right[obj])) for obj in cat.objects}
-            out = {}
-            for obj in cat.objects:
-                into = cat.into(obj)
-                patterns = list(zip(*(map(same[cat.morphism(f).dom].__getitem__, ctx.reads(f))
-                                      for f in into)))
-                # One sieve per distinct pattern, members in `into` order.
-                sieves = {p: frozenset(itertools.compress(into, p)) for p in set(patterns)}
-                out[obj] = list(map(sieves.__getitem__, patterns))
-            return out
-        if isinstance(n, In):
-            container, element = arrow(n.container, ctx), arrow(n.element, ctx)
-            x = interpret_type(infer_type(n.element, ctx.typing(), rep.signature), rep)
-            return {obj: exp_column(cat, obj, x, container[obj], element[obj])
-                    for obj in cat.objects}
-        if isinstance(n, Compr):
-            x = interpret_type(n.var.vtype, rep)
-            body = arrow(n.body, ctx.extend(n.var.name, n.var.vtype, x))
-            # The block of outer environment j at B: its |X(B)| body values.
-            blocks = {}
-            for b in cat.objects:
-                width, col = len(x.stage(b)), body[b]
-                blocks[b] = [col[j * width:(j + 1) * width] for j in range(len(envs[b]))]
-            return {obj: exp_from_blocks(cat, obj, x, zip(*(
-                map(blocks[b].__getitem__, ctx.reads(g)) for b, g in cat.into_by_key(obj))))
-                for obj in cat.objects}
-        raise RepresentationError(f"cannot interpret term former {type(n).__name__}")
-
     if source is None:
         presheaves = tuple(interpret_type(t, rep) for _, t in context)
         source = product_presheaf(presheaves) if context else rep.kit.terminal
     top = _Context(cat, {name: i for i, (name, _) in enumerate(context)},
                    tuple(t for _, t in context), source.at, source=source)
-    columns = arrow(term, top)
+    columns = _columns(term, top, rep)
     return NatTransform._certified(
         source, interpret_type(target_type, rep),
         {obj: dict(zip(source.at[obj], columns[obj])) for obj in cat.objects})
+
+
+def _columns(n: Term, ctx: _Context, rep: ToposRep) -> dict[str, list]:
+    """The columns {stage: [value, ...]} of term n, aligned with the
+    environments of ctx at each stage (see `interpret_term`)."""
+    cat, envs = rep.base, ctx.envs
+    if isinstance(n, Var):
+        if n.name not in ctx.names:
+            raise RepresentationError(f"unbound variable {n.name!r}")
+        get = itemgetter(ctx.names[n.name])
+        return {obj: list(map(get, envs[obj])) for obj in cat.objects}
+    if isinstance(n, Star):
+        return {obj: [()] * len(envs[obj]) for obj in cat.objects}
+    if isinstance(n, App):
+        if n.symbol not in rep.symbols:
+            raise RepresentationError(f"unassigned function symbol {n.symbol!r}")
+        components, arg = rep.symbols[n.symbol].components, _columns(n.arg, ctx, rep)
+        return {obj: list(map(components[obj].__getitem__, arg[obj])) for obj in cat.objects}
+    if isinstance(n, Tup):
+        items = [_columns(t, ctx, rep) for t in n.items]
+        return {obj: list(zip(*(t[obj] for t in items))) for obj in cat.objects}
+    if isinstance(n, Proj):
+        item, get = _columns(n.item, ctx, rep), itemgetter(n.index - 1)
+        return {obj: list(map(get, item[obj])) for obj in cat.objects}
+    if isinstance(n, Eq):
+        left, right = _columns(n.left, ctx, rep), _columns(n.right, ctx, rep)
+        same = {obj: list(map(eq, left[obj], right[obj])) for obj in cat.objects}
+        out = {}
+        for obj in cat.objects:
+            into = cat.into(obj)
+            patterns = list(zip(*(map(same[cat.morphism(f).dom].__getitem__, ctx.reads(f))
+                                  for f in into)))
+            # One sieve per distinct pattern, members in `into` order.
+            sieves = {p: frozenset(itertools.compress(into, p)) for p in set(patterns)}
+            out[obj] = list(map(sieves.__getitem__, patterns))
+        return out
+    if isinstance(n, In):
+        container, element = _columns(n.container, ctx, rep), _columns(n.element, ctx, rep)
+        x = interpret_type(infer_type(n.element, ctx.typing(), rep.signature), rep)
+        return {obj: exp_column(cat, obj, x, container[obj], element[obj])
+                for obj in cat.objects}
+    if isinstance(n, Compr):
+        x = interpret_type(n.var.vtype, rep)
+        body = _columns(n.body, ctx.extend(n.var.name, n.var.vtype, x), rep)
+        # The block of outer environment j at B: its |X(B)| body values.
+        blocks = {}
+        for b in cat.objects:
+            width, col = len(x.stage(b)), body[b]
+            blocks[b] = [col[j * width:(j + 1) * width] for j in range(len(envs[b]))]
+        return {obj: exp_from_blocks(cat, obj, x, zip(*(
+            map(blocks[b].__getitem__, ctx.reads(g)) for b, g in cat.into_by_key(obj))))
+            for obj in cat.objects}
+    raise RepresentationError(f"cannot interpret term former {type(n).__name__}")
 
 
 def validate_axioms(rep: ToposRep,
@@ -424,28 +425,25 @@ class _PropFamily(NatTransform):
     By the Yoneda lemma its value at zv in P(R)(A) needs only <zv>, the
     sub-presheaf of P(R) that zv generates (`_Exponential._generated`):
     `apply` interprets the term over <zv> x Sigma, transposes that over
-    <zv> and reads the value at zv, so it lists neither P(R) nor P(Sigma).
-    An argument outside P(R)(A), decided by `_Exponential._holds`, raises
-    what `NatTransform.apply` raises.  The first read of `components`,
-    through equality or the hash too, lists P(R), with the CapExceeded of
-    its hom search where that passes a cap, and applies the family to each
-    element; `apply` then reads the listed components.  Certified natural,
-    as every power transpose is."""
+    <zv> and reads the value at zv, so it lists neither P(R) nor P(Sigma),
+    and no hom-search cap applies to it.  An argument outside P(R)(A),
+    decided by `_Exponential._holds`, raises what `NatTransform.apply`
+    raises.  The first read of `components`, through equality or the hash
+    too, lists P(R), with the CapExceeded of its hom search where that
+    passes a cap, and applies the family to each element; `apply` then
+    reads the listed components.  Certified natural, as every power
+    transpose is."""
 
     def __init__(self, symbol: str, rep: ToposRep):
         self._term = In(App(symbol, Var("s")), Var("D"))
         infer_type(self._term, dict(_FAMILY_CONTEXT), rep.signature)
-        try:
-            self.source = interpret_type(PowerType(RQ), rep)
-        except CapExceeded:
-            # Listing P(R) would pass a hom-search cap, but the family reads
-            # it one element at a time: P(R) as kept on R, unlisted.
-            self.source = _exponential(interpret_type(RQ, rep), rep.kit.omega)
+        self.source = interpret_type(PowerType(RQ), rep)
         self._sigma = interpret_type(SIGMA, rep)
         if symbol not in rep.symbols:
             raise RepresentationError(f"unassigned function symbol {symbol!r}")
-        # P(Sigma) as the transposes make it, unlisted and past no hom-set cap.
-        self.target = _exponential(self._sigma, rep.kit.omega)
+        # P(Sigma) as the transposes make it, from the kit already held:
+        # `interpret_type` would read `classifier_kit` again.
+        self.target = exponential(self._sigma, rep.kit.omega)
         self._rep, self._hash, self._natural = rep, None, True
 
     def __getattr__(self, name):
@@ -475,11 +473,11 @@ def prop_family(symbol: str, rep: ToposRep) -> NatTransform:
     """Power transpose of the arrow P(R) x Sigma -> Omega interpreting
     ``symbol(s) in D``, as a family of state subsets indexed by value sets:
     each value read at one argument and the whole family listed only when
-    read (see `_PropFamily`).  Cached per representation and symbol."""
-    cached = rep._family_cache.get(symbol)
-    if cached is None:
-        cached = rep._family_cache[symbol] = _PropFamily(symbol, rep)
-    return cached
+    read (see `_PropFamily`).  Built anew on each call, which costs little:
+    the interpreted types and both power objects are kept where they were
+    already, and nothing on the representation refers back to a family, so
+    both are freed by reference counting."""
+    return _PropFamily(symbol, rep)
 
 
 # -- classical backend --------------------------------------------------------------
@@ -494,16 +492,18 @@ class EffectiveClassicalRep:
     arrows hold the system's own value objects, one hash-keeping
     `intervals.Rational` per distinct value (see `ClassicalSystem`), so the
     power object's cells and every lookup of a value find it by identity
-    and hash it once.  A preimage goes through `prop_family`, read at the
-    interval set's element alone: on the one object that element generates
-    only itself, so membership is interpreted over one environment per
-    state and transposed into one subset of states.  Neither the power
+    and hash it once.  A preimage goes through a `prop_family` built for it
+    and dropped after it, read at the interval set's element alone: on the
+    one object that element generates only itself, so membership is
+    interpreted over one environment per state and transposed into one
+    subset of states.  Neither the power
     object of the values, 2^values subsets, nor that of the states,
     2^states, is listed, so a preimage costs time linear in the states and
     does not grow with 2^values, which is not capped.  Only listing the
     family's components, through its equality or hash too, lists the power
     object of the values, and that is refused from 18 values on, past the
-    hom search's cell cap.
+    hom search's cell cap.  Nothing the representation holds refers back to
+    it, so reference counting frees it once its last user drops it.
     """
     system: ClassicalSystem
     rep: ToposRep

@@ -6,11 +6,11 @@ The cases are every README command on `fixtures/two_point.json`, two
 comprehensions that print power-object elements (`prop_family` on the
 classical (one-object) base and `{ x : Sigma | x = x }` on the two-point
 presheaf base), `validate` on the broken project files
-`tests/golden/broken_*.json`, which pin the schema check's first error
-message and pointer, and `pl decide` on Dummett's (a -> b) | (b -> a), on
-(a -> b) | (b -> c) | (c -> a), on a | ~a and on the Rieger-Nishimura
-implication n10 -> n9, whose countermodels need more than four worlds (exit
-2, resource-cap), which pin the countermodel search's smallest-first order,
+`tests/golden/broken_*.json`, which pin the first error message and
+pointer of the schema check and of the category-law check, and `pl decide`
+on Dummett's (a -> b) | (b -> a), on (a -> b) | (b -> c) | (c -> a), on
+a | ~a and on the Rieger-Nishimura implication n10 -> n9, whose
+countermodels need more than four worlds (exit 2, resource-cap), which pin the countermodel search's smallest-first order,
 and `ls represent` over eight context variables of type P(R), whose 8^8
 environments the product cap refuses before building them (exit 2,
 resource-cap).  The files were captured from cold processes under

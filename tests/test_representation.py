@@ -1,5 +1,6 @@
 import gc
 import random
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -825,6 +826,44 @@ def test_a_preimage_at_18_values_is_refused_at_once_by_the_hom_search_cap():
             family.components
     assert str(err.value) == \
         f"hom search results of 18 cells each exceed cap {cap} cells after {cap // 18} results"
+
+
+def test_a_classical_representation_that_answered_a_preimage_is_freed_by_reference_counting():
+    # The family a preimage builds is dropped with it, and interpreting its
+    # term leaves no cycle behind: the last reference dropped frees the
+    # representation at once, with the cyclic collector off.
+    gc.collect()
+    gc.disable()
+    try:
+        eff = EffectiveClassicalRep.build(SMALL)
+        assert eff.preimage("A", iv(1, True, 4, False)) == {"s1", "s2"}
+        ref = weakref.ref(eff.rep)
+        del eff
+        alive = ref() is not None
+    finally:
+        gc.enable()
+    assert not alive
+
+
+def test_a_chain_representation_that_interpreted_terms_is_freed_by_reference_counting():
+    # A comprehension, an equality and an axiom check over the 3-chain.
+    gc.collect()
+    gc.disable()
+    try:
+        rep = _hand_built_rep("CHAIN3")
+        signature = rep.signature
+        interpret_term(parse_term("{ t : Sigma | A(t) = A(s) }", signature), (("s", SIGMA),), rep)
+        interpret_term(parse_term("s = t", signature), (("s", SIGMA), ("t", SIGMA)), rep)
+        comprehension = substitute(substitute(
+            parse_term("s in { s : Sigma | A(s) in D } <=> A(s) in D", signature),
+            "s", Var("s", SIGMA)), "D", Var("D", PowerType(RQ)))
+        assert validate_axioms(rep, [("comprehension", Sequent(frozenset(), comprehension))]).ok
+        ref = weakref.ref(rep)
+        del rep
+        alive = ref() is not None
+    finally:
+        gc.enable()
+    assert not alive
 
 
 @pytest.mark.hash_seeds
