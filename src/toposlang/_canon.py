@@ -43,6 +43,15 @@ def _approx(number) -> float:
 
 
 def canon_sorted(values):
+    """`sorted(values, key=canon_key)`.  Where every value is a str, or
+    every value a tuple of strs, canon_key orders them as Python does, so
+    they are sorted without it; mixed kinds, which Python does not order,
+    take the key."""
+    values = list(values)
+    kinds = set(map(type, values))
+    if kinds <= {str} or (kinds == {tuple} and
+                          all(type(v) is str for value in values for v in value)):
+        return sorted(values)
     return sorted(values, key=canon_key)
 
 

@@ -10,10 +10,12 @@ after which terms consist of core formers only.
 `map_children` is the one structural traversal: `free_vars`, `substitute`,
 `alpha_normal`, `desugar_connectives` and the rewrite matcher of
 `axioms.py` handle variables and binders themselves and leave every other
-former to it.
+former to it.  It gives back a term whose children all come back as they
+were, so a pass copies no subtree it leaves unchanged.
 """
 from __future__ import annotations
 
+from operator import is_
 from typing import Callable, Mapping, Optional
 
 from .._record import record
@@ -117,29 +119,39 @@ def infer_type(term: Term, context: Mapping[str, TypeExpr] | None = None,
 
 
 def map_children(term: Term, f: Callable[[Term], Term]) -> Term:
-    """The term with f applied to each immediate subterm, left to right.
+    """The term with f applied to each immediate subterm, left to right; the
+    term itself when f gives back every subterm as it was, so a walk copies
+    no subtree it leaves unchanged.
 
-    Apart from the parser, `format_term`, `infer_type` and
-    `rep.interpret_term`, the one place that knows the fields of each term
-    former.  A comprehension's binder is not a subterm; variables, `*` and
-    `true` have none and come back as they are.
+    Apart from the parser, `format_term`, `infer_type` and the interpreter
+    in `rep`, the one place that knows the fields of each term former.  A
+    comprehension's binder is not a subterm; variables, `*` and `true` have
+    none and come back as they are.
     """
     if isinstance(term, (Var, Star, TrueLit)):
         return term
     if isinstance(term, App):
-        return App(term.symbol, f(term.arg))
+        arg = f(term.arg)
+        return term if arg is term.arg else App(term.symbol, arg)
     if isinstance(term, Tup):
-        return Tup(tuple(f(t) for t in term.items))
+        items = tuple(f(t) for t in term.items)
+        return term if all(map(is_, items, term.items)) else Tup(items)
     if isinstance(term, Proj):
-        return Proj(term.index, f(term.item))
+        item = f(term.item)
+        return term if item is term.item else Proj(term.index, item)
     if isinstance(term, Compr):
-        return Compr(term.var, f(term.body))
+        body = f(term.body)
+        return term if body is term.body else Compr(term.var, body)
     if isinstance(term, Eq):
-        return Eq(f(term.left), f(term.right))
+        left, right = f(term.left), f(term.right)
+        return term if left is term.left and right is term.right else Eq(left, right)
     if isinstance(term, In):
-        return In(f(term.element), f(term.container))
+        element, container = f(term.element), f(term.container)
+        return term if element is term.element and container is term.container \
+            else In(element, container)
     if isinstance(term, AndT):
-        return AndT(f(term.left), f(term.right))
+        left, right = f(term.left), f(term.right)
+        return term if left is term.left and right is term.right else AndT(left, right)
     raise TypeError(f"not a term node: {term!r}")
 
 
@@ -225,7 +237,11 @@ CORE_TRUE = Eq(STAR, STAR)
 
 def desugar_connectives(term: Term) -> Term:
     """Eliminate surface connectives: true becomes * = *, and conjunction
-    becomes equality of the pair with the pair of truths.  Idempotent."""
+    becomes equality of the pair with the pair of truths.  Idempotent.
+
+    These are the paper's definitions of the connectives, kept as such and
+    as the tests' oracle: `rep.interpret_term` interprets `true` and `&` as
+    they stand, without this rewrite."""
     def walk(n: Term) -> Term:
         if isinstance(n, TrueLit):
             return CORE_TRUE

@@ -6,17 +6,26 @@ transformations to the function symbols; types are interpreted structurally
 classifier, the unit type as the terminal object) and terms compositionally
 as arrows out of the product of their free-variable context.  Each subterm
 is interpreted once, as one column per stage: its values listed in the
-order of that stage's environments, the elements of the context product.
-Variables, application, tuples and projections map over a column;
-restricting the environments along an arrow is an index list into the
-environments at its domain, built once per context and arrow.
+order of that stage's environments.  A context is the empty one extended
+one variable at a time, so its environments come in the order of the
+elements of the context product.  Variables, application, tuples and
+projections map over a column; restricting the environments along an arrow
+is an index list into the environments at its domain, built once per
+context and arrow.
 
-Equality lands on the classifier through the sieve of arrows equalizing the
-two sides, read through those index lists; membership reads the evaluation
-cells of the power object; and comprehension builds the power transpose
-from blocks of its body's column over the context extended by the binder.
-Every registered axiom sequent must hold, which for an empty context means
-its interpretation is the constant arrow at the principal sieve.
+A formula is decided at the identity first: one truth bit per environment,
+whether it is forced there (Kripke-Joyal; Mac Lane & Moerdijk, "Sheaves in
+Geometry and Logic", VI).  A natural chi: X -> Omega holds f: B -> A in
+chi(x) exactly when X(f)(x) forces it at B, so the bits fix chi.  `true` is
+every bit, `&` the pointwise and, and an equality is forced exactly where
+its two sides are equal, with no restriction read; membership and any other
+formula read the identity off their sieves.  A sieve is decoded from the
+bits, through those index lists, only where a value in Omega is needed.
+Membership reads the evaluation cells of the power object, and
+comprehension builds the power transpose from blocks of its body's column
+over the context extended by the binder.  Every registered axiom sequent
+must hold: every environment that forces its premises forces its
+conclusion, decided on the bits alone, with no product presheaf built.
 
 A representation assigns objects and arrows of the topos, so a `ToposRep`
 is valid by construction: its constructor checks that each ground lives on
@@ -34,10 +43,10 @@ Geometry and Logic", I.6): the term is interpreted over <zv> x Sigma only,
 <zv> the sub-presheaf of P(R) that zv generates, and transposed over <zv>.
 The whole family is listed only when its components are read.
 
-This module builds no presheaf structure of its own: the context object is
-`presheaf.product_presheaf`, <zv> is `presheaf`'s too, and power-object
-elements are built and read only through `presheaf.exp_from_blocks` and
-`exp_column`, which own their format.
+This module builds no presheaf structure of its own: an interpreted term's
+source is `presheaf.product_presheaf`, <zv> is `presheaf`'s too, and
+power-object elements are built and read only through
+`presheaf.exp_from_blocks` and `exp_column`, which own their format.
 
 The one-object backend gives classical set semantics.  A finite-state
 system with rational value tables becomes such a representation through
@@ -48,7 +57,7 @@ denotes the power-object element deciding membership against them.
 from __future__ import annotations
 
 import itertools
-from operator import eq, itemgetter
+from operator import and_, eq, itemgetter, not_, or_
 from typing import Mapping, Sequence
 
 from ._record import field, record
@@ -56,8 +65,9 @@ from .category import FiniteCategory, one_object_category, principal_sieve
 from .errors import ToposlangError
 from .intervals import IntervalSet
 from .local.axioms import Sequent
-from .local.check import desugar_connectives, free_vars, infer_type
+from .local.check import free_vars, infer_type
 from .local.syntax import (
+    AndT,
     App,
     Compr,
     Eq,
@@ -66,10 +76,13 @@ from .local.syntax import (
     Signature,
     Star,
     Term,
+    TrueLit,
     Tup,
     Var,
+    format_term,
 )
 from .local.types import (
+    OMEGA,
     RQ,
     SIGMA,
     GroundType,
@@ -85,6 +98,7 @@ from .presheaf import (
     NatTransform,
     Presheaf,
     PresheafError,
+    _product_base,
     classifier_kit,
     exp_column,
     exp_from_blocks,
@@ -203,18 +217,21 @@ def interpret_type(t: TypeExpr, rep: ToposRep) -> Presheaf:
 
 
 class _Context:
-    """A typing context as `interpret_term` walks it: each variable's slot in
-    an environment, the slots' types, and each stage's environments in
-    order.  The term's own context reads them off its product presheaf
-    `source`.  A comprehension's body is walked in the `outer` context
-    extended by the binder, of presheaf `binder`: its environments at B list
-    each outer environment with every xv of X(B) in turn."""
+    """A typing context as the interpretation walks it: each variable's slot
+    in an environment, the slots' types, and each stage's environments in
+    order.  Every context is the empty one, one environment () per stage,
+    extended one variable at a time (`_context`, `extend`): a context
+    extended by a variable over the presheaf `binder` lists, at each stage
+    B, each environment of the `outer` context with every xv of X(B) in
+    turn.  A term's own context so lists its environments in
+    `itertools.product` order, that of `product_presheaf`, and a
+    comprehension's body is walked in its context extended by the binder."""
 
     def __init__(self, cat: FiniteCategory, names: dict, types: tuple,
-                 envs: Mapping[str, Sequence], source: Presheaf | None = None,
-                 outer: "_Context | None" = None, binder: Presheaf | None = None):
+                 envs: Mapping[str, Sequence], outer: "_Context | None" = None,
+                 binder: Presheaf | None = None):
         self.cat, self.names, self.types, self.envs = cat, names, types, envs
-        self.source, self.outer, self.binder = source, outer, binder
+        self.outer, self.binder = outer, binder
         self._reads: dict[str, list[int]] = {}
 
     def extend(self, name: str, vtype: TypeExpr, x: Presheaf) -> "_Context":
@@ -239,16 +256,28 @@ class _Context:
         return out
 
     def _restrict(self, f: str) -> list[int]:
-        m = self.cat.morphism(f)
         if self.outer is None:
-            index = {env: i for i, env in enumerate(self.envs[m.dom])}
-            return [index[self.source.apply(f, env)] for env in self.envs[m.cod]]
+            return [0]  # the empty context's one environment restricts to itself
+        m = self.cat.morphism(f)
         # Outer position j and binder position t sit at j * |X(dom)| + t.
         x = self.binder
         position = {xv: t for t, xv in enumerate(x.stage(m.dom))}
         width = len(x.stage(m.dom))
         col = [position[x.apply(f, xv)] for xv in x.stage(m.cod)]
         return [j * width + t for j in self.outer.reads(f) for t in col]
+
+
+def _context(context: Sequence[tuple[str, TypeExpr]], factors: Sequence[Presheaf],
+             rep: ToposRep) -> _Context:
+    """The context of the variables `context`, each ranging over its factor:
+    the empty context extended by each in turn.  CapExceeded, before any
+    environment is built, where `product_presheaf(factors)` would raise it."""
+    if factors:
+        _product_base(factors)
+    ctx = _Context(rep.base, {}, (), {b: [()] for b in rep.base.objects})
+    for (name, vtype), x in zip(context, factors):
+        ctx = ctx.extend(name, vtype, x)
+    return ctx
 
 
 def interpret_term(term: Term, context: Sequence[tuple[str, TypeExpr]],
@@ -259,35 +288,67 @@ def interpret_term(term: Term, context: Sequence[tuple[str, TypeExpr]],
 
     Each subterm is interpreted once, as the columns {stage: [value, ...]}
     of an arrow out of its context's product, aligned with the context's
-    environments at that stage.  Its parent reads those columns: equality
-    through the index lists restricting environments along each arrow, a
-    comprehension its body's column over the context extended by the binder,
-    one block of |X(B)| values per environment.  The root's columns are the
+    environments at that stage (see `_Context`).  Its parent reads those
+    columns: a comprehension its body's column over the context extended by
+    the binder, one block of |X(B)| values per environment.  A formula is
+    decided at the identity first (`_truth`), and `true`, `&` and `=` decode
+    their sieves from that, through the index lists restricting
+    environments along each arrow; `true` and `&` are interpreted as they
+    stand, not through `desugar_connectives`.  The root's columns are the
     components, natural by construction on the grounds and symbol arrows
     `ToposRep` checked, so the result is certified and checked no further.
     """
-    return _interpret_term(term, context, rep, None)
+    return _interpret_term(term, context, rep, [interpret_type(t, rep) for _, t in context])
 
 
 def _interpret_term(term: Term, context: Sequence[tuple[str, TypeExpr]],
-                    rep: ToposRep, source: Presheaf | None) -> NatTransform:
-    """`interpret_term` out of `source`, a sub-presheaf of the context
-    product whose stages are the environments to interpret over, or out of
-    the whole product when None.  A term's value at an environment reads
-    only that environment and its restrictions, which stay in `source`, so
-    the result is the whole interpretation restricted to `source`."""
-    term = desugar_connectives(term)
+                    rep: ToposRep, factors: Sequence[Presheaf]) -> NatTransform:
+    """`interpret_term` out of the product of `factors`, one sub-presheaf of
+    each variable's type.  A term's value at an environment reads only that
+    environment and its restrictions, which stay in the product, so the
+    result is the whole interpretation restricted to it."""
     target_type = infer_type(term, dict(context), rep.signature)
-    cat = rep.base
-    if source is None:
-        presheaves = tuple(interpret_type(t, rep) for _, t in context)
-        source = product_presheaf(presheaves) if context else rep.kit.terminal
-    top = _Context(cat, {name: i for i, (name, _) in enumerate(context)},
-                   tuple(t for _, t in context), source.at, source=source)
-    columns = _columns(term, top, rep)
+    ctx = _context(context, factors, rep)
+    source = product_presheaf(factors) if factors else rep.kit.terminal
+    columns = _columns(term, ctx, rep)
     return NatTransform._certified(
         source, interpret_type(target_type, rep),
-        {obj: dict(zip(source.at[obj], columns[obj])) for obj in cat.objects})
+        {obj: dict(zip(source.at[obj], columns[obj])) for obj in rep.base.objects})
+
+
+def _truth(n: Term, ctx: _Context, rep: ToposRep) -> dict[str, list[bool]]:
+    """Per stage, whether each environment of ctx forces the formula n: that
+    is, whether the identity lies in the sieve n takes there.  A natural
+    chi: X -> Omega holds f: B -> A in chi(x) exactly when the identity of
+    B lies in chi(X(f)(x)), so these bits fix chi (`_sieves` reads it back).
+    An equality holds at the identity exactly when its sides are equal."""
+    cat, envs = rep.base, ctx.envs
+    if isinstance(n, TrueLit):
+        return {obj: [True] * len(envs[obj]) for obj in cat.objects}
+    if isinstance(n, AndT):
+        left, right = _truth(n.left, ctx, rep), _truth(n.right, ctx, rep)
+        return {obj: list(map(and_, left[obj], right[obj])) for obj in cat.objects}
+    if isinstance(n, Eq):
+        left, right = _columns(n.left, ctx, rep), _columns(n.right, ctx, rep)
+        return {obj: list(map(eq, left[obj], right[obj])) for obj in cat.objects}
+    sieves = _columns(n, ctx, rep)
+    return {obj: [cat.id_of(obj) in s for s in sieves[obj]] for obj in cat.objects}
+
+
+def _sieves(truth: Mapping[str, Sequence[bool]], ctx: _Context,
+            cat: FiniteCategory) -> dict[str, list[frozenset]]:
+    """The sieve column of a formula from its truth column (see `_truth`):
+    at an environment x of stage A, the arrows f: B -> A whose restriction
+    of x forces the formula, read through the index lists of ctx."""
+    out = {}
+    for obj in cat.objects:
+        into = cat.into(obj)
+        patterns = list(zip(*(map(truth[cat.morphism(f).dom].__getitem__, ctx.reads(f))
+                              for f in into)))
+        # One sieve per distinct pattern, members in `into` order.
+        sieves = {p: frozenset(itertools.compress(into, p)) for p in set(patterns)}
+        out[obj] = list(map(sieves.__getitem__, patterns))
+    return out
 
 
 def _columns(n: Term, ctx: _Context, rep: ToposRep) -> dict[str, list]:
@@ -312,18 +373,8 @@ def _columns(n: Term, ctx: _Context, rep: ToposRep) -> dict[str, list]:
     if isinstance(n, Proj):
         item, get = _columns(n.item, ctx, rep), itemgetter(n.index - 1)
         return {obj: list(map(get, item[obj])) for obj in cat.objects}
-    if isinstance(n, Eq):
-        left, right = _columns(n.left, ctx, rep), _columns(n.right, ctx, rep)
-        same = {obj: list(map(eq, left[obj], right[obj])) for obj in cat.objects}
-        out = {}
-        for obj in cat.objects:
-            into = cat.into(obj)
-            patterns = list(zip(*(map(same[cat.morphism(f).dom].__getitem__, ctx.reads(f))
-                                  for f in into)))
-            # One sieve per distinct pattern, members in `into` order.
-            sieves = {p: frozenset(itertools.compress(into, p)) for p in set(patterns)}
-            out[obj] = list(map(sieves.__getitem__, patterns))
-        return out
+    if isinstance(n, (TrueLit, AndT, Eq)):
+        return _sieves(_truth(n, ctx, rep), ctx, cat)
     if isinstance(n, In):
         container, element = _columns(n.container, ctx, rep), _columns(n.element, ctx, rep)
         x = interpret_type(infer_type(n.element, ctx.typing(), rep.signature), rep)
@@ -345,10 +396,18 @@ def _columns(n: Term, ctx: _Context, rep: ToposRep) -> dict[str, list]:
 
 def validate_axioms(rep: ToposRep,
                     axioms: Sequence[tuple[str, Sequent]] | None = None) -> AxiomReport:
-    """Each sequent must hold at every stage and environment: the meet of the
-    context's truth values lies below the conclusion's, and with an empty
-    context the conclusion is the principal sieve outright."""
+    """Each sequent must hold at every stage and environment: the meet of its
+    premises' truth values lies below its conclusion's, and with no premises
+    the conclusion is the principal sieve outright.
+
+    By the fact behind `_truth`, that holds exactly when every environment
+    forcing the premises forces the conclusion, so each formula is decided
+    at the identity alone, over the sequent's context built by extension
+    (`_context`), and no product presheaf is built.  Only a failing sequent
+    decodes its sieve columns, to list every failing environment as a
+    witness.  RepresentationError names a formula whose type is not Omega."""
     report = AxiomReport()
+    cat = rep.base
     for name, seq in (rep.axioms if axioms is None else tuple(axioms)):
         var_types: dict[str, TypeExpr] = {}
         for formula in list(seq.context) + [seq.conclusion]:
@@ -361,22 +420,38 @@ def validate_axioms(rep: ToposRep,
                     raise RepresentationError(
                         f"axiom {name!r} types variable {vname!r} inconsistently")
                 var_types[vname] = types.pop()
+        premises = sorted(seq.context, key=format_term)
+        for formula in [seq.conclusion] + premises:
+            got = infer_type(formula, var_types, rep.signature)
+            if got != OMEGA:
+                raise RepresentationError(
+                    f"axiom {name!r} has formula {format_term(formula)!r} of type {got}, "
+                    "not Omega")
         context = tuple(sorted(var_types.items()))
-        concl = interpret_term(seq.conclusion, context, rep)
-        premises = [interpret_term(g, context, rep) for g in seq.context]
-        source = concl.source
-        for obj in rep.base.objects:
-            top = principal_sieve(rep.base, obj).members
-            for env in source.stage(obj):
-                got = concl.apply(obj, env)
+        ctx = _context(context, [interpret_type(t, rep) for _, t in context], rep)
+        concl = _truth(seq.conclusion, ctx, rep)
+        held = [_truth(p, ctx, rep) for p in premises]
+        report.checked += sum(map(len, ctx.envs.values()))
+        if all(_holds(concl[obj], [p[obj] for p in held]) for obj in cat.objects):
+            continue
+        got, bounds = _sieves(concl, ctx, cat), [_sieves(p, ctx, cat) for p in held]
+        for obj in cat.objects:
+            top = principal_sieve(cat, obj).members
+            for i, env in enumerate(ctx.envs[obj]):
                 bound = top
-                for p in premises:
-                    bound = bound & p.apply(obj, env)
-                report.checked += 1
-                if not bound <= got or (not premises and got != top):
-                    report.failures.append(AxiomWitness(
-                        name, obj, env, got, bound if premises else top))
+                for p in bounds:
+                    bound = bound & p[obj][i]
+                if not bound <= got[obj][i]:
+                    report.failures.append(AxiomWitness(name, obj, env, got[obj][i], bound))
     return report
+
+
+def _holds(conclusion: Sequence[bool], premises: Sequence[Sequence[bool]]) -> bool:
+    """Whether every environment forcing all the premises forces the
+    conclusion, given their truth columns at one stage."""
+    if premises:
+        conclusion = map(or_, conclusion, map(not_, map(all, zip(*premises))))
+    return all(conclusion)
 
 
 def build_rep(signature: Signature, base: FiniteCategory,
@@ -465,7 +540,7 @@ class _PropFamily(NatTransform):
     def _value(self, obj: str, zv):
         generated = self.source._generated(obj, zv)
         flipped = _interpret_term(self._term, _FAMILY_CONTEXT, self._rep,
-                                  product_presheaf([generated, self._sigma]))
+                                  (generated, self._sigma))
         return power_transpose(flipped, generated, self._sigma).components[obj][zv]
 
 

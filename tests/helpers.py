@@ -8,8 +8,8 @@ exponential-cell reader that scans an element's cells, the
 universal-property checks of products and exponentials, the exponential
 built through representables, the proposition family built whole over
 P(R) x Sigma, the canonical keys presheaves and natural
-transformations were once compared by, the memoized term evaluator, the
-local language's term walkers with one branch per term former, the
+transformations were once compared by, the memoized term evaluator and
+the sequent check on it, the local language's term walkers with one branch per term former, the
 `dataclasses` twins of the record classes, the endpoint-key
 `Interval.contains`, and the match-loop token cursor with both languages'
 parsers on it."""
@@ -37,6 +37,7 @@ from toposlang.category import (
     Sieve,
     from_poset,
     one_object_category,
+    principal_sieve,
 )
 from toposlang.heyting import (
     BoundedLattice,
@@ -105,7 +106,15 @@ from toposlang.prop.syntax import (
     leaf_key,
     leaves,
 )
-from toposlang.rep import RepresentationError, ToposRep, interpret_term, interpret_type
+from toposlang.local.axioms import Sequent
+from toposlang.rep import (
+    AxiomReport,
+    AxiomWitness,
+    RepresentationError,
+    ToposRep,
+    interpret_term,
+    interpret_type,
+)
 
 PT = one_object_category()
 TWO = from_poset(["p", "q"], [("p", "q")])
@@ -1089,6 +1098,42 @@ def reference_interpret_term(term: Term, context: Sequence[tuple[str, TypeExpr]]
     if bad.items:
         raise RepresentationError(f"interpretation is not natural: {bad.items[0]}")
     return arrow
+
+
+def reference_validate_axioms(rep: ToposRep, axioms: Sequence[tuple[str, Sequent]]) -> AxiomReport:
+    """`rep.validate_axioms` as it once was, on `reference_interpret_term`:
+    each formula interpreted as an arrow out of the whole context product,
+    and at every stage and environment the meet of the premises' sieves
+    compared with the conclusion's."""
+    report = AxiomReport()
+    for name, seq in axioms:
+        var_types: dict[str, TypeExpr] = {}
+        for formula in list(seq.context) + [seq.conclusion]:
+            for vname, annots in reference_free_vars(formula).items():
+                types = {t for t in annots if t is not None}
+                if not types:
+                    raise RepresentationError(
+                        f"axiom {name!r} has untyped free variable {vname!r}")
+                if len(types) > 1 or (vname in var_types and var_types[vname] not in types):
+                    raise RepresentationError(
+                        f"axiom {name!r} types variable {vname!r} inconsistently")
+                var_types[vname] = types.pop()
+        context = tuple(sorted(var_types.items()))
+        concl = reference_interpret_term(seq.conclusion, context, rep)
+        premises = [reference_interpret_term(g, context, rep) for g in seq.context]
+        source = concl.source
+        for obj in rep.base.objects:
+            top = principal_sieve(rep.base, obj).members
+            for env in source.stage(obj):
+                got = concl.apply(obj, env)
+                bound = top
+                for p in premises:
+                    bound = bound & p.apply(obj, env)
+                report.checked += 1
+                if not bound <= got or (not premises and got != top):
+                    report.failures.append(AxiomWitness(
+                        name, obj, env, got, bound if premises else top))
+    return report
 
 
 # -- the local language's term walkers, one branch per term former ---------------

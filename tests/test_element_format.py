@@ -10,6 +10,8 @@ construction through a representable and a product.  Every builder of
 power-object elements (the exponential's stages, a transpose, a
 comprehension, `delta_element`) must give elements that are equal, and
 hash-equal, to each other and to plain tuples of the same cells.
+`canon_sorted` sorts plain stages, strs or tuples of strs, without the key,
+and must give the key's order on every kind.
 """
 import itertools
 import random
@@ -17,6 +19,8 @@ import re
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from helpers import (
     CHAIN3,
     DIAMOND,
@@ -235,3 +239,27 @@ def test_delta_elements_are_interchangeable_with_the_power_object_stage():
             image = family.apply(eff.point, element)
             assert frozenset(s for (_, _, s), truth in image if truth == top) == \
                 eff.preimage("A", delta)
+
+
+_TEXT = st.text("ab*", max_size=3)
+_NUMBERS = st.one_of(st.integers(-3, 3), st.fractions(-3, 3, max_denominator=4))
+_SCALARS = st.one_of(_TEXT, _NUMBERS)
+_VALUE_LISTS = st.one_of(
+    st.lists(_TEXT),
+    st.lists(st.lists(_TEXT, max_size=3).map(tuple)),
+    st.lists(_NUMBERS),
+    st.lists(st.frozensets(_TEXT, max_size=3)),
+    # mixed kinds, and tuples that are not all strs
+    st.lists(st.one_of(_TEXT, st.lists(_TEXT, max_size=2).map(tuple))),
+    st.lists(st.lists(_SCALARS, max_size=3).map(tuple)),
+    st.lists(st.one_of(_SCALARS, st.frozensets(_SCALARS, max_size=2),
+                       st.lists(_SCALARS, max_size=2).map(tuple))),
+)
+
+
+@pytest.mark.hash_seeds
+@settings(max_examples=200, deadline=None)
+@given(_VALUE_LISTS)
+def test_canon_sorted_is_the_canon_key_sort(values):
+    assert canon_sorted(values) == sorted(values, key=canon_key)
+    assert canon_sorted(iter(values)) == sorted(values, key=canon_key)

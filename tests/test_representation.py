@@ -20,6 +20,7 @@ from helpers import (
     reference_interpret_term,
     reference_law_violations,
     reference_prop_family,
+    reference_validate_axioms,
     two_point_presheaf,
 )
 
@@ -28,15 +29,20 @@ from toposlang import rep as rep_module
 from toposlang.category import one_object_category, principal_sieve
 from toposlang.errors import CapExceeded
 from toposlang.intervals import IntervalSet, Rational
+from toposlang.local.check import annotate
 from toposlang.local import (
     RQ,
     SIGMA,
+    AndT,
+    Compr,
+    Eq,
     PowerType,
     ProductType,
     Sequent,
     Signature,
     Var,
     abelian_axiom_pack,
+    desugar_connectives,
     pack_signature,
     parse_term,
     substitute,
@@ -870,7 +876,8 @@ def test_a_chain_representation_that_interpreted_terms_is_freed_by_reference_cou
 def test_a_first_preimage_interprets_environments_linear_in_the_states(monkeypatch):
     # The term is interpreted over <zv> x Sigma, and <zv> = {zv} on the one
     # object, so one environment per state whatever the value count; over
-    # P(R) x Sigma it was n * 2^values.
+    # P(R) x Sigma it was n * 2^values.  The context is built by extension:
+    # the empty context, then D over <zv>, then s over Sigma.
     interpreted = []
     init = rep_module._Context.__init__
 
@@ -884,7 +891,7 @@ def test_a_first_preimage_interprets_environments_linear_in_the_states(monkeypat
         monkeypatch.setattr(rep_module._Context, "__init__", spy)
         eff.preimage("A", iv(0, True, 1, False))
         monkeypatch.undo()
-        assert interpreted == [n], (n, values)
+        assert interpreted == [1, 1, n], (n, values)
 
 
 def _family_rep(name: str, seed: int) -> ToposRep:
@@ -940,7 +947,7 @@ def test_a_lazy_family_is_the_reference_family(name, seed, first, data):
             for (context, text), whole in zip(terms, wholes):
                 factors = [generated if t == PowerType(RQ) else sigma for _, t in context]
                 local = rep_module._interpret_term(parse_term(text, rep.signature), context,
-                                                   rep, product_presheaf(factors))
+                                                   rep, factors)
                 assert local.target == whole.target
                 for b in cat.objects:
                     assert all(local.apply(b, env) == whole.apply(b, env)
@@ -1057,3 +1064,117 @@ def test_rational_values_answer_as_plain_fractions(data):
             assert ours.preimage(q, delta) == theirs.preimage(q, delta) == want
             if built[0] == "ok":
                 assert built[1].preimage(q, delta) == want
+
+
+# -- sequents decided at the identity ---------------------------------------------
+
+SEQUENT_TYPES = {"s": SIGMA, "t": SIGMA, "u": SIGMA, "r": RQ, "D": PowerType(RQ)}
+
+# (premises, conclusion) over the hand-built signature: sequents that hold on
+# every base and sequents that fail on some, with and without premises, and
+# every truth former among their formulas.
+SEQUENTS = [
+    ((), "s = s"),
+    (("s = t",), "A(s) = A(t)"),
+    (("A(s) = A(t)",), "s = t"),
+    ((), "s = t"),
+    (("s = t", "t = u"), "s = u"),
+    (("A(s) in D",), "s in { s : Sigma | A(s) in D }"),
+    ((), "A(s) in D"),
+    (("A(s) in D & true",), "A(s) in D & A(s) = A(s)"),
+    (("true",), "* = *"),
+    ((), "s = t <=> A(s) = A(t)"),
+    (("A(s) in D", "A(t) in D"), "s = t & true"),
+    ((), "{ r : R | r in D } = D"),
+    (("r in D",), "{ t : Sigma | A(t) = r } = { t : Sigma | A(t) in D }"),
+]
+
+
+def _sequent(premises, conclusion, signature) -> Sequent:
+    def typed(text):
+        return annotate(parse_term(text, signature), SEQUENT_TYPES)
+    return Sequent(frozenset(map(typed, premises)), typed(conclusion))
+
+
+def _sequents(rep, picks) -> list:
+    return [(f"sequent{i}", _sequent(*SEQUENTS[i], rep.signature)) for i in picks]
+
+
+@pytest.mark.hash_seeds
+@pytest.mark.parametrize("name", list(HAND_BUILT))
+def test_validate_axioms_reports_what_the_reference_reports(name):
+    rep = _hand_built_rep(name)
+    axioms = _sequents(rep, range(len(SEQUENTS)))
+    got, want = validate_axioms(rep, axioms), reference_validate_axioms(rep, axioms)
+    assert got.checked == want.checked
+    assert got.failures == want.failures
+    # Every base fails some sequent, so the witness lists are compared too.
+    assert want.failures
+
+
+@pytest.mark.hash_seeds
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from(list(HAND_BUILT)), st.integers(1, 3),
+       st.lists(st.integers(0, len(SEQUENTS) - 1), min_size=1, max_size=3))
+def test_validate_axioms_reports_what_the_reference_reports_on_random_grounds(
+        name, seed, picks):
+    rep = _family_rep(name, seed)
+    axioms = _sequents(rep, picks)
+    got, want = validate_axioms(rep, axioms), reference_validate_axioms(rep, axioms)
+    assert (got.checked, got.failures) == (want.checked, want.failures)
+
+
+def _formulas(children):
+    return st.one_of(
+        st.builds(AndT, children, children),
+        st.builds(Eq, children, children),  # <=>
+        # a comprehension over the formula, compared with the whole of Sigma
+        children.map(lambda body: Eq(Compr(Var("u", SIGMA), body),
+                                     Compr(Var("u", SIGMA), parse_term("true")))),
+    )
+
+
+FORMULA_ATOMS = ["true", "A(s) in D", "s = t", "A(s) = A(u)", "t in { r : Sigma | A(r) in D }",
+                 "u = s & true"]
+FORMULA_CONTEXT = (("s", SIGMA), ("t", SIGMA), ("u", SIGMA), ("D", PowerType(RQ)))
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.sampled_from(list(HAND_BUILT)), st.data())
+def test_true_and_conjunction_interpret_as_their_desugared_forms(name, data):
+    rep = _hand_built_rep(name)
+    atoms = st.sampled_from(FORMULA_ATOMS).map(lambda text: parse_term(text, rep.signature))
+    term = data.draw(st.recursive(atoms, _formulas, max_leaves=5))
+    assert interpret_term(term, FORMULA_CONTEXT, rep) == \
+        interpret_term(desugar_connectives(term), FORMULA_CONTEXT, rep)
+
+
+def test_a_passing_sequent_of_equalities_reads_no_restriction(monkeypatch):
+    # On a chain, `=` at Sigma or R is decided at each environment itself:
+    # a sequent that holds reads no restriction along a non-identity arrow.
+    # One that fails decodes its sieves, which read them.
+    rep = _hand_built_rep("CHAIN3")
+    calls = []
+    restrict = rep_module._Context._restrict
+
+    def spy(self, f):
+        calls.append(f)
+        return restrict(self, f)
+
+    monkeypatch.setattr(rep_module._Context, "_restrict", spy)
+    report = validate_axioms(rep, _sequents(rep, [1, 4]))
+    assert report.ok and report.checked > 0
+    assert calls == []
+    assert not validate_axioms(rep, _sequents(rep, [3])).ok
+    assert calls
+
+
+@pytest.mark.parametrize("premises, conclusion", [((), "r"), (("r",), "r = r"),
+                                                   (("s = s", "D"), "true")])
+def test_an_axiom_formula_not_of_type_omega_is_refused_by_name(premises, conclusion):
+    rep = _hand_built_rep("TWO")
+    bad = conclusion if not premises else premises[-1]
+    with pytest.raises(RepresentationError) as err:
+        validate_axioms(rep, [("bad", _sequent(premises, conclusion, rep.signature))])
+    want = "R" if bad == "r" else "P(R)"
+    assert str(err.value) == f"axiom 'bad' has formula {bad!r} of type {want}, not Omega"

@@ -1,5 +1,6 @@
 """The local language's structural passes, built on `map_children`, against
-the walkers they replaced (`tests/helpers.py`, one branch per term former).
+the walkers they replaced (`tests/helpers.py`, one branch per term former),
+and a pass that changes nothing giving back the very term it was given.
 
 Terms are drawn over all ten term formers, from three variable names, so
 nested binders shadow each other and replacement terms often have free
@@ -21,7 +22,13 @@ from toposlang.local.axioms import (
     _replaceable,
     check_derivation,
 )
-from toposlang.local.check import alpha_normal, desugar_connectives, free_vars, substitute
+from toposlang.local.check import (
+    alpha_normal,
+    desugar_connectives,
+    free_vars,
+    map_children,
+    substitute,
+)
 from toposlang.local.syntax import (
     STAR,
     TRUE,
@@ -31,6 +38,7 @@ from toposlang.local.syntax import (
     Eq,
     In,
     Proj,
+    TrueLit,
     Tup,
     Var,
     parse_term,
@@ -116,6 +124,22 @@ def test_free_vars_alpha_normal_and_desugar_match_the_reference(term):
     assert free_vars(term) == reference_free_vars(term)
     assert alpha_normal(term) == reference_alpha_normal(term)
     assert desugar_connectives(term) == reference_desugar_connectives(term)
+
+
+def _has_connectives(term) -> bool:
+    children = []
+    map_children(term, lambda t: children.append(t) or t)
+    return isinstance(term, (AndT, TrueLit)) or any(map(_has_connectives, children))
+
+
+@settings(max_examples=300, deadline=None)
+@given(TERMS)
+@example(SHADOWING)
+def test_walks_that_change_nothing_give_back_their_argument(term):
+    assert map_children(term, lambda t: t) is term
+    # No term drawn has a free `w`, so substituting for it changes nothing.
+    assert substitute(term, "w", STAR) is term
+    assert (desugar_connectives(term) is term) == (not _has_connectives(term))
 
 
 @settings(max_examples=300, deadline=None)
