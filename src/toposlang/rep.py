@@ -270,10 +270,8 @@ class _Context:
 def _context(context: Sequence[tuple[str, TypeExpr]], factors: Sequence[Presheaf],
              rep: ToposRep) -> _Context:
     """The context of the variables `context`, each ranging over its factor:
-    the empty context extended by each in turn.  CapExceeded, before any
-    environment is built, where `product_presheaf(factors)` would raise it."""
-    if factors:
-        _product_base(factors)
+    the empty context extended by each in turn.  Its caller admits the
+    factors first, through `product_presheaf` or `_product_base`."""
     ctx = _Context(rep.base, {}, (), {b: [()] for b in rep.base.objects})
     for (name, vtype), x in zip(context, factors):
         ctx = ctx.extend(name, vtype, x)
@@ -308,9 +306,8 @@ def _interpret_term(term: Term, context: Sequence[tuple[str, TypeExpr]],
     environment and its restrictions, which stay in the product, so the
     result is the whole interpretation restricted to it."""
     target_type = infer_type(term, dict(context), rep.signature)
-    ctx = _context(context, factors, rep)
     source = product_presheaf(factors) if factors else rep.kit.terminal
-    columns = _columns(term, ctx, rep)
+    columns = _columns(term, _context(context, factors, rep), rep)
     return NatTransform._certified(
         source, interpret_type(target_type, rep),
         {obj: dict(zip(source.at[obj], columns[obj])) for obj in rep.base.objects})
@@ -428,7 +425,10 @@ def validate_axioms(rep: ToposRep,
                     f"axiom {name!r} has formula {format_term(formula)!r} of type {got}, "
                     "not Omega")
         context = tuple(sorted(var_types.items()))
-        ctx = _context(context, [interpret_type(t, rep) for _, t in context], rep)
+        factors = [interpret_type(t, rep) for _, t in context]
+        if factors:
+            _product_base(factors)  # CapExceeded before any environment is built
+        ctx = _context(context, factors, rep)
         concl = _truth(seq.conclusion, ctx, rep)
         held = [_truth(p, ctx, rep) for p in premises]
         report.checked += sum(map(len, ctx.envs.values()))
