@@ -51,17 +51,27 @@ class LsTypeError(ToposlangError):
 def infer_type(term: Term, context: Mapping[str, TypeExpr] | None = None,
                signature: Optional[Signature] = None) -> TypeExpr:
     """Unique type of a term under a free-variable context."""
+    return _infer_type(term, context, signature, None)
+
+
+def _infer_type(term: Term, context: Mapping[str, TypeExpr] | None,
+                signature: Optional[Signature], free: dict | None) -> TypeExpr:
+    """`infer_type`, which with a dict `free` also collects the term's
+    context in the same walk: each annotated variable that neither `context`
+    nor a binder binds is recorded in `free` under its annotation.  A
+    variable already recorded there under another type raises LsTypeError,
+    as a bare one outside `context` does in `infer_type`."""
     ctx = dict(context or {})
 
     def walk(n: Term, env: dict) -> TypeExpr:
-        if isinstance(n, Star):
-            return UNIT
-        if isinstance(n, TrueLit):
-            return OMEGA
         if isinstance(n, Var):
             from_env = env.get(n.name)
             if n.vtype is not None:
-                if from_env is not None and from_env != n.vtype:
+                if from_env is None:
+                    if free is not None and free.setdefault(n.name, n.vtype) != n.vtype:
+                        raise LsTypeError(n, f"free variable {n.name!r} annotated {n.vtype} "
+                                             f"and {free[n.name]}")
+                elif from_env != n.vtype:
                     raise LsTypeError(n, f"variable {n.name!r} annotated {n.vtype} "
                                          f"but bound at {from_env}")
                 return n.vtype
@@ -79,7 +89,11 @@ def infer_type(term: Term, context: Mapping[str, TypeExpr] | None = None,
         if isinstance(n, Tup):
             if len(n.items) < 2:
                 raise LsTypeError(n, "tuples need at least two components")
-            return ProductType(tuple(walk(t, env) for t in n.items))
+            return ProductType(tuple([walk(t, env) for t in n.items]))
+        if isinstance(n, Star):
+            return UNIT
+        if isinstance(n, TrueLit):
+            return OMEGA
         if isinstance(n, Proj):
             inner = walk(n.item, env)
             if not isinstance(inner, ProductType):

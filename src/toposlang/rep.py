@@ -65,7 +65,7 @@ from .category import FiniteCategory, one_object_category, principal_sieve
 from .errors import ToposlangError
 from .intervals import IntervalSet
 from .local.axioms import Sequent
-from .local.check import free_vars, infer_type
+from .local.check import LsTypeError, _infer_type, free_vars, infer_type
 from .local.syntax import (
     AndT,
     App,
@@ -233,12 +233,22 @@ class _Context:
         self.cat, self.names, self.types, self.envs = cat, names, types, envs
         self.outer, self.binder = outer, binder
         self._reads: dict[str, list[int]] = {}
+        self._vars: dict[str, dict[str, list]] = {}
 
     def extend(self, name: str, vtype: TypeExpr, x: Presheaf) -> "_Context":
         envs = {b: [env + (xv,) for env in self.envs[b] for xv in x.stage(b)]
                 for b in self.cat.objects}
         return _Context(self.cat, {**self.names, name: len(self.types)}, self.types + (vtype,),
                         envs, outer=self, binder=x)
+
+    def column(self, name: str) -> dict[str, list]:
+        """The variable's column: per stage, its value in each environment.
+        Read once per context and shared, so no caller may mutate it."""
+        out = self._vars.get(name)
+        if out is None:
+            get = itemgetter(self.names[name])
+            out = self._vars[name] = {obj: list(map(get, envs)) for obj, envs in self.envs.items()}
+        return out
 
     def typing(self) -> dict[str, TypeExpr]:
         return {name: self.types[slot] for name, slot in self.names.items()}
@@ -271,7 +281,10 @@ def _context(context: Sequence[tuple[str, TypeExpr]], factors: Sequence[Presheaf
              rep: ToposRep) -> _Context:
     """The context of the variables `context`, each ranging over its factor:
     the empty context extended by each in turn.  Its caller admits the
-    factors first, through `product_presheaf` or `_product_base`."""
+    factors first: `_interpret_term` through `product_presheaf`.
+    `validate_axioms` takes only the empty context from here and extends
+    it itself, sharing each prefix among its sequents, each new context
+    admitted through `_product_base` first."""
     ctx = _Context(rep.base, {}, (), {b: [()] for b in rep.base.objects})
     for (name, vtype), x in zip(context, factors):
         ctx = ctx.extend(name, vtype, x)
@@ -355,8 +368,7 @@ def _columns(n: Term, ctx: _Context, rep: ToposRep) -> dict[str, list]:
     if isinstance(n, Var):
         if n.name not in ctx.names:
             raise RepresentationError(f"unbound variable {n.name!r}")
-        get = itemgetter(ctx.names[n.name])
-        return {obj: list(map(get, envs[obj])) for obj in cat.objects}
+        return ctx.column(n.name)
     if isinstance(n, Star):
         return {obj: [()] * len(envs[obj]) for obj in cat.objects}
     if isinstance(n, App):
@@ -399,36 +411,31 @@ def validate_axioms(rep: ToposRep,
 
     By the fact behind `_truth`, that holds exactly when every environment
     forcing the premises forces the conclusion, so each formula is decided
-    at the identity alone, over the sequent's context built by extension
-    (`_context`), and no product presheaf is built.  Only a failing sequent
-    decodes its sieve columns, to list every failing environment as a
-    witness.  RepresentationError names a formula whose type is not Omega."""
+    at the identity alone, over the sequent's context, and no product
+    presheaf is built.  The context comes from one typing walk per formula
+    (`_sequent_context`).  Its variables are sorted, and it is built by
+    extending the longest of its prefixes that an earlier sequent of this
+    call built, one variable at a time; each new context is admitted by
+    `_product_base` before any of its environments is built.  Only a
+    failing sequent decodes its sieve columns, to list every failing
+    environment as a witness.  RepresentationError names a formula whose
+    type is not Omega."""
     report = AxiomReport()
     cat = rep.base
+    built: dict[tuple, _Context] = {(): _context((), (), rep)}
     for name, seq in (rep.axioms if axioms is None else tuple(axioms)):
-        var_types: dict[str, TypeExpr] = {}
-        for formula in list(seq.context) + [seq.conclusion]:
-            for vname, annots in free_vars(formula).items():
-                types = {t for t in annots if t is not None}
-                if not types:
-                    raise RepresentationError(
-                        f"axiom {name!r} has untyped free variable {vname!r}")
-                if len(types) > 1 or (vname in var_types and var_types[vname] not in types):
-                    raise RepresentationError(
-                        f"axiom {name!r} types variable {vname!r} inconsistently")
-                var_types[vname] = types.pop()
         premises = sorted(seq.context, key=format_term)
-        for formula in [seq.conclusion] + premises:
-            got = infer_type(formula, var_types, rep.signature)
-            if got != OMEGA:
-                raise RepresentationError(
-                    f"axiom {name!r} has formula {format_term(formula)!r} of type {got}, "
-                    "not Omega")
-        context = tuple(sorted(var_types.items()))
-        factors = [interpret_type(t, rep) for _, t in context]
-        if factors:
+        context = _sequent_context(name, [seq.conclusion] + premises, rep)
+        ctx = built.get(context)
+        if ctx is None:
+            factors = [interpret_type(t, rep) for _, t in context]
             _product_base(factors)  # CapExceeded before any environment is built
-        ctx = _context(context, factors, rep)
+            k = len(context) - 1
+            while context[:k] not in built:
+                k -= 1
+            ctx = built[context[:k]]
+            for i in range(k, len(context)):
+                ctx = built[context[:i + 1]] = ctx.extend(*context[i], factors[i])
         concl = _truth(seq.conclusion, ctx, rep)
         held = [_truth(p, ctx, rep) for p in premises]
         report.checked += sum(map(len, ctx.envs.values()))
@@ -444,6 +451,42 @@ def validate_axioms(rep: ToposRep,
                 if not bound <= got[obj][i]:
                     report.failures.append(AxiomWitness(name, obj, env, got[obj][i], bound))
     return report
+
+
+def _sequent_context(name: str, formulas: Sequence[Term],
+                     rep: ToposRep) -> tuple[tuple[str, TypeExpr], ...]:
+    """The typed free variables of a sequent's formulas, sorted, each formula
+    checked to be of type Omega.  One typing walk per formula records the
+    variables' annotations as it types it.  If anything is irregular (an
+    LsTypeError, a formula not of type Omega, a bare free variable or one
+    typed two ways), the formulas are walked again in two passes, free
+    variables then types, in the same order, so the first error is raised
+    as those passes find it, and a variable annotated at one occurrence
+    and bare at another takes its annotation."""
+    var_types: dict[str, TypeExpr] = {}
+    try:
+        if all(_infer_type(f, None, rep.signature, var_types) == OMEGA for f in formulas):
+            return tuple(sorted(var_types.items()))
+    except LsTypeError:
+        pass
+    var_types = {}
+    for formula in formulas:
+        for vname, annots in free_vars(formula).items():
+            types = {t for t in annots if t is not None}
+            if not types:
+                raise RepresentationError(
+                    f"axiom {name!r} has untyped free variable {vname!r}")
+            if len(types) > 1 or (vname in var_types and var_types[vname] not in types):
+                raise RepresentationError(
+                    f"axiom {name!r} types variable {vname!r} inconsistently")
+            var_types[vname] = types.pop()
+    for formula in formulas:
+        got = infer_type(formula, var_types, rep.signature)
+        if got != OMEGA:
+            raise RepresentationError(
+                f"axiom {name!r} has formula {format_term(formula)!r} of type {got}, "
+                "not Omega")
+    return tuple(sorted(var_types.items()))
 
 
 def _holds(conclusion: Sequence[bool], premises: Sequence[Sequence[bool]]) -> bool:

@@ -79,6 +79,7 @@ from toposlang.local.syntax import (
     TrueLit,
     Tup,
     Var,
+    format_term,
 )
 from toposlang.local.types import (
     OMEGA,
@@ -1107,18 +1108,7 @@ def reference_validate_axioms(rep: ToposRep, axioms: Sequence[tuple[str, Sequent
     compared with the conclusion's."""
     report = AxiomReport()
     for name, seq in axioms:
-        var_types: dict[str, TypeExpr] = {}
-        for formula in list(seq.context) + [seq.conclusion]:
-            for vname, annots in reference_free_vars(formula).items():
-                types = {t for t in annots if t is not None}
-                if not types:
-                    raise RepresentationError(
-                        f"axiom {name!r} has untyped free variable {vname!r}")
-                if len(types) > 1 or (vname in var_types and var_types[vname] not in types):
-                    raise RepresentationError(
-                        f"axiom {name!r} types variable {vname!r} inconsistently")
-                var_types[vname] = types.pop()
-        context = tuple(sorted(var_types.items()))
+        context = reference_sequent_context(name, seq, rep.signature)
         concl = reference_interpret_term(seq.conclusion, context, rep)
         premises = [reference_interpret_term(g, context, rep) for g in seq.context]
         source = concl.source
@@ -1134,6 +1124,34 @@ def reference_validate_axioms(rep: ToposRep, axioms: Sequence[tuple[str, Sequent
                     report.failures.append(AxiomWitness(
                         name, obj, env, got, bound if premises else top))
     return report
+
+
+def reference_sequent_context(name: str, seq: Sequent,
+                               signature: Signature) -> tuple[tuple[str, TypeExpr], ...]:
+    """The sorted typed context of a sequent as `rep.validate_axioms` once
+    found it, in two passes: every formula's free variables and their
+    annotations, then every formula's type, which must be Omega.  Both
+    passes take the conclusion first and then the premises in
+    `format_term` order."""
+    formulas = [seq.conclusion] + sorted(seq.context, key=format_term)
+    var_types: dict[str, TypeExpr] = {}
+    for formula in formulas:
+        for vname, annots in reference_free_vars(formula).items():
+            types = {t for t in annots if t is not None}
+            if not types:
+                raise RepresentationError(
+                    f"axiom {name!r} has untyped free variable {vname!r}")
+            if len(types) > 1 or (vname in var_types and var_types[vname] not in types):
+                raise RepresentationError(
+                    f"axiom {name!r} types variable {vname!r} inconsistently")
+            var_types[vname] = types.pop()
+    for formula in formulas:
+        got = infer_type(formula, var_types, signature)
+        if got != OMEGA:
+            raise RepresentationError(
+                f"axiom {name!r} has formula {format_term(formula)!r} of type {got}, "
+                "not Omega")
+    return tuple(sorted(var_types.items()))
 
 
 # -- the local language's term walkers, one branch per term former ---------------

@@ -3,6 +3,8 @@ import importlib.util
 import json
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parent.parent
 spec = importlib.util.spec_from_file_location("bench_record", ROOT / "tools" / "bench_record.py")
 bench_record = importlib.util.module_from_spec(spec)
@@ -11,13 +13,16 @@ spec.loader.exec_module(bench_record)
 END_TO_END = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
 
 
-def write_result(tree: Path, workload, seed, trace, metrics, correct=True):
+def write_result(tree: Path, workload, seed, trace, metrics, correct=True, kernel_s=None):
     out = tree / ".perfbench_out"
     out.mkdir(parents=True, exist_ok=True)
     result = {"correct": correct, "attempted": 10, "failed": 1,
               "metrics": {name: {"value": value, "unit": unit}
                           for name, (value, unit) in metrics.items()}}
-    (out / f"result-{workload}-{seed}-{trace}.json").write_text(json.dumps({"result": result}))
+    document = {"result": result}
+    if kernel_s is not None:
+        document["kernel_s"] = {"reference": 0.0016, "median": kernel_s, "samples": 200}
+    (out / f"result-{workload}-{seed}-{trace}.json").write_text(json.dumps(document))
 
 
 def timed(ops_per_s):
@@ -77,3 +82,22 @@ def test_unpaired_timed_runs_stop_the_record(tmp_path, monkeypatch, capsys):
     record = json.loads(out.read_text())
     assert record["workloads"]["classical"]["seeds"] == [101, 102, 103, 104]
     assert record["workloads"]["topos"]["seeds"] == [101, 102, 103]
+
+
+def test_the_speed_gauge_median_is_kept_per_seed_and_side(tmp_path):
+    parent, change = tmp_path / "parent", tmp_path / "change"
+    for seed, before, after in ((101, 0.0020, 0.0018), (102, 0.0022, 0.0017),
+                                (103, 0.0024, 0.0019)):
+        write_result(parent, "topos", seed, 0, timed(10.0), kernel_s=before)
+        write_result(change, "topos", seed, 0, timed(11.0), kernel_s=after)
+    write_result(parent, "classical", 101, 0, timed(10.0), kernel_s=0.002)
+    write_result(change, "classical", 101, 0, timed(11.0))  # a run without the gauge
+    record = bench_record.fold(bench_record.read_results(str(parent)),
+                               bench_record.read_results(str(change)), END_TO_END)
+    gauge = record["topos"]["kernel_s"]
+    assert gauge["parent"]["values"] == [0.0020, 0.0022, 0.0024]
+    assert (gauge["parent"]["median"], gauge["parent"]["runs"]) == (0.0022, 3)
+    assert (gauge["parent"]["q1"], gauge["parent"]["q3"]) == pytest.approx((0.0021, 0.0023))
+    assert gauge["change"]["values"] == [0.0018, 0.0017, 0.0019]
+    assert gauge["change"]["median"] == 0.0018
+    assert "kernel_s" not in record["classical"]

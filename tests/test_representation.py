@@ -20,6 +20,7 @@ from helpers import (
     reference_interpret_term,
     reference_law_violations,
     reference_prop_family,
+    reference_sequent_context,
     reference_validate_axioms,
     two_point_presheaf,
 )
@@ -29,7 +30,7 @@ from toposlang import rep as rep_module
 from toposlang.category import one_object_category, principal_sieve
 from toposlang.errors import CapExceeded
 from toposlang.intervals import IntervalSet, Rational
-from toposlang.local.check import annotate
+from toposlang.local.check import LsTypeError, annotate, map_children
 from toposlang.local import (
     RQ,
     SIGMA,
@@ -117,13 +118,13 @@ def set_arrow(src, tgt, table):
     return NatTransform(src, tgt, {POINT: dict(table)})
 
 
-def z3_rep(corrupt=False):
-    """Cyclic-group-of-three value object with the commutative group pack."""
+def zn_rep(n=3, corrupt=False):
+    """Cyclic-group-of-n value object with the commutative group pack."""
     pack = abelian_axiom_pack()
     signature = pack_signature(Signature({"A": (SIGMA, RQ)}), pack)
     states = set_obj(["s0"])
-    values = set_obj([0, 1, 2])
-    add_table = {(a, b): (a + b) % 3 for a in range(3) for b in range(3)}
+    values = set_obj(range(n))
+    add_table = {(a, b): (a + b) % n for a in range(n) for b in range(n)}
     if corrupt:
         add_table[(1, 2)] = 1
     unit = Presheaf(PT, {POINT: ((),)}, {})
@@ -131,9 +132,9 @@ def z3_rep(corrupt=False):
         "A": set_arrow(states, values, {"s0": 0}),
         "zero": set_arrow(unit, values, {(): 0}),
         "add": NatTransform(
-            Presheaf(PT, {POINT: tuple((a, b) for a in range(3) for b in range(3))}, {}),
+            Presheaf(PT, {POINT: tuple((a, b) for a in range(n) for b in range(n))}, {}),
             values, {POINT: add_table}),
-        "neg": set_arrow(values, values, {v: (3 - v) % 3 for v in range(3)}),
+        "neg": set_arrow(values, values, {v: (n - v) % n for v in range(n)}),
     }
     return signature, states, values, arrows, pack
 
@@ -302,13 +303,13 @@ def test_comprehension_is_the_power_transpose_of_its_body():
 
 
 def test_abelian_pack_passes_on_z3_and_fails_on_corruption():
-    signature, states, values, arrows, pack = z3_rep()
+    signature, states, values, arrows, pack = zn_rep()
     rep = build_rep(signature, PT, {"Sigma": states, "R": values}, arrows,
                     axioms=pack.sequents)
     report = validate_axioms(rep)
     assert report.ok and report.checked > 0
 
-    signature, states, values, arrows, pack = z3_rep(corrupt=True)
+    signature, states, values, arrows, pack = zn_rep(corrupt=True)
     with pytest.raises(RepresentationError) as err:
         build_rep(signature, PT, {"Sigma": states, "R": values}, arrows,
                   axioms=pack.sequents)
@@ -1178,3 +1179,194 @@ def test_an_axiom_formula_not_of_type_omega_is_refused_by_name(premises, conclus
         validate_axioms(rep, [("bad", _sequent(premises, conclusion, rep.signature))])
     want = "R" if bad == "r" else "P(R)"
     assert str(err.value) == f"axiom 'bad' has formula {bad!r} of type {want}, not Omega"
+
+
+# -- the sequent's context: one typing walk per formula, one context per prefix --
+
+def _occurrences_typed(term, vtype_of):
+    """The term with each free variable occurrence given the type
+    vtype_of(name) names, None leaving it bare."""
+    def walk(n, bound):
+        if isinstance(n, Var):
+            return n if n.name in bound else Var(n.name, vtype_of(n.name))
+        if isinstance(n, Compr):
+            bound = bound | {n.var.name}
+        return map_children(n, lambda c: walk(c, bound))
+    return walk(term, frozenset())
+
+
+def _typed_sequent(premises, conclusion, signature) -> Sequent:
+    """A sequent whose formulas are (text, {variable: type}) pairs: each
+    formula is typed by its own map, a variable missing from it left bare."""
+    def typed(text, types):
+        return _occurrences_typed(parse_term(text, signature), types.get)
+    return Sequent(frozenset(typed(*p) for p in premises), typed(*conclusion))
+
+
+def _assert_as_the_two_passes(rep, seq):
+    """validate_axioms types the sequent as the two-pass reference does:
+    the same error class and text, returned, or, where it passes, the same
+    report."""
+    want = _outcome(lambda: reference_sequent_context("bad", seq, rep.signature))
+    got = _outcome(lambda: validate_axioms(rep, [("bad", seq)]))
+    if want[0] != "ok":
+        assert got == want
+        return want
+    ref = reference_validate_axioms(rep, [("bad", seq)])
+    assert got[0] == "ok" and (got[1].checked, got[1].failures) == (ref.checked, ref.failures)
+    return None
+
+
+S_, R_ = {"s": SIGMA}, {"r": RQ}
+
+# (premises, conclusion, the error class and text, None where the sequent is typed)
+IRREGULAR_SEQUENTS = [
+    # an untyped free variable, in a premise and in the conclusion
+    ([("x = x", {})], ("s = s", S_),
+     (RepresentationError, "axiom 'bad' has untyped free variable 'x'")),
+    ([], ("A(s) = r", S_), (RepresentationError, "axiom 'bad' has untyped free variable 'r'")),
+    # a variable typed two ways, across premises and within one formula
+    ([("s = s", S_), ("s = s & true", {"s": RQ})], ("true", {}),
+     (RepresentationError, "axiom 'bad' types variable 's' inconsistently")),
+    ([("s = t", {"s": SIGMA, "t": RQ})], ("t = s", {"s": SIGMA, "t": SIGMA}),
+     (RepresentationError, "axiom 'bad' types variable 't' inconsistently")),
+    # premises and conclusions not of type Omega
+    ([("r", R_)], ("r = r", R_), (RepresentationError,
+                                  "axiom 'bad' has formula 'r' of type R, not Omega")),
+    ([], ("A(s)", S_), (RepresentationError,
+                        "axiom 'bad' has formula 'A(s)' of type R, not Omega")),
+    # an untyped variable is named before a formula not of type Omega
+    ([("x = x", {})], ("A(s)", S_),
+     (RepresentationError, "axiom 'bad' has untyped free variable 'x'")),
+    # an ill-typed subterm: its LsTypeError passes through as it stands
+    ([], ("A(r) = r", R_), (LsTypeError, "symbol 'A' expects Sigma, got R (in A(r))")),
+    ([("s = s", S_)], ("<s, s> = s", S_),
+     (LsTypeError, "equality between different types Sigma*Sigma and Sigma (in <s, s> = s)")),
+]
+
+
+@pytest.mark.parametrize("premises, conclusion, want", IRREGULAR_SEQUENTS)
+def test_an_irregular_sequent_is_refused_as_the_two_passes_refuse_it(premises, conclusion, want):
+    rep = _hand_built_rep("TWO")
+    assert _assert_as_the_two_passes(rep, _typed_sequent(premises, conclusion,
+                                                         rep.signature)) == want
+
+
+@pytest.mark.parametrize("first", [SIGMA, None])
+def test_a_variable_annotated_at_one_occurrence_and_bare_at_another_is_typed(first):
+    # Bare first, the one typing walk meets an unbound variable; the two
+    # passes then take the annotation its other occurrence carries.
+    rep = _hand_built_rep("TWO")
+    conclusion = Eq(Var("s", first), Var("s", SIGMA if first is None else None))
+    seq = Sequent(frozenset(), conclusion)
+    assert _assert_as_the_two_passes(rep, seq) is None
+    report = validate_axioms(rep, [("bad", seq)])
+    assert report.ok and report.checked == 5  # Sigma has 3 + 2 elements
+
+
+@pytest.mark.hash_seeds
+def test_a_variable_typed_two_ways_is_named_in_the_order_of_the_type_check():
+    # Both premises type x and y crosswise.  The conclusion and then the
+    # premises in format_term order are walked, so "x = x & y = y" types y
+    # at R before "y = y & x = x" types it at Sigma, under every hash seed.
+    rep = _hand_built_rep("PT")
+    seq = _typed_sequent([("y = y & x = x", {"y": SIGMA, "x": RQ}),
+                          ("x = x & y = y", {"x": SIGMA, "y": RQ})], ("true", {}),
+                         rep.signature)
+    assert _assert_as_the_two_passes(rep, seq) == (
+        RepresentationError, "axiom 'bad' types variable 'y' inconsistently")
+
+
+TYPING_ATOMS = ["s = t", "A(s) = r", "s = s", "r = r", "true", "A(s)", "s", "A(r) = r",
+                "<s, r> = <t, r>", "s in { q : Sigma | A(q) = r }",
+                "{ u : Sigma | A(u) = r } = { u : Sigma | s = u }"]
+TYPICAL = {"s": SIGMA, "t": SIGMA, "r": RQ}
+OTHER = {SIGMA: RQ, RQ: SIGMA}
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(["PT", "TWO", "VEE"]), st.data())
+def test_validate_axioms_types_a_sequent_as_the_two_passes_do(name, data):
+    # Each free occurrence keeps its usual type, goes bare or takes the
+    # other ground, so typed, untyped, doubly typed and ill-typed sequents
+    # all come up; where the two passes type the sequent, the reports agree.
+    rep = _hand_built_rep(name)
+    occurrence = st.sampled_from(["usual", "usual", "usual", "bare", "other"])
+
+    def vtype_of(var):
+        pick = data.draw(occurrence)
+        return None if pick == "bare" else TYPICAL[var] if pick == "usual" \
+            else OTHER[TYPICAL[var]]
+
+    formula = st.sampled_from(TYPING_ATOMS).map(
+        lambda text: _occurrences_typed(parse_term(text, rep.signature), vtype_of))
+    premises = data.draw(st.lists(formula, max_size=2))
+    seq = Sequent(frozenset(premises), data.draw(formula))
+    _assert_as_the_two_passes(rep, seq)
+
+
+@pytest.mark.hash_seeds
+def test_the_z4_pack_is_typed_once_a_formula_over_three_built_contexts(monkeypatch):
+    # The pack's contexts are (r) for unit and inverse, (r, s) for
+    # commutativity and (r, s, t) for associativity: each extends the
+    # longest one built before it, so 3 extensions rather than 1 + 2 + 3 + 1.
+    signature, states, values, arrows, pack = zn_rep(4)
+    rep = ToposRep(signature, PT, {"Sigma": states, "R": values}, arrows, pack.sequents)
+    calls = {"free_vars": 0, "extend": 0}
+    walked = []
+    extend, free_vars, walk, infer = (rep_module._Context.extend, rep_module.free_vars,
+                                      rep_module._infer_type, rep_module.infer_type)
+
+    def count(key, f):
+        def spy(*args, **kwargs):
+            calls[key] += 1
+            return f(*args, **kwargs)
+        return spy
+
+    def walking(f):
+        def spy(term, *args):
+            walked.append(term)
+            return f(term, *args)
+        return spy
+
+    monkeypatch.setattr(rep_module._Context, "extend", count("extend", extend))
+    monkeypatch.setattr(rep_module, "free_vars", count("free_vars", free_vars))
+    monkeypatch.setattr(rep_module, "_infer_type", walking(walk))
+    monkeypatch.setattr(rep_module, "infer_type", walking(infer))
+    report = validate_axioms(rep)
+    assert report.ok and report.checked == 4 + 16 + 64 + 4 == 88
+    assert calls == {"free_vars": 0, "extend": 3}
+    assert sorted(map(id, walked)) == sorted(id(seq.conclusion) for _, seq in pack.sequents)
+
+
+def test_contexts_are_shared_only_at_the_same_variable_types():
+    # x and y range over Sigma in one sequent and over R in the next two:
+    # 3^2 + 2^2 environments, then twice 2^2 + 1^2.
+    rep = _hand_built_rep("TWO")
+    xy = {"x": SIGMA, "y": SIGMA}, {"x": RQ, "y": RQ}
+    axioms = [(f"at {t['x']}", _typed_sequent([("x = y", t)], ("y = x & x = x", t),
+                                               rep.signature)) for t in xy]
+    axioms.append(("fails", _typed_sequent([], ("x = y", xy[1]), rep.signature)))
+    got, want = validate_axioms(rep, axioms), reference_validate_axioms(rep, axioms)
+    assert (got.checked, got.failures) == (want.checked, want.failures)
+    assert got.checked == 13 + 5 + 5 and want.failures
+
+
+def test_a_context_extending_a_built_one_is_admitted_before_it_is_built(monkeypatch):
+    # On Z_3 the contexts (r, s) and (r, s, t) have 9 and 27 environments:
+    # under a cap of 20 the second is refused, though (r, s) was built.
+    signature, states, values, arrows, pack = zn_rep(3)
+    rep = ToposRep(signature, PT, {"Sigma": states, "R": values}, arrows, pack.sequents)
+    built = []
+    extend = rep_module._Context.extend
+
+    def spy(self, name, vtype, x):
+        built.append(name)
+        return extend(self, name, vtype, x)
+
+    monkeypatch.setattr(presheaf_module, "PRODUCT_CAP", 20)
+    monkeypatch.setattr(rep_module._Context, "extend", spy)
+    with pytest.raises(CapExceeded) as err:
+        validate_axioms(rep)
+    assert str(err.value) == "product of 3 factors has 27 elements, exceeds cap 20"
+    assert built == ["r", "s"]

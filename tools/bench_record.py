@@ -12,7 +12,9 @@ other tree: the script exits 2 and names each unpaired seed, since a run
 that crashed would otherwise drop out of the record unseen.  For every workload, each end-to-end metric of `BENCHMARK.json` gets
 its per-seed values, median and quartiles on both sides, and the number of
 seeds on which the change reads better; the traced runs' layer counts are
-copied per seed.  The record also holds each tree's git revision, the
+copied per seed.  So is each timed run's speed-gauge median
+(`kernel_s.median`, the run's median time for `perfbench/speed.py`'s fixed
+kernel), with its median and quartiles per side, where every run holds one.  The record also holds each tree's git revision, the
 Python version and the seeds.  The Python version is that of the
 interpreter running this script, so run it with the one that ran the
 benchmark.
@@ -43,16 +45,16 @@ def git_revision(tree: str) -> dict:
 
 
 def read_results(tree: str) -> dict:
-    """{(workload, trace): {seed: result}} from the tree's .perfbench_out."""
+    """{(workload, trace): {seed: result file}} from the tree's .perfbench_out."""
     out: dict = {}
     for path in sorted(glob.glob(os.path.join(tree, ".perfbench_out", "result-*.json"))):
         match = RESULT.search(os.path.basename(path))
         if match is None:
             continue
         with open(path, encoding="utf-8") as handle:
-            result = json.load(handle)["result"]
+            document = json.load(handle)
         key = (match["workload"], int(match["trace"]))
-        out.setdefault(key, {})[int(match["seed"])] = result
+        out.setdefault(key, {})[int(match["seed"])] = document
     return out
 
 
@@ -83,7 +85,9 @@ def fold(parent: dict, change: dict, end_to_end: list) -> dict:
     workloads = {}
     for workload in sorted({w for w, _ in parent} | {w for w, _ in change}):
         entry: dict = {}
-        timed_p, timed_c = parent.get((workload, 0), {}), change.get((workload, 0), {})
+        docs_p, docs_c = parent.get((workload, 0), {}), change.get((workload, 0), {})
+        timed_p = {seed: doc["result"] for seed, doc in docs_p.items()}
+        timed_c = {seed: doc["result"] for seed, doc in docs_c.items()}
         seeds = sorted(set(timed_p) & set(timed_c))
         if seeds:
             entry["seeds"] = seeds
@@ -106,12 +110,18 @@ def fold(parent: dict, change: dict, end_to_end: list) -> dict:
                     "change_better_in": sum(sign * (a - b) > 0 for a, b in zip(after, before)),
                 }
             entry["metrics"] = metrics
+            gauge = {side: [docs[s].get("kernel_s", {}).get("median") for s in seeds]
+                     for side, docs in (("parent", docs_p), ("change", docs_c))}
+            if None not in gauge["parent"] + gauge["change"]:
+                entry["kernel_s"] = {side: {**summary(values), "values": values}
+                                     for side, values in gauge.items()}
         traced = {}
         for side, results in (("parent", parent), ("change", change)):
             runs = results.get((workload, 1), {})
-            traced[side] = {str(seed): {name: m["value"] for name, m in r["metrics"].items()
+            traced[side] = {str(seed): {name: m["value"]
+                                        for name, m in doc["result"]["metrics"].items()
                                         if m["unit"] == "count"}
-                            for seed, r in sorted(runs.items())}
+                            for seed, doc in sorted(runs.items())}
         if any(traced.values()):
             entry["layer_counts"] = traced
         workloads[workload] = entry
