@@ -68,9 +68,10 @@ def _infer_type(term: Term, context: Mapping[str, TypeExpr] | None,
             from_env = env.get(n.name)
             if n.vtype is not None:
                 if from_env is None:
-                    if free is not None and free.setdefault(n.name, n.vtype) != n.vtype:
+                    seen = n.vtype if free is None else free.setdefault(n.name, n.vtype)
+                    if seen is not n.vtype and seen != n.vtype:
                         raise LsTypeError(n, f"free variable {n.name!r} annotated {n.vtype} "
-                                             f"and {free[n.name]}")
+                                             f"and {seen}")
                 elif from_env != n.vtype:
                     raise LsTypeError(n, f"variable {n.name!r} annotated {n.vtype} "
                                          f"but bound at {from_env}")
@@ -79,11 +80,12 @@ def _infer_type(term: Term, context: Mapping[str, TypeExpr] | None,
                 raise LsTypeError(n, f"unbound variable {n.name!r}")
             return from_env
         if isinstance(n, App):
-            if signature is None or n.symbol not in signature.symbols:
+            shape = None if signature is None else signature.symbols.get(n.symbol)
+            if shape is None:
                 raise LsTypeError(n, f"unknown function symbol {n.symbol!r}")
-            dom, cod = signature.symbols[n.symbol]
+            dom, cod = shape
             got = walk(n.arg, env)
-            if got != dom:
+            if got is not dom and got != dom:
                 raise LsTypeError(n, f"symbol {n.symbol!r} expects {dom}, got {got}")
             return cod
         if isinstance(n, Tup):
@@ -113,7 +115,7 @@ def _infer_type(term: Term, context: Mapping[str, TypeExpr] | None,
             return PowerType(n.var.vtype)
         if isinstance(n, Eq):
             lt, rt = walk(n.left, env), walk(n.right, env)
-            if lt != rt:
+            if lt is not rt and lt != rt:
                 raise LsTypeError(n, f"equality between different types {lt} and {rt}")
             return OMEGA
         if isinstance(n, In):
