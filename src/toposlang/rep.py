@@ -424,7 +424,7 @@ def validate_axioms(rep: ToposRep,
     cat = rep.base
     built: dict[tuple, _Context] = {(): _context((), (), rep)}
     for name, seq in (rep.axioms if axioms is None else tuple(axioms)):
-        premises = sorted(seq.context, key=format_term)
+        premises = sorted(seq.context, key=_premise_order)
         context = _sequent_context(name, [seq.conclusion] + premises, rep)
         ctx = built.get(context)
         if ctx is None:
@@ -451,6 +451,13 @@ def validate_axioms(rep: ToposRep,
                 if not bound <= got[obj][i]:
                     report.failures.append(AxiomWitness(name, obj, env, got[obj][i], bound))
     return report
+
+
+def _premise_order(formula: Term) -> tuple[str, str]:
+    """Premises are checked in `format_term` order, and premises that print
+    alike, differing only in annotations, in `repr` order, so the error a
+    sequent raises does not depend on the hash seed."""
+    return format_term(formula), repr(formula)
 
 
 def _sequent_context(name: str, formulas: Sequence[Term],

@@ -1132,8 +1132,8 @@ def reference_sequent_context(name: str, seq: Sequent,
     found it, in two passes: every formula's free variables and their
     annotations, then every formula's type, which must be Omega.  Both
     passes take the conclusion first and then the premises in
-    `format_term` order."""
-    formulas = [seq.conclusion] + sorted(seq.context, key=format_term)
+    `format_term` order, premises that print alike in `repr` order."""
+    formulas = [seq.conclusion] + sorted(seq.context, key=lambda f: (format_term(f), repr(f)))
     var_types: dict[str, TypeExpr] = {}
     for formula in formulas:
         for vname, annots in reference_free_vars(formula).items():

@@ -1275,6 +1275,12 @@ def test_a_variable_typed_two_ways_is_named_in_the_order_of_the_type_check():
                          rep.signature)
     assert _assert_as_the_two_passes(rep, seq) == (
         RepresentationError, "axiom 'bad' types variable 'y' inconsistently")
+    # Three premises that print alike, each typing x and y its own way, are
+    # walked in repr order, R before Sigma: (R, R), (Sigma, R), (Sigma, Sigma).
+    ways = [{"x": tx, "y": ty} for tx, ty in ((SIGMA, SIGMA), (SIGMA, RQ), (RQ, RQ))]
+    seq = _typed_sequent([("x = x & y = y", t) for t in ways], ("true", {}), rep.signature)
+    assert _assert_as_the_two_passes(rep, seq) == (
+        RepresentationError, "axiom 'bad' types variable 'x' inconsistently")
 
 
 TYPING_ATOMS = ["s = t", "A(s) = r", "s = s", "r = r", "true", "A(s)", "s", "A(r) = r",
