@@ -1,7 +1,9 @@
 """Finite categories as explicit composition tables, plus sieve machinery.
 
 Morphisms are table entries, never generated words, so the unit,
-associativity and closure laws are finite checks.  Sieves on an object are
+associativity and closure laws are finite checks, and the public
+`FiniteCategory` constructor runs them once: a category is lawful by
+construction, and the sieve machinery assumes it.  Sieves on an object are
 precomposition-closed sets of incoming morphisms; on a poset category they
 are exactly the lower sets below the object.  Sieve enumeration is ordered
 by bitmask over the category's fixed morphism ordering, which makes every
@@ -28,6 +30,10 @@ class NotASieve(CategoryError):
     pass
 
 
+class _LawViolation(CategoryError):
+    pass
+
+
 @record(frozen=True)
 class Morphism:
     id: str
@@ -36,20 +42,20 @@ class Morphism:
 
 
 class FiniteCategory:
-    """Objects, morphisms and a partial composition table.
+    """Objects, morphisms and a composition table that obey the category laws.
 
-    The constructor checks referential integrity only; the category *laws*
-    (units, associativity, closure under composition) are the business of
-    `validate_category`, so deliberately broken tables can be built and
-    reported on.
+    The public constructor checks the names, then runs `validate_category`
+    once and raises CategoryError naming the first violation of closure,
+    then units, then associativity.  So every composable pair has a
+    composite of the right signature, and no code downstream guards against
+    a lawless table.  `from_poset` is lawful by design and builds through
+    `_unchecked`, which skips both checks.
     """
 
     def __init__(self, objects: Sequence[str], morphisms: Sequence[Morphism],
                  identities: Mapping[str, str],
                  composition: Mapping[tuple[str, str], str]):
-        self.objects = tuple(objects)
-        self.morphisms = tuple(morphisms)
-        self._mor = {m.id: m for m in self.morphisms}
+        self._fill(objects, morphisms, identities, composition)
         if len(self._mor) != len(self.morphisms):
             raise CategoryError("duplicate morphism ids")
         objects = set(self.objects)
@@ -58,7 +64,6 @@ class FiniteCategory:
         for m in self.morphisms:
             if m.dom not in objects or m.cod not in objects:
                 raise CategoryError(f"morphism {m.id!r} has unknown dom/cod")
-        self.identity = dict(identities)
         for obj in self.objects:
             ident = self.identity.get(obj)
             if ident is None or ident not in self._mor:
@@ -66,10 +71,29 @@ class FiniteCategory:
             im = self._mor[ident]
             if im.dom != obj or im.cod != obj:
                 raise CategoryError(f"identity of {obj!r} is not an endomorphism")
-        self._compose = dict(composition)
         for (f, g), fg in self._compose.items():
             if f not in self._mor or g not in self._mor or fg not in self._mor:
                 raise CategoryError(f"composition entry ({f!r}, {g!r}) mentions unknown morphism")
+        report = validate_category(self)
+        if not report.ok:
+            first = (*report.closure, *report.units,
+                     *(("associativity", *fgh) for fgh in report.associativity))[0]
+            raise _LawViolation(f"violates the category laws: {first}")
+
+    @classmethod
+    def _unchecked(cls, objects, morphisms, identities, composition) -> "FiniteCategory":
+        """The category of a table that is lawful by design: no name or law
+        check."""
+        cat = cls.__new__(cls)
+        cat._fill(objects, morphisms, identities, composition)
+        return cat
+
+    def _fill(self, objects, morphisms, identities, composition):
+        self.objects = tuple(objects)
+        self.morphisms = tuple(morphisms)
+        self._mor = {m.id: m for m in self.morphisms}
+        self.identity = dict(identities)
+        self._compose = dict(composition)
         self._into = {obj: tuple(m.id for m in self.morphisms if m.cod == obj)
                       for obj in self.objects}
         self._into_by_key: dict[str, tuple[tuple[str, str], ...]] = {}
@@ -102,13 +126,7 @@ class FiniteCategory:
         fm, gm = self.morphism(f), self.morphism(g)
         if gm.cod != fm.dom:
             raise CategoryError(f"morphisms {f!r} o {g!r} are not composable")
-        try:
-            return self._compose[(f, g)]
-        except KeyError:
-            raise CategoryError(f"composition table has no entry for ({f!r}, {g!r})") from None
-
-    def has_composite(self, f: str, g: str) -> bool:
-        return (f, g) in self._compose
+        return self._compose[(f, g)]
 
     def into(self, obj: str) -> tuple[str, ...]:
         """Morphisms with codomain obj, in the category's fixed order."""
@@ -141,12 +159,12 @@ class CategoryReport:
 def validate_category(cat: FiniteCategory) -> CategoryReport:
     """Exhaustive unit / associativity / closure check; violations listed."""
     closure, units, assoc = [], [], []
-    mors = cat.morphisms
+    mors, comp = cat.morphisms, cat._compose
     for f in mors:
         for g in mors:
             if g.cod != f.dom:
                 continue
-            if not cat.has_composite(f.id, g.id):
+            if (f.id, g.id) not in comp:
                 closure.append(("missing", f.id, g.id))
                 continue
             fg = cat.morphism(cat.compose(f.id, g.id))
@@ -155,20 +173,20 @@ def validate_category(cat: FiniteCategory) -> CategoryReport:
     for m in mors:
         left = (cat.id_of(m.cod), m.id)
         right = (m.id, cat.id_of(m.dom))
-        if cat.has_composite(*left) and cat._compose[left] != m.id:
-            units.append(("left-unit", m.id, cat._compose[left]))
-        if cat.has_composite(*right) and cat._compose[right] != m.id:
-            units.append(("right-unit", m.id, cat._compose[right]))
+        if left in comp and comp[left] != m.id:
+            units.append(("left-unit", m.id, comp[left]))
+        if right in comp and comp[right] != m.id:
+            units.append(("right-unit", m.id, comp[right]))
     for f in mors:
         for g in mors:
-            if g.cod != f.dom or not cat.has_composite(f.id, g.id):
+            if g.cod != f.dom or (f.id, g.id) not in comp:
                 continue
             for h in mors:
                 if h.cod != g.dom:
                     continue
-                if not (cat.has_composite(g.id, h.id)
-                        and cat.has_composite(cat.compose(f.id, g.id), h.id)
-                        and cat.has_composite(f.id, cat.compose(g.id, h.id))):
+                if not ((g.id, h.id) in comp
+                        and (cat.compose(f.id, g.id), h.id) in comp
+                        and (f.id, cat.compose(g.id, h.id)) in comp):
                     continue
                 if cat.compose(cat.compose(f.id, g.id), h.id) != \
                         cat.compose(f.id, cat.compose(g.id, h.id)):
@@ -206,7 +224,7 @@ def from_poset(elements: Sequence[str], pairs: Iterable[tuple[str, str]]) -> Fin
         for g in morphisms:
             if g.cod == f.dom:
                 composition[(f.id, g.id)] = arrow(g.dom, f.cod)
-    return FiniteCategory(elems, morphisms, identities, composition)
+    return FiniteCategory._unchecked(elems, morphisms, identities, composition)
 
 
 def one_object_category(obj: str = "pt") -> FiniteCategory:
@@ -262,16 +280,13 @@ def pullback_sieve(cat: FiniteCategory, f: str, sieve: Sieve) -> Sieve:
 
 def _sieve_order(cat: FiniteCategory, obj: str) -> list[int]:
     """The preorder on the arrows into obj, as masks over `cat.into(obj)`: a
-    sieve holding f holds every f o g.  A composite that is not an arrow into
-    obj bars f from every sieve."""
+    sieve holding f holds every f o g."""
     incoming = cat.into(obj)
     index = {f: i for i, f in enumerate(incoming)}
-    outside = 1 << len(incoming)
     needs = [0] * len(incoming)
     for i, f in enumerate(incoming):
         for g in cat.into(cat.morphism(f).dom):
-            fg = cat.compose(f, g)
-            needs[i] |= 1 << index[fg] if fg in index else outside
+            needs[i] |= 1 << index[cat.compose(f, g)]
     return preorder_closure(needs)
 
 

@@ -174,12 +174,7 @@ class BoundedLattice:
 
 def preorder_closure(needs: Sequence[int]) -> list[int]:
     """Reflexive-transitive closure of a relation given as one mask per
-    point (bit y of ``needs[x]`` is set when x needs y).
-
-    Bits at or beyond ``len(needs)`` stand for requirements that no point
-    meets; the closure carries them to every point that needs one of them
-    through other points.
-    """
+    point (bit y of ``needs[x]`` is set when x needs y)."""
     below = [m | 1 << x for x, m in enumerate(needs)]
     for k in range(len(below)):
         bit, down_k = 1 << k, below[k]
@@ -194,11 +189,10 @@ def iter_downsets(below: Sequence[int], *, cap: Optional[int] = None,
     """Every down-set of a finite preorder, once each, as a bitmask.
 
     ``below[x]`` is the mask of the points at or below x, reflexive and
-    transitive.  A point whose mask has a bit at or beyond ``len(below)``
-    needs something outside the points and lies in no down-set.  The search
-    decides the lowest undecided point at each step: taking it forces its
-    down-closure, leaving it out forbids its up-closure.  No branch dies, so
-    the cost is O(points) word operations per down-set, not per subset.
+    transitive, with no bit past the points.  The search decides the lowest
+    undecided point at each step: taking it forces its down-closure,
+    leaving it out forbids its up-closure.  No branch dies, so the cost is
+    O(points) word operations per down-set, not per subset.
 
     With a ``cap``, finding a (cap+1)-th down-set raises CapExceeded, whose
     message names the cap and ``what`` the down-sets stand for.
@@ -207,17 +201,12 @@ def iter_downsets(below: Sequence[int], *, cap: Optional[int] = None,
     full = (1 << n) - 1
     above = [0] * n
     for x, m in enumerate(below):
-        m &= full
         while m:
             low = m & -m
             above[low.bit_length() - 1] |= 1 << x
             m ^= low
-    barred = 0
-    for x, m in enumerate(below):
-        if m > full:
-            barred |= above[x]
     found = 0
-    stack = [(0, barred)]
+    stack = [(0, 0)]
     while stack:
         taken, decided = stack.pop()
         if decided == full:
@@ -248,10 +237,9 @@ class DownsetAlgebra:
     """Heyting algebra of the down-sets of a finite preorder.
 
     ``below[x]`` is the mask of the points at or below point x, and
-    ``points[x]`` labels x; a bit at or past the last point bars x from every
-    down-set.  An element id is the frozenset of a down-set's points.  Each
-    operation decodes its arguments to masks through the point index,
-    computes with ``&`` (meet), ``|`` (join) or ``implies(a, b)`` =
+    ``points[x]`` labels x.  An element id is the frozenset of a down-set's
+    points.  Each operation decodes its arguments to masks through the point
+    index, computes with ``&`` (meet), ``|`` (join) or ``implies(a, b)`` =
     {x : below[x] & a & ~b == 0}, the points with no predecessor in a outside
     b, and encodes the result back into a frozenset: O(points) word
     operations, with no carrier needed.
@@ -266,11 +254,11 @@ class DownsetAlgebra:
     Heyting algebra (Davey & Priestley, *Introduction to Lattices and
     Order*, 2002), so the inputs are certified, not the laws, raising
     InvalidOrder or LatticeError at the first failure.  Construction
-    certifies the preorder: one distinct label per point, and ``below``
-    reflexive and transitive, O(points²).  A listing certifies the carrier
-    (see `_certify`), O(N·points), exhaustively at every size.  An
-    operation refuses, with UnknownElement, an id that is not a frozenset
-    of known points forming a down-set.
+    certifies the preorder: one distinct label per point, no bit past the
+    points, and ``below`` reflexive and transitive, O(points²).  A listing
+    certifies the carrier (see `_certify`), O(N·points), exhaustively at
+    every size.  An operation refuses, with UnknownElement, an id that is
+    not a frozenset of known points forming a down-set.
     """
 
     def __init__(self, below: Sequence[int], points: Sequence, what: str = "down-sets"):
@@ -282,36 +270,36 @@ class DownsetAlgebra:
         self._index = {p: x for x, p in enumerate(self._points)}
         if len(self._index) != len(self._points):
             raise InvalidOrder("duplicate element ids in carrier")
-        self._top_mask = self._certify_order()
+        self._certify_order()
+        self._top_mask = (1 << len(self._below)) - 1
         self._elems: Optional[tuple] = None
         # Filled by the listing: each listed id and its mask, both ways.
         self._listed_masks: dict = {}
         self._listed_ids: dict = {}
         self._top = self._elem(self._top_mask)
 
-    def _certify_order(self) -> int:
-        """Check that ``below`` is reflexive and transitive; return the top
-        mask, the points that are not barred."""
+    def _certify_order(self):
+        """Check that ``below`` is reflexive and transitive, with no bit past
+        the points."""
         below = self._below
+        n = len(below)
         for x, m in enumerate(below):
+            if m >> n:
+                raise InvalidOrder(f"point {x} is below point {m.bit_length() - 1}, "
+                                   f"past the {n} points")
             if not m >> x & 1:
                 raise InvalidOrder(f"order not reflexive at point {x}")
             for y, down in enumerate(below):
                 if m >> y & 1 and down & ~m:
                     raise InvalidOrder(f"order not transitive: point {y} is below "
                                        f"point {x}, but not all that is below {y}")
-        full = (1 << len(below)) - 1
-        return sum(1 << x for x, down in enumerate(below) if down <= full)
 
     def _certify(self, carrier: Sequence[tuple[int, frozenset]]) -> dict:
         """Check a listed carrier: its masks are distinct down-sets of the
-        points that are not barred, 0 among them, and it is closed under
-        ``m | below[x]`` for every mask m and point x that is not barred.
-        Every down-set is 0 joined with the ``below[x]`` of its points one
-        at a time, so the carrier is then exactly the down-sets.  Return
-        each mask's id."""
-        top = self._top_mask
-        points = [(x, down) for x, down in enumerate(self._below) if top >> x & 1]
+        points, 0 among them, and it is closed under ``m | below[x]`` for
+        every mask m and point x.  Every down-set is 0 joined with the
+        ``below[x]`` of its points one at a time, so the carrier is then
+        exactly the down-sets.  Return each mask's id."""
         by_mask = {}
         for m, e in carrier:
             if m in by_mask:
@@ -320,9 +308,9 @@ class DownsetAlgebra:
         if 0 not in by_mask:
             raise LatticeError("carrier lacks the empty down-set")
         for m, e in by_mask.items():
-            if m & ~top:
+            if m & ~self._top_mask:
                 raise LatticeError(f"carrier element {e!r} (mask {m:#b}) is not a down-set")
-            for x, down in points:
+            for x, down in enumerate(self._below):
                 if m >> x & 1:
                     if down & ~m:
                         raise LatticeError(f"carrier element {e!r} (mask {m:#b}) "
@@ -334,9 +322,7 @@ class DownsetAlgebra:
 
     def _mask(self, a) -> int:
         """The mask of an element id; UnknownElement unless it is a
-        frozenset of known points forming a down-set.  A barred point's
-        ``below`` has a bit past the points, which no mask holds, so the
-        down-set test also refuses barred points."""
+        frozenset of known points forming a down-set."""
         if isinstance(a, frozenset):
             mask = self._listed_masks.get(a)
             if mask is not None:
@@ -363,7 +349,7 @@ class DownsetAlgebra:
         for x, m in enumerate(self._below):
             if not m & outside:
                 out |= 1 << x
-        return out & self._top_mask
+        return out
 
     @property
     def elements(self) -> tuple:

@@ -271,7 +271,7 @@ def validate_presheaf(x: Presheaf) -> LawViolations:
                 bad.items.append(("identity-law", obj, el))
     for f in cat.morphisms:
         for g in cat.morphisms:
-            if g.cod != f.dom or not cat.has_composite(f.id, g.id):
+            if g.cod != f.dom:
                 continue
             fg = cat.compose(f.id, g.id)
             for el in x.stage(f.cod):

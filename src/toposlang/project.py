@@ -162,7 +162,7 @@ def build_project(document: Mapping) -> Project:
         registry.add(project.categories, spec["name"], cat, ptr, "category")
 
     for i, spec in enumerate(document.get("categories", ())):
-        from .category import FiniteCategory, Morphism, validate_category
+        from .category import FiniteCategory, Morphism, _LawViolation
         ptr = f"/categories/{i}"
         try:
             cat = FiniteCategory(
@@ -170,16 +170,10 @@ def build_project(document: Mapping) -> Project:
                 [Morphism(m["id"], m["dom"], m["cod"]) for m in spec["morphisms"]],
                 spec["identities"],
                 {(f, g): fg for f, g, fg in spec["composition"]})
+        except _LawViolation as exc:
+            raise ProjectError(f"category {spec['name']!r} {exc}", ptr) from exc
         except ToposlangError as exc:
             raise ProjectError(f"category {spec['name']!r}: {exc}", ptr) from exc
-        # The constructor checks names only; a table that breaks a law is
-        # refused here, at its first violation in `validate_category`'s order.
-        report = validate_category(cat)
-        if not report.ok:
-            first = (*report.closure, *report.units,
-                     *(("associativity", *fgh) for fgh in report.associativity))[0]
-            raise ProjectError(f"category {spec['name']!r} violates the category laws: "
-                               f"{first}", ptr)
         registry.add(project.categories, spec["name"], cat, ptr, "category")
 
     for i, spec in enumerate(document.get("presheaves", ())):

@@ -104,6 +104,7 @@ from toposlang.prop.syntax import (
     Or,
     ParseError,
     Prim,
+    fold_formula,
     leaf_key,
     leaves,
 )
@@ -200,7 +201,7 @@ def reference_law_violations(cat: FiniteCategory, at: Mapping, maps: Mapping) ->
         out += [("identity-law", obj, el) for el in stage[obj] if ident[el] != el]
     for f in cat.morphisms:
         for g in cat.morphisms:
-            if g.cod == f.dom and cat.has_composite(f.id, g.id):
+            if g.cod == f.dom:
                 fg = table[cat.compose(f.id, g.id)]
                 out += [("composition-law", f.id, g.id, el) for el in stage[f.cod]
                         if table[g.id][table[f.id][el]] != fg[el]]
@@ -418,20 +419,29 @@ def brute_frame_classes(n: int) -> tuple:
 
 def brute_countermodel(formula, *, max_worlds: int = 4):
     """Smallest-first search for a model and world where the formula fails:
-    every candidate is built as a `KripkeModel` and checked by its recursive,
-    string-keyed forcing, with the up-sets of `brute_upsets`."""
+    every candidate is a `KripkeModel` checked by its recursive,
+    string-keyed forcing, with the up-sets of `brute_upsets`.
+
+    Each labelled order is validated once, by a `KripkeModel` valuing one
+    key per up-set; a candidate is a copy of that model's attributes, its
+    order and up-sets included, with the valuation replaced by one of those
+    up-sets per key.  Forcing runs on a copy of the formula whose
+    primitives are atoms named by their keys: it forces alike, without
+    formatting a primitive's key at each visit."""
     keys = sorted({leaf_key(leaf) for leaf in leaves(formula)})
+    keyed = fold_formula(formula, lambda leaf: Atom(leaf_key(leaf)), Not,
+                         lambda former, v, w: former(v, w))
     for n in range(1, max_worlds + 1):
         names = tuple(f"w{i}" for i in range(n))
         for upset_of in _posets(n):
             order = frozenset((names[i], names[j])
                               for i in range(n) for j in upset_of[i])
-            ups = brute_upsets(upset_of)
+            ups = [frozenset(names[i] for i in ws) for ws in brute_upsets(upset_of)]
+            checked = KripkeModel(names, order, {f"up{i}": up for i, up in enumerate(ups)})
             for assignment in itertools.product(ups, repeat=len(keys)):
-                model = KripkeModel(names, order, {
-                    k: frozenset(names[i] for i in ws)
-                    for k, ws in zip(keys, assignment)})
-                bad = model.counterexample_world(formula)
+                model = object.__new__(KripkeModel)
+                vars(model).update(vars(checked), valuation=dict(zip(keys, assignment)))
+                bad = model.counterexample_world(keyed)
                 if bad is not None:
                     return model, bad
     return None

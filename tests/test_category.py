@@ -1,5 +1,9 @@
+import re
+
 import pytest
-from helpers import brute_sieves, sieve_implies, sieve_negate
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from helpers import MONOID, brute_sieves, idempotent_monoid, sieve_implies, sieve_negate
 
 from toposlang import category
 from toposlang.category import (
@@ -18,6 +22,7 @@ from toposlang.category import (
 )
 from toposlang.errors import CapExceeded
 from toposlang.heyting import InvalidOrder
+from toposlang.project import build_project
 
 
 def fs(*xs):
@@ -74,14 +79,140 @@ def _hand_built(drop_composite=False, broken_unit=False):
     return FiniteCategory(objs, mors, {"x": "id[x]"}, comp)
 
 
-def test_validate_reports_missing_composite():
-    report = validate_category(_hand_built(drop_composite=True))
-    assert ("missing", "e", "e") in report.closure
+def test_constructor_refuses_a_missing_composite():
+    with pytest.raises(CategoryError, match=re.escape(
+            "violates the category laws: ('missing', 'e', 'e')")):
+        _hand_built(drop_composite=True)
 
 
-def test_validate_reports_unit_violation():
-    report = validate_category(_hand_built(broken_unit=True))
-    assert any(v[0] == "right-unit" and v[1] == "e" for v in report.units)
+def test_constructor_refuses_a_unit_violation():
+    with pytest.raises(CategoryError, match=re.escape(
+            "violates the category laws: ('right-unit', 'e', 'id[x]')")):
+        _hand_built(broken_unit=True)
+
+
+# -- the law check at the constructor, against planted violations -------------
+
+def transformation_monoid() -> FiniteCategory:
+    """All four maps of {0, 1} to itself under composition: one object with
+    parallel arrows, so a re-pointed composite can break associativity
+    alone (each of the 27 re-pointings of a composite of two non-identity
+    arrows does)."""
+    maps = {"id": (0, 1), "swap": (1, 0), "c0": (0, 0), "c1": (1, 1)}
+    name = {v: k for k, v in maps.items()}
+    comp = {(f, g): name[(maps[f][maps[g][0]], maps[f][maps[g][1]])] for f in maps for g in maps}
+    return FiniteCategory(["x"], [Morphism(k, "x", "x") for k in maps], {"x": "id"}, comp)
+
+
+def table(cat: FiniteCategory) -> tuple:
+    """The constructor arguments of a category, composites read pair by pair."""
+    return (list(cat.objects), list(cat.morphisms), dict(cat.identity),
+            {(f.id, g.id): cat.compose(f.id, g.id)
+             for f in cat.morphisms for g in cat.morphisms if g.cod == f.dom})
+
+
+def json_table(cat: FiniteCategory) -> dict:
+    objects, mors, ids, comp = table(cat)
+    return {"objects": objects, "identities": ids,
+            "morphisms": [{"id": m.id, "dom": m.dom, "cod": m.cod} for m in mors],
+            "composition": [[f, g, fg] for (f, g), fg in comp.items()]}
+
+
+@st.composite
+def poset_categories(draw):
+    n = draw(st.integers(2, 4))
+    elems = [f"e{i}" for i in draw(st.permutations(range(n)))]
+    return from_poset(elems, [(elems[i], elems[j]) for i in range(n) for j in range(i + 1, n)
+                              if draw(st.booleans())])
+
+
+def composable(cat):
+    return [(f, g) for f in cat.morphisms for g in cat.morphisms if g.cod == f.dom]
+
+
+def plant_missing(cat, data):
+    f, g = data.draw(st.sampled_from(composable(cat)))
+    objects, mors, ids, comp = table(cat)
+    del comp[(f.id, g.id)]
+    return (objects, mors, ids, comp), lambda r: ("missing", f.id, g.id) in r.closure
+
+
+def plant_bad_signature(cat, data):
+    f, g = data.draw(st.sampled_from(composable(cat)))
+    k = data.draw(st.sampled_from([k for k in cat.morphisms
+                                   if (k.dom, k.cod) != (g.dom, f.cod)]))
+    objects, mors, ids, comp = table(cat)
+    comp[(f.id, g.id)] = k.id
+    return (objects, mors, ids, comp), \
+        lambda r: ("bad-signature", f.id, g.id, k.id) in r.closure
+
+
+def plant_unit(side):
+    def plant(cat, data):
+        m = data.draw(st.sampled_from(cat.morphisms))
+        k = data.draw(st.sampled_from([k for k in cat.morphisms if k != m]))
+        objects, mors, ids, comp = table(cat)
+        comp[(ids[m.cod], m.id) if side == "left-unit" else (m.id, ids[m.dom])] = k.id
+        return (objects, mors, ids, comp), lambda r: (side, m.id, k.id) in r.units
+    return plant
+
+
+def plant_associativity(cat, data):
+    ident = {cat.id_of(obj) for obj in cat.objects}
+    f, g = data.draw(st.sampled_from([(f, g) for f, g in composable(cat)
+                                      if f.id not in ident and g.id not in ident]))
+    fg = cat.compose(f.id, g.id)
+    k = data.draw(st.sampled_from([k for k in cat.morphisms if k.id != fg]))
+    objects, mors, ids, comp = table(cat)
+    comp[(f.id, g.id)] = k.id
+    return (objects, mors, ids, comp), lambda r: bool(r.associativity)
+
+
+ANY_TABLE = st.one_of(poset_categories(), st.just(MONOID), st.just(transformation_monoid()))
+PLANTS = {
+    "missing": (plant_missing, ANY_TABLE),
+    # One-object tables have no composite of another signature to point to.
+    "bad-signature": (plant_bad_signature, poset_categories()),
+    "left-unit": (plant_unit("left-unit"), ANY_TABLE),
+    "right-unit": (plant_unit("right-unit"), ANY_TABLE),
+    # A thin category has one arrow per signature, and the idempotent
+    # monoid's one re-pointing is Z/2, lawful: associativity alone breaks
+    # only with parallel arrows.
+    "associativity": (plant_associativity, st.just(transformation_monoid())),
+}
+
+
+@settings(max_examples=40, deadline=None)
+@pytest.mark.parametrize("kind", PLANTS)
+@given(data=st.data())
+def test_the_constructor_refuses_a_planted_violation_with_the_first_one_reported(kind, data):
+    plant, tables = PLANTS[kind]
+    cat = data.draw(tables)
+    assert FiniteCategory(*table(cat)) == cat  # the unplanted table is accepted
+    planted, holds = plant(cat, data)
+    report = validate_category(FiniteCategory._unchecked(*planted))
+    assert holds(report)
+    first = (*report.closure, *report.units,
+             *(("associativity", *fgh) for fgh in report.associativity))[0]
+    with pytest.raises(CategoryError) as refused:
+        FiniteCategory(*planted)
+    assert str(refused.value) == f"violates the category laws: {first}"
+
+
+def test_the_law_check_runs_once_per_public_construction_and_never_on_a_poset(monkeypatch):
+    calls = []
+    monkeypatch.setattr(category, "validate_category",
+                        lambda cat, check=validate_category: calls.append(cat) or check(cat))
+    from_poset(["a", "b", "c"], [("a", "b"), ("b", "c")])
+    one_object_category()
+    assert calls == []
+    built = idempotent_monoid()
+    assert calls == [built]
+    project = build_project({"posets": [{"name": "two", "elements": ["p", "q"],
+                                         "order": [["p", "q"]]}],
+                             "categories": [{"name": "c", **json_table(built)}]})
+    assert calls == [built, project.categories["c"]]
+
 
 
 def test_constructor_rejects_dangling_references():
