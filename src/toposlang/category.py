@@ -82,8 +82,7 @@ class FiniteCategory:
 
     @classmethod
     def _unchecked(cls, objects, morphisms, identities, composition) -> "FiniteCategory":
-        """The category of a table that is lawful by design: no name or law
-        check."""
+        """The category of a table lawful by design: no name or law check."""
         cat = cls.__new__(cls)
         cat._fill(objects, morphisms, identities, composition)
         return cat

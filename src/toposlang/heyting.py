@@ -8,7 +8,8 @@ is ``|``, implication is one pass over the points), so it costs bit
 operations whatever the size of the carrier.  The carrier is listed only
 when asked for, by a search that visits only down-sets (see the down-set
 kernel below), under ``DEFAULT_CAP``.  The algebra certifies its preorder
-when built and its carrier when listed, so no law check runs on it.
+when built, refusing a mask with a bit past the points, and its carrier
+when listed, so no law check runs on it.
 
 `BoundedLattice` takes any carrier and order and carries the
 non-distributive subspace lattice, which has no Heyting structure.  Its
@@ -170,7 +171,8 @@ class BoundedLattice:
 # preorder for the opens of a finite (hence Alexandrov) topology, the arrows
 # into A for the sieves on A, the category of elements for Sub(X), and the
 # opposite order for the up-sets of a Kripke frame.  Points are bit
-# positions and a down-set is an int mask over them.
+# positions and a down-set is an int mask over them; every mask, a
+# point's ``below`` included, lies within the points.
 
 def preorder_closure(needs: Sequence[int]) -> list[int]:
     """Reflexive-transitive closure of a relation given as one mask per
