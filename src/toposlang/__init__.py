@@ -11,8 +11,8 @@ The package is organized in layers:
   only when asked for, with builders for powerset, open-set and lower-set instances; and the
   generic bounded lattice behind the rank-two subspace lattice of the
   non-distributivity demonstration.
-- `category`: finite categories as composition tables, plus sieves,
-  pullbacks and the sieve Heyting algebras.
+- `category`: finite categories as composition tables, plus sieves, each
+  the frozenset of its members, and the sieve Heyting algebras.
 - `presheaf`: the computational topos of presheaves on a finite base:
   classifier, characteristic morphisms, sub-object algebras, products,
   exponentials, power objects, transposes and global elements.
@@ -43,10 +43,9 @@ _EXPORTS = {
     "intervals": ("Interval", "IntervalSet"),
     "heyting": ("BoundedLattice", "DownsetAlgebra", "lower_set_algebra", "open_set_algebra",
                 "powerset_algebra", "subspace_lattice_2d"),
-    "category": ("FiniteCategory", "Morphism", "Sieve", "from_poset", "one_object_category",
-                 "principal_sieve", "pullback_sieve", "sieve_heyting", "sieves_on",
-                 "validate_category"),
-    "presheaf": ("GlobalElement", "NatTransform", "Presheaf", "Subobject", "char_morphism",
+    "category": ("FiniteCategory", "Morphism", "from_poset", "one_object_category",
+                 "principal_sieve", "sieve_heyting", "sieves_on", "validate_category"),
+    "presheaf": ("NatTransform", "Presheaf", "Subobject", "char_morphism",
                  "classifier_kit", "exponential", "global_elements", "power_object",
                  "power_transpose", "product", "sub_heyting", "subobject_of_char",
                  "validate_nat", "validate_presheaf"),

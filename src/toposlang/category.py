@@ -3,12 +3,14 @@
 Morphisms are table entries, never generated words, so the unit,
 associativity and closure laws are finite checks, and the public
 `FiniteCategory` constructor runs them once: a category is lawful by
-construction, and the sieve machinery assumes it.  Sieves on an object are
-precomposition-closed sets of incoming morphisms; on a poset category they
-are exactly the lower sets below the object.  Sieve enumeration is ordered
-by bitmask over the category's fixed morphism ordering, which makes every
-derived structure (the classifier, golden output) byte-stable.  The sieve
-algebras list in the canonical order of every `DownsetAlgebra`.
+construction, and the sieve machinery assumes it.  A sieve on an object is
+a precomposition-closed set of incoming morphisms, held as the frozenset of
+its members, the form the classifier's stages and the sieve algebras'
+element ids take too; on a poset category the sieves are exactly the lower
+sets below the object.  Sieve enumeration is ordered by bitmask over the
+category's fixed morphism ordering, which makes every derived structure
+(the classifier, golden output) byte-stable.  The sieve algebras list in
+the canonical order of every `DownsetAlgebra`.
 """
 from __future__ import annotations
 
@@ -23,10 +25,6 @@ SIEVE_ENUM_CAP = 1 << 20
 
 
 class CategoryError(ToposlangError):
-    pass
-
-
-class NotASieve(CategoryError):
     pass
 
 
@@ -74,6 +72,9 @@ class FiniteCategory:
         for (f, g), fg in self._compose.items():
             if f not in self._mor or g not in self._mor or fg not in self._mor:
                 raise CategoryError(f"composition entry ({f!r}, {g!r}) mentions unknown morphism")
+            if self._mor[g].cod != self._mor[f].dom:
+                raise CategoryError(f"composition entry ({f!r}, {g!r}) is for morphisms "
+                                    "that do not compose")
         report = validate_category(self)
         if not report.ok:
             first = (*report.closure, *report.units,
@@ -233,48 +234,9 @@ def one_object_category(obj: str = "pt") -> FiniteCategory:
 
 # -- sieves -------------------------------------------------------------------
 
-@record(frozen=True)
-class Sieve:
-    target: str
-    members: frozenset[str]
-
-    def __contains__(self, mid: str) -> bool:
-        return mid in self.members
-
-
-def sieve_violations(cat: FiniteCategory, target: str, members: frozenset[str]) -> list:
-    """Empty when `members` is a sieve on `target`."""
-    bad = []
-    for f in sorted(members):
-        fm = cat.morphism(f)
-        if fm.cod != target:
-            bad.append(("wrong-codomain", f))
-            continue
-        for g in cat.morphisms:
-            if g.cod == fm.dom and cat.compose(f, g.id) not in members:
-                bad.append(("not-precomposition-closed", f, g.id))
-    return bad
-
-
-def principal_sieve(cat: FiniteCategory, obj: str) -> Sieve:
+def principal_sieve(cat: FiniteCategory, obj: str) -> frozenset[str]:
     """All morphisms with codomain obj (the top sieve)."""
-    return Sieve(obj, frozenset(cat.into(obj)))
-
-
-def pullback_members(cat: FiniteCategory, f: str, members: frozenset[str]) -> frozenset[str]:
-    fm = cat.morphism(f)
-    return frozenset(h for h in cat.into(fm.dom) if cat.compose(f, h) in members)
-
-
-def pullback_sieve(cat: FiniteCategory, f: str, sieve: Sieve) -> Sieve:
-    """The sieve {h : f o h in S} on dom(f); principal when f itself is in S."""
-    fm = cat.morphism(f)
-    if fm.cod != sieve.target:
-        raise NotASieve(f"sieve on {sieve.target!r} cannot be pulled back along {f!r}")
-    bad = sieve_violations(cat, sieve.target, sieve.members)
-    if bad:
-        raise NotASieve(f"not a sieve on {sieve.target!r}: {bad[0]}")
-    return Sieve(fm.dom, pullback_members(cat, f, sieve.members))
+    return frozenset(cat.into(obj))
 
 
 def _sieve_order(cat: FiniteCategory, obj: str) -> list[int]:
@@ -289,13 +251,13 @@ def _sieve_order(cat: FiniteCategory, obj: str) -> list[int]:
     return preorder_closure(needs)
 
 
-def sieves_on(cat: FiniteCategory, obj: str) -> list[Sieve]:
-    """All sieves on obj, ordered by member-set bitmask over cat's morphism order."""
+def sieves_on(cat: FiniteCategory, obj: str) -> list[frozenset[str]]:
+    """The member sets of all sieves on obj, ordered by bitmask over cat's
+    morphism order."""
     incoming = cat.into(obj)
     masks = sorted(iter_downsets(_sieve_order(cat, obj), cap=SIEVE_ENUM_CAP,
                                  what=f"sieves on {obj!r}"))
-    return [Sieve(obj, frozenset(f for i, f in enumerate(incoming) if mask >> i & 1))
-            for mask in masks]
+    return [frozenset(f for i, f in enumerate(incoming) if mask >> i & 1) for mask in masks]
 
 
 def sieve_heyting(cat: FiniteCategory, obj: str) -> DownsetAlgebra:

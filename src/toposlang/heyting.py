@@ -249,8 +249,8 @@ class DownsetAlgebra:
     The carrier is listed only when `elements` or ``len`` asks for it, and
     then once: `iter_downsets` under ``DEFAULT_CAP`` finds the down-sets and
     `canonical_carrier` orders them.  Past the cap the listing raises
-    CapExceeded naming ``what`` the down-sets stand for.  Once listed, an
-    operation decodes and encodes through the listing's two dictionaries.
+    CapExceeded naming ``what`` the down-sets stand for.  Listed or not, an
+    operation decodes and encodes through the point index.
 
     The down-sets of a preorder are the opens of its Alexandrov topology, a
     Heyting algebra (Davey & Priestley, *Introduction to Lattices and
@@ -275,9 +275,6 @@ class DownsetAlgebra:
         self._certify_order()
         self._top_mask = (1 << len(self._below)) - 1
         self._elems: Optional[tuple] = None
-        # Filled by the listing: each listed id and its mask, both ways.
-        self._listed_masks: dict = {}
-        self._listed_ids: dict = {}
         self._top = self._elem(self._top_mask)
 
     def _certify_order(self):
@@ -296,12 +293,12 @@ class DownsetAlgebra:
                     raise InvalidOrder(f"order not transitive: point {y} is below "
                                        f"point {x}, but not all that is below {y}")
 
-    def _certify(self, carrier: Sequence[tuple[int, frozenset]]) -> dict:
+    def _certify(self, carrier: Sequence[tuple[int, frozenset]]):
         """Check a listed carrier: its masks are distinct down-sets of the
         points, 0 among them, and it is closed under ``m | below[x]`` for
         every mask m and point x.  Every down-set is 0 joined with the
         ``below[x]`` of its points one at a time, so the carrier is then
-        exactly the down-sets.  Return each mask's id."""
+        exactly the down-sets."""
         by_mask = {}
         for m, e in carrier:
             if m in by_mask:
@@ -320,15 +317,11 @@ class DownsetAlgebra:
                 elif m | down not in by_mask:
                     raise LatticeError(f"carrier lacks the down-set {m | down:#b}: "
                                        f"{e!r} joined with what is below point {x}")
-        return by_mask
 
     def _mask(self, a) -> int:
         """The mask of an element id; UnknownElement unless it is a
         frozenset of known points forming a down-set."""
         if isinstance(a, frozenset):
-            mask = self._listed_masks.get(a)
-            if mask is not None:
-                return mask
             try:
                 xs = [self._index[p] for p in a]
             except KeyError:
@@ -340,10 +333,7 @@ class DownsetAlgebra:
         raise UnknownElement(f"unknown element id {a!r}")
 
     def _elem(self, mask: int) -> frozenset:
-        e = self._listed_ids.get(mask)
-        if e is None:
-            e = frozenset(p for x, p in enumerate(self._points) if mask >> x & 1)
-        return e
+        return frozenset(p for x, p in enumerate(self._points) if mask >> x & 1)
 
     def _implies_mask(self, a: int, b: int) -> int:
         outside = a & ~b
@@ -358,8 +348,7 @@ class DownsetAlgebra:
         if self._elems is None:
             carrier = canonical_carrier(self._points, iter_downsets(
                 self._below, cap=DEFAULT_CAP, what=self._what))
-            self._listed_ids = self._certify(carrier)
-            self._listed_masks = {e: m for m, e in carrier}
+            self._certify(carrier)
             self._elems = tuple(e for _, e in carrier)
         return self._elems
 

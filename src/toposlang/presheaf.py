@@ -306,10 +306,16 @@ def validate_nat(n: NatTransform) -> LawViolations:
     return bad
 
 
-# -- sub-objects and global elements ------------------------------------------
+# -- sub-objects --------------------------------------------------------------
 
 class Subobject:
-    """A stage-wise subset of an ambient presheaf, closed under restriction."""
+    """A stage-wise subset of an ambient presheaf, closed under restriction.
+
+    The constructor checks neither condition; `char_morphism` does, and
+    names the first violation in the order in which the test helpers'
+    `subobject_violations` lists them all: per object, the first element of
+    the part outside its stage, in canon_key order; then the restrictions
+    that leave the parts, in object, canonical-stage and `into` order."""
 
     def __init__(self, ambient: Presheaf, parts: Mapping[str, Iterable]):
         self.ambient = ambient
@@ -325,19 +331,6 @@ class Subobject:
                 bad.append(("not-a-subset", obj, canon_sorted(extra)[0]))
         return bad
 
-    def violations(self) -> list:
-        """`_outside`, then the restrictions that leave the parts, in object,
-        canonical-stage and `into` order."""
-        cat = self.ambient.base
-        bad = self._outside()
-        for obj in cat.objects:
-            part = self.parts[obj]
-            for el in self.ambient.stage(obj):
-                if el in part:
-                    bad.extend(("not-restriction-closed", f, el) for f in cat.into(obj)
-                               if self.ambient.apply(f, el) not in self.parts[cat.morphism(f).dom])
-        return bad
-
     def key(self):
         return tuple(sorted((obj, tuple(canon_sorted(sub)))
                             for obj, sub in self.parts.items()))
@@ -345,40 +338,6 @@ class Subobject:
     def __eq__(self, other):
         return isinstance(other, Subobject) and self.ambient == other.ambient \
             and self.parts == other.parts
-
-    def __hash__(self):
-        return hash(self.key())
-
-
-class GlobalElement:
-    """A matching family: one element per stage, compatible with restriction."""
-
-    def __init__(self, of: Presheaf, choice: Mapping[str, object]):
-        self.of = of
-        self.choice = dict(choice)
-
-    def violations(self) -> list:
-        bad = []
-        for obj in self.of.base.objects:
-            if obj not in self.choice or self.choice[obj] not in set(self.of.stage(obj)):
-                bad.append(("no-choice", obj))
-        if bad:
-            return bad
-        for m in self.of.base.morphisms:
-            if self.of.apply(m.id, self.choice[m.cod]) != self.choice[m.dom]:
-                bad.append(("matching-condition", m.id))
-        return bad
-
-    def key(self):
-        return tuple(sorted(self.choice.items()))
-
-    def as_nat(self, terminal: "Presheaf") -> NatTransform:
-        return NatTransform(terminal, self.of,
-                            {obj: {(): self.choice[obj]} for obj in self.of.base.objects})
-
-    def __eq__(self, other):
-        return isinstance(other, GlobalElement) and self.of == other.of \
-            and self.choice == other.choice
 
     def __hash__(self):
         return hash(self.key())
@@ -410,8 +369,7 @@ def classifier_kit(cat: FiniteCategory) -> ClassifierKit:
     dom(m), composed once for all of S; `_fill` fills in the identity
     tables, along which a sieve pulls back to itself."""
     terminal = terminal_presheaf(cat)
-    at = {obj: tuple(canon_sorted(s.members for s in sieves_on(cat, obj)))
-          for obj in cat.objects}
+    at = {obj: tuple(canon_sorted(sieves_on(cat, obj))) for obj in cat.objects}
     maps = {}
     for m in cat.morphisms:
         if m.id == cat.id_of(m.dom):
@@ -422,7 +380,7 @@ def classifier_kit(cat: FiniteCategory) -> ClassifierKit:
     # Pullback of sieves is functorial, so omega skips the law check.
     omega = Presheaf._canonical(cat, at, maps)
     true_arrow = NatTransform._certified(terminal, omega, {
-        obj: {(): principal_sieve(cat, obj).members} for obj in cat.objects})
+        obj: {(): principal_sieve(cat, obj)} for obj in cat.objects})
     return ClassifierKit(terminal, omega, true_arrow)
 
 
@@ -431,10 +389,10 @@ def char_morphism(k: Subobject) -> NatTransform:
 
     The sub-object check is folded into that computation: K is closed under
     restriction exactly when every el in K(A) goes to the principal sieve.
-    PresheafError names the first violation in the order of
-    `Subobject.violations`.  The arrow is certified natural: its values are
-    sieves, and they commute with restriction because the ambient is a
-    presheaf."""
+    PresheafError names the first violation in the order of the test
+    helpers' `subobject_violations` (see `Subobject`).  The arrow is
+    certified natural: its values are sieves, and they commute with
+    restriction because the ambient is a presheaf."""
     outside = k._outside()
     if outside:
         raise PresheafError(f"invalid sub-object: {outside[0]}")
@@ -547,11 +505,14 @@ def sub_heyting(x: Presheaf) -> SubobjectAlgebra:
     return SubobjectAlgebra(algebra, _SubobjectsById(x, algebra))
 
 
-def global_elements(x: Presheaf) -> list[GlobalElement]:
-    """All matching families, canonically ordered: the arrows 1 -> x."""
-    out = [GlobalElement(x, {obj: n.apply(obj, ()) for obj in x.base.objects})
-           for n in enumerate_nats(terminal_presheaf(x.base), x)]
-    out.sort(key=lambda g: canon_key(g.key()))
+def global_elements(x: Presheaf) -> list[NatTransform]:
+    """All arrows 1 -> x, certified natural by the hom search.  Naturality
+    of such an arrow is the matching condition on its family of values, one
+    per stage, so these are the matching families.  Ordered by the canon_key
+    of their sorted (object, value) pairs."""
+    out = enumerate_nats(terminal_presheaf(x.base), x)
+    out.sort(key=lambda n: canon_key(tuple(sorted((obj, c[()])
+                                                  for obj, c in n.components.items()))))
     return out
 
 

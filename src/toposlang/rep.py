@@ -443,7 +443,7 @@ def validate_axioms(rep: ToposRep,
             continue
         got, bounds = _sieves(concl, ctx, cat), [_sieves(p, ctx, cat) for p in held]
         for obj in cat.objects:
-            top = principal_sieve(cat, obj).members
+            top = principal_sieve(cat, obj)
             for i, env in enumerate(ctx.envs[obj]):
                 bound = top
                 for p in bounds:
@@ -656,7 +656,7 @@ class EffectiveClassicalRep:
         """The power-object element of the value stage deciding membership in
         the interval set."""
         base, pt, values = self.rep.base, self.point, self.rep.ground("R")
-        top = principal_sieve(base, pt).members
+        top = principal_sieve(base, pt)
         row = [[top if delta.member(v) else frozenset() for v in values.stage(b)]
                for b, _ in base.into_by_key(pt)]
         return exp_from_blocks(base, pt, values, [row])[0]
@@ -667,7 +667,7 @@ class EffectiveClassicalRep:
         family = prop_family(symbol, self.rep)
         subset_element = family.apply(self.point, self.delta_element(delta))
         pt, base, sigma = self.point, self.rep.base, self.rep.ground("Sigma")
-        top = principal_sieve(base, pt).members
+        top = principal_sieve(base, pt)
         states = sigma.stage(pt)
         truth = exp_column(base, pt, sigma, itertools.repeat(subset_element), states)
         return frozenset(s for s, value in zip(states, truth) if value == top)

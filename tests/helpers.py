@@ -1,6 +1,8 @@
 """Shared fixtures: small base categories, deterministic presheaf
 generators, brute-force enumeration oracles, every labelled order by pair
-mask, the quantified sieve and sub-object implications, the string-keyed
+mask, the quantified sieve and sub-object implications, the sieve pullback
+and the sieve and sub-object checks no library code calls, the global
+elements built as arrows 1 -> X and their key, the string-keyed
 Kripke countermodel search, the tuple-form G4ip prover without pruning, the
 `decide` benchmark corpus, the wall-clock budget, and the oracles no library
 code calls: the tabulating Heyting algebra, the exhaustive law checker, the
@@ -31,10 +33,9 @@ from typing import Callable, Mapping, NamedTuple, Optional, Sequence
 from toposlang import presheaf as presheaf_module
 from toposlang._canon import canon_key
 from toposlang.category import (
+    CategoryError,
     FiniteCategory,
     Morphism,
-    NotASieve,
-    Sieve,
     from_poset,
     one_object_category,
     principal_sieve,
@@ -47,7 +48,6 @@ from toposlang.heyting import (
     iter_downsets,
 )
 from toposlang.presheaf import (
-    GlobalElement,
     NatTransform,
     Presheaf,
     PresheafError,
@@ -59,6 +59,7 @@ from toposlang.presheaf import (
     exponential,
     power_transpose,
     product_presheaf,
+    terminal_presheaf,
     validate_nat,
 )
 from toposlang.local.check import desugar_connectives, infer_type
@@ -287,7 +288,7 @@ def brute_subobjects(x: Presheaf) -> list[Subobject]:
     def rec(i: int, parts: dict):
         if i == len(objs):
             k = Subobject(x, parts)
-            if not k.violations():
+            if not subobject_violations(k):
                 out.append(k)
             return
         for s in brute_subsets(x.stage(objs[i])):
@@ -300,26 +301,16 @@ def brute_subobjects(x: Presheaf) -> list[Subobject]:
     return out
 
 
-def brute_global_elements(x: Presheaf) -> list[GlobalElement]:
-    """Every choice of one element per stage that passes the matching
-    check, in canonical key order."""
-    objs = list(x.base.objects)
+def brute_global_elements(x: Presheaf) -> list[NatTransform]:
+    """Every arrow 1 -> x, one element chosen per stage, that passes
+    `validate_nat`, in `global_key` order."""
+    objs, one = list(x.base.objects), terminal_presheaf(x.base)
     out = []
-
-    def rec(i: int, choice: dict):
-        if i == len(objs):
-            g = GlobalElement(x, choice)
-            if not g.violations():
-                out.append(g)
-            return
-        for el in x.stage(objs[i]):
-            choice[objs[i]] = el
-            rec(i + 1, choice)
-        choice.pop(objs[i], None)
-
-    rec(0, {})
-    out.sort(key=lambda g: canon_key(g.key()))
-    return out
+    for values in itertools.product(*(x.stage(obj) for obj in objs)):
+        g = NatTransform(one, x, {obj: {(): value} for obj, value in zip(objs, values)})
+        if validate_nat(g).ok:
+            out.append(g)
+    return sorted(out, key=global_key)
 
 
 def brute_upsets(upset_of) -> list[frozenset]:
@@ -635,27 +626,25 @@ def transitive_closure(elements, pairs) -> dict:
 
 # -- quantified implications: the definitions the down-set formula must meet ----
 
-def sieve_implies(cat, s1: Sieve, s2: Sieve) -> Sieve:
-    """{f : B -> A | every g with f o g in s1 also has f o g in s2}."""
-    if s1.target != s2.target:
-        raise NotASieve("implication needs sieves on the same object")
+def sieve_implies(cat, target: str, s1: frozenset, s2: frozenset) -> frozenset:
+    """{f : B -> target | every g with f o g in s1 also has f o g in s2}."""
     members = set()
-    for f in cat.into(s1.target):
+    for f in cat.into(target):
         fm = cat.morphism(f)
         ok = True
         for g in cat.into(fm.dom):
             fg = cat.compose(f, g)
-            if fg in s1.members and fg not in s2.members:
+            if fg in s1 and fg not in s2:
                 ok = False
                 break
         if ok:
             members.add(f)
-    return Sieve(s1.target, frozenset(members))
+    return frozenset(members)
 
 
-def sieve_negate(cat, s: Sieve) -> Sieve:
+def sieve_negate(cat, target: str, s: frozenset) -> frozenset:
     """Pseudo-complement: {f | no precomposite of f lands in s}."""
-    return sieve_implies(cat, s, Sieve(s.target, frozenset()))
+    return sieve_implies(cat, target, s, frozenset())
 
 
 def subobject_implies(k: Subobject, l: Subobject) -> Subobject:
@@ -678,6 +667,70 @@ def subobject_implies(k: Subobject, l: Subobject) -> Subobject:
                 keep.append(el)
         parts[obj] = frozenset(keep)
     return Subobject(x, parts)
+
+
+# -- sieve pullbacks, the sieve and sub-object checks, global elements -----------
+
+class NotASieve(CategoryError):
+    pass
+
+
+def sieve_violations(cat: FiniteCategory, target: str, members: frozenset) -> list:
+    """Empty when `members` is a sieve on `target`."""
+    bad = []
+    for f in sorted(members):
+        fm = cat.morphism(f)
+        if fm.cod != target:
+            bad.append(("wrong-codomain", f))
+            continue
+        for g in cat.morphisms:
+            if g.cod == fm.dom and cat.compose(f, g.id) not in members:
+                bad.append(("not-precomposition-closed", f, g.id))
+    return bad
+
+
+def pullback_members(cat: FiniteCategory, f: str, members: frozenset) -> frozenset:
+    """{h : f o h in members}, with no check that members is a sieve."""
+    return frozenset(h for h in cat.into(cat.morphism(f).dom) if cat.compose(f, h) in members)
+
+
+def pullback_sieve(cat: FiniteCategory, f: str, target: str, members: frozenset) -> frozenset:
+    """The sieve {h : f o h in S} on dom(f) of the sieve S on `target`;
+    principal when f itself is in S.  NotASieve unless f lands in `target`
+    and `members` is a sieve on it."""
+    if cat.morphism(f).cod != target:
+        raise NotASieve(f"sieve on {target!r} cannot be pulled back along {f!r}")
+    bad = sieve_violations(cat, target, members)
+    if bad:
+        raise NotASieve(f"not a sieve on {target!r}: {bad[0]}")
+    return pullback_members(cat, f, members)
+
+
+def subobject_violations(k: Subobject) -> list:
+    """Every reason k is not a sub-object, in the order `char_morphism`
+    names the first: `Subobject._outside`, then the restrictions that leave
+    the parts, in object, canonical-stage and `into` order."""
+    x, cat = k.ambient, k.ambient.base
+    bad = k._outside()
+    for obj in cat.objects:
+        part = k.parts[obj]
+        for el in x.stage(obj):
+            if el in part:
+                bad.extend(("not-restriction-closed", f, el) for f in cat.into(obj)
+                           if x.apply(f, el) not in k.parts[cat.morphism(f).dom])
+    return bad
+
+
+def global_element(x: Presheaf, choice: Mapping) -> NatTransform:
+    """The arrow 1 -> x with value choice[A] at each stage A, unchecked."""
+    return NatTransform(terminal_presheaf(x.base), x,
+                        {obj: {(): value} for obj, value in choice.items()})
+
+
+def global_key(g: NatTransform):
+    """The order `global_elements` lists in: the canon_key of the sorted
+    (object, value) pairs."""
+    return canon_key(tuple(sorted((obj, g.apply(obj, ())) for obj in g.source.base.objects)))
 
 
 # -- the tabulating Heyting algebra and the exhaustive law checker ---------------
@@ -1123,7 +1176,7 @@ def reference_validate_axioms(rep: ToposRep, axioms: Sequence[tuple[str, Sequent
         premises = [reference_interpret_term(g, context, rep) for g in seq.context]
         source = concl.source
         for obj in rep.base.objects:
-            top = principal_sieve(rep.base, obj).members
+            top = principal_sieve(rep.base, obj)
             for env in source.stage(obj):
                 got = concl.apply(obj, env)
                 bound = top

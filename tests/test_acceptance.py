@@ -23,12 +23,13 @@ from helpers import (
     compose_nats,
     evaluation,
     presheaf_fixture_pool,
+    pullback_sieve,
     set_presheaf,
     two_point_presheaf,
     verify_exponential_adjunction,
 )
 
-from toposlang.category import principal_sieve, pullback_sieve, sieve_heyting, sieves_on
+from toposlang.category import principal_sieve, sieve_heyting, sieves_on
 from toposlang.heyting import (
     DownsetAlgebra,
     lower_set_algebra,
@@ -129,12 +130,9 @@ def built_algebras() -> list[DownsetAlgebra | HeytingAlgebra]:
     out.append(sub_heyting(terminal_presheaf(TWO)).algebra)
     out.append(sub_heyting(two_point_presheaf(
         ["x0", "x1"], ["y0"], {"x0": "y0", "x1": "y0"})).algebra)
-    gs = global_elements(classifier_kit(TWO).omega)
-    by_id = {g.key(): g for g in gs}
     out.append(HeytingAlgebra(
-        [g.key() for g in gs],
-        lambda a, b: all(by_id[a].choice[o] <= by_id[b].choice[o]
-                         for o in TWO.objects)))
+        global_elements(classifier_kit(TWO).omega),
+        lambda a, b: all(a.apply(o, ()) <= b.apply(o, ()) for o in TWO.objects)))
     assert all(len(alg) <= 64 for alg in out)
     return out
 
@@ -189,8 +187,8 @@ def test_criterion_04_pullback_laws_exhaustive():
         for cat in ALL_BASES:
             for obj in cat.objects:
                 for sieve in sieves_on(cat, obj):
-                    for f in sieve.members:
-                        assert pullback_sieve(cat, f, sieve) == \
+                    for f in sieve:
+                        assert pullback_sieve(cat, f, obj, sieve) == \
                             principal_sieve(cat, cat.morphism(f).dom)
             for f in cat.morphisms:
                 for g in cat.morphisms:
@@ -198,9 +196,9 @@ def test_criterion_04_pullback_laws_exhaustive():
                         continue
                     fg = cat.compose(f.id, g.id)
                     for sieve in sieves_on(cat, f.cod):
-                        assert pullback_sieve(cat, fg, sieve) == \
-                            pullback_sieve(cat, g.id,
-                                           pullback_sieve(cat, f.id, sieve))
+                        assert pullback_sieve(cat, fg, f.cod, sieve) == \
+                            pullback_sieve(cat, g.id, g.cod,
+                                           pullback_sieve(cat, f.id, f.cod, sieve))
 
 
 def test_criterion_05_exponential_adjunction_and_power_of_terminal():

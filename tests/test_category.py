@@ -3,26 +3,31 @@ import re
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from helpers import MONOID, brute_sieves, idempotent_monoid, sieve_implies, sieve_negate
+from helpers import (
+    MONOID,
+    NotASieve,
+    brute_sieves,
+    idempotent_monoid,
+    pullback_sieve,
+    sieve_implies,
+    sieve_negate,
+)
 
 from toposlang import category
 from toposlang.category import (
     CategoryError,
     FiniteCategory,
     Morphism,
-    NotASieve,
-    Sieve,
     from_poset,
     one_object_category,
     principal_sieve,
-    pullback_sieve,
     sieve_heyting,
     sieves_on,
     validate_category,
 )
 from toposlang.errors import CapExceeded
 from toposlang.heyting import InvalidOrder
-from toposlang.project import build_project
+from toposlang.project import ProjectError, build_project
 
 
 def fs(*xs):
@@ -222,18 +227,37 @@ def test_constructor_rejects_dangling_references():
         FiniteCategory(["x"], [Morphism("id[x]", "x", "x")], {}, {})
 
 
+def test_a_composition_entry_for_a_pair_that_does_not_compose_is_refused():
+    # f: x -> y, so f o f does not compose; the entry would enter the
+    # category's key and make the table unequal to itself without it.
+    mors = [Morphism("ix", "x", "x"), Morphism("iy", "y", "y"), Morphism("f", "x", "y")]
+    ids = {"x": "ix", "y": "iy"}
+    comp = {("ix", "ix"): "ix", ("iy", "iy"): "iy", ("iy", "f"): "f", ("f", "ix"): "f"}
+    lawful = FiniteCategory(["x", "y"], mors, ids, comp)
+    message = "composition entry ('f', 'f') is for morphisms that do not compose"
+    with pytest.raises(CategoryError, match=re.escape(message)):
+        FiniteCategory(["x", "y"], mors, ids, {**comp, ("f", "f"): "iy"})
+    spec = {"name": "c", "objects": ["x", "y"], "identities": ids,
+            "morphisms": [{"id": m.id, "dom": m.dom, "cod": m.cod} for m in mors],
+            "composition": [[f, g, fg] for (f, g), fg in {**comp, ("f", "f"): "iy"}.items()]}
+    with pytest.raises(ProjectError, match=re.escape(message)) as err:
+        build_project({"categories": [spec]})
+    assert err.value.pointer == "/categories/0"
+    assert FiniteCategory(*table(lawful)) == lawful
+
+
 def test_sieves_on_two_point_poset():
     got = sieves_on(TWO, "q")
-    assert [s.members for s in got] == [fs(), fs("le[p,q]"), fs("id[q]", "le[p,q]")]
-    assert [s.members for s in got] == brute_sieves(TWO, "q")
-    assert [s.members for s in sieves_on(TWO, "p")] == [fs(), fs("id[p]")]
-    assert [s.members for s in sieves_on(TWO, "p")] == brute_sieves(TWO, "p")
+    assert got == [fs(), fs("le[p,q]"), fs("id[q]", "le[p,q]")]
+    assert got == brute_sieves(TWO, "q")
+    assert sieves_on(TWO, "p") == [fs(), fs("id[p]")]
+    assert sieves_on(TWO, "p") == brute_sieves(TWO, "p")
 
 
 def test_sieves_on_one_object_category():
     pt = one_object_category()
     got = sieves_on(pt, "pt")
-    assert [s.members for s in got] == [fs(), fs("id[pt]")]
+    assert got == [fs(), fs("id[pt]")]
 
 
 def test_sieve_enumeration_cap(monkeypatch):
@@ -246,39 +270,38 @@ def test_sieve_enumeration_cap(monkeypatch):
 
 
 def test_principal_sieves():
-    assert principal_sieve(TWO, "q").members == fs("id[q]", "le[p,q]")
-    assert principal_sieve(one_object_category(), "pt").members == fs("id[pt]")
-    assert principal_sieve(CHAIN3, "c").members == fs("id[c]", "le[b,c]", "le[a,c]")
+    assert principal_sieve(TWO, "q") == fs("id[q]", "le[p,q]")
+    assert principal_sieve(one_object_category(), "pt") == fs("id[pt]")
+    assert principal_sieve(CHAIN3, "c") == fs("id[c]", "le[b,c]", "le[a,c]")
 
 
 def test_pullback_of_member_is_principal():
-    s = Sieve("q", fs("le[p,q]"))
-    got = pullback_sieve(TWO, "le[p,q]", s)
-    assert got == Sieve("p", fs("id[p]"))
+    got = pullback_sieve(TWO, "le[p,q]", "q", fs("le[p,q]"))
+    assert got == fs("id[p]")
     assert got == principal_sieve(TWO, "p")
 
 
 def test_pullback_of_empty_and_principal():
-    empty = Sieve("q", fs())
-    assert pullback_sieve(TWO, "le[p,q]", empty).members == fs()
-    assert pullback_sieve(TWO, "id[q]", principal_sieve(TWO, "q")) == principal_sieve(TWO, "q")
-    assert pullback_sieve(TWO, "le[p,q]", principal_sieve(TWO, "q")) == principal_sieve(TWO, "p")
+    assert pullback_sieve(TWO, "le[p,q]", "q", fs()) == fs()
+    top_q = principal_sieve(TWO, "q")
+    assert pullback_sieve(TWO, "id[q]", "q", top_q) == principal_sieve(TWO, "q")
+    assert pullback_sieve(TWO, "le[p,q]", "q", top_q) == principal_sieve(TWO, "p")
 
 
 def test_pullback_rejects_non_sieves():
     with pytest.raises(NotASieve):
-        pullback_sieve(TWO, "le[p,q]", Sieve("q", fs("id[q]")))  # not closed
+        pullback_sieve(TWO, "le[p,q]", "q", fs("id[q]"))  # not closed
     with pytest.raises(NotASieve):
-        pullback_sieve(TWO, "id[p]", Sieve("q", fs()))  # wrong target
+        pullback_sieve(TWO, "id[p]", "q", fs())  # wrong target
 
 
 def test_poset_pullback_is_intersection_with_principal():
     # on posets the pullback along le[p,q] keeps the members whose domains
     # sit at or below p, i.e. principal(p) n S read through domains
     for s in sieves_on(CHAIN3, "c"):
-        got = pullback_sieve(CHAIN3, "le[b,c]", s)
-        doms_s = {CHAIN3.morphism(m).dom for m in s.members}
-        doms_got = {CHAIN3.morphism(m).dom for m in got.members}
+        got = pullback_sieve(CHAIN3, "le[b,c]", "c", s)
+        doms_s = {CHAIN3.morphism(m).dom for m in s}
+        doms_got = {CHAIN3.morphism(m).dom for m in got}
         assert doms_got == doms_s & {"a", "b"}
 
 
@@ -290,8 +313,8 @@ def test_pullback_functoriality_exhaustive():
                     continue
                 fg = cat.compose(f.id, g.id)
                 for s in sieves_on(cat, f.cod):
-                    lhs = pullback_sieve(cat, fg, s)
-                    rhs = pullback_sieve(cat, g.id, pullback_sieve(cat, f.id, s))
+                    lhs = pullback_sieve(cat, fg, f.cod, s)
+                    rhs = pullback_sieve(cat, g.id, g.cod, pullback_sieve(cat, f.id, f.cod, s))
                     assert lhs == rhs
 
 
@@ -299,8 +322,8 @@ def test_members_pull_back_to_principal_everywhere():
     for cat in (TWO, CHAIN3):
         for obj in cat.objects:
             for s in sieves_on(cat, obj):
-                for f in s.members:
-                    assert pullback_sieve(cat, f, s) == \
+                for f in s:
+                    assert pullback_sieve(cat, f, obj, s) == \
                         principal_sieve(cat, cat.morphism(f).dom)
 
 
@@ -318,9 +341,8 @@ def test_sieve_heyting_matches_quantified_formula():
             alg = sieve_heyting(cat, obj)
             for s1 in alg.elements:
                 for s2 in alg.elements:
-                    explicit = sieve_implies(cat, Sieve(obj, s1), Sieve(obj, s2))
-                    assert alg.implies(s1, s2) == explicit.members
-                assert alg.negate(s1) == sieve_negate(cat, Sieve(obj, s1)).members
+                    assert alg.implies(s1, s2) == sieve_implies(cat, obj, s1, s2)
+                assert alg.negate(s1) == sieve_negate(cat, obj, s1)
 
 
 def test_one_object_sieve_algebra_is_two_valued_boolean():

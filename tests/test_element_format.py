@@ -226,7 +226,7 @@ def test_delta_elements_are_interchangeable_with_the_power_object_stage():
     stage = power_object(values).stage(eff.point)
     by_members = {frozenset(v for (_, _, v), truth in theta if truth): theta for theta in stage}
     family = prop_family("A", eff.rep)
-    top = principal_sieve(eff.rep.base, eff.point).members
+    top = principal_sieve(eff.rep.base, eff.point)
     for r in range(len(values.stage(eff.point)) + 1):
         for chosen in itertools.combinations(values.stage(eff.point), r):
             delta = IntervalSet.empty()

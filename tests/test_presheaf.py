@@ -31,7 +31,10 @@ from helpers import (
     exp_element,
     exp_lookup,
     exp_untranspose,
+    global_element,
+    global_key,
     presheaf_fixture_pool,
+    pullback_members,
     random_presheaf,
     reference_exponential,
     reference_law_violations,
@@ -39,6 +42,7 @@ from helpers import (
     reversed_copy,
     set_presheaf,
     subobject_implies,
+    subobject_violations,
     two_point_presheaf,
     verify_exponential_adjunction,
     verify_product_universal,
@@ -52,7 +56,7 @@ from toposlang.category import (
     from_poset,
     one_object_category,
     principal_sieve,
-    pullback_members,
+    sieve_heyting,
     sieves_on,
 )
 from toposlang.errors import CapExceeded
@@ -61,7 +65,6 @@ from toposlang.presheaf import (
     CACHE_SIZE,
     HOM_CELL_CAP,
     PRODUCT_CAP,
-    GlobalElement,
     NatTransform,
     Presheaf,
     PresheafError,
@@ -188,7 +191,7 @@ def test_char_morphism_of_whole_and_empty():
     chi = char_morphism(whole)
     for obj in TWO.objects:
         for x in X2.stage(obj):
-            assert chi.apply(obj, x) == principal_sieve(TWO, obj).members
+            assert chi.apply(obj, x) == principal_sieve(TWO, obj)
     empty = Subobject(X2, {})
     chi0 = char_morphism(empty)
     for obj in TWO.objects:
@@ -223,11 +226,11 @@ def test_char_rejects_invalid_subobject():
 
 def test_char_morphism_rejects_a_part_that_is_not_a_subset_or_not_closed():
     outside = Subobject(X2, {"q": ("x0", "w"), "p": ("y0",)})
-    assert outside.violations() == [("not-a-subset", "q", "w")]
+    assert subobject_violations(outside) == [("not-a-subset", "q", "w")]
     with pytest.raises(PresheafError, match=r"\('not-a-subset', 'q', 'w'\)"):
         char_morphism(outside)
     open_part = Subobject(X2, {"q": ("x1",), "p": ()})
-    assert open_part.violations() == [("not-restriction-closed", "le[p,q]", "x1")]
+    assert subobject_violations(open_part) == [("not-restriction-closed", "le[p,q]", "x1")]
     with pytest.raises(PresheafError, match=r"\('not-restriction-closed', 'le\[p,q\]', 'x1'\)"):
         char_morphism(open_part)
 
@@ -239,11 +242,13 @@ def test_char_morphism_names_the_first_violation_in_stage_order():
     # the order a frozenset happens to list them in.
     x = two_point_presheaf(["d", "b", "a", "c"], ["y"], {e: "y" for e in "abcd"})
     unclosed = Subobject(x, {"q": ("c", "d", "a", "b"), "p": ()})
-    assert unclosed.violations() == [("not-restriction-closed", "le[p,q]", e) for e in "abcd"]
+    assert subobject_violations(unclosed) == \
+        [("not-restriction-closed", "le[p,q]", e) for e in "abcd"]
     with pytest.raises(PresheafError, match=r"'le\[p,q\]', 'a'\)"):
         char_morphism(unclosed)
     outside = Subobject(x, {"q": ("a", "zz", "zb"), "p": ("y", "w")})
-    assert outside.violations()[:2] == [("not-a-subset", "p", "w"), ("not-a-subset", "q", "zb")]
+    assert subobject_violations(outside)[:2] == \
+        [("not-a-subset", "p", "w"), ("not-a-subset", "q", "zb")]
     with pytest.raises(PresheafError, match=r"\('not-a-subset', 'p', 'w'\)"):
         char_morphism(outside)
 
@@ -410,22 +415,22 @@ def test_eval_arrow_and_transpose_round_trip():
     dia = product(z, x)
     # name of "true on all of X": transpose of constant-principal arrow
     const_true = NatTransform(dia.presheaf, kit.omega,
-                              {obj: {el: principal_sieve(TWO, obj).members
+                              {obj: {el: principal_sieve(TWO, obj)
                                      for el in dia.presheaf.stage(obj)}
                                for obj in TWO.objects})
     name = power_transpose(const_true, z, x)
     assert validate_nat(name).ok
     assert exp_untranspose(name, z, x, kit.omega) == const_true
-    # the name is a global element of PX
+    # the name is a global element of PX: an arrow 1 -> PX, natural
     px = power_object(x)
-    ge = GlobalElement(px, {obj: name.apply(obj, ()) for obj in TWO.objects})
-    assert not ge.violations()
+    ge = global_element(px, {obj: name.apply(obj, ()) for obj in TWO.objects})
+    assert ge == name and validate_nat(ge).ok
     # eval against the name recovers constant-true
     ev = evaluation(x, kit.omega)
     for obj in TWO.objects:
         for xv in x.stage(obj):
             got = ev.apply(obj, (name.apply(obj, ()), xv))
-            assert got == principal_sieve(TWO, obj).members
+            assert got == principal_sieve(TWO, obj)
 
 
 def test_all_transposes_round_trip_on_two_point_fixture():
@@ -446,7 +451,7 @@ def test_exp_transpose_rejects_an_arrow_that_is_not_natural():
     z, x = terminal_presheaf(TWO), X2
     omega = classifier_kit(TWO).omega
     prod = product_presheaf([z, x])
-    top = {obj: principal_sieve(TWO, obj).members for obj in TWO.objects}
+    top = {obj: principal_sieve(TWO, obj) for obj in TWO.objects}
     f = NatTransform(prod, omega, {"q": {el: top["q"] for el in prod.stage("q")},
                                    "p": {el: fs() for el in prod.stage("p")}})
     assert not validate_nat(f).ok
@@ -488,8 +493,9 @@ def test_certified_arrows_pass_validate_nat(data):
     outside = [(obj, "outside") for obj in base.objects]
     picked = data.draw(st.sets(st.sampled_from(_points(x) + outside)))
     parts = Subobject(x, {obj: {el for o, el in picked if o == obj} for obj in base.objects})
-    if parts.violations():
-        with pytest.raises(PresheafError, match=re.escape(str(parts.violations()[0]))):
+    bad = subobject_violations(parts)
+    if bad:
+        with pytest.raises(PresheafError, match=re.escape(str(bad[0]))):
             char_morphism(parts)
     else:
         chi = char_morphism(parts)
@@ -609,7 +615,8 @@ def test_numbers_sort_by_value_past_float_range_and_precision():
 
 def test_global_elements_of_omega_on_two_point_poset():
     kit = classifier_kit(TWO)
-    got = [tuple(sorted(g.choice.items())) for g in global_elements(kit.omega)]
+    got = [tuple(sorted((obj, g.apply(obj, ())) for obj in TWO.objects))
+           for g in global_elements(kit.omega)]
     assert set(got) == {
         (("p", fs()), ("q", fs())),
         (("p", fs("id[p]")), ("q", fs("le[p,q]"))),
@@ -622,14 +629,17 @@ def test_global_elements_of_omega_on_two_point_poset():
 def test_global_elements_counting():
     assert len(global_elements(terminal_presheaf(CHAIN3))) == 1
     x = set_presheaf(["a", "b", "c"])
-    assert [g.choice["pt"] for g in global_elements(x)] == ["a", "b", "c"]
+    assert [g.apply("pt", ()) for g in global_elements(x)] == ["a", "b", "c"]
 
 
 def test_global_elements_match_the_brute_force_product_scan():
     pool = presheaf_fixture_pool() + [classifier_kit(b).omega for b in ALL_BASES]
     assert any(x.base == MONOID for x in pool)
     for x in pool:
-        assert global_elements(x) == brute_global_elements(x)
+        got = global_elements(x)
+        assert got == brute_global_elements(x)
+        one = terminal_presheaf(x.base)
+        assert all(g._natural and g.source == one and g.target is x for g in got)
 
 
 def test_global_elements_past_the_node_cap_are_refused_in_time(monkeypatch):
@@ -739,8 +749,8 @@ def test_cartesian_hom_search_raises_where_the_backtracking_search_raises(data):
                                    [(obj, ()) for obj in cat.objects],
                                    terminal_presheaf(cat).apply, y)
         if not isinstance(expected, str):
-            expected = sorted((GlobalElement(y, dict(zip(cat.objects, values)))
-                               for values in expected), key=lambda g: canon_key(g.key()))
+            expected = sorted((global_element(y, dict(zip(cat.objects, values)))
+                               for values in expected), key=global_key)
         assert _search_outcome(global_elements, y) == expected
 
 
@@ -1057,7 +1067,12 @@ def test_a_kit_the_cache_drops_is_freed_by_reference_counting():
 def _assert_omega_is_the_pullback_presheaf(cat) -> None:
     kit = classifier_kit.__wrapped__(cat)
     for obj in cat.objects:
-        assert kit.omega.stage(obj) == tuple(canon_sorted(s.members for s in sieves_on(cat, obj)))
+        sieves = sieves_on(cat, obj)
+        assert kit.omega.stage(obj) == tuple(canon_sorted(sieves))
+        # One representation of a sieve: Omega's stage, the sieve algebra's
+        # element ids and the true arrow's value are the member frozensets.
+        assert set(sieves) == set(sieve_heyting(cat, obj).elements)
+        assert kit.true_arrow.apply(obj, ()) == principal_sieve(cat, obj)
     for m in cat.morphisms:
         for members in kit.omega.stage(m.cod):
             assert kit.omega.apply(m.id, members) == pullback_members(cat, m.id, members)
@@ -1181,22 +1196,19 @@ def test_hom_set_equality_matches_the_reference_key():
 def test_global_elements_of_omega_form_heyting_algebra_pointwise():
     kit = classifier_kit(TWO)
     gs = global_elements(kit.omega)
-    ids = [g.key() for g in gs]
-    by_id = {g.key(): g for g in gs}
 
     def leq(a, b):
-        return all(by_id[a].choice[o] <= by_id[b].choice[o] for o in TWO.objects)
+        return all(a.apply(o, ()) <= b.apply(o, ()) for o in TWO.objects)
 
-    alg = HeytingAlgebra(ids, leq)
+    alg = HeytingAlgebra(gs, leq)
     assert check_heyting_laws(alg).ok
     # pointwise meets and joins of matching families are matching
-    for a in ids:
-        for b in ids:
+    for a in gs:
+        for b in gs:
             met = alg.meet(a, b)
-            assert all(by_id[met].choice[o] == by_id[a].choice[o] & by_id[b].choice[o]
-                       for o in TWO.objects)
+            assert all(met.apply(o, ()) == a.apply(o, ()) & b.apply(o, ()) for o in TWO.objects)
             joined = alg.join(a, b)
-            assert all(by_id[joined].choice[o] == by_id[a].choice[o] | by_id[b].choice[o]
+            assert all(joined.apply(o, ()) == a.apply(o, ()) | b.apply(o, ())
                        for o in TWO.objects)
 
 
@@ -1296,7 +1308,7 @@ def test_exp_transpose_refuses_exactly_the_sources_that_are_not_the_product(data
     p = _shape_fault(data, product_presheaf([z, x] if data.draw(st.booleans()) else [x, z]))
     if p is None:
         return
-    top = {obj: principal_sieve(base, obj).members for obj in base.objects}
+    top = {obj: principal_sieve(base, obj) for obj in base.objects}
     f = NatTransform(p, kit.omega, {obj: {el: top[obj] for el in p.stage(obj)}
                                     for obj in base.objects})
     y = data.draw(st.sampled_from([kit.omega, kit.omega, kit.terminal]))
@@ -1346,7 +1358,7 @@ def test_exp_transpose_on_a_missing_component_raises_presheaf_error():
     z, x = two_point_presheaf(["z0", "z1"], ["z'"], {"z0": "z'", "z1": "z'"}), X2
     omega = classifier_kit(TWO).omega
     prod = product_presheaf([z, x])
-    components = {obj: {el: principal_sieve(TWO, obj).members for el in prod.stage(obj)}
+    components = {obj: {el: principal_sieve(TWO, obj) for el in prod.stage(obj)}
                   for obj in TWO.objects}
     del components["q"][("z1", "x0")]
     with pytest.raises(PresheafError) as err:
@@ -1358,7 +1370,7 @@ def test_exp_transpose_builds_no_product(monkeypatch):
     z, x = two_point_presheaf(["z0", "z1"], ["z'"], {"z0": "z'", "z1": "z'"}), X2
     omega = classifier_kit(TWO).omega
     prod = product_presheaf([z, x])
-    f = NatTransform(prod, omega, {obj: {el: principal_sieve(TWO, obj).members
+    f = NatTransform(prod, omega, {obj: {el: principal_sieve(TWO, obj)
                                          for el in prod.stage(obj)} for obj in TWO.objects})
     built = []
     monkeypatch.setattr(presheaf, "product_presheaf",

@@ -64,8 +64,8 @@ def argument_sets(twin) -> list[tuple]:
 
 
 def test_every_record_class_has_a_twin_and_src_imports_no_dataclasses():
-    assert len(TWINS) == 52
-    assert len({cls for cls, _ in TWINS}) == 52
+    assert len(TWINS) == 51
+    assert len({cls for cls, _ in TWINS}) == 51
     for cls, twin in TWINS:
         assert twin is not cls and dataclasses.is_dataclass(twin)
         assert (twin.__qualname__, twin.__module__) == (cls.__qualname__, cls.__module__)
