@@ -23,7 +23,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from ._canon import canon_sorted, canonical_json, jsonable
+from ._canon import canonical_json, jsonable
 from .errors import CapExceeded, InputError, ToposlangError
 
 OK, NEGATIVE, BAD_INPUT = 0, 1, 2
@@ -110,8 +110,11 @@ def cmd_sub_classify(args) -> int:
     for k in subs:
         chi = char_morphism(k)
         round_trip &= subobject_of_char(chi) == k
+        # Each part decoded from k's mask here, at the JSON edge, listed in
+        # its stage's canonical order.
+        parts = k.parts
         entries.append({
-            "parts": {obj: [jsonable(e) for e in canon_sorted(k.parts[obj])]
+            "parts": {obj: [jsonable(e) for e in x.stage(obj) if e in parts[obj]]
                       for obj in x.base.objects},
             "char": {obj: [[jsonable(e), jsonable(chi.apply(obj, e))]
                            for e in x.stage(obj)]

@@ -29,10 +29,18 @@ they skip it.  `validate_nat` checks an arrow a caller supplies; an arrow
 this module builds natural carries a construction-time certificate instead,
 the private `NatTransform._natural` flag, which takes no part in equality
 or hashing and which only `NatTransform._certified` sets.
-`char_morphism` folds its sub-object check into the sieves it computes, and
-`exp_transpose` checks each transposed element locally, block against
-restricted block, so neither lists anything to check its output, and
-`subobject_of_char` runs `validate_nat` only on an uncertified arrow.
+A sub-object is a mask over the points of its ambient's category of
+elements, whose layout (`_ElementLayout`) is built once and kept on the
+presheaf.  `enumerate_subobjects`, `sub_heyting` and `subobject_of_char`
+build masks that are down-sets, certified closed by the private
+`Subobject._closed` flag, so `char_morphism` checks only a sub-object a
+caller builds, and then reads each sieve off the mask at the point's
+restriction indices (Mac Lane & Moerdijk, *Sheaves in Geometry and Logic*,
+1992, I.4).  Per-object parts are decoded only where they are read, as at
+the CLI's JSON edge.  `exp_transpose` checks each transposed element
+locally, block against restricted block, so it lists nothing to check its
+output, and `subobject_of_char` runs `validate_nat` only on an uncertified
+arrow.
 
 This module owns the element format of exponentials and power objects: an
 element of Y^X at stage A is a tuple of ((B, g: B -> A, x), y) cells in
@@ -63,15 +71,15 @@ import math
 import weakref
 from collections import namedtuple
 from collections.abc import Mapping
-from functools import lru_cache
-from operator import eq, getitem, itemgetter
+from functools import lru_cache, reduce
+from operator import eq, getitem, itemgetter, or_
 from typing import Iterable, Sequence
 
 from ._canon import canon_key, canon_sorted
 from ._record import field, record
 from .category import FiniteCategory, principal_sieve, sieves_on
 from .errors import CapExceeded, ToposlangError
-from .heyting import DownsetAlgebra, iter_downsets, preorder_closure
+from .heyting import DownsetAlgebra, UnknownElement, iter_downsets
 
 ENUM_NODE_CAP = 10_000_000
 # Values a hom search may hold over all its results: results times cells.
@@ -122,8 +130,10 @@ class Presheaf:
     """
 
     # The exponentials Y^X with this presheaf as X, by Y, once there is one
-    # (see `exponential`).
+    # (see `exponential`), and the element layout of Sub(X), once read (see
+    # `_element_layout`).
     _exps: dict | None = None
+    _layout: "_ElementLayout | None" = None
 
     def __init__(self, base: FiniteCategory, at: Mapping[str, Iterable],
                  maps: Mapping[str, Mapping]):
@@ -308,39 +318,140 @@ def validate_nat(n: NatTransform) -> LawViolations:
 
 # -- sub-objects --------------------------------------------------------------
 
-class Subobject:
-    """A stage-wise subset of an ambient presheaf, closed under restriction.
+class _ElementLayout:
+    """The category of elements of a presheaf x, as bit positions.
 
-    The constructor checks neither condition; `char_morphism` does, and
-    names the first violation in the order in which the test helpers'
-    `subobject_violations` lists them all: per object, the first element of
-    the part outside its stage, in canon_key order; then the restrictions
-    that leave the parts, in object, canonical-stage and `into` order."""
+    `points` lists the points (A, e), object by object in base order and
+    each stage in its canonical order, and `index` numbers them.  For the
+    point i = (A, e), `reads[i]` holds the index of x(f)(e) for each f of
+    `cat.into(A)`, in that order, and `below[i]` is the mask of those
+    indices: a sub-object holding e holds every restriction of e.  The
+    arrows into A are closed under composition and hold the identity, so
+    `below` is already reflexive and transitive.
+
+    `sieves[i]` memoizes, per point, the sieve each pattern of bits within
+    `below[i]` stands for: the arrows f whose read bit is set.  The layout
+    holds x's elements and the base's arrow names, never x, so keeping it
+    on x makes no cycle."""
+
+    __slots__ = ("points", "index", "reads", "below", "sieves")
+
+    def __init__(self, x: Presheaf):
+        cat = x.base
+        self.points = [(obj, el) for obj in cat.objects for el in x.stage(obj)]
+        index = self.index = {p: i for i, p in enumerate(self.points)}
+        self.reads = [tuple(index[(cat.morphism(f).dom, x.maps[f][el])] for f in cat.into(obj))
+                      for obj, el in self.points]
+        self.below = [reduce(or_, [1 << j for j in row]) for row in self.reads]
+        self.sieves = [{} for _ in self.points]
+
+
+def _element_layout(x: Presheaf) -> _ElementLayout:
+    """x's element layout, built on first use and kept on x."""
+    layout = x._layout
+    if layout is None:
+        layout = x._layout = _ElementLayout(x)
+    return layout
+
+
+class Subobject:
+    """A stage-wise subset of an ambient presheaf, closed under restriction,
+    held as a mask over the ambient's element layout: bit i stands for the
+    i-th (object, element) point, objects in base order and each stage in
+    its canonical order.  Equal presheaves have equal stages, so equality
+    and the hash are those of (ambient, mask).
+
+    `parts`, the per-object frozensets, is decoded from the mask when first
+    read: by the CLI's JSON output, by `key()` and by tests.
+
+    A sub-object that `enumerate_subobjects`, `subobject_of_char` or
+    `sub_heyting` builds from a down-set mask is certified closed by
+    `_certified`, the private `_closed` flag, which takes no part in
+    equality.  The public constructor checks nothing and leaves it unset;
+    `char_morphism` then names the first violation in the order in which the
+    test helpers' `subobject_violations` lists them all: the names the base
+    lacks, in canon_key order; per object, the first element of the part
+    outside its stage, in canon_key order; then the restrictions that leave
+    the parts, in object, canonical-stage and `into` order.  What lies
+    outside the points is kept beside the mask, so such a family is equal
+    only to one with the same outside elements and names."""
+
+    _closed = False
+    _stray: frozenset = frozenset()
 
     def __init__(self, ambient: Presheaf, parts: Mapping[str, Iterable]):
         self.ambient = ambient
-        self.parts = {obj: frozenset(parts.get(obj, ())) for obj in ambient.base.objects}
+        base, index = ambient.base, _element_layout(ambient).index
+        self._parts = {obj: frozenset(parts.get(obj, ())) for obj in base.objects}
+        mask, stray = 0, [(obj, frozenset(parts[obj])) for obj in parts
+                          if obj not in base.identity]
+        for obj, part in self._parts.items():
+            extra = []
+            for el in part:
+                i = index.get((obj, el))
+                if i is None:
+                    extra.append(el)
+                else:
+                    mask |= 1 << i
+            if extra:
+                stray.append((obj, frozenset(extra)))
+        self.mask = mask
+        if stray:
+            self._stray = frozenset(stray)
+
+    @classmethod
+    def _certified(cls, ambient: Presheaf, mask: int) -> "Subobject":
+        """The sub-object of a down-set mask over ambient's element layout,
+        certified closed; its parts are decoded when first read."""
+        k = cls.__new__(cls)
+        k.ambient, k.mask, k._parts, k._closed = ambient, mask, None, True
+        return k
+
+    @property
+    def parts(self) -> dict:
+        if self._parts is None:
+            parts: dict = {obj: [] for obj in self.ambient.base.objects}
+            points, mask = _element_layout(self.ambient).points, self.mask
+            while mask:
+                low = mask & -mask
+                obj, el = points[low.bit_length() - 1]
+                parts[obj].append(el)
+                mask ^= low
+            self._parts = {obj: frozenset(part) for obj, part in parts.items()}
+        return self._parts
 
     def _outside(self) -> list:
-        """Per object whose part leaves its stage, the first element outside
-        in canon_key order."""
-        bad = []
-        for obj in self.ambient.base.objects:
-            extra = self.parts[obj].difference(self.ambient.stage(obj))
-            if extra:
-                bad.append(("not-a-subset", obj, canon_sorted(extra)[0]))
+        """The names the base lacks, in canon_key order, then, per object
+        whose part leaves its stage, the first element outside in canon_key
+        order."""
+        base, stray = self.ambient.base, dict(self._stray)
+        bad = [("unknown-object", obj) for obj in canon_sorted(stray)
+               if obj not in base.identity]
+        bad += [("not-a-subset", obj, canon_sorted(stray[obj])[0])
+                for obj in base.objects if obj in stray]
         return bad
+
+    def _unclosed(self):
+        """The first restriction that leaves the parts, in object,
+        canonical-stage and `into` order, or None."""
+        layout, mask = _element_layout(self.ambient), self.mask
+        for i, (obj, el) in enumerate(layout.points):
+            if mask >> i & 1 and layout.below[i] & ~mask:
+                into = self.ambient.base.into(obj)
+                return ("not-restriction-closed",
+                        next(f for f, j in zip(into, layout.reads[i]) if not mask >> j & 1), el)
+        return None
 
     def key(self):
         return tuple(sorted((obj, tuple(canon_sorted(sub)))
                             for obj, sub in self.parts.items()))
 
     def __eq__(self, other):
-        return isinstance(other, Subobject) and self.ambient == other.ambient \
-            and self.parts == other.parts
+        return isinstance(other, Subobject) and self.mask == other.mask \
+            and self._stray == other._stray and self.ambient == other.ambient
 
     def __hash__(self):
-        return hash(self.key())
+        return hash((self.ambient, self.mask))
 
 
 # -- classifier ----------------------------------------------------------------
@@ -385,100 +496,105 @@ def classifier_kit(cat: FiniteCategory) -> ClassifierKit:
 
 
 def char_morphism(k: Subobject) -> NatTransform:
-    """x at stage A goes to the sieve of arrows pulling x into the sub-object.
+    """x at stage A goes to the sieve of arrows f: B -> A with x(f)(x) in K.
 
-    The sub-object check is folded into that computation: K is closed under
-    restriction exactly when every el in K(A) goes to the principal sieve.
-    PresheafError names the first violation in the order of the test
-    helpers' `subobject_violations` (see `Subobject`).  The arrow is
-    certified natural: its values are sieves, and they commute with
-    restriction because the ambient is a presheaf."""
-    outside = k._outside()
-    if outside:
-        raise PresheafError(f"invalid sub-object: {outside[0]}")
+    That sieve is read off K's mask at the point's restriction indices
+    (`_ElementLayout.reads`), as the pattern ``mask & below``, and looked up
+    in the point's memo of sieves, built on a pattern's first read.  A
+    sub-object without the certificate is checked first, and PresheafError
+    names the first violation in the order of the test helpers'
+    `subobject_violations` (see `Subobject`).  The arrow is certified
+    natural: its values are sieves, and they commute with restriction
+    because the ambient is a presheaf."""
     x = k.ambient
-    cat = x.base
-    comps = {}
+    if not k._closed:
+        outside = k._outside()
+        bad = outside[0] if outside else k._unclosed()
+        if bad is not None:
+            raise PresheafError(f"invalid sub-object: {bad}")
+    cat, layout, mask = x.base, _element_layout(x), k.mask
+    below, sieves = layout.below, layout.sieves
+    comps, i = {}, 0
     for obj in cat.objects:
-        into, stage = cat.into(obj), x.stage(obj)
-        reads = [(f, x.maps[f], k.parts[cat.morphism(f).dom]) for f in into]
-        comp = comps[obj] = {el: frozenset([f for f, table, below in reads if table[el] in below])
-                             for el in stage}
-        part = k.parts[obj]
-        for el in stage:
-            # The principal sieve holds every arrow into obj.
-            if el in part and len(comp[el]) < len(into):
-                bad = ("not-restriction-closed", next(f for f in into if f not in comp[el]), el)
-                raise PresheafError(f"invalid sub-object: {bad}")
+        comp = comps[obj] = {}
+        into = cat.into(obj)
+        for el in x.stage(obj):
+            pattern = mask & below[i]
+            sieve = sieves[i].get(pattern)
+            if sieve is None:
+                sieve = sieves[i][pattern] = frozenset(
+                    [f for f, j in zip(into, layout.reads[i]) if pattern >> j & 1])
+            comp[el] = sieve
+            i += 1
     return NatTransform._certified(x, classifier_kit(cat).omega, comps)
 
 
 def subobject_of_char(chi: NatTransform) -> Subobject:
     """Inverse of `char_morphism`: the stage-wise preimage of the principal
-    sieve.  An arrow without the certificate is checked with `validate_nat`
-    first."""
+    sieve, one bit per point of the source's element layout, certified
+    closed since the arrow is natural.  An arrow without the certificate is
+    checked with `validate_nat` first."""
     if not chi._natural:
         bad = validate_nat(chi)
         if bad.items:
             raise PresheafError(f"characteristic arrow is not natural: {bad.items[0]}")
     cat = chi.source.base
     true = classifier_kit(cat).true_arrow.components
-    parts = {}
+    mask = bit = 0
     for obj in cat.objects:
         top, comp = true[obj][()], chi.components[obj]
-        parts[obj] = frozenset(el for el in chi.source.stage(obj) if comp[el] == top)
-    return Subobject(chi.source, parts)
-
-
-def _element_order(x: Presheaf) -> tuple[list, list[int]]:
-    """The points (B, e) of the category of elements of x, and their
-    preorder as masks: a sub-object holding e at B holds every restriction
-    of e."""
-    cat = x.base
-    points = [(obj, el) for obj in cat.objects for el in x.stage(obj)]
-    index = {p: i for i, p in enumerate(points)}
-    needs = [0] * len(points)
-    for m in cat.morphisms:
-        for el in x.stage(m.cod):
-            needs[index[(m.cod, el)]] |= 1 << index[(m.dom, x.maps[m.id][el])]
-    return points, preorder_closure(needs)
+        for el in chi.source.stage(obj):
+            if comp[el] == top:
+                mask |= 1 << bit
+            bit += 1
+    return Subobject._certified(chi.source, mask)
 
 
 def enumerate_subobjects(x: Presheaf) -> list[Subobject]:
-    """All restriction-closed part families, in canonical key order;
-    CapExceeded past SUB_ENUM_CAP of them."""
-    points, below = _element_order(x)
-    masks = list(iter_downsets(below, cap=SUB_ENUM_CAP,
-                               what=f"sub-objects of a presheaf with {len(points)} elements"))
+    """All restriction-closed part families, in canonical key order, each
+    certified closed; CapExceeded past SUB_ENUM_CAP of them."""
+    layout = _element_layout(x)
+    masks = list(iter_downsets(layout.below, cap=SUB_ENUM_CAP, what=f"sub-objects of a "
+                               f"presheaf with {len(layout.points)} elements"))
     # In the canon_key order of `Subobject.key()`: object by object, objects
-    # by name, each part by its elements' positions in the canonical stage.
-    spans = [[i for i, (o, _) in enumerate(points) if o == obj] for obj in sorted(x.base.objects)]
-    masks.sort(key=lambda mask: [[j for j, i in enumerate(span) if mask >> i & 1]
-                                 for span in spans])
-    out = []
-    for mask in masks:
-        parts: dict = {obj: [] for obj in x.base.objects}
-        for i, (obj, el) in enumerate(points):
-            if mask >> i & 1:
-                parts[obj].append(el)
-        out.append(Subobject(x, parts))
-    return out
+    # by name, each part by its elements' positions in the canonical stage,
+    # which are the set bits of the object's span of the mask.
+    spans, start = {}, 0
+    for obj in x.base.objects:
+        size = len(x.stage(obj))
+        spans[obj] = (start, (1 << size) - 1)
+        start += size
+    by_name = [spans[obj] for obj in sorted(spans)]
+
+    def key(mask):
+        out = []
+        for start, full in by_name:
+            part, row = mask >> start & full, []
+            while part:
+                low = part & -part
+                row.append(low.bit_length())
+                part ^= low
+            out.append(row)
+        return out
+
+    masks.sort(key=key)
+    return [Subobject._certified(x, mask) for mask in masks]
 
 
 class _SubobjectsById(Mapping):
     """The sub-object each element id of a `sub_heyting` algebra stands
-    for, built when looked up."""
+    for, built from the algebra's mask when looked up: the algebra's points
+    are the ambient's element layout."""
 
     def __init__(self, x: Presheaf, algebra: DownsetAlgebra):
         self._x, self._algebra = x, algebra
 
     def __getitem__(self, key) -> Subobject:
-        if key not in self._algebra:
-            raise KeyError(key)
-        parts: dict = {obj: [] for obj in self._x.base.objects}
-        for obj, el in key:
-            parts[obj].append(el)
-        return Subobject(self._x, parts)
+        try:
+            mask = self._algebra._mask(key)
+        except UnknownElement:
+            raise KeyError(key) from None
+        return Subobject._certified(self._x, mask)
 
     def __iter__(self):
         return iter(self._algebra.elements)
@@ -494,14 +610,14 @@ class SubobjectAlgebra:
 
 
 def sub_heyting(x: Presheaf) -> SubobjectAlgebra:
-    """Heyting algebra of Sub(X), each element the frozenset of the (object,
-    element) points of a sub-object: meet and join are stage-wise, and
-    implication is the down-set formula over the category of elements (the
-    stage-wise quantified formula is checked against it in the test
-    suite)."""
-    points, below = _element_order(x)
-    algebra = DownsetAlgebra(below, points,
-                             f"sub-objects of a presheaf with {len(points)} elements")
+    """Heyting algebra of Sub(X) over x's element layout, each element the
+    frozenset of the (object, element) points of a sub-object: meet and
+    join are stage-wise, and implication is the down-set formula over the
+    category of elements (the stage-wise quantified formula is checked
+    against it in the test suite)."""
+    layout = _element_layout(x)
+    algebra = DownsetAlgebra(layout.below, layout.points,
+                             f"sub-objects of a presheaf with {len(layout.points)} elements")
     return SubobjectAlgebra(algebra, _SubobjectsById(x, algebra))
 
 

@@ -1,7 +1,8 @@
 """Shared fixtures: small base categories, deterministic presheaf
 generators, brute-force enumeration oracles, every labelled order by pair
 mask, the quantified sieve and sub-object implications, the sieve pullback
-and the sieve and sub-object checks no library code calls, the global
+and the sieve and sub-object checks no library code calls, the
+characteristic arrow and its inverse on per-stage frozensets, the global
 elements built as arrows 1 -> X and their key, the string-keyed
 Kripke countermodel search, the tuple-form G4ip prover without pruning, the
 `decide` benchmark corpus, the wall-clock budget, and the oracles no library
@@ -669,7 +670,8 @@ def subobject_implies(k: Subobject, l: Subobject) -> Subobject:
     return Subobject(x, parts)
 
 
-# -- sieve pullbacks, the sieve and sub-object checks, global elements -----------
+# -- sieve pullbacks, the sieve and sub-object checks, the characteristic
+# arrow on frozensets, global elements -----------------------------------------
 
 class NotASieve(CategoryError):
     pass
@@ -708,8 +710,9 @@ def pullback_sieve(cat: FiniteCategory, f: str, target: str, members: frozenset)
 
 def subobject_violations(k: Subobject) -> list:
     """Every reason k is not a sub-object, in the order `char_morphism`
-    names the first: `Subobject._outside`, then the restrictions that leave
-    the parts, in object, canonical-stage and `into` order."""
+    names the first: `Subobject._outside` (the names the base lacks, then
+    the elements outside the stages), then the restrictions that leave the
+    parts, in object, canonical-stage and `into` order."""
     x, cat = k.ambient, k.ambient.base
     bad = k._outside()
     for obj in cat.objects:
@@ -719,6 +722,48 @@ def subobject_violations(k: Subobject) -> list:
                 bad.extend(("not-restriction-closed", f, el) for f in cat.into(obj)
                            if x.apply(f, el) not in k.parts[cat.morphism(f).dom])
     return bad
+
+
+def reference_char_morphism(k: Subobject) -> NatTransform:
+    """`char_morphism` on per-stage frozensets: every arrow f into every
+    stage read against the part at dom(f), with the restriction-closure
+    check folded into the sieves, after `Subobject._outside`.  The arrow is
+    left uncertified."""
+    outside = k._outside()
+    if outside:
+        raise PresheafError(f"invalid sub-object: {outside[0]}")
+    x = k.ambient
+    cat = x.base
+    comps = {}
+    for obj in cat.objects:
+        into, stage = cat.into(obj), x.stage(obj)
+        reads = [(f, x.maps[f], k.parts[cat.morphism(f).dom]) for f in into]
+        comp = comps[obj] = {el: frozenset([f for f, table, below in reads if table[el] in below])
+                             for el in stage}
+        part = k.parts[obj]
+        for el in stage:
+            # The principal sieve holds every arrow into obj.
+            if el in part and len(comp[el]) < len(into):
+                bad = ("not-restriction-closed", next(f for f in into if f not in comp[el]), el)
+                raise PresheafError(f"invalid sub-object: {bad}")
+    return NatTransform(x, presheaf_module.classifier_kit(cat).omega, comps)
+
+
+def reference_subobject_of_char(chi: NatTransform) -> Subobject:
+    """`subobject_of_char` on per-stage frozensets: the stage-wise preimage
+    of the principal sieve, through the public `Subobject` constructor,
+    after `validate_nat` on an uncertified arrow."""
+    if not chi._natural:
+        bad = validate_nat(chi)
+        if bad.items:
+            raise PresheafError(f"characteristic arrow is not natural: {bad.items[0]}")
+    cat = chi.source.base
+    true = presheaf_module.classifier_kit(cat).true_arrow.components
+    parts = {}
+    for obj in cat.objects:
+        top, comp = true[obj][()], chi.components[obj]
+        parts[obj] = frozenset(el for el in chi.source.stage(obj) if comp[el] == top)
+    return Subobject(chi.source, parts)
 
 
 def global_element(x: Presheaf, choice: Mapping) -> NatTransform:

@@ -2,8 +2,10 @@
 
 `tests/golden/cases.json` lists each command (argv as run from the repo
 root) with its exit code; `tests/golden/<name>.out` holds its exact stdout.
-The cases are every README command on `fixtures/two_point.json`, two
-comprehensions that print power-object elements (`prop_family` on the
+The cases are every README command on `fixtures/two_point.json`,
+`sub classify` on the fixture's presheaf X as well as on its terminal
+presheaf (X's five sub-objects include a sieve neither empty nor
+principal, ["x1", ["le[p,q]"]]), two comprehensions that print power-object elements (`prop_family` on the
 classical (one-object) base and `{ x : Sigma | x = x }` on the two-point
 presheaf base), `validate` on the broken project files
 `tests/golden/broken_*.json`, which pin the first error message and
@@ -46,7 +48,8 @@ def test_cli_output_matches_golden(case, capsys):
 # kits of the fixture's base and of the one-object base in turn, so one kit
 # kept would miss where two hit.  Commands not listed read no kit.
 KIT_TRAFFIC = {
-    "validate": (1, 2), "omega": (2, 2), "sub_classify": (8, 2), "pl_represent": (1, 2),
+    "validate": (1, 2), "omega": (2, 2), "sub_classify": (8, 2), "sub_classify_X": (12, 2),
+    "pl_represent": (1, 2),
     "pl_truth": (1, 2), "pl_prove": (1, 2), "ls_typecheck": (1, 2), "ls_represent": (1, 2),
     "ls_check_axioms": (1, 2), "ls_represent_prop_family": (3, 2),
     "ls_represent_comprehension_presheaf": (2, 2), "ls_represent_context_cap": (2, 2),

@@ -36,9 +36,11 @@ from helpers import (
     presheaf_fixture_pool,
     pullback_members,
     random_presheaf,
+    reference_char_morphism,
     reference_exponential,
     reference_law_violations,
     reference_nat_key,
+    reference_subobject_of_char,
     reversed_copy,
     set_presheaf,
     subobject_implies,
@@ -251,6 +253,26 @@ def test_char_morphism_names_the_first_violation_in_stage_order():
         [("not-a-subset", "p", "w"), ("not-a-subset", "q", "zb")]
     with pytest.raises(PresheafError, match=r"\('not-a-subset', 'p', 'w'\)"):
         char_morphism(outside)
+
+
+@pytest.mark.hash_seeds
+def test_a_part_under_an_object_the_base_lacks_is_refused_by_name():
+    # Such a part used to be dropped, so the round trip held as if it had
+    # never been named.  As the Presheaf constructor does, the check names
+    # each name the base lacks, in canon_key order, before any element
+    # outside a stage, even where its part is empty.
+    k = Subobject(X2, {"qq": ["x0"], "q": ("x0", "w"), "p": ("y0",), "aa": []})
+    assert subobject_violations(k) == \
+        [("unknown-object", "aa"), ("unknown-object", "qq"), ("not-a-subset", "q", "w")]
+    with pytest.raises(PresheafError, match=r"invalid sub-object: \('unknown-object', 'aa'\)"):
+        char_morphism(k)
+    named = Subobject(X2, {"q": ("x0",), "p": ("y0",), "qq": []})
+    assert subobject_violations(named) == [("unknown-object", "qq")]
+    with pytest.raises(PresheafError, match=r"invalid sub-object: \('unknown-object', 'qq'\)"):
+        char_morphism(named)
+    valid = Subobject(X2, {"q": ("x0",), "p": ("y0",)})
+    assert named != valid and k != valid
+    assert subobject_of_char(char_morphism(valid)) == valid
 
 
 def test_subobject_of_char_checks_an_equal_copy_of_a_certified_arrow(monkeypatch):
@@ -513,6 +535,82 @@ def test_certified_arrows_pass_validate_nat(data):
         members = set(listed.stage(obj))
         assert all(name.apply(obj, zv) in members for zv in z.stage(obj))
     assert exp_untranspose(name, z, x, classifier_kit(base).omega) == f
+
+
+def _same_outcome(run, reference, *args):
+    """Both calls' results, or both calls' PresheafError texts."""
+    try:
+        want = reference(*args)
+    except PresheafError as exc:
+        with pytest.raises(PresheafError) as err:
+            run(*args)
+        assert str(err.value) == str(exc)
+        return None, None
+    return run(*args), want
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_mask_char_morphism_and_inverse_match_the_frozenset_references(data):
+    # Differential test of the mask encoding against the per-stage
+    # frozenset code it replaced, on the fixture pool and on presheaves
+    # over the six bases: every enumerated sub-object, every arrow
+    # X -> Omega, and a family built by hand through the public constructor
+    # (points of X, elements outside its stages, a name the base lacks)
+    # give equal arrows, equal sub-objects, equal parts and the same
+    # refusals.
+    base = data.draw(st.sampled_from(list(CERTIFIED_POOL)))
+    pool = CERTIFIED_POOL[base] + [random_presheaf(base, random.Random(data.draw(
+        st.integers(0, 10 ** 6))), max_size=3)]
+    x = data.draw(st.sampled_from(pool))
+    omega = classifier_kit(base).omega
+    subs = enumerate_subobjects(x)
+    for k in subs:
+        chi, want = _same_outcome(char_morphism, reference_char_morphism, k)
+        assert chi == want and chi._natural
+        back = subobject_of_char(chi)
+        assert back == k == reference_subobject_of_char(chi) and back.parts == k.parts
+    for chi in enumerate_nats(x, omega):
+        k, want = _same_outcome(subobject_of_char, reference_subobject_of_char, chi)
+        assert k == want and hash(k) == hash(want) and k.parts == want.parts
+        assert k.key() == want.key() and char_morphism(k) == chi
+    outside = [(obj, "outside") for obj in base.objects] + [("qq", "x0")]
+    picked = data.draw(st.sets(st.sampled_from(_points(x) + outside)))
+    parts: dict = {}
+    for obj, el in picked:
+        parts.setdefault(obj, set()).add(el)
+    k = Subobject(x, parts)
+    chi, want = _same_outcome(char_morphism, reference_char_morphism, k)
+    assert chi == want
+    if chi is not None:
+        assert k in subs and subobject_of_char(chi) == k
+        assert subobject_of_char(chi) == reference_subobject_of_char(want)
+
+
+@pytest.mark.hash_seeds
+def test_certified_subobjects_skip_the_subobject_check(monkeypatch):
+    # enumerate_subobjects, subobject_of_char and sub_heyting build their
+    # sub-objects certified closed, so char_morphism runs neither
+    # Subobject._outside nor the closure loop on them; on an equal
+    # sub-object from the public constructor it runs each once.
+    calls = []
+    for name in ("_outside", "_unclosed"):
+        monkeypatch.setattr(Subobject, name, lambda k, name=name, check=getattr(Subobject, name):
+                            calls.append(name) or check(k))
+    count = 0
+    for x in presheaf_fixture_pool():
+        for k in enumerate_subobjects(x):
+            chi = char_morphism(k)
+            assert char_morphism(subobject_of_char(chi)) == chi
+            count += 1
+        sa = sub_heyting(x)
+        for a in sa.algebra.elements:
+            char_morphism(sa.subobjects[a])
+            count += 1
+    assert (count, calls) == (344, [])
+    k = enumerate_subobjects(X2)[2]
+    assert char_morphism(Subobject(X2, k.parts)) == char_morphism(k)
+    assert calls == ["_outside", "_unclosed"]
 
 
 def test_exponential_adjunction_bijection_on_fixtures():
@@ -1062,6 +1160,24 @@ def test_a_kit_the_cache_drops_is_freed_by_reference_counting():
     assert len(alive) <= CACHE_SIZE
     assert [omega.base for omega in alive] == \
         [ref().base for ref in omegas[len(omegas) - len(alive):]]
+
+
+def test_a_presheaf_and_its_element_layout_are_freed_by_reference_counting():
+    # The element layout kept on a presheaf, with its sieve memos, holds
+    # the presheaf's elements and never the presheaf, so no cycle is made.
+    gc.collect()
+    gc.disable()
+    try:
+        x = random_presheaf(VEE, random.Random(3), max_size=2)
+        subs = enumerate_subobjects(x)
+        assert all(subobject_of_char(char_morphism(k)) == k for k in subs)
+        assert len(sub_heyting(x).subobjects) == len(subs)
+        ref = weakref.ref(x)
+        del x, subs
+        alive = ref() is not None
+    finally:
+        gc.enable()
+    assert not alive
 
 
 def _assert_omega_is_the_pullback_presheaf(cat) -> None:
