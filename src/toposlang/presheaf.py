@@ -496,7 +496,8 @@ def classifier_kit(cat: FiniteCategory) -> ClassifierKit:
 
 
 def char_morphism(k: Subobject) -> NatTransform:
-    """x at stage A goes to the sieve of arrows f: B -> A with x(f)(x) in K.
+    """An element e of x at stage A goes to the sieve of the arrows
+    f: B -> A with x(f)(e) in K(B).
 
     That sieve is read off K's mask at the point's restriction indices
     (`_ElementLayout.reads`), as the pattern ``mask & below``, and looked up
@@ -540,13 +541,13 @@ def subobject_of_char(chi: NatTransform) -> Subobject:
             raise PresheafError(f"characteristic arrow is not natural: {bad.items[0]}")
     cat = chi.source.base
     true = classifier_kit(cat).true_arrow.components
-    mask = bit = 0
+    mask = i = 0
     for obj in cat.objects:
         top, comp = true[obj][()], chi.components[obj]
         for el in chi.source.stage(obj):
             if comp[el] == top:
-                mask |= 1 << bit
-            bit += 1
+                mask |= 1 << i
+            i += 1
     return Subobject._certified(chi.source, mask)
 
 
@@ -554,8 +555,8 @@ def enumerate_subobjects(x: Presheaf) -> list[Subobject]:
     """All restriction-closed part families, in canonical key order, each
     certified closed; CapExceeded past SUB_ENUM_CAP of them."""
     layout = _element_layout(x)
-    masks = list(iter_downsets(layout.below, cap=SUB_ENUM_CAP, what=f"sub-objects of a "
-                               f"presheaf with {len(layout.points)} elements"))
+    what = f"sub-objects of a presheaf with {len(layout.points)} elements"
+    masks = list(iter_downsets(layout.below, cap=SUB_ENUM_CAP, what=what))
     # In the canon_key order of `Subobject.key()`: object by object, objects
     # by name, each part by its elements' positions in the canonical stage,
     # which are the set bits of the object's span of the mask.
@@ -568,8 +569,8 @@ def enumerate_subobjects(x: Presheaf) -> list[Subobject]:
 
     def key(mask):
         out = []
-        for start, full in by_name:
-            part, row = mask >> start & full, []
+        for first, full in by_name:
+            part, row = mask >> first & full, []
             while part:
                 low = part & -part
                 row.append(low.bit_length())

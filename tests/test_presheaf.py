@@ -583,7 +583,8 @@ def test_mask_char_morphism_and_inverse_match_the_frozenset_references(data):
     chi, want = _same_outcome(char_morphism, reference_char_morphism, k)
     assert chi == want
     if chi is not None:
-        assert k in subs and subobject_of_char(chi) == k
+        assert k in subs and hash(k) == hash(subs[subs.index(k)])
+        assert subobject_of_char(chi) == k
         assert subobject_of_char(chi) == reference_subobject_of_char(want)
 
 
