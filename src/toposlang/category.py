@@ -19,7 +19,7 @@ from typing import Iterable, Mapping, Sequence
 from ._canon import canon_key
 from ._record import record
 from .errors import ToposlangError
-from .heyting import DownsetAlgebra, iter_downsets, poset_below, preorder_closure
+from .heyting import DownsetAlgebra, iter_downsets, poset_below
 
 SIEVE_ENUM_CAP = 1 << 20
 
@@ -241,14 +241,16 @@ def principal_sieve(cat: FiniteCategory, obj: str) -> frozenset[str]:
 
 def _sieve_order(cat: FiniteCategory, obj: str) -> list[int]:
     """The preorder on the arrows into obj, as masks over `cat.into(obj)`: a
-    sieve holding f holds every f o g."""
+    sieve holding f holds every f o g.  The masks are already reflexive (g
+    may be the identity) and transitive ((f o g) o h is f o (g o h), and
+    g o h is an arrow into dom(f)), so they need no closure."""
     incoming = cat.into(obj)
     index = {f: i for i, f in enumerate(incoming)}
     needs = [0] * len(incoming)
     for i, f in enumerate(incoming):
         for g in cat.into(cat.morphism(f).dom):
             needs[i] |= 1 << index[cat.compose(f, g)]
-    return preorder_closure(needs)
+    return needs
 
 
 def sieves_on(cat: FiniteCategory, obj: str) -> list[frozenset[str]]:

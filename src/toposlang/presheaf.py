@@ -21,26 +21,21 @@ stages only when first read, so that is where a cap refuses it.
 The one-object category gives the plain category of sets, where the
 classifier degenerates to the two truth values.
 
-Law checks run at the input boundary.  Every `Presheaf` is a functor: the
-public constructor runs `validate_presheaf` on what a caller supplies, and
-the library's own constructions (the terminal object, the classifier,
-products and exponentials) are functorial whenever their inputs are, so
-they skip it.  `validate_nat` checks an arrow a caller supplies; an arrow
-this module builds natural carries a construction-time certificate instead,
-the private `NatTransform._natural` flag, which takes no part in equality
-or hashing and which only `NatTransform._certified` sets.
+Law checks run at the input boundary, once: every `Presheaf` is a functor,
+every `NatTransform` natural and every `Subobject` closed under
+restriction, by construction.  Each public constructor checks what a caller
+supplies (`validate_presheaf`, `validate_nat`, the sub-object check) and
+raises PresheafError naming the first violation.  The library's own
+constructions are lawful whenever their inputs are, so they build through
+private constructors that skip the check (`Presheaf._canonical`,
+`NatTransform._certified`, `Subobject._certified`), and no code downstream
+checks a presheaf, an arrow or a sub-object again.
 A sub-object is a mask over the points of its ambient's category of
 elements, whose layout (`_ElementLayout`) is built once and kept on the
-presheaf.  `enumerate_subobjects`, `sub_heyting` and `subobject_of_char`
-build masks that are down-sets, certified closed by the private
-`Subobject._closed` flag, so `char_morphism` checks only a sub-object a
-caller builds, and then reads each sieve off the mask at the point's
+presheaf, and `char_morphism` reads each sieve off the mask at the point's
 restriction indices (Mac Lane & Moerdijk, *Sheaves in Geometry and Logic*,
 1992, I.4).  Per-object parts are decoded only where they are read, as at
-the CLI's JSON edge.  `exp_transpose` checks each transposed element
-locally, block against restricted block, so it lists nothing to check its
-output, and `subobject_of_char` runs `validate_nat` only on an uncertified
-arrow.
+the CLI's JSON edge.
 
 This module owns the element format of exponentials and power objects: an
 element of Y^X at stage A is a tuple of ((B, g: B -> A, x), y) cells in
@@ -58,7 +53,7 @@ and it is kept on its exponent, not in a process-wide cache, so it lives as
 long as its inputs.  Unlisted, it still decides whether a single element
 belongs to a stage, restricts it by precomposition and builds the
 sub-presheaf it generates.  An arrow into it, such as a transpose, is
-certified cell by cell and lists nothing: the classical preimage reaches
+built cell by cell and lists nothing: the classical preimage reaches
 its subset of states through P(Sigma), which has 2^states elements, without
 listing any of them, from the one element of P(R) it is asked about.  The
 one process-wide cache is `classifier_kit`'s, of the CACHE_SIZE kits last
@@ -79,7 +74,7 @@ from ._canon import canon_key, canon_sorted
 from ._record import field, record
 from .category import FiniteCategory, principal_sieve, sieves_on
 from .errors import CapExceeded, ToposlangError
-from .heyting import DownsetAlgebra, UnknownElement, iter_downsets
+from .heyting import DownsetAlgebra, iter_downsets
 
 ENUM_NODE_CAP = 10_000_000
 # Values a hom search may hold over all its results: results times cells.
@@ -126,7 +121,7 @@ class Presheaf:
     `validate_presheaf`, a stage or table under a name the base lacks
     included, so every presheaf obeys the functor laws.  `maps` stays a
     mutable dict: a caller who edits a table after construction voids that
-    guarantee, as one who edits `NatTransform.components` voids `_natural`.
+    guarantee, as one who edits `NatTransform.components` voids naturality.
     """
 
     # The exponentials Y^X with this presheaf as X, by Y, once there is one
@@ -190,14 +185,15 @@ class Presheaf:
 
 
 class NatTransform:
-    """Stage-indexed component maps between presheaves on the same base.
-    Two are equal when their sources, targets and component tables are.
+    """Stage-indexed component maps between presheaves on the same base,
+    natural by construction.  Two are equal when their sources, targets and
+    component tables are.
 
-    `_natural` is the construction-time certificate: the functions of this
-    module and of `rep` that build an arrow natural by construction make it
-    through `_certified`, and it takes no part in equality or hashing.  The
-    public constructor copies what a caller supplies and leaves the arrow
-    uncertified, so the public checks still run on it."""
+    The public constructor copies what a caller supplies, runs
+    `validate_nat` once and raises PresheafError naming the first
+    violation.  The functions of this module and of `rep` that build an
+    arrow natural by design build it through `_certified`, which skips the
+    check."""
 
     def __init__(self, source: Presheaf, target: Presheaf,
                  components: Mapping[str, Mapping]):
@@ -207,18 +203,19 @@ class NatTransform:
         self.target = target
         self.components = {obj: dict(components.get(obj, {})) for obj in source.base.objects}
         self._hash = None
-        self._natural = False
+        bad = validate_nat(self)
+        if bad.items:
+            raise PresheafError(f"not natural: {bad.items[0]}")
 
     @classmethod
     def _certified(cls, source: Presheaf, target: Presheaf,
                    components: dict[str, dict]) -> "NatTransform":
         """The arrow this library has just built natural, from its component
         dicts, one per object of the common base: taken as they are, with no
-        copy, and certified."""
+        copy and no check."""
         n = cls.__new__(cls)
         n.source, n.target, n.components = source, target, components
         n._hash = None
-        n._natural = True
         return n
 
     def apply(self, obj: str, x):
@@ -291,9 +288,10 @@ def validate_presheaf(x: Presheaf) -> LawViolations:
 
 
 def validate_nat(n: NatTransform) -> LawViolations:
-    """Totality plus the naturality square at every non-identity morphism
-    and element.  Both presheaves' identity tables fix their stages, so both
-    sides of a square along an identity are the component's value."""
+    """Every violation, in order: totality plus the naturality square at
+    every non-identity morphism and element.  Both presheaves' identity
+    tables fix their stages, so both sides of a square along an identity
+    are the component's value."""
     bad = LawViolations()
     cat = n.source.base
     for obj in cat.objects:
@@ -364,47 +362,20 @@ class Subobject:
     `parts`, the per-object frozensets, is decoded from the mask when first
     read: by the CLI's JSON output, by `key()` and by tests.
 
-    A sub-object that `enumerate_subobjects`, `subobject_of_char` or
-    `sub_heyting` builds from a down-set mask is certified closed by
-    `_certified`, the private `_closed` flag, which takes no part in
-    equality.  The public constructor checks nothing and leaves it unset;
-    `char_morphism` then names the first violation in the order in which the
-    test helpers' `subobject_violations` lists them all: the names the base
-    lacks, in canon_key order; per object, the first element of the part
-    outside its stage, in canon_key order; then the restrictions that leave
-    the parts, in object, canonical-stage and `into` order.  What lies
-    outside the points is kept beside the mask, so such a family is equal
-    only to one with the same outside elements and names."""
-
-    _closed = False
-    _stray: frozenset = frozenset()
+    The public constructor runs `_check_subobject` once, raising
+    PresheafError on the first violation.  `enumerate_subobjects` and
+    `subobject_of_char` build down-set masks through `_certified`, which
+    skips the check."""
 
     def __init__(self, ambient: Presheaf, parts: Mapping[str, Iterable]):
-        self.ambient = ambient
-        base, index = ambient.base, _element_layout(ambient).index
-        self._parts = {obj: frozenset(parts.get(obj, ())) for obj in base.objects}
-        mask, stray = 0, [(obj, frozenset(parts[obj])) for obj in parts
-                          if obj not in base.identity]
-        for obj, part in self._parts.items():
-            extra = []
-            for el in part:
-                i = index.get((obj, el))
-                if i is None:
-                    extra.append(el)
-                else:
-                    mask |= 1 << i
-            if extra:
-                stray.append((obj, frozenset(extra)))
-        self.mask = mask
-        if stray:
-            self._stray = frozenset(stray)
+        self.ambient, self.mask, self._parts = ambient, _check_subobject(ambient, parts), None
 
     @classmethod
     def _certified(cls, ambient: Presheaf, mask: int) -> "Subobject":
         """The sub-object of a down-set mask over ambient's element layout,
-        certified closed; its parts are decoded when first read."""
+        with no check; its parts are decoded when first read."""
         k = cls.__new__(cls)
-        k.ambient, k.mask, k._parts, k._closed = ambient, mask, None, True
+        k.ambient, k.mask, k._parts = ambient, mask, None
         return k
 
     @property
@@ -420,38 +391,47 @@ class Subobject:
             self._parts = {obj: frozenset(part) for obj, part in parts.items()}
         return self._parts
 
-    def _outside(self) -> list:
-        """The names the base lacks, in canon_key order, then, per object
-        whose part leaves its stage, the first element outside in canon_key
-        order."""
-        base, stray = self.ambient.base, dict(self._stray)
-        bad = [("unknown-object", obj) for obj in canon_sorted(stray)
-               if obj not in base.identity]
-        bad += [("not-a-subset", obj, canon_sorted(stray[obj])[0])
-                for obj in base.objects if obj in stray]
-        return bad
-
-    def _unclosed(self):
-        """The first restriction that leaves the parts, in object,
-        canonical-stage and `into` order, or None."""
-        layout, mask = _element_layout(self.ambient), self.mask
-        for i, (obj, el) in enumerate(layout.points):
-            if mask >> i & 1 and layout.below[i] & ~mask:
-                into = self.ambient.base.into(obj)
-                return ("not-restriction-closed",
-                        next(f for f, j in zip(into, layout.reads[i]) if not mask >> j & 1), el)
-        return None
-
     def key(self):
         return tuple(sorted((obj, tuple(canon_sorted(sub)))
                             for obj, sub in self.parts.items()))
 
     def __eq__(self, other):
         return isinstance(other, Subobject) and self.mask == other.mask \
-            and self._stray == other._stray and self.ambient == other.ambient
+            and self.ambient == other.ambient
 
     def __hash__(self):
         return hash((self.ambient, self.mask))
+
+
+def _check_subobject(ambient: Presheaf, parts: Mapping[str, Iterable]) -> int:
+    """The mask of `parts` over ambient's element layout, after
+    PresheafError naming the first violation, in the order in which the
+    test helpers' `subobject_violations` lists them all: the names the base
+    lacks, in canon_key order; per object, the first element of the part
+    outside its stage, in canon_key order; then the restrictions that leave
+    the parts, in object, canonical-stage and `into` order."""
+    base, layout = ambient.base, _element_layout(ambient)
+    bad = [("unknown-object", obj) for obj in canon_sorted(parts) if obj not in base.identity]
+    mask = 0
+    for obj in base.objects:
+        outside = []
+        for el in parts.get(obj, ()):
+            i = layout.index.get((obj, el))
+            if i is None:
+                outside.append(el)
+            else:
+                mask |= 1 << i
+        if outside:
+            bad.append(("not-a-subset", obj, canon_sorted(outside)[0]))
+    if not bad:
+        for i, (obj, el) in enumerate(layout.points):
+            if mask >> i & 1 and layout.below[i] & ~mask:
+                bad.append(("not-restriction-closed", next(
+                    f for f, j in zip(base.into(obj), layout.reads[i]) if not mask >> j & 1), el))
+                break
+    if bad:
+        raise PresheafError(f"invalid sub-object: {bad[0]}")
+    return mask
 
 
 # -- classifier ----------------------------------------------------------------
@@ -473,7 +453,7 @@ def terminal_presheaf(cat: FiniteCategory) -> Presheaf:
 def classifier_kit(cat: FiniteCategory) -> ClassifierKit:
     """Terminal object, sieve classifier and the arrow picking the principal
     sieve at each stage, which is natural (pulled back along any arrow, a
-    principal sieve is principal), so certified.
+    principal sieve is principal), so built unchecked.
 
     Omega's table along a non-identity arrow m pulls each sieve S on cod(m)
     back to {h : m o h in S}, read off the composites m o h for h into
@@ -501,18 +481,11 @@ def char_morphism(k: Subobject) -> NatTransform:
 
     That sieve is read off K's mask at the point's restriction indices
     (`_ElementLayout.reads`), as the pattern ``mask & below``, and looked up
-    in the point's memo of sieves, built on a pattern's first read.  A
-    sub-object without the certificate is checked first, and PresheafError
-    names the first violation in the order of the test helpers'
-    `subobject_violations` (see `Subobject`).  The arrow is certified
-    natural: its values are sieves, and they commute with restriction
-    because the ambient is a presheaf."""
+    in the point's memo of sieves, built on a pattern's first read.  The
+    arrow is natural by design, so built unchecked: its values are sieves,
+    and they commute with restriction because K is closed under it and the
+    ambient is a presheaf."""
     x = k.ambient
-    if not k._closed:
-        outside = k._outside()
-        bad = outside[0] if outside else k._unclosed()
-        if bad is not None:
-            raise PresheafError(f"invalid sub-object: {bad}")
     cat, layout, mask = x.base, _element_layout(x), k.mask
     below, sieves = layout.below, layout.sieves
     comps, i = {}, 0
@@ -532,13 +505,8 @@ def char_morphism(k: Subobject) -> NatTransform:
 
 def subobject_of_char(chi: NatTransform) -> Subobject:
     """Inverse of `char_morphism`: the stage-wise preimage of the principal
-    sieve, one bit per point of the source's element layout, certified
-    closed since the arrow is natural.  An arrow without the certificate is
-    checked with `validate_nat` first."""
-    if not chi._natural:
-        bad = validate_nat(chi)
-        if bad.items:
-            raise PresheafError(f"characteristic arrow is not natural: {bad.items[0]}")
+    sieve, one bit per point of the source's element layout, built
+    unchecked: the arrow is natural, so the preimage is closed."""
     cat = chi.source.base
     true = classifier_kit(cat).true_arrow.components
     mask = i = 0
@@ -553,7 +521,8 @@ def subobject_of_char(chi: NatTransform) -> Subobject:
 
 def enumerate_subobjects(x: Presheaf) -> list[Subobject]:
     """All restriction-closed part families, in canonical key order, each
-    certified closed; CapExceeded past SUB_ENUM_CAP of them."""
+    built unchecked from its down-set mask; CapExceeded past SUB_ENUM_CAP
+    of them."""
     layout = _element_layout(x)
     what = f"sub-objects of a presheaf with {len(layout.points)} elements"
     masks = list(iter_downsets(layout.below, cap=SUB_ENUM_CAP, what=what))
@@ -582,32 +551,9 @@ def enumerate_subobjects(x: Presheaf) -> list[Subobject]:
     return [Subobject._certified(x, mask) for mask in masks]
 
 
-class _SubobjectsById(Mapping):
-    """The sub-object each element id of a `sub_heyting` algebra stands
-    for, built from the algebra's mask when looked up: the algebra's points
-    are the ambient's element layout."""
-
-    def __init__(self, x: Presheaf, algebra: DownsetAlgebra):
-        self._x, self._algebra = x, algebra
-
-    def __getitem__(self, key) -> Subobject:
-        try:
-            mask = self._algebra._mask(key)
-        except UnknownElement:
-            raise KeyError(key) from None
-        return Subobject._certified(self._x, mask)
-
-    def __iter__(self):
-        return iter(self._algebra.elements)
-
-    def __len__(self) -> int:
-        return len(self._algebra)
-
-
 @record(frozen=True)
 class SubobjectAlgebra:
     algebra: DownsetAlgebra
-    subobjects: Mapping  # element id -> Subobject
 
 
 def sub_heyting(x: Presheaf) -> SubobjectAlgebra:
@@ -617,13 +563,13 @@ def sub_heyting(x: Presheaf) -> SubobjectAlgebra:
     category of elements (the stage-wise quantified formula is checked
     against it in the test suite)."""
     layout = _element_layout(x)
-    algebra = DownsetAlgebra(layout.below, layout.points,
-                             f"sub-objects of a presheaf with {len(layout.points)} elements")
-    return SubobjectAlgebra(algebra, _SubobjectsById(x, algebra))
+    return SubobjectAlgebra(DownsetAlgebra(
+        layout.below, layout.points,
+        f"sub-objects of a presheaf with {len(layout.points)} elements"))
 
 
 def global_elements(x: Presheaf) -> list[NatTransform]:
-    """All arrows 1 -> x, certified natural by the hom search.  Naturality
+    """All arrows 1 -> x, natural by the hom search.  Naturality
     of such an arrow is the matching condition on its family of values, one
     per stage, so these are the matching families.  Ordered by the canon_key
     of their sorted (object, value) pairs."""
@@ -698,12 +644,12 @@ def _is_product(p: Presheaf, factors: Sequence[Presheaf]) -> bool:
 
 
 def product_many(factors: Sequence[Presheaf]) -> ProductDiagram:
-    """`product_presheaf` with its projections."""
+    """`product_presheaf` with its projections, natural by design."""
     prod = product_presheaf(factors)
     cat = prod.base
     projections = tuple(
-        NatTransform(prod, factors[i],
-                     {obj: {tup: tup[i] for tup in prod.stage(obj)} for obj in cat.objects})
+        NatTransform._certified(prod, factors[i], {obj: {tup: tup[i] for tup in prod.stage(obj)}
+                                                   for obj in cat.objects})
         for i in range(len(factors)))
     return ProductDiagram(prod, projections)
 
@@ -822,8 +768,8 @@ def enumerate_nats(x: Presheaf, y: Presheaf) -> list[NatTransform]:
     """All natural transformations x -> y, in the order of `_hom_search`
     over the cells of x by object order and x's stage order.  That order
     depends on no hash seed.  CapExceeded past ENUM_NODE_CAP search nodes.
-    Each arrow is certified natural: the search forces every value along
-    each non-identity arrow, and x and y are presheaves."""
+    Each arrow is natural, so built unchecked: the search forces every
+    value along each non-identity arrow, and x and y are presheaves."""
     if x.base != y.base:
         raise ShapeMismatch("hom-set needs a common base")
     cat = x.base
@@ -1049,36 +995,26 @@ def exp_transpose(f: NatTransform, z: Presheaf, x: Presheaf, y: Presheaf) -> Nat
     zb-major: row k of stage B is the |X(B)| values after the first k rows,
     so no (zb, xv) pair is hashed.  A component dict whose keys do not list
     f's source stage in that order is first rebuilt in it through
-    `NatTransform.apply`, which raises PresheafError on a missing value.
+    `NatTransform.apply`.
     Rows are found by position: along an identity z keeps each element in
     place, and along another arrow g the positions of z(g)(zv) are looked up
     once per arrow.
 
-    Each element is checked locally, not looked up in the listed stage of
-    Y^X: its values lie in Y's stages, and along every arrow h into B its
-    block at (dom h, g o h) is the restriction of its block at (B, g), for
-    every h but the identities, along which both presheaves fix their
-    stages.  PresheafError when f is not natural.  The output is certified
-    natural, which holds because Z is a presheaf, and its target is
+    f is natural, so the transpose is too, and it is built unchecked, its
+    elements never looked up in the listed stages of Y^X.  Its target is
     `exponential(x, y)`, unlisted until read: no hom-set cap applies to an
     arrow into it, so P(Sigma) of any number of states within PRODUCT_CAP
     can be a target."""
     cat = z.base
     if not _is_product(f.source, [z, x]) or f.target != y:
         raise ShapeMismatch("arrow to transpose is not Z x X -> Y")
-    values = {}
+    rows = {}
     for b in cat.objects:
         comp, pairs = f.components.get(b, {}), f.source.stage(b)
         if list(comp) != list(pairs):
             comp = {pair: f.apply(b, pair) for pair in pairs}
-        values[b] = list(comp.values())
-    rows = {}
-    for b in cat.objects:
-        if not set(y.stage(b)).issuperset(values[b]):
-            raise PresheafError(f"transpose produced a non-natural family: "
-                                f"a value at {b!r} is outside Y's stage")
-        width = len(x.stage(b))
-        rows[b] = [values[b][k * width:(k + 1) * width] for k in range(len(z.stage(b)))]
+        values, width = list(comp.values()), len(x.stage(b))
+        rows[b] = [values[k * width:(k + 1) * width] for k in range(len(z.stage(b)))]
     zpos: dict = {}
 
     def row_of(g: str, zs: tuple) -> Sequence[int]:
@@ -1090,22 +1026,10 @@ def exp_transpose(f: NatTransform, z: Presheaf, x: Presheaf, y: Presheaf) -> Nat
             zpos[b] = {zb: k for k, zb in enumerate(z.stage(b))}
         return list(map(zpos[b].__getitem__, map(z.maps[g].__getitem__, zs)))
 
-    position = {b: {xv: i for i, xv in enumerate(x.stage(b))} for b in cat.objects}
     comps = {}
     for obj in cat.objects:
         zs, pairs = z.stage(obj), cat.into_by_key(obj)
         reads = {g: row_of(g, zs) for _, g in pairs}
-        for b, g in pairs:
-            for h in cat.into(b):
-                if h == cat.id_of(b):
-                    continue
-                c, gh, down = cat.morphism(h).dom, cat.compose(g, h), y.maps[h]
-                cols = [position[c][x.apply(h, xv)] for xv in x.stage(b)]
-                for zv, k, j in zip(zs, reads[gh], reads[g]):
-                    below, above = rows[c][k], rows[b][j]
-                    if [below[i] for i in cols] != [down[v] for v in above]:
-                        raise PresheafError(f"transpose produced a non-natural family: "
-                                            f"restriction along {h!r} at {zv!r}")
         comps[obj] = dict(zip(zs, exp_from_blocks(cat, obj, x, zip(*(
             map(rows[b].__getitem__, reads[g]) for b, g in pairs)))))
     return NatTransform._certified(z, exponential(x, y), comps)

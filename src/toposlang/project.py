@@ -352,7 +352,7 @@ def _sequent_from_json(spec: Mapping, pointer: str) -> Sequent:
 def _topos_rep_from_json(project: Project, spec: Mapping, ptr: str) -> ToposRep:
     from .category import one_object_category
     from .local.axioms import pack_signature
-    from .presheaf import NatTransform, Presheaf
+    from .presheaf import NatTransform, Presheaf, PresheafError
     from .rep import ToposRep, _completed, interpret_type
     name = spec["name"]
     signature = project.signatures.get(spec.get("signature", ""))
@@ -401,12 +401,14 @@ def _topos_rep_from_json(project: Project, spec: Mapping, ptr: str) -> ToposRep:
                                f"{ptr}/grounds/{gname}")
 
     # The symbol arrows are built on the types this representation
-    # interprets, and assigned to it once built.
+    # interprets, and assigned to it once built: their tables are read in
+    # file order, then the arrows built, each checked for naturality, in
+    # the signature's order.
     try:
         rep = ToposRep(signature, base, grounds, {}, tuple(axioms))
     except ToposlangError as exc:
         raise ProjectError(f"representation {name!r}: {exc}", ptr) from exc
-    symbols: dict[str, NatTransform] = {}
+    tables = {}
     for sname, sspec in spec.get("symbols", {}).items():
         if sname not in signature.symbols:
             raise ProjectError(f"arrow for undeclared symbol {sname!r}",
@@ -428,7 +430,15 @@ def _topos_rep_from_json(project: Project, spec: Mapping, ptr: str) -> ToposRep:
         else:
             raise ProjectError("symbol needs a table or components",
                                f"{ptr}/symbols/{sname}")
-        symbols[sname] = NatTransform(source, target, components)
+        tables[sname] = (source, target, components)
+    symbols: dict[str, NatTransform] = {}
+    for sname in signature.symbols:
+        if sname in tables:
+            try:
+                symbols[sname] = NatTransform(*tables[sname])
+            except PresheafError as exc:
+                raise ProjectError(f"representation {name!r}: arrow for {sname!r} is {exc}",
+                                   ptr) from exc
 
     try:
         rep._assign(symbols)

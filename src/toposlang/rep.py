@@ -29,11 +29,10 @@ conclusion, decided on the bits alone, with no product presheaf built.
 
 A representation assigns objects and arrows of the topos, so a `ToposRep`
 is valid by construction: its constructor checks that each ground lives on
-the base, which is functorial as every `Presheaf` is, and that each
-assigned symbol arrow is declared, has its declared shape and is natural, unless certified natural
-by construction like the classical backend's.  Every
-interpreted type is then a presheaf and every interpretation natural by
-construction, so `interpret_term` certifies its result and checks nothing.
+the base and that each assigned symbol arrow is declared and has its
+declared shape.  Every `Presheaf` is functorial and every `NatTransform`
+natural by construction, so every interpreted type is a presheaf and every
+interpretation natural, and `interpret_term` builds its result unchecked.
 `build_rep` adds what a representation need not have: an arrow for every
 declared symbol, faithfulness, and the axioms.
 
@@ -106,7 +105,6 @@ from .presheaf import (
     power_object,
     power_transpose,
     product_presheaf,
-    validate_nat,
 )
 from .prop.semantics import ClassicalSystem
 
@@ -142,11 +140,11 @@ class ToposRep:
     """A representation: backend category, ground and symbol arrows, and the
     axiom sequents it is required to satisfy.
 
-    RepresentationError unless each ground lives on the base (a presheaf is
-    functorial by construction), and each assigned symbol arrow is declared,
-    has the shape `interpret_type` gives its declared type, and is natural
-    (checked with `validate_nat` unless certified).  Symbols may be left unassigned and
-    the axioms are not checked: `build_rep` does both."""
+    RepresentationError unless each ground lives on the base and each
+    assigned symbol arrow is declared and has the shape `interpret_type`
+    gives its declared type; presheaves and arrows are lawful by
+    construction, so nothing else is checked.  Symbols may be left
+    unassigned and the axioms are not checked: `build_rep` does both."""
 
     def __init__(self, signature: Signature, base: FiniteCategory,
                  grounds: Mapping[str, Presheaf],
@@ -176,10 +174,6 @@ class ToposRep:
             if arrow.source != interpret_type(dom, self) or \
                     arrow.target != interpret_type(cod, self):
                 raise RepresentationError(f"arrow for {name!r} has the wrong shape")
-            if not arrow._natural:
-                bad = validate_nat(arrow)
-                if bad.items:
-                    raise RepresentationError(f"arrow for {name!r} is not natural: {bad.items[0]}")
         extra = set(symbols) - set(self.signature.symbols)
         if extra:
             raise RepresentationError(f"arrows assigned to undeclared symbols {sorted(extra)}")
@@ -306,8 +300,8 @@ def interpret_term(term: Term, context: Sequence[tuple[str, TypeExpr]],
     their sieves from that, through the index lists restricting
     environments along each arrow; `true` and `&` are interpreted as they
     stand, not through `desugar_connectives`.  The root's columns are the
-    components, natural by construction on the grounds and symbol arrows
-    `ToposRep` checked, so the result is certified and checked no further.
+    components, natural because the grounds are presheaves and the symbol
+    arrows natural, so the result is built unchecked.
     """
     return _interpret_term(term, context, rep, [interpret_type(t, rep) for _, t in context])
 
@@ -556,8 +550,8 @@ class _PropFamily(NatTransform):
     raises.  The first read of `components`, through equality or the hash
     too, lists P(R), with the CapExceeded of its hom search where that
     passes a cap, and applies the family to each element; `apply` then
-    reads the listed components.  Certified natural, as every power
-    transpose is."""
+    reads the listed components.  Natural, as every power transpose is, so
+    built unchecked."""
 
     def __init__(self, symbol: str, rep: ToposRep):
         self._term = In(App(symbol, Var("s")), Var("D"))
@@ -569,7 +563,7 @@ class _PropFamily(NatTransform):
         # P(Sigma) as the transposes make it, from the kit already held:
         # `interpret_type` would read `classifier_kit` again.
         self.target = exponential(self._sigma, rep.kit.omega)
-        self._rep, self._hash, self._natural = rep, None, True
+        self._rep, self._hash = rep, None
 
     def __getattr__(self, name):
         # Called only for an attribute not yet set: `components` until the
@@ -645,7 +639,7 @@ class EffectiveClassicalRep:
         states = Presheaf(base, {pt: system.states}, {})
         value_obj = Presheaf(base, {pt: {v for table in system.quantities.values()
                                          for v in table.values()}}, {})
-        # Total functions on the one object's stage: natural, so certified.
+        # Total functions on the one object's stage: natural, so unchecked.
         arrows = {name: NatTransform._certified(states, value_obj, {pt: {
                       s: table[s] for s in system.states}})
                   for name, table in system.quantities.items()}

@@ -288,9 +288,8 @@ def brute_subobjects(x: Presheaf) -> list[Subobject]:
 
     def rec(i: int, parts: dict):
         if i == len(objs):
-            k = Subobject(x, parts)
-            if not subobject_violations(k):
-                out.append(k)
+            if not subobject_violations(x, parts):
+                out.append(Subobject(x, parts))
             return
         for s in brute_subsets(x.stage(objs[i])):
             parts[objs[i]] = s
@@ -305,10 +304,10 @@ def brute_subobjects(x: Presheaf) -> list[Subobject]:
 def brute_global_elements(x: Presheaf) -> list[NatTransform]:
     """Every arrow 1 -> x, one element chosen per stage, that passes
     `validate_nat`, in `global_key` order."""
-    objs, one = list(x.base.objects), terminal_presheaf(x.base)
+    objs = list(x.base.objects)
     out = []
     for values in itertools.product(*(x.stage(obj) for obj in objs)):
-        g = NatTransform(one, x, {obj: {(): value} for obj, value in zip(objs, values)})
+        g = global_element(x, dict(zip(objs, values)))
         if validate_nat(g).ok:
             out.append(g)
     return sorted(out, key=global_key)
@@ -708,55 +707,55 @@ def pullback_sieve(cat: FiniteCategory, f: str, target: str, members: frozenset)
     return pullback_members(cat, f, members)
 
 
-def subobject_violations(k: Subobject) -> list:
-    """Every reason k is not a sub-object, in the order `char_morphism`
-    names the first: `Subobject._outside` (the names the base lacks, then
-    the elements outside the stages), then the restrictions that leave the
-    parts, in object, canonical-stage and `into` order."""
-    x, cat = k.ambient, k.ambient.base
-    bad = k._outside()
+def subobject_violations(x: Presheaf, parts: Mapping) -> list:
+    """Every reason the family `parts` is not a sub-object of x, in the
+    order in which the `Subobject` constructor names the first: the names
+    the base lacks, in canon_key order; per object, the first element of
+    the part outside its stage, in canon_key order; then the restrictions
+    that leave the parts, in object, canonical-stage and `into` order."""
+    cat = x.base
+    bad = [("unknown-object", obj) for obj in sorted(parts, key=canon_key)
+           if obj not in cat.objects]
     for obj in cat.objects:
-        part = k.parts[obj]
+        outside = [el for el in parts.get(obj, ()) if el not in x.stage(obj)]
+        if outside:
+            bad.append(("not-a-subset", obj, min(outside, key=canon_key)))
+    for obj in cat.objects:
+        part = set(parts.get(obj, ()))
         for el in x.stage(obj):
             if el in part:
                 bad.extend(("not-restriction-closed", f, el) for f in cat.into(obj)
-                           if x.apply(f, el) not in k.parts[cat.morphism(f).dom])
+                           if x.apply(f, el) not in parts.get(cat.morphism(f).dom, ()))
     return bad
+
+
+def subobject_of_id(x: Presheaf, key: frozenset) -> Subobject:
+    """The sub-object of x that an element id of `sub_heyting(x).algebra`,
+    the frozenset of its (object, element) points, stands for, through the
+    public constructor."""
+    parts: dict = {obj: [] for obj in x.base.objects}
+    for obj, el in key:
+        parts[obj].append(el)
+    return Subobject(x, parts)
 
 
 def reference_char_morphism(k: Subobject) -> NatTransform:
     """`char_morphism` on per-stage frozensets: every arrow f into every
-    stage read against the part at dom(f), with the restriction-closure
-    check folded into the sieves, after `Subobject._outside`.  The arrow is
-    left uncertified."""
-    outside = k._outside()
-    if outside:
-        raise PresheafError(f"invalid sub-object: {outside[0]}")
+    stage read against the part at dom(f), through the public
+    `NatTransform` constructor."""
     x = k.ambient
     cat = x.base
     comps = {}
     for obj in cat.objects:
-        into, stage = cat.into(obj), x.stage(obj)
-        reads = [(f, x.maps[f], k.parts[cat.morphism(f).dom]) for f in into]
-        comp = comps[obj] = {el: frozenset([f for f, table, below in reads if table[el] in below])
-                             for el in stage}
-        part = k.parts[obj]
-        for el in stage:
-            # The principal sieve holds every arrow into obj.
-            if el in part and len(comp[el]) < len(into):
-                bad = ("not-restriction-closed", next(f for f in into if f not in comp[el]), el)
-                raise PresheafError(f"invalid sub-object: {bad}")
+        reads = [(f, x.maps[f], k.parts[cat.morphism(f).dom]) for f in cat.into(obj)]
+        comps[obj] = {el: frozenset([f for f, table, below in reads if table[el] in below])
+                      for el in x.stage(obj)}
     return NatTransform(x, presheaf_module.classifier_kit(cat).omega, comps)
 
 
 def reference_subobject_of_char(chi: NatTransform) -> Subobject:
     """`subobject_of_char` on per-stage frozensets: the stage-wise preimage
-    of the principal sieve, through the public `Subobject` constructor,
-    after `validate_nat` on an uncertified arrow."""
-    if not chi._natural:
-        bad = validate_nat(chi)
-        if bad.items:
-            raise PresheafError(f"characteristic arrow is not natural: {bad.items[0]}")
+    of the principal sieve, through the public `Subobject` constructor."""
     cat = chi.source.base
     true = presheaf_module.classifier_kit(cat).true_arrow.components
     parts = {}
@@ -767,9 +766,10 @@ def reference_subobject_of_char(chi: NatTransform) -> Subobject:
 
 
 def global_element(x: Presheaf, choice: Mapping) -> NatTransform:
-    """The arrow 1 -> x with value choice[A] at each stage A, unchecked."""
-    return NatTransform(terminal_presheaf(x.base), x,
-                        {obj: {(): value} for obj, value in choice.items()})
+    """The arrow 1 -> x with value choice[A] at each stage A, built
+    unchecked, natural or not."""
+    return NatTransform._certified(terminal_presheaf(x.base), x,
+                                   {obj: {(): value} for obj, value in choice.items()})
 
 
 def global_key(g: NatTransform):
@@ -1202,11 +1202,7 @@ def reference_interpret_term(term: Term, context: Sequence[tuple[str, TypeExpr]]
     components = {}
     for obj in cat.objects:
         components[obj] = {env: ev(term, obj, env, top) for env in source.stage(obj)}
-    arrow = NatTransform(source, target, components)
-    bad = validate_nat(arrow)
-    if bad.items:
-        raise RepresentationError(f"interpretation is not natural: {bad.items[0]}")
-    return arrow
+    return NatTransform(source, target, components)
 
 
 def reference_validate_axioms(rep: ToposRep, axioms: Sequence[tuple[str, Sequent]]) -> AxiomReport:

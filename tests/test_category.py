@@ -4,6 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from helpers import (
+    ALL_BASES,
+    DIAMOND,
     MONOID,
     NotASieve,
     brute_sieves,
@@ -26,7 +28,7 @@ from toposlang.category import (
     validate_category,
 )
 from toposlang.errors import CapExceeded
-from toposlang.heyting import InvalidOrder
+from toposlang.heyting import InvalidOrder, preorder_closure
 from toposlang.project import ProjectError, build_project
 
 
@@ -267,6 +269,18 @@ def test_sieve_enumeration_cap(monkeypatch):
     monkeypatch.setattr(category, "SIEVE_ENUM_CAP", 3)
     with pytest.raises(CapExceeded, match="more than 3 sieves on 'c'"):
         sieves_on(CHAIN3, "c")
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(st.sampled_from(ALL_BASES + [DIAMOND]), poset_categories(),
+                 st.just(transformation_monoid())))
+def test_the_sieve_order_is_its_own_preorder_closure(cat):
+    # The arrows into an object hold its identity and are closed under
+    # composition, so the masks `sieves_on` and `sieve_heyting` enumerate
+    # over are reflexive and transitive as built.
+    for obj in cat.objects:
+        needs = category._sieve_order(cat, obj)
+        assert needs == preorder_closure(needs)
 
 
 def test_principal_sieves():

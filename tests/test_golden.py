@@ -9,8 +9,9 @@ principal, ["x1", ["le[p,q]"]]), two comprehensions that print power-object elem
 classical (one-object) base and `{ x : Sigma | x = x }` on the two-point
 presheaf base), `validate` on the broken project files
 `tests/golden/broken_*.json`, which pin the first error message and
-pointer of the schema check, of the category-law check and of the check
-that an axiom's formulas have type Omega, and `pl decide`
+pointer of the schema check, of the category-law check, of the check
+that an axiom's formulas have type Omega and of the naturality check on a
+representation's symbol arrow, and `pl decide`
 on Dummett's (a -> b) | (b -> a), on (a -> b) | (b -> c) | (c -> a), on
 a | ~a and on the Rieger-Nishimura implication n10 -> n9, whose
 countermodels need more than four worlds (exit 2, resource-cap), which pin the countermodel search's smallest-first order,
@@ -54,6 +55,7 @@ KIT_TRAFFIC = {
     "ls_check_axioms": (1, 2), "ls_represent_prop_family": (3, 2),
     "ls_represent_comprehension_presheaf": (2, 2), "ls_represent_context_cap": (2, 2),
     "validate_broken_axiom_conclusion": (1, 1), "validate_broken_axiom_premise": (1, 1),
+    "validate_broken_symbol_not_natural": (1, 2),
 }
 
 

@@ -44,6 +44,7 @@ from helpers import (
     reversed_copy,
     set_presheaf,
     subobject_implies,
+    subobject_of_id,
     subobject_violations,
     two_point_presheaf,
     verify_exponential_adjunction,
@@ -62,7 +63,7 @@ from toposlang.category import (
     sieves_on,
 )
 from toposlang.errors import CapExceeded
-from toposlang.local import RQ, SIGMA, Signature
+from toposlang.local import RQ, SIGMA, PowerType, Signature, parse_term
 from toposlang.presheaf import (
     CACHE_SIZE,
     HOM_CELL_CAP,
@@ -90,7 +91,15 @@ from toposlang.presheaf import (
     validate_nat,
     validate_presheaf,
 )
-from toposlang.rep import ToposRep, build_rep, interpret_type, prop_family
+from toposlang.prop.semantics import ClassicalSystem
+from toposlang.rep import (
+    EffectiveClassicalRep,
+    ToposRep,
+    build_rep,
+    interpret_term,
+    interpret_type,
+    prop_family,
+)
 
 
 def fs(*xs):
@@ -131,10 +140,15 @@ def test_identity_transformation_is_natural():
 
 
 def test_non_natural_transformation_is_reported():
+    # validate_nat lists what an arrow built unchecked violates; the public
+    # constructor refuses the same components, naming the first.
     y = two_point_presheaf(["u"], ["v0", "v1"], {"u": "v0"})
-    n = NatTransform(y, y, {"q": {"u": "u"}, "p": {"v0": "v1", "v1": "v0"}})
-    report = validate_nat(n)
+    components = {"q": {"u": "u"}, "p": {"v0": "v1", "v1": "v0"}}
+    report = validate_nat(NatTransform._certified(y, y, components))
     assert any(v[0] == "naturality" for v in report.items)
+    with pytest.raises(PresheafError) as err:
+        NatTransform(y, y, components)
+    assert str(err.value) == f"not natural: {report.items[0]}"
 
 
 def test_broken_identity_table_is_still_reported_by_naturality():
@@ -152,7 +166,7 @@ def test_broken_identity_table_is_still_reported_by_naturality():
     assert validate_nat(NatTransform(plain, plain, {"pt": {"a": "a", "b": "b"}})).ok
     # The squares along other arrows are all checked.
     y = two_point_presheaf(["u"], ["v0", "v1"], {"u": "v0"})
-    n = NatTransform(y, y, {"q": {"u": "u"}, "p": {"v0": "v1", "v1": "v0"}})
+    n = NatTransform._certified(y, y, {"q": {"u": "u"}, "p": {"v0": "v1", "v1": "v0"}})
     assert validate_nat(n).items == [("naturality", "le[p,q]", "u")]
 
 
@@ -211,48 +225,51 @@ def test_char_morphism_of_half_open_subterminal():
     assert subobject_of_char(chi) == k
 
 
-def test_subobject_of_char_rejects_an_arrow_that_is_not_natural():
+def test_a_characteristic_arrow_that_is_not_natural_is_refused_at_construction():
     # the top sieve at q restricts to the top sieve at p, not to the empty one
     one = terminal_presheaf(TWO)
-    chi = NatTransform(one, classifier_kit(TWO).omega,
-                       {"q": {(): fs("id[q]", "le[p,q]")}, "p": {(): fs()}})
-    with pytest.raises(PresheafError, match="characteristic arrow is not natural"):
-        subobject_of_char(chi)
+    components = {"q": {(): fs("id[q]", "le[p,q]")}, "p": {(): fs()}}
+    with pytest.raises(PresheafError) as err:
+        NatTransform(one, classifier_kit(TWO).omega, components)
+    assert str(err.value) == "not natural: ('naturality', 'le[p,q]', ())"
 
 
-def test_char_rejects_invalid_subobject():
-    bad = Subobject(X2, {"q": ("x0",), "p": ()})  # not restriction-closed
-    with pytest.raises(PresheafError):
-        char_morphism(bad)
+def test_an_unclosed_family_is_refused_at_construction():
+    with pytest.raises(PresheafError, match="invalid sub-object"):
+        Subobject(X2, {"q": ("x0",), "p": ()})  # not restriction-closed
 
 
-def test_char_morphism_rejects_a_part_that_is_not_a_subset_or_not_closed():
-    outside = Subobject(X2, {"q": ("x0", "w"), "p": ("y0",)})
-    assert subobject_violations(outside) == [("not-a-subset", "q", "w")]
-    with pytest.raises(PresheafError, match=r"\('not-a-subset', 'q', 'w'\)"):
-        char_morphism(outside)
-    open_part = Subobject(X2, {"q": ("x1",), "p": ()})
-    assert subobject_violations(open_part) == [("not-restriction-closed", "le[p,q]", "x1")]
-    with pytest.raises(PresheafError, match=r"\('not-restriction-closed', 'le\[p,q\]', 'x1'\)"):
-        char_morphism(open_part)
+def _refusal(x: Presheaf, parts) -> str:
+    """The text of the PresheafError the Subobject constructor raises."""
+    with pytest.raises(PresheafError) as err:
+        Subobject(x, parts)
+    return str(err.value)
+
+
+def test_subobject_rejects_a_part_that_is_not_a_subset_or_not_closed():
+    outside = {"q": ("x0", "w"), "p": ("y0",)}
+    assert subobject_violations(X2, outside) == [("not-a-subset", "q", "w")]
+    assert _refusal(X2, outside) == "invalid sub-object: ('not-a-subset', 'q', 'w')"
+    open_part = {"q": ("x1",), "p": ()}
+    assert subobject_violations(X2, open_part) == [("not-restriction-closed", "le[p,q]", "x1")]
+    assert _refusal(X2, open_part) == \
+        "invalid sub-object: ('not-restriction-closed', 'le[p,q]', 'x1')"
 
 
 @pytest.mark.hash_seeds
-def test_char_morphism_names_the_first_violation_in_stage_order():
+def test_subobject_names_the_first_violation_in_stage_order():
     # Every element of the q-stage leaves the part along le[p,q], and the
     # part holds two elements outside X; the messages must not depend on
     # the order a frozenset happens to list them in.
     x = two_point_presheaf(["d", "b", "a", "c"], ["y"], {e: "y" for e in "abcd"})
-    unclosed = Subobject(x, {"q": ("c", "d", "a", "b"), "p": ()})
-    assert subobject_violations(unclosed) == \
+    unclosed = {"q": ("c", "d", "a", "b"), "p": ()}
+    assert subobject_violations(x, unclosed) == \
         [("not-restriction-closed", "le[p,q]", e) for e in "abcd"]
-    with pytest.raises(PresheafError, match=r"'le\[p,q\]', 'a'\)"):
-        char_morphism(unclosed)
-    outside = Subobject(x, {"q": ("a", "zz", "zb"), "p": ("y", "w")})
-    assert subobject_violations(outside)[:2] == \
+    assert _refusal(x, unclosed) == "invalid sub-object: ('not-restriction-closed', 'le[p,q]', 'a')"
+    outside = {"q": ("a", "zz", "zb"), "p": ("y", "w")}
+    assert subobject_violations(x, outside)[:2] == \
         [("not-a-subset", "p", "w"), ("not-a-subset", "q", "zb")]
-    with pytest.raises(PresheafError, match=r"\('not-a-subset', 'p', 'w'\)"):
-        char_morphism(outside)
+    assert _refusal(x, outside) == "invalid sub-object: ('not-a-subset', 'p', 'w')"
 
 
 @pytest.mark.hash_seeds
@@ -261,26 +278,20 @@ def test_a_part_under_an_object_the_base_lacks_is_refused_by_name():
     # never been named.  As the Presheaf constructor does, the check names
     # each name the base lacks, in canon_key order, before any element
     # outside a stage, even where its part is empty.
-    k = Subobject(X2, {"qq": ["x0"], "q": ("x0", "w"), "p": ("y0",), "aa": []})
-    assert subobject_violations(k) == \
+    k = {"qq": ["x0"], "q": ("x0", "w"), "p": ("y0",), "aa": []}
+    assert subobject_violations(X2, k) == \
         [("unknown-object", "aa"), ("unknown-object", "qq"), ("not-a-subset", "q", "w")]
-    with pytest.raises(PresheafError, match=r"invalid sub-object: \('unknown-object', 'aa'\)"):
-        char_morphism(k)
-    named = Subobject(X2, {"q": ("x0",), "p": ("y0",), "qq": []})
-    assert subobject_violations(named) == [("unknown-object", "qq")]
-    with pytest.raises(PresheafError, match=r"invalid sub-object: \('unknown-object', 'qq'\)"):
-        char_morphism(named)
+    assert _refusal(X2, k) == "invalid sub-object: ('unknown-object', 'aa')"
+    named = {"q": ("x0",), "p": ("y0",), "qq": []}
+    assert subobject_violations(X2, named) == [("unknown-object", "qq")]
+    assert _refusal(X2, named) == "invalid sub-object: ('unknown-object', 'qq')"
     valid = Subobject(X2, {"q": ("x0",), "p": ("y0",)})
-    assert named != valid and k != valid
     assert subobject_of_char(char_morphism(valid)) == valid
 
 
-def test_subobject_of_char_checks_an_equal_copy_of_a_certified_arrow(monkeypatch):
+def test_an_equal_public_copy_of_a_built_arrow_is_checked_once_and_round_trips(monkeypatch):
     k = Subobject(X2, {"q": ("x0",), "p": ("y0",)})
     chi = char_morphism(k)
-    copy = NatTransform(chi.source, chi.target, chi.components)
-    assert chi._natural and not copy._natural
-    assert copy == chi and hash(copy) == hash(chi)
     checked = []
 
     def spy(n):
@@ -288,8 +299,10 @@ def test_subobject_of_char_checks_an_equal_copy_of_a_certified_arrow(monkeypatch
         return validate_nat(n)
 
     monkeypatch.setattr(presheaf, "validate_nat", spy)
-    assert subobject_of_char(chi) == k and checked == []
-    assert subobject_of_char(copy) == k and checked == [copy]
+    copy = NatTransform(chi.source, chi.target, chi.components)
+    assert checked == [copy] and copy == chi and hash(copy) == hash(chi)
+    assert subobject_of_char(chi) == k and subobject_of_char(copy) == k
+    assert checked == [copy]
 
 
 def test_categories_built_apart_share_a_hash_and_a_kit_cache_entry():
@@ -328,9 +341,9 @@ def test_sub_of_terminal_on_two_point_poset():
     # excluded middle fails at the half-open sub-object
     # an element id is the frozenset of the sub-object's (object, element) points
     half_key = frozenset({("p", ())})
-    assert sa.subobjects[half_key] == Subobject(one, {"q": (), "p": ((),)})
+    assert subobject_of_id(one, half_key) == Subobject(one, {"q": (), "p": ((),)})
     neg = sa.algebra.negate(half_key)
-    assert sa.subobjects[neg].parts == {"q": fs(), "p": fs()}
+    assert subobject_of_id(one, neg).parts == {"q": fs(), "p": fs()}
     assert sa.algebra.join(half_key, neg) != sa.algebra.top
 
 
@@ -347,8 +360,8 @@ def test_sub_heyting_scan_matches_stagewise_formula():
         assert check_heyting_laws(sa.algebra).ok
         for a in sa.algebra.elements:
             for b in sa.algebra.elements:
-                got = sa.subobjects[sa.algebra.implies(a, b)]
-                want = subobject_implies(sa.subobjects[a], sa.subobjects[b])
+                got = subobject_of_id(x, sa.algebra.implies(a, b))
+                want = subobject_implies(subobject_of_id(x, a), subobject_of_id(x, b))
                 assert got == want
 
 
@@ -357,8 +370,8 @@ def test_sub_heyting_order_matches_char_pointwise_order():
     sa = sub_heyting(x)
     for a in sa.algebra.elements:
         for b in sa.algebra.elements:
-            chi_a = char_morphism(sa.subobjects[a])
-            chi_b = char_morphism(sa.subobjects[b])
+            chi_a = char_morphism(subobject_of_id(x, a))
+            chi_b = char_morphism(subobject_of_id(x, b))
             pointwise = all(chi_a.apply(obj, el) <= chi_b.apply(obj, el)
                             for obj in x.base.objects for el in x.stage(obj))
             assert sa.algebra.leq(a, b) == pointwise
@@ -468,21 +481,20 @@ def test_all_transposes_round_trip_on_two_point_fixture():
         assert exp_transpose(exp_untranspose(h, z, x, y), z, x, y) == h
 
 
-def test_exp_transpose_rejects_an_arrow_that_is_not_natural():
+def test_an_arrow_to_transpose_that_is_not_natural_is_refused_at_construction():
     # the top sieve at q restricts to the top sieve at p, not to the empty one
     z, x = terminal_presheaf(TWO), X2
     omega = classifier_kit(TWO).omega
     prod = product_presheaf([z, x])
     top = {obj: principal_sieve(TWO, obj) for obj in TWO.objects}
-    f = NatTransform(prod, omega, {"q": {el: top["q"] for el in prod.stage("q")},
+    with pytest.raises(PresheafError) as err:
+        NatTransform(prod, omega, {"q": {el: top["q"] for el in prod.stage("q")},
                                    "p": {el: fs() for el in prod.stage("p")}})
-    assert not validate_nat(f).ok
-    with pytest.raises(PresheafError, match="non-natural family: restriction along 'le\\[p,q\\]'"):
-        exp_transpose(f, z, x, omega)
-    outside = NatTransform(prod, omega, {obj: {el: fs("junk") for el in prod.stage(obj)}
-                                         for obj in TWO.objects})
-    with pytest.raises(PresheafError, match="outside Y's stage"):
-        exp_transpose(outside, z, x, omega)
+    assert str(err.value) == "not natural: ('naturality', 'le[p,q]', ((), 'x0'))"
+    with pytest.raises(PresheafError) as err:
+        NatTransform(prod, omega, {obj: {el: fs("junk") for el in prod.stage(obj)}
+                                   for obj in TWO.objects})
+    assert str(err.value) == "not natural: ('bad-codomain', 'p', ((), 'y0'))"
 
 
 def _generated(x: Presheaf, points) -> Subobject:
@@ -507,46 +519,35 @@ def _points(x: Presheaf) -> list:
 @settings(max_examples=80, deadline=None)
 @given(st.data())
 def test_certified_arrows_pass_validate_nat(data):
-    # Differential test of the construction-time certificate: every arrow
-    # char_morphism and power_transpose certify passes validate_nat, and
+    # Differential test of the arrows built unchecked: every arrow
+    # char_morphism and power_transpose build passes validate_nat, and
     # every transposed element lies in the listed power object.
     base = data.draw(st.sampled_from(list(CERTIFIED_POOL)))
     x = data.draw(st.sampled_from(CERTIFIED_POOL[base]))
     outside = [(obj, "outside") for obj in base.objects]
     picked = data.draw(st.sets(st.sampled_from(_points(x) + outside)))
-    parts = Subobject(x, {obj: {el for o, el in picked if o == obj} for obj in base.objects})
-    bad = subobject_violations(parts)
+    parts = {obj: {el for o, el in picked if o == obj} for obj in base.objects}
+    bad = subobject_violations(x, parts)
     if bad:
         with pytest.raises(PresheafError, match=re.escape(str(bad[0]))):
-            char_morphism(parts)
+            Subobject(x, parts)
     else:
-        chi = char_morphism(parts)
-        assert chi._natural and validate_nat(chi).ok
-        assert subobject_of_char(chi) == parts
+        k = Subobject(x, parts)
+        chi = char_morphism(k)
+        assert validate_nat(chi).ok
+        assert subobject_of_char(chi) == k
     z = data.draw(st.sampled_from(CERTIFIED_POOL[base]))
     prod = product_presheaf([z, x])
     k = _generated(prod, data.draw(st.sets(st.sampled_from(_points(prod)), max_size=3)))
     f = char_morphism(k)
-    assert f._natural and validate_nat(f).ok
+    assert validate_nat(f).ok
     name = power_transpose(f, z, x)
-    assert name._natural and validate_nat(name).ok
+    assert validate_nat(name).ok
     listed = power_object(x)
     for obj in base.objects:
         members = set(listed.stage(obj))
         assert all(name.apply(obj, zv) in members for zv in z.stage(obj))
     assert exp_untranspose(name, z, x, classifier_kit(base).omega) == f
-
-
-def _same_outcome(run, reference, *args):
-    """Both calls' results, or both calls' PresheafError texts."""
-    try:
-        want = reference(*args)
-    except PresheafError as exc:
-        with pytest.raises(PresheafError) as err:
-            run(*args)
-        assert str(err.value) == str(exc)
-        return None, None
-    return run(*args), want
 
 
 @settings(max_examples=200, deadline=None)
@@ -557,8 +558,8 @@ def test_mask_char_morphism_and_inverse_match_the_frozenset_references(data):
     # over the six bases: every enumerated sub-object, every arrow
     # X -> Omega, and a family built by hand through the public constructor
     # (points of X, elements outside its stages, a name the base lacks)
-    # give equal arrows, equal sub-objects, equal parts and the same
-    # refusals.
+    # give equal arrows, equal sub-objects and equal parts, or the
+    # constructor refuses the family with its first violation.
     base = data.draw(st.sampled_from(list(CERTIFIED_POOL)))
     pool = CERTIFIED_POOL[base] + [random_presheaf(base, random.Random(data.draw(
         st.integers(0, 10 ** 6))), max_size=3)]
@@ -566,12 +567,12 @@ def test_mask_char_morphism_and_inverse_match_the_frozenset_references(data):
     omega = classifier_kit(base).omega
     subs = enumerate_subobjects(x)
     for k in subs:
-        chi, want = _same_outcome(char_morphism, reference_char_morphism, k)
-        assert chi == want and chi._natural
+        chi = char_morphism(k)
+        assert chi == reference_char_morphism(k)
         back = subobject_of_char(chi)
         assert back == k == reference_subobject_of_char(chi) and back.parts == k.parts
     for chi in enumerate_nats(x, omega):
-        k, want = _same_outcome(subobject_of_char, reference_subobject_of_char, chi)
+        k, want = subobject_of_char(chi), reference_subobject_of_char(chi)
         assert k == want and hash(k) == hash(want) and k.parts == want.parts
         assert k.key() == want.key() and char_morphism(k) == chi
     outside = [(obj, "outside") for obj in base.objects] + [("qq", "x0")]
@@ -579,39 +580,89 @@ def test_mask_char_morphism_and_inverse_match_the_frozenset_references(data):
     parts: dict = {}
     for obj, el in picked:
         parts.setdefault(obj, set()).add(el)
+    bad = subobject_violations(x, parts)
+    if bad:
+        with pytest.raises(PresheafError) as err:
+            Subobject(x, parts)
+        assert str(err.value) == f"invalid sub-object: {bad[0]}"
+        return
     k = Subobject(x, parts)
-    chi, want = _same_outcome(char_morphism, reference_char_morphism, k)
-    assert chi == want
-    if chi is not None:
-        assert k in subs and hash(k) == hash(subs[subs.index(k)])
-        assert subobject_of_char(chi) == k
-        assert subobject_of_char(chi) == reference_subobject_of_char(want)
+    chi = char_morphism(k)
+    assert chi == reference_char_morphism(k)
+    assert k in subs and hash(k) == hash(subs[subs.index(k)])
+    assert subobject_of_char(chi) == k == reference_subobject_of_char(chi)
+
+
+def _count_checks(monkeypatch) -> list:
+    """The arrows and part families that `validate_nat` and the sub-object
+    check run on from now on, in call order."""
+    calls = []
+    monkeypatch.setattr(presheaf, "validate_nat",
+                        lambda n, check=validate_nat: calls.append(n) or check(n))
+    monkeypatch.setattr(presheaf, "_check_subobject",
+                        lambda x, parts, check=presheaf._check_subobject:
+                        calls.append(parts) or check(x, parts))
+    return calls
 
 
 @pytest.mark.hash_seeds
 def test_certified_subobjects_skip_the_subobject_check(monkeypatch):
-    # enumerate_subobjects, subobject_of_char and sub_heyting build their
-    # sub-objects certified closed, so char_morphism runs neither
-    # Subobject._outside nor the closure loop on them; on an equal
-    # sub-object from the public constructor it runs each once.
-    calls = []
-    for name in ("_outside", "_unclosed"):
-        monkeypatch.setattr(Subobject, name, lambda k, name=name, check=getattr(Subobject, name):
-                            calls.append(name) or check(k))
+    # enumerate_subobjects and subobject_of_char build their sub-objects
+    # unchecked, and char_morphism checks nothing; an equal sub-object
+    # from the public constructor, one per element of sub_heyting's
+    # algebra, is checked once.
+    calls = _count_checks(monkeypatch)
     count = 0
     for x in presheaf_fixture_pool():
         for k in enumerate_subobjects(x):
             chi = char_morphism(k)
             assert char_morphism(subobject_of_char(chi)) == chi
             count += 1
-        sa = sub_heyting(x)
-        for a in sa.algebra.elements:
-            char_morphism(sa.subobjects[a])
+    assert (count, calls) == (172, [])
+    for x in presheaf_fixture_pool():
+        for a in sub_heyting(x).algebra.elements:
+            char_morphism(subobject_of_id(x, a))
             count += 1
-    assert (count, calls) == (344, [])
+    assert (count, len(calls)) == (344, 172)
     k = enumerate_subobjects(X2)[2]
+    del calls[:]
     assert char_morphism(Subobject(X2, k.parts)) == char_morphism(k)
-    assert calls == ["_outside", "_unclosed"]
+    assert calls == [k.parts]
+
+
+@pytest.mark.hash_seeds
+def test_the_law_checks_run_once_per_public_construction_and_never_on_what_the_library_builds(
+        monkeypatch):
+    # validate_nat and the sub-object check run once per public
+    # NatTransform and Subobject, and never on the arrows and sub-objects
+    # of enumerate_nats, char_morphism, subobject_of_char,
+    # enumerate_subobjects, exp_transpose, interpret_term or prop_family.
+    reps = [EffectiveClassicalRep.build(ClassicalSystem(
+        ("s0", "s1", "s2"), {"A": {"s0": Fraction(0), "s1": Fraction(1), "s2": Fraction(0)}})).rep,
+        _set_rep(one_object_category("checks-pt"), "checks")]
+    calls = _count_checks(monkeypatch)
+    built = 0
+    for x in presheaf_fixture_pool(count=6):
+        omega = classifier_kit(x.base).omega
+        for k in enumerate_subobjects(x):
+            assert subobject_of_char(char_morphism(k)) == k
+            built += 2
+        z = classifier_kit(x.base).terminal
+        for f in enumerate_nats(product_presheaf([z, x]), omega):
+            exp_transpose(f, z, x, omega)
+            built += 2
+    for rep in reps:
+        context = (("s", SIGMA), ("D", PowerType(RQ)))
+        interpret_term(parse_term("A(s) in D", rep.signature), context, rep)
+        family = prop_family("A", rep)
+        family.apply(rep.base.objects[0], family.source.stage(rep.base.objects[0])[0])
+        built += 2
+    assert built > 300 and calls == []
+    chi = char_morphism(enumerate_subobjects(X2)[2])
+    copy = NatTransform(chi.source, chi.target, chi.components)
+    parts = {"q": ("x0",), "p": ("y0",)}
+    Subobject(X2, parts)
+    assert calls == [copy, parts]
 
 
 def test_exponential_adjunction_bijection_on_fixtures():
@@ -738,7 +789,7 @@ def test_global_elements_match_the_brute_force_product_scan():
         got = global_elements(x)
         assert got == brute_global_elements(x)
         one = terminal_presheaf(x.base)
-        assert all(g._natural and g.source == one and g.target is x for g in got)
+        assert all(g.source == one and g.target is x for g in got)
 
 
 def test_global_elements_past_the_node_cap_are_refused_in_time(monkeypatch):
@@ -885,13 +936,13 @@ def test_an_oversized_cartesian_hom_set_is_refused_with_the_search_text(data):
 @settings(max_examples=100, deadline=None)
 @given(st.sampled_from(list(KIT_BASES)), st.integers(0, 10 ** 6), st.booleans())
 def test_the_hom_search_certifies_exactly_the_natural_arrows(name, seed, into_omega):
-    # Each arrow is certified, and natural by `validate_nat`; the list is
+    # Each arrow, built unchecked, is natural by `validate_nat`; the list is
     # the backtracking search's, in its order.
     cat, rng = KIT_BASES[name], random.Random(seed)
     x = random_presheaf(cat, rng, max_size=2)
     y = classifier_kit(cat).omega if into_omega else random_presheaf(cat, rng, max_size=3)
     homs = enumerate_nats(x, y)
-    assert all(n._natural and validate_nat(n).ok for n in homs)
+    assert all(validate_nat(n).ok for n in homs)
     cells = [(obj, el) for obj in cat.objects for el in x.stage(obj)]
     assert [[n.apply(obj, el) for obj, el in cells] for n in homs] == \
         backtracking_hom_search(cat, cells, x.apply, y)
@@ -1172,7 +1223,7 @@ def test_a_presheaf_and_its_element_layout_are_freed_by_reference_counting():
         x = random_presheaf(VEE, random.Random(3), max_size=2)
         subs = enumerate_subobjects(x)
         assert all(subobject_of_char(char_morphism(k)) == k for k in subs)
-        assert len(sub_heyting(x).subobjects) == len(subs)
+        assert len(sub_heyting(x).algebra) == len(subs)
         ref = weakref.ref(x)
         del x, subs
         alive = ref() is not None
@@ -1194,7 +1245,7 @@ def _assert_omega_is_the_pullback_presheaf(cat) -> None:
         for members in kit.omega.stage(m.cod):
             assert kit.omega.apply(m.id, members) == pullback_members(cat, m.id, members)
     assert validate_presheaf(kit.omega).ok
-    assert kit.true_arrow._natural and validate_nat(kit.true_arrow).ok
+    assert validate_nat(kit.true_arrow).ok
 
 
 @pytest.mark.parametrize("name", list(KIT_BASES))
@@ -1295,8 +1346,8 @@ def test_hom_set_order_is_the_same_under_three_hash_seeds():
 def test_hom_set_equality_matches_the_reference_key():
     # Arrows out of X2 and out of an equal copy built in another order,
     # the arrows into the classifier from the fixture pool, one-cell arrows
-    # whose values are 1 or Fraction(1), and arrows that are not total or
-    # hold a cell outside their source.
+    # whose values are 1 or Fraction(1), and arrows, built unchecked, that
+    # are not total or hold a cell outside their source.
     omega = classifier_kit(TWO).omega
     arrows = enumerate_nats(X2, omega) + enumerate_nats(reversed_copy(X2), omega) \
         + enumerate_nats(X2, X2)
@@ -1305,8 +1356,9 @@ def test_hom_set_equality_matches_the_reference_key():
     one, numbers = set_presheaf([0]), set_presheaf([1, 2])
     arrows += [NatTransform(one, numbers, {"pt": {0: v}}) for v in (1, Fraction(1), 2)]
     for source in (X2, reversed_copy(X2)):
-        arrows += [NatTransform(source, omega, {"q": {"x0": fs()}}),
-                   NatTransform(source, omega, {"q": {"x0": fs(), "junk": fs()}, "p": {}})]
+        arrows += [NatTransform._certified(source, omega, {"q": {"x0": fs()}, "p": {}}),
+                   NatTransform._certified(source, omega,
+                                           {"q": {"x0": fs(), "junk": fs()}, "p": {}})]
     assert_equality_matches_reference(arrows, reference_nat_key)
 
 
@@ -1355,7 +1407,7 @@ def test_subobject_order_is_monotone_under_restriction():
         for b in sa.algebra.elements:
             if not sa.algebra.leq(a, b):
                 continue
-            k, l = sa.subobjects[a], sa.subobjects[b]
+            k, l = subobject_of_id(x, a), subobject_of_id(x, b)
             for m in cat.morphisms:
                 moved = {x.apply(m.id, el) for el in k.parts[m.cod]}
                 assert moved <= l.parts[m.dom]
@@ -1463,7 +1515,6 @@ def test_exp_transpose_reads_shuffled_components_as_stage_ordered_ones(data):
     f = data.draw(st.sampled_from(enumerate_nats(prod, y)))
     shuffled = NatTransform(prod, y, {obj: dict(data.draw(st.permutations(list(comp.items()))))
                                       for obj, comp in f.components.items()})
-    assert not shuffled._natural
     got = exp_transpose(shuffled, z, x, y)
     assert got == exp_transpose(f, z, x, y)
     assert exp_untranspose(got, z, x, y) == f
@@ -1479,7 +1530,12 @@ def test_exp_transpose_on_a_missing_component_raises_presheaf_error():
                   for obj in TWO.objects}
     del components["q"][("z1", "x0")]
     with pytest.raises(PresheafError) as err:
-        exp_transpose(NatTransform(prod, omega, components), z, x, omega)
+        NatTransform(prod, omega, components)
+    assert str(err.value) == "not natural: ('not-total', 'q', ('z1', 'x0'))"
+    # Built unchecked, the arrow reaches the reordering path, which reads
+    # each value through `NatTransform.apply`.
+    with pytest.raises(PresheafError) as err:
+        exp_transpose(NatTransform._certified(prod, omega, components), z, x, omega)
     assert str(err.value) == "component at 'q' undefined at ('z1', 'x0')"
 
 
@@ -1540,7 +1596,7 @@ def _raw_tables(data, cat) -> tuple[dict, dict]:
 def test_only_lawful_tables_construct_and_their_arrows_are_natural(data):
     # Presheaf(...) raises exactly when the reference law check on the raw
     # tables finds a violation, naming its first.  On what constructs, the
-    # certified arrows of char_morphism and exp_transpose pass validate_nat.
+    # arrows char_morphism and exp_transpose build unchecked pass validate_nat.
     cat = data.draw(st.sampled_from(list(CERTIFIED_POOL)))
     x = _built(cat, *_raw_tables(data, cat))
     if x is None:
@@ -1548,7 +1604,7 @@ def test_only_lawful_tables_construct_and_their_arrows_are_natural(data):
     assert validate_presheaf(x).ok
     for k in enumerate_subobjects(x):
         chi = char_morphism(k)
-        assert chi._natural and validate_nat(chi).ok
+        assert validate_nat(chi).ok
     # Z x X -> Y stays small enough to list: Z is X only for an X of at
     # most three elements, and Y is X only when Z is the terminal.
     kit = classifier_kit(cat)
@@ -1558,4 +1614,4 @@ def test_only_lawful_tables_construct_and_their_arrows_are_natural(data):
     arrows = enumerate_nats(product_presheaf([z, x]), y)
     for f in data.draw(st.lists(st.sampled_from(arrows), max_size=3)) if arrows else ():
         name = exp_transpose(f, z, x, y)
-        assert name._natural and validate_nat(name).ok
+        assert validate_nat(name).ok

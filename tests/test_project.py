@@ -226,3 +226,25 @@ def test_undeclared_symbol_arrow_rejected():
     with pytest.raises(ProjectError) as err:
         build_project(doc)
     assert "undeclared symbol" in str(err.value)
+
+
+def test_a_symbol_arrow_that_is_not_natural_is_reported_after_every_table_error():
+    # The symbols' tables are read in file order, then the arrows built in
+    # the signature's order: a later table error is reported before an
+    # earlier arrow's naturality, and of two arrows that are not natural
+    # the signature's first is.
+    doc = base_doc()
+    z3 = next(r for r in doc["representations"] if r["name"] == "z3")
+    z3["symbols"]["A"] = {"table": [["s0", "junk"]]}
+    z3["symbols"]["ghost"] = {"table": [["s0", "0"]]}
+    with pytest.raises(ProjectError) as err:
+        build_project(doc)
+    assert (str(err.value), err.value.pointer) == \
+        ("arrow for undeclared symbol 'ghost'", "/representations/1/symbols/ghost")
+    del z3["symbols"]["ghost"]
+    z3["symbols"] = {"neg": {"table": [["0", "0"], ["1", "2"]]}, **z3["symbols"]}
+    with pytest.raises(ProjectError) as err:
+        build_project(doc)
+    assert (str(err.value), err.value.pointer) == (
+        "representation 'z3': arrow for 'A' is not natural: ('bad-codomain', 'pt', 's0')",
+        "/representations/1")

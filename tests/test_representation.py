@@ -515,12 +515,12 @@ TERMS_BY_CONTEXT = [(context, text) for context, terms in TERMS_IN_CONTEXT for t
 @settings(max_examples=60, deadline=None)
 @given(st.sampled_from(list(HAND_BUILT)), st.sampled_from(TERMS_BY_CONTEXT))
 def test_certified_interpretations_pass_validate_nat(name, context_and_text):
-    # `interpret_term` certifies its result without checking it, on a
+    # `interpret_term` builds its result without checking it, on a
     # representation from `build_rep` or built directly: the check must agree.
     context, text = context_and_text
     for rep in (_hand_built_rep(name), ToposRep(*_hand_built_parts(name))):
         got = interpret_term(parse_term(text, rep.signature), context, rep)
-        assert got._natural and validate_nat(got).ok, (name, context, text)
+        assert validate_nat(got).ok, (name, context, text)
 
 
 @settings(max_examples=20, deadline=None)
@@ -531,9 +531,9 @@ def test_classical_symbol_arrows_and_families_are_certified(values):
                              {"A": {f"s{i}": v for i, v in enumerate(values)}})
     eff = EffectiveClassicalRep.build(system)
     arrow = eff.rep.symbols["A"]
-    assert arrow._natural and validate_nat(arrow).ok
+    assert validate_nat(arrow).ok
     family = prop_family("A", eff.rep)
-    assert family._natural and validate_nat(family).ok
+    assert validate_nat(family).ok
     members = set(power_object(eff.rep.ground("Sigma")).stage(POINT))
     assert all(family.apply(POINT, d) in members for d in family.source.stage(POINT))
 
@@ -545,12 +545,14 @@ def test_only_build_rep_marks_a_representation_validated(monkeypatch):
         checked.append(n)
         return validate_nat(n)
 
-    # Each construction checks the symbol arrow once; no interpretation
-    # checks its result, whichever way the representation was built.
-    monkeypatch.setattr(rep_module, "validate_nat", spy)
+    # Each public construction of the symbol arrow checks it once; neither
+    # representation checks it again, and no interpretation checks its
+    # result, whichever way the representation was built.
+    monkeypatch.setattr(presheaf_module, "validate_nat", spy)
     built = _hand_built_rep("TWO")
     direct = ToposRep(*_hand_built_parts("TWO"))
     assert [n.source for n in checked] == [built.ground("Sigma"), direct.ground("Sigma")]
+    assert checked == [built.symbols["A"], direct.symbols["A"]]
     term = parse_term("A(s) = A(t)", built.signature)
     context = (("s", SIGMA), ("t", SIGMA))
     del checked[:]
@@ -560,15 +562,16 @@ def test_only_build_rep_marks_a_representation_validated(monkeypatch):
     assert checked == []
 
 
-def test_interpret_term_rejects_a_symbol_arrow_that_is_not_natural():
+def test_a_symbol_arrow_that_is_not_natural_is_refused_at_construction():
     # A(a1) = v restricts to z at p, but a1 restricts to b0 and A(b0) = w.
-    # No interpretation checks naturality; `ToposRep` refuses the arrow.
+    # No interpretation or representation checks naturality; the arrow's
+    # constructor refuses it.
     sigma = Presheaf(TWO, {"q": ["a0", "a1"], "p": ["b0"]},
                      {"le[p,q]": {"a0": "b0", "a1": "b0"}})
     rvals = Presheaf(TWO, {"q": ["u", "v"], "p": ["w", "z"]}, {"le[p,q]": {"u": "w", "v": "z"}})
-    a = NatTransform(sigma, rvals, {"q": {"a0": "u", "a1": "v"}, "p": {"b0": "w"}})
-    with pytest.raises(RepresentationError, match="arrow for 'A' is not natural"):
-        ToposRep(Signature({"A": (SIGMA, RQ)}), TWO, {"Sigma": sigma, "R": rvals}, {"A": a})
+    with pytest.raises(PresheafError) as err:
+        NatTransform(sigma, rvals, {"q": {"a0": "u", "a1": "v"}, "p": {"b0": "w"}})
+    assert str(err.value) == "not natural: ('naturality', 'le[p,q]', 'a1')"
 
 
 @pytest.mark.hash_seeds
@@ -588,8 +591,8 @@ def _identity_arrow(x: Presheaf) -> NatTransform:
 
 
 def _law_check_faults(grounds: dict, symbols: dict, base) -> list[str]:
-    """What the base check, the shape comparison against A: Sigma -> R and
-    `validate_nat` report, worded as `build_rep` words it."""
+    """What the base check and the shape comparison against A: Sigma -> R
+    report, worded as `build_rep` words it."""
     out = []
     for name, x in grounds.items():
         if x.base != base:
@@ -597,8 +600,6 @@ def _law_check_faults(grounds: dict, symbols: dict, base) -> list[str]:
     a = symbols["A"]
     if (a.source, a.target) != (grounds["Sigma"], grounds["R"]):
         out.append("arrow for 'A' has the wrong shape")
-    elif not validate_nat(a).ok:
-        out.append(f"arrow for 'A' is not natural: {validate_nat(a).items[0]}")
     extra = sorted(set(symbols) - {"A"})
     if extra:
         out.append(f"arrows assigned to undeclared symbols {extra}")
@@ -614,7 +615,8 @@ FAULTS = ["symbol value", "identity entry", "other base", "undeclared symbol", "
 def test_topos_rep_refuses_exactly_what_the_law_checks_report(name, fault, data):
     # One random fault in a hand-built representation.  A changed value or
     # a moved identity entry may leave it lawful; the other faults never do.
-    # A moved identity entry that breaks the identity law leaves no presheaf.
+    # A moved identity entry that breaks the identity law leaves no presheaf,
+    # and a changed value that breaks naturality leaves no arrow.
     signature, base, grounds, symbols = _hand_built_parts(name)
     a = symbols["A"]
     if fault == "symbol value":
@@ -622,6 +624,12 @@ def test_topos_rep_refuses_exactly_what_the_law_checks_report(name, fault, data)
         el = data.draw(st.sampled_from(grounds["Sigma"].stage(obj)))
         components = {o: dict(c) for o, c in a.components.items()}
         components[obj][el] = data.draw(st.sampled_from(grounds["R"].stage(obj) + ("junk",)))
+        bad = validate_nat(NatTransform._certified(a.source, a.target, components))
+        if not bad.ok:
+            with pytest.raises(PresheafError) as err:
+                NatTransform(a.source, a.target, components)
+            assert str(err.value) == f"not natural: {bad.items[0]}"
+            return
         symbols["A"] = NatTransform(a.source, a.target, components)
     elif fault == "identity entry":
         ground = data.draw(st.sampled_from(["Sigma", "R"]))

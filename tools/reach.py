@@ -4,17 +4,18 @@
 
 Run from anywhere; the script finds the source tree it sits in.  It runs,
 in one process under `sys.setprofile`, every golden CLI case of
-`tests/golden/cases.json` and one round (round 0 of seed N, default 11) of
+`tests/golden/cases.json`, one round (round 0 of seed N, default 11) of
 the `decide`, `classical` and `topos` workloads of `perfbench/`, with their
-input generation and reference checks.  Then it prints each function
+input generation and reference checks, and the `cli` workload's commands on
+its generated project file (`validate`, `omega` and `pl represent`, on the
+file `perfbench/wl_cli.py` generates for seed N), in process.  Then it prints each function
 defined under `src/toposlang` (nested ones too, named after their parents)
 that none of them entered, one a line as `path:line qualname (lines)`,
 followed by a summary line.  Standard library only.
 
 A function listed here is reached by tests alone, or by nothing; error
 paths that no command takes are listed too.  The `cli` workload's cold
-processes are not run: its commands are the golden cases' README commands,
-on a generated project file.
+processes are not started: its other commands are the golden cases'.
 """
 from __future__ import annotations
 
@@ -75,6 +76,24 @@ def run_golden() -> None:
             raise SystemExit(f"golden case {case['name']} exited {code}, not {case['exit']}")
 
 
+def run_project_commands(seed: int, out_dir: str) -> None:
+    """`validate`, `omega` and `pl represent` on the `cli` workload's project
+    file for the seed, through `cli.main`, each expected to exit 0."""
+    import wl_cli
+    from toposlang.cli import main
+    doc = wl_cli.Workload(seed, out_dir)._make_project()["doc"]
+    os.makedirs(out_dir, exist_ok=True)
+    path = os.path.join(out_dir, f"reach-project-{seed}.json")
+    with open(path, "w", encoding="utf-8") as handle:
+        json.dump(doc, handle, indent=1)
+    for argv in (["validate", path], ["omega", path, "--category", "gen_poset"],
+                 ["pl", "represent", path, "--system", "gen_system", "gen_formula"]):
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            code = main(argv)
+        if code != 0:
+            raise SystemExit(f"cli project command {argv[0]} exited {code}, not 0")
+
+
 def run_round(workload: str, seed: int, out_dir: str) -> None:
     import importlib
     import reference
@@ -112,8 +131,10 @@ def main() -> int:
     sys.setprofile(profile)
     try:
         run_golden()
+        out_dir = os.path.join(ROOT, ".perfbench_out")
         for workload in WORKLOADS:
-            run_round(workload, args.seed, os.path.join(ROOT, ".perfbench_out"))
+            run_round(workload, args.seed, out_dir)
+        run_project_commands(args.seed, out_dir)
     finally:
         sys.setprofile(None)
         os.chdir(cwd)
@@ -125,8 +146,8 @@ def main() -> int:
         print(f"{os.path.relpath(path, ROOT)}:{line} {qualname} ({lines})")
     total = sum(functions[key][1] for key in missed)
     print(f"{len(missed)} of {len(functions)} functions never entered, {total} lines; "
-          f"golden cases and round 0 of seed {args.seed} of {', '.join(WORKLOADS)} "
-          f"in {elapsed:.1f} s")
+          f"golden cases, round 0 of seed {args.seed} of {', '.join(WORKLOADS)} "
+          f"and the cli project commands in {elapsed:.1f} s")
     return 0
 
 
