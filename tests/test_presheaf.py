@@ -646,7 +646,7 @@ def test_the_law_checks_run_once_per_public_construction_and_never_on_what_the_l
         omega = classifier_kit(x.base).omega
         for k in enumerate_subobjects(x):
             assert subobject_of_char(char_morphism(k)) == k
-            built += 2
+            built += 3
         z = classifier_kit(x.base).terminal
         for f in enumerate_nats(product_presheaf([z, x]), omega):
             exp_transpose(f, z, x, omega)
@@ -657,7 +657,7 @@ def test_the_law_checks_run_once_per_public_construction_and_never_on_what_the_l
         family = prop_family("A", rep)
         family.apply(rep.base.objects[0], family.source.stage(rep.base.objects[0])[0])
         built += 2
-    assert built > 300 and calls == []
+    assert (built, calls) == (539, [])
     chi = char_morphism(enumerate_subobjects(X2)[2])
     copy = NatTransform(chi.source, chi.target, chi.components)
     parts = {"q": ("x0",), "p": ("y0",)}
