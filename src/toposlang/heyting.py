@@ -240,17 +240,17 @@ class DownsetAlgebra:
 
     ``below[x]`` is the mask of the points at or below point x, and
     ``points[x]`` labels x.  An element id is the frozenset of a down-set's
-    points.  Each operation decodes its arguments to masks through the point
-    index, computes with ``&`` (meet), ``|`` (join) or ``implies(a, b)`` =
+    points.  Each operation decodes its arguments to masks by the points'
+    bits, computes with ``&`` (meet), ``|`` (join) or ``implies(a, b)`` =
     {x : below[x] & a & ~b == 0}, the points with no predecessor in a outside
-    b, and encodes the result back into a frozenset: O(points) word
-    operations, with no carrier needed.
+    b, and encodes the result by its set bits into a frozenset: O(points)
+    word operations, with no carrier needed.
 
     The carrier is listed only when `elements` or ``len`` asks for it, and
     then once: `iter_downsets` under ``DEFAULT_CAP`` finds the down-sets and
     `canonical_carrier` orders them.  Past the cap the listing raises
     CapExceeded naming ``what`` the down-sets stand for.  Listed or not, an
-    operation decodes and encodes through the point index.
+    operation decodes and encodes through the points' bits.
 
     The down-sets of a preorder are the opens of its Alexandrov topology, a
     Heyting algebra (Davey & Priestley, *Introduction to Lattices and
@@ -269,9 +269,10 @@ class DownsetAlgebra:
         self._what = what
         if len(self._points) != len(self._below):
             raise InvalidOrder(f"{len(self._points)} labels for {len(self._below)} points")
-        self._index = {p: x for x, p in enumerate(self._points)}
-        if len(self._index) != len(self._points):
+        self._bit = {p: 1 << x for x, p in enumerate(self._points)}
+        if len(self._bit) != len(self._points):
             raise InvalidOrder("duplicate element ids in carrier")
+        self._down = dict(zip(self._points, self._below))
         self._certify_order()
         self._top_mask = (1 << len(self._below)) - 1
         self._elems: Optional[tuple] = None
@@ -320,20 +321,26 @@ class DownsetAlgebra:
 
     def _mask(self, a) -> int:
         """The mask of an element id; UnknownElement unless it is a
-        frozenset of known points forming a down-set."""
+        frozenset of known points whose ``below`` masks OR to its mask."""
         if isinstance(a, frozenset):
+            bit, down, mask, closure = self._bit, self._down, 0, 0
             try:
-                xs = [self._index[p] for p in a]
+                for p in a:
+                    mask |= bit[p]
+                    closure |= down[p]
             except KeyError:
                 pass
             else:
-                mask, below = sum(1 << x for x in xs), self._below
-                if not any(below[x] & ~mask for x in xs):
+                if closure == mask:
                     return mask
         raise UnknownElement(f"unknown element id {a!r}")
 
     def _elem(self, mask: int) -> frozenset:
-        return frozenset(p for x, p in enumerate(self._points) if mask >> x & 1)
+        points, out = self._points, []
+        while mask:
+            out.append(points[(mask & -mask).bit_length() - 1])
+            mask &= mask - 1
+        return frozenset(out)
 
     def _implies_mask(self, a: int, b: int) -> int:
         outside = a & ~b

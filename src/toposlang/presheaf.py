@@ -44,9 +44,10 @@ subclass that keeps its hash after the first use, and stays equal, and
 hash-equal, to the plain tuple of its cells.  Two functions know that
 layout: `exp_from_blocks` builds a stage's elements from the blocks of
 cells that share (B, g), and `exp_column` reads the evaluation cells
-(A, id_A, x) of many elements by position.  Other modules (term
-interpretation and the classical representation in `rep`) go through these
-two and never take an element apart themselves.
+(A, id_A, x) of many elements, at the positions the first element's own
+keys give, so it needs no X.  Other modules (term interpretation and the
+classical representation in `rep`) go through these two and never take an
+element apart themselves.
 
 An exponential is listed only when something reads its stages or tables,
 and it is kept on its exponent, not in a process-wide cache, so it lives as
@@ -191,9 +192,9 @@ class NatTransform:
 
     The public constructor copies what a caller supplies, runs
     `validate_nat` once and raises PresheafError naming the first
-    violation.  The functions of this module and of `rep` that build an
-    arrow natural by design build it through `_certified`, which skips the
-    check."""
+    violation, a component under a name the base lacks included.  The
+    functions of this module and of `rep` that build an arrow natural by
+    design build it through `_certified`, which skips the check."""
 
     def __init__(self, source: Presheaf, target: Presheaf,
                  components: Mapping[str, Mapping]):
@@ -201,7 +202,9 @@ class NatTransform:
             raise ShapeMismatch("natural transformation needs a common base category")
         self.source = source
         self.target = target
-        self.components = {obj: dict(components.get(obj, {})) for obj in source.base.objects}
+        # Components under names the base lacks are kept for the check.
+        self.components = {obj: dict(components.get(obj, {}))
+                           for obj in (*source.base.objects, *components)}
         self._hash = None
         bad = validate_nat(self)
         if bad.items:
@@ -261,15 +264,7 @@ def validate_presheaf(x: Presheaf) -> LawViolations:
         return bad
     stages = {obj: set(x.stage(obj)) for obj in cat.objects}
     for m in cat.morphisms:
-        table = x.maps[m.id]
-        for el in x.stage(m.cod):
-            if el not in table:
-                bad.items.append(("not-total", m.id, el))
-            elif table[el] not in stages[m.dom]:
-                bad.items.append(("bad-codomain", m.id, el))
-        for el in table:
-            if el not in stages[m.cod]:
-                bad.items.append(("junk-domain", m.id, el))
+        bad.items += _table_faults(m.id, x.maps[m.id], x.stage(m.cod), stages[m.dom])
     if not bad.ok:
         return bad
     for obj in cat.objects:
@@ -287,21 +282,29 @@ def validate_presheaf(x: Presheaf) -> LawViolations:
     return bad
 
 
+def _table_faults(name: str, table: Mapping, domain: Sequence, codomain: set) -> list:
+    """The faults of a table meant to map `domain` into `codomain`: per
+    element of `domain`, "not-total" where it has no entry and
+    "bad-codomain" where its entry lies outside `codomain`; then, in the
+    table's order, "junk-domain" for each entry outside `domain`."""
+    faults = [("not-total", name, el) if el not in table else ("bad-codomain", name, el)
+              for el in domain if el not in table or table[el] not in codomain]
+    domain = set(domain)
+    return faults + [("junk-domain", name, el) for el in table if el not in domain]
+
+
 def validate_nat(n: NatTransform) -> LawViolations:
-    """Every violation, in order: totality plus the naturality square at
-    every non-identity morphism and element.  Both presheaves' identity
-    tables fix their stages, so both sides of a square along an identity
-    are the component's value."""
+    """Every violation, in order: components under names the base lacks,
+    the components' `_table_faults`, as for a presheaf's tables, then the
+    naturality square at every non-identity morphism and element.  Both
+    presheaves' identity tables fix their stages, so both sides of a square
+    along an identity are the component's value."""
     bad = LawViolations()
     cat = n.source.base
+    bad.items += [("unknown-object", obj) for obj in n.components if obj not in cat.identity]
     for obj in cat.objects:
-        comp = n.components.get(obj, {})
-        target = set(n.target.stage(obj))
-        for el in n.source.stage(obj):
-            if el not in comp:
-                bad.items.append(("not-total", obj, el))
-            elif comp[el] not in target:
-                bad.items.append(("bad-codomain", obj, el))
+        bad.items += _table_faults(obj, n.components.get(obj, {}), n.source.stage(obj),
+                                   set(n.target.stage(obj)))
     if not bad.ok:
         return bad
     for m in cat.morphisms:
@@ -820,19 +823,17 @@ def exp_from_blocks(cat: FiniteCategory, obj: str, x: Presheaf,
     return [_Cells(zip(keys, chain(row))) for row in rows]
 
 
-def exp_column(cat: FiniteCategory, obj: str, x: Presheaf,
-               elements: Iterable[tuple], xvs: Iterable) -> list:
+def exp_column(cat: FiniteCategory, obj: str, elements: Sequence[tuple],
+               xvs: Iterable) -> list:
     """The value in the evaluation cell (obj, id_obj, xv) of each element of
-    Y^X at stage `obj`, for the xv beside it.  In `_exp_keys` order the
-    identity's cells stand together in X(obj)'s order, so each is read by
-    position.  PresheafError on an xv outside X(obj)."""
+    Y^X at stage `obj`, for the xv beside it.  Every element of the stage
+    carries the same cell keys in `_exp_keys` order, so the cells' positions
+    are read off the first element's keys; an empty column stays empty.
+    PresheafError on an xv outside X(obj)."""
+    if not elements:
+        return []
     ident = cat.id_of(obj)
-    start = 0
-    for b, g in cat.into_by_key(obj):
-        if g == ident:
-            break
-        start += len(x.stage(b))
-    position = {xv: start + i for i, xv in enumerate(x.stage(obj))}
+    position = {key[2]: i for i, (key, _) in enumerate(elements[0]) if key[1] == ident}
     try:
         cells = list(map(getitem, elements, map(position.__getitem__, xvs)))
     except KeyError as missing:

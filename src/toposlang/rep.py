@@ -4,14 +4,15 @@ A representation assigns presheaves to the ground types and natural
 transformations to the function symbols; types are interpreted structurally
 (products as products, power types as power objects, the truth type as the
 classifier, the unit type as the terminal object) and terms compositionally
-as arrows out of the product of their free-variable context.  Each subterm
-is interpreted once, as one column per stage: its values listed in the
-order of that stage's environments.  A context is the empty one extended
-one variable at a time, so its environments come in the order of the
-elements of the context product.  Variables, application, tuples and
-projections map over a column; restricting the environments along an arrow
-is an index list into the environments at its domain, built once per
-context and arrow.
+as arrows out of the product of their free-variable context.  A term is
+typed once, by the typechecker, before anything is built; the interpreter
+types nothing and reads all else off the presheaves.  Each subterm is
+interpreted once, as one column per stage: its values listed in the order
+of that stage's environments.  A context is the empty one extended one
+variable at a time, so its environments come in the order of the elements
+of the context product.  Variables, application, tuples and projections
+map over a column; restricting the environments along an arrow is an index
+list into the environments at its domain, built once per context and arrow.
 
 A formula is decided at the identity first: one truth bit per environment,
 whether it is forced there (Kripke-Joyal; Mac Lane & Moerdijk, "Sheaves in
@@ -21,11 +22,12 @@ every bit, `&` the pointwise and, and an equality is forced exactly where
 its two sides are equal, with no restriction read; membership and any other
 formula read the identity off their sieves.  A sieve is decoded from the
 bits, through those index lists, only where a value in Omega is needed.
-Membership reads the evaluation cells of the power object, and
-comprehension builds the power transpose from blocks of its body's column
-over the context extended by the binder.  Every registered axiom sequent
-must hold: every environment that forces its premises forces its
-conclusion, decided on the bits alone, with no product presheaf built.
+Membership is evaluation PX x X -> Omega: it reads the evaluation cells of
+the container's elements, which carry their own keys.  Comprehension builds
+the power transpose from blocks of its body's column over the context
+extended by the binder.  Every registered axiom sequent must hold: every
+environment that forces its premises forces its conclusion, decided on the
+bits alone, with no product presheaf built.
 
 A representation assigns objects and arrows of the topos, so a `ToposRep`
 is valid by construction: its constructor checks that each ground lives on
@@ -37,10 +39,10 @@ interpretation natural, and `interpret_term` builds its result unchecked.
 declared symbol, faithfulness, and the axioms.
 
 A proposition family, the power transpose P(R) -> P(Sigma) of ``A(s) in
-D``, is read one value set zv at a time (Mac Lane & Moerdijk, "Sheaves in
-Geometry and Logic", I.6): the term is interpreted over <zv> x Sigma only,
-<zv> the sub-presheaf of P(R) that zv generates, and transposed over <zv>.
-The whole family is listed only when its components are read.
+D``, is typed once and read one value set zv at a time (Mac Lane &
+Moerdijk, I.6): the term is interpreted over <zv> x Sigma only, <zv> the
+sub-presheaf of P(R) that zv generates, and transposed over <zv>.  The
+whole family is listed only when its components are read.
 
 This module builds no presheaf structure of its own: an interpreted term's
 source is `presheaf.product_presheaf`, <zv> is `presheaf`'s too, and
@@ -59,6 +61,7 @@ import itertools
 from operator import and_, eq, itemgetter, not_, or_
 from typing import Mapping, Sequence
 
+from ._canon import canon_sorted
 from ._record import field, record
 from .category import FiniteCategory, one_object_category, principal_sieve
 from .errors import ToposlangError
@@ -211,29 +214,30 @@ def interpret_type(t: TypeExpr, rep: ToposRep) -> Presheaf:
 
 
 class _Context:
-    """A typing context as the interpretation walks it: each variable's slot
-    in an environment, the slots' types, and each stage's environments in
+    """A context as the interpretation walks it, with no types: each
+    variable's slot in an environment and each stage's environments in
     order.  Every context is the empty one, one environment () per stage,
-    extended one variable at a time (`_context`, `extend`): a context
+    extended one variable at a time (`extend`): a context
     extended by a variable over the presheaf `binder` lists, at each stage
     B, each environment of the `outer` context with every xv of X(B) in
-    turn.  A term's own context so lists its environments in
-    `itertools.product` order, that of `product_presheaf`, and a
-    comprehension's body is walked in its context extended by the binder."""
+    turn, so the variable's slot is the outer environments' `width`, a count
+    of extensions: a comprehension binder may shadow a name.  A term's own
+    context so lists its environments in `itertools.product` order, that of
+    `product_presheaf`, and a comprehension's body is walked in its context
+    extended by the binder."""
 
-    def __init__(self, cat: FiniteCategory, names: dict, types: tuple,
-                 envs: Mapping[str, Sequence], outer: "_Context | None" = None,
-                 binder: Presheaf | None = None):
-        self.cat, self.names, self.types, self.envs = cat, names, types, envs
+    def __init__(self, cat: FiniteCategory, names: dict, envs: Mapping[str, Sequence],
+                 outer: "_Context | None" = None, binder: Presheaf | None = None):
+        self.cat, self.names, self.envs = cat, names, envs
         self.outer, self.binder = outer, binder
+        self.width = 0 if outer is None else outer.width + 1
         self._reads: dict[str, list[int]] = {}
         self._vars: dict[str, dict[str, list]] = {}
 
-    def extend(self, name: str, vtype: TypeExpr, x: Presheaf) -> "_Context":
+    def extend(self, name: str, x: Presheaf) -> "_Context":
         envs = {b: [env + (xv,) for env in self.envs[b] for xv in x.stage(b)]
                 for b in self.cat.objects}
-        return _Context(self.cat, {**self.names, name: len(self.types)}, self.types + (vtype,),
-                        envs, outer=self, binder=x)
+        return _Context(self.cat, {**self.names, name: self.width}, envs, outer=self, binder=x)
 
     def column(self, name: str) -> dict[str, list]:
         """The variable's column: per stage, its value in each environment.
@@ -243,9 +247,6 @@ class _Context:
             get = itemgetter(self.names[name])
             out = self._vars[name] = {obj: list(map(get, envs)) for obj, envs in self.envs.items()}
         return out
-
-    def typing(self) -> dict[str, TypeExpr]:
-        return {name: self.types[slot] for name, slot in self.names.items()}
 
     def reads(self, f: str) -> Sequence[int]:
         """For each environment at cod(f), the position of its restriction
@@ -271,20 +272,6 @@ class _Context:
         return [j * width + t for j in self.outer.reads(f) for t in col]
 
 
-def _context(context: Sequence[tuple[str, TypeExpr]], factors: Sequence[Presheaf],
-             rep: ToposRep) -> _Context:
-    """The context of the variables `context`, each ranging over its factor:
-    the empty context extended by each in turn.  Its caller admits the
-    factors first: `_interpret_term` through `product_presheaf`.
-    `validate_axioms` takes only the empty context from here and extends
-    it itself, sharing each prefix among its sequents, each new context
-    admitted through `_product_base` first."""
-    ctx = _Context(rep.base, {}, (), {b: [()] for b in rep.base.objects})
-    for (name, vtype), x in zip(context, factors):
-        ctx = ctx.extend(name, vtype, x)
-    return ctx
-
-
 def interpret_term(term: Term, context: Sequence[tuple[str, TypeExpr]],
                    rep: ToposRep) -> NatTransform:
     """Compositional semantics: an arrow from the context product to the
@@ -301,23 +288,29 @@ def interpret_term(term: Term, context: Sequence[tuple[str, TypeExpr]],
     environments along each arrow; `true` and `&` are interpreted as they
     stand, not through `desugar_connectives`.  The root's columns are the
     components, natural because the grounds are presheaves and the symbol
-    arrows natural, so the result is built unchecked.
+    arrows natural, so the result is built unchecked.  The term is typed
+    here, once, before anything but the context's types is built.
     """
-    return _interpret_term(term, context, rep, [interpret_type(t, rep) for _, t in context])
+    factors = [interpret_type(t, rep) for _, t in context]
+    target = interpret_type(infer_type(term, dict(context), rep.signature), rep)
+    return _interpret_term(term, context, rep, factors, target)
 
 
 def _interpret_term(term: Term, context: Sequence[tuple[str, TypeExpr]],
-                    rep: ToposRep, factors: Sequence[Presheaf]) -> NatTransform:
+                    rep: ToposRep, factors: Sequence[Presheaf],
+                    target: Presheaf) -> NatTransform:
     """`interpret_term` out of the product of `factors`, one sub-presheaf of
-    each variable's type.  A term's value at an environment reads only that
+    each variable's type, into `target`, which the caller interprets from
+    the term's type.  A term's value at an environment reads only that
     environment and its restrictions, which stay in the product, so the
     result is the whole interpretation restricted to it."""
-    target_type = infer_type(term, dict(context), rep.signature)
     source = product_presheaf(factors) if factors else rep.kit.terminal
-    columns = _columns(term, _context(context, factors, rep), rep)
+    ctx = _Context(rep.base, {}, {b: [()] for b in rep.base.objects})
+    for (name, _), x in zip(context, factors):  # admitted by `product_presheaf`
+        ctx = ctx.extend(name, x)
+    columns = _columns(term, ctx, rep)
     return NatTransform._certified(
-        source, interpret_type(target_type, rep),
-        {obj: dict(zip(source.at[obj], columns[obj])) for obj in rep.base.objects})
+        source, target, {obj: dict(zip(source.at[obj], columns[obj])) for obj in rep.base.objects})
 
 
 def _truth(n: Term, ctx: _Context, rep: ToposRep) -> dict[str, list[bool]]:
@@ -380,12 +373,10 @@ def _columns(n: Term, ctx: _Context, rep: ToposRep) -> dict[str, list]:
         return _sieves(_truth(n, ctx, rep), ctx, cat)
     if isinstance(n, In):
         container, element = _columns(n.container, ctx, rep), _columns(n.element, ctx, rep)
-        x = interpret_type(infer_type(n.element, ctx.typing(), rep.signature), rep)
-        return {obj: exp_column(cat, obj, x, container[obj], element[obj])
-                for obj in cat.objects}
+        return {obj: exp_column(cat, obj, container[obj], element[obj]) for obj in cat.objects}
     if isinstance(n, Compr):
         x = interpret_type(n.var.vtype, rep)
-        body = _columns(n.body, ctx.extend(n.var.name, n.var.vtype, x), rep)
+        body = _columns(n.body, ctx.extend(n.var.name, x), rep)
         # The block of outer environment j at B: its |X(B)| body values.
         blocks = {}
         for b in cat.objects:
@@ -416,7 +407,7 @@ def validate_axioms(rep: ToposRep,
     type is not Omega."""
     report = AxiomReport()
     cat = rep.base
-    built: dict[tuple, _Context] = {(): _context((), (), rep)}
+    built: dict[tuple, _Context] = {(): _Context(cat, {}, {b: [()] for b in cat.objects})}
     for name, seq in (rep.axioms if axioms is None else tuple(axioms)):
         premises = sorted(seq.context, key=_premise_order)
         context = _sequent_context(name, [seq.conclusion] + premises, rep)
@@ -429,7 +420,7 @@ def validate_axioms(rep: ToposRep,
                 k -= 1
             ctx = built[context[:k]]
             for i in range(k, len(context)):
-                ctx = built[context[:i + 1]] = ctx.extend(*context[i], factors[i])
+                ctx = built[context[:i + 1]] = ctx.extend(context[i][0], factors[i])
         concl = _truth(seq.conclusion, ctx, rep)
         held = [_truth(p, ctx, rep) for p in premises]
         report.checked += sum(map(len, ctx.envs.values()))
@@ -541,13 +532,14 @@ class _PropFamily(NatTransform):
     """The power transpose P(R) -> P(Sigma) of the arrow P(R) x Sigma ->
     Omega interpreting ``symbol(s) in D``, read one argument at a time.
 
-    By the Yoneda lemma its value at zv in P(R)(A) needs only <zv>, the
-    sub-presheaf of P(R) that zv generates (`_Exponential._generated`):
-    `apply` interprets the term over <zv> x Sigma, transposes that over
-    <zv> and reads the value at zv, so it lists neither P(R) nor P(Sigma),
-    and no hom-search cap applies to it.  An argument outside P(R)(A),
-    decided by `_Exponential._holds`, raises what `NatTransform.apply`
-    raises.  The first read of `components`, through equality or the hash
+    The term is typed once, here.  By the Yoneda lemma the value at zv in
+    P(R)(A) needs only <zv>, the sub-presheaf of P(R) that zv generates
+    (`_Exponential._generated`): `_value` interprets the term over <zv> x
+    Sigma, transposes that over <zv> and reads the value at zv, so it lists
+    neither P(R) nor P(Sigma), and no hom-search cap applies to it.
+    `apply` first decides zv's membership in P(R)(A) with
+    `_Exponential._holds`, raising what `NatTransform.apply` raises.  The
+    first read of `components`, through equality or the hash
     too, lists P(R), with the CapExceeded of its hom search where that
     passes a cap, and applies the family to each element; `apply` then
     reads the listed components.  Natural, as every power transpose is, so
@@ -584,7 +576,7 @@ class _PropFamily(NatTransform):
     def _value(self, obj: str, zv):
         generated = self.source._generated(obj, zv)
         flipped = _interpret_term(self._term, _FAMILY_CONTEXT, self._rep,
-                                  (generated, self._sigma))
+                                  (generated, self._sigma), self._rep.kit.omega)
         return power_transpose(flipped, generated, self._sigma).components[obj][zv]
 
 
@@ -611,18 +603,16 @@ class EffectiveClassicalRep:
     arrows hold the system's own value objects, one hash-keeping
     `intervals.Rational` per distinct value (see `ClassicalSystem`), so the
     power object's cells and every lookup of a value find it by identity
-    and hash it once.  A preimage goes through a `prop_family` built for it
-    and dropped after it, read at the interval set's element alone: on the
-    one object that element generates only itself, so membership is
+    and hash it once.  The system is validated, so its stages and arrows
+    are built unchecked.  A preimage reads a `prop_family`, built for it and
+    dropped after it, at the interval set's element alone: on the one
+    object that element generates only itself, so membership is
     interpreted over one environment per state and transposed into one
-    subset of states.  Neither the power
-    object of the values, 2^values subsets, nor that of the states,
-    2^states, is listed, so a preimage costs time linear in the states and
-    does not grow with 2^values, which is not capped.  Only listing the
-    family's components, through its equality or hash too, lists the power
-    object of the values, and that is refused from 18 values on, past the
-    hom search's cell cap.  Nothing the representation holds refers back to
-    it, so reference counting frees it once its last user drops it.
+    subset of states.  Neither P(R), 2^values subsets, nor P(Sigma),
+    2^states, is listed, so a preimage costs time linear in the states.
+    Only listing the family's components, through its equality or hash
+    too, lists P(R), refused from 18 values on, past the hom search's cell
+    cap.  Nothing the representation holds refers back to the family.
     """
     system: ClassicalSystem
     rep: ToposRep
@@ -636,9 +626,9 @@ class EffectiveClassicalRep:
         base = one_object_category()
         pt = base.objects[0]
         signature = Signature({name: (SIGMA, RQ) for name in system.quantities})
-        states = Presheaf(base, {pt: system.states}, {})
-        value_obj = Presheaf(base, {pt: {v for table in system.quantities.values()
-                                         for v in table.values()}}, {})
+        states = Presheaf._canonical(base, {pt: tuple(canon_sorted(set(system.states)))}, {})
+        value_obj = Presheaf._canonical(base, {pt: tuple(canon_sorted(
+            {v for table in system.quantities.values() for v in table.values()}))}, {})
         # Total functions on the one object's stage: natural, so unchecked.
         arrows = {name: NatTransform._certified(states, value_obj, {pt: {
                       s: table[s] for s in system.states}})
@@ -658,10 +648,10 @@ class EffectiveClassicalRep:
     def preimage(self, symbol: str, delta: IntervalSet) -> frozenset:
         """States whose value lands in the interval set, through the power
         transpose of the proposition arrow."""
-        family = prop_family(symbol, self.rep)
-        subset_element = family.apply(self.point, self.delta_element(delta))
-        pt, base, sigma = self.point, self.rep.base, self.rep.ground("Sigma")
+        pt, base = self.point, self.rep.base
+        states = self.rep.ground("Sigma").stage(pt)
+        # `delta_element` builds a member of P(R)'s stage: no `apply` check.
+        subset_element = prop_family(symbol, self.rep)._value(pt, self.delta_element(delta))
+        truth = exp_column(base, pt, [subset_element] * len(states), states)
         top = principal_sieve(base, pt)
-        states = sigma.stage(pt)
-        truth = exp_column(base, pt, sigma, itertools.repeat(subset_element), states)
         return frozenset(s for s, value in zip(states, truth) if value == top)

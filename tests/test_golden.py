@@ -7,11 +7,14 @@ The cases are every README command on `fixtures/two_point.json`,
 presheaf (X's five sub-objects include a sieve neither empty nor
 principal, ["x1", ["le[p,q]"]]), two comprehensions that print power-object elements (`prop_family` on the
 classical (one-object) base and `{ x : Sigma | x = x }` on the two-point
-presheaf base), `validate` on the broken project files
+presheaf base), `prop` and `prop_family` on the two-point presheaf base,
+whose power object P(R) has arrows other than identities to restrict
+along, `validate` on the broken project files
 `tests/golden/broken_*.json`, which pin the first error message and
 pointer of the schema check, of the category-law check, of the check
-that an axiom's formulas have type Omega and of the naturality check on a
-representation's symbol arrow, and `pl decide`
+that an axiom's formulas have type Omega and of the arrow check on a
+representation's symbol arrow (a naturality square that fails, and a
+component row outside the source stage), and `pl decide`
 on Dummett's (a -> b) | (b -> a), on (a -> b) | (b -> c) | (c -> a), on
 a | ~a and on the Rieger-Nishimura implication n10 -> n9, whose
 countermodels need more than four worlds (exit 2, resource-cap), which pin the countermodel search's smallest-first order,
@@ -54,8 +57,9 @@ KIT_TRAFFIC = {
     "pl_truth": (1, 2), "pl_prove": (1, 2), "ls_typecheck": (1, 2), "ls_represent": (1, 2),
     "ls_check_axioms": (1, 2), "ls_represent_prop_family": (3, 2),
     "ls_represent_comprehension_presheaf": (2, 2), "ls_represent_context_cap": (2, 2),
+    "ls_represent_prop_presheaf": (2, 2), "ls_represent_prop_family_presheaf": (3, 2),
     "validate_broken_axiom_conclusion": (1, 1), "validate_broken_axiom_premise": (1, 1),
-    "validate_broken_symbol_not_natural": (1, 2),
+    "validate_broken_symbol_not_natural": (1, 2), "validate_broken_symbol_junk_row": (1, 2),
 }
 
 

@@ -151,6 +151,34 @@ def test_non_natural_transformation_is_reported():
     assert str(err.value) == f"not natural: {report.items[0]}"
 
 
+def test_an_arrow_is_refused_for_what_a_restriction_table_is_refused_for():
+    # A component under a name the base lacks comes first; then, object by
+    # object, the source elements a component misses or sends outside the
+    # target, in stage order, and its entries outside the source stage, in
+    # the component's order: `validate_presheaf`'s items for its tables.
+    identity = {"q": {"x0": "x0", "x1": "x1"}, "p": {"y0": "y0"}}
+    for components, first in [
+            ({**identity, "zz": {"x0": "x0"}}, ("unknown-object", "zz")),
+            ({**identity, "q": {"x9": "x0", "x0": "x0", "x1": "x1"}},
+             ("junk-domain", "q", "x9")),
+            ({**identity, "p": {"y0": "y0", "x0": "y0"}}, ("junk-domain", "p", "x0"))]:
+        assert validate_nat(NatTransform._certified(X2, X2, components)).items == [first]
+        with pytest.raises(PresheafError) as err:
+            NatTransform(X2, X2, components)
+        assert str(err.value) == f"not natural: {first}"
+    components = {"zz": {}, "q": {"junk": "x0", "x1": "nowhere"}, "p": {"y0": "y0", "y9": "y0"}}
+    assert validate_nat(NatTransform._certified(X2, X2, components)).items == [
+        ("unknown-object", "zz"), ("junk-domain", "p", "y9"), ("not-total", "q", "x0"),
+        ("bad-codomain", "q", "x1"), ("junk-domain", "q", "junk")]
+    # A restriction table with q's faults is reported in the same words.
+    x = Presheaf._canonical(TWO, {"p": ("y0",), "q": ("x0", "x1")},
+                            {"le[p,q]": {"junk": "y0", "x1": "nowhere"}})
+    assert validate_presheaf(x).items == [("not-total", "le[p,q]", "x0"),
+                                          ("bad-codomain", "le[p,q]", "x1"),
+                                          ("junk-domain", "le[p,q]", "junk")]
+    assert NatTransform(X2, X2, identity) == NatTransform._certified(X2, X2, identity)
+
+
 def test_broken_identity_table_is_still_reported_by_naturality():
     # validate_nat skips the squares along identities, which no presheaf's
     # identity tables can fail: one that moves or misses an element is
@@ -685,36 +713,52 @@ def test_evaluation_against_general_exponential():
             assert ev.apply("pt", (theta, xv)) == table[xv]
 
 
-def test_exp_element_cells_are_sorted_and_read_back_by_lookup():
-    x = X2
+# MONOID with its idempotent named "z": its cells sort after the identity's.
+LATE_MONOID = FiniteCategory(
+    ["x"], [Morphism("id[x]", "x", "x"), Morphism("z", "x", "x")], {"x": "id[x]"},
+    {("id[x]", "id[x]"): "id[x]", ("id[x]", "z"): "z", ("z", "id[x]"): "z", ("z", "z"): "z"})
 
+
+def _exp_column_inputs(fixed):
+    """The fixed (base, X) pairs, then one small random X on each of the six
+    bases and on LATE_MONOID.  An idempotent puts cells (A, g, xv) with
+    g != id_A before or after the evaluation cells at the same object A."""
+    rng = random.Random(0)
+    return fixed + [(base, random_presheaf(base, rng, 2))
+                    for base in ALL_BASES + [DIAMOND, LATE_MONOID]]
+
+
+def test_exp_element_cells_are_sorted_and_read_back_by_lookup():
     def value(b, g, xv):
         return (b, g, xv, "y")
 
-    for obj in TWO.objects:
-        element = exp_element(TWO, obj, x, value)
-        keys = [canon_key(cell) for cell in element]
-        assert keys == sorted(keys)
-        expected = {(TWO.morphism(g).dom, g, xv)
-                    for g in TWO.into(obj) for xv in x.stage(TWO.morphism(g).dom)}
-        assert {cell for cell, _ in element} == expected
-        for b, g, xv in expected:
-            assert exp_lookup(element, b, g, xv) == value(b, g, xv)
-        xvs = x.stage(obj)
-        assert exp_column(TWO, obj, x, [element] * len(xvs), xvs) == \
-            [value(obj, TWO.id_of(obj), xv) for xv in xvs]
+    for base, x in _exp_column_inputs([(TWO, X2)]):
+        for obj in base.objects:
+            element = exp_element(base, obj, x, value)
+            keys = [canon_key(cell) for cell in element]
+            assert keys == sorted(keys)
+            expected = {(base.morphism(g).dom, g, xv)
+                        for g in base.into(obj) for xv in x.stage(base.morphism(g).dom)}
+            assert {cell for cell, _ in element} == expected
+            for b, g, xv in expected:
+                assert exp_lookup(element, b, g, xv) == value(b, g, xv)
+            xvs = x.stage(obj)
+            assert exp_column(base, obj, [element] * len(xvs), xvs) == \
+                [value(obj, base.id_of(obj), xv) for xv in xvs]
+            assert exp_column(base, obj, [], []) == []
 
 
 def test_exp_column_on_a_missing_cell_raises_presheaf_error():
-    for base, x in ((PT, set_presheaf(["a", "b"])), (TWO, X2)):
+    for base, x in _exp_column_inputs([(PT, set_presheaf(["a", "b"])), (TWO, X2)]):
         px = power_object(x)
         for obj in base.objects:
             elements = px.stage(obj)
-            assert exp_column(base, obj, x, elements, [x.stage(obj)[0]] * len(elements)) == \
-                [exp_lookup(el, obj, base.id_of(obj), x.stage(obj)[0]) for el in elements]
+            for xv in x.stage(obj):
+                assert exp_column(base, obj, elements, [xv] * len(elements)) == \
+                    [exp_lookup(el, obj, base.id_of(obj), xv) for el in elements]
             for element in elements:
                 with pytest.raises(PresheafError, match="has no cell .*'not-an-element'"):
-                    exp_column(base, obj, x, [element], ["not-an-element"])
+                    exp_column(base, obj, [element], ["not-an-element"])
 
 
 def test_process_wide_caches_stay_within_their_bounds():

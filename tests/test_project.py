@@ -174,14 +174,15 @@ def test_stage_for_an_unknown_object_keeps_the_project_message():
 
 
 def test_loading_checks_each_presheaf_once(monkeypatch):
-    # Two project presheaves, two inline sets and the classical
-    # representation's two stages: six presheaves, six law checks.
+    # Two project presheaves and two inline sets: four law checks.  The
+    # classical representation builds its two stages itself, from a
+    # validated system, so it checks neither.
     from toposlang import presheaf
     calls = []
     check = presheaf.validate_presheaf
     monkeypatch.setattr(presheaf, "validate_presheaf", lambda x: calls.append(x) or check(x))
     load_project(str(FIXTURE))
-    assert len(calls) == 6
+    assert len(calls) == 4
 
 
 def test_loading_builds_one_representation_per_declaration(monkeypatch):
@@ -248,3 +249,18 @@ def test_a_symbol_arrow_that_is_not_natural_is_reported_after_every_table_error(
     assert (str(err.value), err.value.pointer) == (
         "representation 'z3': arrow for 'A' is not natural: ('bad-codomain', 'pt', 's0')",
         "/representations/1")
+
+
+def test_a_component_under_an_unknown_object_or_a_junk_row_is_refused():
+    # Both loaded before: the component under `zz` was dropped without a
+    # word, and the row for `x9` was kept in the arrow.
+    for edit, fault in [(lambda c: c.update(zz=[["x0", "*"]]), "('unknown-object', 'zz')"),
+                        (lambda c: c["q"].append(["x9", "*"]), "('junk-domain', 'q', 'x9')")]:
+        doc = base_doc()
+        toy = next(r for r in doc["representations"] if r["name"] == "toy_presheaf")
+        edit(toy["symbols"]["A"]["components"])
+        with pytest.raises(ProjectError) as err:
+            build_project(doc)
+        assert (str(err.value), err.value.pointer) == (
+            f"representation 'toy_presheaf': arrow for 'A' is not natural: {fault}",
+            "/representations/2")

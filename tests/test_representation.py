@@ -30,7 +30,7 @@ from toposlang import rep as rep_module
 from toposlang.category import one_object_category, principal_sieve
 from toposlang.errors import CapExceeded
 from toposlang.intervals import IntervalSet, Rational
-from toposlang.local.check import LsTypeError, annotate, map_children
+from toposlang.local.check import LsTypeError, annotate, infer_type, map_children
 from toposlang.local import (
     RQ,
     SIGMA,
@@ -459,8 +459,10 @@ HAND_BUILT = {
 }
 
 # Every term former and every piece of sugar, under closed contexts and
-# contexts holding a P(R) variable.  In the last two `s`-context terms the
-# inner binder `s` shadows the context's `s`.  The (s, t) terms take `*`
+# contexts holding a P(R) variable.  In three of the (s, D) terms a binder
+# `s` shadows the context's `s`; in the last, a binder `t` inside it takes
+# the slot after the shadowing one, the environment's width, which is one
+# more than the count of names in scope.  The (s, t) terms take `*`
 # inside a tuple, a comprehension whose body ignores its binder, and
 # membership in a comprehension that nests another; the last context holds
 # a variable `u` that no term uses.
@@ -474,7 +476,8 @@ TERMS_IN_CONTEXT = [
      ["A(s) in D", "<A(s), proj_2(<*, s>)>",
       "proj_1(<A(s), s>) in D & s in { s : Sigma | A(s) in D }",
       "{ t : Sigma | t in { s : Sigma | s = t } }",
-      "{ t : Sigma | A(s) in D }"]),
+      "{ t : Sigma | A(s) in D }",
+      "{ s : Sigma | { t : Sigma | t = s } = { t : Sigma | A(t) = A(s) } }"]),
     ((("s", SIGMA), ("t", SIGMA)),
      ["A(s) = A(t)", "s = t <=> A(s) = A(t)", "<s, A(t)> = <t, A(s)>",
       "<*, A(s)> = <*, A(t)>",
@@ -889,9 +892,9 @@ def test_a_first_preimage_interprets_environments_linear_in_the_states(monkeypat
     interpreted = []
     init = rep_module._Context.__init__
 
-    def spy(self, cat, names, types, envs, *args, **kwargs):
+    def spy(self, cat, names, envs, *args, **kwargs):
         interpreted.append(sum(map(len, envs.values())))
-        init(self, cat, names, types, envs, *args, **kwargs)
+        init(self, cat, names, envs, *args, **kwargs)
 
     for n, values in [(8, 2), (8, 6), (16, 6), (16, 12)]:
         eff = EffectiveClassicalRep.build(_many_valued_system(n, values))
@@ -900,6 +903,78 @@ def test_a_first_preimage_interprets_environments_linear_in_the_states(monkeypat
         eff.preimage("A", iv(0, True, 1, False))
         monkeypatch.undo()
         assert interpreted == [1, 1, n], (n, values)
+
+
+@pytest.mark.hash_seeds
+def test_a_classical_build_and_its_preimages_run_no_law_or_membership_check(monkeypatch):
+    # The stages come from a validated system and the interval set's
+    # element is built in P(R)'s stage, so neither is checked again.
+    exponential_class = presheaf_module._Exponential
+    calls = {"validate_presheaf": 0, "_holds": 0}
+
+    def count(key, f):
+        def spy(*args):
+            calls[key] += 1
+            return f(*args)
+        return spy
+
+    monkeypatch.setattr(presheaf_module, "validate_presheaf",
+                        count("validate_presheaf", presheaf_module.validate_presheaf))
+    monkeypatch.setattr(exponential_class, "_holds", count("_holds", exponential_class._holds))
+    system = _many_valued_system(8, 5)
+    eff = EffectiveClassicalRep.build(system)
+    reference = classical_rep(system)
+    for delta in (iv(0, True, 1, False), iv(Fraction(1, 3), True, None, False)):
+        assert eff.preimage("A", delta) == reference.preimage("A", delta)
+    assert calls == {"validate_presheaf": 0, "_holds": 0}
+    # The public family's `apply` still checks its argument.
+    prop_family("A", eff.rep).apply(POINT, eff.delta_element(iv(0, True, 1, False)))
+    assert calls == {"validate_presheaf": 0, "_holds": 1}
+
+
+@pytest.mark.hash_seeds
+@pytest.mark.parametrize("name", ["PT", "TWO"])
+def test_a_term_is_typed_once_and_its_interpretation_types_nothing(name, monkeypatch):
+    # On a set representation and on a poset one: `interpret_term` types a
+    # membership term and a comprehension term once each, before `_columns`
+    # runs, and reading a proposition family, which typed its term when it
+    # was built, types nothing.
+    rep = _hand_built_rep(name)
+    typed, depth = [], [0]
+    columns = rep_module._columns
+
+    def walking(*args):
+        depth[0] += 1
+        try:
+            return columns(*args)
+        finally:
+            depth[0] -= 1
+
+    def typing(key, f):
+        def spy(term, *args):
+            typed.append((key, term, depth[0]))
+            return f(term, *args)
+        return spy
+
+    monkeypatch.setattr(rep_module, "_columns", walking)
+    monkeypatch.setattr(rep_module, "infer_type", typing("infer_type", rep_module.infer_type))
+    monkeypatch.setattr(rep_module, "_infer_type", typing("_infer_type", rep_module._infer_type))
+    for context, text in [((("s", SIGMA), ("D", PowerType(RQ))), "A(s) in D"),
+                          ((("D", PowerType(RQ)),), "{ s : Sigma | A(s) in D }")]:
+        term = parse_term(text, rep.signature)
+        del typed[:]
+        assert interpret_term(term, context, rep) == reference_interpret_term(term, context, rep)
+        assert typed == [("infer_type", term, 0)], text
+    reference = reference_prop_family("A", rep)
+    del typed[:]
+    family = prop_family("A", rep)
+    assert [(key, d) for key, _, d in typed] == [("infer_type", 0)]
+    del typed[:]
+    for obj in rep.base.objects:
+        for zv in family.source.stage(obj):
+            assert family.apply(obj, zv) == reference.apply(obj, zv)
+    assert family == reference
+    assert typed == []
 
 
 def _family_rep(name: str, seed: int) -> ToposRep:
@@ -954,8 +1029,9 @@ def test_a_lazy_family_is_the_reference_family(name, seed, first, data):
             # Over <zv> x Sigma, the whole interpretation restricted to it.
             for (context, text), whole in zip(terms, wholes):
                 factors = [generated if t == PowerType(RQ) else sigma for _, t in context]
-                local = rep_module._interpret_term(parse_term(text, rep.signature), context,
-                                                   rep, factors)
+                term = parse_term(text, rep.signature)
+                target = interpret_type(infer_type(term, dict(context), rep.signature), rep)
+                local = rep_module._interpret_term(term, context, rep, factors, target)
                 assert local.target == whole.target
                 for b in cat.objects:
                     assert all(local.apply(b, env) == whole.apply(b, env)
@@ -1373,9 +1449,9 @@ def test_a_context_extending_a_built_one_is_admitted_before_it_is_built(monkeypa
     built = []
     extend = rep_module._Context.extend
 
-    def spy(self, name, vtype, x):
+    def spy(self, name, x):
         built.append(name)
-        return extend(self, name, vtype, x)
+        return extend(self, name, x)
 
     monkeypatch.setattr(presheaf_module, "PRODUCT_CAP", 20)
     monkeypatch.setattr(rep_module._Context, "extend", spy)
