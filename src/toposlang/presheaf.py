@@ -24,8 +24,8 @@ classifier degenerates to the two truth values.
 Law checks run at the input boundary, once: every `Presheaf` is a functor,
 every `NatTransform` natural and every `Subobject` closed under
 restriction, by construction.  Each public constructor checks what a caller
-supplies (`validate_presheaf`, `validate_nat`, the sub-object check) and
-raises PresheafError naming the first violation.  The library's own
+supplies, and only that (`validate_presheaf`, `validate_nat`, the sub-object
+check), raising PresheafError naming the first violation.  The library's own
 constructions are lawful whenever their inputs are, so they build through
 private constructors that skip the check (`Presheaf._canonical`,
 `NatTransform._certified`, `Subobject._certified`), and no code downstream
@@ -34,7 +34,8 @@ A sub-object is a mask over the points of its ambient's category of
 elements, whose layout (`_ElementLayout`) is built once and kept on the
 presheaf, and `char_morphism` reads each sieve off the mask at the point's
 restriction indices (Mac Lane & Moerdijk, *Sheaves in Geometry and Logic*,
-1992, I.4).  Per-object parts are decoded only where they are read, as at
+1992, I.4) and looks it up by its own mask among Omega's elements, as the
+classifier's tables and true arrow do.  Per-object parts are decoded only where they are read, as at
 the CLI's JSON edge.
 
 This module owns the element format of exponentials and power objects: an
@@ -73,7 +74,7 @@ from typing import Iterable, Sequence
 
 from ._canon import canon_key, canon_sorted
 from ._record import field, record
-from .category import FiniteCategory, principal_sieve, sieves_on
+from .category import FiniteCategory, sieves_on
 from .errors import CapExceeded, ToposlangError
 from .heyting import DownsetAlgebra, iter_downsets
 
@@ -120,7 +121,8 @@ class Presheaf:
 
     The constructor raises PresheafError naming the first item of
     `validate_presheaf`, a stage or table under a name the base lacks
-    included, so every presheaf obeys the functor laws.  `maps` stays a
+    included, so every presheaf obeys the functor laws; it checks no
+    identity table it fills in.  `maps` stays a
     mutable dict: a caller who edits a table after construction voids that
     guarantee, as one who edits `NatTransform.components` voids naturality.
     """
@@ -135,10 +137,11 @@ class Presheaf:
                  maps: Mapping[str, Mapping]):
         # Stages and tables under names the base lacks are kept for the check.
         self._fill(base, {obj: tuple(canon_sorted(set(at.get(obj, ()))))
-                          for obj in (*base.objects, *at)}, maps)
+                          for obj in dict.fromkeys((*base.objects, *at))}, maps)
         self.maps.update((mid, dict(table)) for mid, table in maps.items()
                          if mid not in self.maps)
-        bad = validate_presheaf(self)
+        bad = validate_presheaf(self, _filled={base.id_of(obj) for obj in base.objects
+                                               if base.id_of(obj) not in maps})
         if bad.items:
             raise PresheafError(f"violates functor laws: {bad.items[0]}")
 
@@ -192,7 +195,8 @@ class NatTransform:
 
     The public constructor copies what a caller supplies, runs
     `validate_nat` once and raises PresheafError naming the first
-    violation, a component under a name the base lacks included.  The
+    violation, "not natural" or, for a table fault such as a component
+    under a name the base lacks, "invalid in a component".  The
     functions of this module and of `rep` that build an arrow natural by
     design build it through `_certified`, which skips the check."""
 
@@ -208,7 +212,8 @@ class NatTransform:
         self._hash = None
         bad = validate_nat(self)
         if bad.items:
-            raise PresheafError(f"not natural: {bad.items[0]}")
+            what = "not natural" if bad.items[0][0] == "naturality" else "invalid in a component"
+            raise PresheafError(f"{what}: {bad.items[0]}")
 
     @classmethod
     def _certified(cls, source: Presheaf, target: Presheaf,
@@ -251,34 +256,37 @@ class LawViolations:
         return not self.items
 
 
-def validate_presheaf(x: Presheaf) -> LawViolations:
+def validate_presheaf(x: Presheaf, *, _filled=frozenset()) -> LawViolations:
     """Stages and tables under names the base lacks, then totality,
     codomain, identity and contravariant-composition checks; the laws are
-    checked only on tables that passed the earlier checks."""
+    checked only on tables that passed the earlier checks.  None is made of
+    an identity table in `_filled`, which `_fill` wrote to fix its stage, or
+    of a composite through one: such a check cannot fail."""
     bad = LawViolations()
     cat = x.base
     mids = {m.id for m in cat.morphisms}
     bad.items += [("unknown-object", obj) for obj in x.at if obj not in cat.identity]
     bad.items += [("unknown-morphism", mid) for mid in x.maps if mid not in mids]
-    if not bad.ok:
+    checked = [m for m in cat.morphisms if m.id not in _filled]
+    if not bad.ok or not checked:
         return bad
     stages = {obj: set(x.stage(obj)) for obj in cat.objects}
-    for m in cat.morphisms:
+    for m in checked:
         bad.items += _table_faults(m.id, x.maps[m.id], x.stage(m.cod), stages[m.dom])
     if not bad.ok:
         return bad
     for obj in cat.objects:
-        for el in x.stage(obj):
-            if x.apply(cat.id_of(obj), el) != el:
-                bad.items.append(("identity-law", obj, el))
-    for f in cat.morphisms:
-        for g in cat.morphisms:
-            if g.cod != f.dom:
-                continue
-            fg = cat.compose(f.id, g.id)
-            for el in x.stage(f.cod):
-                if x.apply(g.id, x.apply(f.id, el)) != x.apply(fg, el):
-                    bad.items.append(("composition-law", f.id, g.id, el))
+        if cat.id_of(obj) not in _filled:
+            for el in x.stage(obj):
+                if x.apply(cat.id_of(obj), el) != el:
+                    bad.items.append(("identity-law", obj, el))
+    for f in checked:
+        tf = x.maps[f.id]
+        for g in cat.into(f.dom):
+            if g not in _filled:
+                tg, tfg = x.maps[g], x.maps[cat.compose(f.id, g)]
+                bad.items += [("composition-law", f.id, g, el) for el in x.stage(f.cod)
+                              if tg[tf[el]] != tfg[el]]
     return bad
 
 
@@ -331,9 +339,9 @@ class _ElementLayout:
     `below` is already reflexive and transitive.
 
     `sieves[i]` memoizes, per point, the sieve each pattern of bits within
-    `below[i]` stands for: the arrows f whose read bit is set.  The layout
-    holds x's elements and the base's arrow names, never x, so keeping it
-    on x makes no cycle."""
+    `below[i]` stands for, as its mask over `cat.into(A)`: the arrows f
+    whose read bit is set.  The layout holds x's elements and ints, never
+    x, so keeping it on x makes no cycle."""
 
     __slots__ = ("points", "index", "reads", "below", "sieves")
 
@@ -444,6 +452,8 @@ class ClassifierKit:
     terminal: Presheaf
     omega: Presheaf
     true_arrow: NatTransform
+    # Omega's stage at each object, by each sieve's mask over `cat.into(obj)`.
+    sieves: dict
 
 
 def terminal_presheaf(cat: FiniteCategory) -> Presheaf:
@@ -458,24 +468,32 @@ def classifier_kit(cat: FiniteCategory) -> ClassifierKit:
     sieve at each stage, which is natural (pulled back along any arrow, a
     principal sieve is principal), so built unchecked.
 
-    Omega's table along a non-identity arrow m pulls each sieve S on cod(m)
-    back to {h : m o h in S}, read off the composites m o h for h into
-    dom(m), composed once for all of S; `_fill` fills in the identity
-    tables, along which a sieve pulls back to itself."""
+    Omega's stage at A is `sieves_on(cat, A)` in canon_key order, that of
+    the sorted ranks of their members, kept by mask over `cat.into(A)` in
+    `sieves`.  The table along a non-identity arrow m pulls each sieve S on
+    cod(m) back to {h : m o h in S}, read off S's mask at the composites
+    m o h for h into dom(m), composed once for all of S, and looked up by
+    mask: every value, the true arrow's too, is an element of a stage."""
     terminal = terminal_presheaf(cat)
-    at = {obj: tuple(canon_sorted(sieves_on(cat, obj))) for obj in cat.objects}
+    bits = {obj: {f: 1 << k for k, f in enumerate(cat.into(obj))} for obj in cat.objects}
+    ranks = {obj: {f: r for r, f in enumerate(canon_sorted(cat.into(obj)))} for obj in cat.objects}
+    sieves = {obj: {sum(map(bits[obj].__getitem__, s)): s for s in sorted(
+        sieves_on(cat, obj), key=lambda s: sorted(map(ranks[obj].__getitem__, s)))}
+        for obj in cat.objects}
     maps = {}
     for m in cat.morphisms:
         if m.id == cat.id_of(m.dom):
             continue
-        composites = [(h, cat.compose(m.id, h)) for h in cat.into(m.dom)]
-        maps[m.id] = {members: frozenset([h for h, mh in composites if mh in members])
-                      for members in at[m.cod]}
+        reads = [(bits[m.cod][cat.compose(m.id, h)], bit) for h, bit in bits[m.dom].items()]
+        pulled = sieves[m.dom]
+        maps[m.id] = {s: pulled[sum([bit for read, bit in reads if mask & read])]
+                      for mask, s in sieves[m.cod].items()}
     # Pullback of sieves is functorial, so omega skips the law check.
-    omega = Presheaf._canonical(cat, at, maps)
+    omega = Presheaf._canonical(cat, {obj: tuple(sieves[obj].values()) for obj in cat.objects},
+                                maps)
     true_arrow = NatTransform._certified(terminal, omega, {
-        obj: {(): principal_sieve(cat, obj)} for obj in cat.objects})
-    return ClassifierKit(terminal, omega, true_arrow)
+        obj: {(): sieves[obj][(1 << len(cat.into(obj))) - 1]} for obj in cat.objects})
+    return ClassifierKit(terminal, omega, true_arrow, sieves)
 
 
 def char_morphism(k: Subobject) -> NatTransform:
@@ -483,27 +501,28 @@ def char_morphism(k: Subobject) -> NatTransform:
     f: B -> A with x(f)(e) in K(B).
 
     That sieve is read off K's mask at the point's restriction indices
-    (`_ElementLayout.reads`), as the pattern ``mask & below``, and looked up
-    in the point's memo of sieves, built on a pattern's first read.  The
-    arrow is natural by design, so built unchecked: its values are sieves,
-    and they commute with restriction because K is closed under it and the
-    ambient is a presheaf."""
+    (`_ElementLayout.reads`), as the pattern ``mask & below``, whose sieve
+    mask the point's memo keeps from the pattern's first read, and is
+    looked up by that mask in Omega's stage.  The arrow is natural by
+    design, so built unchecked: its values are sieves, and they commute
+    with restriction because K is closed under it and the ambient is a
+    presheaf."""
     x = k.ambient
-    cat, layout, mask = x.base, _element_layout(x), k.mask
+    cat, layout, mask, kit = x.base, _element_layout(x), k.mask, classifier_kit(x.base)
     below, sieves = layout.below, layout.sieves
     comps, i = {}, 0
     for obj in cat.objects:
         comp = comps[obj] = {}
-        into = cat.into(obj)
+        by_mask = kit.sieves[obj]
         for el in x.stage(obj):
             pattern = mask & below[i]
             sieve = sieves[i].get(pattern)
             if sieve is None:
-                sieve = sieves[i][pattern] = frozenset(
-                    [f for f, j in zip(into, layout.reads[i]) if pattern >> j & 1])
-            comp[el] = sieve
+                sieve = sieves[i][pattern] = sum(
+                    [1 << b for b, j in enumerate(layout.reads[i]) if pattern >> j & 1])
+            comp[el] = by_mask[sieve]
             i += 1
-    return NatTransform._certified(x, classifier_kit(cat).omega, comps)
+    return NatTransform._certified(x, kit.omega, comps)
 
 
 def subobject_of_char(chi: NatTransform) -> Subobject:
@@ -701,12 +720,15 @@ def _search_refusal(sizes: Sequence[int]) -> str | None:
 def _hom_search(cat: FiniteCategory, cells: list, restrict, y: Presheaf) -> Iterable[Sequence]:
     """Each natural assignment of a y-value to every cell (obj, el), as its
     values in cell order; `restrict(mid, el)` restricts el along mid.
-    Backtracking with forced propagation: open cells are decided in list
-    order, trying y's stage order, so the value lists come out in
-    lexicographic order.  CapExceeded past ENUM_NODE_CAP search nodes, or
-    before the results would hold more than HOM_CELL_CAP values.  The cells
-    are closed under `restrict` and y is a presheaf, so every value forced
-    into a cell is one of y's.
+    Backtracking: open cells are decided in list order, trying y's stage
+    order, so the value lists come out in lexicographic order.  The arrows
+    into obj are closed under composition, so a choice forces its cell's
+    restrictions in one pass over them; a cell whose restrictions are all
+    decided takes the values that agree with them from an index of y's
+    stage, built once per search.  CapExceeded past
+    ENUM_NODE_CAP search nodes, or before the results would hold more than
+    HOM_CELL_CAP values.  The cells are closed under `restrict` and y is a
+    presheaf, so every value forced into a cell is one of y's.
 
     When no cell has a non-identity arrow to propagate along (every cell of
     a one-object base with only its identity, or of a discrete base), every
@@ -720,28 +742,17 @@ def _hom_search(cat: FiniteCategory, cells: list, restrict, y: Presheaf) -> Iter
         if refusal:
             raise CapExceeded(refusal)
         return itertools.product(*stages)
+    # Per object, y's tables along the arrows into it but the identity, and
+    # y's stage by their values; per cell, the cells it restricts to.
+    tables = {obj: [y.maps[f] for f in cat.into(obj) if f != cat.id_of(obj)]
+              for obj in dict.fromkeys(obj for obj, _ in cells)}
+    index: dict = {}
     cell_index = {c: i for i, c in enumerate(cells)}
-    # per cell: (morphism, target cell) pairs for propagation
-    prop: list = [[] for _ in cells]
-    for i, (obj, el) in enumerate(cells):
-        for mid in cat.into(obj):
-            dom = cat.morphism(mid).dom
-            if mid != cat.id_of(dom):
-                prop[i].append((mid, cell_index[(dom, restrict(mid, el))]))
+    below = [[cell_index[(cat.morphism(f).dom, restrict(f, el))]
+              for f in cat.into(obj) if f != cat.id_of(obj)] for obj, el in cells]
     assign: list = [None] * len(cells)
     out = []
     nodes = 0
-
-    def force(i: int, value, trail: list) -> bool:
-        if assign[i] is not None:
-            return assign[i] == value
-        assign[i] = value
-        trail.append(i)
-        for mid, dst in prop[i]:
-            forced = y.apply(mid, value)
-            if not force(dst, forced, trail):
-                return False
-        return True
 
     def rec(i: int):
         nonlocal nodes
@@ -756,9 +767,28 @@ def _hom_search(cat: FiniteCategory, cells: list, restrict, y: Presheaf) -> Iter
                                   f"cap {HOM_CELL_CAP} cells after {len(out)} results")
             out.append(assign[:])
             return
-        for val in y.stage(cells[i][0]):
-            trail: list = []
-            if force(i, val, trail):
+        obj = cells[i][0]
+        decided = tuple([assign[j] for j in below[i]])
+        if None not in decided:
+            if obj not in index:
+                index[obj] = {}
+                for val in y.stage(obj):
+                    index[obj].setdefault(tuple([t[val] for t in tables[obj]]), []).append(val)
+            for val in index[obj].get(decided, ()):
+                assign[i] = val
+                rec(i + 1)
+            assign[i] = None
+            return
+        for val in y.stage(obj):
+            assign[i] = val
+            trail = [i]
+            for table, j in zip(tables[obj], below[i]):
+                if assign[j] is None:
+                    assign[j] = table[val]
+                    trail.append(j)
+                elif assign[j] != table[val]:
+                    break
+            else:
                 rec(i + 1)
             for j in trail:
                 assign[j] = None
@@ -772,18 +802,18 @@ def enumerate_nats(x: Presheaf, y: Presheaf) -> list[NatTransform]:
     over the cells of x by object order and x's stage order.  That order
     depends on no hash seed.  CapExceeded past ENUM_NODE_CAP search nodes.
     Each arrow is natural, so built unchecked: the search forces every
-    value along each non-identity arrow, and x and y are presheaves."""
+    value along each non-identity arrow, and x and y are presheaves.  Each
+    component is a slice of the values: an object's cells stand together."""
     if x.base != y.base:
         raise ShapeMismatch("hom-set needs a common base")
     cat = x.base
-    cells = [(obj, el) for obj in cat.objects for el in x.stage(obj)]
-    out = []
-    for values in _hom_search(cat, cells, x.apply, y):
-        comps: dict = {obj: {} for obj in cat.objects}
-        for (obj, el), val in zip(cells, values):
-            comps[obj][el] = val
-        out.append(NatTransform._certified(x, y, comps))
-    return out
+    cells, spans = [], []
+    for obj in cat.objects:
+        spans.append((obj, x.stage(obj), len(cells), len(cells) + len(x.stage(obj))))
+        cells += [(obj, el) for el in x.stage(obj)]
+    return [NatTransform._certified(x, y, {obj: dict(zip(stage, values[start:end]))
+                                           for obj, stage, start, end in spans})
+            for values in _hom_search(cat, cells, x.apply, y)]
 
 
 # -- exponentials and power objects ----------------------------------------------

@@ -165,7 +165,7 @@ def test_an_arrow_is_refused_for_what_a_restriction_table_is_refused_for():
         assert validate_nat(NatTransform._certified(X2, X2, components)).items == [first]
         with pytest.raises(PresheafError) as err:
             NatTransform(X2, X2, components)
-        assert str(err.value) == f"not natural: {first}"
+        assert str(err.value) == f"invalid in a component: {first}"
     components = {"zz": {}, "q": {"junk": "x0", "x1": "nowhere"}, "p": {"y0": "y0", "y9": "y0"}}
     assert validate_nat(NatTransform._certified(X2, X2, components)).items == [
         ("unknown-object", "zz"), ("junk-domain", "p", "y9"), ("not-total", "q", "x0"),
@@ -522,7 +522,7 @@ def test_an_arrow_to_transpose_that_is_not_natural_is_refused_at_construction():
     with pytest.raises(PresheafError) as err:
         NatTransform(prod, omega, {obj: {el: fs("junk") for el in prod.stage(obj)}
                                    for obj in TWO.objects})
-    assert str(err.value) == "not natural: ('bad-codomain', 'p', ((), 'y0'))"
+    assert str(err.value) == "invalid in a component: ('bad-codomain', 'p', ((), 'y0'))"
 
 
 def _generated(x: Presheaf, points) -> Subobject:
@@ -976,14 +976,20 @@ def test_an_oversized_cartesian_hom_set_is_refused_with_the_search_text(data):
                                terminal_presheaf(cat).apply, y) == expected
 
 
+# The six bases and LATE_MONOID, whose idempotent, like MONOID's, fixes
+# some cells, so that a choice's restriction can land on its own cell.
+SEARCH_BASES = {**KIT_BASES, "LATE_MONOID": LATE_MONOID}
+
+
 @pytest.mark.hash_seeds
 @settings(max_examples=100, deadline=None)
-@given(st.sampled_from(list(KIT_BASES)), st.integers(0, 10 ** 6), st.booleans())
+@given(st.sampled_from(list(SEARCH_BASES)), st.integers(0, 10 ** 6), st.booleans())
 def test_the_hom_search_certifies_exactly_the_natural_arrows(name, seed, into_omega):
     # Each arrow, built unchecked, is natural by `validate_nat`; the list is
-    # the backtracking search's, in its order.
-    cat, rng = KIT_BASES[name], random.Random(seed)
-    x = random_presheaf(cat, rng, max_size=2)
+    # the backtracking search's, in its order, and the exponential's stages
+    # are the reference's.  Into Omega, X has stages of up to 3 elements.
+    cat, rng = SEARCH_BASES[name], random.Random(seed)
+    x = random_presheaf(cat, rng, max_size=3 if into_omega else 2)
     y = classifier_kit(cat).omega if into_omega else random_presheaf(cat, rng, max_size=3)
     homs = enumerate_nats(x, y)
     assert all(validate_nat(n).ok for n in homs)
@@ -991,6 +997,9 @@ def test_the_hom_search_certifies_exactly_the_natural_arrows(name, seed, into_om
     assert [[n.apply(obj, el) for obj, el in cells] for n in homs] == \
         backtracking_hom_search(cat, cells, x.apply, y)
     assert global_elements(y) == brute_global_elements(y)
+    exp, ref = exponential(x, y), reference_exponential(x, y)
+    assert [exp.stage(obj) for obj in cat.objects] == [ref.stage(obj) for obj in cat.objects]
+    assert exp == ref
 
 
 def _least_cap(name: str, listing) -> int:
@@ -1018,19 +1027,22 @@ def _constant(cat, size: int) -> Presheaf:
 @pytest.mark.hash_seeds
 @pytest.mark.parametrize("name, size, nodes, cells, reads", [
     ("PT", 2, 7, 8, 2), ("PT", 3, 15, 24, 3), ("PT", 4, 31, 64, 4), ("PT", 5, 63, 160, 5),
-    ("PT", 6, 127, 384, 6), ("VEE", 1, 6, 6, 7), ("VEE", 2, 22, 36, 28),
-    ("DIAMOND", 1, 17, 24, 18), ("DIAMOND", 2, 128, 288, 120)])
+    ("PT", 6, 127, 384, 6), ("VEE", 1, 6, 6, 5), ("VEE", 2, 22, 36, 6),
+    ("DIAMOND", 1, 17, 24, 9), ("DIAMOND", 2, 128, 288, 10)])
 def test_the_hom_search_behind_a_power_object_does_a_counted_amount_of_work(
         monkeypatch, name, size, nodes, cells, reads):
     # P(X) for the constant X of `size` elements, so P(X)(A) = Omega(A)^size.
     # The least node and cell caps under which it is listed are the search
-    # nodes of its largest stage and the values its results hold, and the
-    # reads of Omega's stages count the search's branchings.  On the one
-    # object nothing propagates: the stage is listed as the product of |X|
-    # stages of 2, with 2^(|X|+1) - 1 nodes and |X| 2^|X| values, reading
-    # each cell's stage once; the call reads none.  The backtracking search
-    # would read 2^|X| - 1 stages in place of |X|, as it would at the vee's
-    # and the diamond's bottom object from size 2.
+    # nodes of its largest stage and the values its results hold.  The reads
+    # of Omega's stages count, per stage searched, one per branching at a
+    # cell with a restriction not yet decided, and one to index the stage of
+    # each object whose cells the search meets with every restriction
+    # decided, which take their values from the index.  On the one object
+    # nothing propagates: the stage is listed as the product of |X| stages
+    # of 2, with 2^(|X|+1) - 1 nodes and |X| 2^|X| values, reading each
+    # cell's stage once; the call reads none.  The backtracking search would
+    # read 2^|X| - 1 stages in place of |X|; before the index, the search
+    # read 7, 28, 18 and 120 on the vee and the diamond.
     cat = KIT_BASES[name]
 
     def listing():
@@ -1055,6 +1067,57 @@ def test_the_hom_search_behind_a_power_object_does_a_counted_amount_of_work(
     monkeypatch.setattr(Presheaf, "stage", spy)
     listing()
     assert len(read) == reads
+
+
+class _CountedTable(dict):
+    """A restriction table that counts its reads in `reads`."""
+
+    def __init__(self, table, reads: list):
+        super().__init__(table)
+        self.reads = reads
+
+    def __getitem__(self, key):
+        self.reads.append(key)
+        return super().__getitem__(key)
+
+
+def _search_reads(x: Presheaf) -> tuple[int, int, int]:
+    """(arrows, stage reads, restriction reads) of Hom(x, Omega), Omega
+    from a kit of its own whose stage and tables count their reads."""
+    omega = classifier_kit.__wrapped__(x.base).omega
+    stages, reads = [], []
+    omega.maps = {mid: _CountedTable(table, reads) for mid, table in omega.maps.items()}
+    omega.stage = lambda obj, stage=omega.stage: stages.append(obj) or stage(obj)
+    return len(enumerate_nats(x, omega)), len(stages), len(reads)
+
+
+def _top_first(cat) -> FiniteCategory:
+    """The poset category cat with its objects listed in reverse, so that
+    a hom search meets a cell before the cells it restricts to."""
+    return from_poset(cat.objects[::-1], [(m.dom, m.cod) for m in cat.morphisms
+                                          if m.dom != m.cod])
+
+
+@pytest.mark.hash_seeds
+@pytest.mark.parametrize("name, top_first, counts", [
+    ("TWO", False, [(3, 2, 3), (9, 2, 3)]), ("TWO", True, [(3, 1, 3), (9, 4, 12)]),
+    ("CHAIN3", False, [(4, 3, 11), (16, 3, 11)]), ("CHAIN3", True, [(4, 1, 8), (16, 5, 40)]),
+    ("VEE", False, [(5, 3, 6), (25, 3, 6)]), ("VEE", True, [(5, 2, 6), (25, 5, 15)]),
+    ("DIAMOND", False, [(6, 4, 24), (36, 4, 24)]), ("DIAMOND", True, [(6, 1, 18), (36, 7, 126)]),
+    ("MONOID", False, [(2, 1, 3), (4, 3, 9)]), ("LATE_MONOID", False, [(2, 1, 3), (4, 3, 9)])])
+def test_the_hom_search_forces_each_choice_in_one_pass(name, top_first, counts):
+    # (arrows, stage reads, restriction reads) of Hom(X, Omega) for the
+    # constant X of one and of two elements, in object order and, on the
+    # posets, top object first.  The search reads Omega's stage once per
+    # cell met with a restriction not yet decided, where each choice reads
+    # each of Omega's tables into the cell's object at most once, and once
+    # per object whose cells it meets with every restriction decided, to
+    # index the stage by the restrictions of its elements.  The recursive forcing
+    # it replaced read as many stages or more, and for two elements it read
+    # 30, 163, 102 and 784 entries in object order and 12, 60, 84 and 210
+    # top object first, on TWO, CHAIN3, VEE and DIAMOND.
+    cat = _top_first(KIT_BASES[name]) if top_first else SEARCH_BASES[name]
+    assert [_search_reads(_constant(cat, size)) for size in (1, 2)] == counts
 
 
 # Bases on which some stages of an exponential are listed as a product and
@@ -1276,6 +1339,27 @@ def test_a_presheaf_and_its_element_layout_are_freed_by_reference_counting():
     assert not alive
 
 
+@pytest.mark.hash_seeds
+@pytest.mark.parametrize("name", list(KIT_BASES))
+def test_every_value_into_omega_is_an_element_of_its_stage(name):
+    # Omega's tables, the true arrow and the characteristic arrow of every
+    # sub-object of the terminal presheaf and of the fixture pool's
+    # presheaves on the base take their values by mask from Omega's own
+    # stages: each value is one of the stage's elements, not a second,
+    # equal frozenset.
+    cat = KIT_BASES[name]
+    kit = classifier_kit(cat)
+    values = [(m.dom, v) for m in cat.morphisms for v in kit.omega.maps[m.id].values()]
+    values += [(obj, kit.true_arrow.apply(obj, ())) for obj in cat.objects]
+    for x in [kit.terminal] + [x for x in presheaf_fixture_pool() if x.base == cat]:
+        for k in enumerate_subobjects(x):
+            values += [(obj, v) for obj, comp in char_morphism(k).components.items()
+                       for v in comp.values()]
+    elements = {obj: {id(s) for s in kit.omega.stage(obj)} for obj in cat.objects}
+    assert len(values) > sum(map(len, elements.values()))
+    assert [(obj, v) for obj, v in values if id(v) not in elements[obj]] == []
+
+
 def _assert_omega_is_the_pullback_presheaf(cat) -> None:
     kit = classifier_kit.__wrapped__(cat)
     for obj in cat.objects:
@@ -1328,8 +1412,12 @@ def test_a_kit_composes_each_arrow_with_each_arrow_into_its_domain_once(
         return compose(self, f, g)
 
     monkeypatch.setattr(FiniteCategory, "compose", spy)
+    # The stages are ordered by their members' ranks: no canon_key per sieve.
+    keys = []
+    monkeypatch.setattr(_canon, "canon_key", lambda v, key=canon_key: keys.append(v) or key(v))
     classifier_kit.__wrapped__(cat)
     monkeypatch.undo()
+    assert keys == []
     into_dom = {m.id: len(cat.into(m.dom)) for m in cat.morphisms}
     assert len(calls) == composed == sum(into_dom.values()) + sum(
         n for mid, n in into_dom.items() if mid != cat.id_of(cat.morphism(mid).dom))
@@ -1575,7 +1663,7 @@ def test_exp_transpose_on_a_missing_component_raises_presheaf_error():
     del components["q"][("z1", "x0")]
     with pytest.raises(PresheafError) as err:
         NatTransform(prod, omega, components)
-    assert str(err.value) == "not natural: ('not-total', 'q', ('z1', 'x0'))"
+    assert str(err.value) == "invalid in a component: ('not-total', 'q', ('z1', 'x0'))"
     # Built unchecked, the arrow reaches the reordering path, which reads
     # each value through `NatTransform.apply`.
     with pytest.raises(PresheafError) as err:
@@ -1600,6 +1688,59 @@ def test_exp_transpose_builds_no_product(monkeypatch):
 
 
 # -- the law check at the constructor ----------------------------------------------
+
+def _unchecked(cat, at: dict, maps: dict) -> Presheaf:
+    """The presheaf the constructor would build from these tables, before
+    its check: stages deduplicated in canon_key order, the missing identity
+    tables filled in, and the stages and tables under names the base lacks
+    kept."""
+    x = Presheaf._canonical(
+        cat, {obj: tuple(canon_sorted(set(stage))) for obj, stage in at.items()}, maps)
+    x.maps.update((mid, dict(table)) for mid, table in maps.items() if mid not in x.maps)
+    return x
+
+
+@pytest.mark.hash_seeds
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(list(KIT_BASES)), st.integers(0, 10 ** 6), st.data())
+def test_the_constructor_names_the_first_fault_of_what_it_is_given(name, seed, data):
+    # Each table, the identities' too, is given as a lawful presheaf has it,
+    # left out, or given with one entry moved, dropped or added; now and then
+    # a stage or a table is under a name the base lacks.  `validate_presheaf`
+    # checks no composite through an identity table that fixes its stage,
+    # yet on the tables the constructor would build it lists what the
+    # reference check lists, and the constructor raises exactly with its
+    # first item, or builds them when that list is empty.
+    cat = KIT_BASES[name]
+    lawful = random_presheaf(cat, random.Random(seed), max_size=3)
+    at = {obj: list(lawful.stage(obj)) for obj in cat.objects}
+    maps = {}
+    for m in cat.morphisms:
+        how = data.draw(st.sampled_from(["given", "left out", "moved", "dropped", "added"]))
+        table, values = dict(lawful.maps[m.id]), at[m.dom] + ["junk"]
+        if how == "left out":
+            continue
+        if how == "moved":
+            table[data.draw(st.sampled_from(sorted(table)))] = data.draw(st.sampled_from(values))
+        elif how == "dropped":
+            del table[data.draw(st.sampled_from(sorted(table)))]
+        elif how == "added":
+            table["junk"] = data.draw(st.sampled_from(values))
+        maps[m.id] = table
+    if data.draw(st.integers(0, 9)) == 0:
+        at["nowhere"] = ["n0"]
+    if data.draw(st.integers(0, 9)) == 0:
+        maps["le[nope]"] = {}
+    unchecked = _unchecked(cat, at, maps)
+    faults = validate_presheaf(unchecked).items
+    assert faults == reference_law_violations(cat, at, maps)
+    if faults:
+        with pytest.raises(PresheafError) as err:
+            Presheaf(cat, at, maps)
+        assert str(err.value) == f"violates functor laws: {faults[0]}"
+    else:
+        assert Presheaf(cat, at, maps) == unchecked
+
 
 def _raw_tables(data, cat) -> tuple[dict, dict]:
     """Stages and restriction tables on cat, functorial or not: a pool

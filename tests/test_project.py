@@ -180,7 +180,8 @@ def test_loading_checks_each_presheaf_once(monkeypatch):
     from toposlang import presheaf
     calls = []
     check = presheaf.validate_presheaf
-    monkeypatch.setattr(presheaf, "validate_presheaf", lambda x: calls.append(x) or check(x))
+    monkeypatch.setattr(presheaf, "validate_presheaf",
+                        lambda x, **filled: calls.append(x) or check(x, **filled))
     load_project(str(FIXTURE))
     assert len(calls) == 4
 
@@ -247,7 +248,8 @@ def test_a_symbol_arrow_that_is_not_natural_is_reported_after_every_table_error(
     with pytest.raises(ProjectError) as err:
         build_project(doc)
     assert (str(err.value), err.value.pointer) == (
-        "representation 'z3': arrow for 'A' is not natural: ('bad-codomain', 'pt', 's0')",
+        "representation 'z3': arrow for 'A' is invalid in a component: "
+        "('bad-codomain', 'pt', 's0')",
         "/representations/1")
 
 
@@ -262,5 +264,5 @@ def test_a_component_under_an_unknown_object_or_a_junk_row_is_refused():
         with pytest.raises(ProjectError) as err:
             build_project(doc)
         assert (str(err.value), err.value.pointer) == (
-            f"representation 'toy_presheaf': arrow for 'A' is not natural: {fault}",
+            f"representation 'toy_presheaf': arrow for 'A' is invalid in a component: {fault}",
             "/representations/2")

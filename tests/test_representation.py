@@ -631,7 +631,8 @@ def test_topos_rep_refuses_exactly_what_the_law_checks_report(name, fault, data)
         if not bad.ok:
             with pytest.raises(PresheafError) as err:
                 NatTransform(a.source, a.target, components)
-            assert str(err.value) == f"not natural: {bad.items[0]}"
+            what = "not natural" if bad.items[0][0] == "naturality" else "invalid in a component"
+            assert str(err.value) == f"{what}: {bad.items[0]}"
             return
         symbols["A"] = NatTransform(a.source, a.target, components)
     elif fault == "identity entry":
@@ -913,9 +914,9 @@ def test_a_classical_build_and_its_preimages_run_no_law_or_membership_check(monk
     calls = {"validate_presheaf": 0, "_holds": 0}
 
     def count(key, f):
-        def spy(*args):
+        def spy(*args, **kwargs):
             calls[key] += 1
-            return f(*args)
+            return f(*args, **kwargs)
         return spy
 
     monkeypatch.setattr(presheaf_module, "validate_presheaf",

@@ -1,6 +1,6 @@
 """List the functions under `src/toposlang` that the commands and workloads never enter.
 
-    python3 tools/reach.py [--seed N]
+    python3 tools/reach.py [--seed N] [--max-unreached N]
 
 Run from anywhere; the script finds the source tree it sits in.  It runs,
 in one process under `sys.setprofile`, every golden CLI case of
@@ -12,6 +12,10 @@ file `perfbench/wl_cli.py` generates for seed N), in process.  Then it prints ea
 defined under `src/toposlang` (nested ones too, named after their parents)
 that none of them entered, one a line as `path:line qualname (lines)`,
 followed by a summary line.  Standard library only.
+
+With `--max-unreached N` it exits 1, after the list, when more than N
+functions are listed, so a change that leaves more code reached by tests
+alone fails where this runs.
 
 A function listed here is reached by tests alone, or by nothing; error
 paths that no command takes are listed too.  The `cli` workload's cold
@@ -115,6 +119,8 @@ def run_round(workload: str, seed: int, out_dir: str) -> None:
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--seed", type=int, default=11)
+    parser.add_argument("--max-unreached", type=int, metavar="N",
+                        help="exit 1 when more than N functions are never entered")
     args = parser.parse_args()
     sys.path[:0] = [SRC, os.path.join(ROOT, "perfbench")]
     functions = defined_functions()
@@ -148,6 +154,10 @@ def main() -> int:
     print(f"{len(missed)} of {len(functions)} functions never entered, {total} lines; "
           f"golden cases, round 0 of seed {args.seed} of {', '.join(WORKLOADS)} "
           f"and the cli project commands in {elapsed:.1f} s")
+    if args.max_unreached is not None and len(missed) > args.max_unreached:
+        print(f"{len(missed)} functions never entered, more than --max-unreached "
+              f"{args.max_unreached}", file=sys.stderr)
+        return 1
     return 0
 
 
