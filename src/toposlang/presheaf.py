@@ -472,8 +472,8 @@ def classifier_kit(cat: FiniteCategory) -> ClassifierKit:
     the sorted ranks of their members, kept by mask over `cat.into(A)` in
     `sieves`.  The table along a non-identity arrow m pulls each sieve S on
     cod(m) back to {h : m o h in S}, read off S's mask at the composites
-    m o h for h into dom(m), composed once for all of S, and looked up by
-    mask: every value, the true arrow's too, is an element of a stage."""
+    m o h for h into dom(m), composed once for all of S, and looks it up by
+    mask: every value, the true arrow's too, is one of Omega's elements."""
     terminal = terminal_presheaf(cat)
     bits = {obj: {f: 1 << k for k, f in enumerate(cat.into(obj))} for obj in cat.objects}
     ranks = {obj: {f: r for r, f in enumerate(canon_sorted(cat.into(obj)))} for obj in cat.objects}
