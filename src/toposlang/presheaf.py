@@ -46,20 +46,22 @@ hash-equal, to the plain tuple of its cells.  Two functions know that
 layout: `exp_from_blocks` builds a stage's elements from the blocks of
 cells that share (B, g), and `exp_column` reads the evaluation cells
 (A, id_A, x) of many elements, at the positions the first element's own
-keys give, so it needs no X.  Other modules (term interpretation and the
-classical representation in `rep`) go through these two and never take an
+keys give, so it needs no X.  One kernel, `_transpose_columns`, cuts the
+columns of an arrow Z x X -> Y into those blocks, under `exp_transpose`
+and `rep`'s comprehensions alike.  Other modules (term interpretation and
+the classical representation in `rep`) go through these and never take an
 element apart themselves.
 
 An exponential is listed only when something reads its stages or tables,
 and it is kept on its exponent, not in a process-wide cache, so it lives as
-long as its inputs.  Unlisted, it still decides whether a single element
-belongs to a stage, restricts it by precomposition and builds the
-sub-presheaf it generates.  An arrow into it, such as a transpose, is
-built cell by cell and lists nothing: the classical preimage reaches
-its subset of states through P(Sigma), which has 2^states elements, without
-listing any of them, from the one element of P(R) it is asked about.  The
-one process-wide cache is `classifier_kit`'s, of the CACHE_SIZE kits last
-used: a kit it drops holds no cycle, so reference counting frees it.
+long as its inputs.  Unlisted, it still restricts a single element by
+precomposition and builds the sub-presheaf it generates.  An arrow into
+it, such as a transpose, is built block by block and lists nothing: the
+classical preimage reaches its subset of states through P(Sigma), which
+has 2^states elements, without listing any of them, from the one element
+of P(R) it is asked about.  The one process-wide cache is
+`classifier_kit`'s, of the CACHE_SIZE kits last used: a kit it drops holds
+no cycle, so reference counting frees it.
 """
 from __future__ import annotations
 
@@ -70,7 +72,7 @@ from collections import namedtuple
 from collections.abc import Mapping
 from functools import lru_cache, reduce
 from operator import eq, getitem, itemgetter, or_
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from ._canon import canon_key, canon_sorted
 from ._record import field, record
@@ -882,8 +884,8 @@ class _Exponential(Presheaf):
     before it does.
 
     It holds the cell keys, X's tables and Y, but not X, which keeps it: so
-    no cycle ties the two.  With them, `_holds`, `_restrict` and
-    `_generated` answer for single elements without listing anything."""
+    no cycle ties the two.  With them, `_restrict` and `_generated` answer
+    for single elements without listing anything."""
 
     def __init__(self, x: Presheaf, y: Presheaf):
         cat = self.base = x.base
@@ -932,38 +934,10 @@ class _Exponential(Presheaf):
         dom, positions = reads
         return _Cells(zip(self._keys[dom], [el[i][1] for i in positions]))
 
-    def _holds(self, obj: str, el) -> bool:
-        """Whether el lies in the stage at obj, decided without listing it:
-        its cells carry the stage's keys in order, each value lies in Y's
-        stage at the cell's object B, and along every non-identity arrow
-        h: C -> B the cell (C, g o h, X(h)(xv)) holds Y(h) of the value in
-        (B, g, xv), which is naturality."""
-        keys, cat, y = self._keys.get(obj), self.base, self._y
-        if keys is None or not isinstance(el, tuple) or len(el) != len(keys):
-            return False
-        if not all(isinstance(cell, tuple) and len(cell) == 2 and cell[0] == key
-                   for cell, key in zip(el, keys)):
-            return False
-        values = [value for _, value in el]
-        position = {key: i for i, key in enumerate(keys)}
-        try:
-            for (b, g, xv), value in el:
-                if value not in y.maps[cat.id_of(b)]:
-                    return False
-                for h in cat.into(b):
-                    if h == cat.id_of(b):
-                        continue
-                    below = (cat.morphism(h).dom, cat.compose(g, h), self._xmaps[h][xv])
-                    if values[position[below]] != y.maps[h][value]:
-                        return False
-        except TypeError:  # an unhashable value lies in no stage
-            return False
-        return True
-
     def _generated(self, obj: str, el: tuple) -> Presheaf:
-        """<el>, the sub-presheaf generated by el in the stage at obj, which
-        `_holds` must have accepted: its stage at B is the restrictions of
-        el along the arrows B -> obj, each built by `_restrict`, and its
+        """<el>, the sub-presheaf generated by el, an element of the stage at
+        obj that the caller built there: its stage at B is the restrictions
+        of el along the arrows B -> obj, each built by `_restrict`, and its
         tables are `_restrict` again.  On the one-object base it is {el}."""
         cat = self.base
         parts: dict = {b: {} for b in cat.objects}
@@ -1016,16 +990,35 @@ def power_object(x: Presheaf) -> Presheaf:
     return exponential(x, classifier_kit(x.base).omega)
 
 
+def _transpose_columns(cat: FiniteCategory, x: Presheaf, sizes: Mapping[str, int],
+                       columns: Mapping[str, Sequence],
+                       reads: Callable[[str], Sequence[int]]) -> dict[str, list[tuple]]:
+    """The transpose Z -> Y^X of an arrow Z x X -> Y, as the elements of
+    Y^X per stage, in Z's order.  The arrow's column at each stage B holds
+    its values Z-major, so it is cut into sizes[B] = |Z(B)| rows of |X(B)|
+    values: empty rows where X(B) is empty, none where Z(B) is.  The k-th
+    element at obj takes its block at each (B, g) of `cat.into_by_key(obj)`
+    from row reads(g)[k] at B, that of the k-th Z value restricted along
+    g.  The one transpose kernel, under `exp_transpose` and `rep`'s
+    comprehensions."""
+    rows = {}
+    for b in cat.objects:
+        width, col = len(x.stage(b)), columns[b]
+        rows[b] = [col[k * width:(k + 1) * width] for k in range(sizes[b])]
+    return {obj: exp_from_blocks(cat, obj, x, zip(*(
+        map(rows[b].__getitem__, reads(g)) for b, g in cat.into_by_key(obj))))
+        for obj in cat.objects}
+
+
 def exp_transpose(f: NatTransform, z: Presheaf, x: Presheaf, y: Presheaf) -> NatTransform:
     """Hom(Z x X, Y) -> Hom(Z, Y^X).  `f` must go out of product(z, x),
     which is checked against z and x without building that product.
     The transpose of zv at stage A holds f(z(g)(zv), xv) in cell (B, g, xv):
-    its block at (B, g) is f's row at z(g)(zv).
+    its block at (B, g) is f's row at z(g)(zv), built by `_transpose_columns`.
 
-    The rows are read off f's values in the product order of `f.source`,
-    zb-major: row k of stage B is the |X(B)| values after the first k rows,
-    so no (zb, xv) pair is hashed.  A component dict whose keys do not list
-    f's source stage in that order is first rebuilt in it through
+    f's values are read in the product order of `f.source`, zb-major, so no
+    (zb, xv) pair is hashed.  A component dict whose keys do not list f's
+    source stage in that order is first rebuilt in it through
     `NatTransform.apply`.
     Rows are found by position: along an identity z keeps each element in
     place, and along another arrow g the positions of z(g)(zv) are looked up
@@ -1039,31 +1032,27 @@ def exp_transpose(f: NatTransform, z: Presheaf, x: Presheaf, y: Presheaf) -> Nat
     cat = z.base
     if not _is_product(f.source, [z, x]) or f.target != y:
         raise ShapeMismatch("arrow to transpose is not Z x X -> Y")
-    rows = {}
+    columns = {}
     for b in cat.objects:
         comp, pairs = f.components.get(b, {}), f.source.stage(b)
         if list(comp) != list(pairs):
             comp = {pair: f.apply(b, pair) for pair in pairs}
-        values, width = list(comp.values()), len(x.stage(b))
-        rows[b] = [values[k * width:(k + 1) * width] for k in range(len(z.stage(b)))]
+        columns[b] = list(comp.values())
     zpos: dict = {}
 
-    def row_of(g: str, zs: tuple) -> Sequence[int]:
-        """For each zv of zs, the position of z(g)(zv) in Z(dom g)."""
-        b = cat.morphism(g).dom
-        if g == cat.id_of(b):
-            return range(len(zs))
-        if b not in zpos:
-            zpos[b] = {zb: k for k, zb in enumerate(z.stage(b))}
-        return list(map(zpos[b].__getitem__, map(z.maps[g].__getitem__, zs)))
+    def row_of(g: str) -> Sequence[int]:
+        """For each zv of Z(cod g), the position of z(g)(zv) in Z(dom g)."""
+        m = cat.morphism(g)
+        if g == cat.id_of(m.dom):
+            return range(len(z.stage(m.dom)))
+        if m.dom not in zpos:
+            zpos[m.dom] = {zb: k for k, zb in enumerate(z.stage(m.dom))}
+        return list(map(zpos[m.dom].__getitem__, map(z.maps[g].__getitem__, z.stage(m.cod))))
 
-    comps = {}
-    for obj in cat.objects:
-        zs, pairs = z.stage(obj), cat.into_by_key(obj)
-        reads = {g: row_of(g, zs) for _, g in pairs}
-        comps[obj] = dict(zip(zs, exp_from_blocks(cat, obj, x, zip(*(
-            map(rows[b].__getitem__, reads[g]) for b, g in pairs)))))
-    return NatTransform._certified(z, exponential(x, y), comps)
+    elements = _transpose_columns(cat, x, {b: len(z.stage(b)) for b in cat.objects},
+                                  columns, row_of)
+    return NatTransform._certified(z, exponential(x, y), {
+        obj: dict(zip(z.stage(obj), elements[obj])) for obj in cat.objects})
 
 
 def power_transpose(f: NatTransform, z: Presheaf, x: Presheaf) -> NatTransform:

@@ -21,13 +21,15 @@ chi(x) exactly when X(f)(x) forces it at B, so the bits fix chi.  `true` is
 every bit, `&` the pointwise and, and an equality is forced exactly where
 its two sides are equal, with no restriction read; membership and any other
 formula read the identity off their sieves.  A sieve is decoded from the
-bits, through those index lists, only where a value in Omega is needed.
+bits, through those index lists, only where a value in Omega is needed, and
+looked up by its mask among Omega's own elements.
 Membership is evaluation PX x X -> Omega: it reads the evaluation cells of
 the container's elements, which carry their own keys.  Comprehension builds
 the power transpose from blocks of its body's column over the context
-extended by the binder.  Every registered axiom sequent must hold: every
-environment that forces its premises forces its conclusion, decided on the
-bits alone, with no product presheaf built.
+extended by the binder, through the kernel under `exp_transpose`.  Every
+registered axiom sequent must hold: every environment that forces its
+premises forces its conclusion, decided on the bits alone, with no product
+presheaf built.
 
 A representation assigns objects and arrows of the topos, so a `ToposRep`
 is valid by construction: its constructor checks that each ground lives on
@@ -39,15 +41,16 @@ interpretation natural, and `interpret_term` builds its result unchecked.
 declared symbol, faithfulness, and the axioms.
 
 A proposition family, the power transpose P(R) -> P(Sigma) of ``A(s) in
-D``, is typed once and read one value set zv at a time (Mac Lane &
-Moerdijk, I.6): the term is interpreted over <zv> x Sigma only, <zv> the
-sub-presheaf of P(R) that zv generates, and transposed over <zv>.  The
-whole family is listed only when its components are read.
+D``, is typed once, and the classical preimage reads it at one value set zv
+(Mac Lane & Moerdijk, I.6): the term is interpreted over <zv> x Sigma only,
+<zv> the sub-presheaf of P(R) that zv generates, and transposed over <zv>.
+The whole family is listed when its components are read, `apply` included.
 
 This module builds no presheaf structure of its own: an interpreted term's
 source is `presheaf.product_presheaf`, <zv> is `presheaf`'s too, and
 power-object elements are built and read only through
-`presheaf.exp_from_blocks` and `exp_column`, which own their format.
+`presheaf.exp_from_blocks`, `_transpose_columns` and `exp_column`, which
+own their format.
 
 The one-object backend gives classical set semantics.  A finite-state
 system with rational value tables becomes such a representation through
@@ -97,10 +100,11 @@ from .local.types import (
     UnitType,
 )
 from .presheaf import (
+    ClassifierKit,
     NatTransform,
     Presheaf,
-    PresheafError,
     _product_base,
+    _transpose_columns,
     classifier_kit,
     exp_column,
     exp_from_blocks,
@@ -333,17 +337,19 @@ def _truth(n: Term, ctx: _Context, rep: ToposRep) -> dict[str, list[bool]]:
 
 
 def _sieves(truth: Mapping[str, Sequence[bool]], ctx: _Context,
-            cat: FiniteCategory) -> dict[str, list[frozenset]]:
+            kit: ClassifierKit) -> dict[str, list[frozenset]]:
     """The sieve column of a formula from its truth column (see `_truth`):
     at an environment x of stage A, the arrows f: B -> A whose restriction
-    of x forces the formula, read through the index lists of ctx."""
-    out = {}
+    of x forces the formula, read through the index lists of ctx.  Each
+    distinct pattern is looked up by its mask over `cat.into(A)` in the
+    kit's `sieves`, so every value is one of Omega's elements."""
+    cat, out = ctx.cat, {}
     for obj in cat.objects:
         into = cat.into(obj)
         patterns = list(zip(*(map(truth[cat.morphism(f).dom].__getitem__, ctx.reads(f))
                               for f in into)))
-        # One sieve per distinct pattern, members in `into` order.
-        sieves = {p: frozenset(itertools.compress(into, p)) for p in set(patterns)}
+        bits, by_mask = [1 << k for k in range(len(into))], kit.sieves[obj]
+        sieves = {p: by_mask[sum(itertools.compress(bits, p))] for p in set(patterns)}
         out[obj] = list(map(sieves.__getitem__, patterns))
     return out
 
@@ -370,21 +376,17 @@ def _columns(n: Term, ctx: _Context, rep: ToposRep) -> dict[str, list]:
         item, get = _columns(n.item, ctx, rep), itemgetter(n.index - 1)
         return {obj: list(map(get, item[obj])) for obj in cat.objects}
     if isinstance(n, (TrueLit, AndT, Eq)):
-        return _sieves(_truth(n, ctx, rep), ctx, cat)
+        return _sieves(_truth(n, ctx, rep), ctx, rep.kit)
     if isinstance(n, In):
         container, element = _columns(n.container, ctx, rep), _columns(n.element, ctx, rep)
         return {obj: exp_column(cat, obj, container[obj], element[obj]) for obj in cat.objects}
     if isinstance(n, Compr):
+        # The body's column over ctx extended by the binder holds |X(B)|
+        # values per outer environment, so it is transposed over ctx.
         x = interpret_type(n.var.vtype, rep)
         body = _columns(n.body, ctx.extend(n.var.name, x), rep)
-        # The block of outer environment j at B: its |X(B)| body values.
-        blocks = {}
-        for b in cat.objects:
-            width, col = len(x.stage(b)), body[b]
-            blocks[b] = [col[j * width:(j + 1) * width] for j in range(len(envs[b]))]
-        return {obj: exp_from_blocks(cat, obj, x, zip(*(
-            map(blocks[b].__getitem__, ctx.reads(g)) for b, g in cat.into_by_key(obj))))
-            for obj in cat.objects}
+        return _transpose_columns(cat, x, {b: len(envs[b]) for b in cat.objects}, body,
+                                  ctx.reads)
     raise RepresentationError(f"cannot interpret term former {type(n).__name__}")
 
 
@@ -426,7 +428,7 @@ def validate_axioms(rep: ToposRep,
         report.checked += sum(map(len, ctx.envs.values()))
         if all(_holds(concl[obj], [p[obj] for p in held]) for obj in cat.objects):
             continue
-        got, bounds = _sieves(concl, ctx, cat), [_sieves(p, ctx, cat) for p in held]
+        got, bounds = _sieves(concl, ctx, rep.kit), [_sieves(p, ctx, rep.kit) for p in held]
         for obj in cat.objects:
             top = principal_sieve(cat, obj)
             for i, env in enumerate(ctx.envs[obj]):
@@ -530,20 +532,20 @@ _FAMILY_CONTEXT = (("D", PowerType(RQ)), ("s", SIGMA))
 
 class _PropFamily(NatTransform):
     """The power transpose P(R) -> P(Sigma) of the arrow P(R) x Sigma ->
-    Omega interpreting ``symbol(s) in D``, read one argument at a time.
+    Omega interpreting ``symbol(s) in D``, its components listed when
+    first read.
 
     The term is typed once, here.  By the Yoneda lemma the value at zv in
     P(R)(A) needs only <zv>, the sub-presheaf of P(R) that zv generates
     (`_Exponential._generated`): `_value` interprets the term over <zv> x
     Sigma, transposes that over <zv> and reads the value at zv, so it lists
-    neither P(R) nor P(Sigma), and no hom-search cap applies to it.
-    `apply` first decides zv's membership in P(R)(A) with
-    `_Exponential._holds`, raising what `NatTransform.apply` raises.  The
-    first read of `components`, through equality or the hash
-    too, lists P(R), with the CapExceeded of its hom search where that
-    passes a cap, and applies the family to each element; `apply` then
-    reads the listed components.  Natural, as every power transpose is, so
-    built unchecked."""
+    neither P(R) nor P(Sigma), and no hom-search cap applies to it.  A
+    caller that built zv in P(R)(A), as the classical preimage does, reads
+    `_value` alone.  The first read of `components`, through `apply`,
+    equality or the hash too, lists P(R), with the CapExceeded of its hom
+    search where that passes a cap, and applies `_value` to each element;
+    `apply` is `NatTransform.apply` on those components.  Natural, as every
+    power transpose is, so built unchecked."""
 
     def __init__(self, symbol: str, rep: ToposRep):
         self._term = In(App(symbol, Var("s")), Var("D"))
@@ -566,13 +568,6 @@ class _PropFamily(NatTransform):
                            for obj in self.source.base.objects}
         return self.components
 
-    def apply(self, obj: str, zv):
-        if "components" in self.__dict__:
-            return super().apply(obj, zv)
-        if not self.source._holds(obj, zv):
-            raise PresheafError(f"component at {obj!r} undefined at {zv!r}")
-        return self._value(obj, zv)
-
     def _value(self, obj: str, zv):
         generated = self.source._generated(obj, zv)
         flipped = _interpret_term(self._term, _FAMILY_CONTEXT, self._rep,
@@ -582,9 +577,9 @@ class _PropFamily(NatTransform):
 
 def prop_family(symbol: str, rep: ToposRep) -> NatTransform:
     """Power transpose of the arrow P(R) x Sigma -> Omega interpreting
-    ``symbol(s) in D``, as a family of state subsets indexed by value sets:
-    each value read at one argument and the whole family listed only when
-    read (see `_PropFamily`).  Built anew on each call, which costs little:
+    ``symbol(s) in D``, as a family of state subsets indexed by value sets,
+    listed when its components are first read, `apply` included (see
+    `_PropFamily`).  Built anew on each call, which costs little:
     the interpreted types and both power objects are kept where they were
     already, and nothing on the representation refers back to a family, so
     both are freed by reference counting."""
@@ -610,9 +605,10 @@ class EffectiveClassicalRep:
     interpreted over one environment per state and transposed into one
     subset of states.  Neither P(R), 2^values subsets, nor P(Sigma),
     2^states, is listed, so a preimage costs time linear in the states.
-    Only listing the family's components, through its equality or hash
-    too, lists P(R), refused from 18 values on, past the hom search's cell
-    cap.  Nothing the representation holds refers back to the family.
+    Only reading the family's components, through its `apply`, equality
+    or hash too, lists P(R), refused from 18 values on, past the hom
+    search's cell cap.  Nothing the representation holds refers back to
+    the family.
     """
     system: ClassicalSystem
     rep: ToposRep
@@ -638,10 +634,10 @@ class EffectiveClassicalRep:
 
     def delta_element(self, delta: IntervalSet):
         """The power-object element of the value stage deciding membership in
-        the interval set."""
-        base, pt, values = self.rep.base, self.point, self.rep.ground("R")
-        top = principal_sieve(base, pt)
-        row = [[top if delta.member(v) else frozenset() for v in values.stage(b)]
+        the interval set: its cells hold Omega's top and empty sieves."""
+        base, pt, values, kit = self.rep.base, self.point, self.rep.ground("R"), self.rep.kit
+        top, bottom = kit.true_arrow.components[pt][()], kit.sieves[pt][0]
+        row = [[top if delta.member(v) else bottom for v in values.stage(b)]
                for b, _ in base.into_by_key(pt)]
         return exp_from_blocks(base, pt, values, [row])[0]
 
@@ -650,8 +646,8 @@ class EffectiveClassicalRep:
         transpose of the proposition arrow."""
         pt, base = self.point, self.rep.base
         states = self.rep.ground("Sigma").stage(pt)
-        # `delta_element` builds a member of P(R)'s stage: no `apply` check.
+        # `delta_element` builds a member of P(R)'s stage: read at it alone.
         subset_element = prop_family(symbol, self.rep)._value(pt, self.delta_element(delta))
         truth = exp_column(base, pt, [subset_element] * len(states), states)
-        top = principal_sieve(base, pt)
+        top = self.rep.kit.true_arrow.components[pt][()]
         return frozenset(s for s, value in zip(states, truth) if value == top)

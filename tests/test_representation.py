@@ -53,6 +53,7 @@ from toposlang.presheaf import (
     Presheaf,
     PresheafError,
     enumerate_nats,
+    exp_transpose,
     global_elements,
     power_object,
     power_transpose,
@@ -299,6 +300,38 @@ def test_comprehension_is_the_power_transpose_of_its_body():
             got = interpret_term(compr, context, rep)
             assert got == _transposed_body("s", SIGMA, body, context, rep)
             assert got.target == interpret_type(PowerType(SIGMA), rep)
+
+
+def _empty_at_q_rep():
+    """On TWO: Sigma empty at q and not at p, R of two elements at both."""
+    sigma = two_point_presheaf([], ["b0", "b1"], {})
+    rvals = two_point_presheaf(["u0", "u1"], ["w0", "w1"], {"u0": "w0", "u1": "w1"})
+    arrow = NatTransform(sigma, rvals, {"q": {}, "p": {"b0": "w0", "b1": "w1"}})
+    return build_rep(Signature({"A": (SIGMA, RQ)}), TWO, {"Sigma": sigma, "R": rvals},
+                     {"A": arrow})
+
+
+@pytest.mark.hash_seeds
+@pytest.mark.parametrize("context, text", [
+    # X is Sigma, empty at q: the two rows cut there are empty.
+    ((("d", RQ),), "{ s : Sigma | A(s) = d }"),
+    # Z is Sigma, empty at q: no row is cut there.
+    ((("t", SIGMA),), "{ r : R | A(t) = r }"),
+])
+def test_a_transpose_reads_a_stage_where_z_or_x_is_empty(context, text):
+    # Through a comprehension, against the reference interpretation, and
+    # through `exp_transpose` of every arrow Z x X -> Omega, against the
+    # untranspose.
+    rep = _empty_at_q_rep()
+    term = parse_term(text, rep.signature)
+    assert interpret_term(term, context, rep) == reference_interpret_term(term, context, rep)
+    (_, ztype), = context
+    z, x, omega = interpret_type(ztype, rep), interpret_type(term.var.vtype, rep), rep.kit.omega
+    assert not (z.stage("q") and x.stage("q"))
+    arrows = enumerate_nats(product_presheaf([z, x]), omega)
+    assert len(arrows) > 1
+    for f in arrows:
+        assert exp_untranspose(exp_transpose(f, z, x, omega), z, x, omega) == f
 
 
 def test_abelian_pack_passes_on_z3_and_fails_on_corruption():
@@ -910,27 +943,25 @@ def test_a_first_preimage_interprets_environments_linear_in_the_states(monkeypat
 def test_a_classical_build_and_its_preimages_run_no_law_or_membership_check(monkeypatch):
     # The stages come from a validated system and the interval set's
     # element is built in P(R)'s stage, so neither is checked again.
-    exponential_class = presheaf_module._Exponential
-    calls = {"validate_presheaf": 0, "_holds": 0}
+    calls = []
+    validate = presheaf_module.validate_presheaf
 
-    def count(key, f):
-        def spy(*args, **kwargs):
-            calls[key] += 1
-            return f(*args, **kwargs)
-        return spy
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return validate(*args, **kwargs)
 
-    monkeypatch.setattr(presheaf_module, "validate_presheaf",
-                        count("validate_presheaf", presheaf_module.validate_presheaf))
-    monkeypatch.setattr(exponential_class, "_holds", count("_holds", exponential_class._holds))
+    monkeypatch.setattr(presheaf_module, "validate_presheaf", spy)
     system = _many_valued_system(8, 5)
     eff = EffectiveClassicalRep.build(system)
     reference = classical_rep(system)
     for delta in (iv(0, True, 1, False), iv(Fraction(1, 3), True, None, False)):
         assert eff.preimage("A", delta) == reference.preimage("A", delta)
-    assert calls == {"validate_presheaf": 0, "_holds": 0}
-    # The public family's `apply` still checks its argument.
-    prop_family("A", eff.rep).apply(POINT, eff.delta_element(iv(0, True, 1, False)))
-    assert calls == {"validate_presheaf": 0, "_holds": 1}
+    assert calls == []
+    # The public family's `apply` lists P(R), built unchecked too.
+    family = prop_family("A", eff.rep)
+    zv = eff.delta_element(iv(0, True, 1, False))
+    assert family.apply(POINT, zv) == family._value(POINT, zv)
+    assert calls == []
 
 
 @pytest.mark.hash_seeds
@@ -1016,9 +1047,9 @@ def test_a_lazy_family_is_the_reference_family(name, seed, first, data):
         [(contexts[1], text) for context, text in TERMS_BY_CONTEXT if context == contexts[1]]
     wholes = [interpret_term(parse_term(text, rep.signature), context, rep)
               for context, text in terms]
+    moved_elements = []
     for obj in cat.objects:
         for zv in p_r.stage(obj):
-            assert fresh.apply(obj, zv) == reference.apply(obj, zv)
             # <zv> holds every restriction of zv and is closed under them.
             generated = p_r._generated(obj, zv)
             for b in cat.objects:
@@ -1037,20 +1068,12 @@ def test_a_lazy_family_is_the_reference_family(name, seed, first, data):
                 for b in cat.objects:
                     assert all(local.apply(b, env) == whole.apply(b, env)
                                for env in local.source.stage(b)), (text, b)
-        # One cell of a listed element moved to another truth value: the
-        # family answers exactly where the listed stage holds the result.
         stage = p_r.stage(obj)
         zv = data.draw(st.sampled_from(stage))
         i = data.draw(st.integers(0, len(zv) - 1))
         (b, g, xv), value = zv[i]
         other = data.draw(st.sampled_from(rep.kit.omega.stage(b)))
-        moved = zv[:i] + (((b, g, xv), other),) + zv[i + 1:]
-        if moved in set(stage):
-            assert fresh.apply(obj, moved) == reference.apply(obj, moved)
-        else:
-            assert _raised(lambda: fresh.apply(obj, moved)) == \
-                _raised(lambda: reference.apply(obj, moved)) is not None
-    assert "components" not in vars(fresh)
+        moved_elements.append((obj, zv[:i] + (((b, g, xv), other),) + zv[i + 1:]))
     if first == "apply":
         assert all(family.apply(obj, zv) == reference.apply(obj, zv)
                    for obj in cat.objects for zv in p_r.stage(obj))
@@ -1064,10 +1087,18 @@ def test_a_lazy_family_is_the_reference_family(name, seed, first, data):
     assert family == reference and reference == family and fresh == family
     assert hash(family) == hash(reference) == hash(fresh)
     assert family.target is reference.target
+    # One cell of a listed element moved to another truth value: the
+    # family answers exactly where the listed stage holds the result.
+    for obj, moved in moved_elements:
+        if moved in set(p_r.stage(obj)):
+            assert family.apply(obj, moved) == reference.apply(obj, moved)
+        else:
+            assert _raised(lambda: family.apply(obj, moved)) == \
+                _raised(lambda: reference.apply(obj, moved)) is not None
 
 
 @pytest.mark.hash_seeds
-def test_a_family_refuses_an_argument_outside_its_source_stage_without_listing_it():
+def test_a_family_refuses_an_argument_outside_its_source_stage():
     rep = _hand_built_rep("VEE")
     family = prop_family("A", rep)
     p_r, cat = family.source, rep.base
@@ -1087,8 +1118,6 @@ def test_a_family_refuses_an_argument_outside_its_source_stage_without_listing_i
         with pytest.raises(PresheafError) as err:
             family.apply("b", bad)
         assert str(err.value) == f"component at 'b' undefined at {bad!r}"
-    assert "at" not in vars(p_r)
-    assert "components" not in vars(family)
     assert not {short, reordered, outside_omega, not_natural} & set(p_r.stage("b"))
 
 
