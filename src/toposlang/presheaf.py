@@ -231,7 +231,7 @@ class NatTransform:
     def apply(self, obj: str, x):
         try:
             return self.components[obj][x]
-        except KeyError:
+        except (KeyError, TypeError):  # an unhashable x lies in no stage
             raise PresheafError(f"component at {obj!r} undefined at {x!r}") from None
 
     def __eq__(self, other):

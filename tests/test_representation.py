@@ -1114,7 +1114,8 @@ def test_a_family_refuses_an_argument_outside_its_source_stage():
     # u in the sieve's top at b, its restriction z in the empty sieve at a.
     not_natural = tuple((key, top_b if key == ("b", "id[b]", "u") else frozenset())
                         for key in keys)
-    for bad in (short, reordered, outside_omega, not_natural):
+    unhashable = empty[:-1] + ((keys[-1], set()),)
+    for bad in (short, reordered, outside_omega, not_natural, unhashable):
         with pytest.raises(PresheafError) as err:
             family.apply("b", bad)
         assert str(err.value) == f"component at 'b' undefined at {bad!r}"
