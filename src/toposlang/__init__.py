@@ -44,7 +44,7 @@ _EXPORTS = {
     "heyting": ("BoundedLattice", "DownsetAlgebra", "lower_set_algebra", "open_set_algebra",
                 "powerset_algebra", "subspace_lattice_2d"),
     "category": ("FiniteCategory", "Morphism", "from_poset", "one_object_category",
-                 "principal_sieve", "sieve_heyting", "sieves_on", "validate_category"),
+                 "sieve_heyting", "sieves_on", "validate_category"),
     "presheaf": ("NatTransform", "Presheaf", "Subobject", "char_morphism",
                  "classifier_kit", "exponential", "global_elements", "power_object",
                  "power_transpose", "product", "sub_heyting", "subobject_of_char",

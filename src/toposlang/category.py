@@ -234,11 +234,6 @@ def one_object_category(obj: str = "pt") -> FiniteCategory:
 
 # -- sieves -------------------------------------------------------------------
 
-def principal_sieve(cat: FiniteCategory, obj: str) -> frozenset[str]:
-    """All morphisms with codomain obj (the top sieve)."""
-    return frozenset(cat.into(obj))
-
-
 def _sieve_order(cat: FiniteCategory, obj: str) -> list[int]:
     """The preorder on the arrows into obj, as masks over `cat.into(obj)`: a
     sieve holding f holds every f o g.  The masks are already reflexive (g

@@ -47,6 +47,13 @@ def _fail(exc: Exception) -> int:
     return BAD_INPUT
 
 
+def _named(table, name: str, what: str):
+    """The project's declaration `name` in `table`; InputError if none."""
+    if name not in table:
+        raise InputError(f"unknown {what} {name!r}")
+    return table[name]
+
+
 def _formula_ast(node) -> dict:
     from .prop import syntax as s
     return s.fold_formula(
@@ -75,9 +82,7 @@ def cmd_omega(args) -> int:
     from .presheaf import classifier_kit
     from .project import load_project
     project = load_project(args.file)
-    cat = project.categories.get(args.category)
-    if cat is None:
-        return _fail(InputError(f"unknown category {args.category!r}"))
+    cat = _named(project.categories, args.category, "category")
     kit = classifier_kit(cat)
     stages = {obj: [jsonable(s) for s in kit.omega.stage(obj)] for obj in cat.objects}
     restrictions = {
@@ -100,9 +105,7 @@ def cmd_sub_classify(args) -> int:
         char_morphism, classifier_kit, enumerate_nats, enumerate_subobjects, subobject_of_char)
     from .project import load_project
     project = load_project(args.file)
-    x = project.presheaves.get(args.presheaf)
-    if x is None:
-        return _fail(InputError(f"unknown presheaf {args.presheaf!r}"))
+    x = _named(project.presheaves, args.presheaf, "presheaf")
     subs = enumerate_subobjects(x)
     homs = enumerate_nats(x, classifier_kit(x.base).omega)
     entries = []
@@ -147,9 +150,7 @@ def cmd_pl_represent(args) -> int:
     from .prop.semantics import classical_rep
     from .prop.syntax import format_formula
     project = load_project(args.file)
-    system = project.systems.get(args.system)
-    if system is None:
-        return _fail(InputError(f"unknown system {args.system!r}"))
+    system = _named(project.systems, args.system, "system")
     formula = _resolve_formula(project, args.formula)
     rep = classical_rep(system)
     subset = rep.represent(formula)
@@ -165,9 +166,7 @@ def cmd_pl_truth(args) -> int:
     from .prop.semantics import truth_value
     from .prop.syntax import format_formula
     project = load_project(args.file)
-    system = project.systems.get(args.system)
-    if system is None:
-        return _fail(InputError(f"unknown system {args.system!r}"))
+    system = _named(project.systems, args.system, "system")
     formula = _resolve_formula(project, args.formula)
     value = truth_value(formula, args.state, system)
     payload = {"formula": format_formula(formula), "state": args.state, "value": value}
@@ -195,9 +194,7 @@ def cmd_pl_prove(args) -> int:
     from .prop.proofs import check_proof
     from .prop.syntax import format_formula
     project = load_project(args.file)
-    proof = project.proofs.get(args.proof)
-    if proof is None:
-        return _fail(InputError(f"unknown proof {args.proof!r}"))
+    proof = _named(project.proofs, args.proof, "proof")
     verdict = check_proof(proof)
     payload = verdict.to_json()
     payload["proof"] = args.proof

@@ -528,16 +528,15 @@ def char_morphism(k: Subobject) -> NatTransform:
 
 
 def subobject_of_char(chi: NatTransform) -> Subobject:
-    """Inverse of `char_morphism`: the stage-wise preimage of the principal
-    sieve, one bit per point of the source's element layout, built
-    unchecked: the arrow is natural, so the preimage is closed."""
+    """Inverse of `char_morphism`: the elements whose sieve holds the
+    identity, as only the top sieve does, one bit per point of the source's
+    element layout, built unchecked: the arrow is natural, so it is closed."""
     cat = chi.source.base
-    true = classifier_kit(cat).true_arrow.components
     mask = i = 0
     for obj in cat.objects:
-        top, comp = true[obj][()], chi.components[obj]
+        ident, comp = cat.id_of(obj), chi.components[obj]
         for el in chi.source.stage(obj):
-            if comp[el] == top:
+            if ident in comp[el]:
                 mask |= 1 << i
             i += 1
     return Subobject._certified(chi.source, mask)

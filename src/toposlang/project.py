@@ -120,14 +120,14 @@ def validate_schema(document) -> None:
 
 
 class _Registry:
-    """Tracks declaration sites so duplicates can name both."""
+    """Tracks declaration sites by (kind, name) so duplicates can name both."""
 
     def __init__(self):
         self.sites: dict[tuple[str, str], str] = {}
 
     def add(self, table: dict, name: str, value, pointer: str, kind: str):
         key = (kind, name)
-        if name in table:
+        if key in self.sites:
             raise ProjectError(
                 f"duplicate {kind} name {name!r}: declared at {self.sites[key]} "
                 f"and again at {pointer}", pointer)
@@ -272,19 +272,18 @@ def build_project(document: Mapping) -> Project:
         from .rep import EffectiveClassicalRep
         ptr = f"/representations/{i}"
         name = spec["name"]
-        if name in project.classical_reps or name in project.topos_reps:
-            raise ProjectError(f"duplicate representation name {name!r}", ptr)
         if spec["kind"] == "classical":
             system = project.systems.get(spec.get("system", ""))
             if system is None:
                 raise ProjectError(f"unknown system {spec.get('system')!r}",
                                    f"{ptr}/system")
             try:
-                project.classical_reps[name] = EffectiveClassicalRep.build(system)
+                rep, table = EffectiveClassicalRep.build(system), project.classical_reps
             except ToposlangError as exc:
                 raise ProjectError(f"representation {name!r}: {exc}", ptr) from exc
         else:
-            project.topos_reps[name] = _topos_rep_from_json(project, spec, ptr)
+            rep, table = _topos_rep_from_json(project, spec, ptr), project.topos_reps
+        registry.add(table, name, rep, ptr, "representation")
 
     for i, spec in enumerate(document.get("formulas", ())):
         from .prop.syntax import format_formula, parse_formula

@@ -66,7 +66,7 @@ from typing import Mapping, Sequence
 
 from ._canon import canon_sorted
 from ._record import field, record
-from .category import FiniteCategory, one_object_category, principal_sieve
+from .category import FiniteCategory, one_object_category
 from .errors import ToposlangError
 from .intervals import IntervalSet
 from .local.axioms import Sequent
@@ -100,7 +100,6 @@ from .local.types import (
     UnitType,
 )
 from .presheaf import (
-    ClassifierKit,
     NatTransform,
     Presheaf,
     _product_base,
@@ -321,7 +320,7 @@ def _truth(n: Term, ctx: _Context, rep: ToposRep) -> dict[str, list[bool]]:
     """Per stage, whether each environment of ctx forces the formula n: that
     is, whether the identity lies in the sieve n takes there.  A natural
     chi: X -> Omega holds f: B -> A in chi(x) exactly when the identity of
-    B lies in chi(X(f)(x)), so these bits fix chi (`_sieves` reads it back).
+    B lies in chi(X(f)(x)), so these bits fix chi (`_sieve_masks` reads it back).
     An equality holds at the identity exactly when its sides are equal."""
     cat, envs = rep.base, ctx.envs
     if isinstance(n, TrueLit):
@@ -336,21 +335,20 @@ def _truth(n: Term, ctx: _Context, rep: ToposRep) -> dict[str, list[bool]]:
     return {obj: [cat.id_of(obj) in s for s in sieves[obj]] for obj in cat.objects}
 
 
-def _sieves(truth: Mapping[str, Sequence[bool]], ctx: _Context,
-            kit: ClassifierKit) -> dict[str, list[frozenset]]:
-    """The sieve column of a formula from its truth column (see `_truth`):
-    at an environment x of stage A, the arrows f: B -> A whose restriction
-    of x forces the formula, read through the index lists of ctx.  Each
-    distinct pattern is looked up by its mask over `cat.into(A)` in the
-    kit's `sieves`, so every value is one of Omega's elements."""
+def _sieve_masks(truth: Mapping[str, Sequence[bool]], ctx: _Context) -> dict[str, list[int]]:
+    """The sieve column of a formula from its truth column (see `_truth`), as
+    masks over `cat.into(A)`: at an environment x of stage A, the arrows
+    f: B -> A whose restriction of x forces the formula, read through the
+    index lists of ctx, each distinct pattern's mask computed once.  Looked
+    up in the kit's `sieves`, each mask is one of Omega's elements."""
     cat, out = ctx.cat, {}
     for obj in cat.objects:
         into = cat.into(obj)
         patterns = list(zip(*(map(truth[cat.morphism(f).dom].__getitem__, ctx.reads(f))
                               for f in into)))
-        bits, by_mask = [1 << k for k in range(len(into))], kit.sieves[obj]
-        sieves = {p: by_mask[sum(itertools.compress(bits, p))] for p in set(patterns)}
-        out[obj] = list(map(sieves.__getitem__, patterns))
+        bits = [1 << k for k in range(len(into))]
+        masks = {p: sum(itertools.compress(bits, p)) for p in set(patterns)}
+        out[obj] = list(map(masks.__getitem__, patterns))
     return out
 
 
@@ -376,7 +374,9 @@ def _columns(n: Term, ctx: _Context, rep: ToposRep) -> dict[str, list]:
         item, get = _columns(n.item, ctx, rep), itemgetter(n.index - 1)
         return {obj: list(map(get, item[obj])) for obj in cat.objects}
     if isinstance(n, (TrueLit, AndT, Eq)):
-        return _sieves(_truth(n, ctx, rep), ctx, rep.kit)
+        masks = _sieve_masks(_truth(n, ctx, rep), ctx)
+        return {obj: list(map(rep.kit.sieves[obj].__getitem__, masks[obj]))
+                for obj in cat.objects}
     if isinstance(n, In):
         container, element = _columns(n.container, ctx, rep), _columns(n.element, ctx, rep)
         return {obj: exp_column(cat, obj, container[obj], element[obj]) for obj in cat.objects}
@@ -404,8 +404,9 @@ def validate_axioms(rep: ToposRep,
     extending the longest of its prefixes that an earlier sequent of this
     call built, one variable at a time; each new context is admitted by
     `_product_base` before any of its environments is built.  Only a
-    failing sequent decodes its sieve columns, to list every failing
-    environment as a witness.  RepresentationError names a formula whose
+    failing sequent reads its sieve masks, meets its premises' by `&` and
+    lists every failing environment as a witness, its sieves looked up by
+    mask among Omega's elements.  RepresentationError names a formula whose
     type is not Omega."""
     report = AxiomReport()
     cat = rep.base
@@ -428,15 +429,16 @@ def validate_axioms(rep: ToposRep,
         report.checked += sum(map(len, ctx.envs.values()))
         if all(_holds(concl[obj], [p[obj] for p in held]) for obj in cat.objects):
             continue
-        got, bounds = _sieves(concl, ctx, rep.kit), [_sieves(p, ctx, rep.kit) for p in held]
+        got, bounds = _sieve_masks(concl, ctx), [_sieve_masks(p, ctx) for p in held]
         for obj in cat.objects:
-            top = principal_sieve(cat, obj)
+            by_mask, full = rep.kit.sieves[obj], (1 << len(cat.into(obj))) - 1
             for i, env in enumerate(ctx.envs[obj]):
-                bound = top
+                bound = full
                 for p in bounds:
-                    bound = bound & p[obj][i]
-                if not bound <= got[obj][i]:
-                    report.failures.append(AxiomWitness(name, obj, env, got[obj][i], bound))
+                    bound &= p[obj][i]
+                if bound & ~got[obj][i]:
+                    report.failures.append(AxiomWitness(
+                        name, obj, env, by_mask[got[obj][i]], by_mask[bound]))
     return report
 
 
@@ -649,5 +651,5 @@ class EffectiveClassicalRep:
         # `delta_element` builds a member of P(R)'s stage: read at it alone.
         subset_element = prop_family(symbol, self.rep)._value(pt, self.delta_element(delta))
         truth = exp_column(base, pt, [subset_element] * len(states), states)
-        top = self.rep.kit.true_arrow.components[pt][()]
-        return frozenset(s for s, value in zip(states, truth) if value == top)
+        ident = base.id_of(pt)
+        return frozenset(s for s, value in zip(states, truth) if ident in value)

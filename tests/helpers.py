@@ -39,7 +39,6 @@ from toposlang.category import (
     Morphism,
     from_poset,
     one_object_category,
-    principal_sieve,
 )
 from toposlang.heyting import (
     BoundedLattice,
@@ -688,6 +687,11 @@ def sieve_violations(cat: FiniteCategory, target: str, members: frozenset) -> li
             if g.cod == fm.dom and cat.compose(f, g.id) not in members:
                 bad.append(("not-precomposition-closed", f, g.id))
     return bad
+
+
+def principal_sieve(cat: FiniteCategory, obj: str) -> frozenset[str]:
+    """All morphisms with codomain obj (the top sieve)."""
+    return frozenset(cat.into(obj))
 
 
 def pullback_members(cat: FiniteCategory, f: str, members: frozenset) -> frozenset:

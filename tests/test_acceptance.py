@@ -23,13 +23,14 @@ from helpers import (
     compose_nats,
     evaluation,
     presheaf_fixture_pool,
+    principal_sieve,
     pullback_sieve,
     set_presheaf,
     two_point_presheaf,
     verify_exponential_adjunction,
 )
 
-from toposlang.category import principal_sieve, sieve_heyting, sieves_on
+from toposlang.category import sieve_heyting, sieves_on
 from toposlang.heyting import (
     DownsetAlgebra,
     lower_set_algebra,

@@ -10,6 +10,7 @@ from helpers import (
     NotASieve,
     brute_sieves,
     idempotent_monoid,
+    principal_sieve,
     pullback_sieve,
     sieve_implies,
     sieve_negate,
@@ -22,7 +23,6 @@ from toposlang.category import (
     Morphism,
     from_poset,
     one_object_category,
-    principal_sieve,
     sieve_heyting,
     sieves_on,
     validate_category,

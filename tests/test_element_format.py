@@ -31,6 +31,7 @@ from helpers import (
     assert_equality_matches_reference,
     budget,
     exp_element,
+    principal_sieve,
     random_presheaf,
     reference_exponential,
     reference_presheaf_key,
@@ -41,7 +42,6 @@ from helpers import (
 
 from toposlang import presheaf
 from toposlang._canon import canon_key, canon_sorted
-from toposlang.category import principal_sieve
 from toposlang.errors import CapExceeded
 from toposlang.intervals import IntervalSet
 from toposlang.local import RQ, SIGMA, PowerType, Signature, parse_term

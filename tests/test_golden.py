@@ -52,7 +52,7 @@ def test_cli_output_matches_golden(case, capsys):
 # kits of the fixture's base and of the one-object base in turn, so one kit
 # kept would miss where two hit.  Commands not listed read no kit.
 KIT_TRAFFIC = {
-    "validate": (1, 2), "omega": (2, 2), "sub_classify": (8, 2), "sub_classify_X": (12, 2),
+    "validate": (1, 2), "omega": (2, 2), "sub_classify": (5, 2), "sub_classify_X": (7, 2),
     "pl_represent": (1, 2),
     "pl_truth": (1, 2), "pl_prove": (1, 2), "ls_typecheck": (1, 2), "ls_represent": (1, 2),
     "ls_check_axioms": (1, 2), "ls_represent_prop_family": (3, 2),

@@ -34,6 +34,7 @@ from helpers import (
     global_element,
     global_key,
     presheaf_fixture_pool,
+    principal_sieve,
     pullback_members,
     random_presheaf,
     reference_char_morphism,
@@ -58,12 +59,12 @@ from toposlang.category import (
     Morphism,
     from_poset,
     one_object_category,
-    principal_sieve,
     sieve_heyting,
     sieves_on,
 )
 from toposlang.errors import CapExceeded
-from toposlang.local import RQ, SIGMA, PowerType, Signature, parse_term
+from toposlang.local import OMEGA, RQ, SIGMA, PowerType, Sequent, Signature, parse_term
+from toposlang.local.check import annotate
 from toposlang.presheaf import (
     CACHE_SIZE,
     HOM_CELL_CAP,
@@ -100,6 +101,7 @@ from toposlang.rep import (
     interpret_term,
     interpret_type,
     prop_family,
+    validate_axioms,
 )
 
 
@@ -1291,14 +1293,14 @@ def _kit_traffic(seed: int, ops: int) -> list:
 
 @pytest.mark.hash_seeds
 def test_the_kit_cache_keeps_the_traffic_of_a_long_cache_and_frees_the_rest():
-    # 128 kits kept make the same 316 hits and 49 misses; one kit kept
-    # makes 298 and 67.  A family's first `apply` lists P(R), which reads
+    # 128 kits kept make the same 253 hits and 49 misses; one kit kept
+    # makes 235 and 67.  A family's first `apply` lists P(R), which reads
     # the kit once per element.  A kit evicted is freed: after a collection
     # at most CACHE_SIZE are alive.
     classifier_kit.cache_clear()
     omegas = _kit_traffic(351, 40)
     info = classifier_kit.cache_info()
-    assert (info.hits, info.misses) == (316, 49)
+    assert (info.hits, info.misses) == (253, 49)
     assert info.currsize == CACHE_SIZE
     gc.collect()
     assert len([ref for ref in omegas if ref() is not None]) <= CACHE_SIZE
@@ -1350,8 +1352,10 @@ def test_every_value_into_omega_is_an_element_of_its_stage(name):
     # presheaves on the base take their values by mask from Omega's own
     # stages: each value is one of the stage's elements, not a second,
     # equal frozenset.  So do the interpreted formulas and the cells of the
-    # interpreted comprehensions of a representation on the base, and on
-    # the one-object base the cells of a classical interval set's element.
+    # interpreted comprehensions of a representation on the base, the got
+    # and expected sieves of failing sequents' witnesses, with and without
+    # premises, and on the one-object base the cells of a classical
+    # interval set's element.
     cat = KIT_BASES[name]
     kit = classifier_kit(cat)
     values = [(m.dom, v) for m in cat.morphisms for v in kit.omega.maps[m.id].values()]
@@ -1372,6 +1376,13 @@ def test_every_value_into_omega_is_an_element_of_its_stage(name):
         arrow = interpret_term(parse_term(text, rep.signature), context, rep)
         values += [(b, v) for comp in arrow.components.values() for el in comp.values()
                    for (b, _, _), v in el]
+    types = {"s": SIGMA, "D": PowerType(RQ), "p": OMEGA, "q": OMEGA}
+    member, p, q = (annotate(parse_term(text, rep.signature), types)
+                    for text in ["A(s) in D", "p", "q"])
+    report = validate_axioms(rep, [("bare", Sequent.of(member)),
+                                   ("meet", Sequent.of(q, p, member))])
+    assert {w.axiom for w in report.failures} == {"bare", "meet"}
+    values += [(w.stage, v) for w in report.failures for v in (w.got, w.expected)]
     if name == "PT":
         eff = EffectiveClassicalRep.build(ClassicalSystem(
             ("s0", "s1", "s2"), {"A": {"s0": Fraction(0), "s1": Fraction(1), "s2": Fraction(2)}}))

@@ -212,6 +212,21 @@ def test_duplicate_error_names_both_sites():
     assert "/posets/0" in str(err.value) and "/posets/2" in str(err.value)
 
 
+@pytest.mark.parametrize("copied, name", [(0, "classical"), (1, "z3"), (2, "classical")],
+                         ids=["classical-classical", "topos-topos", "classical-topos"])
+def test_a_duplicate_representation_names_both_sites(copied, name):
+    # A name declared twice is refused whether both declarations are of one
+    # kind or one is classical and the other topos.
+    doc = base_doc()
+    first = next(i for i, r in enumerate(doc["representations"]) if r["name"] == name)
+    doc["representations"].append(dict(doc["representations"][copied], name=name))
+    with pytest.raises(ProjectError) as err:
+        build_project(doc)
+    assert str(err.value) == (f"duplicate representation name {name!r}: declared at "
+                              f"/representations/{first} and again at /representations/3")
+    assert err.value.pointer == "/representations/3"
+
+
 def test_symbol_table_on_presheaf_backend_rejected():
     doc = base_doc()
     toy = next(r for r in doc["representations"] if r["name"] == "toy_presheaf")

@@ -500,6 +500,29 @@ def test_fork_countermodels_past_one_chunk_match_the_scalar_scan(text):
 
 
 @pytest.mark.hash_seeds
+@pytest.mark.parametrize("atoms, loads", [(3, 15), (4, 88), (5, 746)])
+def test_the_countermodel_scan_loads_a_counted_number_of_chunks(monkeypatch, atoms, loads):
+    # n8 -> n7 fails first on a 4-world frame, and a conjunction of fresh
+    # atoms, which fails there too, widens every frame's valuations: the
+    # chunks loaded grow about ninefold per atom (6,643 and 59,539 at 6 and
+    # 7 atoms), so one column fewer per plane, or a frame per class of
+    # orders rather than per rooted frame, moves these counts.
+    count, load = 0, _Table.load
+
+    def spy(self, *args):
+        nonlocal count
+        count += 1
+        return load(self, *args)
+
+    monkeypatch.setattr(_Table, "load", spy)
+    conjunction = Atom("b1")
+    for i in range(2, atoms + 1):
+        conjunction = And(conjunction, Atom(f"b{i}"))
+    found = find_countermodel(Or(Implies(RN[8], RN[7]), conjunction), max_worlds=4)
+    assert (len(found[0].worlds), count) == (4, loads)
+
+
+@pytest.mark.hash_seeds
 @settings(max_examples=150, deadline=None)
 @given(formulas(), st.integers(1, 5))
 def test_chunked_search_matches_the_scalar_scan(formula, max_worlds):

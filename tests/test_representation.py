@@ -16,6 +16,7 @@ from helpers import (
     compose_nats,
     evaluation,
     exp_untranspose,
+    principal_sieve,
     random_presheaf,
     reference_interpret_term,
     reference_law_violations,
@@ -27,7 +28,7 @@ from helpers import (
 
 from toposlang import presheaf as presheaf_module
 from toposlang import rep as rep_module
-from toposlang.category import one_object_category, principal_sieve
+from toposlang.category import one_object_category
 from toposlang.errors import CapExceeded
 from toposlang.intervals import IntervalSet, Rational
 from toposlang.local.check import LsTypeError, annotate, infer_type, map_children
