@@ -205,9 +205,13 @@ def poset_arrow_id(p: str, q: str) -> str:
 def from_poset(elements: Sequence[str], pairs: Iterable[tuple[str, str]]) -> FiniteCategory:
     """Category of a finite poset: one morphism le[p,q] per related pair p <= q.
 
-    Raises InvalidOrder when the reflexive-transitive closure has a cycle.
+    Raises InvalidOrder when the reflexive-transitive closure has a cycle,
+    and CategoryError on an element listed twice or on two arrows given one
+    id (names holding commas can collide: le[a,b,c] is both a <= b,c and
+    a,b <= c).
     """
     elems = list(elements)
+    _distinct(elems, "element")
     below = poset_below(elems, pairs)  # raises on cycles
     morphisms = [Morphism(identity_id(p), p, p) for p in elems]
     identities = {p: identity_id(p) for p in elems}
@@ -224,7 +228,17 @@ def from_poset(elements: Sequence[str], pairs: Iterable[tuple[str, str]]) -> Fin
         for g in morphisms:
             if g.cod == f.dom:
                 composition[(f.id, g.id)] = arrow(g.dom, f.cod)
+    _distinct((m.id for m in morphisms), "arrow id")
     return FiniteCategory._unchecked(elems, morphisms, identities, composition)
+
+
+def _distinct(names: Iterable[str], what: str) -> None:
+    """Raise CategoryError naming the first of `names` seen twice."""
+    seen = set()
+    for name in names:
+        if name in seen:
+            raise CategoryError(f"{what} {name!r} occurs twice")
+        seen.add(name)
 
 
 def one_object_category(obj: str = "pt") -> FiniteCategory:

@@ -47,13 +47,6 @@ def _fail(exc: Exception) -> int:
     return BAD_INPUT
 
 
-def _named(table, name: str, what: str):
-    """The project's declaration `name` in `table`; InputError if none."""
-    if name not in table:
-        raise InputError(f"unknown {what} {name!r}")
-    return table[name]
-
-
 def _formula_ast(node) -> dict:
     from .prop import syntax as s
     return s.fold_formula(
@@ -80,7 +73,7 @@ def cmd_validate(args) -> int:
 
 def cmd_omega(args) -> int:
     from .presheaf import classifier_kit
-    from .project import load_project
+    from .project import _named, load_project
     project = load_project(args.file)
     cat = _named(project.categories, args.category, "category")
     kit = classifier_kit(cat)
@@ -103,7 +96,7 @@ def cmd_omega(args) -> int:
 def cmd_sub_classify(args) -> int:
     from .presheaf import (
         char_morphism, classifier_kit, enumerate_nats, enumerate_subobjects, subobject_of_char)
-    from .project import load_project
+    from .project import _named, load_project
     project = load_project(args.file)
     x = _named(project.presheaves, args.presheaf, "presheaf")
     subs = enumerate_subobjects(x)
@@ -146,7 +139,7 @@ def _resolve_formula(project, text: str):
 
 
 def cmd_pl_represent(args) -> int:
-    from .project import load_project
+    from .project import _named, load_project
     from .prop.semantics import classical_rep
     from .prop.syntax import format_formula
     project = load_project(args.file)
@@ -162,7 +155,7 @@ def cmd_pl_represent(args) -> int:
 
 
 def cmd_pl_truth(args) -> int:
-    from .project import load_project
+    from .project import _named, load_project
     from .prop.semantics import truth_value
     from .prop.syntax import format_formula
     project = load_project(args.file)
@@ -190,7 +183,7 @@ def cmd_pl_decide(args) -> int:
 
 
 def cmd_pl_prove(args) -> int:
-    from .project import load_project
+    from .project import _named, load_project
     from .prop.proofs import check_proof
     from .prop.syntax import format_formula
     project = load_project(args.file)
@@ -251,11 +244,10 @@ def cmd_ls_typecheck(args) -> int:
 
 
 def _find_rep(project, name: str):
+    from .project import _named
     if name in project.topos_reps:
         return project.topos_reps[name]
-    if name in project.classical_reps:
-        return project.classical_reps[name].rep
-    raise InputError(f"unknown representation {name!r}")
+    return _named(project.classical_reps, name, "representation").rep
 
 
 def cmd_ls_represent(args) -> int:

@@ -4,7 +4,9 @@ representations, formulas, terms and proofs.
 
 Loading is deterministic and eager: every declared object is constructed
 and validated in a fixed order, cross-references resolve by name, and any
-failure carries a JSON-pointer-style location.  Exact rationals travel as
+failure carries a JSON-pointer-style location: an undeclared name reads
+`unknown <what> <name>` at the field that referred to it, and a library
+error reads at its declaration's pointer.  Exact rationals travel as
 strings in lowest terms ("5/2"); the terminal point prints as "*".
 
 The document is first checked against `schema/project-v1.schema.json` by
@@ -135,6 +137,30 @@ class _Registry:
         table[name] = value
 
 
+def _named(table: Mapping, name, what: str, pointer: str = ""):
+    """`table[name]`; an undeclared name is refused at `pointer`, the field
+    that referred to it."""
+    if name not in table:
+        raise ProjectError(f"unknown {what} {name!r}", pointer)
+    return table[name]
+
+
+class _refusal:
+    """A block whose library error (`catch`) is re-raised as a ProjectError
+    at `pointer`, its message after `prefix`, chained from the original; a
+    ProjectError from the block passes unchanged."""
+
+    def __init__(self, pointer: str, prefix: str, catch=ToposlangError):
+        self.pointer, self.prefix, self.catch = pointer, prefix, catch
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, kind, exc, traceback):
+        if isinstance(exc, self.catch) and not isinstance(exc, ProjectError):
+            raise ProjectError(f"{self.prefix}{exc}", self.pointer) from exc
+
+
 def load_project(path: str) -> Project:
     """Read, schema-check and construct every object in a project file."""
     try:
@@ -142,10 +168,21 @@ def load_project(path: str) -> Project:
             document = json.load(handle)
     except OSError as exc:
         raise ProjectError(f"cannot read project file: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # malformed JSON, bytes not UTF-8, an int past the digit limit
         raise ProjectError(f"not JSON: {exc}") from exc
     validate_schema(document)
     return build_project(document)
+
+
+def _types_from_json(types: Mapping, pointer: str, prefix: str) -> dict:
+    """Each variable's parsed type, a type that does not parse refused at
+    `pointer`/<variable>."""
+    from .local.syntax import parse_type
+    parsed = {}
+    for vname, tname in types.items():
+        with _refusal(f"{pointer}/{vname}", prefix):
+            parsed[vname] = parse_type(tname)
+    return parsed
 
 
 def build_project(document: Mapping) -> Project:
@@ -155,33 +192,28 @@ def build_project(document: Mapping) -> Project:
     for i, spec in enumerate(document.get("posets", ())):
         from .category import from_poset
         ptr = f"/posets/{i}"
-        try:
+        with _refusal(ptr, f"poset {spec['name']!r}: "):
             cat = from_poset(spec["elements"], [tuple(p) for p in spec.get("order", ())])
-        except ToposlangError as exc:
-            raise ProjectError(f"poset {spec['name']!r}: {exc}", ptr) from exc
         registry.add(project.categories, spec["name"], cat, ptr, "category")
 
     for i, spec in enumerate(document.get("categories", ())):
         from .category import FiniteCategory, Morphism, _LawViolation
-        ptr = f"/categories/{i}"
-        try:
+        ptr, name = f"/categories/{i}", spec["name"]
+        # "category 'c' violates the category laws: ...", any other fault
+        # "category 'c': ...".
+        with _refusal(ptr, f"category {name!r}: "), \
+                _refusal(ptr, f"category {name!r} ", _LawViolation):
             cat = FiniteCategory(
                 spec["objects"],
                 [Morphism(m["id"], m["dom"], m["cod"]) for m in spec["morphisms"]],
                 spec["identities"],
                 {(f, g): fg for f, g, fg in spec["composition"]})
-        except _LawViolation as exc:
-            raise ProjectError(f"category {spec['name']!r} {exc}", ptr) from exc
-        except ToposlangError as exc:
-            raise ProjectError(f"category {spec['name']!r}: {exc}", ptr) from exc
-        registry.add(project.categories, spec["name"], cat, ptr, "category")
+        registry.add(project.categories, name, cat, ptr, "category")
 
     for i, spec in enumerate(document.get("presheaves", ())):
         from .presheaf import Presheaf, PresheafError
         ptr = f"/presheaves/{i}"
-        base = project.categories.get(spec["base"])
-        if base is None:
-            raise ProjectError(f"unknown base category {spec['base']!r}", f"{ptr}/base")
+        base = _named(project.categories, spec["base"], "base category", f"{ptr}/base")
         stages = {obj: [element_from_json(e) for e in elems]
                   for obj, elems in spec["stages"].items()}
         unknown = set(stages) - set(base.objects)
@@ -190,17 +222,15 @@ def build_project(document: Mapping) -> Project:
                                f"{ptr}/stages")
         maps = {mid: _table_from_json(rows)
                 for mid, rows in spec.get("restrictions", {}).items()}
-        try:
+        with _refusal(ptr, f"presheaf {spec['name']!r} ", PresheafError):
             x = Presheaf(base, stages, maps)
-        except PresheafError as exc:
-            raise ProjectError(f"presheaf {spec['name']!r} {exc}", ptr) from exc
         registry.add(project.presheaves, spec["name"], x, ptr, "presheaf")
 
     for i, spec in enumerate(document.get("algebras", ())):
         from .heyting import lower_set_algebra, open_set_algebra, powerset_algebra
         ptr = f"/algebras/{i}"
         kind = spec["kind"]
-        try:
+        with _refusal(ptr, f"algebra {spec['name']!r}: ", (ToposlangError, KeyError)):
             if kind == "powerset":
                 alg = powerset_algebra(spec["base"])
             elif kind == "open_sets":
@@ -209,19 +239,11 @@ def build_project(document: Mapping) -> Project:
                 alg = lower_set_algebra(spec["elements"],
                                         [tuple(p) for p in spec.get("order", ())])
             else:
-                cat = project.categories.get(spec.get("category", ""))
-                if cat is None:
-                    raise ProjectError(
-                        f"unknown category {spec.get('category')!r}", f"{ptr}/category")
-                if spec.get("object") not in cat.objects:
-                    raise ProjectError(
-                        f"unknown object {spec.get('object')!r}", f"{ptr}/object")
                 from .category import sieve_heyting
+                cat = _named(project.categories, spec.get("category"), "category",
+                             f"{ptr}/category")
+                _named(dict.fromkeys(cat.objects), spec.get("object"), "object", f"{ptr}/object")
                 alg = sieve_heyting(cat, spec["object"])
-        except ProjectError:
-            raise
-        except (ToposlangError, KeyError) as exc:
-            raise ProjectError(f"algebra {spec['name']!r}: {exc}", ptr) from exc
         registry.add(project.algebras, spec["name"], alg, ptr, "algebra")
 
     for i, spec in enumerate(document.get("systems", ())):
@@ -235,22 +257,17 @@ def build_project(document: Mapping) -> Project:
                 raise ProjectError(
                     f"quantity {qname!r} mentions unknown state {bad!r}",
                     f"{ptr}/quantities/{qname}/{bad}")
-        try:
+        with _refusal(f"{ptr}/quantities", f"system {spec['name']!r}: "):
             system = ClassicalSystem(states, spec["quantities"])
-        except ToposlangError as exc:
-            raise ProjectError(f"system {spec['name']!r}: {exc}",
-                               f"{ptr}/quantities") from exc
         registry.add(project.systems, spec["name"], system, ptr, "system")
 
     for i, spec in enumerate(document.get("signatures", ())):
         from .local.syntax import Signature, parse_type
         ptr = f"/signatures/{i}"
-        try:
+        with _refusal(ptr, f"signature {spec['name']!r}: "):
             symbols = {name: (parse_type(dom), parse_type(cod))
                        for name, (dom, cod) in spec["symbols"].items()}
             signature = Signature(symbols, tuple(spec.get("grounds", ())))
-        except ToposlangError as exc:
-            raise ProjectError(f"signature {spec['name']!r}: {exc}", ptr) from exc
         registry.add(project.signatures, spec["name"], signature, ptr, "signature")
 
     for i, spec in enumerate(document.get("axiom_packs", ())):
@@ -273,14 +290,9 @@ def build_project(document: Mapping) -> Project:
         ptr = f"/representations/{i}"
         name = spec["name"]
         if spec["kind"] == "classical":
-            system = project.systems.get(spec.get("system", ""))
-            if system is None:
-                raise ProjectError(f"unknown system {spec.get('system')!r}",
-                                   f"{ptr}/system")
-            try:
+            system = _named(project.systems, spec.get("system"), "system", f"{ptr}/system")
+            with _refusal(ptr, f"representation {name!r}: "):
                 rep, table = EffectiveClassicalRep.build(system), project.classical_reps
-            except ToposlangError as exc:
-                raise ProjectError(f"representation {name!r}: {exc}", ptr) from exc
         else:
             rep, table = _topos_rep_from_json(project, spec, ptr), project.topos_reps
         registry.add(table, name, rep, ptr, "representation")
@@ -288,10 +300,8 @@ def build_project(document: Mapping) -> Project:
     for i, spec in enumerate(document.get("formulas", ())):
         from .prop.syntax import format_formula, parse_formula
         ptr = f"/formulas/{i}"
-        try:
+        with _refusal(f"{ptr}/text", f"formula {spec['name']!r}: "):
             formula = parse_formula(spec["text"])
-        except ToposlangError as exc:
-            raise ProjectError(f"formula {spec['name']!r}: {exc}", f"{ptr}/text") from exc
         canonical = format_formula(formula)
         if canonical != spec["text"]:
             project.notes.append({"kind": "normalized", "pointer": f"{ptr}/text",
@@ -299,18 +309,14 @@ def build_project(document: Mapping) -> Project:
         registry.add(project.formulas, spec["name"], formula, ptr, "formula")
 
     for i, spec in enumerate(document.get("terms", ())):
-        from .local.syntax import parse_term, parse_type
-        ptr = f"/terms/{i}"
-        signature = project.signatures.get(spec["signature"])
-        if signature is None:
-            raise ProjectError(f"unknown signature {spec['signature']!r}",
-                               f"{ptr}/signature")
-        try:
-            context = tuple((vname, parse_type(tname))
-                            for vname, tname in spec.get("context", {}).items())
+        from .local.syntax import parse_term
+        ptr, prefix = f"/terms/{i}", f"term {spec['name']!r}: "
+        signature = _named(project.signatures, spec["signature"], "signature",
+                           f"{ptr}/signature")
+        context = tuple(_types_from_json(spec.get("context", {}), f"{ptr}/context",
+                                         prefix).items())
+        with _refusal(f"{ptr}/text", prefix):
             term = parse_term(spec["text"], signature)
-        except ToposlangError as exc:
-            raise ProjectError(f"term {spec['name']!r}: {exc}", f"{ptr}/text") from exc
         registry.add(project.terms, spec["name"],
                      LoadedTerm(spec["signature"], context, term, spec["text"]),
                      ptr, "term")
@@ -321,13 +327,11 @@ def build_project(document: Mapping) -> Project:
         ptr = f"/proofs/{i}"
         lines = []
         for j, line in enumerate(spec["lines"]):
-            try:
+            with _refusal(f"{ptr}/lines/{j}/formula", f"proof {spec['name']!r} line {j + 1}: "):
                 formula = parse_formula(line["formula"])
-            except ToposlangError as exc:
-                raise ProjectError(f"proof {spec['name']!r} line {j + 1}: {exc}",
-                                   f"{ptr}/lines/{j}/formula") from exc
+            # The schema, as jsonschema, takes 2.0 for an integer.
             lines.append(ProofLine(formula, line["rule"],
-                                   tuple(line.get("refs", ())), line.get("schema")))
+                                   tuple(map(int, line.get("refs", ()))), line.get("schema")))
         registry.add(project.proofs, spec["name"], Proof(tuple(lines)), ptr, "proof")
 
     return project
@@ -336,14 +340,11 @@ def build_project(document: Mapping) -> Project:
 def _sequent_from_json(spec: Mapping, pointer: str) -> Sequent:
     from .local.axioms import Sequent
     from .local.check import annotate
-    from .local.syntax import parse_term, parse_type
-    try:
+    from .local.syntax import parse_term
+    with _refusal(pointer, "sequent: "):
         conclusion = parse_term(spec["conclusion"])
         context = frozenset(parse_term(t) for t in spec.get("context", ()))
-    except ToposlangError as exc:
-        raise ProjectError(f"sequent: {exc}", pointer) from exc
-    var_types = {vname: parse_type(tname)
-                 for vname, tname in spec.get("variables", {}).items()}
+    var_types = _types_from_json(spec.get("variables", {}), f"{pointer}/variables", "sequent: ")
     return Sequent(frozenset(annotate(t, var_types) for t in context),
                    annotate(conclusion, var_types))
 
@@ -353,29 +354,20 @@ def _topos_rep_from_json(project: Project, spec: Mapping, ptr: str) -> ToposRep:
     from .local.axioms import pack_signature
     from .presheaf import NatTransform, Presheaf, PresheafError
     from .rep import ToposRep, _completed, interpret_type
-    name = spec["name"]
-    signature = project.signatures.get(spec.get("signature", ""))
-    if signature is None:
-        raise ProjectError(f"unknown signature {spec.get('signature')!r}",
-                           f"{ptr}/signature")
+    prefix = f"representation {spec['name']!r}: "
+    signature = _named(project.signatures, spec.get("signature"), "signature",
+                       f"{ptr}/signature")
     backend = spec.get("backend", {"kind": "set"})
     if backend["kind"] == "set":
         base = one_object_category()
     else:
-        base = project.categories.get(backend.get("category", ""))
-        if base is None:
-            raise ProjectError(f"unknown category {backend.get('category')!r}",
-                               f"{ptr}/backend/category")
+        base = _named(project.categories, backend.get("category"), "category",
+                      f"{ptr}/backend/category")
     axioms: list[tuple[str, Sequent]] = []
     for pack_name in spec.get("axiom_packs", ()):
-        pack = project.axiom_packs.get(pack_name)
-        if pack is None:
-            raise ProjectError(f"unknown axiom pack {pack_name!r}",
-                               f"{ptr}/axiom_packs")
-        try:
+        pack = _named(project.axiom_packs, pack_name, "axiom pack", f"{ptr}/axiom_packs")
+        with _refusal(ptr, prefix):
             signature = pack_signature(signature, pack)
-        except ToposlangError as exc:
-            raise ProjectError(f"representation {name!r}: {exc}", ptr) from exc
         axioms.extend((f"{pack_name}.{seq_name}", seq) for seq_name, seq in pack.sequents)
     for j, sq in enumerate(spec.get("axioms", ())):
         axioms.append((sq.get("name", f"axiom{j}"),
@@ -384,11 +376,8 @@ def _topos_rep_from_json(project: Project, spec: Mapping, ptr: str) -> ToposRep:
     grounds: dict[str, Presheaf] = {}
     for gname, gspec in spec.get("grounds", {}).items():
         if "presheaf" in gspec:
-            presheaf = project.presheaves.get(gspec["presheaf"])
-            if presheaf is None:
-                raise ProjectError(f"unknown presheaf {gspec['presheaf']!r}",
-                                   f"{ptr}/grounds/{gname}")
-            grounds[gname] = presheaf
+            grounds[gname] = _named(project.presheaves, gspec["presheaf"], "presheaf",
+                                    f"{ptr}/grounds/{gname}")
         elif "set" in gspec:
             if backend["kind"] != "set":
                 raise ProjectError("inline sets need the set backend",
@@ -403,21 +392,17 @@ def _topos_rep_from_json(project: Project, spec: Mapping, ptr: str) -> ToposRep:
     # interprets, and assigned to it once built: their tables are read in
     # file order, then the arrows built, each checked for naturality, in
     # the signature's order.
-    try:
+    with _refusal(ptr, prefix):
         rep = ToposRep(signature, base, grounds, {}, tuple(axioms))
-    except ToposlangError as exc:
-        raise ProjectError(f"representation {name!r}: {exc}", ptr) from exc
     tables = {}
     for sname, sspec in spec.get("symbols", {}).items():
         if sname not in signature.symbols:
             raise ProjectError(f"arrow for undeclared symbol {sname!r}",
                                f"{ptr}/symbols/{sname}")
         dom, cod = signature.symbols[sname]
-        try:
+        with _refusal(f"{ptr}/symbols/{sname}", f"symbol {sname!r}: "):
             source = interpret_type(dom, rep)
             target = interpret_type(cod, rep)
-        except ToposlangError as exc:
-            raise ProjectError(f"symbol {sname!r}: {exc}", f"{ptr}/symbols/{sname}") from exc
         if "table" in sspec:
             if backend["kind"] != "set":
                 raise ProjectError("plain tables need the set backend",
@@ -433,14 +418,9 @@ def _topos_rep_from_json(project: Project, spec: Mapping, ptr: str) -> ToposRep:
     symbols: dict[str, NatTransform] = {}
     for sname in signature.symbols:
         if sname in tables:
-            try:
+            with _refusal(ptr, f"{prefix}arrow for {sname!r} is ", PresheafError):
                 symbols[sname] = NatTransform(*tables[sname])
-            except PresheafError as exc:
-                raise ProjectError(f"representation {name!r}: arrow for {sname!r} is {exc}",
-                                   ptr) from exc
 
-    try:
+    with _refusal(ptr, prefix):
         rep._assign(symbols)
         return _completed(rep)
-    except ToposlangError as exc:
-        raise ProjectError(f"representation {name!r}: {exc}", ptr) from exc

@@ -67,6 +67,16 @@ def test_from_poset_rejects_cycles():
         from_poset(["a", "b"], [("a", "b"), ("b", "a")])
 
 
+def test_from_poset_refuses_a_repeated_element_or_arrow_id():
+    # Both built a category that broke the laws: a repeated element gave two
+    # identities on one object, and the down-set scan on its sieves ran until
+    # the process ran out of memory.
+    with pytest.raises(CategoryError, match=r"^element 'p' occurs twice$"):
+        from_poset(["p", "q", "p"], [("p", "q")])
+    with pytest.raises(CategoryError, match=r"^arrow id 'le\[a,b,c\]' occurs twice$"):
+        from_poset(["a", "b,c", "a,b", "c"], [("a", "b,c"), ("a,b", "c")])
+
+
 def test_validate_passes_on_poset_output():
     for cat in (TWO, CHAIN3, one_object_category()):
         assert validate_category(cat).ok

@@ -24,7 +24,8 @@ def test_fixture_loads_everything():
 def test_element_round_trip():
     assert element_from_json("*") == ()
     assert element_from_json(["a", ["b", "*"]]) == ("a", ("b", ()))
-    with pytest.raises(ProjectError):
+    # The schema refuses such an element before the loader reads it.
+    with pytest.raises(ProjectError, match=r"^not an element encoding: 3$"):
         element_from_json(3)
 
 
@@ -281,3 +282,181 @@ def test_a_component_under_an_unknown_object_or_a_junk_row_is_refused():
         assert (str(err.value), err.value.pointer) == (
             f"representation 'toy_presheaf': arrow for 'A' is invalid in a component: {fault}",
             "/representations/2")
+
+
+def _rep(doc, name):
+    return next(r for r in doc["representations"] if r["name"] == name)
+
+
+def _drop(container, key):
+    del container[key]
+
+
+_UNIT_LAW_CATEGORY = {
+    "name": "c", "objects": ["a", "b"],
+    "morphisms": [{"id": "ia", "dom": "a", "cod": "a"}, {"id": "ib", "dom": "b", "cod": "b"},
+                  {"id": "f", "dom": "a", "cod": "b"}, {"id": "g", "dom": "a", "cod": "b"}],
+    "identities": {"a": "ia", "b": "ib"},
+    "composition": [["ia", "ia", "ia"], ["ib", "ib", "ib"], ["f", "ia", "f"], ["g", "ia", "g"],
+                    ["ib", "f", "g"], ["ib", "g", "f"]]}
+_MISSING = object()
+
+# One case per site at which the loader refuses a file, each a one-edit
+# variant of the fixture: the edit changes the document in place, or returns
+# the bytes to write in its place, or _MISSING for no file at all.  "{path}"
+# in an error stands for the file's path.  An element that is neither a
+# string nor a list is refused by the schema before `element_from_json` can
+# refuse it; test_element_round_trip covers that refusal.
+REFUSALS = [
+    ("schema", lambda d: d.update(schema_version=2),
+     "schema violation: 1 was expected", "/schema_version"),
+    ("duplicate-name", lambda d: d["posets"].append(dict(d["posets"][0])),
+     "duplicate category name 'two_point': declared at /posets/0 and again at /posets/2",
+     "/posets/2"),
+    ("unreadable", lambda d: _MISSING,
+     "cannot read project file: [Errno 2] No such file or directory: '{path}'", None),
+    ("not-json", lambda d: b"{",
+     "not JSON: Expecting property name enclosed in double quotes: line 1 column 2 (char 1)",
+     None),
+    ("not-utf8", lambda d: b"\xff\xfe{}",
+     "not JSON: 'utf-8' codec can't decode byte 0xff in position 0: invalid start byte", None),
+    ("poset", lambda d: d["posets"][0]["order"].append(["p", "z"]),
+     "poset 'two_point': order pair ('p', 'z') mentions unknown element", "/posets/0"),
+    ("poset-repeated-element", lambda d: d["posets"][0]["elements"].append("p"),
+     "poset 'two_point': element 'p' occurs twice", "/posets/0"),
+    ("poset-colliding-arrow-ids", lambda d: d["posets"].append(
+        {"name": "clash", "elements": ["a", "b,c", "a,b", "c"],
+         "order": [["a", "b,c"], ["a,b", "c"]]}),
+     "poset 'clash': arrow id 'le[a,b,c]' occurs twice", "/posets/2"),
+    ("category-law", lambda d: d.update(categories=[_UNIT_LAW_CATEGORY]),
+     "category 'c' violates the category laws: ('left-unit', 'f', 'g')", "/categories/0"),
+    ("category-names", lambda d: d.update(categories=[dict(_UNIT_LAW_CATEGORY,
+                                                          objects=["a", "b", "a"])]),
+     "category 'c': duplicate object ids", "/categories/0"),
+    ("presheaf-base", lambda d: d["presheaves"][0].update(base="nowhere"),
+     "unknown base category 'nowhere'", "/presheaves/0/base"),
+    ("presheaf-stages", lambda d: d["presheaves"][0]["stages"].update(nowhere=["n0"]),
+     "stages mention unknown objects ['nowhere']", "/presheaves/0/stages"),
+    ("presheaf-laws", lambda d: _drop(d["presheaves"][0]["restrictions"]["le[p,q]"], -1),
+     "presheaf 'X' violates functor laws: ('not-total', 'le[p,q]', 'x1')", "/presheaves/0"),
+    ("algebra-category", lambda d: d["algebras"][3].update(category="nowhere"),
+     "unknown category 'nowhere'", "/algebras/3/category"),
+    ("algebra-object", lambda d: d["algebras"][3].update(object="z"),
+     "unknown object 'z'", "/algebras/3/object"),
+    ("algebra-key", lambda d: _drop(d["algebras"][0], "base"),
+     "algebra 'bool3': 'base'", "/algebras/0"),
+    ("algebra-order", lambda d: d["algebras"][2]["order"].append(["q", "p"]),
+     "algebra 'two_chain_lower': cycle detected through 'p' and 'q'", "/algebras/2"),
+    ("system-state", lambda d: d["systems"][0]["quantities"]["p"].update(s9="1"),
+     "quantity 'p' mentions unknown state 's9'", "/systems/0/quantities/p/s9"),
+    ("system-value", lambda d: d["systems"][0]["quantities"]["p"].update(s2="1/0"),
+     "system 'particle': quantity 'p' has a value that is not a rational at state 's2': '1/0'",
+     "/systems/0/quantities"),
+    ("signature", lambda d: d["signatures"][0]["symbols"].update(A=["Sigma", "P("]),
+     "signature 'point_particle': expected a type at column 2, got ''", "/signatures/0"),
+    ("axiom-pack-kind", lambda d: _drop(d["axiom_packs"][0], "builtin"),
+     "axiom pack needs either builtin or sequents", "/axiom_packs/0"),
+    ("classical-system", lambda d: _rep(d, "classical").update(system="nowhere"),
+     "unknown system 'nowhere'", "/representations/0/system"),
+    ("classical-build", lambda d: d["systems"][1]["quantities"].update(
+        B={"s1": "1", "s2": "5/2", "s3": "4"}),
+     "representation 'classical': quantity symbols 'A' and 'B' share one arrow; "
+     "the representation is not faithful",
+     "/representations/0"),
+    ("formula", lambda d: d["formulas"][0].update(text="A in ["),
+     "formula 'window': expected a rational or inf at column 6, got ''", "/formulas/0/text"),
+    ("term-signature", lambda d: d["terms"][0].update(signature="nowhere"),
+     "unknown signature 'nowhere'", "/terms/0/signature"),
+    ("term-text", lambda d: d["terms"][0].update(text="A(s"),
+     "term 'prop': expected ')' at column 3, got ''", "/terms/0/text"),
+    ("term-context", lambda d: d["terms"][0]["context"].update(D="P("),
+     "term 'prop': expected a type at column 2, got ''", "/terms/0/context/D"),
+    ("proof-line", lambda d: d["proofs"][0]["lines"][0].update(formula="a ->"),
+     "proof 'identity' line 1: expected a formula at column 4, got ''",
+     "/proofs/0/lines/0/formula"),
+    ("sequent", lambda d: _rep(d, "z3").update(axioms=[{"conclusion": "r ="}]),
+     "sequent: expected a term at column 3, got ''", "/representations/1/axioms/0"),
+    ("sequent-variables", lambda d: _rep(d, "z3").update(
+        axioms=[{"conclusion": "r = r", "variables": {"r": "P("}}]),
+     "sequent: expected a type at column 2, got ''",
+     "/representations/1/axioms/0/variables/r"),
+    ("topos-signature", lambda d: _rep(d, "z3").update(signature="nowhere"),
+     "unknown signature 'nowhere'", "/representations/1/signature"),
+    ("topos-category", lambda d: _rep(d, "toy_presheaf")["backend"].update(category="nowhere"),
+     "unknown category 'nowhere'", "/representations/2/backend/category"),
+    ("topos-axiom-pack", lambda d: _rep(d, "z3").update(axiom_packs=["nowhere"]),
+     "unknown axiom pack 'nowhere'", "/representations/1/axiom_packs"),
+    ("topos-pack-clash", lambda d: d["signatures"][1]["symbols"].update(add=["R", "R"]),
+     "representation 'z3': axiom pack symbol 'add' clashes with the signature",
+     "/representations/1"),
+    ("ground-presheaf", lambda d: _rep(d, "toy_presheaf")["grounds"]["Sigma"].update(
+        presheaf="nowhere"),
+     "unknown presheaf 'nowhere'", "/representations/2/grounds/Sigma"),
+    ("ground-inline-set", lambda d: _rep(d, "toy_presheaf")["grounds"].update(
+        R={"set": ["0"]}),
+     "inline sets need the set backend", "/representations/2/grounds/R"),
+    ("ground-kind", lambda d: _rep(d, "z3")["grounds"].update(R={}),
+     "ground needs a presheaf or a set", "/representations/1/grounds/R"),
+    ("topos-base", lambda d: _rep(d, "toy_presheaf")["backend"].update(category="chain3"),
+     "representation 'toy_presheaf': ground 'Sigma' lives on a different base",
+     "/representations/2"),
+    ("symbol-undeclared", lambda d: _rep(d, "z3")["symbols"].update(
+        ghost={"table": [["s0", "0"]]}),
+     "arrow for undeclared symbol 'ghost'", "/representations/1/symbols/ghost"),
+    ("symbol-type", lambda d: _drop(_rep(d, "z3")["grounds"], "R"),
+     "symbol 'A': ground type 'R' has no assigned object", "/representations/1/symbols/A"),
+    ("symbol-plain-table", lambda d: _rep(d, "toy_presheaf")["symbols"].update(
+        A={"table": [["x0", "*"]]}),
+     "plain tables need the set backend", "/representations/2/symbols/A"),
+    ("symbol-kind", lambda d: _rep(d, "z3")["symbols"].update(A={}),
+     "symbol needs a table or components", "/representations/1/symbols/A"),
+    ("symbol-arrow", lambda d: _drop(_rep(d, "z3")["symbols"]["neg"]["table"], -1),
+     "representation 'z3': arrow for 'neg' is invalid in a component: "
+     "('not-total', 'pt', '2')",
+     "/representations/1"),
+    ("topos-complete", lambda d: _drop(_rep(d, "z3")["symbols"], "neg"),
+     "representation 'z3': function symbol 'neg' has no assigned arrow", "/representations/1"),
+]
+
+
+@pytest.mark.hash_seeds
+@pytest.mark.parametrize("edit, error, pointer", [case[1:] for case in REFUSALS],
+                         ids=[case[0] for case in REFUSALS])
+def test_each_loader_refusal_reads_its_message_at_its_pointer(tmp_path, capsys, edit, error,
+                                                               pointer):
+    from toposlang.cli import main
+    doc = base_doc()
+    content = edit(doc)
+    path = tmp_path / "case.json"
+    if content is not _MISSING:
+        path.write_bytes(json.dumps(doc).encode() if content is None else content)
+    code = main(["validate", str(path)])
+    expected = {"error": error.format(path=path)}
+    if pointer is not None:
+        expected["pointer"] = pointer
+    assert (code, json.loads(capsys.readouterr().out)) == (2, expected)
+
+
+def test_a_proof_citation_written_as_a_float_proves_as_the_integer(tmp_path, capsys):
+    # The schema takes 2.0 for an integer, as jsonschema does.
+    from toposlang.cli import main
+    doc = base_doc()
+    doc["proofs"][0]["lines"][2]["refs"] = [2.0, 1.0]
+    doc["proofs"][0]["lines"][4]["refs"] = [4.0, 3.0]
+    path = tmp_path / "floats.json"
+    path.write_text(json.dumps(doc))
+    assert main(["pl", "prove", str(path), "--proof", "identity"]) == 0
+    floats = capsys.readouterr().out
+    assert main(["pl", "prove", str(FIXTURE), "--proof", "identity"]) == 0
+    assert floats == capsys.readouterr().out
+
+
+def test_an_integer_past_the_digit_limit_is_refused_as_not_json(tmp_path, capsys):
+    # json reads digits through int(), which refuses more than
+    # sys.get_int_max_str_digits() of them (4300 by default) with ValueError.
+    from toposlang.cli import main
+    path = tmp_path / "long.json"
+    path.write_text('{"schema_version": ' + "1" * 5000 + "}")
+    assert main(["validate", str(path)]) == 2
+    payload = json.loads(capsys.readouterr().out)
+    assert set(payload) == {"error"} and payload["error"].startswith("not JSON: Exceeds the limit")
