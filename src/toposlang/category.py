@@ -62,6 +62,9 @@ class FiniteCategory:
         for m in self.morphisms:
             if m.dom not in objects or m.cod not in objects:
                 raise CategoryError(f"morphism {m.id!r} has unknown dom/cod")
+        for obj in self.identity:
+            if obj not in objects:
+                raise CategoryError(f"identity for unknown object {obj!r}")
         for obj in self.objects:
             ident = self.identity.get(obj)
             if ident is None or ident not in self._mor:

@@ -4,10 +4,11 @@ representations, formulas, terms and proofs.
 
 Loading is deterministic and eager: every declared object is constructed
 and validated in a fixed order, cross-references resolve by name, and any
-failure carries a JSON-pointer-style location: an undeclared name reads
-`unknown <what> <name>` at the field that referred to it, and a library
-error reads at its declaration's pointer.  Exact rationals travel as
-strings in lowest terms ("5/2"); the terminal point prints as "*".
+failure carries its location as a JSON pointer (RFC 6901, a name's `~` and
+`/` written `~0` and `~1`): an undeclared name reads `unknown <what> <name>`
+at the field that referred to it, and a library error reads at its
+declaration's pointer.  Exact rationals travel as strings in lowest terms
+("5/2"); the terminal point prints as "*".
 
 The document is first checked against `schema/project-v1.schema.json` by
 `schema_check`, which needs no third-party package and reports the first
@@ -113,12 +114,17 @@ def _schema() -> dict:
         return json.load(handle)
 
 
+def _token(name) -> str:
+    """`name` as one JSON-pointer reference token: `~` as `~0`, `/` as `~1`."""
+    return str(name).replace("~", "~0").replace("/", "~1")
+
+
 def validate_schema(document) -> None:
     """Raise the first schema violation, as jsonschema would report it."""
     error = SchemaCheck(_schema()).first_error(document)
     if error is not None:
         path, message = error
-        raise ProjectError(f"schema violation: {message}", "/" + "/".join(map(str, path)))
+        raise ProjectError(f"schema violation: {message}", "/" + "/".join(map(_token, path)))
 
 
 class _Registry:
@@ -180,7 +186,7 @@ def _types_from_json(types: Mapping, pointer: str, prefix: str) -> dict:
     from .local.syntax import parse_type
     parsed = {}
     for vname, tname in types.items():
-        with _refusal(f"{pointer}/{vname}", prefix):
+        with _refusal(f"{pointer}/{_token(vname)}", prefix):
             parsed[vname] = parse_type(tname)
     return parsed
 
@@ -247,17 +253,19 @@ def build_project(document: Mapping) -> Project:
         registry.add(project.algebras, spec["name"], alg, ptr, "algebra")
 
     for i, spec in enumerate(document.get("systems", ())):
-        from .prop.semantics import ClassicalSystem
-        ptr = f"/systems/{i}"
+        from .prop.semantics import ClassicalSystem, _distinct_states
+        ptr, prefix = f"/systems/{i}", f"system {spec['name']!r}: "
         states = tuple(spec["states"])
+        with _refusal(f"{ptr}/states", prefix):
+            known = _distinct_states(states)
         for qname, table in spec["quantities"].items():
-            bad_states = set(table) - set(states)
+            bad_states = set(table) - known
             if bad_states:
                 bad = sorted(bad_states)[0]
                 raise ProjectError(
                     f"quantity {qname!r} mentions unknown state {bad!r}",
-                    f"{ptr}/quantities/{qname}/{bad}")
-        with _refusal(f"{ptr}/quantities", f"system {spec['name']!r}: "):
+                    f"{ptr}/quantities/{_token(qname)}/{_token(bad)}")
+        with _refusal(f"{ptr}/quantities", prefix):
             system = ClassicalSystem(states, spec["quantities"])
         registry.add(project.systems, spec["name"], system, ptr, "system")
 
@@ -375,18 +383,16 @@ def _topos_rep_from_json(project: Project, spec: Mapping, ptr: str) -> ToposRep:
 
     grounds: dict[str, Presheaf] = {}
     for gname, gspec in spec.get("grounds", {}).items():
+        gptr = f"{ptr}/grounds/{_token(gname)}"
         if "presheaf" in gspec:
-            grounds[gname] = _named(project.presheaves, gspec["presheaf"], "presheaf",
-                                    f"{ptr}/grounds/{gname}")
+            grounds[gname] = _named(project.presheaves, gspec["presheaf"], "presheaf", gptr)
         elif "set" in gspec:
             if backend["kind"] != "set":
-                raise ProjectError("inline sets need the set backend",
-                                   f"{ptr}/grounds/{gname}")
+                raise ProjectError("inline sets need the set backend", gptr)
             elements = tuple(element_from_json(e) for e in gspec["set"])
             grounds[gname] = Presheaf(base, {base.objects[0]: elements}, {})
         else:
-            raise ProjectError("ground needs a presheaf or a set",
-                               f"{ptr}/grounds/{gname}")
+            raise ProjectError("ground needs a presheaf or a set", gptr)
 
     # The symbol arrows are built on the types this representation
     # interprets, and assigned to it once built: their tables are read in
@@ -396,24 +402,22 @@ def _topos_rep_from_json(project: Project, spec: Mapping, ptr: str) -> ToposRep:
         rep = ToposRep(signature, base, grounds, {}, tuple(axioms))
     tables = {}
     for sname, sspec in spec.get("symbols", {}).items():
+        sptr = f"{ptr}/symbols/{_token(sname)}"
         if sname not in signature.symbols:
-            raise ProjectError(f"arrow for undeclared symbol {sname!r}",
-                               f"{ptr}/symbols/{sname}")
+            raise ProjectError(f"arrow for undeclared symbol {sname!r}", sptr)
         dom, cod = signature.symbols[sname]
-        with _refusal(f"{ptr}/symbols/{sname}", f"symbol {sname!r}: "):
+        with _refusal(sptr, f"symbol {sname!r}: "):
             source = interpret_type(dom, rep)
             target = interpret_type(cod, rep)
         if "table" in sspec:
             if backend["kind"] != "set":
-                raise ProjectError("plain tables need the set backend",
-                                   f"{ptr}/symbols/{sname}")
+                raise ProjectError("plain tables need the set backend", sptr)
             components = {base.objects[0]: _table_from_json(sspec["table"])}
         elif "components" in sspec:
             components = {obj: _table_from_json(rows)
                           for obj, rows in sspec["components"].items()}
         else:
-            raise ProjectError("symbol needs a table or components",
-                               f"{ptr}/symbols/{sname}")
+            raise ProjectError("symbol needs a table or components", sptr)
         tables[sname] = (source, target, components)
     symbols: dict[str, NatTransform] = {}
     for sname in signature.symbols:

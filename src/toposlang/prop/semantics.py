@@ -45,6 +45,15 @@ def pl_represent(formula: Formula, assignment: Mapping, algebra: DownsetAlgebra)
     return fold_formula(formula, leaf, algebra.negate, lambda former, v, w: ops[former](v, w))
 
 
+def _distinct_states(states) -> set:
+    """The set of `states`; InputError names the first state listed twice."""
+    distinct = set(states)
+    if len(distinct) != len(states):
+        repeat = next(s for i, s in enumerate(states) if s in states[:i])
+        raise InputError(f"state {repeat!r} occurs twice")
+    return distinct
+
+
 @record(frozen=True)
 class ClassicalSystem:
     """Finite state set with exact rational value tables per quantity.
@@ -55,15 +64,16 @@ class ClassicalSystem:
     `sample_interval_sets`, `rep.EffectiveClassicalRep`) uses them as they
     are, so each value is hashed once and found by identity.  A value is
     anything `Fraction` accepts: an int, a `Fraction`, a decimal string or a
-    finite float.  InputError when a table misses a state, has an entry for
-    a state outside `states`, or holds a value that is not a rational."""
+    finite float.  InputError when `states` repeats a name, a table misses a
+    state, has an entry for a state outside `states`, or holds a value that
+    is not a rational."""
     states: tuple[str, ...]
     quantities: Mapping[str, Mapping[str, Fraction]]
 
     def __post_init__(self):
         interned: dict = {}
         tables = {}
-        states = set(self.states)
+        states = _distinct_states(self.states)
         for name, table in self.quantities.items():
             missing = states - set(table)
             if missing:

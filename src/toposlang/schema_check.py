@@ -4,9 +4,9 @@
 `schema/project-v1.schema.json` uses: `type`, `properties`, `required`,
 `additionalProperties`, `items`, `prefixItems`, `minItems`, `maxItems`,
 `minLength`, `pattern`, `enum`, `const`, `oneOf` and `$ref` to
-`#/$defs/<name>`.  Any other keyword, type name or `$ref` form raises
-`UnsupportedSchema` when the check is built, so the schema cannot outgrow it
-silently.
+`#/$defs/<name>`.  The program only ever gives it that shipped schema, and
+it does not vet it: a tier-1 test in `tests/test_schema_check.py` holds the schema to
+the keywords, type names and `$ref` form interpreted here.
 
 `first_error` reports the error that jsonschema 4.x's
 `sorted(Draft202012Validator(schema).iter_errors(doc), key=path)` puts first,
@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import re
 
-# Keywords that carry no assertion; `$defs` entries are vetted as schemas.
+# Keywords that carry no assertion; `$defs` holds the schemas `$ref` names.
 _INERT = frozenset({"$schema", "title", "$defs"})
 _TYPES = {
     "object": lambda x: isinstance(x, dict),
@@ -27,10 +27,6 @@ _TYPES = {
     "integer": lambda x: (isinstance(x, int) and not isinstance(x, bool))
     or (isinstance(x, float) and x.is_integer()),
 }
-
-
-class UnsupportedSchema(ValueError):
-    """The schema uses a keyword, type or `$ref` form this check does not know."""
 
 
 def _equal(a, b) -> bool:
@@ -51,38 +47,9 @@ def _equal(a, b) -> bool:
 class SchemaCheck:
     def __init__(self, schema: dict):
         self.root = schema
-        self._vet(schema)
-
-    def _vet(self, schema) -> None:
-        if not isinstance(schema, dict):
-            raise UnsupportedSchema(f"not a schema object: {schema!r}")
-        for key, value in schema.items():
-            if key == "$defs" or key == "properties":
-                subs = value.values()
-            elif key in ("items", "additionalProperties"):
-                subs = () if value is False and key == "additionalProperties" else (value,)
-            elif key in ("prefixItems", "oneOf"):
-                subs = value
-            elif key == "type":
-                subs = ()
-                if any(t not in _TYPES for t in ([value] if isinstance(value, str) else value)):
-                    raise UnsupportedSchema(f"unsupported type {value!r}")
-            elif key == "$ref":
-                subs = ()
-                if self._resolve(value) is None:
-                    raise UnsupportedSchema(f"unsupported $ref {value!r}")
-            elif key in _INERT or key in _KEYWORDS:
-                subs = ()
-            else:
-                raise UnsupportedSchema(f"unsupported keyword {key!r}")
-            for sub in subs:
-                self._vet(sub)
 
     def _resolve(self, ref):
-        prefix = "#/$defs/"
-        if not isinstance(ref, str) or not ref.startswith(prefix):
-            return None
-        return self.root.get("$defs", {}).get(ref[len(prefix):])
+        return self.root["$defs"][ref[len("#/$defs/"):]]
 
     def first_error(self, instance):
         """(instance path, message) of jsonschema's first error, or None."""

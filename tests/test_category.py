@@ -239,6 +239,13 @@ def test_constructor_rejects_dangling_references():
         FiniteCategory(["x"], [Morphism("id[x]", "x", "x")], {}, {})
 
 
+def test_constructor_refuses_an_identity_for_an_unknown_object():
+    # The stray key answered `id_of` and entered the category's hash and key.
+    with pytest.raises(CategoryError, match="^identity for unknown object 'y'$"):
+        FiniteCategory(["x"], [Morphism("i", "x", "x")], {"x": "i", "y": "i"},
+                       {("i", "i"): "i"})
+
+
 def test_a_composition_entry_for_a_pair_that_does_not_compose_is_refused():
     # f: x -> y, so f o f does not compose; the entry would enter the
     # category's key and make the table unequal to itself without it.

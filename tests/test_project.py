@@ -310,6 +310,8 @@ _MISSING = object()
 REFUSALS = [
     ("schema", lambda d: d.update(schema_version=2),
      "schema violation: 1 was expected", "/schema_version"),
+    ("schema-escaped", lambda d: d["presheaves"][0]["stages"].update({"p/q": 5}),
+     "schema violation: 5 is not of type 'array'", "/presheaves/0/stages/p~1q"),
     ("duplicate-name", lambda d: d["posets"].append(dict(d["posets"][0])),
      "duplicate category name 'two_point': declared at /posets/0 and again at /posets/2",
      "/posets/2"),
@@ -333,6 +335,10 @@ REFUSALS = [
     ("category-names", lambda d: d.update(categories=[dict(_UNIT_LAW_CATEGORY,
                                                           objects=["a", "b", "a"])]),
      "category 'c': duplicate object ids", "/categories/0"),
+    ("category-identity-key", lambda d: d.update(categories=[{
+        "name": "c", "objects": ["x"], "morphisms": [{"id": "i", "dom": "x", "cod": "x"}],
+        "identities": {"x": "i", "y": "i"}, "composition": [["i", "i", "i"]]}]),
+     "category 'c': identity for unknown object 'y'", "/categories/0"),
     ("presheaf-base", lambda d: d["presheaves"][0].update(base="nowhere"),
      "unknown base category 'nowhere'", "/presheaves/0/base"),
     ("presheaf-stages", lambda d: d["presheaves"][0]["stages"].update(nowhere=["n0"]),
@@ -349,6 +355,11 @@ REFUSALS = [
      "algebra 'two_chain_lower': cycle detected through 'p' and 'q'", "/algebras/2"),
     ("system-state", lambda d: d["systems"][0]["quantities"]["p"].update(s9="1"),
      "quantity 'p' mentions unknown state 's9'", "/systems/0/quantities/p/s9"),
+    ("system-state-escaped", lambda d: d["systems"][0]["quantities"].update(
+        {"x/y": {"s1": "0", "s2": "0", "s3": "0", "s9": "1"}}),
+     "quantity 'x/y' mentions unknown state 's9'", "/systems/0/quantities/x~1y/s9"),
+    ("system-repeated-state", lambda d: d["systems"][0]["states"].append("s1"),
+     "system 'particle': state 's1' occurs twice", "/systems/0/states"),
     ("system-value", lambda d: d["systems"][0]["quantities"]["p"].update(s2="1/0"),
      "system 'particle': quantity 'p' has a value that is not a rational at state 's2': '1/0'",
      "/systems/0/quantities"),
@@ -371,6 +382,8 @@ REFUSALS = [
      "term 'prop': expected ')' at column 3, got ''", "/terms/0/text"),
     ("term-context", lambda d: d["terms"][0]["context"].update(D="P("),
      "term 'prop': expected a type at column 2, got ''", "/terms/0/context/D"),
+    ("term-context-escaped", lambda d: d["terms"][0]["context"].update({"a~b": "P("}),
+     "term 'prop': expected a type at column 2, got ''", "/terms/0/context/a~0b"),
     ("proof-line", lambda d: d["proofs"][0]["lines"][0].update(formula="a ->"),
      "proof 'identity' line 1: expected a formula at column 4, got ''",
      "/proofs/0/lines/0/formula"),

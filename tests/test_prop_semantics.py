@@ -52,6 +52,12 @@ def test_system_refuses_an_entry_for_a_state_outside_its_states():
         ClassicalSystem(("s",), {"B": {"s": 2}, "A": {"s": 1, "t": 7}})
 
 
+def test_system_refuses_a_repeated_state():
+    # Its powerset algebra listed the state twice in `top`.
+    with pytest.raises(InputError, match="^state 's' occurs twice$"):
+        ClassicalSystem(("s", "t", "s"), {"A": {"s": 1, "t": 2}})
+
+
 def test_system_accepts_what_fraction_accepts_and_keeps_one_object_per_value():
     system = ClassicalSystem(("s", "t", "u"), {
         "A": {"s": 1, "t": "5/2", "u": 2.5},
